@@ -337,8 +337,7 @@ impl AdaptiveController {
     /// the storm schedule directly (outcome windows lag a flood; the
     /// detector does not); the level ratio feeds a slow average whose
     /// hysteresis gates the deep-calm relaxation. Returns `true` when
-    /// either state flipped (thresholds jumped — cached score bounds are
-    /// stale).
+    /// either state flipped (thresholds jumped).
     pub fn set_pressure(&mut self, engaged: bool, level_ratio: f64) -> bool {
         let was = (self.pressure, self.deep_calm);
         self.pressure = engaged;
@@ -405,8 +404,7 @@ impl AdaptiveController {
     }
 
     /// Feeds one terminal task outcome. Returns `true` when a window
-    /// boundary was crossed and thresholds may have moved (the caller
-    /// invalidates score-table bound caches keyed on thresholds).
+    /// boundary was crossed and thresholds may have moved.
     pub fn observe(&mut self, tt: TaskTypeId, outcome: TaskOutcome) -> bool {
         self.window.add(outcome);
         if let Some(c) = self.classes.get_mut(tt.index()) {

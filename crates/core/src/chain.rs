@@ -270,6 +270,32 @@ pub(crate) fn conditioned_head(
     (completion, robustness, skewness)
 }
 
+/// First event time at which [`conditioned_head`] stops returning what it
+/// returns at `now` for the same executing task.
+///
+/// The head is the PET conditioned on `elapsed` and shifted to `now`:
+/// [`Pmf::residual_shifted_into`] keeps `masses[split..]` (renormalized)
+/// at times `t − elapsed + now = t − progress_before + started_at`, where
+/// `split` counts the PET impulses at or below `elapsed`. The clock
+/// therefore enters only through `split`: until `elapsed` reaches
+/// `times[split]` the completion — and its compaction, robustness,
+/// skewness and Eq. 5 clamp, all pure functions of it — is bit-identical.
+/// An overdue head (`split == len`) collapses to `delta(now + 1)` and
+/// holds for `now` alone — as does a head queried before its own start
+/// (`elapsed_at` saturates there, so the identity above does not apply;
+/// the engine never does this).
+pub(crate) fn head_valid_until(exec: &hcsim_sim::ExecutingTask, pet_pmf: &Pmf, now: Time) -> Time {
+    let elapsed = exec.elapsed_at(now);
+    let times = pet_pmf.times();
+    match times.get(times.partition_point(|&t| t <= elapsed)) {
+        // `next > elapsed ≥ progress_before`, so the subtraction is safe.
+        Some(&next) if now >= exec.started_at => {
+            exec.started_at.saturating_add(next - exec.progress_before)
+        }
+        _ => now.saturating_add(1),
+    }
+}
+
 /// Chains one pending entry behind `avail`: the policy-aware
 /// [`queue_step_into`] with the availability compacted to `budget`, plus
 /// the completion's Eq. 6 bounded skewness (0 when the task can never

@@ -41,9 +41,8 @@ pub struct MocConfig {
     /// Fan-out engine (same resolution and guarantees as
     /// [`crate::PruningConfig::backend`]).
     pub backend: FanoutBackend,
-    /// Same-tick score-table reuse across burst mapping events (same
-    /// semantics as [`crate::PruningConfig::table_reuse`]; MOC's culling
-    /// threshold is static, so no invalidation path is needed).
+    /// Score-table reuse across mapping events (same semantics as
+    /// [`crate::PruningConfig::table_reuse`]).
     pub table_reuse: bool,
 }
 
@@ -66,8 +65,8 @@ impl Default for MocConfig {
 pub struct Moc {
     config: MocConfig,
     scorer: Option<ProbScorer>,
-    /// Reused (window × machine) score matrix; rebuilt per event, updated
-    /// incrementally between assignments.
+    /// Reused (window × machine) score matrix; revalidated per event,
+    /// updated incrementally between assignments.
     table: ScoreTable,
     /// Owned-tail scratch for the permutation phase, reused across
     /// candidates and events (keeps mapping events allocation-free).
@@ -154,8 +153,7 @@ impl Mapper for Moc {
                 break;
             }
             if !table_fresh {
-                // Same-tick burst reuse, mirroring PAM's (MOC's culling
-                // threshold never moves, so no invalidation is needed).
+                // Cross-event reuse, mirroring PAM's.
                 if self.config.table_reuse {
                     table.ensure(&mut scorer, ctx.machines(), &ctx.batch()[..window], &skip_below);
                 } else {
@@ -265,6 +263,17 @@ impl Mapper for Moc {
 
         self.scorer = Some(scorer);
     }
+
+    fn restore_state(&mut self, _bytes: &[u8]) {
+        // MOC carries no history (the default empty blob), but its score
+        // table and the scorer's chains belong to the pre-snapshot event
+        // stream: both are keyed on machine versions, which the restored
+        // timeline may re-issue with other contents.
+        self.table.invalidate();
+        if let Some(scorer) = &mut self.scorer {
+            scorer.clear_caches();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +361,13 @@ mod tests {
             moc_report.metrics.pct_on_time,
             ff_report.metrics.pct_on_time
         );
+    }
+
+    #[test]
+    fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
+        crate::scorer::assert_restore_drops_abandoned_chains(&mut Moc::new(), |moc| {
+            moc.scorer.as_mut().expect("built at the first mapping event")
+        });
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub struct Pam {
     detector: OversubscriptionDetector,
     pruner: Pruner,
     scorer: Option<ProbScorer>,
-    /// Reused (window × machine) score matrix; rebuilt per event, updated
-    /// incrementally between assignments.
+    /// Reused (window × machine) score matrix; revalidated per event,
+    /// updated incrementally between assignments.
     table: ScoreTable,
     sufferage: Option<SufferageTable>,
     /// Online threshold controller ([`PruningConfig::adaptive`]); its
@@ -170,12 +170,11 @@ impl Mapper for Pam {
         // Feed-forward: the detector leads the outcome window by the width
         // of a task lifetime, so the controller learns about a storm here,
         // not when its casualties finish. A flip moves both thresholds at
-        // once — cached score bounds are stale.
+        // once; the score table rechecks its skipped rows against the
+        // thresholds of the event it serves (`ScoreTable::ensure`).
         if let Some(a) = &mut self.adaptive {
             let ratio = self.detector.level() / self.config.toggle_on.max(f64::MIN_POSITIVE);
-            if a.set_pressure(self.detector.dropping_engaged(), ratio) {
-                self.table.invalidate();
-            }
+            a.set_pressure(self.detector.dropping_engaged(), ratio);
             if a.deep_calm() {
                 self.instr.events_deep_calm += 1;
             }
@@ -223,10 +222,10 @@ impl Mapper for Pam {
                 break;
             }
             if !table_fresh {
-                // Same-tick burst reuse: a second mapping event at the same
-                // instant (and membership epoch) revalidates the previous
-                // event's table — rescoring only version-changed machines —
-                // instead of rebuilding from scratch.
+                // Cross-event reuse: within a membership epoch the
+                // previous event's table is revalidated — rescoring only
+                // the machines whose version moved or whose conditioned
+                // head the clock re-keyed — instead of rebuilt from scratch.
                 if self.config.table_reuse {
                     if table.ensure(
                         &mut scorer,
@@ -296,17 +295,12 @@ impl Mapper for Pam {
     }
 
     fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
+        // Either update may move the skip thresholds between events; the
+        // score table revalidates against them row by row.
         if let Some(a) = &mut self.adaptive {
-            // Threshold drift moves the skip thresholds between events;
-            // same-tick reuse only rechecks bounds that a *machine* change
-            // loosened, so a window-boundary adjustment forces a rebuild.
-            if a.observe(task.type_id, outcome) {
-                self.table.invalidate();
-            }
+            a.observe(task.type_id, outcome);
         } else if let Some(s) = &mut self.sufferage {
             s.on_task_finished(task.type_id, outcome.is_success());
-            // Same reasoning for sufferage drift.
-            self.table.invalidate();
         }
     }
 
@@ -416,8 +410,13 @@ impl Mapper for Pam {
             }
         }
         assert_eq!(r.pos, bytes.len(), "corrupt PAM state blob: trailing bytes");
-        // The score table belongs to the pre-snapshot event stream.
+        // The score table and the scorer's chains belong to the
+        // pre-snapshot event stream: both are keyed on machine versions,
+        // which the restored timeline may re-issue with other contents.
         self.table.invalidate();
+        if let Some(scorer) = &mut self.scorer {
+            scorer.clear_caches();
+        }
     }
 
     fn on_shutdown(&mut self) {
@@ -736,6 +735,83 @@ mod tests {
                 format!("{baseline:?}"),
                 format!("{resumed:?}"),
                 "{kind} resumed run diverged from the uninterrupted baseline"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
+        crate::scorer::assert_restore_drops_abandoned_chains(
+            &mut Pam::new(PruningConfig::default()),
+            |pam| pam.scorer.as_mut().expect("built at the first mapping event"),
+        );
+    }
+
+    #[test]
+    fn restore_into_live_pam_decides_like_a_fresh_one() {
+        // A service restores its checkpoint into the mapper it already
+        // has: same prefix, snapshot mid-flight, the first timeline
+        // abandoned a few events, many events, or a whole run later, then
+        // a continuation that arrives at the same instants but differs in
+        // type and deadline. The live mapper must decide exactly like a
+        // fresh one restored from the same bytes.
+        let seeds = SeedSequence::new(91);
+        let spec = specint_system(6, &mut seeds.stream(0));
+        let gen = WorkloadGenerator::new(WorkloadConfig {
+            num_tasks: 250,
+            oversubscription: 34_000.0,
+            ..Default::default()
+        });
+        let tasks = gen.generate(&spec, &mut seeds.stream(1));
+        let (prefix, abandoned) = tasks.split_at(120);
+        let types = spec.num_task_types() as u16;
+        let continuation: Vec<Task> = abandoned
+            .iter()
+            .map(|t| Task {
+                type_id: TaskTypeId((t.type_id.0 + 1) % types),
+                deadline: t.deadline + 40,
+                ..*t
+            })
+            .collect();
+        let config = SimConfig::untrimmed();
+
+        for abandoned_steps in [4, 40, usize::MAX] {
+            let mut live = Pam::new(PruningConfig::default());
+            let mut rng = seeds.stream(2);
+            let mut session =
+                hcsim_sim::SimSession::new(&spec, config, &mut [], &mut live, &mut rng);
+            for task in prefix {
+                session.inject_arrival(*task);
+            }
+            for _ in 0..150 {
+                assert!(session.step(), "prefix drained before the snapshot point");
+            }
+            let bytes = session.snapshot();
+            for task in abandoned {
+                session.inject_arrival(*task);
+            }
+            for _ in 0..abandoned_steps {
+                if !session.step() {
+                    break;
+                }
+            }
+            drop(session);
+
+            let resume = |mapper: &mut Pam| {
+                let mut rng = seeds.stream(9); // overwritten by restore
+                let mut session =
+                    hcsim_sim::SimSession::restore(&spec, config, &bytes, mapper, &mut rng)
+                        .expect("snapshot restores");
+                for task in &continuation {
+                    session.inject_arrival(*task);
+                }
+                format!("{:?}", session.run_to_completion())
+            };
+            let fresh = resume(&mut Pam::new(PruningConfig::default()));
+            assert_eq!(
+                resume(&mut live),
+                fresh,
+                "abandoned after {abandoned_steps} steps: live restore diverged from a fresh mapper"
             );
         }
     }

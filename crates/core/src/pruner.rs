@@ -81,10 +81,11 @@ pub struct PruningConfig {
     /// `threads`, a pure performance knob: scoped and pooled execution
     /// produce byte-identical reports.
     pub backend: FanoutBackend,
-    /// Reuse the score table across mapping events fired at the same
-    /// simulated instant (burst arrivals): only version-changed machines
-    /// are rescored and the window diff is applied incrementally, instead
-    /// of rebuilding from scratch per event. Decision-identical by
+    /// Reuse the score table across mapping events (same instant or
+    /// later, within a membership epoch): only machines whose version
+    /// moved or whose conditioned head the clock re-keyed are rescored and
+    /// the window diff is applied incrementally, instead of rebuilding
+    /// from scratch per event. Decision-identical by
     /// construction (see [`crate::scorer::ScoreTable::ensure`]) — another
     /// pure performance knob, on by default.
     pub table_reuse: bool,

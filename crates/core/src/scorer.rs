@@ -24,24 +24,36 @@
 //! [`MachineCache`] holds two layers:
 //!
 //! 1. a **conditioned head** — the executing task's residual-execution
-//!    availability, which depends on `now` and is therefore recomputed
-//!    whenever the event time moves;
+//!    availability. §IV shifts the PET by the task's *start* time, so the
+//!    clock reaches it only through the conditioning: which PET impulses
+//!    the elapsed time has already ruled out. The head is keyed on that
+//!    bucket and stored with the window of event times over which it
+//!    holds (see `HeadWindow`); a later event inside the window is a
+//!    two-compare hit. An idle machine's `delta(now)` and an overdue
+//!    head's `delta(now + 1)` hold for their own tick only;
 //! 2. a **pending chain** — one availability PMF per pending queue entry,
-//!    chained by [`hcsim_pmf::queue_step_into`]. On a queue mutation the
-//!    cache matches the *longest common prefix* of the cached entry
-//!    signatures `(task id, progress)` against the live queue and
-//!    reconvolves only the suffix: appending a task (the mapper's
-//!    assignment loop) costs one `queue_step`; dropping a mid-queue task
-//!    (the pruner) reuses everything ahead of it. Eviction, preemption, or
-//!    a new event time fall back to a full rebuild.
+//!    chained by [`hcsim_pmf::queue_step_into`]. Nothing in it reads the
+//!    clock. On a queue mutation the cache matches the *longest common
+//!    prefix* of the cached entry signatures `(task id, progress)`
+//!    against the live queue and reconvolves only the suffix: appending a
+//!    task (the mapper's assignment loop) costs one `queue_step`;
+//!    dropping a mid-queue task (the pruner) reuses everything ahead of
+//!    it. Eviction, preemption, a warm-set change, or an event time
+//!    outside the head's window fall back to a full rebuild.
 //!
 //! Because the incremental path replays exactly the operations a
 //! from-scratch [`analyze_queue`] would perform — in the same order, with
 //! the same compaction budget — cached tails are bit-identical to
-//! from-scratch analysis (a replay proptest in `tests/` asserts this).
-//! All intermediate storage is drawn from a per-machine [`ConvScratch`]
-//! pool, so the steady-state scoring loop allocates nothing per
-//! (task, machine) pair.
+//! from-scratch analysis (replay and clock-sweep proptests in `tests/`
+//! assert this). All intermediate storage — idle heads included — is
+//! drawn from a per-machine [`ConvScratch`] pool, so the steady-state
+//! scoring loop allocates nothing per (task, machine) pair.
+//!
+//! The [`ScoreTable`] applies the same observation one level up: a score
+//! column is a pure function of the machine's tail and version-stamped
+//! state, so [`ScoreTable::ensure`] carries the table across ticks and
+//! rescores only the machines whose version moved or whose head window
+//! closed.
 //!
 //! # Parallel per-machine fan-out
 //!
@@ -92,6 +104,16 @@ use std::sync::Arc;
 /// degenerates to the sequential path — which produces bit-identical
 /// results by construction.
 pub const PARALLEL_MIN_MACHINES: usize = 16;
+
+/// Minimum number of changed machines before a [`ScoreTable::ensure`]
+/// that falls back to a rebuild lets it fan out. Most events repair the
+/// table incrementally, so these rebuilds are far apart and their rounds
+/// find the pool's workers parked: waking them costs 50–120 µs per
+/// round on a virtualised host, against roughly 2 µs of chain-plus-column
+/// work per changed machine (a 64-machine rebuild measured 120 µs on the
+/// calling thread and 250–310 µs through the two-round fan-out). Below
+/// this floor the rebuild runs on the calling thread at any thread count.
+const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 
 /// Machines per [`ScoreTable`] shard. The table's bound pass works on
 /// shard-level *envelope* bounds first and only descends into shards that
@@ -179,6 +201,41 @@ struct PendingSig {
     progress: Time,
 }
 
+/// The event times `[from, until)` over which a conditioned head — and
+/// with it the whole availability chain, which never reads the clock — is
+/// bit-identical to what a rebuild would produce. The clock reaches the
+/// head only through its *conditioning bucket*: an executing head is keyed
+/// on how many PET impulses the elapsed time has ruled out and holds until
+/// the next impulse is crossed ([`crate::chain::head_valid_until`]); an
+/// idle head (`delta(now)`) and an overdue one (`delta(now + 1)`) hold for
+/// their own tick. The window opens at the build instant — time only
+/// moves forward within a timeline, and a restore drops the caches. The
+/// default window is empty.
+#[derive(Debug, Clone, Copy, Default)]
+struct HeadWindow {
+    from: Time,
+    until: Time,
+}
+
+impl HeadWindow {
+    #[inline]
+    fn contains(self, now: Time) -> bool {
+        self.from <= now && now < self.until
+    }
+}
+
+/// What a [`ScoreTable`] keeps of one free machine's tail between
+/// events: the bound-pass scalar, and the event times over which the tail
+/// (hence the machine's whole score column) stays what it is while the
+/// machine's version does not move.
+#[derive(Debug, Clone, Copy)]
+struct TailBound {
+    /// Earliest tail impulse: no appended task can start sooner.
+    earliest: Time,
+    /// Head window of the chain the column was scored from.
+    head_window: HeadWindow,
+}
+
 /// One machine's cached availability chain (see module docs).
 #[derive(Debug, Default)]
 struct TailCache {
@@ -192,10 +249,11 @@ struct TailCache {
     /// whole chain — this separate key forces the rebuild. Constant 0 in
     /// the classic model, so the check never fires there.
     warm_rev: u64,
-    /// Event time the conditioned head was computed at.
-    now: Time,
+    /// Event times over which the cached head (hence chain) holds.
+    head_window: HeadWindow,
     /// Executing-task identity: `(id, started_at, progress_before)`.
-    /// Together with `now` this fully determines the conditioned head.
+    /// Together with the head window this fully determines the
+    /// conditioned head.
     exec_sig: Option<(TaskId, Time, Time)>,
     /// Signatures of the pending entries the chain was built over.
     pending_sig: Vec<PendingSig>,
@@ -213,12 +271,20 @@ struct TailCache {
     /// placeholders) and [`ProbScorer::slot_scores`] rebuilds in stats
     /// mode on demand.
     stats_valid: bool,
+    /// Head rebuilds plus chain extensions performed so far — the
+    /// convolution work the cache did *not* avoid (diagnostics/tests).
+    builds: u64,
 }
 
 impl TailCache {
     /// Only called after `ensure`, which always populates the head.
     fn tail(&self) -> &Pmf {
         self.links.last().or(self.head.as_ref()).expect("cache built before query")
+    }
+
+    /// What a [`ScoreTable`] records of this (ensured) tail.
+    fn bound(&self) -> TailBound {
+        TailBound { earliest: self.tail().min_time(), head_window: self.head_window }
     }
 }
 
@@ -362,7 +428,7 @@ impl MachineCache {
         let Self { cache, scratch, .. } = self;
         if cache.valid
             && cache.version == machine.version()
-            && cache.now == now
+            && cache.head_window.contains(now)
             && (!want_stats || cache.stats_valid)
         {
             return;
@@ -370,7 +436,7 @@ impl MachineCache {
 
         let exec_sig = machine.executing().map(|e| (e.task.id, e.started_at, e.progress_before));
         let head_reusable = cache.valid
-            && cache.now == now
+            && cache.head_window.contains(now)
             && cache.exec_sig == exec_sig
             && cache.warm_rev == machine.warm_rev()
             && (!want_stats || cache.stats_valid);
@@ -389,6 +455,7 @@ impl MachineCache {
             cache.slots.truncate(usize::from(exec_sig.is_some()) + lcp);
         } else {
             // Full rebuild: recompute the conditioned head at `now`.
+            cache.builds += 1;
             for link in cache.links.drain(..) {
                 scratch.recycle(link);
             }
@@ -397,17 +464,12 @@ impl MachineCache {
             if let Some(old) = cache.head.take() {
                 scratch.recycle(old);
             }
-            if let Some(exec) = machine.executing() {
+            let until = if let Some(exec) = machine.executing() {
                 // Shared head pipeline (`chain::conditioned_head`) keeps
                 // this bit-identical to from-scratch analysis.
-                let (mut completion, robustness, skewness) = crate::chain::conditioned_head(
-                    exec,
-                    pets.for_exec(exec),
-                    machine.id(),
-                    now,
-                    budget,
-                    scratch,
-                );
+                let pet = pets.for_exec(exec);
+                let (mut completion, robustness, skewness) =
+                    crate::chain::conditioned_head(exec, pet, machine.id(), now, budget, scratch);
                 if policy == DropPolicy::All {
                     // Eq. 5: the executing task is evicted at its deadline,
                     // so the machine is free no later than δ.
@@ -415,9 +477,12 @@ impl MachineCache {
                 }
                 cache.slots.push(SlotScore { task: exec.task, position: 0, robustness, skewness });
                 cache.head = Some(completion);
+                crate::chain::head_valid_until(exec, pet.pmf(exec.task.type_id, machine.id()), now)
             } else {
-                cache.head = Some(Pmf::delta(now));
-            }
+                cache.head = Some(scratch.delta(now));
+                now.saturating_add(1)
+            };
+            cache.head_window = HeadWindow { from: now, until };
             cache.exec_sig = exec_sig;
             cache.stats_valid = true;
         }
@@ -428,6 +493,7 @@ impl MachineCache {
         // append; only the pruner reads it, so stats-free callers skip it
         // (leaving the NaN placeholder `stats_valid` tracks).
         for (idx, entry) in machine.pending_entries().enumerate().skip(cache.pending_sig.len()) {
+            cache.builds += 1;
             let avail = cache.links.last().or(cache.head.as_ref()).expect("head built above");
             let (mut step, skewness) = crate::chain::chain_extension(
                 avail,
@@ -458,7 +524,6 @@ impl MachineCache {
         cache.valid = true;
         cache.version = machine.version();
         cache.warm_rev = machine.warm_rev();
-        cache.now = now;
     }
 }
 
@@ -646,10 +711,10 @@ impl ProbScorer {
     }
 
     /// Starts a new mapping event at `now`. Caches are *not* discarded:
-    /// validity is re-checked lazily against `(version, now)`, so an event
-    /// at the same timestamp (a same-instant arrival burst) keeps every
-    /// chain, and a moved clock rebuilds only the machines actually
-    /// queried.
+    /// validity is re-checked lazily against `(version, head window)`, so
+    /// a later event keeps every chain whose conditioned head the moved
+    /// clock did not re-key (an executing task that crossed no PET
+    /// impulse), and rebuilds only the re-keyed machines actually queried.
     pub fn begin_event(&mut self, now: Time) {
         self.now = now;
     }
@@ -752,6 +817,27 @@ impl ProbScorer {
     #[must_use]
     pub fn pool_active(&self) -> bool {
         matches!(self.cells, CellStore::Pooled(_))
+    }
+
+    /// Head rebuilds plus chain extensions machine `m`'s cell has performed
+    /// so far — a cache hit leaves it unchanged. Test support for the
+    /// clock-sweep proptest, not part of the supported API.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn chain_builds(&mut self, m: MachineId) -> u64 {
+        self.cells.with(m.index(), |cell| cell.cache.builds)
+    }
+
+    /// Drops every machine's cached chain (storage returns to the cells'
+    /// pools; the PET tables and the worker pool stay). Cache validity is
+    /// keyed on machine versions, which are only unique *within one
+    /// timeline*: a mapper restored into a diverging timeline must call
+    /// this, or a re-issued version could hit a chain built from other
+    /// queue contents.
+    pub fn clear_caches(&mut self) {
+        for i in 0..self.shared.machines {
+            self.cells.with(i, MachineCache::release);
+        }
     }
 
     /// Drains and joins the worker pool (if one is active) within
@@ -988,16 +1074,16 @@ impl ProbScorer {
         }
     }
 
-    /// Earliest possible start per free machine (`None`: no free slot),
-    /// gathered in machine-index order for the [`ScoreTable`] bound pass.
-    /// Cells must already be warm for the free machines.
-    fn collect_tail_mins(&mut self, machines: &[MachineState], out: &mut Vec<Option<Time>>) {
+    /// Earliest possible start and head window per free machine (`None`:
+    /// no free slot), gathered in machine-index order for the
+    /// [`ScoreTable`] bound pass and its cross-tick revalidation. Cells
+    /// must already be warm for the free machines.
+    fn collect_tail_bounds(&mut self, machines: &[MachineState], out: &mut Vec<Option<TailBound>>) {
         out.clear();
         for (i, machine) in machines.iter().enumerate() {
-            let earliest = machine
-                .has_free_slot()
-                .then(|| self.cells.with(i, |cell| cell.cache.tail().min_time()));
-            out.push(earliest);
+            let bound =
+                machine.has_free_slot().then(|| self.cells.with(i, |cell| cell.cache.bound()));
+            out.push(bound);
         }
     }
 
@@ -1078,14 +1164,15 @@ impl ProbScorer {
         }
     }
 
-    /// Ensures `machine`'s cell and returns its tail's earliest start —
-    /// the single-machine bound probe [`ScoreTable::push_row`] uses.
-    fn ensure_tail_min(&mut self, machine: &MachineState) -> Time {
+    /// Ensures `machine`'s cell and returns its tail's bound scalars —
+    /// [`ScoreTable::ensure`] needs a changed machine's bound before it
+    /// can decide which rows that machine's column must score.
+    fn ensure_tail_bound(&mut self, machine: &MachineState) -> TailBound {
         let Self { shared, pet, cold_pet, now, cells, .. } = self;
         let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
         cells.with(machine.id().index(), |cell| {
             cell.ensure(shared, *now, machine, pets, false);
-            cell.cache.tail().min_time()
+            cell.cache.bound()
         })
     }
 }
@@ -1156,16 +1243,17 @@ const BOUND_MARGIN: f64 = 1e-8;
 
 /// The (window task × machine) score matrix PAM and MOC reduce over,
 /// maintained *hierarchically* and *incrementally* — within a mapping
-/// event and, when nothing invalidates it, across the events of a
-/// same-instant arrival burst.
+/// event and, while the membership epoch holds, from one event to the
+/// next, whether or not the clock or the caller's thresholds moved.
 ///
 /// Layout is machine-major (one contiguous column per machine), grouped
 /// into contiguous `TABLE_SHARD_WIDTH`-machine shards, which is what
 /// makes both the bound pass and the phase-2 reduction cheap at cluster
 /// scale:
 ///
-/// * [`ScoreTable::rebuild`] — on the first event of a tick — ensures
-///   every free machine's tail cache in a per-machine fan-out (a
+/// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a tick
+///   that re-keyed most of the cluster — ensures every free machine's
+///   tail cache in a per-machine fan-out (a
 ///   worker-pool round at cluster scale), then scores the surviving
 ///   (row, shard) pairs in a second fan-out (columns are disjoint cells,
 ///   merged in machine-index order);
@@ -1203,14 +1291,16 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   (machine state, task) alone. Within one event machines only fill up
 ///   and bounds only tighten, so a skipped row can never need
 ///   resurrection mid-event.
-/// * across the events of a same-tick burst, [`ScoreTable::ensure`]
-///   revalidates the table against `(now, membership epoch, machine
-///   versions, window)` instead of rebuilding: only machines whose
-///   version moved (completions, pruner drops) are rescored, rows whose
-///   bounds those machines *loosened* are resurrected shard-by-shard, and
-///   the window diff is applied as removals + appended rows. Every
-///   surviving entry is byte-identical to what a fresh rebuild would
-///   compute, so burst events cost O(changed), not O(machines).
+/// * across events, [`ScoreTable::ensure`] revalidates the table against
+///   `(membership epoch, machine versions, head windows, window)`
+///   instead of rebuilding: only machines whose version moved
+///   (completions, assignments, pruner drops) or whose conditioned head
+///   the clock re-keyed are rescored, rows whose bounds those machines
+///   *loosened* — or whose skip threshold the caller lowered — are
+///   resurrected shard-by-shard, and the window diff is applied as
+///   removals + appended rows. Every surviving entry is
+///   byte-identical to what a fresh rebuild would compute, so an event
+///   costs O(changed), not O(machines).
 ///
 /// The sequential heuristics used to rescore the full window × machines
 /// product on every loop iteration; under oversubscription — where the
@@ -1227,33 +1317,40 @@ pub struct ScoreTable {
     scored: Vec<bool>,
     /// Row-aligned: which shards the row survived the bound pass in
     /// (inner length = shards). Entries only flip dead → live, and only
-    /// in [`ScoreTable::ensure`] when a changed machine loosened a bound.
+    /// in [`ScoreTable::ensure`] when a changed machine loosened a bound
+    /// or the caller lowered the row's threshold.
     shard_live: Vec<Vec<bool>>,
+    /// Row-aligned: the caller's skip threshold the row's dead lanes were
+    /// last proven under. [`ScoreTable::ensure`] rechecks every dead lane
+    /// of a row whose threshold has since dropped.
+    row_thresholds: Vec<f64>,
     /// Recycled `shard_live` lanes (keeps row churn allocation-free).
     spare_lanes: Vec<Vec<bool>>,
     /// Per shard, per row: the shard's best candidate under the exact
     /// first-wins comparison (`None`: no scored member).
     shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
-    /// Scratch: `(row, task)` pairs live in one shard (column refreshes).
+    /// Scratch: `(row, task)` pairs live in one shard — filled once per
+    /// shard by [`ScoreTable::collect_live_rows`], read by every column
+    /// rescore in that shard.
     live: Vec<(usize, Task)>,
     /// Scratch: per-shard `(row, task)` lists for the rebuild fan-out.
     live_by_shard: Vec<Vec<(usize, Task)>>,
-    /// Earliest tail impulse per free machine (`None`: no free slot),
-    /// kept current by refresh/ensure for the shard bounds.
-    tail_mins: Vec<Option<Time>>,
-    /// Per shard: min over members of `tail_mins` (`None`: no free
-    /// member).
+    /// Bound scalars and head window per free machine (`None`: no free
+    /// slot), as of the machine's last column (re)score.
+    tail_bounds: Vec<Option<TailBound>>,
+    /// Per shard: min over members of `tail_bounds[..].earliest` (`None`:
+    /// no free member).
     shard_earliest: Vec<Option<Time>>,
-    /// Same-tick reuse signature: `(now, membership epoch)` of the last
-    /// rebuild, machine versions and window tasks as last scored.
-    sig: Option<(Time, Option<u64>)>,
+    /// Reuse signature: membership epoch of the last rebuild, machine
+    /// versions and window tasks as last scored. The event time is *not*
+    /// part of it — see [`ScoreTable::ensure`].
+    epoch: Option<u64>,
     versions: Vec<u64>,
     row_tasks: Vec<Task>,
-    /// Set by [`ScoreTable::invalidate`] when the caller's thresholds
-    /// drifted (PAMF sufferage): the next ensure falls back to rebuild.
+    /// Set by [`ScoreTable::invalidate`]: the next ensure rebuilds.
     stale: bool,
-    /// Ensure scratch: indices/mask of version-changed machines, dirty
-    /// shards, and resurrected `(row, shard)` pairs.
+    /// Ensure scratch: indices/mask of changed machines, dirty shards,
+    /// and resurrected `(row, shard)` pairs.
     changed: Vec<usize>,
     changed_mask: Vec<bool>,
     dirty_shards: Vec<bool>,
@@ -1342,29 +1439,42 @@ impl ScoreTable {
         tasks: &[Task],
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) {
+        self.rebuild_changed(scorer, machines, tasks, skip_below, usize::MAX);
+    }
+
+    /// [`ScoreTable::rebuild`] knowing that only `changed` machines moved
+    /// since the table last scored them: too few of them
+    /// (`REBUILD_FANOUT_MIN_CHANGED`) keep the rebuild on the calling
+    /// thread.
+    fn rebuild_changed(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+        changed: usize,
+    ) {
         debug_assert_machine_alignment(machines);
         self.cols.resize_with(machines.len(), Vec::new);
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
-        let parallel = free >= PARALLEL_MIN_MACHINES;
+        let parallel = free >= PARALLEL_MIN_MACHINES && changed >= REBUILD_FANOUT_MIN_CHANGED;
         let shards = scorer.shared.shards;
 
         // Fan-out 1: bring every free machine's availability chain up to
         // date (the convolution-heavy part), then gather the bound
         // scalars and fold them into per-shard earliest starts.
         scorer.warm(machines, WarmFilter::FreeSlot, false, parallel);
-        scorer.collect_tail_mins(machines, &mut self.tail_mins);
+        scorer.collect_tail_bounds(machines, &mut self.tail_bounds);
         self.shard_earliest.clear();
         self.shard_earliest.resize(shards, None);
-        for (m, &tm) in self.tail_mins.iter().enumerate() {
-            if let Some(t) = tm {
-                let e = &mut self.shard_earliest[m / TABLE_SHARD_WIDTH];
-                *e = Some(e.map_or(t, |cur| cur.min(t)));
-            }
+        for s in 0..shards {
+            self.recompute_shard_earliest(s);
         }
 
         // Hierarchical bound pass: per row, one envelope probe per shard;
         // only surviving (row, shard) pairs reach the scoring fan-out.
         self.scored.clear();
+        self.row_thresholds.clear();
         self.spare_lanes.append(&mut self.shard_live);
         self.live_by_shard.resize_with(shards, Vec::new);
         for lane in &mut self.live_by_shard {
@@ -1386,6 +1496,7 @@ impl ScoreTable {
                 }
             }
             self.scored.push(any);
+            self.row_thresholds.push(threshold);
             self.shard_live.push(lanes);
         }
 
@@ -1404,40 +1515,60 @@ impl ScoreTable {
             }
         }
 
-        // Same-tick reuse signature.
+        // Reuse signature.
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
         self.row_tasks.clear();
         self.row_tasks.extend_from_slice(tasks);
-        self.sig = Some((scorer.now, scorer.membership_epoch));
+        self.epoch = scorer.membership_epoch;
         self.stale = false;
     }
 
-    /// Marks the table unusable for same-tick reuse: the next
-    /// [`ScoreTable::ensure`] rebuilds from scratch. Callers whose skip
-    /// thresholds drift between events (PAMF sufferage) must invalidate,
-    /// because resurrection only rechecks bounds that a *machine* change
-    /// loosened — a *threshold* change would go unnoticed.
+    /// Marks the table unusable for reuse: the next
+    /// [`ScoreTable::ensure`] rebuilds from scratch. For callers whose
+    /// machines stop being the ones the table scored — a mapper restored
+    /// onto another timeline, where versions are re-issued. Threshold
+    /// drift needs no invalidation; `ensure` follows it row by row.
     pub fn invalidate(&mut self) {
         self.stale = true;
     }
 
-    /// Revalidates the table for a new mapping event at the same instant
-    /// instead of rebuilding: when `(now, membership epoch)` match the
-    /// last rebuild, only version-changed machines (completions since the
-    /// last event, pruner drops this event) are rescored, rows whose
-    /// bounds those machines loosened are resurrected, and the window
-    /// diff is applied as removals plus appended rows. Falls back to
-    /// [`ScoreTable::rebuild`] otherwise. Returns `true` when the table
-    /// was reused incrementally.
+    /// Revalidates the table for a new mapping event — at the same
+    /// instant or a later one — instead of rebuilding. A column is a pure
+    /// function of the machine's tail, its warm/cold CDF selection and its
+    /// announced departure; none of them reads the clock, and every one
+    /// of them bumps [`MachineState::version`] when it changes, except
+    /// the tail's conditioned head, whose validity the table records per
+    /// machine as a window of event times. So while the membership epoch
+    /// holds, the *changed* machines are exactly those whose version
+    /// moved (completions, assignments, pruner drops, warm-set and
+    /// announcement changes) plus the free machines whose recorded head
+    /// window no longer contains `now` (an executing task crossed a PET
+    /// impulse; an idle machine's `delta(now)` moved). Only they are
+    /// rescored, rows whose bounds they loosened are resurrected, and the
+    /// window diff is applied as removals plus appended rows.
+    ///
+    /// `skip_below` may differ from the previous event's (adaptive trims,
+    /// sufferage relief): each row remembers the threshold its skipped
+    /// shards were proven under, and a row whose threshold dropped has
+    /// all of them rechecked. A raised threshold needs nothing — what is
+    /// scored stays scored.
+    ///
+    /// Falls back to a rebuild — returning `false` — when the table was
+    /// invalidated or is of another epoch, and when incremental repair
+    /// would not pay: the changed set is at least half the free machines
+    /// (an idle-heavy cluster re-keys wholesale every tick). Such a
+    /// rebuild mostly hits warm chains, and fans out only from
+    /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the
+    /// incremental path runs on the calling thread whatever the thread
+    /// count — a pool round costs more than the few columns it would
+    /// share out. Returns `true` when the table was reused incrementally.
     ///
     /// Every entry after `ensure` that a fresh rebuild would also score
-    /// is byte-identical to the rebuilt value (pair scores are
-    /// deterministic in `(machine state, now, task)`, all of which are
-    /// revalidated); entries `ensure` keeps that a rebuild would have
-    /// bound-skipped are exact scores strictly below the caller's
-    /// threshold, which the reductions defer/cull identically. Decisions
-    /// are therefore unchanged — only the work is.
+    /// is byte-identical to the rebuilt value; entries `ensure` keeps
+    /// that a rebuild would have bound-skipped are exact scores strictly
+    /// below the caller's threshold, which the reductions defer/cull
+    /// identically. Decisions are therefore unchanged — only the work is.
     pub fn ensure(
         &mut self,
         scorer: &mut ProbScorer,
@@ -1446,32 +1577,46 @@ impl ScoreTable {
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) -> bool {
         let shards = scorer.shared.shards;
-        let reusable = !self.stale
-            && self.sig == Some((scorer.now, scorer.membership_epoch))
+        let now = scorer.now;
+        // Phase 1a: find the changed machines (no scorer work yet) —
+        // whenever the table has columns of this cluster to diff against,
+        // reusable or not: a rebuild sizes its fan-out by the same count.
+        let mut changed = usize::MAX;
+        let mut reusable = false;
+        if !self.stale
             && self.versions.len() == machines.len()
-            && self.shard_earliest.len() == shards;
+            && self.shard_earliest.len() == shards
+        {
+            self.changed.clear();
+            let mut free = 0;
+            for (m, machine) in machines.iter().enumerate() {
+                let free_slot = machine.has_free_slot();
+                free += usize::from(free_slot);
+                let head_holds = self.tail_bounds[m].is_some_and(|b| b.head_window.contains(now));
+                if self.versions[m] != machine.version() || (free_slot && !head_holds) {
+                    self.changed.push(m);
+                }
+            }
+            changed = self.changed.len();
+            reusable = self.epoch == scorer.membership_epoch && changed * 2 < free.max(1);
+        }
         if !reusable {
-            self.rebuild(scorer, machines, tasks, skip_below);
+            self.rebuild_changed(scorer, machines, tasks, skip_below, changed);
             return false;
         }
         debug_assert_machine_alignment(machines);
 
-        // Phase 1: find version-changed machines and refresh their bound
-        // scalars (and their shards' earliest starts).
-        self.changed.clear();
+        // Phase 1b: refresh the changed machines' bound scalars (and
+        // their shards' earliest starts).
         self.changed_mask.clear();
         self.changed_mask.resize(machines.len(), false);
         self.dirty_shards.clear();
         self.dirty_shards.resize(shards, false);
-        for (m, machine) in machines.iter().enumerate() {
-            if self.versions[m] != machine.version() {
-                self.versions[m] = machine.version();
-                self.tail_mins[m] =
-                    machine.has_free_slot().then(|| scorer.ensure_tail_min(machine));
-                self.changed.push(m);
-                self.changed_mask[m] = true;
-                self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
-            }
+        for i in 0..self.changed.len() {
+            let m = self.changed[i];
+            self.refresh_bound(scorer, machines, m);
+            self.changed_mask[m] = true;
+            self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
         }
         for s in 0..shards {
             if self.dirty_shards[s] {
@@ -1479,18 +1624,23 @@ impl ScoreTable {
             }
         }
 
-        // Phase 2: resurrection. Only a changed machine can have loosened
-        // a bound (a completion or drop shortens a queue), and only
-        // within its own shard — so rechecking the dirty shards of every
-        // row restores exactly the liveness a fresh bound pass would
-        // compute (unchanged shards kept their bounds; live shards stay
-        // live, which at worst over-scores — see above).
+        // Phase 2: resurrection. A dead (row, shard) lane can have come
+        // alive two ways: a changed machine loosened its shard's bound (a
+        // completion or drop shortens a queue), or the caller lowered the
+        // row's threshold (adaptive trims, sufferage relief). Rechecking
+        // the dirty shards of every row, and every shard of a row whose
+        // threshold dropped, restores exactly the liveness a fresh bound
+        // pass would compute (other lanes kept both their bound and their
+        // threshold; live lanes stay live, which at worst over-scores —
+        // see above).
         self.newly_live.clear();
         for row in 0..self.scored.len() {
             let task = self.row_tasks[row];
             let threshold = skip_below(task.type_id);
+            let lowered = threshold < self.row_thresholds[row];
+            self.row_thresholds[row] = threshold;
             for s in 0..shards {
-                if !self.dirty_shards[s] || self.shard_live[row][s] {
+                if !(lowered || self.dirty_shards[s]) || self.shard_live[row][s] {
                     continue;
                 }
                 let Some(earliest) = self.shard_earliest[s] else { continue };
@@ -1503,14 +1653,9 @@ impl ScoreTable {
             }
         }
 
-        // Phase 3: rescore the changed machines' columns (rows live in
-        // their shard — including the just-resurrected ones), then score
-        // resurrected (row, shard) pairs on the shard's unchanged free
-        // machines.
-        for i in 0..self.changed.len() {
-            let m = self.changed[i];
-            self.rescore_column(scorer, machines, m);
-        }
+        // Phase 3: score the resurrected (row, shard) pairs on the
+        // shard's unchanged free machines. A shard no machine changed in
+        // is not revisited below, so its best cache is settled here.
         for i in 0..self.newly_live.len() {
             let (row, s) = self.newly_live[i];
             let task = self.row_tasks[row];
@@ -1520,19 +1665,26 @@ impl ScoreTable {
                 }
                 self.cols[m][row] = Some(scorer.score(&machines[m], &task));
             }
-        }
-
-        // Phase 4: refresh the affected shard-best caches.
-        for &m in &self.changed {
-            let s = m / TABLE_SHARD_WIDTH;
-            for row in 0..self.scored.len() {
-                if self.shard_live[row][s] {
-                    self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
-                }
+            if !self.dirty_shards[s] {
+                self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
             }
         }
-        for &(row, s) in &self.newly_live {
-            self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+
+        // Phase 4: per dirty shard, rescore its changed members' columns
+        // (rows live in the shard — including the just-resurrected ones)
+        // from one live-row list, then refresh its best cache once,
+        // however many members changed.
+        for s in 0..shards {
+            if !self.dirty_shards[s] {
+                continue;
+            }
+            self.collect_live_rows(s);
+            for m in shard_range(s, machines.len()) {
+                if self.changed_mask[m] {
+                    self.rescore_column(scorer, machines, m);
+                }
+            }
+            self.refresh_shard_best(s);
         }
 
         // Phase 5: reconcile the window. The new window is the old one
@@ -1559,34 +1711,46 @@ impl ScoreTable {
         true
     }
 
-    /// Recomputes `shard_earliest[s]` from its members' `tail_mins`.
+    /// Recomputes `shard_earliest[s]` from its members' `tail_bounds`.
     fn recompute_shard_earliest(&mut self, s: usize) {
-        self.shard_earliest[s] =
-            self.tail_mins[shard_range(s, self.tail_mins.len())].iter().flatten().copied().min();
+        self.shard_earliest[s] = self.tail_bounds[shard_range(s, self.tail_bounds.len())]
+            .iter()
+            .flatten()
+            .map(|b| b.earliest)
+            .min();
     }
 
-    /// Rescores machine `m`'s column for the rows live in its shard (or
-    /// clears it when the machine has no free slot). Bound scalars and
-    /// shard aggregates are the caller's responsibility.
-    fn rescore_column(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
-        let machine = &machines[m];
-        let rows = self.scored.len();
-        if !machine.has_free_slot() {
-            let col = &mut self.cols[m];
-            col.clear();
-            col.resize(rows, None);
-            return;
-        }
-        let s = m / TABLE_SHARD_WIDTH;
+    /// Fills `self.live` with the `(row, task)` pairs live in shard `s`.
+    fn collect_live_rows(&mut self, s: usize) {
         self.live.clear();
         for (row, task) in self.row_tasks.iter().enumerate() {
             if self.shard_live[row][s] {
                 self.live.push((row, *task));
             }
         }
+    }
+
+    /// Records machine `m`'s version and (ensured) tail bound — the part
+    /// of the reuse signature a column rescore goes with.
+    fn refresh_bound(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
+        let machine = &machines[m];
+        self.versions[m] = machine.version();
+        self.tail_bounds[m] = machine.has_free_slot().then(|| scorer.ensure_tail_bound(machine));
+    }
+
+    /// Rescores machine `m`'s column for the rows live in its shard —
+    /// `self.live`, which the caller filled via
+    /// [`ScoreTable::collect_live_rows`] — or clears it when the machine
+    /// has no free slot. Bound scalars and shard aggregates are the
+    /// caller's responsibility.
+    fn rescore_column(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
+        let machine = &machines[m];
         let col = &mut self.cols[m];
         col.clear();
-        col.resize(rows, None);
+        col.resize(self.scored.len(), None);
+        if !machine.has_free_slot() {
+            return;
+        }
         let live = &self.live;
         let ProbScorer { shared, pet, cold_pet, now, cells, .. } = scorer;
         let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
@@ -1602,6 +1766,7 @@ impl ScoreTable {
             col.remove(row);
         }
         self.scored.remove(row);
+        self.row_thresholds.remove(row);
         let lanes = self.shard_live.remove(row);
         self.spare_lanes.push(lanes);
         for bests in &mut self.shard_best {
@@ -1644,6 +1809,7 @@ impl ScoreTable {
         }
         let row = self.scored.len();
         self.scored.push(any);
+        self.row_thresholds.push(threshold);
         for (m, (machine, col)) in machines.iter().zip(&mut self.cols).enumerate() {
             let value = (lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot())
                 .then(|| scorer.score(machine, task));
@@ -1676,16 +1842,19 @@ impl ScoreTable {
             tasks.iter().zip(&self.row_tasks).all(|(a, b)| a.id == b.id),
             "window drifted from table rows"
         );
+        let s = m / TABLE_SHARD_WIDTH;
+        self.collect_live_rows(s);
         self.rescore_column(scorer, machines, m);
-        let machine = &machines[m];
-        if m < self.versions.len() {
-            self.versions[m] = machine.version();
-        }
         // The cell is warm after the rescore, so the bound probe is a
         // cache hit.
-        self.tail_mins[m] = machine.has_free_slot().then(|| scorer.ensure_tail_min(machine));
-        let s = m / TABLE_SHARD_WIDTH;
+        self.refresh_bound(scorer, machines, m);
         self.recompute_shard_earliest(s);
+        self.refresh_shard_best(s);
+    }
+
+    /// Recomputes shard `s`'s cached best candidate for every row live in
+    /// it (some member column changed).
+    fn refresh_shard_best(&mut self, s: usize) {
         for row in 0..self.scored.len() {
             if self.shard_live[row][s] {
                 self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
@@ -1954,6 +2123,47 @@ fn score_against(tail: &Pmf, cdf: &PetCdf, deadline: Time, policy: DropPolicy) -
     PairScore { robustness: robustness.min(1.0), expected_completion, mean_exec: cdf.mean }
 }
 
+/// The restore contract of a scorer-owning mapper (PAM, MOC), shared by
+/// their regression tests. Machine versions are unique only within one
+/// timeline: a live mapper that has seen machine 0 at version 1 holding
+/// task A must not serve that chain when the restored timeline shows it
+/// machine 0 at version 1 holding task B.
+#[cfg(test)]
+pub(crate) fn assert_restore_drops_abandoned_chains<M: hcsim_sim::Mapper>(
+    mapper: &mut M,
+    scorer_of: fn(&mut M) -> &mut ProbScorer,
+) {
+    use hcsim_sim::{run_simulation, SimConfig};
+    use hcsim_workload::{specint_system, WorkloadConfig, WorkloadGenerator};
+    let seeds = hcsim_stats::SeedSequence::new(8);
+    let spec = specint_system(6, &mut seeds.stream(0));
+    let gen = WorkloadGenerator::new(WorkloadConfig {
+        num_tasks: 60,
+        oversubscription: 19_000.0,
+        ..Default::default()
+    });
+    let tasks = gen.generate(&spec, &mut seeds.stream(1));
+    let _ =
+        run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut *mapper, &mut seeds.stream(2));
+    let queued = |tt: u16, deadline| {
+        let task = Task { id: TaskId(0), type_id: TaskTypeId(tt), arrival: 0, deadline };
+        hcsim_sim::testkit::machine_with_pending(MachineId(0), spec.queue_capacity, &[task])
+    };
+    let (abandoned, restored) = (queued(0, 900), queued(1, 700));
+    assert_eq!(abandoned.version(), restored.version());
+    let scorer = scorer_of(mapper);
+    scorer.begin_event(5);
+    let stale = scorer.tail(&abandoned).clone();
+
+    let blob = mapper.snapshot_state();
+    mapper.restore_state(&blob);
+    let scorer = scorer_of(mapper);
+    scorer.begin_event(5);
+    let served = scorer.tail(&restored).clone();
+    assert_eq!(served, scorer.analyze(&restored, 5).tail);
+    assert_ne!(served, stale, "the fixture must tell the two timelines apart");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2020,19 +2230,48 @@ mod tests {
 
     #[test]
     fn tail_cache_respects_version_and_event() {
-        let pet = pet_single(&[(5, 1.0)]);
+        let pet = pet_single(&[(5, 0.5), (20, 0.5)]);
         let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
-        let machine = MachineState::new(MachineId(0), 4);
+        let mut machine = MachineState::new(MachineId(0), 4);
         scorer.begin_event(100);
         let t1 = scorer.tail(&machine).clone();
         assert_eq!(t1.min_time(), 100, "idle tail anchors at now");
         // Same event: cached.
-        let t2 = scorer.tail(&machine).clone();
-        assert_eq!(t1, t2);
-        // New event at a later time: idle tail must move to the new now.
+        let builds = scorer.chain_builds(MachineId(0));
+        assert_eq!(*scorer.tail(&machine), t1);
+        assert_eq!(scorer.chain_builds(MachineId(0)), builds);
+        // A later event re-keys an idle head: the tail moves to the new now.
         scorer.begin_event(250);
-        let t3 = scorer.tail(&machine).clone();
-        assert_eq!(t3.min_time(), 250);
+        assert_eq!(scorer.tail(&machine).min_time(), 250);
+
+        // An executing head is keyed on its conditioning bucket, not on the
+        // clock: started at 250, the PET impulse at 5 is ruled out from 255
+        // and the one at 20 from 270.
+        assert!(testkit::start_executing(&mut machine, task_with_deadline(900), 250, 20));
+        scorer.begin_event(251);
+        let running = scorer.tail(&machine).clone();
+        assert_eq!(running.times(), [255, 270], "completion = PET shifted to the start time");
+        let builds = scorer.chain_builds(MachineId(0));
+        scorer.begin_event(254);
+        assert_eq!(*scorer.tail(&machine), running, "same bucket at a later tick: same head");
+        assert_eq!(scorer.chain_builds(MachineId(0)), builds, "and no rebuild");
+        scorer.begin_event(255);
+        assert_eq!(scorer.tail(&machine).times(), [270], "crossing an impulse re-keys the head");
+        assert_eq!(scorer.chain_builds(MachineId(0)), builds + 1);
+        // Overdue (elapsed past the whole PET): "any moment now", per tick.
+        scorer.begin_event(280);
+        assert_eq!(scorer.tail(&machine).times(), [281]);
+        scorer.begin_event(281);
+        assert_eq!(scorer.tail(&machine).times(), [282]);
+        // A version bump inside a held bucket still extends the chain.
+        scorer.begin_event(251);
+        let _ = scorer.tail(&machine);
+        let builds = scorer.chain_builds(MachineId(0));
+        assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(task_with_deadline(900))));
+        scorer.begin_event(252);
+        let appended = scorer.tail(&machine).clone();
+        assert_eq!(scorer.chain_builds(MachineId(0)), builds + 1, "one link, head reused");
+        assert_eq!(appended, analyze_queue(&machine, &pet, 252, DropPolicy::All, 16).tail);
     }
 
     #[test]
@@ -2419,21 +2658,239 @@ mod tests {
         assert_table_agrees_with_exact(&table, &mut ref_scorer, &machines, &tasks, &threshold);
     }
 
+    /// Cross-checks a revalidated table against a from-scratch
+    /// [`ScoreTable::rebuild`] by a cold scorer at `now`: every entry both
+    /// tables scored is bitwise equal, `best_for_row` agrees wherever
+    /// either side clears the threshold (below it `ensure` may keep exact
+    /// scores a fresh bound pass would skip — deferred either way), and
+    /// the table agrees with exact per-pair scoring.
+    fn assert_table_matches_fresh_rebuild(
+        table: &ScoreTable,
+        (pet, cold): (&PetMatrix, &PetMatrix),
+        machines: &[MachineState],
+        tasks: &[Task],
+        now: Time,
+        threshold: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        let mut fresh = ProbScorer::with_cold(pet, Some(cold), DropPolicy::All, 16);
+        fresh.begin_event(now);
+        let mut reference = ScoreTable::new();
+        reference.rebuild(&mut fresh, machines, tasks, threshold);
+        assert_eq!(table.rows(), reference.rows());
+        for (row, task) in tasks.iter().enumerate() {
+            for m in 0..machines.len() {
+                if let (Some(a), Some(b)) = (table.get(row, m), reference.get(row, m)) {
+                    assert!(
+                        a.robustness.to_bits() == b.robustness.to_bits()
+                            && a.expected_completion.to_bits() == b.expected_completion.to_bits()
+                            && a.mean_exec.to_bits() == b.mean_exec.to_bits(),
+                        "t={now} ({row},{m}): {a:?} vs {b:?}"
+                    );
+                }
+            }
+            let (got, want) =
+                (table.best_for_row(machines, row), reference.best_for_row(machines, row));
+            let clears = |best: &Option<(MachineId, PairScore)>| {
+                best.is_some_and(|(_, s)| s.robustness >= threshold(task.type_id))
+            };
+            if clears(&got) || clears(&want) {
+                assert_eq!(got, want, "t={now} row {row}: reduction diverged");
+            }
+        }
+        assert_table_agrees_with_exact(table, &mut fresh, machines, tasks, threshold);
+    }
+
     #[test]
-    fn score_table_ensure_rebuilds_on_tick_epoch_or_invalidate() {
-        let (pet, machines) = fanout_fixture(20);
+    fn score_table_ensure_across_ticks_matches_fresh_rebuild() {
+        // Three shards under a cold-start model: executing heads nearly
+        // everywhere, idle machines in shards 0–1 only, a full machine in
+        // eight. Shard 2 therefore starts out bound-skipped for the tight
+        // rows, until a completion at a later tick resurrects them.
+        let n = 96;
+        let pmfs: Vec<Pmf> = (0..2 * n)
+            .map(|i| {
+                let o = i as u64 % 5;
+                Pmf::from_points(&[(20 + o, 0.3), (45 + o, 0.5), (90 + o, 0.2)]).unwrap()
+            })
+            .collect();
+        let cold_pmfs: Vec<Pmf> = pmfs.iter().map(|p| p.shift(15)).collect();
+        let pet = PetMatrix::from_pmfs(2, n, pmfs);
+        let cold = PetMatrix::from_pmfs(2, n, cold_pmfs);
+        let queued = |m: usize, i: u32| Task {
+            id: TaskId(m as u32 * 10 + i),
+            type_id: TaskTypeId(((m as u32 + i) % 2) as u16),
+            arrival: 0,
+            deadline: 400,
+        };
+        let mut machines: Vec<MachineState> = (0..n)
+            .map(|m| {
+                let mut machine = MachineState::new(MachineId::from(m), 3);
+                if (m % 8 == 0 && m < 64) || m == 70 {
+                    // Warm containers: an append here scores on the warm
+                    // cells, so a tight deadline is reachable.
+                    testkit::set_warm(&mut machine, TaskTypeId(0), 1_000);
+                    testkit::set_warm(&mut machine, TaskTypeId(1), 1_000);
+                }
+                if m % 8 == 0 && m < 64 {
+                    return machine; // idle
+                }
+                assert!(testkit::start_executing(&mut machine, queued(m, 0), 0, 200));
+                let depth = if m % 8 == 7 { 2 } else { m % 2 }; // m % 8 == 7: full
+                for i in 0..depth as u32 {
+                    assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(queued(m, 1 + i))));
+                }
+                machine
+            })
+            .collect();
+        let tasks: Vec<Task> = [60u64, 60, 150, 200, 300, 62]
+            .iter()
+            .enumerate()
+            .map(|(i, &deadline)| Task {
+                id: TaskId(9_000 + i as u32),
+                type_id: TaskTypeId((i % 2) as u16),
+                arrival: 0,
+                deadline,
+            })
+            .collect();
+        let threshold = |_tt: TaskTypeId| 0.6;
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+        let mut table = ScoreTable::new();
+        scorer.begin_event(5);
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &threshold), "first build");
+        assert_table_matches_fresh_rebuild(&table, (&pet, &cold), &machines, &tasks, 5, &threshold);
+        assert!(
+            (64..n).all(|m| table.get(0, m).is_none()),
+            "busy shard 2 must start out bound-skipped for the tight row"
+        );
+
+        // Tick 9 — inside every executing head's bucket (first impulse at
+        // 20). Machine 70 completes and drains (resurrection in shard 2),
+        // machine 10 gains a warm container (`warm_rev` flip: the append
+        // CDF goes cold → warm), machine 20 announces its departure
+        // (deadline clamp), and the eight idle heads re-key.
+        assert!(testkit::apply(&mut machines[70], testkit::QueueOp::FinishExecuting));
+        testkit::set_warm(&mut machines[10], TaskTypeId(1), 500);
+        testkit::announce_departure(&mut machines[20], Some(50));
+        scorer.begin_event(9);
+        assert!(table.ensure(&mut scorer, &machines, &tasks, &threshold), "cross-tick reuse");
+        assert_table_matches_fresh_rebuild(&table, (&pet, &cold), &machines, &tasks, 9, &threshold);
+        let (m, _) = table.best_for_row(&machines, 5).expect("tight row is mappable");
+        assert!(machines[m.index()].is_idle());
+        assert!(table.get(0, 70).is_some(), "machine 70's completion resurrects shard 2");
+
+        // Tick 30 — every executing head has crossed its first impulse:
+        // the changed set is most of the cluster, so the bulk path runs.
+        scorer.begin_event(30);
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &threshold), "bulk re-key");
+        assert_table_matches_fresh_rebuild(
+            &table,
+            (&pet, &cold),
+            &machines,
+            &tasks,
+            30,
+            &threshold,
+        );
+    }
+
+    #[test]
+    fn score_table_ensure_follows_threshold_drift() {
+        // Two shards, every machine executing the same head from tick 0;
+        // shard 0 machines also hold a pending task, so an append there
+        // starts no sooner than 40 (bound 0.3 for the δ = 70 row) against
+        // 20 in shard 1 (bound 0.8, exact robustness 0.39).
+        let n = 64;
+        let cell = Pmf::from_points(&[(20, 0.3), (45, 0.5), (90, 0.2)]).unwrap();
+        let pet = PetMatrix::from_pmfs(1, n, vec![cell; n]);
+        let queued =
+            |id: u32| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 400 };
+        let machines: Vec<MachineState> = (0..n)
+            .map(|m| {
+                let mut machine = MachineState::new(MachineId::from(m), 3);
+                assert!(testkit::start_executing(&mut machine, queued(m as u32), 0, 200));
+                if m < TABLE_SHARD_WIDTH {
+                    assert!(testkit::apply(
+                        &mut machine,
+                        testkit::QueueOp::Push(queued(1_000 + m as u32))
+                    ));
+                }
+                machine
+            })
+            .collect();
+        let tasks =
+            vec![Task { id: TaskId(9_000), type_id: TaskTypeId(0), arrival: 0, deadline: 70 }];
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&pet), DropPolicy::All, 16);
+        let mut table = ScoreTable::new();
+        scorer.begin_event(1);
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.9), "first build");
+        assert!(
+            (0..n).all(|m| table.get(0, m).is_none()),
+            "0.9 proves the row deferred everywhere"
+        );
+
+        // Nothing but the threshold moves from here on (tick 3 is inside
+        // every head's bucket), so every step must reuse the table.
+        scorer.begin_event(3);
+        for (threshold, scored_shards) in
+            [(0.35, [false, true]), (0.5, [false, true]), (0.02, [true, true])]
+        {
+            let threshold = move |_: TaskTypeId| threshold;
+            assert!(table.ensure(&mut scorer, &machines, &tasks, &threshold), "drift alone reuses");
+            assert_table_matches_fresh_rebuild(
+                &table,
+                (&pet, &pet),
+                &machines,
+                &tasks,
+                3,
+                &threshold,
+            );
+            for (s, scored) in scored_shards.into_iter().enumerate() {
+                assert_eq!(table.get(0, s * TABLE_SHARD_WIDTH).is_some(), scored, "shard {s}");
+            }
+        }
+        // 0.35 resurrected the row in shard 1, where no machine changed:
+        // the reduction must find it there.
+        let (m, score) = table.best_for_row(&machines, 0).expect("scored in both shards");
+        assert_eq!(m.index(), TABLE_SHARD_WIDTH);
+        assert!((score.robustness - 0.39).abs() < 1e-12, "{score:?}");
+    }
+
+    #[test]
+    fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
+        // 20 free machines, every one executing (started at 0, first PET
+        // impulse ≥ 2 ticks out), so a later tick inside every head's
+        // bucket changes nothing the table depends on.
+        let (pet, mut machines) = fanout_fixture(20);
+        for (m, machine) in machines.iter_mut().enumerate() {
+            let head = Task {
+                id: TaskId(7_000 + m as u32),
+                type_id: TaskTypeId(0),
+                arrival: 0,
+                deadline: 90,
+            };
+            assert!(testkit::start_executing(machine, head, 0, 50));
+        }
         let tasks = vec![Task { id: TaskId(1), type_id: TaskTypeId(0), arrival: 0, deadline: 90 }];
         let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
-        scorer.begin_event(3);
+        scorer.begin_event(0);
         let mut table = ScoreTable::new();
-        table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
-        // A later tick must rebuild (scores move with `now`).
-        scorer.begin_event(7);
-        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new tick");
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "empty table rebuilds");
+        // A later tick reuses: no head key moved (elapsed 1 < every PET min).
+        scorer.begin_event(1);
+        assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "later tick, keys held");
+        // A tick that re-keys a few heads (the PETs based at 2) still
+        // reuses, rescoring just those columns …
+        scorer.begin_event(2);
+        assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "few heads re-keyed");
+        // … and one that re-keys at least half the free machines takes the
+        // bulk path.
+        scorer.begin_event(40);
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "all overdue: rebuild");
         // A membership epoch bump must rebuild (shard geometry may move).
         scorer.sync_membership(1, &machines);
         assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new epoch");
-        // Explicit invalidation (PAMF threshold drift) must rebuild.
+        // Explicit invalidation (a restored mapper) must rebuild.
+        scorer.begin_event(0);
+        table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
         table.invalidate();
         assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "invalidated");
         // And with nothing changed, the reuse path holds.

@@ -10,12 +10,12 @@
 // The pins are intentionally recorded at full f64 round-trip precision.
 #![allow(clippy::excessive_precision)]
 
-use hcsim_core::{Pam, ProbScorer, PruningConfig};
+use hcsim_core::{AdaptiveConfig, Moc, MocConfig, Pam, ProbScorer, PruningConfig};
 use hcsim_model::{MachineId, Task, TaskId, TaskTypeId};
 use hcsim_pmf::DropPolicy;
 use hcsim_sim::{run_simulation, testkit, SimConfig, SimReport};
 use hcsim_stats::SeedSequence;
-use hcsim_workload::{specint_system, WorkloadConfig, WorkloadGenerator};
+use hcsim_workload::{specint_cluster, specint_system, WorkloadConfig, WorkloadGenerator};
 
 fn task(id: u32, tt: u16, deadline: u64) -> Task {
     Task { id: TaskId(id), type_id: TaskTypeId(tt), arrival: 0, deadline }
@@ -131,3 +131,54 @@ const GOLDEN_SCORES: [(f64, f64, f64); 7] = [
     (1.0, 8.54062879004102342e2, 1.65981999999999999e2),
     (0.0, f64::INFINITY, 9.55219999999999771e1),
 ];
+
+/// Score-table reuse is a pure performance knob: with it on, every mapper
+/// that reduces over the table must report exactly what it reports with
+/// a from-scratch rebuild per event — on the paper system (one shard) and
+/// on a two-shard cluster, for static thresholds (PAM, MOC) and for the
+/// two mappers whose thresholds move between events (PAMF's sufferage,
+/// the adaptive controller), which the table follows row by row.
+#[test]
+fn table_reuse_never_changes_a_report() {
+    let seeds = SeedSequence::new(413);
+    let systems = [
+        (specint_system(6, &mut seeds.stream(0)), 34_000.0),
+        (specint_cluster(64, 6, &mut seeds.stream(1)), 272_000.0),
+    ];
+    for (spec, oversubscription) in &systems {
+        let gen = WorkloadGenerator::new(WorkloadConfig {
+            num_tasks: 220,
+            oversubscription: *oversubscription,
+            ..Default::default()
+        });
+        let tasks = gen.generate(spec, &mut seeds.stream(2));
+        let run = |mut mapper: &mut dyn hcsim_sim::Mapper| {
+            let config = SimConfig::untrimmed();
+            let report = run_simulation(spec, config, &tasks, &mut mapper, &mut seeds.stream(3));
+            format!("{} events {:?}", report.mapping_events, report.records)
+        };
+        let pam = |table_reuse| PruningConfig { table_reuse, ..PruningConfig::default() };
+        let adaptive = |table_reuse| PruningConfig {
+            adaptive: Some(AdaptiveConfig::default()),
+            ..pam(table_reuse)
+        };
+        let moc = |table_reuse| Moc::with_config(MocConfig { table_reuse, ..MocConfig::default() });
+        let machines = spec.num_machines();
+        assert_eq!(
+            run(&mut Pam::new(pam(true))),
+            run(&mut Pam::new(pam(false))),
+            "PAM, {machines}m"
+        );
+        assert_eq!(
+            run(&mut Pam::with_fairness(pam(true))),
+            run(&mut Pam::with_fairness(pam(false))),
+            "PAMF, {machines}m"
+        );
+        assert_eq!(
+            run(&mut Pam::new(adaptive(true))),
+            run(&mut Pam::new(adaptive(false))),
+            "adaptive PAM, {machines}m"
+        );
+        assert_eq!(run(&mut moc(true)), run(&mut moc(false)), "MOC, {machines}m");
+    }
+}

@@ -10,8 +10,14 @@
 //! maintenance: both paths perform the same `queue_step` → `compact`
 //! sequence, so *any* divergence is a bug, not float noise — hence exact
 //! (bitwise) comparison, no epsilons.
+//!
+//! A third property pins the cache's *time* contract: with the queue held
+//! still and only the clock moving, the chain is served unchanged for as
+//! long as the executing head's conditioning bucket holds, is reconvolved
+//! exactly when the bucket moves, and equals from-scratch analysis either
+//! way.
 
-use hcsim_core::chain::analyze_queue;
+use hcsim_core::chain::{analyze_queue, PetTables};
 use hcsim_core::ProbScorer;
 use hcsim_model::{MachineId, PetBuilder, PetMatrix, Task, TaskId, TaskTypeId, Time};
 use hcsim_pmf::DropPolicy;
@@ -184,6 +190,123 @@ proptest! {
                     got.skewness.to_bits() == want.skewness.to_bits(),
                     "skewness diverged for task {} at t={}: {} vs {}",
                     got.task.id, now, got.skewness, want.skewness
+                );
+            }
+        }
+    }
+
+    /// Only the clock moves: random queues (an executing head with carried
+    /// progress or a cold start, a preemption victim at the pending front,
+    /// fresh pending entries — or no head at all), then `now` advanced in
+    /// random steps through every conditioning bucket up to and past
+    /// overdue. After every step the cached tail and slot scores equal
+    /// from-scratch analysis bit for bit, and the chain was reconvolved iff
+    /// the head key — `Running { split }`, `Idle(now)`, `Overdue(now)` —
+    /// moved.
+    #[test]
+    fn chain_is_reconvolved_only_when_the_head_key_moves(
+        head in (0u32..4, 0u32..NUM_TYPES as u32, 0u64..50, 0u32..2),
+        pending in prop::collection::vec((0u32..NUM_TYPES as u32, 30u64..400), 0..4),
+        advances in prop::collection::vec(1u64..25, 8..40),
+        policy_idx in 0usize..3,
+    ) {
+        let policy = [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All][policy_idx];
+        let pet = build_pet();
+        // Any same-shape matrix serves as the cold PET; a shift keeps the
+        // warm/cold impulse grids apart so a wrong cell selection shows.
+        let cold = PetMatrix::from_pmfs(
+            NUM_TYPES,
+            1,
+            (0..NUM_TYPES).map(|tt| pet.pmf(TaskTypeId(tt as u16), MachineId(0)).shift(7)).collect(),
+        );
+        let pets = PetTables { warm: &pet, cold: Some(&cold) };
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), policy, BUDGET);
+        let mut machine = MachineState::new(MachineId(0), CAPACITY);
+        let task = |id: u32, tt: u32, deadline: Time| Task {
+            id: TaskId(id),
+            type_id: TaskTypeId(tt as u16),
+            arrival: 0,
+            deadline,
+        };
+
+        // Queue shape: 0 = no head (idle-with-pending), 1 = fresh head,
+        // 2 = head resumed with carried progress, 3 = fresh head in front
+        // of a preemption victim.
+        let (shape, head_tt, progress, cold_start) = head;
+        let cold_start = cold_start == 1;
+        let mut now: Time = 0;
+        if shape > 0 {
+            testkit::apply(&mut machine, QueueOp::Push(task(0, head_tt, 500)));
+            assert!(testkit::start_next(&mut machine, now, 1_000, cold_start));
+        }
+        if shape >= 2 {
+            now = progress + 1;
+            assert!(testkit::apply(&mut machine, QueueOp::Preempt { now }));
+            if shape == 2 {
+                assert!(testkit::start_next(&mut machine, now, 1_000, cold_start));
+            } else {
+                assert!(testkit::start_executing(&mut machine, task(1, (head_tt + 1) % 3, 600), now, 1_000));
+            }
+        }
+        for (i, &(tt, deadline)) in pending.iter().enumerate() {
+            testkit::apply(&mut machine, QueueOp::Push(task(10 + i as u32, tt, now + deadline)));
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum HeadKey {
+            Idle(Time),
+            Running { split: usize },
+            Overdue(Time),
+        }
+        let key_at = |machine: &MachineState, now: Time| match machine.executing() {
+            None => HeadKey::Idle(now),
+            Some(exec) => {
+                let table = if exec.cold_start { &cold } else { &pet };
+                let times = table.pmf(exec.task.type_id, MachineId(0)).times();
+                let split = times.partition_point(|&t| t <= exec.elapsed_at(now));
+                if split == times.len() {
+                    HeadKey::Overdue(now)
+                } else {
+                    HeadKey::Running { split }
+                }
+            }
+        };
+
+        let chain_len = machine.occupancy() as u64;
+        let mut last_key = None;
+        for advance in advances {
+            now += advance;
+            scorer.begin_event(now);
+            let key = key_at(&machine, now);
+            let before = scorer.chain_builds(MachineId(0));
+            let cached = scorer.tail(&machine).clone();
+            let built = scorer.chain_builds(MachineId(0)) - before;
+            if last_key == Some(key) {
+                prop_assert_eq!(built, 0, "key {:?} held at t={} but the chain was rebuilt", key, now);
+            } else {
+                // One head build (even `delta(now)`) plus one link per
+                // pending entry.
+                let expected = 1 + chain_len - u64::from(machine.executing().is_some());
+                prop_assert_eq!(built, expected, "key moved to {:?} at t={}", key, now);
+            }
+            last_key = Some(key);
+
+            let reference = hcsim_core::chain::analyze_queue_cold(&machine, pets, now, policy, BUDGET);
+            prop_assert_eq!(cached.times(), reference.tail.times(), "times diverged at t={}", now);
+            prop_assert!(
+                cached.masses().iter().zip(reference.tail.masses()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "masses diverged at t={}",
+                now
+            );
+            let slots = scorer.slot_scores(&machine).to_vec();
+            prop_assert_eq!(slots.len(), reference.slots.len());
+            for (got, want) in slots.iter().zip(&reference.slots) {
+                prop_assert_eq!(got.task.id, want.task.id);
+                prop_assert!(
+                    got.robustness.to_bits() == want.robustness.to_bits()
+                        && got.skewness.to_bits() == want.skewness.to_bits(),
+                    "slot {} diverged at t={}: {:?} vs r={} s={}",
+                    got.position, now, got, want.robustness, want.skewness
                 );
             }
         }

@@ -107,6 +107,17 @@ impl ConvScratch {
         self.pool.len()
     }
 
+    /// [`Pmf::delta`] with its storage drawn from the pool — the idle
+    /// machine's "available now" head, rebuilt on every machine at every
+    /// tick of an idle-heavy cluster (recycle it like any pooled output).
+    #[must_use]
+    pub fn delta(&mut self, t: Time) -> Pmf {
+        let (mut times, mut masses) = self.take_storage();
+        times.push(t);
+        masses.push(1.0);
+        Pmf::from_parts_unchecked(times, masses)
+    }
+
     /// Takes storage from the pool (or allocates) with both columns empty.
     pub(crate) fn take_storage(&mut self) -> (Vec<Time>, Vec<f64>) {
         match self.pool.pop() {
@@ -717,6 +728,15 @@ mod tests {
         }
         // Steady state: completion + availability storage both pooled.
         assert!(scratch.pooled() >= 2, "pool empty after recycling");
+    }
+
+    #[test]
+    fn pooled_delta_equals_delta_and_draws_from_the_pool() {
+        let mut scratch = ConvScratch::new();
+        scratch.recycle(pmf(&[(1, 0.5), (9, 0.5)]));
+        let d = scratch.delta(42);
+        assert_eq!(d, Pmf::delta(42));
+        assert_eq!(scratch.pooled(), 0, "the delta must take the pooled storage");
     }
 
     #[test]

@@ -274,9 +274,9 @@ pub struct MapperInstrumentation {
     /// Executing tasks preempted in favor of urgent arrivals (§VIII
     /// extension; zero unless preemption is enabled).
     pub preemptions: u64,
-    /// Mapping events served by same-tick score-table reuse (burst
-    /// arrivals revalidating the previous event's table instead of
-    /// rebuilding it).
+    /// Mapping events served by score-table reuse: the previous event's
+    /// table — from the same tick or an earlier one — was revalidated
+    /// incrementally instead of rebuilt.
     pub table_reuses: u64,
     /// Events the adaptive controller spent in sustained deep calm (its
     /// feed-forward relaxation active); zero without adaptation.

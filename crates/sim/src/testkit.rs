@@ -70,18 +70,7 @@ pub fn apply(machine: &mut MachineState, op: QueueOp) -> bool {
             machine.push_pending(task);
             true
         }
-        QueueOp::StartNext { now, total_exec } => {
-            if machine.executing().is_some() {
-                return false;
-            }
-            match machine.pop_next_pending() {
-                Some(entry) => {
-                    machine.start(entry, now, total_exec.max(1));
-                    true
-                }
-                None => false,
-            }
-        }
+        QueueOp::StartNext { now, total_exec } => start_next(machine, now, total_exec, false),
         QueueOp::FinishExecuting => machine.finish_executing().is_some(),
         QueueOp::Preempt { now } => machine.preempt_executing(now).is_some(),
         QueueOp::RemovePending(id) => machine.remove_pending(id).is_some(),
@@ -103,6 +92,35 @@ pub fn apply(machine: &mut MachineState, op: QueueOp) -> bool {
             was_member
         }
     }
+}
+
+/// [`QueueOp::StartNext`] with an explicit cold-start flag: the engine
+/// starts a function cold when the machine holds no warm container for it
+/// (serverless model), and the scorer then conditions the head on the
+/// cold PET cell. Returns `false` when the machine is busy or has nothing
+/// pending.
+pub fn start_next(
+    machine: &mut MachineState,
+    now: Time,
+    total_exec: Time,
+    cold_start: bool,
+) -> bool {
+    if machine.executing().is_some() {
+        return false;
+    }
+    match machine.pop_next_pending() {
+        Some(entry) => {
+            machine.start_with_warmth(entry, now, total_exec.max(1), cold_start);
+            true
+        }
+        None => false,
+    }
+}
+
+/// Records (or, with `None`, clears) a pre-announced departure exactly as
+/// the engine's `MachineNotice` event does.
+pub fn announce_departure(machine: &mut MachineState, departs_at: Option<Time>) {
+    machine.set_announced_departure(departs_at);
 }
 
 /// Builds a machine with `tasks` already pending (in order), without an
