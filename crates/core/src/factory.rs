@@ -77,7 +77,6 @@ impl HeuristicKind {
             HeuristicKind::Pamf => Box::new(Pam::with_fairness(config)),
             HeuristicKind::Moc => Box::new(Moc::with_config(MocConfig {
                 threads: config.threads,
-                backend: config.backend,
                 ..MocConfig::default()
             })),
             HeuristicKind::Mm => Box::new(ScalarMapper::mm()),

@@ -73,34 +73,7 @@ pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use baselines::{Phase2Rule, ScalarMapper};
 pub use factory::HeuristicKind;
 pub use fairness::SufferageTable;
-pub use hcsim_parallel::FanoutBackend;
 pub use moc::{Moc, MocConfig};
 pub use pam::Pam;
 pub use pruner::{OversubscriptionDetector, Pruner, PruningConfig};
 pub use scorer::{PairScore, ProbScorer, ScoreTable, SlotScore, PARALLEL_MIN_MACHINES};
-
-/// Resolves a heuristic-level `threads` knob against the engine-level one:
-/// a nonzero mapper knob wins, else a nonzero [`SimConfig::threads`], else
-/// the host's available parallelism.
-///
-/// [`SimConfig::threads`]: hcsim_sim::SimConfig
-#[must_use]
-pub fn effective_threads(mapper_threads: usize, ctx: &hcsim_sim::MapContext<'_>) -> usize {
-    let requested = if mapper_threads > 0 { mapper_threads } else { ctx.threads() };
-    hcsim_parallel::resolve_threads(requested)
-}
-
-/// Resolves a heuristic-level fan-out backend knob against the
-/// engine-level one: a non-`Auto` mapper knob wins, else a non-`Auto`
-/// [`SimConfig::backend`], else the persistent worker pool.
-///
-/// [`SimConfig::backend`]: hcsim_sim::SimConfig
-#[must_use]
-pub fn effective_backend(
-    mapper_backend: FanoutBackend,
-    ctx: &hcsim_sim::MapContext<'_>,
-) -> FanoutBackend {
-    let requested =
-        if mapper_backend != FanoutBackend::Auto { mapper_backend } else { ctx.backend() };
-    hcsim_parallel::resolve_backend(requested)
-}

@@ -18,7 +18,6 @@
 
 use crate::scorer::{PairScore, ProbScorer, ScoreTable};
 use hcsim_model::{MachineId, TaskId};
-use hcsim_parallel::FanoutBackend;
 use hcsim_pmf::Pmf;
 use hcsim_sim::{MapContext, Mapper};
 
@@ -35,12 +34,9 @@ pub struct MocConfig {
     /// PAM's).
     pub batch_window: usize,
     /// Worker threads for the phase-1 per-machine scoring fan-out (`0` =
-    /// auto, same resolution and bit-identical-merge guarantee as
-    /// [`crate::PruningConfig::threads`]).
+    /// the host's available parallelism; same bit-identical-merge
+    /// guarantee as [`crate::PruningConfig::threads`]).
     pub threads: usize,
-    /// Fan-out engine (same resolution and guarantees as
-    /// [`crate::PruningConfig::backend`]).
-    pub backend: FanoutBackend,
     /// Score-table reuse across mapping events (same semantics as
     /// [`crate::PruningConfig::table_reuse`]).
     pub table_reuse: bool,
@@ -54,7 +50,6 @@ impl Default for MocConfig {
             impulse_budget: 24,
             batch_window: 192,
             threads: 0,
-            backend: FanoutBackend::Auto,
             table_reuse: true,
         }
     }
@@ -134,10 +129,7 @@ impl Mapper for Moc {
         // machine's column is rescored between assignments. The reduction
         // reads exactly the values per-pair rescoring would compute, so
         // culling and permutation decisions are unchanged.
-        scorer.set_parallelism(
-            crate::effective_threads(self.config.threads, ctx),
-            crate::effective_backend(self.config.backend, ctx),
-        );
+        scorer.set_parallelism(self.config.threads);
         // Rows the bound pass proves below the culling threshold would be
         // discarded by the reduction anyway — skip scoring them.
         let cull = self.config.cull_threshold;

@@ -152,13 +152,10 @@ impl Mapper for Pam {
         // the live machine count and releases the chains of departed
         // machines (one compare per event while nothing changes).
         scorer.sync_membership(ctx.membership_epoch(), ctx.machines());
-        // Resolve the fan-out engine once per event: at cluster scale the
-        // persistent worker pool serves both the pruner warm-up and the
-        // score-table rounds below.
-        scorer.set_parallelism(
-            crate::effective_threads(self.config.threads, ctx),
-            crate::effective_backend(self.config.backend, ctx),
-        );
+        // At cluster scale the persistent worker pool serves both the
+        // pruner warm-up and the score-table rounds below (integer
+        // compares while neither the setting nor the cluster moved).
+        scorer.set_parallelism(self.config.threads);
 
         // Aggression control (§V-C).
         let was_engaged = self.detector.dropping_engaged();
@@ -515,25 +512,48 @@ mod tests {
     use hcsim_stats::SeedSequence;
     use hcsim_workload::{specint_system, WorkloadConfig, WorkloadGenerator};
 
+    /// PAM on the 8-machine paper system, checked after every event to
+    /// still be on the calling thread: the system sits below the fan-out
+    /// floor, whatever `threads` resolves to on this host.
+    struct NoPool(Pam);
+
+    impl Mapper for NoPool {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn on_mapping_event(&mut self, ctx: &mut MapContext<'_>) {
+            self.0.on_mapping_event(ctx);
+            let scorer = self.0.scorer.as_ref().expect("built by the first event");
+            assert!(!scorer.pool_active(), "pool built on an 8-machine system");
+        }
+        fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
+            self.0.on_task_finished(task, outcome);
+        }
+    }
+
     fn oversubscribed_report(kind: &str, oversub: f64, seed: u64) -> SimReport {
+        report_with(kind, PruningConfig::default(), oversub, seed)
+    }
+
+    fn report_with(kind: &str, cfg: PruningConfig, oversub: f64, seed: u64) -> SimReport {
         let seeds = SeedSequence::new(seed);
         let spec = specint_system(6, &mut seeds.stream(0));
+        assert_eq!(spec.num_machines(), 8);
         let gen = WorkloadGenerator::new(WorkloadConfig {
             num_tasks: 250,
             oversubscription: oversub,
             ..Default::default()
         });
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
-        let cfg = PruningConfig::default();
         let mut rng = seeds.stream(2);
         let config = SimConfig { trim: 25, ..SimConfig::default() };
         match kind {
             "PAM" => {
-                let mut m = Pam::new(cfg);
+                let mut m = NoPool(Pam::new(cfg));
                 run_simulation(&spec, config, &tasks, &mut m, &mut rng)
             }
             "PAMF" => {
-                let mut m = Pam::with_fairness(cfg);
+                let mut m = NoPool(Pam::with_fairness(cfg));
                 run_simulation(&spec, config, &tasks, &mut m, &mut rng)
             }
             "MM" => {
@@ -556,6 +576,19 @@ mod tests {
         assert_eq!(report.records.len(), 250);
         assert_eq!(report.metrics.outcomes.total(), report.metrics.counted);
         assert!(report.metrics.pct_on_time > 0.0, "{:?}", report.metrics.outcomes);
+    }
+
+    #[test]
+    fn default_threads_on_the_paper_system_stays_on_the_calling_thread() {
+        // `threads: 0` — what every figure, example and integration test
+        // runs — resolves to the host's parallelism, but must decide
+        // exactly like `threads: 1` (and, per `NoPool`, never build a
+        // pool), drop passes included.
+        assert_eq!(PruningConfig::default().threads, 0);
+        let one = PruningConfig { threads: 1, ..PruningConfig::default() };
+        let auto = oversubscribed_report("PAM", 34_000.0, 44);
+        assert!(auto.metrics.outcomes.pruned > 0, "drop passes must have run too");
+        assert_eq!(format!("{auto:?}"), format!("{:?}", report_with("PAM", one, 34_000.0, 44)));
     }
 
     #[test]

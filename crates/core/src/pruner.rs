@@ -5,7 +5,6 @@
 use crate::adaptive::AdaptiveConfig;
 use crate::scorer::ProbScorer;
 use hcsim_model::{MachineId, TaskTypeId};
-use hcsim_parallel::FanoutBackend;
 use hcsim_sim::MapContext;
 use serde::{Deserialize, Serialize};
 
@@ -68,19 +67,15 @@ pub struct PruningConfig {
     /// (judged by its residual execution PMF). Off by default — the
     /// paper's published mechanism does not preempt.
     pub preemption: bool,
-    /// Worker threads for the per-machine scoring fan-out (`0` = auto:
-    /// defer to [`hcsim_sim::SimConfig::threads`], which itself defaults
-    /// to the host's available parallelism). The fan-out merges in
-    /// machine-index order and every per-machine computation is
-    /// deterministic, so results are **bit-identical at any thread
-    /// count** — this is purely a performance knob.
+    /// Worker threads for the per-machine scoring fan-out (`0` = the
+    /// host's available parallelism, resolved once per mapper) — the one
+    /// setting the mapping-event fan-out has. One thread, or a cluster below
+    /// [`crate::PARALLEL_MIN_MACHINES`], keeps every fan-out on the
+    /// calling thread; anything else runs it on a persistent worker pool.
+    /// The fan-out merges in machine-index order and every per-machine
+    /// computation is deterministic, so results are **bit-identical at
+    /// any thread count** — this is purely a performance knob.
     pub threads: usize,
-    /// Fan-out engine for the per-machine scoring work
-    /// ([`FanoutBackend::Auto`] = defer to [`hcsim_sim::SimConfig`]'s
-    /// knob, bottoming out at the persistent worker pool). Like
-    /// `threads`, a pure performance knob: scoped and pooled execution
-    /// produce byte-identical reports.
-    pub backend: FanoutBackend,
     /// Reuse the score table across mapping events (same instant or
     /// later, within a membership epoch): only machines whose version
     /// moved or whose conditioned head the clock re-keyed are rescored and
@@ -118,7 +113,6 @@ impl Default for PruningConfig {
             fairness_factor: 0.05,
             preemption: false,
             threads: 0,
-            backend: FanoutBackend::Auto,
             table_reuse: true,
             adaptive: None,
         }
@@ -290,14 +284,11 @@ impl Pruner {
         // across cores before the sequential decision walk below: the
         // first `slot_scores` query per machine then hits a warm cache,
         // and only machines that actually drop pay for re-analysis. The
-        // warm-up is bit-identical to lazy sequential evaluation. On the
-        // pool backend this is one request/response round over the
-        // persistent workers; the per-machine queries in the walk below
-        // are direct cell accesses either way.
-        scorer.set_parallelism(
-            crate::effective_threads(self.config.threads, ctx),
-            crate::effective_backend(self.config.backend, ctx),
-        );
+        // warm-up is bit-identical to lazy sequential evaluation. With a
+        // pool this is one request/response round over the persistent
+        // workers; the per-machine queries in the walk below are direct
+        // cell accesses either way.
+        scorer.set_parallelism(self.config.threads);
         scorer.warm_caches(ctx.machines(), true);
         let may_evict = self.config.drop_executing && scorer.policy() == hcsim_pmf::DropPolicy::All;
         for m in 0..ctx.num_machines() {

@@ -70,40 +70,21 @@
 //! single thread (see [`PARALLEL_MIN_MACHINES`]) so fan-out overhead never
 //! lands on the small-cluster hot path.
 //!
-//! Two fan-out engines exist, selected by [`FanoutBackend`] via
-//! [`ProbScorer::set_parallelism`]:
-//!
-//! * **scoped** ([`hcsim_parallel::parallel_for_each_mut`]) — threads are
-//!   spawned and joined inside every fan-out, borrowing the cells. Simple,
-//!   but pays ~7–15 µs of spawn tax per thread per fan-out, several times
-//!   per event.
-//! * **pool** ([`hcsim_parallel::WorkerPool`], the default at cluster
-//!   scale) — the machine cells *move into* a persistent pool whose
-//!   workers own one shard each for the lifetime of the scorer; a fan-out
-//!   becomes a request/response round over channels. Per-round inputs
-//!   (machine snapshots, the live window rows) cross the channel as
-//!   pooled `Arc` buffers, so the steady state stays allocation-free.
-//!   Between rounds the scorer reaches individual cells through the
-//!   pool's shared handle ([`hcsim_parallel::WorkerPool::with_cell`]),
-//!   which is what keeps single-machine requests — a column refresh after
-//!   an assignment, a pruner slot query after a drop — at direct-call
-//!   cost instead of a channel round-trip.
+//! *How* the cells are executed — where they live, when a fan-out is a
+//! worker-pool round and when it is a loop on the calling thread — is the
+//! business of the private `cells` module alone; nothing in this file
+//! names the pool.
+
+mod cells;
 
 use crate::chain::{analyze_queue_cold, PetTables, QueueAnalysis};
+use cells::{Cells, WarmFilter};
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskId, TaskTypeId, Time};
-use hcsim_parallel::{parallel_for_each_mut, FanoutBackend, WorkerPool};
 use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
 use hcsim_sim::MachineState;
 use std::sync::Arc;
 
-/// Minimum number of active per-machine jobs before a fan-out actually
-/// goes parallel (and minimum cluster size before the worker pool is
-/// built). Below this the fan-out overhead (channel round-trips for the
-/// pool, tens of microseconds of spawns for scoped threads) exceeds the
-/// work itself on paper-sized clusters (8 machines), so the fan-out
-/// degenerates to the sequential path — which produces bit-identical
-/// results by construction.
-pub const PARALLEL_MIN_MACHINES: usize = 16;
+pub use cells::PARALLEL_MIN_MACHINES;
 
 /// Minimum number of changed machines before a [`ScoreTable::ensure`]
 /// that falls back to a rebuild lets it fan out. Most events repair the
@@ -122,7 +103,7 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// oversubscription) provably-deferred rows. Deliberately independent of
 /// the thread count: shard boundaries affect only which *aggregates* are
 /// consulted, never any exact score, so results stay bit-identical across
-/// thread counts and backends — but a deterministic width also keeps the
+/// thread counts — but a deterministic width also keeps the
 /// aggregate layout itself reproducible. 32 puts a 1024-machine cluster
 /// at 32 shards (bound sweep and phase-2 reduction both 32× narrower)
 /// while an 8-machine paper system degenerates to a single shard.
@@ -289,14 +270,19 @@ impl TailCache {
 }
 
 /// The scorer state shared *read-only* across every machine cell during a
-/// fan-out: the drop policy, the compaction budget, and the prefix CDFs of
-/// every PET cell. Immutable after construction, so one `Arc` serves both
-/// the caller and the pool workers; the per-event clock travels separately
-/// (it changes every event).
+/// fan-out: the drop policy, the compaction budget, the PET tables and the
+/// prefix CDFs of every PET cell. Immutable after construction, so one
+/// `Arc` serves both the caller and the pool workers; the per-event clock
+/// travels separately (it changes every event).
 #[derive(Debug)]
 struct ScorerShared {
     policy: DropPolicy,
     budget: usize,
+    /// The PET the scorer was built from.
+    pet: PetMatrix,
+    /// Cold-placement PET (spin-up ⊛ execution per cell); `None` in the
+    /// classic HC model.
+    cold_pet: Option<PetMatrix>,
     /// Prefix CDFs, row-major `(task_type, machine)`, built once.
     cdfs: Vec<PetCdf>,
     /// Cold-placement prefix CDFs (spin-up ⊛ execution cells), same
@@ -320,6 +306,12 @@ struct ScorerShared {
 }
 
 impl ScorerShared {
+    /// The warm/cold PET pair every queue chain selects its cells from.
+    #[inline]
+    fn pets(&self) -> PetTables<'_> {
+        PetTables { warm: &self.pet, cold: self.cold_pet.as_ref() }
+    }
+
     #[inline]
     fn cdf(&self, tt: TaskTypeId, m: MachineId) -> &PetCdf {
         &self.cdfs[tt.index() * self.machines + m.index()]
@@ -421,10 +413,9 @@ impl MachineCache {
         shared: &ScorerShared,
         now: Time,
         machine: &MachineState,
-        pets: PetTables<'_>,
         want_stats: bool,
     ) {
-        let (policy, budget) = (shared.policy, shared.budget);
+        let (policy, budget, pets) = (shared.policy, shared.budget, shared.pets());
         let Self { cache, scratch, .. } = self;
         if cache.valid
             && cache.version == machine.version()
@@ -527,66 +518,12 @@ impl MachineCache {
     }
 }
 
-/// Where the per-machine cells live: locally in the scorer (sequential and
-/// scoped fan-outs borrow them), or moved into a persistent
-/// [`WorkerPool`] whose workers own one shard each (pooled fan-outs are
-/// request/response rounds; between rounds the scorer reaches cells
-/// through the pool's shared handle).
-#[derive(Debug)]
-enum CellStore {
-    Local(Vec<MachineCache>),
-    Pooled(WorkerPool<MachineCache>),
-}
-
-impl CellStore {
-    /// Runs `f` against cell `i` on the calling thread — the single-cell
-    /// request path (scores, tail/slot queries, column refreshes).
-    fn with<R>(&mut self, i: usize, f: impl FnOnce(&mut MachineCache) -> R) -> R {
-        match self {
-            CellStore::Local(cells) => f(&mut cells[i]),
-            CellStore::Pooled(pool) => pool.with_cell(i, f),
-        }
-    }
-}
-
-/// Which machines a warm-up fan-out touches. A tiny `Copy` enum (rather
-/// than a closure) so the pooled round can ship the filter to `'static`
-/// workers.
-#[derive(Debug, Clone, Copy)]
-enum WarmFilter {
-    /// Machines with at least one queued task (the pruner's view).
-    Occupied,
-    /// Machines that can accept an assignment (the score table's view).
-    FreeSlot,
-}
-
-impl WarmFilter {
-    fn admits(self, machine: &MachineState) -> bool {
-        match self {
-            WarmFilter::Occupied => machine.occupancy() > 0,
-            WarmFilter::FreeSlot => machine.has_free_slot(),
-        }
-    }
-}
-
-/// Shard-grouped live window rows shipped to pooled column rounds:
-/// one `(row index, task)` list per shard, shared with workers as an
-/// `Arc` and reclaimed via `Arc::get_mut` after the round.
-type SharedLiveRows = Arc<Vec<Vec<(usize, Task)>>>;
-
 /// Robustness/expected-completion scorer with incremental tail caching.
 #[derive(Debug)]
 pub struct ProbScorer {
     shared: Arc<ScorerShared>,
-    /// The PET the scorer was built from, `Arc`-shared with pool workers.
-    pet: Arc<PetMatrix>,
-    /// Cold-placement PET (spin-up ⊛ execution per cell), `Arc`-shared
-    /// with pool workers; `None` in the classic HC model.
-    cold_pet: Option<Arc<PetMatrix>>,
     /// Current event clock (set by [`ProbScorer::begin_event`]).
     now: Time,
-    /// Resolved fan-out width (set by [`ProbScorer::set_parallelism`]).
-    threads: usize,
     /// Last cluster-membership epoch synchronized
     /// ([`ProbScorer::sync_membership`]); `None` until the first sync.
     membership_epoch: Option<u64>,
@@ -596,16 +533,12 @@ pub struct ProbScorer {
     schedulable: usize,
     /// Per-machine incremental availability chains, index-aligned with
     /// machine ids.
-    cells: CellStore,
+    cells: Cells,
     /// Scratch for scorer-level (machine-independent) operations:
     /// hypothetical appends and their recycling.
     hypo_scratch: ConvScratch,
-    /// Pooled-round input buffers, reclaimed via `Arc::get_mut` once the
-    /// workers drop their clones at the end of each round.
-    snapshot: Option<Arc<Vec<MachineState>>>,
-    live_shared: Option<SharedLiveRows>,
-    /// Copy-out buffers for single-cell queries in pooled mode (borrows
-    /// cannot escape a cell lock).
+    /// Copy-out buffers for single-cell queries in pooled mode (see
+    /// `Cells::view`).
     slots_buf: Vec<SlotScore>,
     tail_buf: Pmf,
 }
@@ -678,27 +611,23 @@ impl ProbScorer {
                 shard_cdfs.push(envelope_cdf(&members));
             }
         }
-        let cells = (0..pet.machines()).map(|_| MachineCache::default()).collect();
         Self {
             shared: Arc::new(ScorerShared {
                 policy,
                 budget,
+                pet: pet.clone(),
+                cold_pet: cold.cloned(),
                 cdfs,
                 cold_cdfs,
                 machines: pet.machines(),
                 shard_cdfs,
                 shards,
             }),
-            pet: Arc::new(pet.clone()),
-            cold_pet: cold.map(|c| Arc::new(c.clone())),
             now: 0,
-            threads: 1,
             membership_epoch: None,
             schedulable: pet.machines(),
-            cells: CellStore::Local(cells),
+            cells: Cells::new(pet.machines()),
             hypo_scratch: ConvScratch::new(),
-            snapshot: None,
-            live_shared: None,
             slots_buf: Vec::new(),
             tail_buf: Pmf::delta(0),
         }
@@ -719,59 +648,18 @@ impl ProbScorer {
         self.now = now;
     }
 
-    /// Configures the fan-out engine: `threads` workers (resolved — pass
-    /// the output of [`crate::effective_threads`]) on the given `backend`.
-    /// With [`FanoutBackend::Pool`] (or `Auto`) and a cluster large enough
-    /// to fan out at all, the machine cells move into a persistent
-    /// [`WorkerPool`] — built once, reused for every event, re-sharded
-    /// only if the knobs change. Scoped/sequential configurations keep (or
-    /// move back to) local cells. Idempotent and cheap when nothing
-    /// changed, so mappers call it every event.
-    pub fn set_parallelism(&mut self, threads: usize, backend: FanoutBackend) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        // Gate on the *schedulable* machine count (the live cluster after
-        // churn, synced by [`ProbScorer::sync_membership`]; the full
-        // machine universe for a static cluster), so a cluster that
-        // shrinks below the fan-out floor dissolves its pool and one that
-        // grows back re-builds it.
-        let live = self.schedulable;
-        let resolved = hcsim_parallel::resolve_backend(backend);
-        let want_stealing = resolved == FanoutBackend::Stealing;
-        let want_pool = matches!(resolved, FanoutBackend::Pool | FanoutBackend::Stealing)
-            && threads > 1
-            && live >= PARALLEL_MIN_MACHINES;
-        let pool_threads = threads.clamp(1, live.max(1));
-        let needs_change = match &self.cells {
-            CellStore::Local(_) => want_pool,
-            CellStore::Pooled(pool) => {
-                !want_pool || pool.threads() != pool_threads || pool.stealing() != want_stealing
-            }
-        };
-        if !needs_change {
-            return;
-        }
-        self.cells = match std::mem::replace(&mut self.cells, CellStore::Local(Vec::new())) {
-            // Pooled → pooled with a different width or round mode: the
-            // membership-epoch re-shard (or a backend flip between owned
-            // and stealing rounds). Cells move intact, so surviving
-            // machines keep their cached chains.
-            CellStore::Pooled(pool) if want_pool => {
-                // Built with the clamped count so the `needs_change`
-                // compare above is structural, not a coincidence of
-                // matching clamps.
-                CellStore::Pooled(WorkerPool::with_mode(
-                    pool.into_cells(),
-                    pool_threads,
-                    want_stealing,
-                ))
-            }
-            CellStore::Pooled(pool) => CellStore::Local(pool.into_cells()),
-            CellStore::Local(cells) if want_pool => {
-                CellStore::Pooled(WorkerPool::with_mode(cells, pool_threads, want_stealing))
-            }
-            local => local,
-        };
+    /// Sets the fan-out width: `threads` workers, `0` meaning the host's
+    /// available parallelism (resolved when the value changes, not per
+    /// event). With more than one thread and at least
+    /// [`PARALLEL_MIN_MACHINES`] *schedulable* machines (as of the last
+    /// [`ProbScorer::sync_membership`]) the cells move into a persistent
+    /// worker pool, re-sharded only if the width moves; otherwise they
+    /// stay on (or move back to) the calling thread — so a cluster that
+    /// shrinks below the floor dissolves its pool and one that grows back
+    /// rebuilds it. A few integer compares when nothing changed, so
+    /// mappers call it every event.
+    pub fn set_parallelism(&mut self, threads: usize) {
+        self.cells.set_parallelism(threads, self.schedulable);
     }
 
     /// Synchronizes the scorer with the cluster's membership epoch (see
@@ -781,8 +669,8 @@ impl ProbScorer {
     ///
     /// * the schedulable-machine count that gates the worker pool is
     ///   refreshed (the next [`ProbScorer::set_parallelism`] call then
-    ///   re-shards via [`WorkerPool::reshard`] if the clamp moved —
-    ///   surviving machines' cells migrate with their cache warmth);
+    ///   re-shards the pool if the clamp moved — surviving machines'
+    ///   cells migrate with their cache warmth);
     /// * machines that left the cluster with empty queues have their
     ///   cached availability chains released back into their cells'
     ///   scratch pools (a re-join starts from a fresh, empty queue anyway,
@@ -816,7 +704,7 @@ impl ProbScorer {
     /// pool (diagnostics/tests).
     #[must_use]
     pub fn pool_active(&self) -> bool {
-        matches!(self.cells, CellStore::Pooled(_))
+        self.cells.pool_active()
     }
 
     /// Head rebuilds plus chain extensions machine `m`'s cell has performed
@@ -847,25 +735,7 @@ impl ProbScorer {
     /// a pure accelerator) but loses their warmth. Idempotent; a scorer
     /// with local cells returns `true` immediately.
     pub fn shutdown(&mut self, timeout: std::time::Duration) -> bool {
-        match std::mem::replace(&mut self.cells, CellStore::Local(Vec::new())) {
-            CellStore::Local(cells) => {
-                self.cells = CellStore::Local(cells);
-                true
-            }
-            CellStore::Pooled(mut pool) => {
-                if pool.shutdown(timeout) {
-                    self.cells = CellStore::Local(pool.into_cells());
-                    true
-                } else {
-                    // Workers still hold the shared cells; start over with
-                    // cold caches rather than blocking on the wedged pool.
-                    let machines = self.shared.machines;
-                    self.cells =
-                        CellStore::Local((0..machines).map(|_| MachineCache::default()).collect());
-                    false
-                }
-            }
-        }
+        self.cells.shutdown(timeout)
     }
 
     /// Full queue analysis built from scratch — the reference
@@ -881,28 +751,16 @@ impl ProbScorer {
     /// (cold side absent in the classic model).
     #[must_use]
     pub fn pets(&self) -> PetTables<'_> {
-        PetTables { warm: &self.pet, cold: self.cold_pet.as_deref() }
+        self.shared.pets()
     }
 
     /// The machine's tail availability PMF, maintained incrementally.
     pub fn tail(&mut self, machine: &MachineState) -> &Pmf {
-        let i = machine.id().index();
-        let Self { shared, pet, cold_pet, now, cells, tail_buf, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
-        match cells {
-            CellStore::Local(cells) => {
-                let cell = &mut cells[i];
-                cell.ensure(shared, *now, machine, pets, false);
-                cell.cache.tail()
-            }
-            CellStore::Pooled(pool) => {
-                pool.with_cell(i, |cell| {
-                    cell.ensure(shared, *now, machine, pets, false);
-                    tail_buf.clone_from(cell.cache.tail());
-                });
-                tail_buf
-            }
-        }
+        let Self { shared, now, cells, tail_buf, .. } = self;
+        cells.view(machine.id().index(), tail_buf, |cell| {
+            cell.ensure(shared, *now, machine, false);
+            cell.cache.tail()
+        })
     }
 
     /// Clones the machine's tail into `out`, reusing `out`'s buffers —
@@ -910,10 +768,9 @@ impl ProbScorer {
     /// permutation phase): in pooled mode a borrow cannot escape the cell
     /// lock, so [`ProbScorer::tail`] + `clone()` would copy twice.
     pub fn tail_into(&mut self, machine: &MachineState, out: &mut Pmf) {
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { shared, now, cells, .. } = self;
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(shared, *now, machine, false);
             out.clone_from(cell.cache.tail());
         });
     }
@@ -923,23 +780,12 @@ impl ProbScorer {
     /// incremental cache, so re-evaluating a queue after a mid-queue drop
     /// reconvolves only the suffix behind the removed task.
     pub fn slot_scores(&mut self, machine: &MachineState) -> &[SlotScore] {
-        let i = machine.id().index();
-        let Self { shared, pet, cold_pet, now, cells, slots_buf, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
-        match cells {
-            CellStore::Local(cells) => {
-                let cell = &mut cells[i];
-                cell.ensure(shared, *now, machine, pets, true);
-                &cell.cache.slots
-            }
-            CellStore::Pooled(pool) => {
-                pool.with_cell(i, |cell| {
-                    cell.ensure(shared, *now, machine, pets, true);
-                    slots_buf.clone_from(&cell.cache.slots);
-                });
-                slots_buf
-            }
-        }
+        let Self { shared, now, cells, slots_buf, .. } = self;
+        let slots: &Vec<SlotScore> = cells.view(machine.id().index(), slots_buf, |cell| {
+            cell.ensure(shared, *now, machine, true);
+            &cell.cache.slots
+        });
+        slots
     }
 
     /// Scores appending `task` to `machine`'s queue. A machine with an
@@ -947,11 +793,10 @@ impl ProbScorer {
     /// churn-aware bias that steers phase 2 away from soon-to-leave
     /// machines (see `effective_deadline`).
     pub fn score(&mut self, machine: &MachineState, task: &Task) -> PairScore {
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { shared, now, cells, .. } = self;
         let deadline = effective_deadline(task.deadline, machine.announced_departure());
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(shared, *now, machine, false);
             score_against(
                 cell.cache.tail(),
                 shared.cdf_for(task.type_id, machine),
@@ -1006,72 +851,21 @@ impl ProbScorer {
     /// dropping walk so the expensive chain/statistics work runs across
     /// cores while the drop *decisions* stay in machine-index order.
     ///
-    /// Results are bit-identical at any `threads`/backend (each cell's
+    /// Results are bit-identical at any `threads` (each cell's
     /// update is deterministic in the machine state alone); fan-outs
     /// smaller than [`PARALLEL_MIN_MACHINES`] run sequentially.
     pub fn warm_caches(&mut self, machines: &[MachineState], want_stats: bool) {
         debug_assert_machine_alignment(machines);
         let eligible = machines.iter().filter(|m| m.occupancy() > 0).count();
         let parallel = eligible >= PARALLEL_MIN_MACHINES;
-        self.warm(machines, WarmFilter::Occupied, want_stats, parallel);
-    }
-
-    /// One warm-up fan-out over the machines `filter` admits: a pool round
-    /// in pooled mode, a scoped fan-out over the filtered cells otherwise;
-    /// `parallel = false` forces the sequential path on the calling
-    /// thread.
-    fn warm(
-        &mut self,
-        machines: &[MachineState],
-        filter: WarmFilter,
-        want_stats: bool,
-        parallel: bool,
-    ) {
-        let Self { shared, pet, cold_pet, now, threads, cells, snapshot, .. } = self;
-        let now = *now;
-        match cells {
-            CellStore::Pooled(pool) if parallel => {
-                let snap = share_snapshot(snapshot, machines);
-                let shared = Arc::clone(shared);
-                let pet = Arc::clone(pet);
-                let cold_pet = cold_pet.clone();
-                pool.run(move |i, cell| {
-                    let machine = &snap[i];
-                    if filter.admits(machine) {
-                        let pets = PetTables { warm: &pet, cold: cold_pet.as_deref() };
-                        cell.ensure(&shared, now, machine, pets, want_stats);
-                    }
-                });
-            }
-            CellStore::Pooled(pool) => {
-                let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
-                for (i, machine) in machines.iter().enumerate() {
-                    if filter.admits(machine) {
-                        pool.with_cell(i, |cell| {
-                            cell.ensure(shared, now, machine, pets, want_stats)
-                        });
-                    }
-                }
-            }
-            CellStore::Local(cells) => {
-                let threads = if parallel { *threads } else { 1 };
-                struct WarmJob<'a> {
-                    cell: &'a mut MachineCache,
-                    machine: &'a MachineState,
-                }
-                let mut jobs: Vec<WarmJob<'_>> = cells
-                    .iter_mut()
-                    .zip(machines)
-                    .filter(|(_, machine)| filter.admits(machine))
-                    .map(|(cell, machine)| WarmJob { cell, machine })
-                    .collect();
-                let shared: &ScorerShared = shared;
-                let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
-                parallel_for_each_mut(&mut jobs, threads, |_, job| {
-                    job.cell.ensure(shared, now, job.machine, pets, want_stats);
-                });
-            }
-        }
+        self.cells.warm(
+            &self.shared,
+            self.now,
+            machines,
+            WarmFilter::Occupied,
+            want_stats,
+            parallel,
+        );
     }
 
     /// Earliest possible start and head window per free machine (`None`:
@@ -1087,150 +881,16 @@ impl ProbScorer {
         }
     }
 
-    /// Fan-out 2 of [`ScoreTable::rebuild`]: scores the bound-surviving
-    /// rows against the free machines of the shards they survived in —
-    /// `live_by_shard[s]` lists the `(row, task)` pairs live in shard `s`,
-    /// and machine `m` scores exactly `live_by_shard[m / width]` — one
-    /// column per machine, merged into `cols` in machine-index order.
-    fn fill_columns(
-        &mut self,
-        machines: &[MachineState],
-        live_by_shard: &[Vec<(usize, Task)>],
-        rows: usize,
-        cols: &mut [Vec<Option<PairScore>>],
-        parallel: bool,
-    ) {
-        let Self { shared, pet: _, now: _, threads, cells, snapshot, live_shared, .. } = self;
-        match cells {
-            CellStore::Pooled(pool) if parallel => {
-                let snap = share_snapshot(snapshot, machines);
-                let live = share_live(live_shared, live_by_shard);
-                let shared = Arc::clone(shared);
-                pool.run(move |i, cell| {
-                    let machine = &snap[i];
-                    let MachineCache { cache, col, .. } = cell;
-                    col.clear();
-                    col.resize(rows, None);
-                    if !machine.has_free_slot() {
-                        return;
-                    }
-                    let live = &live[i / TABLE_SHARD_WIDTH];
-                    score_column_scatter(cache.tail(), &shared, machine, live, col);
-                });
-                // Index-ordered merge: swap each worker-filled column into
-                // the table (and recycle the table's old buffer as the
-                // cell's next scratch).
-                for (i, col) in cols.iter_mut().enumerate() {
-                    pool.with_cell(i, |cell| std::mem::swap(col, &mut cell.col));
-                }
-            }
-            CellStore::Pooled(pool) => {
-                for ((i, machine), col) in machines.iter().enumerate().zip(cols.iter_mut()) {
-                    col.clear();
-                    col.resize(rows, None);
-                    if !machine.has_free_slot() {
-                        continue;
-                    }
-                    let live = &live_by_shard[i / TABLE_SHARD_WIDTH];
-                    pool.with_cell(i, |cell| {
-                        score_column_scatter(cell.cache.tail(), shared, machine, live, col);
-                    });
-                }
-            }
-            CellStore::Local(cells) => {
-                let threads = if parallel { *threads } else { 1 };
-                struct ColJob<'a> {
-                    cell: &'a mut MachineCache,
-                    machine: &'a MachineState,
-                    col: &'a mut Vec<Option<PairScore>>,
-                }
-                let mut jobs: Vec<ColJob<'_>> = cells
-                    .iter_mut()
-                    .zip(machines)
-                    .zip(cols.iter_mut())
-                    .map(|((cell, machine), col)| ColJob { cell, machine, col })
-                    .collect();
-                let shared: &ScorerShared = shared;
-                parallel_for_each_mut(&mut jobs, threads, |_, job| {
-                    job.col.clear();
-                    job.col.resize(rows, None);
-                    if !job.machine.has_free_slot() {
-                        return;
-                    }
-                    let live = &live_by_shard[job.machine.id().index() / TABLE_SHARD_WIDTH];
-                    score_column_scatter(job.cell.cache.tail(), shared, job.machine, live, job.col);
-                });
-            }
-        }
-    }
-
     /// Ensures `machine`'s cell and returns its tail's bound scalars —
     /// [`ScoreTable::ensure`] needs a changed machine's bound before it
     /// can decide which rows that machine's column must score.
     fn ensure_tail_bound(&mut self, machine: &MachineState) -> TailBound {
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { shared, now, cells, .. } = self;
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(shared, *now, machine, false);
             cell.cache.bound()
         })
     }
-}
-
-/// Clones `machines` into the reusable `Arc` snapshot buffer a pooled
-/// round ships to its `'static` workers. Workers drop their `Arc` clones
-/// before acknowledging the round, so `Arc::get_mut` reclaims the buffer
-/// — and `MachineState::clone_from` the per-machine queue buffers — every
-/// time after the first.
-///
-/// The update is **version-delta**: a buffered machine whose
-/// `(id, version)` already matches the live one is skipped entirely —
-/// `MachineState::version()` bumps on every mutation, and the whole
-/// incremental-cache layer already keys on it, so an equal version means
-/// identical content. In particular the second round of a
-/// [`ScoreTable::rebuild`] (machines untouched since the warm round)
-/// costs a scalar compare per machine, not a re-clone.
-fn share_snapshot(
-    slot: &mut Option<Arc<Vec<MachineState>>>,
-    machines: &[MachineState],
-) -> Arc<Vec<MachineState>> {
-    let mut arc = slot.take().unwrap_or_else(|| Arc::new(Vec::new()));
-    match Arc::get_mut(&mut arc) {
-        Some(buf) => {
-            buf.truncate(machines.len());
-            let filled = buf.len();
-            for (dst, src) in buf.iter_mut().zip(machines) {
-                if dst.id() != src.id() || dst.version() != src.version() {
-                    dst.clone_from(src);
-                }
-            }
-            buf.extend(machines[filled..].iter().cloned());
-        }
-        None => arc = Arc::new(machines.to_vec()),
-    }
-    *slot = Some(Arc::clone(&arc));
-    arc
-}
-
-/// Same reuse pattern for the per-shard live window rows of a column
-/// round (inner buffers keep their capacity across events).
-fn share_live(
-    slot: &mut Option<SharedLiveRows>,
-    live_by_shard: &[Vec<(usize, Task)>],
-) -> SharedLiveRows {
-    let mut arc = slot.take().unwrap_or_else(|| Arc::new(Vec::new()));
-    match Arc::get_mut(&mut arc) {
-        Some(buf) => {
-            buf.resize_with(live_by_shard.len(), Vec::new);
-            for (dst, src) in buf.iter_mut().zip(live_by_shard) {
-                dst.clear();
-                dst.extend_from_slice(src);
-            }
-        }
-        None => arc = Arc::new(live_by_shard.to_vec()),
-    }
-    *slot = Some(Arc::clone(&arc));
-    arc
 }
 
 /// Slop added to the robustness upper bound before comparing it against a
@@ -1425,13 +1085,13 @@ impl ScoreTable {
     }
 
     /// Recomputes the whole table for `tasks` (the batch window) against
-    /// every machine, fanning the per-machine work out on the scorer's
-    /// configured engine ([`ProbScorer::set_parallelism`]). `skip_below`
+    /// every machine, fanning the per-machine work out at the scorer's
+    /// configured width ([`ProbScorer::set_parallelism`]). `skip_below`
     /// gives, per task type, the robustness threshold under which the
     /// caller's reduction would defer/cull the task anyway — (row, shard)
     /// pairs whose envelope bound proves that are left unscored. Machines
     /// without a free slot get an all-`None` column. Bit-identical at any
-    /// thread count and on every backend.
+    /// thread count.
     pub fn rebuild(
         &mut self,
         scorer: &mut ProbScorer,
@@ -1463,7 +1123,14 @@ impl ScoreTable {
         // Fan-out 1: bring every free machine's availability chain up to
         // date (the convolution-heavy part), then gather the bound
         // scalars and fold them into per-shard earliest starts.
-        scorer.warm(machines, WarmFilter::FreeSlot, false, parallel);
+        scorer.cells.warm(
+            &scorer.shared,
+            scorer.now,
+            machines,
+            WarmFilter::FreeSlot,
+            false,
+            parallel,
+        );
         scorer.collect_tail_bounds(machines, &mut self.tail_bounds);
         self.shard_earliest.clear();
         self.shard_earliest.resize(shards, None);
@@ -1502,7 +1169,14 @@ impl ScoreTable {
 
         // Fan-out 2: exact scores for the surviving (row, shard) pairs,
         // one column per machine.
-        scorer.fill_columns(machines, &self.live_by_shard, tasks.len(), &mut self.cols, parallel);
+        scorer.cells.fill_columns(
+            &scorer.shared,
+            machines,
+            &self.live_by_shard,
+            tasks.len(),
+            &mut self.cols,
+            parallel,
+        );
 
         // Per-shard phase-1 reduction: cache each shard's best candidate
         // per live row, so best_for_row touches O(shards) entries.
@@ -1752,10 +1426,9 @@ impl ScoreTable {
             return;
         }
         let live = &self.live;
-        let ProbScorer { shared, pet, cold_pet, now, cells, .. } = scorer;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let ProbScorer { shared, now, cells, .. } = scorer;
         cells.with(m, |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(shared, *now, machine, false);
             score_column_scatter(cell.cache.tail(), shared, machine, live, col);
         });
     }
@@ -2402,9 +2075,8 @@ mod tests {
     #[test]
     fn score_table_matches_pairwise_scoring_bitwise() {
         // 20 machines crosses PARALLEL_MIN_MACHINES, so threads=4 takes a
-        // real fan-out — on every engine. Every table entry must equal a
-        // direct `score` call bit for bit, across sequential, scoped,
-        // pooled, and work-stealing execution.
+        // real fan-out. Every table entry must equal a direct `score`
+        // call bit for bit, on the calling thread and on the pool.
         let (pet, machines) = fanout_fixture(20);
         let tasks: Vec<Task> = (0..7u32)
             .map(|i| Task {
@@ -2416,20 +2088,12 @@ mod tests {
             .collect();
         let mut scorer_ref = ProbScorer::new(&pet, DropPolicy::All, 16);
         scorer_ref.begin_event(5);
-        for (label, threads, backend) in [
-            ("seq", 1, FanoutBackend::Scoped),
-            ("scoped", 4, FanoutBackend::Scoped),
-            ("pool", 4, FanoutBackend::Pool),
-            ("steal", 4, FanoutBackend::Stealing),
-        ] {
+        for (label, threads) in [("seq", 1), ("pool", 4)] {
             let mut table = ScoreTable::new();
             let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
             scorer.begin_event(5);
-            scorer.set_parallelism(threads, backend);
-            assert_eq!(
-                scorer.pool_active(),
-                matches!(backend, FanoutBackend::Pool | FanoutBackend::Stealing) && threads > 1
-            );
+            scorer.set_parallelism(threads);
+            assert_eq!(scorer.pool_active(), threads > 1);
             table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
             for (i, task) in tasks.iter().enumerate() {
                 for (m, machine) in machines.iter().enumerate() {
@@ -2969,7 +2633,7 @@ mod tests {
         let tasks = vec![Task { id: TaskId(9), type_id: TaskTypeId(0), arrival: 0, deadline: 50 }];
         let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
         scorer.begin_event(0);
-        scorer.set_parallelism(4, FanoutBackend::Pool);
+        scorer.set_parallelism(4);
         assert!(!scorer.pool_active(), "1-machine system stays below the pool gate");
         let mut table = ScoreTable::new();
         table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
@@ -2982,12 +2646,10 @@ mod tests {
         let (pet, machines) = fanout_fixture(20);
         let mut cold = ProbScorer::new(&pet, DropPolicy::All, 16);
         cold.begin_event(7);
-        for (label, threads, backend) in
-            [("scoped", 4, FanoutBackend::Scoped), ("pool", 4, FanoutBackend::Pool)]
-        {
+        for (label, threads) in [("seq", 1), ("pool", 4)] {
             let mut warm = ProbScorer::new(&pet, DropPolicy::All, 16);
             warm.begin_event(7);
-            warm.set_parallelism(threads, backend);
+            warm.set_parallelism(threads);
             warm.warm_caches(&machines, true);
             for machine in &machines {
                 if machine.occupancy() == 0 {
@@ -3020,7 +2682,7 @@ mod tests {
         let mut pooled = ProbScorer::new(&pet, DropPolicy::All, 16);
         local.begin_event(9);
         pooled.begin_event(9);
-        pooled.set_parallelism(4, FanoutBackend::Pool);
+        pooled.set_parallelism(4);
         assert!(pooled.pool_active());
         let task = Task { id: TaskId(77), type_id: TaskTypeId(1), arrival: 0, deadline: 90 };
         for machine in &machines {
@@ -3043,7 +2705,7 @@ mod tests {
         scorer.begin_event(3);
         scorer.sync_membership(0, &machines);
         assert_eq!(scorer.schedulable_machines(), n);
-        scorer.set_parallelism(4, FanoutBackend::Pool);
+        scorer.set_parallelism(4);
         assert!(scorer.pool_active());
         scorer.warm_caches(&machines, false);
         // Churn: fail 5 and drain 4 machines → below the fan-out floor.
@@ -3055,7 +2717,7 @@ mod tests {
         }
         scorer.sync_membership(1, &machines);
         assert_eq!(scorer.schedulable_machines(), n - 9);
-        scorer.set_parallelism(4, FanoutBackend::Pool);
+        scorer.set_parallelism(4);
         assert!(!scorer.pool_active(), "cluster shrank below the pool gate");
         // Every tail — survivors from their migrated warm cells, departed
         // machines rebuilt from scratch — must match a cold scorer.
@@ -3075,7 +2737,7 @@ mod tests {
             assert!(testkit::apply(m, testkit::QueueOp::Join));
         }
         scorer.sync_membership(2, &machines);
-        scorer.set_parallelism(4, FanoutBackend::Pool);
+        scorer.set_parallelism(4);
         assert!(scorer.pool_active(), "grown cluster re-builds the pool");
         // Same epoch again: a no-op (the steady-state path).
         scorer.sync_membership(2, &machines);
@@ -3109,12 +2771,28 @@ mod tests {
         let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
         scorer.begin_event(4);
         let baseline: Vec<Pmf> = machines.iter().map(|m| scorer.tail(m).clone()).collect();
-        scorer.set_parallelism(4, FanoutBackend::Pool);
+        scorer.set_parallelism(4);
         assert!(scorer.pool_active());
-        scorer.set_parallelism(2, FanoutBackend::Pool); // reshard
+        let workers = scorer.cells.worker_ids();
+        assert_eq!(workers.len(), 4);
+        // The per-event steady state: the same setting again is a no-op —
+        // the same worker threads serve the next round, nothing rebuilt.
+        let builds: Vec<u64> = machines.iter().map(|m| scorer.chain_builds(m.id())).collect();
+        scorer.set_parallelism(4);
+        assert_eq!(scorer.cells.worker_ids(), workers, "same setting must not reshard");
+        scorer.set_parallelism(2); // reshard
         assert!(scorer.pool_active());
-        scorer.set_parallelism(4, FanoutBackend::Scoped); // move back
+        assert!(scorer.cells.worker_ids().is_disjoint(&workers), "new width, new workers");
+        scorer.set_parallelism(1); // move back
         assert!(!scorer.pool_active());
+        // `0` asks the host once; asking again changes nothing either.
+        scorer.set_parallelism(0);
+        let (active, workers) = (scorer.pool_active(), scorer.cells.worker_ids());
+        scorer.set_parallelism(0);
+        assert_eq!((scorer.pool_active(), scorer.cells.worker_ids()), (active, workers));
+        for (machine, before) in machines.iter().zip(&builds) {
+            assert_eq!(scorer.chain_builds(machine.id()), *before, "migration rebuilt a chain");
+        }
         for (machine, want) in machines.iter().zip(&baseline) {
             assert_eq!(scorer.tail(machine), want, "machine {} lost its chain", machine.id());
         }

@@ -1,35 +1,27 @@
-//! Thread-count and backend invariance of the per-machine scoring
-//! fan-out.
+//! Thread-count invariance of the per-machine scoring fan-out.
 //!
-//! The parallel fan-out's contract is *bit-identical* results at any
-//! `threads` value and on either execution engine: per-machine
-//! computations are deterministic in the machine state alone and merge in
-//! machine-index order, so the thread knob and the scoped-vs-pool backend
-//! knob must both be pure performance knobs. These tests drive whole
-//! simulations — PAM (with its pruner drop passes engaged) and MOC — on a
-//! cluster large enough to cross the `PARALLEL_MIN_MACHINES` gate, and
-//! require byte-identical reports across three execution modes:
+//! The fan-out's contract is *bit-identical* results at any `threads`
+//! value: per-machine computations are deterministic in the machine state
+//! alone and merge in machine-index order, so `threads` must be a pure
+//! performance setting. These tests drive whole simulations — PAM (with
+//! its pruner drop passes engaged) and MOC — on a cluster large enough to
+//! cross the `PARALLEL_MIN_MACHINES` gate, and require byte-identical
+//! reports from the two execution modes that exist:
 //!
-//! * sequential (`threads = 1`),
-//! * scoped fan-out (`threads = N`, threads spawned per event),
-//! * persistent worker pool (`threads = N`, cells owned by pool workers),
-//! * work-stealing pool (`threads = N`, idle workers claim cells from
-//!   busy shards).
+//! * the calling thread (`threads = 1`),
+//! * the persistent worker pool (`threads = N`, cells owned by pool
+//!   workers).
 //!
 //! Seed-golden pins on the `cluster_64m` and `cluster_1024m` bench
 //! scenarios (reduced task counts) guard the cluster-scale trajectory
 //! against behavioral drift from future perf work.
 //!
-//! The multi-threaded side honours `HCSIM_TEST_THREADS` (default 4) and
-//! `HCSIM_TEST_POOL` (`1` = run the pins' parallel leg on the worker
-//! pool, `2` = on the work-stealing pool, default scoped) so CI can run
-//! the same suite across a threads × backend matrix — every leg asserts
-//! the same pinned constants, which is what proves all modes agree even
-//! if one leg's in-test comparison is degenerate.
+//! The pool side honours `HCSIM_TEST_THREADS` (default 4) so CI can run
+//! the same suite at several widths — every leg asserts the same pinned
+//! constants, which is what proves the modes agree even on the
+//! `HCSIM_TEST_THREADS=1` leg, whose in-test comparison is degenerate.
 
-use hcsim_core::{
-    AdaptiveConfig, FanoutBackend, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES,
-};
+use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES};
 use hcsim_sim::{run_simulation, run_simulation_with_churn, SimConfig, SimReport};
 use hcsim_stats::SeedSequence;
 use hcsim_workload::{
@@ -38,21 +30,24 @@ use hcsim_workload::{
 };
 use proptest::prelude::*;
 
-/// Thread count for the parallel side; `HCSIM_TEST_THREADS` lets the CI
+/// Thread count for the pool side; `HCSIM_TEST_THREADS` lets the CI
 /// matrix pin it.
 fn test_threads() -> usize {
     std::env::var("HCSIM_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
 }
 
-/// Backend for the golden pins' parallel leg; `HCSIM_TEST_POOL=1` selects
-/// the persistent worker pool, `2` the work-stealing pool, anything else
-/// the scoped fan-out.
-fn test_backend() -> FanoutBackend {
-    match std::env::var("HCSIM_TEST_POOL").as_deref() {
-        Ok("1") => FanoutBackend::Pool,
-        Ok("2") => FanoutBackend::Stealing,
-        _ => FanoutBackend::Scoped,
-    }
+/// The paper's static thresholds at the given fan-out width.
+fn fixed(threads: usize) -> PruningConfig {
+    PruningConfig { threads, ..PruningConfig::default() }
+}
+
+/// [`fixed`] with the closed-loop controller steering thresholds. The
+/// controller's observations (windowed outcomes, pressure detector) are
+/// fed from mapper-visible events only, so its trims must be identical
+/// across execution modes — any fan-out ordering leak would change a
+/// threshold mid-run and fork the whole trajectory.
+fn adaptive(threads: usize) -> PruningConfig {
+    PruningConfig { adaptive: Some(AdaptiveConfig::default()), ..fixed(threads) }
 }
 
 /// One cluster trial: `machines` machines, arrival rate scaled with the
@@ -63,8 +58,7 @@ fn cluster_trial(
     num_tasks: usize,
     oversubscription: f64,
     seed: u64,
-    threads: usize,
-    backend: FanoutBackend,
+    pruning: PruningConfig,
 ) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
@@ -74,7 +68,7 @@ fn cluster_trial(
         ..Default::default()
     });
     let tasks = gen.generate(&spec, &mut seeds.stream(1));
-    let mut mapper = kind.build(PruningConfig { threads, backend, ..PruningConfig::default() });
+    let mut mapper = kind.build(pruning);
     let mut rng = seeds.stream(2);
     run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng)
 }
@@ -90,15 +84,17 @@ fn fingerprint(report: &SimReport) -> String {
 /// a quarter of the cluster joins late, and drains + failures (with task
 /// requeue through the mapper) land mid-run. Exercises the scorer's cell
 /// release, the pool re-gating across epochs, and the engine's requeue
-/// path under every execution mode.
+/// path in both execution modes. With `carry_progress`, failure-requeued
+/// tasks keep their completed progress — the migration semantics end to
+/// end: residual-PMF scoring of carried tasks and progress-aware restarts.
 fn churn_cluster_trial(
     kind: HeuristicKind,
     machines: usize,
     num_tasks: usize,
     oversubscription: f64,
     seed: u64,
-    threads: usize,
-    backend: FanoutBackend,
+    pruning: PruningConfig,
+    carry_progress: bool,
 ) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
@@ -122,12 +118,13 @@ fn churn_cluster_trial(
         },
         &mut seeds.stream(3),
     );
-    let mut mapper = kind.build(PruningConfig { threads, backend, ..PruningConfig::default() });
+    let mut mapper = kind.build(pruning);
     let mut rng = seeds.stream(2);
-    run_simulation_with_churn(&spec, SimConfig::untrimmed(), &tasks, &churn, &mut mapper, &mut rng)
+    let config = SimConfig { carry_progress, ..SimConfig::untrimmed() };
+    run_simulation_with_churn(&spec, config, &tasks, &churn, &mut mapper, &mut rng)
 }
 
-/// Proptest case count for the churn invariance proptest; the CI churn
+/// Proptest case count for the churn invariance proptest; the CI wide-sweep
 /// leg (`HCSIM_TEST_CHURN=1`) runs a deeper sweep.
 fn churn_cases() -> u32 {
     if std::env::var("HCSIM_TEST_CHURN").as_deref() == Ok("1") {
@@ -138,7 +135,7 @@ fn churn_cases() -> u32 {
 }
 
 /// Proptest case count for the adaptive-controller invariance proptests;
-/// the CI adaptive leg (`HCSIM_TEST_ADAPTIVE=1`) runs a deeper sweep.
+/// the CI wide-sweep leg (`HCSIM_TEST_ADAPTIVE=1`) runs a deeper sweep.
 fn adaptive_cases() -> u32 {
     if std::env::var("HCSIM_TEST_ADAPTIVE").as_deref() == Ok("1") {
         8
@@ -148,7 +145,7 @@ fn adaptive_cases() -> u32 {
 }
 
 /// Proptest case count for the serverless invariance proptests; the CI
-/// faas leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
+/// wide-sweep leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
 fn faas_cases() -> u32 {
     if std::env::var("HCSIM_TEST_FAAS").as_deref() == Ok("1") {
         8
@@ -162,7 +159,7 @@ fn faas_cases() -> u32 {
 /// keep-alive expiries live. Machine *warmth* now feeds the scorer's
 /// cell selection, so any fan-out ordering leak would additionally show
 /// up as diverging cold/warm tallies — which the fingerprint includes.
-fn faas_trial(seed: u64, threads: usize, backend: FanoutBackend) -> SimReport {
+fn faas_trial(seed: u64, threads: usize) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let cfg = FaasConfig {
         num_functions: 16,
@@ -175,84 +172,9 @@ fn faas_trial(seed: u64, threads: usize, backend: FanoutBackend) -> SimReport {
     };
     let spec = faas_system(&cfg, &mut seeds.stream(0));
     let tasks = FaasGenerator::new(cfg).generate(&spec, &mut seeds.stream(1));
-    let mut mapper =
-        HeuristicKind::Pam.build(PruningConfig { threads, backend, ..PruningConfig::default() });
+    let mut mapper = HeuristicKind::Pam.build(fixed(threads));
     let mut rng = seeds.stream(2);
     run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng)
-}
-
-/// [`cluster_trial`] with the closed-loop controller steering thresholds.
-/// The controller's observations (windowed outcomes, pressure detector)
-/// are fed from mapper-visible events only, so its trims must be
-/// identical across execution modes — any fan-out ordering leak would
-/// change a threshold mid-run and fork the whole trajectory.
-fn adaptive_cluster_trial(
-    machines: usize,
-    num_tasks: usize,
-    oversubscription: f64,
-    seed: u64,
-    threads: usize,
-    backend: FanoutBackend,
-) -> SimReport {
-    let seeds = SeedSequence::new(seed);
-    let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
-    let gen = WorkloadGenerator::new(WorkloadConfig {
-        num_tasks,
-        oversubscription,
-        ..Default::default()
-    });
-    let tasks = gen.generate(&spec, &mut seeds.stream(1));
-    let mut mapper = HeuristicKind::Pam.build(PruningConfig {
-        threads,
-        backend,
-        adaptive: Some(AdaptiveConfig::default()),
-        ..PruningConfig::default()
-    });
-    let mut rng = seeds.stream(2);
-    run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng)
-}
-
-/// [`churn_cluster_trial`] with the controller on AND failure-requeued
-/// tasks carrying completed progress (`carry_progress`). Covers the
-/// migration semantics end to end: residual-PMF scoring of carried
-/// tasks, progress-aware restarts, and the adaptive trims reacting to
-/// requeue outcomes — all of which must agree across execution modes.
-fn adaptive_carry_churn_trial(
-    machines: usize,
-    num_tasks: usize,
-    oversubscription: f64,
-    seed: u64,
-    threads: usize,
-    backend: FanoutBackend,
-) -> SimReport {
-    let seeds = SeedSequence::new(seed);
-    let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
-    let gen = WorkloadGenerator::new(WorkloadConfig {
-        num_tasks,
-        oversubscription,
-        ..Default::default()
-    });
-    let tasks = gen.generate(&spec, &mut seeds.stream(1));
-    let churn = cluster_churn(
-        &ChurnConfig {
-            num_machines: machines,
-            initial_absent: machines / 4,
-            drains: 3,
-            fails: 3,
-            span: (num_tasks as u64) * 2,
-            min_active: machines / 2,
-        },
-        &mut seeds.stream(3),
-    );
-    let mut mapper = HeuristicKind::Pam.build(PruningConfig {
-        threads,
-        backend,
-        adaptive: Some(AdaptiveConfig::default()),
-        ..PruningConfig::default()
-    });
-    let mut rng = seeds.stream(2);
-    let config = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
-    run_simulation_with_churn(&spec, config, &tasks, &churn, &mut mapper, &mut rng)
 }
 
 proptest! {
@@ -261,7 +183,7 @@ proptest! {
     /// PAM at cluster scale: phase-1 fan-out, pruner warm-up fan-out, and
     /// the incremental score table must leave every `PairScore`, every
     /// prune decision, and therefore the entire report bit-identical
-    /// between sequential, scoped-parallel, and pool-parallel runs.
+    /// between sequential and pool-parallel runs.
     #[test]
     fn pam_reports_are_execution_mode_invariant(
         seed in 0u64..10_000,
@@ -273,17 +195,9 @@ proptest! {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let oversub = 110_000.0 * oversub_scale as f64;
         let t = test_threads();
-        let seq =
-            cluster_trial(HeuristicKind::Pam, machines, 160, oversub, seed, 1, FanoutBackend::Scoped);
-        let scoped =
-            cluster_trial(HeuristicKind::Pam, machines, 160, oversub, seed, t, FanoutBackend::Scoped);
-        let pool =
-            cluster_trial(HeuristicKind::Pam, machines, 160, oversub, seed, t, FanoutBackend::Pool);
-        let steal = cluster_trial(
-            HeuristicKind::Pam, machines, 160, oversub, seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+        let seq = cluster_trial(HeuristicKind::Pam, machines, 160, oversub, seed, fixed(1));
+        let pool = cluster_trial(HeuristicKind::Pam, machines, 160, oversub, seed, fixed(t));
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
     }
 
     /// Same invariance for MOC's phase-1 fan-out and permutation phase.
@@ -291,17 +205,9 @@ proptest! {
     fn moc_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
-        let seq = cluster_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, 1, FanoutBackend::Scoped);
-        let scoped = cluster_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, FanoutBackend::Scoped);
-        let pool = cluster_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, FanoutBackend::Pool);
-        let steal = cluster_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+        let seq = cluster_trial(HeuristicKind::Moc, machines, 160, 220_000.0, seed, fixed(1));
+        let pool = cluster_trial(HeuristicKind::Moc, machines, 160, 220_000.0, seed, fixed(t));
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
     }
 }
 
@@ -311,24 +217,18 @@ proptest! {
     /// PAM under cluster churn: joins, drains, and failures (with their
     /// task requeues) land mid-run, the scorer releases departed cells
     /// and re-gates the pool across membership epochs — and the report
-    /// must still be byte-identical across sequential, scoped, and
-    /// pooled execution. `HCSIM_TEST_CHURN=1` (the CI churn leg) widens
-    /// the seed sweep.
+    /// must still be byte-identical between sequential and pooled
+    /// execution. `HCSIM_TEST_CHURN=1` (the CI wide-sweep leg) widens the
+    /// seed sweep.
     #[test]
     fn pam_churn_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
         let seq = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, FanoutBackend::Scoped);
-        let scoped = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, FanoutBackend::Scoped);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(1), false);
         let pool = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, FanoutBackend::Pool);
-        let steal = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(t), false);
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
         // Membership bookkeeping is decided before execution-mode
         // choices, so it must agree byte-for-byte too.
         prop_assert_eq!(seq.churn, pool.churn);
@@ -342,41 +242,30 @@ proptest! {
     /// PAM with the closed-loop controller on: the controller's windowed
     /// observations and pressure detector are part of the mapper state,
     /// so its threshold trims — and the full report they shape — must be
-    /// bit-identical across all four execution modes. `HCSIM_TEST_ADAPTIVE=1`
-    /// (the CI adaptive leg) widens the seed sweep.
+    /// bit-identical in both execution modes. `HCSIM_TEST_ADAPTIVE=1` (the
+    /// CI wide-sweep leg) widens the seed sweep.
     #[test]
     fn adaptive_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
-        let seq = adaptive_cluster_trial(machines, 160, 110_000.0, seed, 1, FanoutBackend::Scoped);
-        let scoped = adaptive_cluster_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Scoped);
-        let pool = adaptive_cluster_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Pool);
-        let steal =
-            adaptive_cluster_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+        let seq = cluster_trial(HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(1));
+        let pool = cluster_trial(HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(t));
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
     }
 
     /// Controller on, churn landing mid-run, and failure-requeued tasks
     /// carrying completed progress: the requeued-with-progress tasks (and
-    /// the residual-PMF scoring they get) must be identical across all
-    /// four execution modes, byte for byte.
+    /// the residual-PMF scoring they get) must be identical in both
+    /// execution modes, byte for byte.
     #[test]
     fn adaptive_carry_churn_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
-        let seq =
-            adaptive_carry_churn_trial(machines, 160, 110_000.0, seed, 1, FanoutBackend::Scoped);
-        let scoped =
-            adaptive_carry_churn_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Scoped);
-        let pool =
-            adaptive_carry_churn_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Pool);
-        let steal =
-            adaptive_carry_churn_trial(machines, 160, 110_000.0, seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+        let seq = churn_cluster_trial(
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(1), true);
+        let pool = churn_cluster_trial(
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(t), true);
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
         prop_assert_eq!(seq.churn, pool.churn);
         prop_assert_eq!(seq.epochs, pool.epochs);
     }
@@ -388,19 +277,15 @@ proptest! {
     /// PAM on the serverless workload: cold/warm PET selection, warm-set
     /// revisions invalidating tail caches, and spin-up sampling all ride
     /// the mapping hot path now — and the report (including the
-    /// cold-start/warm-hit tallies) must stay byte-identical across all
-    /// four execution modes. `HCSIM_TEST_FAAS=1` (the CI faas leg)
-    /// widens the seed sweep.
+    /// cold-start/warm-hit tallies) must stay byte-identical in both
+    /// execution modes. `HCSIM_TEST_FAAS=1` (the CI wide-sweep leg) widens
+    /// the seed sweep.
     #[test]
     fn faas_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let t = test_threads();
-        let seq = faas_trial(seed, 1, FanoutBackend::Scoped);
-        let scoped = faas_trial(seed, t, FanoutBackend::Scoped);
-        let pool = faas_trial(seed, t, FanoutBackend::Pool);
-        let steal = faas_trial(seed, t, FanoutBackend::Stealing);
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&scoped));
+        let seq = faas_trial(seed, 1);
+        let pool = faas_trial(seed, t);
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
-        prop_assert_eq!(fingerprint(&seq), fingerprint(&steal));
         // The workload must actually exercise both sides of the cold/warm
         // split, or the invariance above proves nothing about it.
         prop_assert!(seq.faas.cold_starts > 0, "no cold starts — scenario degenerate");
@@ -409,19 +294,18 @@ proptest! {
 }
 
 /// Seed-golden pin of the serverless scenario: runs sequentially and on
-/// the matrix-selected parallel mode, asserts the same constants on
-/// every CI leg — pinning the cold/warm trajectory (not just outcome
-/// counts) against behavioral drift in the keep-alive or spin-up paths.
+/// the worker pool, asserts the same constants on every CI leg — pinning
+/// the cold/warm trajectory (not just outcome counts) against behavioral
+/// drift in the keep-alive or spin-up paths.
 #[test]
 fn faas_seed_golden_pin() {
-    let report = faas_trial(2019, 1, FanoutBackend::Scoped);
-    let parallel = faas_trial(2019, test_threads(), test_backend());
+    let report = faas_trial(2019, 1);
+    let parallel = faas_trial(2019, test_threads());
     assert_eq!(
         fingerprint(&report),
         fingerprint(&parallel),
-        "threads=1 and threads={} ({:?}) diverged on the pinned faas scenario",
+        "threads=1 and threads={} diverged on the pinned faas scenario",
         test_threads(),
-        test_backend(),
     );
     let o = &report.metrics.outcomes;
     eprintln!(
@@ -459,21 +343,18 @@ const FAAS_GOLDEN_WARM_HITS: u64 = 145;
 /// cluster's 384 queue slots): 64 machines, arrival rate scaled 8× over
 /// the paper's 34k level. Catches any behavioral drift in the
 /// cluster-scale path — and runs the pinned scenario sequentially *and*
-/// on the matrix-selected parallel mode (`HCSIM_TEST_THREADS` ×
-/// `HCSIM_TEST_POOL`), so the pin itself re-proves execution-mode
-/// determinism on every CI leg.
+/// on the worker pool (`HCSIM_TEST_THREADS` wide), so the pin itself
+/// re-proves execution-mode determinism on every CI leg.
 #[test]
 fn cluster_64m_seed_golden_pin() {
-    let report =
-        cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, 1, FanoutBackend::Scoped);
+    let report = cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(1));
     let parallel =
-        cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, test_threads(), test_backend());
+        cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(test_threads()));
     assert_eq!(
         fingerprint(&report),
         fingerprint(&parallel),
-        "threads=1 and threads={} ({:?}) diverged on the pinned cluster scenario",
+        "threads=1 and threads={} diverged on the pinned cluster scenario",
         test_threads(),
-        test_backend(),
     );
     let o = &report.metrics.outcomes;
     eprintln!(
@@ -508,27 +389,26 @@ const GOLDEN_END_TIME: u64 = 542;
 /// and 3 drains + 3 fails landing mid-run. Pins the whole dynamic
 /// trajectory — membership ordering, failure requeue, per-epoch
 /// attribution — against behavioral drift, and re-proves execution-mode
-/// agreement on every CI leg (the churn leg sets `HCSIM_TEST_CHURN=1`
-/// for the wider proptest sweep; the pin itself runs everywhere).
+/// agreement on every CI leg (the wide-sweep leg sets
+/// `HCSIM_TEST_CHURN=1` for the wider proptest sweep; the pin itself
+/// runs everywhere).
 #[test]
 fn cluster_64m_churn_seed_golden_pin() {
-    let report =
-        churn_cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, 1, FanoutBackend::Scoped);
+    let report = churn_cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(1), false);
     let parallel = churn_cluster_trial(
         HeuristicKind::Pam,
         64,
         400,
         272_000.0,
         2019,
-        test_threads(),
-        test_backend(),
+        fixed(test_threads()),
+        false,
     );
     assert_eq!(
         fingerprint(&report),
         fingerprint(&parallel),
-        "threads=1 and threads={} ({:?}) diverged on the pinned churn scenario",
+        "threads=1 and threads={} diverged on the pinned churn scenario",
         test_threads(),
-        test_backend(),
     );
     assert_eq!(report.churn, parallel.churn);
     assert_eq!(report.epochs, parallel.epochs);
@@ -568,30 +448,20 @@ fn cluster_64m_churn_seed_golden_pin() {
 /// Seed-golden pin at mega-cluster cardinality: 1024 machines (32 score-
 /// table shards), arrival rate scaled 128× over the paper's 34k level so
 /// the burst regime engages, task count reduced so debug-mode CI stays
-/// fast. Runs sequentially and on the matrix-selected parallel mode
-/// (`HCSIM_TEST_THREADS` × `HCSIM_TEST_POOL`, including the work-stealing
-/// pool on `HCSIM_TEST_POOL=2`) and asserts the same pinned constants on
-/// every leg — proving the hierarchical bound pass, same-tick reuse, and
-/// all four execution modes agree byte-for-byte at the new scale.
+/// fast. Runs sequentially and on the worker pool (`HCSIM_TEST_THREADS`
+/// wide) and asserts the same pinned constants on every leg — proving
+/// the hierarchical bound pass, same-tick reuse, and both execution
+/// modes agree byte-for-byte at the new scale.
 #[test]
 fn cluster_1024m_seed_golden_pin() {
-    let report =
-        cluster_trial(HeuristicKind::Pam, 1024, 300, 4_352_000.0, 2019, 1, FanoutBackend::Scoped);
-    let parallel = cluster_trial(
-        HeuristicKind::Pam,
-        1024,
-        300,
-        4_352_000.0,
-        2019,
-        test_threads(),
-        test_backend(),
-    );
+    let report = cluster_trial(HeuristicKind::Pam, 1024, 300, 4_352_000.0, 2019, fixed(1));
+    let parallel =
+        cluster_trial(HeuristicKind::Pam, 1024, 300, 4_352_000.0, 2019, fixed(test_threads()));
     assert_eq!(
         fingerprint(&report),
         fingerprint(&parallel),
-        "threads=1 and threads={} ({:?}) diverged on the pinned 1024-machine scenario",
+        "threads=1 and threads={} diverged on the pinned 1024-machine scenario",
         test_threads(),
-        test_backend(),
     );
     let o = &report.metrics.outcomes;
     eprintln!(

@@ -9,12 +9,11 @@
 //! and on MOC whose mapper blob is empty by design.
 //!
 //! Execution-mode coverage mirrors `parallel_determinism.rs`: every trial
-//! runs sequentially *and* on the matrix-selected parallel mode
-//! (`HCSIM_TEST_THREADS` × `HCSIM_TEST_POOL`), so the CI matrix sweeps
-//! the snapshot/restore path across all four modes — sequential, scoped
-//! fan-out, persistent pool, and work-stealing pool. The pooled modes are
-//! the interesting ones: a snapshot must not depend on which worker owns
-//! which scorer cell, and a restore rebuilds the pool cold.
+//! runs sequentially *and* on the worker pool (`HCSIM_TEST_THREADS`
+//! wide), so the snapshot/restore path is swept in both execution modes.
+//! The pooled one is the interesting one: a snapshot must not depend on
+//! which worker owns which scorer cell, and a restore rebuilds the pool
+//! cold.
 //!
 //! A seed-golden pin re-runs the `cluster_64m_churn` bench scenario
 //! interrupted at a fixed step and requires the restored run to reproduce
@@ -22,9 +21,7 @@
 //! `parallel_determinism.rs` — restore may not drift even if both sides
 //! of an equality comparison drift together.
 
-use hcsim_core::{
-    AdaptiveConfig, FanoutBackend, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES,
-};
+use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES};
 use hcsim_sim::{ChurnSource, EventSource, SimConfig, SimReport, SimSession, TaskTraceSource};
 use hcsim_stats::SeedSequence;
 use hcsim_workload::{
@@ -33,21 +30,10 @@ use hcsim_workload::{
 };
 use proptest::prelude::*;
 
-/// Thread count for the parallel side; `HCSIM_TEST_THREADS` lets the CI
+/// Thread count for the pool side; `HCSIM_TEST_THREADS` lets the CI
 /// matrix pin it.
 fn test_threads() -> usize {
     std::env::var("HCSIM_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
-
-/// Backend for the parallel leg; `HCSIM_TEST_POOL=1` selects the
-/// persistent worker pool, `2` the work-stealing pool, anything else the
-/// scoped fan-out.
-fn test_backend() -> FanoutBackend {
-    match std::env::var("HCSIM_TEST_POOL").as_deref() {
-        Ok("1") => FanoutBackend::Pool,
-        Ok("2") => FanoutBackend::Stealing,
-        _ => FanoutBackend::Scoped,
-    }
 }
 
 /// Byte-comparable rendering of everything a run decided: records,
@@ -64,7 +50,6 @@ fn fingerprint(report: &SimReport) -> String {
 /// identically configured mapper and a fresh RNG — whose state the
 /// snapshot overwrites, so its seed is deliberately different — and only
 /// then run to completion.
-#[allow(clippy::too_many_arguments)]
 fn session_trial(
     kind: HeuristicKind,
     machines: usize,
@@ -72,10 +57,9 @@ fn session_trial(
     oversubscription: f64,
     seed: u64,
     threads: usize,
-    backend: FanoutBackend,
     snapshot_at: Option<usize>,
 ) -> SimReport {
-    let pruning = PruningConfig { threads, backend, ..PruningConfig::default() };
+    let pruning = PruningConfig { threads, ..PruningConfig::default() };
     session_trial_with(
         kind,
         pruning,
@@ -155,12 +139,7 @@ fn session_trial_with(
 /// additionally carries warm-container sets (including in-use pins),
 /// pending `ContainerExpiry` heap events, and the cold/warm tallies —
 /// the keep-alive state dimension this scenario exists to cover.
-fn faas_session_trial(
-    seed: u64,
-    threads: usize,
-    backend: FanoutBackend,
-    snapshot_at: Option<usize>,
-) -> SimReport {
+fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let cfg = FaasConfig {
         num_functions: 16,
@@ -171,7 +150,7 @@ fn faas_session_trial(
     };
     let spec = faas_system(&cfg, &mut seeds.stream(0));
     let tasks = FaasGenerator::new(cfg).generate(&spec, &mut seeds.stream(1));
-    let config = PruningConfig { threads, backend, ..PruningConfig::default() };
+    let config = PruningConfig { threads, ..PruningConfig::default() };
     let mut mapper = HeuristicKind::Pam.build(config);
     let mut rng = seeds.stream(2);
     let mut task_source = TaskTraceSource::new(&tasks);
@@ -198,8 +177,8 @@ fn faas_session_trial(
     session.run_to_completion()
 }
 
-/// Proptest case count for the serverless snapshot proptest; the CI faas
-/// leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
+/// Proptest case count for the serverless snapshot proptest; the CI
+/// wide-sweep leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
 fn faas_cases() -> u32 {
     if std::env::var("HCSIM_TEST_FAAS").as_deref() == Ok("1") {
         8
@@ -214,17 +193,15 @@ proptest! {
     /// The serverless scenario interrupted at an arbitrary step: warm
     /// containers (possibly pinned in-use), scheduled keep-alive
     /// expiries, and cold/warm tallies must all round-trip through the
-    /// snapshot so the restored run — on the matrix-selected execution
-    /// mode — is byte-identical to never having stopped.
+    /// snapshot so the restored run — on the worker pool — is
+    /// byte-identical to never having stopped.
     #[test]
     fn faas_snapshot_restore_is_bit_identical_at_any_step(
         seed in 0u64..10_000,
         snap_step in 0usize..600,
     ) {
-        let t = test_threads();
-        let b = test_backend();
-        let baseline = faas_session_trial(seed, 1, FanoutBackend::Scoped, None);
-        let resumed = faas_session_trial(seed, t, b, Some(snap_step));
+        let baseline = faas_session_trial(seed, 1, None);
+        let resumed = faas_session_trial(seed, test_threads(), Some(snap_step));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
         prop_assert_eq!(baseline.faas.cold_starts, resumed.faas.cold_starts);
         prop_assert_eq!(baseline.faas.warm_hits, resumed.faas.warm_hits);
@@ -236,7 +213,7 @@ proptest! {
 
     /// PAM under churn, interrupted at an arbitrary step: the restored
     /// run must be byte-identical to never having stopped, sequentially
-    /// and on the matrix-selected parallel mode.
+    /// and on the worker pool.
     #[test]
     fn pam_snapshot_restore_is_bit_identical_at_any_step(
         seed in 0u64..10_000,
@@ -244,18 +221,16 @@ proptest! {
     ) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
-        let b = test_backend();
         let baseline = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, FanoutBackend::Scoped, None);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, None);
         let resumed = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, FanoutBackend::Scoped,
-            Some(snap_step));
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, Some(snap_step));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
 
         let par_baseline = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, b, None);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, None);
         let par_resumed = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, b, Some(snap_step));
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, Some(snap_step));
         prop_assert_eq!(fingerprint(&par_baseline), fingerprint(&par_resumed));
         // And the parallel leg agrees with the sequential leg, so the
         // snapshot path cannot hide an execution-mode divergence.
@@ -275,7 +250,6 @@ proptest! {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let pruning = PruningConfig {
             threads: test_threads(),
-            backend: test_backend(),
             adaptive: Some(AdaptiveConfig::default()),
             ..PruningConfig::default()
         };
@@ -296,11 +270,10 @@ proptest! {
     ) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
-        let b = test_backend();
         let baseline = session_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, b, None);
+            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, None);
         let resumed = session_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, b, Some(snap_step));
+            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, Some(snap_step));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
     }
 }
@@ -309,19 +282,11 @@ proptest! {
 /// fixed mid-run step must reproduce the exact constants the
 /// uninterrupted pin in `parallel_determinism.rs` asserts — the restored
 /// trajectory is pinned to the recorded one, not merely to a twin run
-/// that could drift with it. Runs on the matrix-selected execution mode.
+/// that could drift with it. Runs on the worker pool.
 #[test]
 fn cluster_64m_churn_restored_seed_golden_pin() {
-    let report = session_trial(
-        HeuristicKind::Pam,
-        64,
-        400,
-        272_000.0,
-        2019,
-        test_threads(),
-        test_backend(),
-        Some(300),
-    );
+    let report =
+        session_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, test_threads(), Some(300));
     let o = &report.metrics.outcomes;
     assert_eq!(o.on_time, CHURN_GOLDEN_ON_TIME);
     assert_eq!(o.pruned, CHURN_GOLDEN_PRUNED);

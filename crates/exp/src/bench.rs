@@ -40,7 +40,7 @@
 use crate::runner::FigOptions;
 use hcsim_core::{AdaptiveConfig, HeuristicKind, ProbScorer, PruningConfig};
 use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskTypeId};
-use hcsim_parallel::{parallel_for_each_mut, WorkerPool};
+use hcsim_parallel::WorkerPool;
 use hcsim_pmf::{convolve, queue_step, DropPolicy, Pmf, Time};
 use hcsim_sim::{
     run_simulation, run_simulation_with_churn, testkit, EventSource, SimConfig, SimSession,
@@ -542,23 +542,12 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
         ));
     }
 
-    // Fan-out dispatch overhead, isolated: the same 64-cell trivial job
-    // fanned out over 4 workers through per-call scoped spawns versus one
-    // persistent-pool request/response round. The gap between these two
-    // rows is exactly the per-fan-out tax the pool amortizes away at
-    // cluster scale (the cluster_64m threads sweep below shows the same
-    // gap end-to-end).
+    // Fan-out dispatch overhead, isolated: a 64-cell trivial job through
+    // one persistent-pool request/response round over 4 workers — the
+    // fixed tax every pooled fan-out pays before any scoring work (the
+    // cluster_64m threads sweep below shows it end-to-end).
     {
-        let mut cells = vec![0u64; 64];
-        results.push(result(
-            "fanout/scoped_spawn_t4",
-            &timer,
-            timer.run(|| {
-                parallel_for_each_mut(&mut cells, 4, |i, c| *c = c.wrapping_add(i as u64));
-                std::hint::black_box(cells[0]);
-            }),
-        ));
-        let pool = WorkerPool::new(std::mem::take(&mut cells), 4);
+        let pool = WorkerPool::new(vec![0u64; 64], 4);
         results.push(result(
             "fanout/pool_roundtrip_t4",
             &timer,
@@ -581,9 +570,8 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
 /// 34k level of the 8-machine trials. This is where the per-event scaling
 /// term lives — every mapping event rebuilds/scores 64 machine chains —
 /// and the threads sweep makes the fan-out's contribution visible. The
-/// sweep runs on the default backend (the persistent worker pool at this
-/// scale, except `t1`, which stays sequential), so the committed rows
-/// track pool-round dispatch rather than scoped-spawn cost.
+/// sweep runs on the persistent worker pool (except `t1`, which stays on
+/// the calling thread), so the committed rows track pool-round dispatch.
 ///
 /// Feeds both [`mapping_suite`] (regression gate) and [`scaling_suite`]
 /// (the multi-core scaling table + CI gate). The task count is the SAME
@@ -797,7 +785,7 @@ pub fn render_scaling_markdown(suite: &BenchSuite) -> String {
         "# cluster scaling table\n\n\
          cluster_64m: 64 machines, 8x arrival rate, 250 tasks; PAM\n\
          (t=1/2/4/8) and MOC (t=1/4) threads sweeps on the persistent\n\
-         worker-pool backend (t1 = sequential fast path). The\n\
+         worker pool (t1 = sequential fast path). The\n\
          cluster_64m_churn rows run the same cluster under membership\n\
          churn (8 late joins, 6 drains, 4 fails with task requeue). The\n\
          cluster_1024m rows run the mega-cluster scenario (1024 machines,\n\
@@ -1029,10 +1017,10 @@ pub fn attach_baseline(suite: &mut BenchSuite, dir: &Path) -> Option<Vec<String>
         }
         if let Some(&b) = baseline.get(&r.id) {
             r.baseline_ns_per_op = Some(b);
-            // The fanout/* rows time raw thread-dispatch (spawns, channel
+            // The fanout/* rows time raw thread-dispatch (channel
             // wakeups) whose best sample still swings several-fold with
             // OS scheduling on shared runners — they exist to *record*
-            // the scoped-vs-pool gap, not to gate on it, so they are
+            // the pool's round-trip cost, not to gate on it, so they are
             // exempt from the regression check (the baseline comparison
             // is still embedded in the JSON for the record).
             if r.id.starts_with("fanout/") {

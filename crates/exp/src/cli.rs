@@ -62,9 +62,9 @@ options:
   --seed N          master seed (default 2019)
   --threads N       worker threads for trial-level parallelism (default:
                     available parallelism). The in-event per-machine
-                    scoring fan-out has its own knob (PruningConfig/
-                    MocConfig/SimConfig `threads`, 0 = auto) and is
-                    bit-identical at any value; `bench` pins it per
+                    scoring fan-out has its own setting
+                    (PruningConfig::threads, 0 = host parallelism) and
+                    is bit-identical at any value; `bench` pins it per
                     scenario (threads sweep in cluster_64m) and ignores
                     this flag
   --csv             print CSV instead of Markdown

@@ -1,16 +1,18 @@
-//! Deterministic fan-out primitives: scoped spawns and a persistent pool.
+//! Deterministic fan-out primitives: a scoped map and a persistent pool.
 //!
-//! Three layers of the workspace fan work out across cores:
+//! Two layers of the workspace fan work out across cores:
 //!
 //! * the experiment harness runs 30 independent workload trials per
-//!   configuration (§VII-A) — [`parallel_map`];
+//!   configuration (§VII-A) — [`parallel_map`], one scoped spawn per
+//!   figure point;
 //! * the mapping event scores a candidate task against *every* machine's
 //!   completion-time chain independently (§IV), and the per-machine tail
-//!   caches are disjoint mutable cells — [`parallel_for_each_mut`] for
-//!   one-shot scoped fan-outs, [`WorkerPool`] when the same cells are
-//!   fanned out every event and the scoped-spawn tax would dominate.
+//!   caches are disjoint mutable cells — [`WorkerPool`], whose workers are
+//!   spawned once and own one shard of cells each, because the same cells
+//!   are fanned out several times per event and a per-call spawn would
+//!   dominate the work.
 //!
-//! All primitives guarantee **index-ordered, scheduling-independent
+//! Both primitives guarantee **index-ordered, scheduling-independent
 //! results**: callers get the same output for the same input regardless of
 //! thread count or interleaving, so determinism comes from per-index
 //! derivation (RNG streams, machine indices), never from scheduling order.
@@ -23,7 +25,7 @@
 
 mod pool;
 
-pub use pool::{resolve_backend, FanoutBackend, WorkerPool};
+pub use pool::WorkerPool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -72,50 +74,6 @@ where
             slot.into_inner().expect("result slot poisoned").expect("every index was processed")
         })
         .collect()
-}
-
-/// Runs `f(index, &mut item)` for every element of `items`, fanning the
-/// slice out over up to `threads` scoped worker threads in contiguous
-/// chunks.
-///
-/// This is the mutable-cell counterpart of [`parallel_map`]: each worker
-/// owns a disjoint sub-slice, so per-item mutable state (e.g. one
-/// machine's tail cache plus its convolution scratch) needs no locking.
-/// `f` must be deterministic per `(index, item)` — results are then
-/// independent of the thread count, which is what lets callers treat
-/// `threads` as a pure performance knob.
-///
-/// ```
-/// use hcsim_parallel::parallel_for_each_mut;
-///
-/// let mut cells = vec![0usize; 10];
-/// parallel_for_each_mut(&mut cells, 4, |i, c| *c = i * i);
-/// assert_eq!(cells[7], 49);
-/// ```
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n);
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (c, slab) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (j, item) in slab.iter_mut().enumerate() {
-                    f(c * chunk + j, item);
-                }
-            });
-        }
-    });
 }
 
 /// Resolves a `threads` knob: `0` means *auto* (the host's available
@@ -167,36 +125,6 @@ mod tests {
         // results regardless of thread count.
         let seq = parallel_map(40, 1, |i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let par = parallel_map(40, 8, |i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_cell_once() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut cells = vec![0u32; 23];
-            parallel_for_each_mut(&mut cells, threads, |i, c| *c += 1 + i as u32);
-            for (i, c) in cells.iter().enumerate() {
-                assert_eq!(*c, 1 + i as u32, "threads={threads} cell {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_mut_degenerate_cases() {
-        let mut empty: Vec<u8> = Vec::new();
-        parallel_for_each_mut(&mut empty, 4, |_, _| unreachable!());
-        let mut one = vec![7u8];
-        parallel_for_each_mut(&mut one, 4, |i, c| *c += i as u8 + 1);
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn for_each_mut_is_thread_count_independent() {
-        let compute = |i: usize, c: &mut u64| *c = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        let mut seq = vec![0u64; 77];
-        parallel_for_each_mut(&mut seq, 1, compute);
-        let mut par = vec![0u64; 77];
-        parallel_for_each_mut(&mut par, 8, compute);
         assert_eq!(seq, par);
     }
 

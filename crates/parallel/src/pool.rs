@@ -1,11 +1,11 @@
 //! A persistent, sharded worker pool for per-event fan-outs.
 //!
-//! The scoped fan-outs in this crate ([`crate::parallel_for_each_mut`])
-//! spawn fresh OS threads on every call — ~7–15 µs per thread per
-//! fan-out. That tax is invisible when a fan-out happens once per trial,
-//! but the mapping event at cluster scale fans out *several times per
-//! event*, tens of thousands of events per simulation, and the spawn cost
-//! ends up dominating the work being fanned out.
+//! A scoped fan-out ([`crate::parallel_map`]) spawns fresh OS threads on
+//! every call — ~7–15 µs per thread per fan-out. That tax is invisible
+//! when a fan-out happens once per trial, but the mapping event at cluster
+//! scale fans out *several times per event*, tens of thousands of events
+//! per simulation, and the spawn cost would dominate the work being
+//! fanned out.
 //!
 //! [`WorkerPool`] amortizes that cost: workers are spawned **once**, and
 //! each worker *owns a contiguous shard* of the per-index state cells for
@@ -21,7 +21,7 @@
 //!
 //! # Determinism
 //!
-//! The contract matches the scoped primitives: `job(i, &mut cell_i)` runs
+//! The contract matches [`crate::parallel_map`]: `job(i, &mut cell_i)` runs
 //! exactly once per index per round, each worker touches only its own
 //! shard, and callers read results back in index order
 //! ([`WorkerPool::with_cell`]). As long as the job is deterministic per
@@ -45,49 +45,11 @@
 //! rounds panic at submission, and [`WorkerPool::with_cell`] panics on the
 //! poisoned cell. Dropping the pool joins every surviving worker.
 
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which engine executes the per-machine scoring fan-outs.
-///
-/// Results are **bit-identical** across all settings (that is the
-/// fan-out contract this crate exists to uphold); the backend is purely a
-/// performance knob, exposed so CI can prove the equivalence and so the
-/// scoped path remains reachable for comparison benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FanoutBackend {
-    /// Defer to the next knob down the stack (mapper → engine); at the
-    /// bottom of the stack, auto resolves to [`FanoutBackend::Pool`].
-    #[default]
-    Auto,
-    /// Per-event scoped-thread fan-outs: threads are spawned and joined
-    /// inside every fan-out call.
-    Scoped,
-    /// A persistent [`WorkerPool`] owning the per-machine state, fed by
-    /// request/response rounds; each worker walks its own shard.
-    Pool,
-    /// The [`WorkerPool`] with work stealing: workers drain their own
-    /// shard first, then claim indices from unfinished shards. Same
-    /// bit-identical results (each index runs exactly once and merges are
-    /// index-ordered); better wall-clock when per-index cost is skewed —
-    /// e.g. a half-drained cluster after churn, where one shard holds all
-    /// the surviving deep queues.
-    Stealing,
-}
-
-/// Resolves a backend knob: `Auto` means [`FanoutBackend::Pool`], anything
-/// else is taken literally.
-#[must_use]
-pub fn resolve_backend(requested: FanoutBackend) -> FanoutBackend {
-    match requested {
-        FanoutBackend::Auto => FanoutBackend::Pool,
-        other => other,
-    }
-}
 
 /// One round's work: `job(i, &mut cell_i)` for every index in a worker's
 /// shard. `Arc` so a single allocation serves every worker.
@@ -106,16 +68,6 @@ struct Worker<S> {
 pub struct WorkerPool<S: Send + 'static> {
     cells: Arc<Vec<Mutex<S>>>,
     workers: Vec<Worker<S>>,
-    /// Shard boundaries `(start, end)` per worker, shared with the workers
-    /// for the stealing walk.
-    bounds: Arc<Vec<(usize, usize)>>,
-    /// Per-shard claim cursors for stealing rounds; empty when the pool
-    /// runs in owned-shard mode. Reset to the shard starts by every
-    /// [`WorkerPool::run`] before dispatch (no worker is active between
-    /// rounds, and the job channel's send/recv pair orders the reset
-    /// before any claim).
-    cursors: Arc<Vec<AtomicUsize>>,
-    stealing: bool,
     /// Set when a round observed a dead worker; later rounds then fail
     /// fast *before dispatching to anyone*, so a failed pool never
     /// half-applies a round to the surviving shards.
@@ -132,79 +84,26 @@ impl<S: Send + 'static> WorkerPool<S> {
     /// event to event.
     #[must_use]
     pub fn new(cells: Vec<S>, threads: usize) -> Self {
-        Self::with_mode(cells, threads, false)
-    }
-
-    /// [`WorkerPool::new`] with work stealing: a worker that drains its
-    /// own shard claims indices from unfinished shards (fixed victim
-    /// order, one atomic claim per index) instead of idling. Each index
-    /// still runs exactly once and callers still merge in index order, so
-    /// results stay bit-identical to the owned-shard mode — stealing only
-    /// changes *which thread* executes a straggling index.
-    #[must_use]
-    pub fn new_stealing(cells: Vec<S>, threads: usize) -> Self {
-        Self::with_mode(cells, threads, true)
-    }
-
-    /// Shared constructor; see [`WorkerPool::new`] / [`WorkerPool::new_stealing`].
-    #[must_use]
-    pub fn with_mode(cells: Vec<S>, threads: usize, stealing: bool) -> Self {
         let n = cells.len();
         let threads = threads.clamp(1, n.max(1));
         let cells: Arc<Vec<Mutex<S>>> = Arc::new(cells.into_iter().map(Mutex::new).collect());
         let (base, extra) = (n / threads, n % threads);
-        let mut bounds = Vec::with_capacity(threads);
+        let mut workers = Vec::with_capacity(threads);
         let mut start = 0;
         for w in 0..threads {
             let end = start + base + usize::from(w < extra);
-            bounds.push((start, end));
-            start = end;
-        }
-        debug_assert_eq!(start, n, "shards must cover every cell exactly once");
-        let bounds = Arc::new(bounds);
-        let cursors: Arc<Vec<AtomicUsize>> = Arc::new(if stealing {
-            bounds.iter().map(|&(s, _)| AtomicUsize::new(s)).collect()
-        } else {
-            Vec::new()
-        });
-        let mut workers = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (start, end) = bounds[w];
             let (job_tx, job_rx) = mpsc::channel::<Job<S>>();
             let (done_tx, done_rx) = mpsc::channel::<()>();
             let shard_cells = Arc::clone(&cells);
-            let all_bounds = Arc::clone(&bounds);
-            let all_cursors = Arc::clone(&cursors);
             let handle = std::thread::Builder::new()
                 .name(format!("hcsim-pool-{w}"))
                 .spawn(move || {
                     while let Ok(job) = job_rx.recv() {
-                        if stealing {
-                            // Own shard first (cache warmth), then victims
-                            // in a fixed cyclic order. `fetch_add` hands
-                            // each index to exactly one worker; overshoot
-                            // past a shard's end is harmless.
-                            let shards = all_bounds.len();
-                            for v in 0..shards {
-                                let s = (w + v) % shards;
-                                loop {
-                                    let i = all_cursors[s].fetch_add(1, Ordering::Relaxed);
-                                    if i >= all_bounds[s].1 {
-                                        break;
-                                    }
-                                    let mut cell = shard_cells[i]
-                                        .lock()
-                                        .expect("cell poisoned by an earlier panicked job");
-                                    job(i, &mut cell);
-                                }
-                            }
-                        } else {
-                            for i in start..end {
-                                let mut cell = shard_cells[i]
-                                    .lock()
-                                    .expect("cell poisoned by an earlier panicked job");
-                                job(i, &mut cell);
-                            }
+                        for i in start..end {
+                            let mut cell = shard_cells[i]
+                                .lock()
+                                .expect("cell poisoned by an earlier panicked job");
+                            job(i, &mut cell);
                         }
                         // Release the job (and the Arc'd per-round inputs
                         // it captured) *before* acknowledging, so callers
@@ -217,8 +116,10 @@ impl<S: Send + 'static> WorkerPool<S> {
                 })
                 .expect("spawn pool worker");
             workers.push(Worker { job_tx: Some(job_tx), done_rx, handle: Some(handle) });
+            start = end;
         }
-        Self { cells, workers, bounds, cursors, stealing, dead: AtomicBool::new(false) }
+        debug_assert_eq!(start, n, "shards must cover every cell exactly once");
+        Self { cells, workers, dead: AtomicBool::new(false) }
     }
 
     /// Number of state cells the pool owns.
@@ -237,12 +138,6 @@ impl<S: Send + 'static> WorkerPool<S> {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// True when rounds run in work-stealing mode.
-    #[must_use]
-    pub fn stealing(&self) -> bool {
-        self.stealing
     }
 
     /// One request/response round: broadcasts `job` to every worker,
@@ -265,12 +160,6 @@ impl<S: Send + 'static> WorkerPool<S> {
             !self.dead.load(Ordering::Relaxed),
             "pool is dead: a worker panicked in an earlier round"
         );
-        // Stealing rounds claim indices through the shared cursors; rewind
-        // them to the shard starts. No worker is running between rounds,
-        // and the job dispatch below is the ordering edge.
-        for (cursor, &(start, _)) in self.cursors.iter().zip(self.bounds.iter()) {
-            cursor.store(start, Ordering::Relaxed);
-        }
         let job: Job<S> = Arc::new(job);
         for worker in &self.workers {
             if worker
@@ -325,8 +214,7 @@ impl<S: Send + 'static> WorkerPool<S> {
     /// Panics if a cell was poisoned by a panicked job.
     #[must_use]
     pub fn reshard(self, threads: usize) -> Self {
-        let stealing = self.stealing;
-        Self::with_mode(self.into_cells(), threads, stealing)
+        Self::new(self.into_cells(), threads)
     }
 
     /// Joins every worker and hands the cells back, ending the pool's
@@ -406,7 +294,6 @@ impl<S: Send + 'static> std::fmt::Debug for WorkerPool<S> {
         f.debug_struct("WorkerPool")
             .field("cells", &self.cells.len())
             .field("threads", &self.workers.len())
-            .field("stealing", &self.stealing)
             .finish()
     }
 }
@@ -446,61 +333,6 @@ mod tests {
         assert_eq!(one.threads(), 1, "threads capped at cell count");
         one.run(|i, c| *c += i as u8 + 1);
         assert_eq!(one.with_cell(0, |c| *c), 8);
-    }
-
-    #[test]
-    fn backend_resolution() {
-        assert_eq!(resolve_backend(FanoutBackend::Auto), FanoutBackend::Pool);
-        assert_eq!(resolve_backend(FanoutBackend::Scoped), FanoutBackend::Scoped);
-        assert_eq!(resolve_backend(FanoutBackend::Pool), FanoutBackend::Pool);
-        assert_eq!(resolve_backend(FanoutBackend::Stealing), FanoutBackend::Stealing);
-        assert_eq!(FanoutBackend::default(), FanoutBackend::Auto);
-    }
-
-    #[test]
-    fn stealing_round_matches_sequential() {
-        let hash = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for threads in [1usize, 2, 3, 5, 8] {
-            let pool = WorkerPool::new_stealing(vec![0u64; 37], threads);
-            assert!(pool.stealing());
-            pool.run(move |i, c| *c = hash(i));
-            for i in 0..37 {
-                assert_eq!(pool.with_cell(i, |c| *c), hash(i), "threads={threads} cell {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_covers_skewed_work_exactly_once() {
-        // One shard gets all the heavy cells; every cell must still run
-        // exactly once per round, across many rounds.
-        let pool = WorkerPool::new_stealing(vec![0u32; 23], 4);
-        for _ in 0..50 {
-            pool.run(|i, c| {
-                if i < 6 {
-                    // Skew: the first shard's cells are slow.
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-                *c += 1;
-            });
-        }
-        for i in 0..23 {
-            assert_eq!(pool.with_cell(i, |c| *c), 50, "cell {i}");
-        }
-    }
-
-    #[test]
-    fn stealing_reshard_preserves_mode_and_state() {
-        let mut pool = WorkerPool::new_stealing(vec![0u64; 17], 4);
-        pool.run(|i, c| *c += i as u64);
-        for threads in [2usize, 8, 1, 3] {
-            pool = pool.reshard(threads);
-            assert!(pool.stealing(), "reshard must keep the stealing mode");
-            pool.run(|i, c| *c += i as u64);
-        }
-        for i in 0..17 {
-            assert_eq!(pool.with_cell(i, |c| *c), 5 * i as u64, "cell {i}");
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use hcsim_parallel::FanoutBackend;
 use hcsim_pmf::DropPolicy;
 use serde::{Deserialize, Serialize};
 
@@ -24,18 +23,6 @@ pub struct SimConfig {
     /// result was delivered. `None` disables the feature (the paper's
     /// published model).
     pub approx_min_progress: Option<f64>,
-    /// Worker threads available to the mapper's in-event per-machine
-    /// fan-out (`0` = auto: the host's available parallelism). Exposed to
-    /// heuristics via [`crate::MapContext::threads`]; a mapper-level knob
-    /// (e.g. `PruningConfig::threads` in `hcsim-core`) takes precedence
-    /// when set. Parallel scoring merges in machine-index order, so this
-    /// is a pure performance knob: reports are bit-identical at any value.
-    pub threads: usize,
-    /// Which engine executes the fan-out ([`FanoutBackend::Auto`] = defer
-    /// to the mapper's knob, bottoming out at the persistent worker
-    /// pool). Like `threads`, a pure performance knob: the scoped and
-    /// pooled paths produce byte-identical reports.
-    pub backend: FanoutBackend,
     /// Retry cap on failure requeues: a task already requeued this many
     /// times by [`MachineFail`](crate::SimEvent::MachineFail) events is
     /// dropped with a [`Shed`](hcsim_model::TaskOutcome::Shed) record
@@ -61,8 +48,6 @@ impl Default for SimConfig {
             drop_policy: DropPolicy::All,
             trim: 100,
             approx_min_progress: None,
-            threads: 0,
-            backend: FanoutBackend::Auto,
             max_requeues: None,
             carry_progress: false,
         }
@@ -88,8 +73,6 @@ mod tests {
         assert_eq!(c.drop_policy, DropPolicy::All);
         assert_eq!(c.trim, 100);
         assert!(c.approx_min_progress.is_none(), "approximate computing is opt-in");
-        assert_eq!(c.threads, 0, "fan-out threads default to auto");
-        assert_eq!(c.backend, FanoutBackend::Auto, "fan-out backend defaults to auto");
         assert!(c.max_requeues.is_none(), "failure requeues are unbounded by default");
         assert!(!c.carry_progress, "migration progress carrying is opt-in");
     }

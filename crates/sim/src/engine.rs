@@ -680,8 +680,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             now,
             missed_since_last: self.missed_since_last,
             drop_policy: self.config.drop_policy,
-            threads: self.config.threads,
-            backend: self.config.backend,
             membership_epoch: self.membership_epoch,
             spec: self.spec,
             batch: &mut self.batch,

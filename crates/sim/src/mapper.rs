@@ -9,7 +9,6 @@
 
 use crate::machine::MachineState;
 use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskOutcome, Time};
-use hcsim_parallel::FanoutBackend;
 use hcsim_pmf::DropPolicy;
 
 /// Why an assignment was rejected.
@@ -60,8 +59,6 @@ pub struct MapContext<'a> {
     pub(crate) now: Time,
     pub(crate) missed_since_last: usize,
     pub(crate) drop_policy: DropPolicy,
-    pub(crate) threads: usize,
-    pub(crate) backend: FanoutBackend,
     pub(crate) membership_epoch: u64,
     pub(crate) spec: &'a SystemSpec,
     pub(crate) batch: &'a mut Vec<Task>,
@@ -102,22 +99,6 @@ impl<'a> MapContext<'a> {
     #[must_use]
     pub fn drop_policy(&self) -> DropPolicy {
         self.drop_policy
-    }
-
-    /// The engine-level fan-out thread knob ([`crate::SimConfig::threads`];
-    /// `0` = auto). Heuristics consult this when their own configuration
-    /// leaves the thread count on auto.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The engine-level fan-out backend knob
-    /// ([`crate::SimConfig::backend`]). Heuristics consult this when their
-    /// own configuration leaves the backend on auto.
-    #[must_use]
-    pub fn backend(&self) -> FanoutBackend {
-        self.backend
     }
 
     /// Monotone counter of cluster-membership changes (joins, drains,
@@ -474,8 +455,6 @@ mod tests {
                 now: 0,
                 missed_since_last: 0,
                 drop_policy: DropPolicy::All,
-                threads: 0,
-                backend: FanoutBackend::Auto,
                 membership_epoch: 0,
                 spec: &self.spec,
                 batch: &mut self.batch,
