@@ -105,7 +105,16 @@ impl<'a> PetTables<'a> {
 /// [`PetTables::append_is_cold`] and the scorer's CDF selection so the
 /// closed-form scoring path and the convolution path agree on warmth.
 pub(crate) fn append_would_be_cold(machine: &MachineState, tt: TaskTypeId) -> bool {
-    !machine.is_warm(tt) && !machine.pending_entries().any(|e| e.task.type_id == tt)
+    !warm_append_types(machine).any(|warm| warm == tt)
+}
+
+/// The types a hypothetical append to `machine` would place *warm* — the
+/// complement of [`append_would_be_cold`], enumerated once per machine
+/// instead of tested per type (the score table's per-shard warm-capable
+/// flags): resident containers, then queued entries.
+pub(crate) fn warm_append_types(machine: &MachineState) -> impl Iterator<Item = TaskTypeId> + '_ {
+    let resident = machine.warm_containers().iter().map(|c| c.type_id);
+    resident.chain(machine.pending_entries().map(|e| e.task.type_id))
 }
 
 /// Analysis of one queue position.

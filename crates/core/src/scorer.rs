@@ -288,24 +288,72 @@ struct ScorerShared {
     /// Cold-placement prefix CDFs (spin-up ⊛ execution cells), same
     /// layout; `None` in the classic HC model where every start is warm.
     cold_cdfs: Option<Vec<PetCdf>>,
+    task_types: usize,
     machines: usize,
     /// Shard envelope CDFs, row-major `(task_type, shard)`: the pointwise
-    /// max of the shard members' prefix CDFs. `CDF_env(t) ≥ CDF_m(t)` for
-    /// every member `m`, so a shard-level robustness bound computed from
-    /// the envelope dominates every member's individual bound — a shard
-    /// the envelope proves below a threshold needs no per-machine work at
-    /// all. Under a cold-start model the envelope additionally covers the
-    /// *cold* member CDFs — compaction can locally break the stochastic
-    /// dominance of cold over warm cells, so cold CDFs are folded in
-    /// explicitly to keep the bound valid for whichever cell
-    /// [`ScorerShared::cdf_for`] picks. Built once (the PET is static);
-    /// the `mean` field of an envelope is unused and left NaN.
+    /// max of the shard members' *warm* prefix CDFs. `CDF_env(t) ≥
+    /// CDF_m(t)` for every member `m`, so a shard-level robustness bound
+    /// computed from the envelope dominates every member's individual
+    /// bound — a shard the envelope proves below a threshold needs no
+    /// per-machine work at all. Built once (the PET is static); the
+    /// `mean` field of an envelope is unused and left NaN.
     shard_cdfs: Vec<PetCdf>,
+    /// The same envelopes over the members' *cold* CDFs; `None` in the
+    /// classic HC model. A second family rather than one envelope over
+    /// both: a lane none of whose free members would place the row's type
+    /// warm scores on cold cells only, and the cold envelope alone then
+    /// bounds it — far tighter, on a cold-start system, than a bound that
+    /// clears the threshold on the strength of a warm cell no member can
+    /// use (see [`ScorerShared::shard_bound`]).
+    cold_shard_cdfs: Option<Vec<PetCdf>>,
     /// Number of [`TABLE_SHARD_WIDTH`]-machine shards.
     shards: usize,
 }
 
 impl ScorerShared {
+    /// Derives every table from the warm PET and (serverless model) the
+    /// cold-placement PET, both taken by value: the tables own them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cold`'s dimensions disagree with `pet`'s.
+    fn derive(pet: PetMatrix, cold: Option<PetMatrix>, policy: DropPolicy, budget: usize) -> Self {
+        let (task_types, machines) = (pet.task_types(), pet.machines());
+        let prefix_cdfs = |pet: &PetMatrix| -> Vec<PetCdf> {
+            (0..task_types * machines)
+                .map(|i| {
+                    let (tt, m) = (i / machines, i % machines);
+                    PetCdf::build(pet.pmf(TaskTypeId::from(tt), MachineId::from(m)))
+                })
+                .collect()
+        };
+        let shards = machines.div_ceil(TABLE_SHARD_WIDTH);
+        let envelopes = |cdfs: &[PetCdf]| -> Vec<PetCdf> {
+            cdfs.chunks_exact(machines)
+                .flat_map(|row| (0..shards).map(|s| envelope_cdf(&row[shard_range(s, machines)])))
+                .collect()
+        };
+        let cdfs = prefix_cdfs(&pet);
+        let cold_cdfs = cold.as_ref().map(|cold| {
+            assert_eq!(cold.task_types(), task_types, "cold PET task type count");
+            assert_eq!(cold.machines(), machines, "cold PET machine count");
+            prefix_cdfs(cold)
+        });
+        Self {
+            policy,
+            budget,
+            shard_cdfs: envelopes(&cdfs),
+            cold_shard_cdfs: cold_cdfs.as_deref().map(envelopes),
+            cdfs,
+            cold_cdfs,
+            pet,
+            cold_pet: cold,
+            task_types,
+            machines,
+            shards,
+        }
+    }
+
     /// The warm/cold PET pair every queue chain selects its cells from.
     #[inline]
     fn pets(&self) -> PetTables<'_> {
@@ -331,37 +379,73 @@ impl ScorerShared {
         }
     }
 
-    #[inline]
-    fn shard_cdf(&self, tt: TaskTypeId, shard: usize) -> &PetCdf {
-        &self.shard_cdfs[tt.index() * self.shards + shard]
+    /// How many per-(shard, type) warm-capable flags a [`ScoreTable`]
+    /// keeps for these tables: none in the classic model.
+    fn warm_flags(&self) -> usize {
+        self.cold_shard_cdfs.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Upper bound on the robustness of appending a type-`tt` task with
+    /// `deadline` to *any* free machine of `shard`, whose earliest free
+    /// start is `earliest` — the one bound routine behind every
+    /// [`ScoreTable`] skip decision. `warm_capable` is the table's
+    /// per-(shard, type) flag vector (`shard * task_types + type`; empty
+    /// and never read in the classic model): with the flag off every free
+    /// member would place the type cold, [`ScorerShared::cdf_for`] picks a
+    /// cold cell on each of them, and the cold envelope alone dominates;
+    /// with it on, the larger of the two envelope values does, whichever
+    /// cell a member picks (compaction can locally break the stochastic
+    /// dominance of cold over warm cells, so neither family is dropped).
+    /// That maximum is, value for value, what a single envelope over both
+    /// families would return.
+    fn shard_bound(
+        &self,
+        tt: TaskTypeId,
+        shard: usize,
+        earliest: Time,
+        deadline: Time,
+        warm_capable: &[bool],
+    ) -> f64 {
+        let lane = tt.index() * self.shards + shard;
+        let warm = || robustness_bound(earliest, &self.shard_cdfs[lane], deadline);
+        match &self.cold_shard_cdfs {
+            None => warm(),
+            Some(cold) => {
+                let bound = robustness_bound(earliest, &cold[lane], deadline);
+                if warm_capable[shard * self.task_types + tt.index()] {
+                    bound.max(warm())
+                } else {
+                    bound
+                }
+            }
+        }
     }
 }
 
 /// Pointwise-max envelope of a shard's member CDFs: breakpoints are the
 /// union of member breakpoints (a max of step functions only steps where
-/// some member steps), values the running max of the member prefixes.
-/// Non-decreasing because every member prefix is. Members are passed by
-/// reference so warm and cold rows can be enveloped together.
-fn envelope_cdf(members: &[&PetCdf]) -> PetCdf {
-    let mut times: Vec<Time> = members.iter().flat_map(|c| c.times.iter().copied()).collect();
-    times.sort_unstable();
-    times.dedup();
-    let mut cursors = vec![0usize; members.len()];
-    let prefix = times
+/// some member steps). Every member prefix is non-decreasing, so a
+/// member's value at `t` is the largest prefix it has shown at or before
+/// `t`, and the envelope is the running max over all `(time, prefix)`
+/// pairs in time order — one sort and one sweep, whatever the member
+/// count.
+fn envelope_cdf(members: &[PetCdf]) -> PetCdf {
+    let mut steps: Vec<(Time, f64)> = members
         .iter()
-        .map(|&t| {
-            let mut v = 0.0f64;
-            for (cursor, member) in cursors.iter_mut().zip(members) {
-                while *cursor < member.times.len() && member.times[*cursor] <= t {
-                    *cursor += 1;
-                }
-                if *cursor > 0 {
-                    v = v.max(member.prefix[*cursor - 1]);
-                }
-            }
-            v
-        })
+        .flat_map(|c| c.times.iter().copied().zip(c.prefix.iter().copied()))
         .collect();
+    steps.sort_unstable_by_key(|&(t, _)| t);
+    let (mut times, mut prefix) = (Vec::<Time>::new(), Vec::<f64>::new());
+    let mut running = 0.0f64;
+    for (t, p) in steps {
+        running = running.max(p);
+        if times.last() == Some(&t) {
+            *prefix.last_mut().expect("pushed with its time") = running;
+        } else {
+            times.push(t);
+            prefix.push(running);
+        }
+    }
     PetCdf { times, prefix, mean: f64::NAN }
 }
 
@@ -518,6 +602,58 @@ impl MachineCache {
     }
 }
 
+/// The tables [`ProbScorer::for_spec`] last derived, kept so the next
+/// mapper built against the same system shares them instead of paying the
+/// cold-PET convolutions, prefix CDFs and shard envelopes again. One
+/// entry: a run maps one system at a time, and a different system simply
+/// replaces it. A hit is decided by *full equality* of everything the
+/// tables are a function of — never by a hash — and compares the warm PET
+/// against the copy the tables already own; the spin-up matrix, which
+/// they do not keep, is the only input stored alongside them.
+struct SpecMemo {
+    entry: Option<SpecEntry>,
+}
+
+struct SpecEntry {
+    /// Spin-up matrix the cold tables were derived from (`None`: classic
+    /// model).
+    spinup: Option<PetMatrix>,
+    shared: Arc<ScorerShared>,
+}
+
+static SPEC_MEMO: std::sync::Mutex<SpecMemo> = std::sync::Mutex::new(SpecMemo { entry: None });
+
+impl SpecMemo {
+    /// The tables for `(spec, policy, budget)`: the remembered ones when
+    /// every input is equal, freshly derived (and remembered) otherwise.
+    /// Callers hold the memo's lock across the call, so concurrent
+    /// requests for one system derive once.
+    fn tables_for(
+        &mut self,
+        spec: &SystemSpec,
+        policy: DropPolicy,
+        budget: usize,
+    ) -> Arc<ScorerShared> {
+        let spinup = spec.coldstart.as_ref().map(|c| &c.spinup);
+        if let Some(entry) = &self.entry {
+            let shared = &entry.shared;
+            if shared.policy == policy
+                && shared.budget == budget
+                && entry.spinup.as_ref() == spinup
+                && shared.pet == spec.pet
+            {
+                return Arc::clone(shared);
+            }
+        }
+        // Let go of the previous system's tables before building the next.
+        self.entry = None;
+        let cold = spec.coldstart.as_ref().map(|c| c.cold_pet(&spec.pet, budget));
+        let shared = Arc::new(ScorerShared::derive(spec.pet.clone(), cold, policy, budget));
+        self.entry = Some(SpecEntry { spinup: spinup.cloned(), shared: Arc::clone(&shared) });
+        shared
+    }
+}
+
 /// Robustness/expected-completion scorer with incremental tail caching.
 #[derive(Debug)]
 pub struct ProbScorer {
@@ -556,10 +692,17 @@ impl ProbScorer {
     /// spec carries a [`hcsim_model::ColdStartModel`] (the cold PET is
     /// derived once — spin-up ⊛ execution per cell, compacted to
     /// `budget`), identical to [`ProbScorer::new`] otherwise.
+    ///
+    /// The tables are a pure function of `(spec.pet, spin-up matrix,
+    /// policy, budget)`, and a run builds one mapper per trial against
+    /// the same system, so they are derived once and shared for as long
+    /// as the system stays the same (see `SpecMemo`).
     #[must_use]
     pub fn for_spec(spec: &SystemSpec, policy: DropPolicy, budget: usize) -> Self {
-        let cold = spec.coldstart.as_ref().map(|c| c.cold_pet(&spec.pet, budget));
-        Self::with_cold(&spec.pet, cold.as_ref(), policy, budget)
+        // A panicking derivation never reaches the slot's one assignment,
+        // so a poisoned lock still guards a valid memo.
+        let mut memo = SPEC_MEMO.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        Self::from_shared(memo.tables_for(spec, policy, budget))
     }
 
     /// [`ProbScorer::new`] with an explicit cold-placement PET (same
@@ -577,56 +720,23 @@ impl ProbScorer {
         policy: DropPolicy,
         budget: usize,
     ) -> Self {
-        let mut cdfs = Vec::with_capacity(pet.task_types() * pet.machines());
-        for tt in 0..pet.task_types() {
-            for m in 0..pet.machines() {
-                cdfs.push(PetCdf::build(pet.pmf(TaskTypeId::from(tt), MachineId::from(m))));
-            }
-        }
-        let cold_cdfs = cold.map(|cold| {
-            assert_eq!(cold.task_types(), pet.task_types(), "cold PET task type count");
-            assert_eq!(cold.machines(), pet.machines(), "cold PET machine count");
-            let mut cdfs = Vec::with_capacity(cold.task_types() * cold.machines());
-            for tt in 0..cold.task_types() {
-                for m in 0..cold.machines() {
-                    cdfs.push(PetCdf::build(cold.pmf(TaskTypeId::from(tt), MachineId::from(m))));
-                }
-            }
-            cdfs
-        });
-        let shards = pet.machines().div_ceil(TABLE_SHARD_WIDTH);
-        let mut shard_cdfs = Vec::with_capacity(pet.task_types() * shards);
-        let mut members: Vec<&PetCdf> = Vec::with_capacity(2 * TABLE_SHARD_WIDTH);
-        for tt in 0..pet.task_types() {
-            let row = &cdfs[tt * pet.machines()..(tt + 1) * pet.machines()];
-            let cold_row =
-                cold_cdfs.as_ref().map(|c| &c[tt * pet.machines()..(tt + 1) * pet.machines()]);
-            for s in 0..shards {
-                let range = shard_range(s, pet.machines());
-                members.clear();
-                members.extend(row[range.clone()].iter());
-                if let Some(cold_row) = cold_row {
-                    members.extend(cold_row[range].iter());
-                }
-                shard_cdfs.push(envelope_cdf(&members));
-            }
-        }
+        Self::from_shared(Arc::new(ScorerShared::derive(
+            pet.clone(),
+            cold.cloned(),
+            policy,
+            budget,
+        )))
+    }
+
+    /// A scorer with empty caches over already-derived tables.
+    fn from_shared(shared: Arc<ScorerShared>) -> Self {
+        let machines = shared.machines;
         Self {
-            shared: Arc::new(ScorerShared {
-                policy,
-                budget,
-                pet: pet.clone(),
-                cold_pet: cold.cloned(),
-                cdfs,
-                cold_cdfs,
-                machines: pet.machines(),
-                shard_cdfs,
-                shards,
-            }),
+            shared,
             now: 0,
             membership_epoch: None,
-            schedulable: pet.machines(),
-            cells: Cells::new(pet.machines()),
+            schedulable: machines,
+            cells: Cells::new(machines),
             hypo_scratch: ConvScratch::new(),
             slots_buf: Vec::new(),
             tail_buf: Pmf::delta(0),
@@ -928,6 +1038,13 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   shard whose envelope bound stays below the caller's skip threshold
 ///   is skipped whole; a row dead in *every* shard is deferred without
 ///   scoring anything. Per-row bound work is O(shards), not O(machines).
+///   Under a cold-start model the bound is *warm-aware*: the table keeps,
+///   per (shard, type), whether some free member would place the type
+///   warm (a resident container or a queued same-type entry), and a lane
+///   with no such member is bounded by the cold envelope alone
+///   (`ScorerShared::shard_bound`) — on a serverless cluster nearly every
+///   lane, which is what keeps the bound pass from letting cold
+///   placements through on the strength of a warm cell nobody can use.
 ///   `BOUND_MARGIN` absorbs float slop, so skip decisions *provably*
 ///   agree with exact scoring: a skipped machine's exact robustness is
 ///   strictly below the threshold, so its score could only ever lose the
@@ -949,8 +1066,13 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   computed score — which is exactly the value a from-scratch rescore
 ///   would produce, because pair scores are deterministic in
 ///   (machine state, task) alone. Within one event machines only fill up
-///   and bounds only tighten, so a skipped row can never need
-///   resurrection mid-event.
+///   and bounds only tighten — with one exception under a cold-start
+///   model: an assignment makes the assigned machine warm for the
+///   assigned *type* (the queued-entry rule), which can switch that
+///   type's lanes in that machine's shard from the cold envelope to the
+///   looser warm one. [`ScoreTable::refresh_machine`] rechecks exactly
+///   those lanes; every other skipped (row, shard) pair stays skipped
+///   for the rest of the event.
 /// * across events, [`ScoreTable::ensure`] revalidates the table against
 ///   `(membership epoch, machine versions, head windows, window)`
 ///   instead of rebuilding: only machines whose version moved
@@ -1001,6 +1123,15 @@ pub struct ScoreTable {
     /// Per shard: min over members of `tail_bounds[..].earliest` (`None`:
     /// no free member).
     shard_earliest: Vec<Option<Time>>,
+    /// Per (shard, type), `shard * task_types + type`: some free member
+    /// would place the type warm. Maintained alongside `shard_earliest`
+    /// under a cold-start model; empty in the classic one.
+    shard_warm: Vec<bool>,
+    /// Scratch: the types an assignment just made one shard warm-capable
+    /// for ([`ScoreTable::refresh_machine`]).
+    newly_warm: Vec<bool>,
+    /// Exact (row, machine) scores computed so far (diagnostics/tests).
+    pairs_scored: u64,
     /// Reuse signature: membership epoch of the last rebuild, machine
     /// versions and window tasks as last scored. The event time is *not*
     /// part of it — see [`ScoreTable::ensure`].
@@ -1084,6 +1215,15 @@ impl ScoreTable {
         self.scored.len()
     }
 
+    /// Exact (row, machine) pair scores the table has computed so far —
+    /// the work the bound pass did *not* avoid. Test support, not part of
+    /// the supported API.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pairs_scored(&self) -> u64 {
+        self.pairs_scored
+    }
+
     /// Recomputes the whole table for `tasks` (the batch window) against
     /// every machine, fanning the per-machine work out at the scorer's
     /// configured width ([`ProbScorer::set_parallelism`]). `skip_below`
@@ -1122,7 +1262,7 @@ impl ScoreTable {
 
         // Fan-out 1: bring every free machine's availability chain up to
         // date (the convolution-heavy part), then gather the bound
-        // scalars and fold them into per-shard earliest starts.
+        // scalars and fold them into the per-shard aggregates.
         scorer.cells.warm(
             &scorer.shared,
             scorer.now,
@@ -1134,8 +1274,10 @@ impl ScoreTable {
         scorer.collect_tail_bounds(machines, &mut self.tail_bounds);
         self.shard_earliest.clear();
         self.shard_earliest.resize(shards, None);
+        self.shard_warm.clear();
+        self.shard_warm.resize(scorer.shared.warm_flags(), false);
         for s in 0..shards {
-            self.recompute_shard_earliest(s);
+            self.recompute_shard_aggregates(&scorer.shared, machines, s);
         }
 
         // Hierarchical bound pass: per row, one envelope probe per shard;
@@ -1154,9 +1296,7 @@ impl ScoreTable {
             lanes.resize(shards, false);
             let mut any = false;
             for (s, lane) in lanes.iter_mut().enumerate() {
-                let Some(earliest) = self.shard_earliest[s] else { continue };
-                let env = scorer.shared.shard_cdf(task.type_id, s);
-                if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
+                if self.lane_clears(&scorer.shared, task, s, threshold) {
                     *lane = true;
                     any = true;
                     self.live_by_shard[s].push((row, *task));
@@ -1166,6 +1306,12 @@ impl ScoreTable {
             self.row_thresholds.push(threshold);
             self.shard_live.push(lanes);
         }
+        self.pairs_scored += (0..shards)
+            .map(|s| {
+                let free = self.tail_bounds[shard_range(s, machines.len())].iter().flatten();
+                (free.count() * self.live_by_shard[s].len()) as u64
+            })
+            .sum::<u64>();
 
         // Fan-out 2: exact scores for the surviving (row, shard) pairs,
         // one column per machine.
@@ -1260,6 +1406,7 @@ impl ScoreTable {
         if !self.stale
             && self.versions.len() == machines.len()
             && self.shard_earliest.len() == shards
+            && self.shard_warm.len() == scorer.shared.warm_flags()
         {
             self.changed.clear();
             let mut free = 0;
@@ -1294,19 +1441,20 @@ impl ScoreTable {
         }
         for s in 0..shards {
             if self.dirty_shards[s] {
-                self.recompute_shard_earliest(s);
+                self.recompute_shard_aggregates(&scorer.shared, machines, s);
             }
         }
 
         // Phase 2: resurrection. A dead (row, shard) lane can have come
         // alive two ways: a changed machine loosened its shard's bound (a
-        // completion or drop shortens a queue), or the caller lowered the
-        // row's threshold (adaptive trims, sufferage relief). Rechecking
-        // the dirty shards of every row, and every shard of a row whose
-        // threshold dropped, restores exactly the liveness a fresh bound
-        // pass would compute (other lanes kept both their bound and their
-        // threshold; live lanes stay live, which at worst over-scores —
-        // see above).
+        // completion or drop shortens a queue; a container or queued entry
+        // makes the shard warm-capable for the row's type), or the caller
+        // lowered the row's threshold (adaptive trims, sufferage relief).
+        // Rechecking the dirty shards of every row, and every shard of a
+        // row whose threshold dropped, restores exactly the liveness a
+        // fresh bound pass would compute (other lanes kept both their
+        // bound and their threshold; live lanes stay live, which at worst
+        // over-scores — see above).
         self.newly_live.clear();
         for row in 0..self.scored.len() {
             let task = self.row_tasks[row];
@@ -1317,9 +1465,7 @@ impl ScoreTable {
                 if !(lowered || self.dirty_shards[s]) || self.shard_live[row][s] {
                     continue;
                 }
-                let Some(earliest) = self.shard_earliest[s] else { continue };
-                let env = scorer.shared.shard_cdf(task.type_id, s);
-                if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
+                if self.lane_clears(&scorer.shared, &task, s, threshold) {
                     self.shard_live[row][s] = true;
                     self.scored[row] = true;
                     self.newly_live.push((row, s));
@@ -1330,19 +1476,15 @@ impl ScoreTable {
         // Phase 3: score the resurrected (row, shard) pairs on the
         // shard's unchanged free machines. A shard no machine changed in
         // is not revisited below, so its best cache is settled here.
+        let changed_mask = std::mem::take(&mut self.changed_mask);
         for i in 0..self.newly_live.len() {
             let (row, s) = self.newly_live[i];
-            let task = self.row_tasks[row];
-            for m in shard_range(s, machines.len()) {
-                if self.changed_mask[m] || !machines[m].has_free_slot() {
-                    continue;
-                }
-                self.cols[m][row] = Some(scorer.score(&machines[m], &task));
-            }
+            self.score_lane(scorer, machines, row, s, |m| changed_mask[m]);
             if !self.dirty_shards[s] {
                 self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
             }
         }
+        self.changed_mask = changed_mask;
 
         // Phase 4: per dirty shard, rescore its changed members' columns
         // (rows live in the shard — including the just-resurrected ones)
@@ -1385,13 +1527,62 @@ impl ScoreTable {
         true
     }
 
-    /// Recomputes `shard_earliest[s]` from its members' `tail_bounds`.
-    fn recompute_shard_earliest(&mut self, s: usize) {
-        self.shard_earliest[s] = self.tail_bounds[shard_range(s, self.tail_bounds.len())]
-            .iter()
-            .flatten()
-            .map(|b| b.earliest)
-            .min();
+    /// Recomputes shard `s`'s bound inputs over its free members (those
+    /// with a recorded tail bound): the earliest start and, under a
+    /// cold-start model, which types some member would place warm.
+    fn recompute_shard_aggregates(
+        &mut self,
+        shared: &ScorerShared,
+        machines: &[MachineState],
+        s: usize,
+    ) {
+        let members = shard_range(s, self.tail_bounds.len());
+        self.shard_earliest[s] =
+            self.tail_bounds[members.clone()].iter().flatten().map(|b| b.earliest).min();
+        if shared.cold_shard_cdfs.is_none() {
+            return;
+        }
+        let flags = &mut self.shard_warm[s * shared.task_types..(s + 1) * shared.task_types];
+        flags.fill(false);
+        for m in members {
+            if self.tail_bounds[m].is_some() {
+                for tt in crate::chain::warm_append_types(&machines[m]) {
+                    flags[tt.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// Whether the (row of `task`, shard `s`) lane survives the bound
+    /// pass under `threshold`: the shard has a free member and its bound
+    /// does not prove the task's robustness there below the threshold.
+    fn lane_clears(&self, shared: &ScorerShared, task: &Task, s: usize, threshold: f64) -> bool {
+        self.shard_earliest[s].is_some_and(|earliest| {
+            let bound =
+                shared.shard_bound(task.type_id, s, earliest, task.deadline, &self.shard_warm);
+            bound + BOUND_MARGIN >= threshold
+        })
+    }
+
+    /// Scores a resurrected (row, shard) lane on the shard's free
+    /// machines, except those `rescored` names — their whole columns are
+    /// about to be rescored by the caller.
+    fn score_lane(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        row: usize,
+        s: usize,
+        rescored: impl Fn(usize) -> bool,
+    ) {
+        let task = self.row_tasks[row];
+        for m in shard_range(s, machines.len()) {
+            if rescored(m) || !machines[m].has_free_slot() {
+                continue;
+            }
+            self.cols[m][row] = Some(scorer.score(&machines[m], &task));
+            self.pairs_scored += 1;
+        }
     }
 
     /// Fills `self.live` with the `(row, task)` pairs live in shard `s`.
@@ -1426,6 +1617,7 @@ impl ScoreTable {
             return;
         }
         let live = &self.live;
+        self.pairs_scored += live.len() as u64;
         let ProbScorer { shared, now, cells, .. } = scorer;
         cells.with(m, |cell| {
             cell.ensure(shared, *now, machine, false);
@@ -1454,11 +1646,16 @@ impl ScoreTable {
     /// shard-bound-checked against the cached earliest starts, then
     /// scored on the free machines of its surviving shards.
     ///
-    /// The cached starts can be stale only for machines assigned to since
-    /// their last refresh — whose queues *grew* — so a stale bound is
-    /// only ever looser than the live one: liveness is a superset of a
-    /// fresh bound pass, never a subset, and the extra entries are exact
-    /// scores below the threshold (deferred either way).
+    /// The cached shard aggregates can be stale only for a machine
+    /// assigned to since its last refresh. Its queue *grew*, so the stale
+    /// earliest start is only ever looser than the live one. The stale
+    /// warm-capable flags are the one thing that can err the other way —
+    /// the assignment may just have made the shard warm-capable for the
+    /// assigned type — and the [`ScoreTable::refresh_machine`] that
+    /// follows every assignment rechecks exactly those lanes, this row's
+    /// included. With that, liveness is a superset of a fresh bound pass,
+    /// never a subset, and the extra entries are exact scores below the
+    /// threshold (deferred either way).
     pub fn push_row(
         &mut self,
         scorer: &mut ProbScorer,
@@ -1473,9 +1670,7 @@ impl ScoreTable {
         lanes.resize(shards, false);
         let mut any = false;
         for (s, lane) in lanes.iter_mut().enumerate() {
-            let Some(earliest) = self.shard_earliest[s] else { continue };
-            let env = scorer.shared.shard_cdf(task.type_id, s);
-            if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
+            if self.lane_clears(&scorer.shared, task, s, threshold) {
                 *lane = true;
                 any = true;
             }
@@ -1486,6 +1681,7 @@ impl ScoreTable {
         for (m, (machine, col)) in machines.iter().zip(&mut self.cols).enumerate() {
             let value = (lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot())
                 .then(|| scorer.score(machine, task));
+            self.pairs_scored += u64::from(value.is_some());
             col.push(value);
         }
         for (s, bests) in self.shard_best.iter_mut().enumerate() {
@@ -1500,9 +1696,17 @@ impl ScoreTable {
     /// (its queue changed) — a single-cell request to wherever the cell
     /// lives, plus an update of the shard's aggregates. A machine that
     /// filled up gets an all-`None` column; within one mapping event
-    /// machines never go full → free and skipped (row, shard) pairs never
-    /// resurrect (their bound only tightens), so stale entries cannot
-    /// resurface.
+    /// machines never go full → free, so stale entries cannot resurface.
+    ///
+    /// A longer queue only tightens the shard's earliest start, so the
+    /// shard's skipped lanes stay skipped — except, under a cold-start
+    /// model, those of a type the assignment just made the shard
+    /// warm-capable for (its bound moves from the cold envelope to the
+    /// looser warm one). Those lanes are rechecked under the threshold
+    /// they were skipped at, and a lane that now clears it is scored on
+    /// the shard's other free members before `m`'s column and the
+    /// shard's best cache are rebuilt — what [`ScoreTable::ensure`] does
+    /// across events, for one shard.
     pub fn refresh_machine(
         &mut self,
         scorer: &mut ProbScorer,
@@ -1516,12 +1720,33 @@ impl ScoreTable {
             "window drifted from table rows"
         );
         let s = m / TABLE_SHARD_WIDTH;
+        self.refresh_bound(scorer, machines, m);
+        // No flags, no types to watch: the classic model skips all of this.
+        let types = if self.shard_warm.is_empty() { 0 } else { scorer.shared.task_types };
+        let flags = s * types..(s + 1) * types;
+        self.newly_warm.clear();
+        self.newly_warm.extend_from_slice(&self.shard_warm[flags.clone()]);
+        self.recompute_shard_aggregates(&scorer.shared, machines, s);
+        for (flag, &now) in self.newly_warm.iter_mut().zip(&self.shard_warm[flags]) {
+            *flag = now && !*flag;
+        }
+        if self.newly_warm.contains(&true) {
+            for row in 0..self.rows() {
+                let task = self.row_tasks[row];
+                if self.newly_warm[task.type_id.index()]
+                    && !self.shard_live[row][s]
+                    && self.lane_clears(&scorer.shared, &task, s, self.row_thresholds[row])
+                {
+                    self.shard_live[row][s] = true;
+                    self.scored[row] = true;
+                    self.score_lane(scorer, machines, row, s, |other| other == m);
+                }
+            }
+        }
+        // The bound refresh warmed the cell, so the rescore's chain probe
+        // is a cache hit.
         self.collect_live_rows(s);
         self.rescore_column(scorer, machines, m);
-        // The cell is warm after the rescore, so the bound probe is a
-        // cache hit.
-        self.refresh_bound(scorer, machines, m);
-        self.recompute_shard_earliest(s);
         self.refresh_shard_best(s);
     }
 
@@ -2165,6 +2390,8 @@ mod tests {
     /// and exact scoring: wherever the exact best meets the threshold the
     /// table must return it bit for bit; wherever it doesn't, the table
     /// may return nothing or a value the reduction would defer anyway.
+    /// Pair by pair, what the table holds for a free machine is the exact
+    /// score, and what it left unscored is exactly below the threshold.
     fn assert_table_agrees_with_exact(
         table: &ScoreTable,
         scorer_ref: &mut ProbScorer,
@@ -2179,6 +2406,20 @@ mod tests {
                     continue;
                 }
                 let score = scorer_ref.score(machine, task);
+                match table.get(row, m) {
+                    Some(held) => assert!(
+                        held.robustness.to_bits() == score.robustness.to_bits()
+                            && held.expected_completion.to_bits()
+                                == score.expected_completion.to_bits(),
+                        "({row},{m}): table holds {held:?}, exact is {score:?}"
+                    ),
+                    None => assert!(
+                        score.robustness < threshold(task.type_id),
+                        "({row},{m}): skipped, but exact r={} clears {}",
+                        score.robustness,
+                        threshold(task.type_id)
+                    ),
+                }
                 if exact.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
                     exact = Some((m, score));
                 }
@@ -2798,6 +3039,350 @@ mod tests {
         }
     }
 
+    /// The cursor scan [`envelope_cdf`] replaced: per breakpoint, the max
+    /// over every member's prefix at or before it. Kept as the reference
+    /// the sweep is checked against.
+    fn envelope_cdf_reference(members: &[PetCdf]) -> PetCdf {
+        let mut times: Vec<Time> = members.iter().flat_map(|c| c.times.iter().copied()).collect();
+        times.sort_unstable();
+        times.dedup();
+        let mut cursors = vec![0usize; members.len()];
+        let prefix = times
+            .iter()
+            .map(|&t| {
+                let mut v = 0.0f64;
+                for (cursor, member) in cursors.iter_mut().zip(members) {
+                    while *cursor < member.times.len() && member.times[*cursor] <= t {
+                        *cursor += 1;
+                    }
+                    if *cursor > 0 {
+                        v = v.max(member.prefix[*cursor - 1]);
+                    }
+                }
+                v
+            })
+            .collect();
+        PetCdf { times, prefix, mean: f64::NAN }
+    }
+
+    #[test]
+    fn envelope_sweep_equals_the_cursor_scan() {
+        // Members with shared, interleaved and disjoint breakpoints, of
+        // unequal mass and length — including a single-member "shard".
+        let members: Vec<PetCdf> = (0..40u64)
+            .map(|i| {
+                let points: Vec<(Time, f64)> = (0..3 + i % 6)
+                    .map(|j| {
+                        (3 + (i * 7 + j * (2 + i % 4)) % 90, 0.05 + ((i + j) % 5) as f64 * 0.04)
+                    })
+                    .collect();
+                PetCdf::build(&Pmf::from_points(&points).unwrap())
+            })
+            .collect();
+        for shard in [&members[..], &members[..32], &members[32..], &members[7..8]] {
+            let (got, want) = (envelope_cdf(shard), envelope_cdf_reference(shard));
+            assert_eq!(got.times, want.times);
+            let bits = |c: &PetCdf| c.prefix.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    /// Two-shard serverless fixture with one deterministic warm cell and
+    /// a two-point cold one, idle machines everywhere: under a 0.9
+    /// threshold a δ = 105 row is dead wherever it would start cold
+    /// (`CDF_cold(105) = 0.5`) and alive wherever some machine would start
+    /// it warm (`CDF_warm(105) = 1`).
+    fn two_shard_cold_fixture() -> (PetMatrix, PetMatrix, Vec<MachineState>) {
+        let n = 2 * TABLE_SHARD_WIDTH;
+        let warm = Pmf::from_points(&[(10, 1.0)]).unwrap();
+        let cold = Pmf::from_points(&[(60, 0.5), (110, 0.5)]).unwrap();
+        let machines = (0..n).map(|m| MachineState::new(MachineId::from(m), 4)).collect();
+        (
+            PetMatrix::from_pmfs(2, n, vec![warm; 2 * n]),
+            PetMatrix::from_pmfs(2, n, vec![cold; 2 * n]),
+            machines,
+        )
+    }
+
+    #[test]
+    fn refresh_machine_resurrects_same_type_rows_when_an_assignment_warms_the_shard() {
+        let (pet, cold, mut machines) = two_shard_cold_fixture();
+        // Shard 1 is busy enough that row A is dead there under any bound.
+        for (m, machine) in machines.iter_mut().enumerate().skip(TABLE_SHARD_WIDTH) {
+            for i in 0..2u32 {
+                let queued = Task {
+                    id: TaskId(m as u32 * 10 + i),
+                    type_id: TaskTypeId(1),
+                    arrival: 0,
+                    deadline: 900,
+                };
+                assert!(testkit::apply(machine, testkit::QueueOp::Push(queued)));
+            }
+        }
+        let row_a = Task { id: TaskId(9_000), type_id: TaskTypeId(0), arrival: 0, deadline: 105 };
+        let row_b = Task { id: TaskId(9_001), type_id: TaskTypeId(0), arrival: 0, deadline: 900 };
+        let threshold = |_: TaskTypeId| 0.9;
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+        scorer.begin_event(0);
+        let mut table = ScoreTable::new();
+        table.rebuild(&mut scorer, &machines, &[row_a, row_b], &threshold);
+        assert!(table.best_for_row(&machines, 0).is_none(), "A is dead under the cold envelope");
+        assert!(table.best_for_row(&machines, 1).is_some(), "B's deadline clears it");
+
+        // B goes to machine 5: by the queued-entry rule a type-0 append
+        // there is now warm, so shard 0's bound for A is the warm one.
+        assert!(testkit::apply(&mut machines[5], testkit::QueueOp::Push(row_b)));
+        table.remove_row(1);
+        table.refresh_machine(&mut scorer, &machines, &[row_a], 5);
+
+        let mut exact = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+        exact.begin_event(0);
+        let mut want: Option<(usize, PairScore)> = None;
+        for (m, machine) in machines.iter().enumerate() {
+            let score = exact.score(machine, &row_a);
+            if want.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
+                want = Some((m, score));
+            }
+        }
+        let (m, score) = want.expect("every machine has a free slot");
+        assert_eq!(table.best_for_row(&machines, 0), Some((MachineId::from(m), score)));
+        assert_table_agrees_with_exact(&table, &mut exact, &machines, &[row_a], &threshold);
+    }
+
+    #[test]
+    fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
+        let (pet, cold, mut machines) = two_shard_cold_fixture();
+        let tasks: Vec<Task> = (0..6u32)
+            .map(|i| Task {
+                id: TaskId(9_000 + i),
+                type_id: TaskTypeId(u16::from(i >= 4)),
+                arrival: 0,
+                deadline: 105,
+            })
+            .collect();
+        let threshold = |_: TaskTypeId| 0.9;
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+        scorer.begin_event(0);
+        let mut table = ScoreTable::new();
+        table.rebuild(&mut scorer, &machines, &tasks, &threshold);
+        assert_eq!(table.pairs_scored(), 0, "all-cold cluster: every lane is under the cold bound");
+        assert!((0..tasks.len()).all(|row| table.best_for_row(&machines, row).is_none()));
+
+        // One resident type-0 container in shard 1: the four type-0 rows
+        // are scored on that shard's machines, and nothing else is.
+        testkit::set_warm(&mut machines[40], TaskTypeId(0), 1_000);
+        table.rebuild(&mut scorer, &machines, &tasks, &threshold);
+        assert_eq!(table.pairs_scored(), 4 * TABLE_SHARD_WIDTH as u64);
+        for (row, task) in tasks.iter().enumerate() {
+            let best = table.best_for_row(&machines, row);
+            assert_eq!(best.map(|(m, _)| m.index()), (task.type_id.0 == 0).then_some(40));
+        }
+
+        // The classic model keeps its single family: everything clears.
+        let mut classic = ProbScorer::new(&pet, DropPolicy::All, 16);
+        classic.begin_event(0);
+        let mut table = ScoreTable::new();
+        table.rebuild(&mut classic, &machines, &tasks, &threshold);
+        assert_eq!(table.pairs_scored(), (tasks.len() * machines.len()) as u64);
+    }
+
+    /// Drives a cold-model table over `params.len()` machines — per
+    /// machine `(pending depth, first pending type, warm-container mask)`
+    /// — through a rebuild, a cross-tick `ensure` after the warm sets
+    /// churned (expiry, release, pin) and a run of same-tick assignments,
+    /// checking after every step that each scored pair is exact and each
+    /// unscored (row, free machine) pair is exactly below the threshold.
+    /// Returns whether the cross-tick `ensure` reused the table.
+    fn drive_warm_aware_table(
+        params: &[(usize, usize, usize)],
+        rows: &[(usize, Time)],
+        threshold: f64,
+    ) -> bool {
+        const TYPES: usize = 3;
+        let n = params.len();
+        let warm: Vec<Pmf> = (0..TYPES * n)
+            .map(|i| {
+                let o = i as u64 % 5;
+                Pmf::from_points(&[(4 + o, 0.3), (9 + o, 0.5), (20 + o, 0.2)]).unwrap()
+            })
+            .collect();
+        let cold: Vec<Pmf> =
+            warm.iter().enumerate().map(|(i, p)| p.shift(25 + 10 * (i / n) as u64)).collect();
+        let (pet, cold) =
+            (PetMatrix::from_pmfs(TYPES, n, warm), PetMatrix::from_pmfs(TYPES, n, cold));
+        let type_of = |i: usize| TaskTypeId((i % TYPES) as u16);
+        let mut machines: Vec<MachineState> = params
+            .iter()
+            .enumerate()
+            .map(|(m, &(depth, first_type, mask))| {
+                let mut machine = MachineState::new(MachineId::from(m), 4);
+                let queued = |i: usize| Task {
+                    id: TaskId((m * 10 + i) as u32),
+                    type_id: type_of(first_type + i),
+                    arrival: 0,
+                    deadline: 70 + 45 * i as u64 + (m % 7) as u64,
+                };
+                // Three machines in four execute (started at 0, first PET
+                // impulse ≥ 4), so a tick inside that bucket re-keys only
+                // the idle quarter.
+                if m % 4 != 0 {
+                    assert!(testkit::start_executing(&mut machine, queued(3), 0, 30));
+                }
+                for i in 0..depth.min(machine.free_slots()) {
+                    assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(queued(i))));
+                }
+                for tt in (0..TYPES).filter(|tt| mask >> tt & 1 == 1) {
+                    testkit::set_warm(&mut machine, type_of(tt), 1_000);
+                }
+                machine
+            })
+            .collect();
+        let mut tasks: Vec<Task> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(tt, deadline))| Task {
+                id: TaskId(50_000 + i as u32),
+                type_id: type_of(tt),
+                arrival: 0,
+                deadline,
+            })
+            .collect();
+        let thr = move |_: TaskTypeId| threshold;
+        let check = |table: &ScoreTable, machines: &[MachineState], tasks: &[Task], now: Time| {
+            let mut exact = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+            exact.begin_event(now);
+            assert_table_agrees_with_exact(table, &mut exact, machines, tasks, &thr);
+        };
+        let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+        let mut table = ScoreTable::new();
+        scorer.begin_event(2);
+        table.rebuild(&mut scorer, &machines, &tasks, &thr);
+        check(&table, &machines, &tasks, 2);
+
+        // Next tick, warm sets churned on every fifth machine: a resident
+        // container expires, or one appears — released or pinned.
+        for (m, machine) in machines.iter_mut().enumerate().step_by(5) {
+            if !testkit::expire_warm(machine, type_of(m), 1_000) {
+                testkit::set_warm(machine, type_of(m), if m % 2 == 0 { Time::MAX } else { 900 });
+            }
+        }
+        scorer.begin_event(3);
+        let reused = table.ensure(&mut scorer, &machines, &tasks, &thr);
+        check(&table, &machines, &tasks, 3);
+
+        // The mapper's loop at that tick: assign a row, slide a same-type
+        // arrival into the window, refresh the assigned machine.
+        for step in 0..6 {
+            let row = step % tasks.len();
+            let Some(m) =
+                (0..n).map(|i| (i * 7 + step * 13) % n).find(|&m| machines[m].has_free_slot())
+            else {
+                break;
+            };
+            let assigned = tasks.remove(row);
+            assert!(testkit::apply(&mut machines[m], testkit::QueueOp::Push(assigned)));
+            table.remove_row(row);
+            let admitted = Task {
+                id: TaskId(60_000 + step as u32),
+                deadline: assigned.deadline + 3,
+                ..assigned
+            };
+            tasks.push(admitted);
+            table.push_row(&mut scorer, &machines, &admitted, &thr);
+            table.refresh_machine(&mut scorer, &machines, &tasks, m);
+            check(&table, &machines, &tasks, 3);
+        }
+        reused
+    }
+
+    #[test]
+    fn hierarchical_bound_pass_agrees_with_exact_under_a_cold_model() {
+        // Three shards; depths, pending types and warm sets walk through
+        // every combination, with whole stretches left all-cold.
+        let params: Vec<(usize, usize, usize)> =
+            (0..96usize).map(|m| (m % 3, m / 3, if m % 11 == 0 { 1 + m % 7 } else { 0 })).collect();
+        let rows = [(0, 14), (1, 30), (2, 48), (0, 60), (1, 75), (2, 90), (0, 33), (1, 52)];
+        for threshold in [0.25, 0.6, 0.9] {
+            assert!(
+                drive_warm_aware_table(&params, &rows, threshold),
+                "a quarter idle plus a fifth churned: the cross-tick ensure must reuse"
+            );
+        }
+    }
+
+    /// A small serverless system for the memo tests.
+    fn memo_spec() -> SystemSpec {
+        let cfg = hcsim_workload::FaasConfig {
+            num_functions: 4,
+            num_machines: 3,
+            ..hcsim_workload::FaasConfig::default()
+        };
+        hcsim_workload::faas_system(&cfg, &mut hcsim_stats::SeedSequence::new(77).stream(0))
+    }
+
+    /// `pet` with the first cell's support moved by one tick.
+    fn with_one_cell_changed(pet: &PetMatrix) -> PetMatrix {
+        let (types, machines) = (pet.task_types(), pet.machines());
+        let mut pmfs: Vec<Pmf> = (0..types * machines)
+            .map(|i| pet.pmf(TaskTypeId::from(i / machines), MachineId::from(i % machines)).clone())
+            .collect();
+        pmfs[0] = pmfs[0].shift(1);
+        PetMatrix::from_pmfs(types, machines, pmfs)
+    }
+
+    #[test]
+    fn spec_memo_shares_tables_until_an_input_changes() {
+        let spec = memo_spec();
+        let mut memo = SpecMemo { entry: None };
+        let first = memo.tables_for(&spec, DropPolicy::All, 24);
+        let again = memo.tables_for(&spec.clone(), DropPolicy::All, 24);
+        assert!(Arc::ptr_eq(&first, &again), "an equal system must share the tables");
+        assert!(first.cold_pet.is_some() && first.cold_shard_cdfs.is_some());
+
+        let mut spinup_changed = spec.clone();
+        let model = spinup_changed.coldstart.as_mut().expect("serverless spec");
+        model.spinup = with_one_cell_changed(&model.spinup);
+        let mut pet_changed = spec.clone();
+        pet_changed.pet = with_one_cell_changed(&spec.pet);
+        let mut classic = spec.clone();
+        classic.coldstart = None;
+        let variants: [(&str, &SystemSpec, DropPolicy, usize); 5] = [
+            ("one spin-up cell", &spinup_changed, DropPolicy::All, 24),
+            ("one PET cell", &pet_changed, DropPolicy::All, 24),
+            ("no cold model", &classic, DropPolicy::All, 24),
+            ("budget", &spec, DropPolicy::All, 16),
+            ("policy", &spec, DropPolicy::PendingOnly, 24),
+        ];
+        for (what, variant, policy, budget) in variants {
+            let base = memo.tables_for(&spec, DropPolicy::All, 24);
+            let other = memo.tables_for(variant, policy, budget);
+            assert!(!Arc::ptr_eq(&base, &other), "{what} changed: the tables must be re-derived");
+            assert_eq!((other.policy, other.budget), (policy, budget));
+            assert!(other.pet == variant.pet, "{what}: tables derived from the wrong PET");
+        }
+    }
+
+    #[test]
+    fn spec_memo_derives_once_under_concurrent_requests() {
+        let spec = memo_spec();
+        let memo = std::sync::Mutex::new(SpecMemo { entry: None });
+        let barrier = std::sync::Barrier::new(4);
+        let tables: Vec<Arc<ScorerShared>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        memo.lock().unwrap().tables_for(&spec, DropPolicy::All, 24)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        // The first thread through derived; had another derived too, its
+        // tables would be a different allocation.
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -2834,6 +3419,27 @@ mod tests {
                         None => prop_assert!(score.expected_completion.is_infinite()),
                     }
                 }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+            /// The warm-aware bound never skips a pair it should not: over
+            /// random serverless clusters of two to four shards — random
+            /// queue depths, same-type pending entries and warm sets, three
+            /// machines in four all-cold — every pair the table leaves
+            /// unscored is exactly below the threshold, after a rebuild,
+            /// after a cross-tick `ensure` over churned warm sets, and
+            /// after each assignment of a `push_row`/`refresh_machine` run.
+            #[test]
+            fn hierarchical_bound_pass_agrees_with_exact_under_a_cold_model(
+                params in prop::collection::vec((0usize..4, 0usize..3, 0usize..12), 64..100),
+                rows in prop::collection::vec((0usize..3, 8u64..120), 2..8),
+                threshold in 0.0f64..1.0,
+            ) {
+                let params: Vec<_> =
+                    params.into_iter().map(|(d, t, w)| (d, t, w.saturating_sub(8))).collect();
+                drive_warm_aware_table(&params, &rows, threshold);
             }
         }
 

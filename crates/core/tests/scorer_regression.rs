@@ -15,7 +15,10 @@ use hcsim_model::{MachineId, Task, TaskId, TaskTypeId};
 use hcsim_pmf::DropPolicy;
 use hcsim_sim::{run_simulation, testkit, SimConfig, SimReport};
 use hcsim_stats::SeedSequence;
-use hcsim_workload::{specint_cluster, specint_system, WorkloadConfig, WorkloadGenerator};
+use hcsim_workload::{
+    faas_system, specint_cluster, specint_system, FaasConfig, FaasGenerator, WorkloadConfig,
+    WorkloadGenerator,
+};
 
 fn task(id: u32, tt: u16, deadline: u64) -> Task {
     Task { id: TaskId(id), type_id: TaskTypeId(tt), arrival: 0, deadline }
@@ -137,24 +140,40 @@ const GOLDEN_SCORES: [(f64, f64, f64); 7] = [
 /// a from-scratch rebuild per event — on the paper system (one shard) and
 /// on a two-shard cluster, for static thresholds (PAM, MOC) and for the
 /// two mappers whose thresholds move between events (PAMF's sufferage,
-/// the adaptive controller), which the table follows row by row.
+/// the adaptive controller), which the table follows row by row. A
+/// two-shard serverless cluster adds the cold-start model, where the
+/// table's warm-aware bounds skip nearly every cold lane and an
+/// assignment can un-skip one mid-event (PAM and MOC).
 #[test]
 fn table_reuse_never_changes_a_report() {
     let seeds = SeedSequence::new(413);
-    let systems = [
-        (specint_system(6, &mut seeds.stream(0)), 34_000.0),
-        (specint_cluster(64, 6, &mut seeds.stream(1)), 272_000.0),
-    ];
-    for (spec, oversubscription) in &systems {
+    let classic = |spec, oversubscription| {
         let gen = WorkloadGenerator::new(WorkloadConfig {
             num_tasks: 220,
-            oversubscription: *oversubscription,
+            oversubscription,
             ..Default::default()
         });
-        let tasks = gen.generate(spec, &mut seeds.stream(2));
+        let tasks = gen.generate(&spec, &mut seeds.stream(2));
+        (spec, tasks, true)
+    };
+    let faas = FaasConfig {
+        num_functions: 12,
+        num_machines: 64,
+        num_tasks: 400,
+        oversubscription: 700_000.0,
+        ..FaasConfig::default()
+    };
+    let faas_spec = faas_system(&faas, &mut seeds.stream(4));
+    let faas_tasks = FaasGenerator::new(faas).generate(&faas_spec, &mut seeds.stream(5));
+    let cases = [
+        classic(specint_system(6, &mut seeds.stream(0)), 34_000.0),
+        classic(specint_cluster(64, 6, &mut seeds.stream(1)), 272_000.0),
+        (faas_spec, faas_tasks, false),
+    ];
+    for (spec, tasks, moving_thresholds) in &cases {
         let run = |mut mapper: &mut dyn hcsim_sim::Mapper| {
             let config = SimConfig::untrimmed();
-            let report = run_simulation(spec, config, &tasks, &mut mapper, &mut seeds.stream(3));
+            let report = run_simulation(spec, config, tasks, &mut mapper, &mut seeds.stream(3));
             format!("{} events {:?}", report.mapping_events, report.records)
         };
         let pam = |table_reuse| PruningConfig { table_reuse, ..PruningConfig::default() };
@@ -169,6 +188,10 @@ fn table_reuse_never_changes_a_report() {
             run(&mut Pam::new(pam(false))),
             "PAM, {machines}m"
         );
+        assert_eq!(run(&mut moc(true)), run(&mut moc(false)), "MOC, {machines}m");
+        if !moving_thresholds {
+            continue;
+        }
         assert_eq!(
             run(&mut Pam::with_fairness(pam(true))),
             run(&mut Pam::with_fairness(pam(false))),
@@ -179,6 +202,5 @@ fn table_reuse_never_changes_a_report() {
             run(&mut Pam::new(adaptive(false))),
             "adaptive PAM, {machines}m"
         );
-        assert_eq!(run(&mut moc(true)), run(&mut moc(false)), "MOC, {machines}m");
     }
 }

@@ -21,7 +21,7 @@
 //!   completes.
 
 use crate::{GroundTruth, PetMatrix, Time};
-use hcsim_pmf::{convolve, Pmf};
+use hcsim_pmf::{convolve_into, ConvScratch, Pmf};
 use serde::{Deserialize, Serialize};
 
 /// The cold-start side of a serverless system: spin-up PMFs (belief and
@@ -86,11 +86,9 @@ impl ColdStartModel {
         m: crate::MachineId,
         budget: usize,
     ) -> Pmf {
-        let mut cold = convolve(self.spinup.pmf(tt, m), warm.pmf(tt, m));
-        if budget > 0 {
-            cold.compact(budget);
-        }
-        cold
+        let (spinup, exec) = (self.spinup.pmf(tt, m), warm.pmf(tt, m));
+        let mut scratch = ConvScratch::with_capacity(spinup.len() * exec.len());
+        cold_cell_into(spinup, exec, budget, &mut scratch)
     }
 
     /// The full *cold* PET: every cell of `warm` convolved with its
@@ -104,19 +102,34 @@ impl ColdStartModel {
     pub fn cold_pet(&self, warm: &PetMatrix, budget: usize) -> PetMatrix {
         self.assert_dims(warm.task_types(), warm.machines());
         let (task_types, machines) = (warm.task_types(), warm.machines());
+        // One scratch for every cell: the pairing and sort buffers are
+        // sized once, by the first few cells, not once per cell.
+        let mut scratch = ConvScratch::new();
         let mut pmfs = Vec::with_capacity(task_types * machines);
         for tt in 0..task_types {
             for m in 0..machines {
-                pmfs.push(self.cold_cell(
-                    warm,
-                    crate::TaskTypeId::from(tt),
-                    crate::MachineId::from(m),
+                let (tt, m) = (crate::TaskTypeId::from(tt), crate::MachineId::from(m));
+                pmfs.push(cold_cell_into(
+                    self.spinup.pmf(tt, m),
+                    warm.pmf(tt, m),
                     budget,
+                    &mut scratch,
                 ));
             }
         }
         PetMatrix::from_pmfs(task_types, machines, pmfs)
     }
+}
+
+/// The cold-cell kernel behind [`ColdStartModel::cold_cell`] and
+/// [`ColdStartModel::cold_pet`]: spin-up ⊛ execution, compacted to
+/// `budget` impulses (0 = no compaction).
+fn cold_cell_into(spinup: &Pmf, exec: &Pmf, budget: usize, scratch: &mut ConvScratch) -> Pmf {
+    let mut cold = convolve_into(spinup, exec, scratch);
+    if budget > 0 {
+        cold.compact(budget);
+    }
+    cold
 }
 
 #[cfg(test)]
@@ -175,6 +188,25 @@ mod tests {
                 let c = cold.pmf(tt, m);
                 for t in (0..400).step_by(7) {
                     assert!(c.cdf_at(t) <= w.cdf_at(t) + 1e-12, "t={t} cell ({tt:?},{m:?})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_pet_cells_equal_cold_cell_bitwise() {
+        // The shared-scratch sweep must be the per-cell kernel exactly —
+        // with and without compaction, whatever the scratch held before.
+        let (model, warm) = model_and_warm();
+        for budget in [0, 8, 24] {
+            let cold = model.cold_pet(&warm, budget);
+            for tt in 0..2u16 {
+                for m in 0..2usize {
+                    let (tt, m) = (TaskTypeId(tt), MachineId::from(m));
+                    let (got, want) = (cold.pmf(tt, m), model.cold_cell(&warm, tt, m, budget));
+                    assert_eq!(got.times(), want.times(), "budget {budget} cell ({tt:?},{m:?})");
+                    let bits = |p: &Pmf| p.masses().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&want), "budget {budget} cell ({tt:?},{m:?})");
                 }
             }
         }
