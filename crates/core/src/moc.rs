@@ -238,17 +238,14 @@ impl Mapper for Moc {
 
             ctx.assign(chosen.task, chosen.machine).expect("machine had a free slot");
             // Incremental maintenance, mirroring PAM's.
-            table.remove_row(chosen.row);
             let next_window = self.config.batch_window.min(ctx.batch().len());
-            while table.rows() < next_window {
-                let admitted = ctx.batch()[table.rows()];
-                table.push_row(&mut scorer, ctx.machines(), &admitted, &skip_below);
-            }
-            table.refresh_machine(
+            table.apply_assignment(
                 &mut scorer,
                 ctx.machines(),
                 &ctx.batch()[..next_window],
+                chosen.row,
                 chosen.machine.index(),
+                &skip_below,
             );
         }
         self.table = table;
@@ -264,6 +261,12 @@ impl Mapper for Moc {
         self.table.invalidate();
         if let Some(scorer) = &mut self.scorer {
             scorer.clear_caches();
+        }
+    }
+
+    fn on_shutdown(&mut self) {
+        if let Some(scorer) = &mut self.scorer {
+            scorer.shutdown(std::time::Duration::from_secs(5));
         }
     }
 }
@@ -357,9 +360,33 @@ mod tests {
 
     #[test]
     fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
-        crate::scorer::assert_restore_drops_abandoned_chains(&mut Moc::new(), |moc| {
-            moc.scorer.as_mut().expect("built at the first mapping event")
+        crate::scorer::test_support::assert_restore_drops_abandoned_chains(
+            &mut Moc::new(),
+            |moc| moc.scorer.as_mut().expect("built at the first mapping event"),
+        );
+    }
+
+    #[test]
+    fn moc_shutdown_is_safe_before_and_after_init() {
+        // Cluster scale with two threads, so the run leaves a live worker
+        // pool behind for the shutdown to join.
+        let mut moc = Moc::with_config(MocConfig { threads: 2, ..MocConfig::default() });
+        moc.on_shutdown(); // no scorer yet: must be a no-op
+        let seeds = SeedSequence::new(8);
+        let spec = hcsim_workload::specint_cluster(32, 6, &mut seeds.stream(0));
+        let gen = WorkloadGenerator::new(WorkloadConfig {
+            num_tasks: 60,
+            oversubscription: 136_000.0,
+            ..Default::default()
         });
+        let tasks = gen.generate(&spec, &mut seeds.stream(1));
+        let mut rng = seeds.stream(2);
+        let _ = run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut moc, &mut rng);
+        let pool_active = |moc: &Moc| moc.scorer.as_ref().expect("built by the run").pool_active();
+        assert!(pool_active(&moc), "32 machines on two threads map through the pool");
+        moc.on_shutdown();
+        assert!(!pool_active(&moc), "shutdown joins the pool within its timeout");
+        moc.on_shutdown(); // idempotent
     }
 
     #[test]

@@ -267,17 +267,14 @@ impl Mapper for Pam {
             // Incremental maintenance: drop the assigned row, admit batch
             // tasks that slid into the window, rescore only the column of
             // the machine whose queue just changed.
-            table.remove_row(row);
             let next_window = self.config.batch_window.min(ctx.batch().len());
-            while table.rows() < next_window {
-                let admitted = ctx.batch()[table.rows()];
-                table.push_row(&mut scorer, ctx.machines(), &admitted, &skip_below);
-            }
-            table.refresh_machine(
+            table.apply_assignment(
                 &mut scorer,
                 ctx.machines(),
                 &ctx.batch()[..next_window],
+                row,
                 machine.index(),
+                &skip_below,
             );
         }
         self.table = table;
@@ -774,7 +771,7 @@ mod tests {
 
     #[test]
     fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
-        crate::scorer::assert_restore_drops_abandoned_chains(
+        crate::scorer::test_support::assert_restore_drops_abandoned_chains(
             &mut Pam::new(PruningConfig::default()),
             |pam| pam.scorer.as_mut().expect("built at the first mapping event"),
         );

@@ -22,7 +22,9 @@
 //! Both modes run the same per-cell update on the same inputs and merge in
 //! machine-index order, so results are bit-identical between them.
 
-use super::{score_column_scatter, MachineCache, PairScore, ScorerShared, TABLE_SHARD_WIDTH};
+use super::kernel::{score_column_scatter, PairScore};
+use super::shared::{ScorerShared, TABLE_SHARD_WIDTH};
+use super::tail::MachineCache;
 use hcsim_model::{Task, Time};
 use hcsim_parallel::{resolve_threads, WorkerPool};
 use hcsim_sim::MachineState;

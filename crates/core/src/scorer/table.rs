@@ -1,0 +1,891 @@
+//! The (window task × machine) score table PAM and MOC reduce over — the
+//! per-event cache layer on top of the per-machine tails: bulk rebuild,
+//! cross-event revalidation ([`ScoreTable::ensure`]), and the within-event
+//! repair after an assignment ([`ScoreTable::apply_assignment`]).
+
+use super::cells::{WarmFilter, PARALLEL_MIN_MACHINES};
+use super::kernel::{score_column_scatter, PairScore};
+use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
+use super::tail::TailBound;
+use super::{debug_assert_machine_alignment, ProbScorer};
+use hcsim_model::{MachineId, Task, TaskTypeId, Time};
+use hcsim_sim::MachineState;
+
+/// Minimum number of changed machines before a [`ScoreTable::ensure`]
+/// that falls back to a rebuild lets it fan out. Most events repair the
+/// table incrementally, so these rebuilds are far apart and their rounds
+/// find the pool's workers parked: waking them costs 50–120 µs per
+/// round on a virtualised host, against roughly 2 µs of chain-plus-column
+/// work per changed machine (a 64-machine rebuild measured 120 µs on the
+/// calling thread and 250–310 µs through the two-round fan-out). Below
+/// this floor the rebuild runs on the calling thread at any thread count.
+const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
+
+/// Slop added to the robustness upper bound before comparing it against a
+/// skip threshold. The analytic bound `Σ p_u · cdf(δ−u) ≤ cdf(δ−u_min)`
+/// can be violated by float rounding only by ~`n·ulp` (≤ 1e-13 for any
+/// realistic tail) plus the tail's normalization epsilon (1e-9), so a
+/// 1e-8 margin makes the skip decision *provably* agree with the exact
+/// comparison.
+const BOUND_MARGIN: f64 = 1e-8;
+
+/// The (window task × machine) score matrix PAM and MOC reduce over,
+/// maintained *hierarchically* and *incrementally* — within a mapping
+/// event and, while the membership epoch holds, from one event to the
+/// next, whether or not the clock or the caller's thresholds moved.
+///
+/// Layout is machine-major (one contiguous column per machine), grouped
+/// into contiguous `TABLE_SHARD_WIDTH`-machine shards, which is what
+/// makes both the bound pass and the phase-2 reduction cheap at cluster
+/// scale:
+///
+/// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a tick
+///   that re-keyed most of the cluster — ensures every free machine's
+///   tail cache in a per-machine fan-out (a
+///   worker-pool round at cluster scale), then scores the surviving
+///   (row, shard) pairs in a second fan-out (columns are disjoint cells,
+///   merged in machine-index order);
+/// * between the two fan-outs, a **hierarchical bound pass** proves most
+///   window rows deferred without scoring them — and most shards of the
+///   remaining rows irrelevant without touching their machines. The
+///   robustness of (task, machine) is at most `CDF_E(δ − tail.min_time())`
+///   (every startable impulse has at least that much slack, and the tail
+///   carries at most unit mass); per shard, the *envelope* CDF (pointwise
+///   max over members, precomputed once) evaluated at the shard's
+///   earliest free start dominates every member's individual bound. A
+///   shard whose envelope bound stays below the caller's skip threshold
+///   is skipped whole; a row dead in *every* shard is deferred without
+///   scoring anything. Per-row bound work is O(shards), not O(machines).
+///   Under a cold-start model the bound is *warm-aware*: the table keeps,
+///   per (shard, type), whether some free member would place the type
+///   warm (a resident container or a queued same-type entry), and a lane
+///   with no such member is bounded by the cold envelope alone
+///   (`ScorerShared::shard_bound`) — on a serverless cluster nearly every
+///   lane, which is what keeps the bound pass from letting cold
+///   placements through on the strength of a warm cell nobody can use.
+///   `BOUND_MARGIN` absorbs float slop, so skip decisions *provably*
+///   agree with exact scoring: a skipped machine's exact robustness is
+///   strictly below the threshold, so its score could only ever lose the
+///   reduction to deferral anyway. (The shard test is conservative — an
+///   envelope can clear the threshold when no member does — so surviving
+///   shards are scored *exactly*; extra `Some` entries below the
+///   threshold never change a decision, because the reductions defer/cull
+///   on the exact value.)
+/// * each shard also caches its **per-row best candidate**
+///   (first-wins under the exact comparison), so
+///   [`ScoreTable::best_for_row`] reduces over O(shards) precomputed
+///   winners instead of scanning O(machines) columns. Shards are
+///   contiguous index ranges, so the grouped first-wins reduction picks
+///   exactly the machine a flat ascending scan would.
+/// * between assignments ([`ScoreTable::apply_assignment`]), only the
+///   *assigned* machine's column (and its shard's aggregates) change,
+///   plus one appended row when a new batch task slides into the
+///   window. Every other pair keeps its previously computed score —
+///   which is exactly the value a from-scratch rescore
+///   would produce, because pair scores are deterministic in
+///   (machine state, task) alone. Within one event machines only fill up
+///   and bounds only tighten — with one exception under a cold-start
+///   model: an assignment makes the assigned machine warm for the
+///   assigned *type* (the queued-entry rule), which can switch that
+///   type's lanes in that machine's shard from the cold envelope to the
+///   looser warm one. The column refresh that closes an assignment
+///   rechecks exactly those lanes; every other skipped (row, shard)
+///   pair stays skipped for the rest of the event.
+/// * across events, [`ScoreTable::ensure`] revalidates the table against
+///   `(membership epoch, machine versions, head windows, window)`
+///   instead of rebuilding: only machines whose version moved
+///   (completions, assignments, pruner drops) or whose conditioned head
+///   the clock re-keyed are rescored, rows whose bounds those machines
+///   *loosened* — or whose skip threshold the caller lowered — are
+///   resurrected shard-by-shard, and the window diff is applied as
+///   removals + appended rows. Every surviving entry is
+///   byte-identical to what a fresh rebuild would compute, so an event
+///   costs O(changed), not O(machines).
+///
+/// The sequential heuristics used to rescore the full window × machines
+/// product on every loop iteration; under oversubscription — where the
+/// batch is dominated by tasks that will be deferred again — the table
+/// turns that into a cheap per-shard bound sweep plus O(live) exact
+/// work, without changing a single mapping decision.
+#[derive(Debug, Default)]
+pub struct ScoreTable {
+    /// One column per machine; `cols[m][i]` scores window task `i` on
+    /// machine `m` (`None`: no free slot, or (row, shard) skipped by the
+    /// bound pass).
+    cols: Vec<Vec<Option<PairScore>>>,
+    /// Row-aligned: false when the bound pass proved the row deferred.
+    scored: Vec<bool>,
+    /// Row-aligned: which shards the row survived the bound pass in
+    /// (inner length = shards). Entries only flip dead → live, and only
+    /// in [`ScoreTable::ensure`] when a changed machine loosened a bound
+    /// or the caller lowered the row's threshold.
+    shard_live: Vec<Vec<bool>>,
+    /// Row-aligned: the caller's skip threshold the row's dead lanes were
+    /// last proven under. [`ScoreTable::ensure`] rechecks every dead lane
+    /// of a row whose threshold has since dropped.
+    row_thresholds: Vec<f64>,
+    /// Recycled `shard_live` lanes (keeps row churn allocation-free).
+    spare_lanes: Vec<Vec<bool>>,
+    /// Per shard, per row: the shard's best candidate under the exact
+    /// first-wins comparison (`None`: no scored member).
+    shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
+    /// Scratch: `(row, task)` pairs live in one shard — filled once per
+    /// shard by [`ScoreTable::collect_live_rows`], read by every column
+    /// rescore in that shard.
+    live: Vec<(usize, Task)>,
+    /// Scratch: per-shard `(row, task)` lists for the rebuild fan-out.
+    live_by_shard: Vec<Vec<(usize, Task)>>,
+    /// Bound scalars and head window per free machine (`None`: no free
+    /// slot), as of the machine's last column (re)score.
+    tail_bounds: Vec<Option<TailBound>>,
+    /// Per shard: min over members of `tail_bounds[..].earliest` (`None`:
+    /// no free member).
+    shard_earliest: Vec<Option<Time>>,
+    /// Per (shard, type), `shard * task_types + type`: some free member
+    /// would place the type warm. Maintained alongside `shard_earliest`
+    /// under a cold-start model; empty in the classic one.
+    shard_warm: Vec<bool>,
+    /// Scratch: the types an assignment just made one shard warm-capable
+    /// for (`refresh_machine`).
+    newly_warm: Vec<bool>,
+    /// Exact (row, machine) scores computed so far (diagnostics/tests).
+    pairs_scored: u64,
+    /// Reuse signature: membership epoch of the last rebuild, machine
+    /// versions and window tasks as last scored. The event time is *not*
+    /// part of it — see [`ScoreTable::ensure`].
+    epoch: Option<u64>,
+    versions: Vec<u64>,
+    row_tasks: Vec<Task>,
+    /// Set by [`ScoreTable::invalidate`]: the next ensure rebuilds.
+    stale: bool,
+    /// Ensure scratch: indices/mask of changed machines, dirty shards,
+    /// and resurrected `(row, shard)` pairs.
+    changed: Vec<usize>,
+    changed_mask: Vec<bool>,
+    dirty_shards: Vec<bool>,
+    newly_live: Vec<(usize, usize)>,
+}
+
+/// The exact phase-1 comparison: higher robustness, tie → lower expected
+/// completion. Strictly-better, so first-wins scans keep the lowest
+/// index among equals — the sequential heuristics' order.
+#[inline]
+pub(super) fn better_pair(score: &PairScore, best: &PairScore) -> bool {
+    score.robustness > best.robustness
+        || (score.robustness == best.robustness
+            && score.expected_completion < best.expected_completion)
+}
+
+/// First-wins best over shard `s`'s scored entries for `row`.
+fn shard_best_entry(
+    cols: &[Vec<Option<PairScore>>],
+    s: usize,
+    row: usize,
+) -> Option<(usize, PairScore)> {
+    let mut best: Option<(usize, PairScore)> = None;
+    for m in shard_range(s, cols.len()) {
+        let Some(score) = cols[m][row] else { continue };
+        if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
+            best = Some((m, score));
+        }
+    }
+    best
+}
+
+/// [`shard_best_entry`] restricted to machines that currently have a free
+/// slot — the fallback when a cached shard best went stale-full.
+fn shard_best_live(
+    cols: &[Vec<Option<PairScore>>],
+    s: usize,
+    row: usize,
+    machines: &[MachineState],
+) -> Option<(usize, PairScore)> {
+    let mut best: Option<(usize, PairScore)> = None;
+    for m in shard_range(s, cols.len()) {
+        if !machines[m].has_free_slot() {
+            continue;
+        }
+        let Some(score) = cols[m][row] else { continue };
+        if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
+            best = Some((m, score));
+        }
+    }
+    best
+}
+
+impl ScoreTable {
+    /// An empty table; [`ScoreTable::rebuild`] sizes it.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of window tasks currently tracked.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.scored.len()
+    }
+
+    /// Exact (row, machine) pair scores the table has computed so far —
+    /// the work the bound pass did *not* avoid. Test support, not part of
+    /// the supported API.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pairs_scored(&self) -> u64 {
+        self.pairs_scored
+    }
+
+    /// Recomputes the whole table for `tasks` (the batch window) against
+    /// every machine, fanning the per-machine work out at the scorer's
+    /// configured width ([`ProbScorer::set_parallelism`]). `skip_below`
+    /// gives, per task type, the robustness threshold under which the
+    /// caller's reduction would defer/cull the task anyway — (row, shard)
+    /// pairs whose envelope bound proves that are left unscored. Machines
+    /// without a free slot get an all-`None` column. Bit-identical at any
+    /// thread count.
+    pub fn rebuild(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        self.rebuild_changed(scorer, machines, tasks, skip_below, usize::MAX);
+    }
+
+    /// [`ScoreTable::rebuild`] knowing that only `changed` machines moved
+    /// since the table last scored them: too few of them
+    /// (`REBUILD_FANOUT_MIN_CHANGED`) keep the rebuild on the calling
+    /// thread.
+    fn rebuild_changed(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+        changed: usize,
+    ) {
+        debug_assert_machine_alignment(machines);
+        self.cols.resize_with(machines.len(), Vec::new);
+        let free = machines.iter().filter(|m| m.has_free_slot()).count();
+        let parallel = free >= PARALLEL_MIN_MACHINES && changed >= REBUILD_FANOUT_MIN_CHANGED;
+
+        self.warm_and_collect_bounds(scorer, machines, parallel);
+        self.bound_pass(&scorer.shared, tasks, skip_below);
+        // Fan-out 2: exact scores for the surviving (row, shard) pairs,
+        // one column per machine.
+        scorer.cells.fill_columns(
+            &scorer.shared,
+            machines,
+            &self.live_by_shard,
+            tasks.len(),
+            &mut self.cols,
+            parallel,
+        );
+        self.reduce_shard_bests(tasks.len());
+        self.record_signature(scorer, machines, tasks);
+    }
+
+    /// Rebuild fan-out 1: brings every free machine's availability chain
+    /// up to date (the convolution-heavy part), then gathers the bound
+    /// scalars and folds them into the per-shard aggregates.
+    fn warm_and_collect_bounds(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        parallel: bool,
+    ) {
+        let shards = scorer.shared.shards;
+        scorer.cells.warm(
+            &scorer.shared,
+            scorer.now,
+            machines,
+            WarmFilter::FreeSlot,
+            false,
+            parallel,
+        );
+        scorer.collect_tail_bounds(machines, &mut self.tail_bounds);
+        self.shard_earliest.clear();
+        self.shard_earliest.resize(shards, None);
+        self.shard_warm.clear();
+        self.shard_warm.resize(scorer.shared.warm_flags(), false);
+        for s in 0..shards {
+            self.recompute_shard_aggregates(&scorer.shared, machines, s);
+        }
+    }
+
+    /// The rebuild's hierarchical bound pass: per row, one envelope probe
+    /// per shard; only surviving (row, shard) pairs — gathered per shard
+    /// into `live_by_shard` — reach the scoring fan-out.
+    fn bound_pass(
+        &mut self,
+        shared: &ScorerShared,
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        let shards = shared.shards;
+        self.scored.clear();
+        self.row_thresholds.clear();
+        self.spare_lanes.append(&mut self.shard_live);
+        self.live_by_shard.resize_with(shards, Vec::new);
+        for lane in &mut self.live_by_shard {
+            lane.clear();
+        }
+        for (row, task) in tasks.iter().enumerate() {
+            let threshold = skip_below(task.type_id);
+            let mut lanes = self.spare_lanes.pop().unwrap_or_default();
+            lanes.clear();
+            lanes.resize(shards, false);
+            let mut any = false;
+            for (s, lane) in lanes.iter_mut().enumerate() {
+                if self.lane_clears(shared, task, s, threshold) {
+                    *lane = true;
+                    any = true;
+                    self.live_by_shard[s].push((row, *task));
+                }
+            }
+            self.scored.push(any);
+            self.row_thresholds.push(threshold);
+            self.shard_live.push(lanes);
+        }
+        self.pairs_scored += (0..shards)
+            .map(|s| {
+                let members = shard_range(s, self.tail_bounds.len());
+                let free = self.tail_bounds[members].iter().flatten();
+                (free.count() * self.live_by_shard[s].len()) as u64
+            })
+            .sum::<u64>();
+    }
+
+    /// The rebuild's per-shard phase-1 reduction: caches each shard's best
+    /// candidate per live row, so `best_for_row` touches O(shards)
+    /// entries.
+    fn reduce_shard_bests(&mut self, rows: usize) {
+        self.shard_best.resize_with(self.live_by_shard.len(), Vec::new);
+        for (s, bests) in self.shard_best.iter_mut().enumerate() {
+            bests.clear();
+            bests.resize(rows, None);
+            for &(row, _) in &self.live_by_shard[s] {
+                bests[row] = shard_best_entry(&self.cols, s, row);
+            }
+        }
+    }
+
+    /// Records the reuse signature of a finished rebuild.
+    fn record_signature(&mut self, scorer: &ProbScorer, machines: &[MachineState], tasks: &[Task]) {
+        self.versions.clear();
+        self.versions.extend(machines.iter().map(MachineState::version));
+        self.row_tasks.clear();
+        self.row_tasks.extend_from_slice(tasks);
+        self.epoch = scorer.membership_epoch;
+        self.stale = false;
+    }
+
+    /// Marks the table unusable for reuse: the next
+    /// [`ScoreTable::ensure`] rebuilds from scratch. For callers whose
+    /// machines stop being the ones the table scored — a mapper restored
+    /// onto another timeline, where versions are re-issued. Threshold
+    /// drift needs no invalidation; `ensure` follows it row by row.
+    pub fn invalidate(&mut self) {
+        self.stale = true;
+    }
+
+    /// Revalidates the table for a new mapping event — at the same
+    /// instant or a later one — instead of rebuilding. A column is a pure
+    /// function of the machine's tail, its warm/cold CDF selection and its
+    /// announced departure; none of them reads the clock, and every one
+    /// of them bumps [`MachineState::version`] when it changes, except
+    /// the tail's conditioned head, whose validity the table records per
+    /// machine as a window of event times. So while the membership epoch
+    /// holds, the *changed* machines are exactly those whose version
+    /// moved (completions, assignments, pruner drops, warm-set and
+    /// announcement changes) plus the free machines whose recorded head
+    /// window no longer contains `now` (an executing task crossed a PET
+    /// impulse; an idle machine's `delta(now)` moved). Only they are
+    /// rescored, rows whose bounds they loosened are resurrected, and the
+    /// window diff is applied as removals plus appended rows.
+    ///
+    /// `skip_below` may differ from the previous event's (adaptive trims,
+    /// sufferage relief): each row remembers the threshold its skipped
+    /// shards were proven under, and a row whose threshold dropped has
+    /// all of them rechecked. A raised threshold needs nothing — what is
+    /// scored stays scored.
+    ///
+    /// Falls back to a rebuild — returning `false` — when the table was
+    /// invalidated or is of another epoch, and when incremental repair
+    /// would not pay: the changed set is at least half the free machines
+    /// (an idle-heavy cluster re-keys wholesale every tick). Such a
+    /// rebuild mostly hits warm chains, and fans out only from
+    /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the
+    /// incremental path runs on the calling thread whatever the thread
+    /// count — a pool round costs more than the few columns it would
+    /// share out. Returns `true` when the table was reused incrementally.
+    ///
+    /// Every entry after `ensure` that a fresh rebuild would also score
+    /// is byte-identical to the rebuilt value; entries `ensure` keeps
+    /// that a rebuild would have bound-skipped are exact scores strictly
+    /// below the caller's threshold, which the reductions defer/cull
+    /// identically. Decisions are therefore unchanged — only the work is.
+    pub fn ensure(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) -> bool {
+        let (changed, reusable) = self.find_changed(scorer, machines);
+        if !reusable {
+            self.rebuild_changed(scorer, machines, tasks, skip_below, changed);
+            return false;
+        }
+        debug_assert_machine_alignment(machines);
+        self.refresh_changed_bounds(scorer, machines);
+        self.resurrect_lanes(&scorer.shared, skip_below);
+        self.score_resurrected_lanes(scorer, machines);
+        self.rescore_dirty_shards(scorer, machines);
+        self.reconcile_window(scorer, machines, tasks, skip_below);
+        true
+    }
+
+    /// Ensure phase 1a: finds the changed machines (no scorer work yet) —
+    /// whenever the table has columns of this cluster to diff against,
+    /// reusable or not: a rebuild sizes its fan-out by the same count.
+    /// Returns that count (`usize::MAX` with nothing to diff against) and
+    /// whether the table can be repaired incrementally.
+    fn find_changed(&mut self, scorer: &ProbScorer, machines: &[MachineState]) -> (usize, bool) {
+        let shards = scorer.shared.shards;
+        let now = scorer.now;
+        let mut changed = usize::MAX;
+        let mut reusable = false;
+        if !self.stale
+            && self.versions.len() == machines.len()
+            && self.shard_earliest.len() == shards
+            && self.shard_warm.len() == scorer.shared.warm_flags()
+        {
+            self.changed.clear();
+            let mut free = 0;
+            for (m, machine) in machines.iter().enumerate() {
+                let free_slot = machine.has_free_slot();
+                free += usize::from(free_slot);
+                let head_holds = self.tail_bounds[m].is_some_and(|b| b.head_window.contains(now));
+                if self.versions[m] != machine.version() || (free_slot && !head_holds) {
+                    self.changed.push(m);
+                }
+            }
+            changed = self.changed.len();
+            reusable = self.epoch == scorer.membership_epoch && changed * 2 < free.max(1);
+        }
+        (changed, reusable)
+    }
+
+    /// Ensure phase 1b: refreshes the changed machines' bound scalars (and
+    /// their shards' earliest starts), marking them in `changed_mask` and
+    /// their shards in `dirty_shards`.
+    fn refresh_changed_bounds(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
+        let shards = scorer.shared.shards;
+        self.changed_mask.clear();
+        self.changed_mask.resize(machines.len(), false);
+        self.dirty_shards.clear();
+        self.dirty_shards.resize(shards, false);
+        for i in 0..self.changed.len() {
+            let m = self.changed[i];
+            self.refresh_bound(scorer, machines, m);
+            self.changed_mask[m] = true;
+            self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
+        }
+        for s in 0..shards {
+            if self.dirty_shards[s] {
+                self.recompute_shard_aggregates(&scorer.shared, machines, s);
+            }
+        }
+    }
+
+    /// Ensure phase 2: resurrection. A dead (row, shard) lane can have
+    /// come alive two ways: a changed machine loosened its shard's bound
+    /// (a completion or drop shortens a queue; a container or queued entry
+    /// makes the shard warm-capable for the row's type), or the caller
+    /// lowered the row's threshold (adaptive trims, sufferage relief).
+    /// Rechecking the dirty shards of every row, and every shard of a row
+    /// whose threshold dropped, restores exactly the liveness a fresh
+    /// bound pass would compute (other lanes kept both their bound and
+    /// their threshold; live lanes stay live, which at worst over-scores —
+    /// see [`ScoreTable::ensure`]). The revived lanes land in `newly_live`.
+    fn resurrect_lanes(&mut self, shared: &ScorerShared, skip_below: &dyn Fn(TaskTypeId) -> f64) {
+        let shards = shared.shards;
+        self.newly_live.clear();
+        for row in 0..self.scored.len() {
+            let task = self.row_tasks[row];
+            let threshold = skip_below(task.type_id);
+            let lowered = threshold < self.row_thresholds[row];
+            self.row_thresholds[row] = threshold;
+            for s in 0..shards {
+                if !(lowered || self.dirty_shards[s]) || self.shard_live[row][s] {
+                    continue;
+                }
+                if self.lane_clears(shared, &task, s, threshold) {
+                    self.shard_live[row][s] = true;
+                    self.scored[row] = true;
+                    self.newly_live.push((row, s));
+                }
+            }
+        }
+    }
+
+    /// Ensure phase 3: scores the resurrected (row, shard) pairs on the
+    /// shard's unchanged free machines. A shard no machine changed in is
+    /// not revisited by phase 4, so its best cache is settled here.
+    fn score_resurrected_lanes(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
+        let changed_mask = std::mem::take(&mut self.changed_mask);
+        for i in 0..self.newly_live.len() {
+            let (row, s) = self.newly_live[i];
+            self.score_lane(scorer, machines, row, s, |m| changed_mask[m]);
+            if !self.dirty_shards[s] {
+                self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+            }
+        }
+        self.changed_mask = changed_mask;
+    }
+
+    /// Ensure phase 4: per dirty shard, rescores its changed members'
+    /// columns (rows live in the shard — including the just-resurrected
+    /// ones) from one live-row list, then refreshes its best cache once,
+    /// however many members changed.
+    fn rescore_dirty_shards(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
+        for s in 0..scorer.shared.shards {
+            if !self.dirty_shards[s] {
+                continue;
+            }
+            self.collect_live_rows(s);
+            for m in shard_range(s, machines.len()) {
+                if self.changed_mask[m] {
+                    self.rescore_column(scorer, machines, m);
+                }
+            }
+            self.refresh_shard_best(s);
+        }
+    }
+
+    /// Ensure phase 5: reconciles the window. The new window is the old
+    /// one minus departed tasks (assigned last event, expired this tick)
+    /// plus a slid-in suffix; a two-pointer walk applies exactly that as
+    /// removals and pushes. Any weirder diff degenerates to remove-all +
+    /// push-all — slower, still exact.
+    fn reconcile_window(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        let mut row = 0;
+        for task in tasks {
+            while row < self.rows() && self.row_tasks[row].id != task.id {
+                self.remove_row(row);
+            }
+            if row < self.rows() {
+                row += 1;
+            } else {
+                self.push_row(scorer, machines, task, skip_below);
+                row += 1;
+            }
+        }
+        while self.rows() > tasks.len() {
+            let last = tasks.len();
+            self.remove_row(last);
+        }
+    }
+
+    /// Recomputes shard `s`'s bound inputs over its free members (those
+    /// with a recorded tail bound): the earliest start and, under a
+    /// cold-start model, which types some member would place warm.
+    fn recompute_shard_aggregates(
+        &mut self,
+        shared: &ScorerShared,
+        machines: &[MachineState],
+        s: usize,
+    ) {
+        let members = shard_range(s, self.tail_bounds.len());
+        self.shard_earliest[s] =
+            self.tail_bounds[members.clone()].iter().flatten().map(|b| b.earliest).min();
+        if shared.cold_shard_cdfs.is_none() {
+            return;
+        }
+        let flags = &mut self.shard_warm[s * shared.task_types..(s + 1) * shared.task_types];
+        flags.fill(false);
+        for m in members {
+            if self.tail_bounds[m].is_some() {
+                for tt in crate::chain::warm_append_types(&machines[m]) {
+                    flags[tt.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// Whether the (row of `task`, shard `s`) lane survives the bound
+    /// pass under `threshold`: the shard has a free member and its bound
+    /// does not prove the task's robustness there below the threshold.
+    fn lane_clears(&self, shared: &ScorerShared, task: &Task, s: usize, threshold: f64) -> bool {
+        self.shard_earliest[s].is_some_and(|earliest| {
+            let bound =
+                shared.shard_bound(task.type_id, s, earliest, task.deadline, &self.shard_warm);
+            bound + BOUND_MARGIN >= threshold
+        })
+    }
+
+    /// Scores a resurrected (row, shard) lane on the shard's free
+    /// machines, except those `rescored` names — their whole columns are
+    /// about to be rescored by the caller.
+    fn score_lane(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        row: usize,
+        s: usize,
+        rescored: impl Fn(usize) -> bool,
+    ) {
+        let task = self.row_tasks[row];
+        for m in shard_range(s, machines.len()) {
+            if rescored(m) || !machines[m].has_free_slot() {
+                continue;
+            }
+            self.cols[m][row] = Some(scorer.score(&machines[m], &task));
+            self.pairs_scored += 1;
+        }
+    }
+
+    /// Fills `self.live` with the `(row, task)` pairs live in shard `s`.
+    fn collect_live_rows(&mut self, s: usize) {
+        self.live.clear();
+        for (row, task) in self.row_tasks.iter().enumerate() {
+            if self.shard_live[row][s] {
+                self.live.push((row, *task));
+            }
+        }
+    }
+
+    /// Records machine `m`'s version and (ensured) tail bound — the part
+    /// of the reuse signature a column rescore goes with.
+    fn refresh_bound(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
+        let machine = &machines[m];
+        self.versions[m] = machine.version();
+        self.tail_bounds[m] = machine.has_free_slot().then(|| scorer.ensure_tail_bound(machine));
+    }
+
+    /// Rescores machine `m`'s column for the rows live in its shard —
+    /// `self.live`, which the caller filled via
+    /// [`ScoreTable::collect_live_rows`] — or clears it when the machine
+    /// has no free slot. Bound scalars and shard aggregates are the
+    /// caller's responsibility.
+    fn rescore_column(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
+        let machine = &machines[m];
+        let col = &mut self.cols[m];
+        col.clear();
+        col.resize(self.scored.len(), None);
+        if !machine.has_free_slot() {
+            return;
+        }
+        let live = &self.live;
+        self.pairs_scored += live.len() as u64;
+        let ProbScorer { shared, now, cells, .. } = scorer;
+        cells.with(m, |cell| {
+            cell.ensure(shared, *now, machine, false);
+            score_column_scatter(cell.cache.tail(), shared, machine, live, col);
+        });
+    }
+
+    /// Repairs the table after the caller committed window row `row` to
+    /// machine `m` (`machines` already shows the longer queue): drops the
+    /// assigned row, appends the batch tasks that slid into `window` — the
+    /// window as it stands *after* the assignment, i.e. the surviving rows
+    /// in order plus the slid-in suffix — and rescores `m`'s column. The
+    /// order is the contract: the appended rows are bound-checked against
+    /// shard flags that predate the assignment, and it is the closing
+    /// column refresh that rechecks the lanes the assignment may have
+    /// warmed, theirs included (see `push_row`).
+    pub fn apply_assignment(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        window: &[Task],
+        row: usize,
+        m: usize,
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        self.remove_row(row);
+        while self.rows() < window.len() {
+            self.push_row(scorer, machines, &window[self.rows()], skip_below);
+        }
+        self.refresh_machine(scorer, machines, window, m);
+    }
+
+    /// Drops window row `row` (its task was assigned or left the batch).
+    fn remove_row(&mut self, row: usize) {
+        debug_assert_eq!(self.row_tasks.len(), self.scored.len(), "row_tasks drifted from rows");
+        for col in &mut self.cols {
+            col.remove(row);
+        }
+        self.scored.remove(row);
+        self.row_thresholds.remove(row);
+        let lanes = self.shard_live.remove(row);
+        self.spare_lanes.push(lanes);
+        for bests in &mut self.shard_best {
+            bests.remove(row);
+        }
+        self.row_tasks.remove(row);
+    }
+
+    /// Appends a row for `task` (a batch task that slid into the window):
+    /// shard-bound-checked against the cached earliest starts, then
+    /// scored on the free machines of its surviving shards.
+    ///
+    /// The cached shard aggregates can be stale only for a machine
+    /// assigned to since its last refresh. Its queue *grew*, so the stale
+    /// earliest start is only ever looser than the live one. The stale
+    /// warm-capable flags are the one thing that can err the other way —
+    /// the assignment may just have made the shard warm-capable for the
+    /// assigned type — and the `refresh_machine` with which
+    /// [`ScoreTable::apply_assignment`] closes every assignment rechecks
+    /// exactly those lanes, this row's included (the other caller,
+    /// [`ScoreTable::ensure`], pushes only after refreshing every changed
+    /// shard). With that, liveness is a superset of a fresh bound pass,
+    /// never a subset, and the extra entries are exact scores below the
+    /// threshold (deferred either way).
+    fn push_row(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        task: &Task,
+        skip_below: &dyn Fn(TaskTypeId) -> f64,
+    ) {
+        let shards = self.shard_earliest.len();
+        let threshold = skip_below(task.type_id);
+        let mut lanes = self.spare_lanes.pop().unwrap_or_default();
+        lanes.clear();
+        lanes.resize(shards, false);
+        let mut any = false;
+        for (s, lane) in lanes.iter_mut().enumerate() {
+            if self.lane_clears(&scorer.shared, task, s, threshold) {
+                *lane = true;
+                any = true;
+            }
+        }
+        let row = self.scored.len();
+        self.scored.push(any);
+        self.row_thresholds.push(threshold);
+        for (m, (machine, col)) in machines.iter().zip(&mut self.cols).enumerate() {
+            let value = (lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot())
+                .then(|| scorer.score(machine, task));
+            self.pairs_scored += u64::from(value.is_some());
+            col.push(value);
+        }
+        for (s, bests) in self.shard_best.iter_mut().enumerate() {
+            let entry = if lanes[s] { shard_best_entry(&self.cols, s, row) } else { None };
+            bests.push(entry);
+        }
+        self.shard_live.push(lanes);
+        self.row_tasks.push(*task);
+    }
+
+    /// Rescores machine `m`'s column against the current window `tasks`
+    /// (its queue changed) — a single-cell request to wherever the cell
+    /// lives, plus an update of the shard's aggregates. A machine that
+    /// filled up gets an all-`None` column; within one mapping event
+    /// machines never go full → free, so stale entries cannot resurface.
+    ///
+    /// A longer queue only tightens the shard's earliest start, so the
+    /// shard's skipped lanes stay skipped — except, under a cold-start
+    /// model, those of a type the assignment just made the shard
+    /// warm-capable for (its bound moves from the cold envelope to the
+    /// looser warm one). Those lanes are rechecked under the threshold
+    /// they were skipped at, and a lane that now clears it is scored on
+    /// the shard's other free members before `m`'s column and the
+    /// shard's best cache are rebuilt — what [`ScoreTable::ensure`] does
+    /// across events, for one shard.
+    fn refresh_machine(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+        tasks: &[Task],
+        m: usize,
+    ) {
+        debug_assert_eq!(tasks.len(), self.rows(), "window drifted from table");
+        debug_assert!(
+            tasks.iter().zip(&self.row_tasks).all(|(a, b)| a.id == b.id),
+            "window drifted from table rows"
+        );
+        let s = m / TABLE_SHARD_WIDTH;
+        self.refresh_bound(scorer, machines, m);
+        // No flags, no types to watch: the classic model skips all of this.
+        let types = if self.shard_warm.is_empty() { 0 } else { scorer.shared.task_types };
+        let flags = s * types..(s + 1) * types;
+        self.newly_warm.clear();
+        self.newly_warm.extend_from_slice(&self.shard_warm[flags.clone()]);
+        self.recompute_shard_aggregates(&scorer.shared, machines, s);
+        for (flag, &now) in self.newly_warm.iter_mut().zip(&self.shard_warm[flags]) {
+            *flag = now && !*flag;
+        }
+        if self.newly_warm.contains(&true) {
+            for row in 0..self.rows() {
+                let task = self.row_tasks[row];
+                if self.newly_warm[task.type_id.index()]
+                    && !self.shard_live[row][s]
+                    && self.lane_clears(&scorer.shared, &task, s, self.row_thresholds[row])
+                {
+                    self.shard_live[row][s] = true;
+                    self.scored[row] = true;
+                    self.score_lane(scorer, machines, row, s, |other| other == m);
+                }
+            }
+        }
+        // The bound refresh warmed the cell, so the rescore's chain probe
+        // is a cache hit.
+        self.collect_live_rows(s);
+        self.rescore_column(scorer, machines, m);
+        self.refresh_shard_best(s);
+    }
+
+    /// Recomputes shard `s`'s cached best candidate for every row live in
+    /// it (some member column changed).
+    fn refresh_shard_best(&mut self, s: usize) {
+        for row in 0..self.scored.len() {
+            if self.shard_live[row][s] {
+                self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+            }
+        }
+    }
+
+    /// The score of window task `row` on machine `m`, if it was scored.
+    #[must_use]
+    pub fn get(&self, row: usize, m: usize) -> Option<PairScore> {
+        self.cols[m][row]
+    }
+
+    /// Phase 1 for one window task: the machine offering the highest
+    /// robustness among machines with free slots (tie → lower expected
+    /// completion) — the same comparisons and effective scan order the
+    /// sequential heuristics used, reduced over the per-shard best
+    /// caches: shards are contiguous ascending index ranges, so the
+    /// grouped first-wins reduction returns exactly the flat scan's
+    /// winner. A cached best whose machine has since lost its free slot
+    /// falls back to rescanning that shard.
+    #[must_use]
+    pub fn best_for_row(
+        &self,
+        machines: &[MachineState],
+        row: usize,
+    ) -> Option<(MachineId, PairScore)> {
+        let mut best: Option<(usize, PairScore)> = None;
+        for (s, bests) in self.shard_best.iter().enumerate() {
+            let cand = match bests[row] {
+                None => None,
+                Some((m, score)) if machines[m].has_free_slot() => Some((m, score)),
+                Some(_) => shard_best_live(&self.cols, s, row, machines),
+            };
+            let Some((m, score)) = cand else { continue };
+            if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
+                best = Some((m, score));
+            }
+        }
+        best.map(|(m, score)| (MachineId::from(m), score))
+    }
+}

@@ -1,18 +1,18 @@
 //! `hcsim-exp bench` — the machine-readable performance trajectory.
 //!
-//! Runs the PMF-calculus and mapping-loop micro/macro benchmarks in-process
-//! and emits `BENCH_pmf.json` / `BENCH_mapping.json`, one result object per
-//! benched operation:
+//! Runs the PMF-calculus and mapping-loop *micro* benchmarks in-process —
+//! the operations the repo benchmark (`benchmark/`, `BENCHMARK.json`)
+//! cannot see from outside the mapper — and emits `BENCH_pmf.json` /
+//! `BENCH_mapping.json`, one result object per benched operation:
 //!
 //! ```json
 //! {"id": "tail_after_append/depth4", "ns_per_op": 1234.5,
 //!  "ns_min": 1100.0, "ns_max": 1500.0, "samples": 30}
 //! ```
 //!
-//! The result-object schema is shared with the vendored criterion stand-in
-//! (`HCSIM_BENCH_JSON=path cargo bench -p hcsim-bench` appends the same
-//! objects as JSON lines), so the criterion benches and this subcommand
-//! feed one downstream format.
+//! Whole-trial throughput (events/s, decision latency) is the repo
+//! benchmark's to measure, and the cluster threads sweeps are produced
+//! once, by `hcsim-exp scaling` ([`scaling_suite`]).
 //!
 //! `--against DIR` reads previously committed `BENCH_*.json` files and
 //! embeds their `ns_per_op` as `baseline_ns_per_op` (plus a
@@ -38,14 +38,11 @@
 //! uniformly faster or slower.
 
 use crate::runner::FigOptions;
-use hcsim_core::{AdaptiveConfig, HeuristicKind, ProbScorer, PruningConfig};
+use hcsim_core::{HeuristicKind, ProbScorer, PruningConfig};
 use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskTypeId};
 use hcsim_parallel::WorkerPool;
 use hcsim_pmf::{convolve, queue_step, DropPolicy, Pmf, Time};
-use hcsim_sim::{
-    run_simulation, run_simulation_with_churn, testkit, EventSource, SimConfig, SimSession,
-    TaskTraceSource,
-};
+use hcsim_sim::{run_simulation, run_simulation_with_churn, testkit, SimConfig};
 use hcsim_stats::{Gamma, Histogram, SeedSequence};
 use hcsim_workload::{
     cluster_churn, faas_system, specint_cluster, specint_system, ChurnConfig, FaasConfig,
@@ -58,25 +55,6 @@ use std::time::Instant;
 /// Factor by which an op must slow down versus its recorded baseline for
 /// `--check` to fail the run.
 pub const REGRESSION_FACTOR: f64 = 2.0;
-
-/// Ceiling on the closed-loop controller's whole-trial cost relative to
-/// static PAM, gated under `--check`. The comparison is *within one run*
-/// (`trial_200t_34k/PAM_adaptive_pinned` vs `trial_200t_34k/PAM` best
-/// samples), so machine speed cancels out and the bound can be far
-/// tighter than [`REGRESSION_FACTOR`]: the controller is a few dozen
-/// arithmetic ops per mapping event against a full PMF-convolution
-/// scoring pass.
-///
-/// The pinned row runs the controller with every clamp closed onto the
-/// static thresholds (`pinned_adaptive`), so both sides map the same
-/// tasks to the same machines and the difference is the controller's own
-/// work. The live row (`trial_200t_34k/PAM_adaptive`) cannot carry this
-/// bound: its relaxed thresholds fill queues deeper, and a deeper queue
-/// is more links to reconvolve each time the clock re-keys a head (1968
-/// chain extensions per trial against static PAM's 1553) — 6–10 % of a
-/// trial in mapping work the controller does not do. That row answers
-/// to the [`REGRESSION_FACTOR`] baseline gate.
-pub const ADAPTIVE_OVERHEAD_FACTOR: f64 = 1.05;
 
 /// One benched operation.
 #[derive(Debug, Clone)]
@@ -91,7 +69,7 @@ pub struct BenchResult {
     pub ns_max: f64,
     /// Number of timed samples.
     pub samples: usize,
-    /// Throughput in mapping events per second (trial benches only).
+    /// Throughput in mapping events per second (the `scaling` trials only).
     pub events_per_sec: Option<f64>,
     /// `ns_per_op` of the same id from `--against`, when present.
     pub baseline_ns_per_op: Option<f64>,
@@ -233,20 +211,6 @@ fn gamma_pmf(mean: f64, shape: f64, bins: usize, seed: u64) -> Pmf {
     Pmf::from_histogram(&Histogram::from_samples(&samples, bins))
 }
 
-/// The adaptive controller with its clamps closed onto `base`'s static
-/// thresholds: it windows outcomes, climbs, tracks pressure and answers
-/// every per-class threshold query as in production, but each answer is
-/// the static value — the mapper decides exactly as static PAM does.
-fn pinned_adaptive(base: &PruningConfig) -> AdaptiveConfig {
-    AdaptiveConfig {
-        drop_min: base.drop_threshold,
-        drop_max: base.drop_threshold,
-        defer_min: base.defer_threshold,
-        defer_max: base.defer_threshold,
-        ..AdaptiveConfig::default()
-    }
-}
-
 fn bench_task(id: u32, type_id: u16, deadline: Time) -> Task {
     Task { id: TaskId(id), type_id: TaskTypeId(type_id), arrival: 0, deadline }
 }
@@ -330,8 +294,8 @@ pub fn pmf_suite(quick: bool) -> BenchSuite {
     BenchSuite { name: "pmf", results }
 }
 
-/// Mapping-loop benchmarks: incremental tail maintenance and whole-trial
-/// throughput.
+/// Mapping-loop micro-benchmarks: incremental tail maintenance, the Eq. 6
+/// moment pass, from-scratch queue analysis and one worker-pool round.
 #[must_use]
 pub fn mapping_suite(quick: bool) -> BenchSuite {
     let timer = Timer::new(quick);
@@ -395,157 +359,10 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
         ));
     }
 
-    // Whole-trial throughput per heuristic under heavy oversubscription.
-    // The task count is the SAME in quick and full mode — quick only trims
-    // sample counts — so trial ids always match the committed baselines
-    // and the CI gate covers the whole-trial path, not just the micro ops.
-    // PAM/MOC run with threads=4 (the acceptance configuration of the
-    // fan-out); on the paper's 8-machine system that is below the
-    // PARALLEL_MIN_MACHINES gate, so the fan-out stays sequential and the
-    // number remains comparable to the threads=1 baselines.
-    let seeds = SeedSequence::new(99);
-    let n_tasks = 200;
-    let gen = WorkloadGenerator::new(WorkloadConfig {
-        num_tasks: n_tasks,
-        oversubscription: 34_000.0,
-        ..Default::default()
-    });
-    let tasks = gen.generate(&spec, &mut seeds.stream(1));
-    let trial_timer = Timer { samples: if quick { 3 } else { 10 }, min_sample_ns: 0.0 };
-
-    // PAM static vs PAM with the closed-loop controller — live, and
-    // pinned to the static thresholds — sampled *interleaved* (static,
-    // adaptive, pinned, static, ...) so frequency scaling and background
-    // load on shared runners hit all configs equally — block-at-a-time
-    // sampling drifts several percent between blocks, which would swamp
-    // the in-run [`ADAPTIVE_OVERHEAD_FACTOR`] gate pairing the static and
-    // pinned rows (the controller must stay within 5% of static PAM's
-    // whole-trial cost). Each trial is ~10 ms, far past the
-    // batch-out-the-timer threshold, so single-iteration samples are
-    // sound.
-    {
-        let run_trial = |adaptive: Option<AdaptiveConfig>| -> u64 {
-            let mut mapper = HeuristicKind::Pam.build(PruningConfig {
-                threads: 4,
-                adaptive,
-                ..PruningConfig::default()
-            });
-            let mut rng = seeds.stream(2);
-            let report =
-                run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng);
-            std::hint::black_box(report.metrics.counted);
-            report.mapping_events
-        };
-        // Fixed sample count even in quick mode: the gate needs the best
-        // sample of each side to converge onto the clean (uninterrupted)
-        // run time, and min-of-3 on a shared runner is still several
-        // percent contaminated. 20 paired trials cost well under a
-        // second.
-        let paired_timer = Timer { samples: 20, min_sample_ns: 0.0 };
-        let configs = [
-            None,
-            Some(AdaptiveConfig::default()),
-            Some(pinned_adaptive(&PruningConfig::default())),
-        ];
-        // Warm-up pass for each config (page-in, allocator steady state).
-        let mut events = configs.map(run_trial);
-        let mut ns = [(); 3].map(|()| Vec::with_capacity(paired_timer.samples));
-        for _ in 0..paired_timer.samples {
-            for (i, config) in configs.into_iter().enumerate() {
-                let t = Instant::now();
-                events[i] = run_trial(config);
-                ns[i].push(t.elapsed().as_nanos() as f64);
-            }
-        }
-        assert_eq!(
-            events[0], events[2],
-            "the pinned controller must leave static PAM's mapping untouched"
-        );
-        let fold = |ns: &[f64]| {
-            let min = ns.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = ns.iter().copied().fold(0.0f64, f64::max);
-            (ns.iter().sum::<f64>() / ns.len() as f64, min, max)
-        };
-        for (suffix, ns, events) in [
-            ("", &ns[0], events[0]),
-            ("_adaptive", &ns[1], events[1]),
-            ("_adaptive_pinned", &ns[2], events[2]),
-        ] {
-            let mut r =
-                result(format!("trial_{n_tasks}t_34k/PAM{suffix}"), &paired_timer, fold(ns));
-            r.events_per_sec = Some(events as f64 / (r.ns_per_op / 1e9));
-            results.push(r);
-        }
-    }
-
-    for kind in [HeuristicKind::Moc, HeuristicKind::Mm] {
-        let mut events = 0u64;
-        let timing = trial_timer.run(|| {
-            let mut mapper = kind.build(PruningConfig { threads: 4, ..PruningConfig::default() });
-            let mut rng = seeds.stream(2);
-            let report =
-                run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng);
-            events = report.mapping_events;
-            std::hint::black_box(report.metrics.counted);
-        });
-        let mut r = result(format!("trial_{n_tasks}t_34k/{}", kind.name()), &trial_timer, timing);
-        r.events_per_sec = Some(events as f64 / (r.ns_per_op / 1e9));
-        results.push(r);
-    }
-
-    // Service-mode checkpointing: what a crash-safe deployment pays. The
-    // snapshot row serializes a mid-run engine (150 events into the
-    // trial_200t_34k scenario, PAM with warm pruner state); the restore
-    // row deserializes those bytes into a freshly built mapper and steps
-    // to the first post-restore decision — the recovery-critical path of
-    // the service driver.
-    {
-        let mut mapper =
-            HeuristicKind::Pam.build(PruningConfig { threads: 4, ..PruningConfig::default() });
-        let mut rng = seeds.stream(2);
-        let mut source = TaskTraceSource::new(&tasks);
-        let mut sources: Vec<&mut dyn EventSource> = vec![&mut source];
-        let mut session =
-            SimSession::new(&spec, SimConfig::untrimmed(), &mut sources, &mut mapper, &mut rng);
-        for _ in 0..150 {
-            if !session.step() {
-                break;
-            }
-        }
-        results.push(result(
-            "service_restore/snapshot",
-            &timer,
-            timer.run(|| {
-                std::hint::black_box(session.snapshot().len());
-            }),
-        ));
-        let bytes = session.snapshot();
-        drop(session);
-        results.push(result(
-            "service_restore/restore_first_decision",
-            &timer,
-            timer.run(|| {
-                let mut mapper = HeuristicKind::Pam
-                    .build(PruningConfig { threads: 4, ..PruningConfig::default() });
-                let mut rng = seeds.stream(4);
-                let mut s = SimSession::restore(
-                    &spec,
-                    SimConfig::untrimmed(),
-                    &bytes,
-                    &mut mapper,
-                    &mut rng,
-                )
-                .expect("bench snapshot restores");
-                s.step();
-                std::hint::black_box(s.now());
-            }),
-        ));
-    }
-
     // Fan-out dispatch overhead, isolated: a 64-cell trivial job through
     // one persistent-pool request/response round over 4 workers — the
     // fixed tax every pooled fan-out pays before any scoring work (the
-    // cluster_64m threads sweep below shows it end-to-end).
+    // `scaling` threads sweeps show it end-to-end).
     {
         let pool = WorkerPool::new(vec![0u64; 64], 4);
         results.push(result(
@@ -558,10 +375,6 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
         ));
     }
 
-    // Cluster-scale scenario: the full threads sweep, shared with the
-    // `scaling` subcommand.
-    cluster_sweep(quick, &mut results);
-
     BenchSuite { name: "mapping", results }
 }
 
@@ -573,11 +386,9 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
 /// sweep runs on the persistent worker pool (except `t1`, which stays on
 /// the calling thread), so the committed rows track pool-round dispatch.
 ///
-/// Feeds both [`mapping_suite`] (regression gate) and [`scaling_suite`]
-/// (the multi-core scaling table + CI gate). The task count is the SAME
-/// in quick and full mode (quick only trims sample counts), so the
-/// cluster ids stay comparable to the committed baselines and the CI gate
-/// keeps its full 2x strength on the cluster path.
+/// Feeds [`scaling_suite`] (the multi-core scaling table + CI gate). The
+/// task count is the SAME in quick and full mode (quick only trims sample
+/// counts), so the cluster ids stay comparable from run to run.
 fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     let seeds = SeedSequence::new(99);
     let cluster_spec = specint_cluster(64, 6, &mut seeds.stream(3));
@@ -956,7 +767,7 @@ pub fn render_json(suite: &BenchSuite, quick: bool) -> String {
 }
 
 /// Extracts `id → ns_per_op` pairs from a `BENCH_*.json` document (or from
-/// criterion's JSON-lines output — the per-result schema is identical).
+/// the same result objects written one per line).
 ///
 /// This is a deliberately minimal scanner for the repo's own format, not a
 /// general JSON parser: it pairs each `"id": "…"` with the `"ns_per_op":`
@@ -1044,35 +855,6 @@ pub fn attach_baseline(suite: &mut BenchSuite, dir: &Path) -> Option<Vec<String>
     Some(regressions)
 }
 
-/// Checks the in-run controller-vs-static pairing: the
-/// `trial_200t_34k/PAM_adaptive_pinned` best sample must stay within
-/// [`ADAPTIVE_OVERHEAD_FACTOR`] of `trial_200t_34k/PAM`'s. Returns the
-/// failure messages (empty when healthy); a suite missing either row —
-/// including the pmf suite — passes vacuously. Unlike the baseline gate
-/// this needs no committed JSON: both rows come from the same process on
-/// the same machine.
-#[must_use]
-pub fn adaptive_overhead_failures(suite: &BenchSuite) -> Vec<String> {
-    let find = |id: &str| suite.results.iter().find(|r| r.id == id);
-    let (Some(stat), Some(adap)) =
-        (find("trial_200t_34k/PAM"), find("trial_200t_34k/PAM_adaptive_pinned"))
-    else {
-        return Vec::new();
-    };
-    if adap.ns_min > stat.ns_min * ADAPTIVE_OVERHEAD_FACTOR {
-        vec![format!(
-            "{}: best sample {:.0} ns/op is {:.3}x static PAM's {:.0} ns/op \
-             (controller overhead bound is {ADAPTIVE_OVERHEAD_FACTOR}x)",
-            adap.id,
-            adap.ns_min,
-            adap.ns_min / stat.ns_min,
-            stat.ns_min
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
 /// Runs both suites, writes `BENCH_pmf.json` / `BENCH_mapping.json`, prints
 /// a summary, and returns `Err` with the regression list when `--check`
 /// failed.
@@ -1105,8 +887,7 @@ pub fn run_and_emit(opts: &BenchOptions) -> Result<(), Vec<String>> {
             let speed = r
                 .speedup_vs_baseline()
                 .map_or(String::new(), |s| format!("  ({s:.2}x vs baseline)"));
-            let eps = r.events_per_sec.map_or(String::new(), |e| format!("  [{e:.0} events/s]"));
-            eprintln!("  {:<32} {:>12.1} ns/op{eps}{speed}", r.id, r.ns_per_op);
+            eprintln!("  {:<32} {:>12.1} ns/op{speed}", r.id, r.ns_per_op);
         }
         let path = opts.out_dir.join(format!("BENCH_{}.json", suite.name));
         std::fs::write(&path, render_json(&suite, opts.quick))
@@ -1114,7 +895,6 @@ pub fn run_and_emit(opts: &BenchOptions) -> Result<(), Vec<String>> {
         eprintln!("  wrote {}", path.display());
         if opts.check {
             failures.extend(regressions);
-            failures.extend(adaptive_overhead_failures(&suite));
         }
     }
     if failures.is_empty() {
@@ -1160,42 +940,6 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert!((parsed["convolve/24x24"] - 1234.5).abs() < 1e-9);
         assert!((parsed["cdf_at/64"] - 55.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_overhead_gate_is_in_run_and_paired() {
-        let mk = |id: &str, min: f64| BenchResult {
-            id: id.into(),
-            ns_per_op: min * 1.2,
-            ns_min: min,
-            ns_max: min * 2.0,
-            samples: 3,
-            events_per_sec: None,
-            baseline_ns_per_op: None,
-        };
-        // Missing either row (e.g. the pmf suite): vacuous pass.
-        let pmf = BenchSuite { name: "pmf", results: vec![mk("convolve/24x24", 100.0)] };
-        assert!(adaptive_overhead_failures(&pmf).is_empty());
-        // Within the 1.05x bound: pass, even though the *mean* is noisier.
-        let ok = BenchSuite {
-            name: "mapping",
-            results: vec![
-                mk("trial_200t_34k/PAM", 1000.0),
-                mk("trial_200t_34k/PAM_adaptive_pinned", 1049.0),
-            ],
-        };
-        assert!(adaptive_overhead_failures(&ok).is_empty());
-        // Past the bound: one failure naming the ratio.
-        let slow = BenchSuite {
-            name: "mapping",
-            results: vec![
-                mk("trial_200t_34k/PAM", 1000.0),
-                mk("trial_200t_34k/PAM_adaptive_pinned", 1100.0),
-            ],
-        };
-        let failures = adaptive_overhead_failures(&slow);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("1.100x"), "{failures:?}");
     }
 
     #[test]

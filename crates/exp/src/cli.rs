@@ -8,8 +8,8 @@ use std::path::PathBuf;
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
-    /// Figure names to run, in order ("fig4" … "fig9", "levels", "ablate",
-    /// "bench").
+    /// Subcommands to run, in order: [`ALL_FIGURES`] and
+    /// [`EXTRA_FIGURES`] names, "ablate", "bench", "scaling".
     pub figures: Vec<String>,
     /// Trial/seed/thread options.
     pub opts: FigOptions,
@@ -27,6 +27,11 @@ pub struct Cli {
     pub gate: bool,
 }
 
+/// Subcommands that are neither a paper figure nor a supplementary
+/// sweep (`all` expands to [`ALL_FIGURES`] and is not stored). Private:
+/// only `parse_args` and the usage test read it.
+const OTHER_COMMANDS: [&str; 3] = ["ablate", "bench", "scaling"];
+
 /// CLI usage text.
 #[must_use]
 pub fn usage() -> &'static str {
@@ -41,18 +46,22 @@ figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           baseline, crash at a membership epoch -> restore -> resume
           (bit-identity check + recovery time), and 10x-overload
           admission shedding with full accounting;
+          'adaptive' sweeps three non-stationary traces under every static
+          threshold pair and under the closed-loop controller;
           'faas' runs the serverless scenario (arXiv:1905.04456): Zipf-
           popular bursty functions at >10x the 34k arrival intensity with
           container cold starts and keep-alive, PAM pruning vs the MM
           baseline with cold/warm accounting;
-          'ablate' runs the design-choice ablation suite (see DESIGN.md);
-          'bench' times the PMF calculus and the mapping loop (incl. the
-          cluster_64m, cluster_64m_churn, cluster_1024m, and
-          cluster_faas256 scenarios), writing BENCH_pmf.json /
-          BENCH_mapping.json;
-          'scaling' runs just the cluster threads sweeps (64m, churn,
-          1024m, faas256) and writes SCALING_cluster64.{json,md} (the
-          multi-core scaling table)
+          'ablate' runs the design-choice ablation suite, one table per
+          knob (see docs/ARCHITECTURE.md, Experiments);
+          'bench' times the micro operations the repo benchmark cannot see
+          from outside the mapper (PMF calculus, tail_after_append,
+          moments, queue_analysis, one worker-pool round), writing
+          BENCH_pmf.json / BENCH_mapping.json; events/s and decision
+          latency belong to the repo benchmark (benchmark/README.md);
+          'scaling' runs the cluster threads sweeps (64m, churn, 1024m,
+          faas256) and writes SCALING_cluster64.{json,md} (the multi-core
+          scaling table)
 
 options:
   --quick           5 trials x 300 tasks (smoke run; bench: fewer samples)
@@ -64,13 +73,13 @@ options:
                     available parallelism). The in-event per-machine
                     scoring fan-out has its own setting
                     (PruningConfig::threads, 0 = host parallelism) and
-                    is bit-identical at any value; `bench` pins it per
-                    scenario (threads sweep in cluster_64m) and ignores
-                    this flag
+                    is bit-identical at any value; `scaling` sweeps it
+                    per scenario, and both it and `bench` ignore this flag
   --csv             print CSV instead of Markdown
   --out DIR         write <fig>.md and <fig>.csv (bench: BENCH_*.json) into DIR
   --against DIR     bench: record DIR's BENCH_*.json numbers as the baseline
   --check           bench: exit nonzero if any op regresses >2x vs --against
+                    or has no row there
   --gate            scaling: exit nonzero unless PAM t=4 beats t=1 (use on
                     hosts with at least 4 cores; the CI scaling job does)
   -h, --help        this text"
@@ -133,10 +142,10 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
             }
             "all" => figures.extend(ALL_FIGURES.iter().map(|s| (*s).to_string())),
-            "ablate" => figures.push("ablate".to_string()),
-            "bench" => figures.push("bench".to_string()),
-            "scaling" => figures.push("scaling".to_string()),
-            name if ALL_FIGURES.contains(&name) || EXTRA_FIGURES.contains(&name) => {
+            name if ALL_FIGURES.contains(&name)
+                || EXTRA_FIGURES.contains(&name)
+                || OTHER_COMMANDS.contains(&name) =>
+            {
                 figures.push(name.to_string())
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -217,10 +226,35 @@ mod tests {
     #[test]
     fn usage_mentions_every_command() {
         let u = usage();
-        for name in ALL_FIGURES {
-            assert!(u.contains(name) || u.contains("fig4..fig9"), "{name} undocumented");
+        // Every subcommand `parse_args` accepts is described by name …
+        let commands =
+            ALL_FIGURES.iter().chain(&EXTRA_FIGURES).chain(&OTHER_COMMANDS).chain(&["all"]);
+        for &name in commands {
+            assert!(parse(&[name]).is_ok(), "{name} is not a subcommand");
+            let described = u.contains(&format!("'{name}'"))
+                || (ALL_FIGURES.contains(&name) && u.contains("fig4..fig9 reproduce"));
+            assert!(described, "{name} undocumented");
         }
-        assert!(u.contains("levels"));
-        assert!(u.contains("ablate"));
+        // … and so is every flag, on its own line of the options block.
+        let flags = [
+            ("--quick", None),
+            ("--full", None),
+            ("--csv", None),
+            ("--check", None),
+            ("--gate", None),
+            ("--against", Some("dir")),
+            ("--trials", Some("3")),
+            ("--tasks", Some("3")),
+            ("--seed", Some("3")),
+            ("--threads", Some("3")),
+            ("--out", Some("dir")),
+        ];
+        for (flag, value) in flags {
+            let args: Vec<&str> = ["fig7", flag].into_iter().chain(value).collect();
+            assert!(parse(&args).is_ok(), "{flag} is not a flag");
+            assert!(u.contains(&format!("\n  {flag} ")), "{flag} undocumented");
+        }
+        assert!(u.contains("\n  -h, --help "));
+        assert_eq!(parse(&["-h"]).unwrap_err(), "");
     }
 }

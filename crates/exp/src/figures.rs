@@ -238,7 +238,7 @@ pub fn fig9(opts: &FigOptions) -> Table {
         vec!["oversubscription".into(), "PAMF (%)".into(), "MM (%)".into()],
     );
     table.note(format!(
-        "4 transcoding ops x 4 EC2 VM types (synthetic PET, see DESIGN.md), {} trials x {} tasks",
+        "4 transcoding ops x 4 EC2 VM types (synthetic PET, see docs/ARCHITECTURE.md, Workloads), {} trials x {} tasks",
         opts.trials, opts.num_tasks
     ));
     table.note("arrival variance 1.0x mean: §VI-B exempts the §VII-G workload from the 10% default (live streams are bursty)");

@@ -4,7 +4,8 @@
 //! benchmarks on eight physical machines. Those measurements are not
 //! published with the paper, so this module substitutes a fixed,
 //! deterministic 12×8 mean matrix with the same structural properties
-//! (documented in DESIGN.md):
+//! (see also `docs/ARCHITECTURE.md`, *Where each subsystem lives*,
+//! Workloads):
 //!
 //! * means lie in the paper's 50–200 ms range;
 //! * heterogeneity is *inconsistent*: the machine ordering differs across
