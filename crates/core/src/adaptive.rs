@@ -57,6 +57,7 @@
 //! [`Mapper::on_task_finished`]: hcsim_sim::Mapper::on_task_finished
 
 use hcsim_model::{TaskOutcome, TaskTypeId};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use serde::{Deserialize, Serialize};
 
 /// How far deferral moves per unit of *upward* dropping movement along
@@ -477,16 +478,16 @@ impl AdaptiveController {
     /// PAM snapshot blob.
     #[must_use]
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(128 + self.classes.len() * 24);
+        let mut w = ByteWriter::with_capacity(128 + self.classes.len() * 24);
         for p in 0..2 {
-            buf.extend_from_slice(&self.trims[p].to_bits().to_le_bytes());
-            buf.extend_from_slice(&self.dirs[p].to_bits().to_le_bytes());
-            buf.extend_from_slice(&self.steps[p].to_bits().to_le_bytes());
-            buf.extend_from_slice(&self.reversals[p].to_le_bytes());
-            buf.extend_from_slice(&self.last_rates[p].to_bits().to_le_bytes());
-            buf.extend_from_slice(&self.phase_windows[p].to_le_bytes());
+            w.f64(self.trims[p]);
+            w.f64(self.dirs[p]);
+            w.f64(self.steps[p]);
+            w.u64(self.reversals[p]);
+            w.f64(self.last_rates[p]);
+            w.u64(self.phase_windows[p]);
         }
-        buf.extend_from_slice(&self.adjustments.to_le_bytes());
+        w.u64(self.adjustments);
         for v in [
             self.window.on_time,
             self.window.late,
@@ -495,64 +496,60 @@ impl AdaptiveController {
             self.window.pruned,
             self.window.shed,
         ] {
-            buf.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        buf.extend_from_slice(&(self.classes.len() as u64).to_le_bytes());
+        w.usize(self.classes.len());
         for c in &self.classes {
-            buf.extend_from_slice(&c.failed.to_le_bytes());
-            buf.extend_from_slice(&c.seen.to_le_bytes());
-            buf.extend_from_slice(&c.relief.to_bits().to_le_bytes());
+            w.u64(c.failed);
+            w.u64(c.seen);
+            w.f64(c.relief);
         }
-        buf.push(u8::from(self.pressure));
-        buf.extend_from_slice(&self.slow_ratio.to_bits().to_le_bytes());
-        buf.push(u8::from(self.deep_calm));
-        buf
+        w.u8(u8::from(self.pressure));
+        w.f64(self.slow_ratio);
+        w.u8(u8::from(self.deep_calm));
+        w.into_bytes()
     }
 
     /// Restores state captured by [`AdaptiveController::state_bytes`].
+    /// Nothing is overwritten unless the whole buffer decodes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed buffer (the blob never leaves the snapshot
-    /// the engine already validated).
-    pub fn restore_state(&mut self, bytes: &[u8]) {
-        let mut pos = 0usize;
-        let u64_at = |p: &mut usize| {
-            let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().expect("8 bytes"));
-            *p += 8;
-            v
-        };
+    /// [`SnapshotError`] on a truncated, over-long or otherwise malformed
+    /// buffer.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let mut next = self.clone();
         for p in 0..2 {
-            self.trims[p] = f64::from_bits(u64_at(&mut pos));
-            self.dirs[p] = f64::from_bits(u64_at(&mut pos));
-            self.steps[p] = f64::from_bits(u64_at(&mut pos));
-            self.reversals[p] = u64_at(&mut pos);
-            self.last_rates[p] = f64::from_bits(u64_at(&mut pos));
-            self.phase_windows[p] = u64_at(&mut pos);
+            next.trims[p] = r.f64()?;
+            next.dirs[p] = r.f64()?;
+            next.steps[p] = r.f64()?;
+            next.reversals[p] = r.u64()?;
+            next.last_rates[p] = r.f64()?;
+            next.phase_windows[p] = r.u64()?;
         }
-        self.adjustments = u64_at(&mut pos);
-        self.window = WindowCounts {
-            on_time: u64_at(&mut pos),
-            late: u64_at(&mut pos),
-            expired_unstarted: u64_at(&mut pos),
-            expired_on_machine: u64_at(&mut pos),
-            pruned: u64_at(&mut pos),
-            shed: u64_at(&mut pos),
+        next.adjustments = r.u64()?;
+        next.window = WindowCounts {
+            on_time: r.u64()?,
+            late: r.u64()?,
+            expired_unstarted: r.u64()?,
+            expired_on_machine: r.u64()?,
+            pruned: r.u64()?,
+            shed: r.u64()?,
         };
-        let n = usize::try_from(u64_at(&mut pos)).expect("class count");
-        self.classes = (0..n)
-            .map(|_| ClassState {
-                failed: u64_at(&mut pos),
-                seen: u64_at(&mut pos),
-                relief: f64::from_bits(u64_at(&mut pos)),
-            })
-            .collect();
-        self.pressure = bytes[pos] != 0;
-        pos += 1;
-        self.slow_ratio = f64::from_bits(u64_at(&mut pos));
-        self.deep_calm = bytes[pos] != 0;
-        pos += 1;
-        assert_eq!(pos, bytes.len(), "corrupt adaptive controller state: trailing bytes");
+        let n = r.seq_len(24)?;
+        next.classes.clear();
+        for _ in 0..n {
+            next.classes.push(ClassState { failed: r.u64()?, seen: r.u64()?, relief: r.f64()? });
+        }
+        next.pressure = r.bool()?;
+        next.slow_ratio = r.f64()?;
+        next.deep_calm = r.bool()?;
+        if !r.at_end() {
+            return Err(SnapshotError::Corrupt("trailing bytes after adaptive controller state"));
+        }
+        *self = next;
+        Ok(())
     }
 }
 
@@ -822,7 +819,7 @@ mod tests {
         // Mid-window on purpose: partial counters must survive too.
         let bytes = c.state_bytes();
         let mut restored = controller(8);
-        restored.restore_state(&bytes);
+        restored.restore_state(&bytes).unwrap();
         assert_eq!(c, restored);
         // And the trajectories stay identical afterwards.
         feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 10);

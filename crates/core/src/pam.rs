@@ -28,6 +28,7 @@ use crate::pruner::{OversubscriptionDetector, Pruner, PruningConfig};
 use crate::scorer::{PairScore, ProbScorer, ScoreTable};
 use hcsim_model::{MachineId, Task, TaskId, TaskOutcome, TaskTypeId};
 use hcsim_pmf::{queue_step, Pmf};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use hcsim_sim::{MapContext, Mapper, MapperInstrumentation};
 
 /// The pruning-aware mapper (PAM), optionally with PAMF fairness.
@@ -309,19 +310,19 @@ impl Mapper for Pam {
         // rebuilt cold — so they are deliberately not captured (only
         // `table_reuses` may then diverge after a restore, and it feeds no
         // report field).
-        let mut buf = Vec::with_capacity(96);
-        buf.extend_from_slice(&PAM_BLOB_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.detector.level().to_bits().to_le_bytes());
-        buf.push(u8::from(self.detector.dropping_engaged()));
+        let mut w = ByteWriter::with_capacity(96);
+        w.u32(PAM_BLOB_VERSION);
+        w.f64(self.detector.level());
+        w.u8(u8::from(self.detector.dropping_engaged()));
         match &self.sufferage {
             Some(s) => {
-                buf.push(1);
-                buf.extend_from_slice(&(s.values().len() as u64).to_le_bytes());
-                for v in s.values() {
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u8(1);
+                w.usize(s.values().len());
+                for &v in s.values() {
+                    w.f64(v);
                 }
             }
-            None => buf.push(0),
+            None => w.u8(0),
         }
         for counter in [
             self.instr.mapping_events,
@@ -331,79 +332,35 @@ impl Mapper for Pam {
             self.instr.preemptions,
             self.instr.table_reuses,
         ] {
-            buf.extend_from_slice(&counter.to_le_bytes());
+            w.u64(counter);
         }
         // v2 appendix: the deep-calm occupancy counter plus the adaptive
         // controller's dynamic state. v1 blobs simply end after the six
         // counters above, which `restore_state` still accepts.
-        buf.extend_from_slice(&self.instr.events_deep_calm.to_le_bytes());
+        w.u64(self.instr.events_deep_calm);
         match &self.adaptive {
             Some(a) => {
-                buf.push(1);
-                let state = a.state_bytes();
-                buf.extend_from_slice(&(state.len() as u64).to_le_bytes());
-                buf.extend_from_slice(&state);
+                w.u8(1);
+                w.bytes(&a.state_bytes());
             }
-            None => buf.push(0),
+            None => w.u8(0),
         }
-        buf
+        w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) {
-        // The blob is opaque to the engine, so unlike the engine snapshot
-        // this panics (rather than erroring) on a malformed buffer.
         if bytes.is_empty() {
             return; // fresh mapper: nothing to restore
         }
-        let mut r = BlobReader { buf: bytes, pos: 0 };
-        let version = u32::from_le_bytes(r.take(4).try_into().expect("4 bytes"));
-        assert!(
-            (1..=PAM_BLOB_VERSION).contains(&version),
-            "unsupported PAM state blob version {version}"
-        );
-        let level = f64::from_bits(r.u64());
-        let engaged = r.u8() != 0;
-        self.detector.restore(level, engaged);
-        self.sufferage = match r.u8() {
-            0 => None,
-            1 => {
-                let n = usize::try_from(r.u64()).expect("sufferage length");
-                let values = (0..n).map(|_| f64::from_bits(r.u64())).collect();
-                Some(SufferageTable::from_values(values, self.config.fairness_factor))
-            }
-            other => panic!("corrupt PAM state blob: sufferage flag {other}"),
-        };
-        self.instr.mapping_events = r.u64();
-        self.instr.events_dropping_engaged = r.u64();
-        self.instr.toggle_transitions = r.u64();
-        self.instr.pruner_drops = r.u64();
-        self.instr.preemptions = r.u64();
-        self.instr.table_reuses = r.u64();
-        // v1 blobs (from checkpoints taken before the adaptive controller
-        // existed) end here; the controller then starts fresh at the next
-        // mapping event, exactly as a pre-adaptation run would.
-        self.adaptive = None;
-        self.instr.events_deep_calm = 0;
-        if version >= 2 {
-            self.instr.events_deep_calm = r.u64();
-            match r.u8() {
-                0 => {}
-                1 => {
-                    let n = usize::try_from(r.u64()).expect("adaptive state length");
-                    let acfg = self.config.adaptive.unwrap_or_default();
-                    let mut controller = AdaptiveController::new(
-                        acfg,
-                        0, // class table is overwritten by the state below
-                        self.config.drop_threshold,
-                        self.config.defer_threshold,
-                    );
-                    controller.restore_state(r.take(n));
-                    self.adaptive = Some(controller);
-                }
-                other => panic!("corrupt PAM state blob: adaptive flag {other}"),
-            }
-        }
-        assert_eq!(r.pos, bytes.len(), "corrupt PAM state blob: trailing bytes");
+        // The trait returns `()`, so a malformed blob can only panic — with
+        // one message, after the whole blob decoded and before anything
+        // here changed.
+        let state =
+            self.decode_state(bytes).unwrap_or_else(|e| panic!("corrupt PAM state blob: {e}"));
+        self.detector.restore(state.level, state.engaged);
+        self.sufferage = state.sufferage;
+        self.instr = state.instr;
+        self.adaptive = state.adaptive;
         // The score table and the scorer's chains belong to the
         // pre-snapshot event stream: both are keyed on machine versions,
         // which the restored timeline may re-issue with other contents.
@@ -425,26 +382,65 @@ impl Mapper for Pam {
 /// controller then starts fresh).
 const PAM_BLOB_VERSION: u32 = 2;
 
-/// Minimal cursor for decoding the PAM state blob (panics on truncation —
-/// the blob never leaves the snapshot the engine already validated).
-struct BlobReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A decoded `snapshot_state` blob, held apart from the mapper until the
+/// whole blob proved well-formed.
+struct PamState {
+    level: f64,
+    engaged: bool,
+    sufferage: Option<SufferageTable>,
+    instr: MapperInstrumentation,
+    adaptive: Option<AdaptiveController>,
 }
 
-impl BlobReader<'_> {
-    fn take(&mut self, n: usize) -> &[u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
-    }
-
-    fn u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
+impl Pam {
+    fn decode_state(&self, bytes: &[u8]) -> Result<PamState, SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let version = r.u32()?;
+        if !(1..=PAM_BLOB_VERSION).contains(&version) {
+            return Err(SnapshotError::Corrupt("unsupported PAM blob version"));
+        }
+        let level = r.f64()?;
+        let engaged = r.bool()?;
+        let sufferage = if r.bool()? {
+            let n = r.seq_len(8)?;
+            let mut values = Vec::with_capacity(n);
+            for _ in 0..n {
+                values.push(r.f64()?);
+            }
+            Some(SufferageTable::from_values(values, self.config.fairness_factor))
+        } else {
+            None
+        };
+        let mut instr = MapperInstrumentation {
+            mapping_events: r.u64()?,
+            events_dropping_engaged: r.u64()?,
+            toggle_transitions: r.u64()?,
+            pruner_drops: r.u64()?,
+            preemptions: r.u64()?,
+            table_reuses: r.u64()?,
+            events_deep_calm: 0,
+        };
+        // v1 blobs (from checkpoints taken before the adaptive controller
+        // existed) end here; the controller then starts fresh at the next
+        // mapping event, exactly as a pre-adaptation run would.
+        let mut adaptive = None;
+        if version >= 2 {
+            instr.events_deep_calm = r.u64()?;
+            if r.bool()? {
+                let mut controller = AdaptiveController::new(
+                    self.config.adaptive.unwrap_or_default(),
+                    0, // class table is overwritten by the state below
+                    self.config.drop_threshold,
+                    self.config.defer_threshold,
+                );
+                controller.restore_state(r.bytes()?)?;
+                adaptive = Some(controller);
+            }
+        }
+        if !r.at_end() {
+            return Err(SnapshotError::Corrupt("trailing bytes after PAM state"));
+        }
+        Ok(PamState { level, engaged, sufferage, instr, adaptive })
     }
 }
 
@@ -903,6 +899,63 @@ mod tests {
         let mut fresh = Pam::new(cfg);
         fresh.restore_state(&blob);
         assert_eq!(fresh.adaptive(), Some(&controller));
+    }
+
+    #[test]
+    fn corrupt_blobs_fail_with_the_one_named_panic() {
+        // The trait gives `restore_state` no way to return an error, so
+        // what a malformed blob may do is pinned instead: one panic
+        // message, and a mapper left exactly as it was.
+        let seeds = SeedSequence::new(89);
+        let spec = specint_system(6, &mut seeds.stream(0));
+        let gen = WorkloadGenerator::new(WorkloadConfig {
+            num_tasks: 60,
+            oversubscription: 34_000.0,
+            ..Default::default()
+        });
+        let tasks = gen.generate(&spec, &mut seeds.stream(1));
+        let cfg = PruningConfig {
+            adaptive: Some(crate::AdaptiveConfig::default()),
+            ..PruningConfig::default()
+        };
+        let mut mapper = Pam::new(cfg);
+        let _ = run_simulation(
+            &spec,
+            SimConfig::untrimmed(),
+            &tasks,
+            &mut mapper,
+            &mut seeds.stream(2),
+        );
+        assert!(mapper.adaptive().is_some(), "the blob must carry a controller section");
+        let blob = mapper.snapshot_state();
+
+        let mut fresh = Pam::new(cfg);
+        let untouched = fresh.snapshot_state();
+        let mut assert_named_panic = |bytes: &[u8], what: &str| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fresh.restore_state(bytes);
+            }));
+            let payload = caught.expect_err(what);
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.starts_with("corrupt PAM state blob: "), "{what}: {message}");
+            assert_eq!(fresh.snapshot_state(), untouched, "{what}: a failed restore wrote state");
+        };
+
+        // Every strict prefix (the empty one means "fresh mapper").
+        for cut in 1..blob.len() {
+            assert_named_panic(&blob[..cut], &format!("prefix of {cut} bytes"));
+        }
+        // The controller's class count — 8 bytes ahead of its class rows
+        // and its 10 trailing bytes — claiming more rows than any buffer
+        // holds: rejected by the length check, not by an allocation.
+        let count_at = blob.len() - 10 - 24 * spec.num_task_types() - 8;
+        let mut absurd = blob.clone();
+        assert_eq!(absurd[count_at], spec.num_task_types() as u8, "offset names the class count");
+        absurd[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_named_panic(&absurd, "class count u64::MAX");
+
+        fresh.restore_state(&blob);
+        assert_eq!(fresh.snapshot_state(), blob, "the intact blob still restores");
     }
 
     #[test]

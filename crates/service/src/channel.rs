@@ -1,26 +1,25 @@
 //! A bounded multi-producer single-consumer channel bridging arrival
-//! feeders (any thread) to the async service driver.
+//! feeders (any thread) to the service driver's thread.
 //!
-//! The send side is synchronous — [`Sender::try_send`] reports a full
-//! queue instead of blocking, and [`Sender::send`] blocks with
-//! backpressure — because feeders are plain threads. The receive side is
-//! asynchronous — [`Receiver::recv`] is a future the driver awaits inside
-//! [`crate::exec::block_on`]. Nothing is ever dropped silently: a rejected
-//! send hands the value back to the caller, who decides (and accounts for)
-//! its fate.
+//! Both halves are plain blocking code over one mutex and two condition
+//! variables. On the send side [`Sender::try_send`] reports a full queue
+//! instead of blocking and [`Sender::send`] blocks with backpressure. On
+//! the receive side [`Receiver::recv`] blocks until a value or the close,
+//! and [`Receiver::recv_deadline`] additionally gives up at a wall-clock
+//! instant — exactly the two waits the driver needs ("the next arrival"
+//! and "the next arrival, or the next event's due time"). Nothing is ever
+//! dropped silently: a rejected send hands the value back to the caller,
+//! who decides (and accounts for) its fate.
 
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 struct Inner<T> {
     queue: VecDeque<T>,
     capacity: usize,
     senders: usize,
     receiver_alive: bool,
-    recv_waker: Option<Waker>,
 }
 
 struct Shared<T> {
@@ -28,13 +27,14 @@ struct Shared<T> {
     /// Signalled when space frees up (blocking sends) or the receiver
     /// drops.
     space: Condvar,
+    /// Signalled when a value is queued (blocking receives) or the last
+    /// sender drops.
+    ready: Condvar,
 }
 
 impl<T> Shared<T> {
-    fn wake_receiver(inner: &mut Inner<T>) {
-        if let Some(w) = inner.recv_waker.take() {
-            w.wake();
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().expect("channel poisoned")
     }
 }
 
@@ -45,6 +45,15 @@ pub enum SendError<T> {
     Full(T),
     /// The receiver is gone; the channel will never drain.
     Closed(T),
+}
+
+/// Why [`Receiver::recv_deadline`] returned without a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvError {
+    /// Every sender is gone and the queue is drained.
+    Closed,
+    /// The deadline passed with the queue still empty.
+    TimedOut,
 }
 
 /// The producing half; clonable across feeder threads.
@@ -71,9 +80,9 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             capacity,
             senders: 1,
             receiver_alive: true,
-            recv_waker: None,
         }),
         space: Condvar::new(),
+        ready: Condvar::new(),
     });
     (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
 }
@@ -82,7 +91,7 @@ impl<T> Sender<T> {
     /// Enqueues without blocking; a full queue returns the value so the
     /// caller can apply its own overflow policy.
     pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
+        let mut inner = self.shared.lock();
         if !inner.receiver_alive {
             return Err(SendError::Closed(value));
         }
@@ -90,21 +99,21 @@ impl<T> Sender<T> {
             return Err(SendError::Full(value));
         }
         inner.queue.push_back(value);
-        Shared::wake_receiver(&mut inner);
+        self.shared.ready.notify_one();
         Ok(())
     }
 
     /// Enqueues, blocking (backpressure) while the queue is full. Fails
     /// only when the receiver is gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
+        let mut inner = self.shared.lock();
         loop {
             if !inner.receiver_alive {
                 return Err(SendError::Closed(value));
             }
             if inner.queue.len() < inner.capacity {
                 inner.queue.push_back(value);
-                Shared::wake_receiver(&mut inner);
+                self.shared.ready.notify_one();
                 return Ok(());
             }
             inner = self.shared.space.wait(inner).expect("channel poisoned");
@@ -114,18 +123,18 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.inner.lock().expect("channel poisoned").senders += 1;
+        self.shared.lock().senders += 1;
         Self { shared: Arc::clone(&self.shared) }
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
+        let mut inner = self.shared.lock();
         inner.senders -= 1;
         if inner.senders == 0 {
             // The receiver must observe the close and finish draining.
-            Shared::wake_receiver(&mut inner);
+            self.shared.ready.notify_one();
         }
     }
 }
@@ -134,8 +143,7 @@ impl<T> Receiver<T> {
     /// Dequeues without waiting. `None` means "empty right now", not
     /// necessarily closed — pair with [`Receiver::is_closed`].
     pub fn try_recv(&mut self) -> Option<T> {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        let v = inner.queue.pop_front();
+        let v = self.shared.lock().queue.pop_front();
         if v.is_some() {
             self.shared.space.notify_one();
         }
@@ -145,14 +153,14 @@ impl<T> Receiver<T> {
     /// True when every sender is gone *and* the queue is drained.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        let inner = self.shared.inner.lock().expect("channel poisoned");
+        let inner = self.shared.lock();
         inner.senders == 0 && inner.queue.is_empty()
     }
 
     /// Values currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shared.inner.lock().expect("channel poisoned").queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// True when nothing is queued.
@@ -161,50 +169,54 @@ impl<T> Receiver<T> {
         self.len() == 0
     }
 
-    /// Waits for the next value; resolves to `None` once the channel is
-    /// closed and drained.
-    pub fn recv(&mut self) -> Recv<'_, T> {
-        Recv { receiver: self }
+    /// Blocks for the next value; `None` once the channel is closed and
+    /// drained.
+    pub fn recv(&mut self) -> Option<T> {
+        self.wait(None).ok()
+    }
+
+    /// Blocks for the next value until `deadline`. A queued value wins
+    /// over a deadline that has already passed.
+    pub fn recv_deadline(&mut self, deadline: Instant) -> Result<T, RecvError> {
+        self.wait(Some(deadline))
+    }
+
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<T, RecvError> {
+        let mut inner = self.shared.lock();
+        loop {
+            if let Some(v) = inner.queue.pop_front() {
+                self.shared.space.notify_one();
+                return Ok(v);
+            }
+            if inner.senders == 0 {
+                return Err(RecvError::Closed);
+            }
+            inner = match deadline {
+                None => self.shared.ready.wait(inner).expect("channel poisoned"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(RecvError::TimedOut);
+                    }
+                    self.shared.ready.wait_timeout(inner, left).expect("channel poisoned").0
+                }
+            };
+        }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        inner.receiver_alive = false;
+        self.shared.lock().receiver_alive = false;
         // Release every sender blocked on backpressure.
-        drop(inner);
         self.shared.space.notify_all();
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    receiver: &'a mut Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let this = self.get_mut();
-        let mut inner = this.receiver.shared.inner.lock().expect("channel poisoned");
-        if let Some(v) = inner.queue.pop_front() {
-            this.receiver.shared.space.notify_one();
-            return Poll::Ready(Some(v));
-        }
-        if inner.senders == 0 {
-            return Poll::Ready(None);
-        }
-        inner.recv_waker = Some(cx.waker().clone());
-        Poll::Pending
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::block_on;
+    use std::time::Duration;
 
     #[test]
     fn try_send_reports_full_and_returns_the_value() {
@@ -224,10 +236,8 @@ mod tests {
         let (tx, mut rx) = bounded::<u32>(4);
         tx.try_send(7).unwrap();
         drop(tx);
-        block_on(async {
-            assert_eq!(rx.recv().await, Some(7));
-            assert_eq!(rx.recv().await, None);
-        });
+        assert_eq!(rx.recv(), Some(7));
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -239,13 +249,10 @@ mod tests {
                     tx.send(i).unwrap();
                 }
             });
-            let got = block_on(async {
-                let mut got = Vec::new();
-                while let Some(v) = rx.recv().await {
-                    got.push(v);
-                }
-                got
-            });
+            let mut got = Vec::new();
+            while let Some(v) = rx.recv() {
+                got.push(v);
+            }
             feeder.join().unwrap();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
         });
@@ -258,5 +265,57 @@ mod tests {
         drop(rx);
         assert_eq!(tx.send(1), Err(SendError::Closed(1)));
         assert_eq!(tx.try_send(2), Err(SendError::Closed(2)));
+    }
+
+    #[test]
+    fn recv_deadline_already_past_times_out_at_once() {
+        let (tx, mut rx) = bounded::<u32>(1);
+        let start = Instant::now();
+        assert_eq!(rx.recv_deadline(start - Duration::from_secs(1)), Err(RecvError::TimedOut));
+        assert!(start.elapsed() < Duration::from_millis(100));
+        // A queued value still wins over a deadline in the past.
+        tx.try_send(5).unwrap();
+        assert_eq!(rx.recv_deadline(start - Duration::from_secs(1)), Ok(5));
+    }
+
+    #[test]
+    fn recv_deadline_on_an_empty_open_channel_waits_to_the_deadline() {
+        let (_tx, mut rx) = bounded::<u32>(1);
+        let deadline = Instant::now() + Duration::from_millis(30);
+        assert_eq!(rx.recv_deadline(deadline), Err(RecvError::TimedOut));
+        assert!(Instant::now() >= deadline);
+    }
+
+    /// A deadline no test run reaches: returning at all proves the wake.
+    fn far_future() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
+    }
+
+    #[test]
+    fn send_from_another_thread_wakes_a_far_future_wait() {
+        // `tx` outlives the wait, so the close cannot be what wakes it.
+        let (tx, mut rx) = bounded::<u32>(1);
+        let feeder = tx.clone();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(20)); // let the receiver park
+                feeder.send(9).unwrap();
+            });
+            assert_eq!(rx.recv_deadline(far_future()), Ok(9));
+        });
+    }
+
+    #[test]
+    fn last_sender_dropping_wakes_a_far_future_wait_with_closed() {
+        let (tx, mut rx) = bounded::<u32>(1);
+        let tx2 = tx.clone();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(20)); // let the receiver park
+                drop(tx);
+                drop(tx2);
+            });
+            assert_eq!(rx.recv_deadline(far_future()), Err(RecvError::Closed));
+        });
     }
 }

@@ -31,22 +31,23 @@
 //! points.
 
 use std::collections::HashSet;
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use hcsim_model::{SystemSpec, Task, Time};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter};
 use hcsim_sim::{Mapper, SimConfig, SimReport, SimSession, SnapshotError, SnapshotRng};
 use hcsim_stats::Xoshiro256pp;
 
-use crate::channel::Receiver;
-use crate::exec::{self, Sleep};
+use crate::channel::{Receiver, RecvError};
 use crate::fault::FaultPlan;
 
 /// Magic bytes opening a [`ServiceCheckpoint`] (distinct from the engine
 /// snapshot's own magic, which follows inside).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"HCSV";
+
+/// Skewness weight of the admission draw: Eq. 7's ρ at the pruner's
+/// default (`PruningConfig::rho` in `hcsim-core`).
+const ADMISSION_RHO: f64 = 0.1;
 
 /// Tuning knobs of the service driver.
 #[derive(Debug, Clone, Copy)]
@@ -62,21 +63,11 @@ pub struct ServiceConfig {
     /// the simulation's execution-time stream, so shedding never perturbs
     /// drawn execution times).
     pub shed_seed: u64,
-    /// Skewness weight reused from the pruner's Eq. 7 adjustment.
-    pub rho: f64,
-    /// Capture a [`ServiceCheckpoint`] at every membership-epoch boundary.
-    pub checkpoint_at_epochs: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self {
-            pace: None,
-            backlog_bound: 512,
-            shed_seed: 0x5EED_5EED,
-            rho: 0.1,
-            checkpoint_at_epochs: true,
-        }
+        Self { pace: None, backlog_bound: 512, shed_seed: 0x5EED_5EED }
     }
 }
 
@@ -126,16 +117,15 @@ impl ServiceCheckpoint {
     /// Serializes the checkpoint (little-endian, fixed-width).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.engine.len() + self.seen.len() * 4);
-        buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        buf.extend_from_slice(&(self.engine.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.engine);
-        buf.extend_from_slice(&(self.seen.len() as u64).to_le_bytes());
-        for id in &self.seen {
-            buf.extend_from_slice(&id.to_le_bytes());
+        let mut w = ByteWriter::with_capacity(64 + self.engine.len() + self.seen.len() * 4);
+        w.magic(CHECKPOINT_MAGIC);
+        w.bytes(&self.engine);
+        w.usize(self.seen.len());
+        for &id in &self.seen {
+            w.u32(id);
         }
-        for w in self.shed_rng {
-            buf.extend_from_slice(&w.to_le_bytes());
+        for word in self.shed_rng {
+            w.u64(word);
         }
         for c in [
             self.stats.admitted,
@@ -145,55 +135,32 @@ impl ServiceCheckpoint {
             self.stats.restores,
             self.last_epoch,
         ] {
-            buf.extend_from_slice(&c.to_le_bytes());
+            w.u64(c);
         }
-        buf
+        w.into_bytes()
     }
 
     /// Deserializes checkpoint bytes, validating shape but deferring
     /// engine-snapshot validation to [`resume`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
-            let end = pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-            if end > bytes.len() {
-                return Err(SnapshotError::Truncated);
-            }
-            let s = &bytes[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        let u64_at = |pos: &mut usize| -> Result<u64, SnapshotError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes")))
-        };
-        if take(&mut pos, 4)? != CHECKPOINT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let engine_len = usize::try_from(u64_at(&mut pos)?)
-            .map_err(|_| SnapshotError::Corrupt("engine length overflows usize"))?;
-        let engine = take(&mut pos, engine_len)?.to_vec();
-        let n_seen = usize::try_from(u64_at(&mut pos)?)
-            .map_err(|_| SnapshotError::Corrupt("seen length overflows usize"))?;
-        if n_seen.saturating_mul(4) > bytes.len() - pos {
-            return Err(SnapshotError::Truncated);
-        }
+        let mut r = ByteReader::new(bytes);
+        r.magic(CHECKPOINT_MAGIC)?;
+        let engine = r.bytes()?.to_vec();
+        let n_seen = r.seq_len(4)?;
         let mut seen = Vec::with_capacity(n_seen);
         for _ in 0..n_seen {
-            seen.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")));
+            seen.push(r.u32()?);
         }
-        let mut shed_rng = [0u64; 4];
-        for w in &mut shed_rng {
-            *w = u64_at(&mut pos)?;
-        }
+        let shed_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let stats = ServiceStats {
-            admitted: u64_at(&mut pos)?,
-            shed: u64_at(&mut pos)?,
-            duplicates_dropped: u64_at(&mut pos)?,
-            checkpoints: u64_at(&mut pos)?,
-            restores: u64_at(&mut pos)?,
+            admitted: r.u64()?,
+            shed: r.u64()?,
+            duplicates_dropped: r.u64()?,
+            checkpoints: r.u64()?,
+            restores: r.u64()?,
         };
-        let last_epoch = u64_at(&mut pos)?;
-        if pos != bytes.len() {
+        let last_epoch = r.u64()?;
+        if !r.at_end() {
             return Err(SnapshotError::Corrupt("trailing bytes after checkpoint"));
         }
         Ok(Self { engine, seen, shed_rng, stats, last_epoch })
@@ -282,7 +249,7 @@ impl DriverState {
 /// by Eq. 6 bounded skewness with the pruner's Eq. 7 weighting (position
 /// 0): the admission-worth a shedding decision is drawn against.
 #[must_use]
-pub fn admission_worth(spec: &SystemSpec, task: &Task, now: Time, rho: f64) -> f64 {
+pub fn admission_worth(spec: &SystemSpec, task: &Task, now: Time) -> f64 {
     let slack = task.deadline.saturating_sub(now);
     let mut best_p = 0.0_f64;
     let mut best_skew = 0.0_f64;
@@ -296,36 +263,7 @@ pub fn admission_worth(spec: &SystemSpec, task: &Task, now: Time, rho: f64) -> f
     }
     // Eq. 7 with κ = 0: positively skewed (likely-early) tasks are
     // protected, negatively skewed ones shed more eagerly.
-    (best_p + best_skew * rho).clamp(0.0, 1.0)
-}
-
-/// Polls an arrival and an optional pacing timer together; whichever is
-/// ready first wins (arrivals take priority on a tie).
-struct RecvOrSleep<'a, 'b> {
-    recv: crate::channel::Recv<'a, Task>,
-    sleep: Option<&'b mut Sleep>,
-}
-
-enum Wakeup {
-    Arrival(Option<Task>),
-    Timer,
-}
-
-impl Future for RecvOrSleep<'_, '_> {
-    type Output = Wakeup;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Wakeup> {
-        let this = self.get_mut();
-        if let Poll::Ready(v) = Pin::new(&mut this.recv).poll(cx) {
-            return Poll::Ready(Wakeup::Arrival(v));
-        }
-        if let Some(sleep) = this.sleep.as_deref_mut() {
-            if Pin::new(sleep).poll(cx).is_ready() {
-                return Poll::Ready(Wakeup::Timer);
-            }
-        }
-        Poll::Pending
-    }
+    (best_p + best_skew * ADMISSION_RHO).clamp(0.0, 1.0)
 }
 
 /// Runs a fresh service: live arrivals come from `arrivals`; `sources`
@@ -386,42 +324,35 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
     mut session: SimSession<'_, M, R>,
     mut state: DriverState,
 ) -> ServiceExit {
-    // Wall-clock anchor: sim time t maps to `anchor + t * pace`. On resume
-    // the anchor shifts so the restored `now` maps to the present.
+    // Paced mode's `(pace, anchor)`: sim time t is due at wall-clock
+    // `anchor + t * pace`. On resume the anchor shifts so the restored
+    // `now` maps to the present.
     fn wall_offset(pace: Duration, t: Time) -> Duration {
         Duration::from_nanos(u64::try_from(pace.as_nanos()).unwrap_or(u64::MAX).saturating_mul(t))
     }
-    let anchor = cfg.pace.map(|p| {
+    let pacing = cfg.pace.map(|pace| {
         let now = Instant::now();
-        now.checked_sub(wall_offset(p, session.now())).unwrap_or(now)
+        (pace, now.checked_sub(wall_offset(pace, session.now())).unwrap_or(now))
     });
 
-    enum Flow {
-        Drained,
-        Killed(ServiceCheckpoint),
-    }
-
-    // Steps one event, then runs the epoch-boundary bookkeeping. Returns a
-    // kill checkpoint when the fault plan says this epoch is fatal.
+    // Steps one event, then runs the epoch-boundary bookkeeping: every
+    // membership epoch opens with a checkpoint. Returns it as the kill
+    // checkpoint when the fault plan says this epoch is fatal.
     fn step_once<M: Mapper, R: SnapshotRng>(
         session: &mut SimSession<'_, M, R>,
         state: &mut DriverState,
-        cfg: &ServiceConfig,
         fault: &FaultPlan,
     ) -> Option<ServiceCheckpoint> {
         session.step();
         let epoch = session.membership_epoch();
         if epoch != state.last_epoch {
             state.last_epoch = epoch;
-            let kill = fault.kill_at_epoch == Some(epoch);
-            if cfg.checkpoint_at_epochs || kill {
-                let cp = state.checkpoint(session);
-                state.stats.checkpoints += 1;
-                if kill {
-                    return Some(cp);
-                }
-                state.last_checkpoint = Some(cp);
+            let cp = state.checkpoint(session);
+            state.stats.checkpoints += 1;
+            if fault.kill_at_epoch == Some(epoch) {
+                return Some(cp);
             }
+            state.last_checkpoint = Some(cp);
         }
         None
     }
@@ -441,7 +372,7 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
             return None;
         }
         while session.next_event_time().is_some_and(|t| t <= task.arrival) {
-            if let Some(cp) = step_once(session, state, cfg, fault) {
+            if let Some(cp) = step_once(session, state, fault) {
                 // Killed mid-catch-up: the task is deliberately NOT in the
                 // dedup set yet, so its redelivery after resume is
                 // admitted, not dropped.
@@ -453,7 +384,7 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
         if backlog >= cfg.backlog_bound {
             let overloaded_hard = backlog >= cfg.backlog_bound.saturating_mul(2);
             if overloaded_hard
-                || state.shed_rng.next_f64() >= admission_worth(spec, &task, session.now(), cfg.rho)
+                || state.shed_rng.next_f64() >= admission_worth(spec, &task, session.now())
             {
                 session.shed(task);
                 state.stats.shed += 1;
@@ -465,93 +396,52 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
         None
     }
 
-    let flow = exec::block_on(async {
-        loop {
-            // Drain whatever the feeder has queued before doing anything
-            // else — arrivals order the whole loop.
-            while let Some(task) = arrivals.try_recv() {
-                if let Some(cp) = admit(&mut session, &mut state, spec, cfg, fault, task) {
-                    return Flow::Killed(cp);
-                }
-            }
-            match session.next_event_time() {
-                Some(t) => {
-                    if let (Some(pace), Some(anchor)) = (cfg.pace, anchor) {
-                        // Paced: wait for the event's wall-clock due time,
-                        // but let an earlier arrival preempt the wait.
-                        let due = anchor + wall_offset(pace, t);
-                        if Instant::now() < due {
-                            let mut sleep = exec::sleep_until(due);
-                            match (RecvOrSleep { recv: arrivals.recv(), sleep: Some(&mut sleep) })
-                                .await
-                            {
-                                Wakeup::Arrival(Some(task)) => {
-                                    if let Some(cp) =
-                                        admit(&mut session, &mut state, spec, cfg, fault, task)
-                                    {
-                                        return Flow::Killed(cp);
-                                    }
-                                    continue;
-                                }
-                                Wakeup::Arrival(None) => {
-                                    // Feeder closed: no arrival can preempt
-                                    // this wait any more. Finish the pace on
-                                    // the timer alone — re-polling the closed
-                                    // channel would resolve instantly every
-                                    // iteration and silently cancel pacing
-                                    // for the rest of the run.
-                                    (&mut sleep).await;
-                                }
-                                Wakeup::Timer => {}
-                            }
-                        }
-                        if let Some(cp) = step_once(&mut session, &mut state, cfg, fault) {
-                            return Flow::Killed(cp);
-                        }
-                    } else if arrivals.is_closed() {
-                        // Fast-forward with no feeder left: drain freely.
-                        if let Some(cp) = step_once(&mut session, &mut state, cfg, fault) {
-                            return Flow::Killed(cp);
-                        }
-                    } else {
-                        // Fast-forward with a live feeder: never run ahead
-                        // of an arrival we have not seen — block for it.
-                        match arrivals.recv().await {
-                            Some(task) => {
-                                if let Some(cp) =
-                                    admit(&mut session, &mut state, spec, cfg, fault, task)
-                                {
-                                    return Flow::Killed(cp);
-                                }
-                            }
-                            None => continue, // closed: drain on next pass
-                        }
-                    }
-                }
-                None => {
-                    if arrivals.is_closed() {
-                        return Flow::Drained;
-                    }
-                    match arrivals.recv().await {
-                        Some(task) => {
-                            if let Some(cp) =
-                                admit(&mut session, &mut state, spec, cfg, fault, task)
-                            {
-                                return Flow::Killed(cp);
-                            }
-                        }
-                        None => return Flow::Drained,
+    // Each pass decides one thing — the arrival to admit, or (`None`) that
+    // the engine steps — and does it at the single site below.
+    let killed = loop {
+        // Arrivals order the whole loop: whatever the feeder has queued is
+        // admitted before the engine moves.
+        let arrival = match (arrivals.try_recv(), session.next_event_time(), pacing) {
+            (Some(task), ..) => Some(task),
+            // Nothing scheduled: only an arrival can make progress, and
+            // the close ends the run.
+            (None, None, _) => match arrivals.recv() {
+                Some(task) => Some(task),
+                None => break None,
+            },
+            // Fast-forward: never run ahead of an arrival we have not seen
+            // — block for it. Once the feeder is gone, drain freely.
+            (None, Some(_), None) => arrivals.recv(),
+            // Paced: wait for the event's wall-clock due time, but let an
+            // earlier arrival preempt the wait.
+            (None, Some(t), Some((pace, anchor))) => {
+                let due = anchor + wall_offset(pace, t);
+                match arrivals.recv_deadline(due) {
+                    Ok(task) => Some(task),
+                    Err(RecvError::TimedOut) => None,
+                    Err(RecvError::Closed) => {
+                        // No arrival can preempt this wait any more:
+                        // finish the pace on the clock alone.
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                        None
                     }
                 }
             }
+        };
+        let killed = match arrival {
+            Some(task) => admit(&mut session, &mut state, spec, cfg, fault, task),
+            None => step_once(&mut session, &mut state, fault),
+        };
+        if killed.is_some() {
+            break killed;
         }
-    });
+    };
 
-    match flow {
-        Flow::Drained => {
+    match killed {
+        None => {
             let stats = state.stats;
             ServiceExit::Completed(Box::new(ServiceReport { sim: session.finish(), stats }))
         }
-        Flow::Killed(checkpoint) => ServiceExit::Killed { checkpoint, stats: state.stats },
+        Some(checkpoint) => ServiceExit::Killed { checkpoint, stats: state.stats },
     }
 }

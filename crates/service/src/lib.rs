@@ -4,17 +4,17 @@
 //! The offline pipeline (`hcsim-sim`) runs a trial start-to-finish in one
 //! call. This crate runs the *same engine* as a long-lived service:
 //!
-//! * [`exec`] — a minimal single-future executor (`block_on` + `Sleep`)
-//!   with no external dependencies: the driver thread parks between
-//!   arrivals and pacing deadlines.
 //! * [`channel`] — a bounded MPSC channel from feeder threads into the
-//!   driver. Overflow backpressures the sender; nothing is dropped
-//!   silently.
-//! * [`driver`] — [`serve`]: wall-clock pacing (or fast-forward),
-//!   bounded-backpressure admission with Eq. 6/7 probabilistic shedding
-//!   (every refused task gets a terminal `Shed` record), epoch-boundary
-//!   [`ServiceCheckpoint`]s, and [`resume`] from a checkpoint that is
-//!   provably bit-identical to never having crashed.
+//!   driver, blocking on both sides (`std` mutex + condition variables).
+//!   Overflow backpressures the sender; the driver thread blocks in
+//!   `recv` / `recv_deadline` between arrivals and pacing deadlines;
+//!   nothing is dropped silently.
+//! * [`driver`] — [`serve`], one plain loop on the calling thread:
+//!   wall-clock pacing (or fast-forward), bounded-backpressure admission
+//!   with Eq. 6/7 probabilistic shedding (every refused task gets a
+//!   terminal `Shed` record), epoch-boundary [`ServiceCheckpoint`]s, and
+//!   [`resume`] from a checkpoint that is provably bit-identical to never
+//!   having crashed.
 //! * [`fault`] — [`FaultPlan`] (kill-at-epoch, delivery delay/duplication/
 //!   reordering, worker-pool poison) and the [`run_with_recovery`] harness
 //!   driving crash → restore → resume cycles with recovery-time
@@ -25,10 +25,9 @@
 
 pub mod channel;
 pub mod driver;
-pub mod exec;
 pub mod fault;
 
-pub use channel::{bounded, Receiver, SendError, Sender};
+pub use channel::{bounded, Receiver, RecvError, SendError, Sender};
 pub use driver::{
     admission_worth, resume, serve, ServiceCheckpoint, ServiceConfig, ServiceExit, ServiceReport,
     ServiceStats,

@@ -2,12 +2,21 @@
 //! graceful overload shedding with full accounting, and delivery-fault
 //! absorption — the fault-injection acceptance tests.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hcsim_core::{AdaptiveConfig, Pam, PruningConfig};
-use hcsim_model::{SystemSpec, Task, TaskOutcome};
-use hcsim_service::{run_with_recovery, FaultPlan, RecoveryOutcome, ServiceConfig};
-use hcsim_sim::{SimConfig, SimReport};
+use hcsim_model::{
+    MachineSpec, PetBuilder, PriceTable, SystemSpec, Task, TaskId, TaskOutcome, TaskTypeId,
+    TaskTypeSpec,
+};
+use hcsim_service::{
+    bounded, feed_schedule, resume, run_with_recovery, serve, FaultPlan, RecoveryOutcome,
+    ServiceCheckpoint, ServiceConfig, ServiceExit,
+};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter};
+use hcsim_sim::{
+    ChurnSource, EventSource, Mapper, SimConfig, SimReport, SimSession, TaskTraceSource,
+};
 use hcsim_stats::{SeedSequence, Xoshiro256pp};
 use hcsim_workload::{
     cluster_churn, faas_system, specint_system, ArrivalSchedule, ChurnConfig, ChurnTrace,
@@ -289,7 +298,7 @@ fn paced_mode_completes_against_the_wall_clock() {
     let schedule = ArrivalSchedule::from_tasks(&tasks);
     let pace = Duration::from_micros(20);
     let service = ServiceConfig { pace: Some(pace), ..ServiceConfig::default() };
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let outcome = run(&spec, &service, &FaultPlan::none(), None, schedule.entries());
     let elapsed = start.elapsed();
     assert_eq!(outcome.report.sim.records.len(), 20);
@@ -308,4 +317,210 @@ fn paced_mode_completes_against_the_wall_clock() {
          (end_time {}, last arrival {last_arrival})",
         outcome.report.sim.end_time
     );
+}
+
+#[test]
+fn paced_driver_parked_on_a_far_off_event_admits_an_arrival_at_once() {
+    // Three identical machines, one task type that runs ~100 time units,
+    // 10 ms of wall clock per unit: once the first task is mapped, the only
+    // scheduled event (its completion) is due about a second away.
+    let mut rng = SeedSequence::new(310).stream(0);
+    let (pet, truth) =
+        PetBuilder::new().shape_range(200.0, 200.0).build(&[vec![100.0; 3]], &mut rng);
+    let spec = SystemSpec {
+        machines: (0..3).map(|m| MachineSpec { name: format!("m{m}") }).collect(),
+        task_types: vec![TaskTypeSpec { name: "t".into() }],
+        pet,
+        truth,
+        prices: PriceTable::new(vec![1.0; 3]),
+        queue_capacity: 4,
+        coldstart: None,
+    }
+    .validated();
+    let pace = Duration::from_millis(10);
+    let service = ServiceConfig { pace: Some(pace), ..ServiceConfig::default() };
+    let task = |id| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 10_000 };
+
+    let mut mapper = Pam::new(PruningConfig::default());
+    let mut rng = Xoshiro256pp::new(RNG_SEED);
+
+    let start = Instant::now();
+    let (exit, preempted_in) = std::thread::scope(|s| {
+        // Capacity 1: a `send` returns only once the driver has taken the
+        // previous value, so the feeder can time the driver's reaction.
+        let (tx, rx) = bounded::<Task>(1);
+        let feeder = s.spawn(move || {
+            tx.send(task(0)).unwrap();
+            // Let the driver map task 0 and park on its completion, ~1 s
+            // out. (Should it not get there in time, the loop's `try_recv`
+            // takes the arrival below: a vacuous pass, never a failure.)
+            std::thread::sleep(Duration::from_millis(50));
+            let sent = Instant::now();
+            tx.send(task(1)).unwrap();
+            tx.send(task(2)).unwrap(); // returns when the driver took task 1
+            sent.elapsed()
+        });
+        let exit = serve(
+            &spec,
+            SimConfig::untrimmed(),
+            &service,
+            &FaultPlan::none(),
+            &mut [],
+            rx,
+            &mut mapper,
+            &mut rng,
+        );
+        (exit, feeder.join().unwrap())
+    });
+    mapper.on_shutdown();
+    let report = exit.expect_completed();
+    assert_eq!(report.stats.admitted, 3);
+
+    let first_completion = report.sim.records.iter().map(|r| r.finished_at).min().unwrap();
+    assert!(first_completion >= 50, "the parked-on event must be far off: {first_completion}");
+    let timer = pace * u32::try_from(first_completion).unwrap();
+    assert!(
+        preempted_in < timer / 4,
+        "an arrival must preempt the pacing wait, not sit out the timer: \
+         taken after {preempted_in:?} of a {timer:?} wait"
+    );
+    // …and the run as a whole was still paced against the wall clock.
+    assert!(start.elapsed() >= timer, "{:?} < {timer:?}", start.elapsed());
+}
+
+// ---- wire formats: byte pins and torn-write sweeps over one fixture ----
+
+const PIN_SEED: u64 = 318;
+
+/// Adaptive PAM on the calling thread: its blob carries every section the
+/// format has (detector, counters, v2 appendix with controller state).
+fn adaptive_pam() -> Pam {
+    Pam::new(PruningConfig {
+        adaptive: Some(AdaptiveConfig::default()),
+        threads: 1,
+        ..PruningConfig::default()
+    })
+}
+
+fn carry_progress_sim() -> SimConfig {
+    SimConfig { carry_progress: true, ..SimConfig::untrimmed() }
+}
+
+fn pin_fixture() -> (SystemSpec, Vec<Task>, ChurnTrace) {
+    let (spec, tasks) = system(PIN_SEED, 160, 34_000.0);
+    let churn = churn_for(&spec, PIN_SEED);
+    (spec, tasks, churn)
+}
+
+/// Serves the pin fixture until the fault plan kills it at epoch 2.
+fn killed_checkpoint(spec: &SystemSpec, tasks: &[Task], churn: &ChurnTrace) -> ServiceCheckpoint {
+    let schedule = ArrivalSchedule::from_tasks(tasks);
+    let fault = FaultPlan { kill_at_epoch: Some(2), ..FaultPlan::none() };
+    let mut mapper = adaptive_pam();
+    let mut rng = Xoshiro256pp::new(PIN_SEED);
+    let exit = std::thread::scope(|s| {
+        let (tx, rx) = bounded::<Task>(32);
+        s.spawn(move || feed_schedule(&tx, schedule.entries()));
+        let mut churn_source = ChurnSource::new(churn);
+        let sources: &mut [&mut dyn EventSource] = &mut [&mut churn_source];
+        let service = ServiceConfig::default();
+        serve(spec, carry_progress_sim(), &service, &fault, sources, rx, &mut mapper, &mut rng)
+    });
+    mapper.on_shutdown();
+    match exit {
+        ServiceExit::Killed { checkpoint, .. } => checkpoint,
+        ServiceExit::Completed(_) => panic!("the kill at epoch 2 must fire"),
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Byte length + FNV-1a of the three snapshot streams — the engine
+/// snapshot, the adaptive PAM state blob inside it, the service checkpoint
+/// around it — mid-run. Committed checkpoints must keep restoring, so a
+/// codec change that moves one byte of any layout (engine
+/// `SNAPSHOT_VERSION` 3, PAM blob v2, checkpoint magic `HCSV`) fails here
+/// before it ships. The values were taken on the commit before the three
+/// layouts moved onto one codec.
+#[test]
+fn wire_formats_are_pinned() {
+    let (spec, tasks, churn) = pin_fixture();
+    let mut mapper = adaptive_pam();
+    let mut rng = Xoshiro256pp::new(PIN_SEED);
+    let mut task_source = TaskTraceSource::new(&tasks);
+    let mut churn_source = ChurnSource::new(&churn);
+    let mut session = SimSession::new(
+        &spec,
+        carry_progress_sim(),
+        &mut [&mut task_source, &mut churn_source],
+        &mut mapper,
+        &mut rng,
+    );
+    for _ in 0..200 {
+        assert!(session.step(), "the pin must be taken mid-run");
+    }
+    let snapshot = session.snapshot();
+    drop(session);
+    let blob = mapper.snapshot_state();
+    let checkpoint = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
+
+    let pin = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
+    assert_eq!(pin(&snapshot), (10_121, 12_026_431_913_235_433_188), "SimSession::snapshot()");
+    assert_eq!(pin(&blob), (537, 17_222_829_594_432_080_183), "adaptive Pam::snapshot_state()");
+    assert_eq!(
+        pin(&checkpoint),
+        (11_768, 6_599_782_705_904_901_095),
+        "ServiceCheckpoint::to_bytes()"
+    );
+}
+
+#[test]
+fn no_prefix_of_a_checkpoint_panics_the_restore_path() {
+    // A torn write hands restore a prefix. Every strict prefix of a real
+    // mid-run checkpoint — adaptive controller state, carried progress,
+    // churn — must come back as an `Err` from `from_bytes`, or failing
+    // that from `resume`; the same goes for a well-framed checkpoint whose
+    // engine section is a strict prefix of the real one.
+    let (spec, tasks, churn) = pin_fixture();
+    let bytes = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
+
+    let restore = |bytes: &[u8]| -> Result<(), hcsim_sim::SnapshotError> {
+        let checkpoint = ServiceCheckpoint::from_bytes(bytes)?;
+        let (_, rx) = bounded::<Task>(1); // closed: a resumed run would just drain
+        let (mut mapper, mut rng) = (adaptive_pam(), Xoshiro256pp::new(0));
+        let (service, fault) = (ServiceConfig::default(), FaultPlan::none());
+        resume(
+            &spec,
+            carry_progress_sim(),
+            &service,
+            &fault,
+            rx,
+            &checkpoint,
+            &mut mapper,
+            &mut rng,
+        )
+        .map(|_| ())
+    };
+    assert_eq!(restore(&bytes), Ok(()), "the intact checkpoint restores");
+    for cut in 0..bytes.len() {
+        assert!(restore(&bytes[..cut]).is_err(), "prefix of {cut} bytes restored");
+    }
+
+    // Frame: magic, length-prefixed engine bytes, driver state.
+    let mut r = ByteReader::new(&bytes);
+    r.magic(*b"HCSV").unwrap();
+    let engine = r.bytes().unwrap();
+    let driver_state = &bytes[4 + 8 + engine.len()..];
+    for cut in 0..engine.len() {
+        let mut w = ByteWriter::with_capacity(bytes.len());
+        w.magic(*b"HCSV");
+        w.bytes(&engine[..cut]);
+        let mut torn = w.into_bytes();
+        torn.extend_from_slice(driver_state);
+        assert!(restore(&torn).is_err(), "engine section cut to {cut} bytes restored");
+    }
 }

@@ -44,7 +44,7 @@ mod engine;
 mod machine;
 mod mapper;
 mod metrics;
-mod snapshot;
+pub mod snapshot;
 pub mod testkit;
 
 pub use config::SimConfig;

@@ -5,9 +5,13 @@
 //! deliberately boring: little-endian fixed-width integers, `f64` via
 //! `to_bits`, explicit length prefixes, and a magic/version header. No
 //! floating-point text round-trips, no map iteration order, no
-//! platform-dependent widths (`usize` travels as `u64`). The engine owns
-//! the field layout (see `engine.rs`); this module owns the primitives
-//! and the error type.
+//! platform-dependent widths (`usize` travels as `u64`). This module owns
+//! the primitives and the error type; each layout is owned by the code
+//! whose state it carries — the engine's in `engine/wire.rs`, the mapper
+//! state blobs in `hcsim-core` (`Pam`, `AdaptiveController`), the service
+//! checkpoint in `hcsim-service` — and all of them read and write through
+//! [`ByteReader`] / [`ByteWriter`], the only byte decoder in the
+//! workspace.
 //!
 //! **Versioning caveat**: the format is an engine-internal checkpoint, not
 //! an archival interchange format. A snapshot is readable only by the same
@@ -91,40 +95,68 @@ impl<R: SnapshotRng + ?Sized> SnapshotRng for &mut R {
     }
 }
 
-/// Append-only encoder for the snapshot byte stream.
+/// Append-only encoder: the one writer every snapshot layout in the
+/// workspace goes through (engine snapshot, mapper state blobs, service
+/// checkpoint).
 #[derive(Debug, Default)]
-pub(crate) struct ByteWriter {
+pub struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
+    /// An empty, headerless stream with room for `capacity` bytes.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self { buf: Vec::with_capacity(capacity) }
+    }
+
+    /// A stream opened with the engine snapshot's magic/version header.
+    #[must_use]
     pub fn with_header() -> Self {
-        let mut w = Self { buf: Vec::with_capacity(4096) };
-        w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        let mut w = Self::with_capacity(4096);
+        w.magic(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
         w
     }
 
+    /// The encoded stream.
+    #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
+    /// Four raw format-identifying bytes.
+    pub fn magic(&mut self, magic: [u8; 4]) {
+        self.buf.extend_from_slice(&magic);
+    }
+
+    /// One byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
+    /// A little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A `usize`, widened to `u64`; also the length prefix of every
+    /// sequence (read back with [`ByteReader::seq_len`]).
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
+    /// An `f64` as its exact bit pattern.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A presence flag, then the value if there is one.
     pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(x) => {
@@ -135,27 +167,33 @@ impl ByteWriter {
         }
     }
 
+    /// A length-prefixed byte string.
     pub fn bytes(&mut self, b: &[u8]) {
         self.usize(b.len());
         self.buf.extend_from_slice(b);
     }
 }
 
-/// Cursor-based decoder over a snapshot byte stream.
+/// Cursor-based decoder over a [`ByteWriter`] stream. Every read is
+/// bounds-checked and fails with a [`SnapshotError`]; nothing here panics
+/// on any input.
 #[derive(Debug)]
-pub(crate) struct ByteReader<'a> {
+pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
-    /// Opens a reader, checking the magic/version header.
+    /// Opens a reader over a headerless stream.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// Opens a reader, checking the engine snapshot's magic/version header.
     pub fn with_header(buf: &'a [u8]) -> Result<Self, SnapshotError> {
-        let mut r = Self { buf, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
+        let mut r = Self::new(buf);
+        r.magic(SNAPSHOT_MAGIC)?;
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
@@ -173,20 +211,38 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// Consumes four bytes, failing with [`SnapshotError::BadMagic`]
+    /// unless they are `magic`.
+    pub fn magic(&mut self, magic: [u8; 4]) -> Result<(), SnapshotError> {
+        if self.take(4)? != magic {
+            return Err(SnapshotError::BadMagic);
+        }
+        Ok(())
+    }
+
+    /// One byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
+    /// A little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
+    /// A little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// A `usize` that travelled as `u64`.
     pub fn usize(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupt("length overflows usize"))
+    }
+
+    /// An `f64` from its exact bit pattern.
+    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
     /// A length prefix for a sequence of elements each at least
@@ -202,6 +258,7 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
+    /// An optional `u64` behind its presence flag.
     pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
         match self.u8()? {
             0 => Ok(None),
@@ -210,6 +267,7 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// A flag byte that must be 0 or 1.
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
             0 => Ok(false),
@@ -218,12 +276,14 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// A length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.seq_len(1)?;
         self.take(n)
     }
 
     /// True when the whole buffer has been consumed.
+    #[must_use]
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -243,6 +303,7 @@ mod tests {
         w.opt_u64(None);
         w.opt_u64(Some(99));
         w.bytes(b"blob");
+        w.f64(-0.0);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::with_header(&bytes).unwrap();
@@ -253,6 +314,7 @@ mod tests {
         assert_eq!(r.opt_u64().unwrap(), None);
         assert_eq!(r.opt_u64().unwrap(), Some(99));
         assert_eq!(r.bytes().unwrap(), b"blob");
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.at_end());
     }
 
