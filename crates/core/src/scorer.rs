@@ -53,7 +53,14 @@
 //! column is a pure function of the machine's tail and version-stamped
 //! state, so [`ScoreTable::ensure`] carries the table across ticks and
 //! rescores only the machines whose version moved or whose head window
-//! closed.
+//! closed. And it scores a pair only where the score can matter: under
+//! oversubscription most (task, machine) pairs exist to be deferred
+//! again, and `CDF_E(δ − tail.min_time())` — one lookup in the cell the
+//! kernel would use — bounds the robustness from above. The table runs
+//! that bound per 32-machine shard on an envelope CDF, then per pair on
+//! the machine's own cell, and leaves unscored whatever it proves below
+//! the caller's threshold; decisions are unchanged because the caller
+//! would have deferred those pairs on their exact value anyway.
 //!
 //! # Parallel per-machine fan-out
 //!
@@ -82,8 +89,8 @@
 //!   head, the pending chain, the cell that owns them;
 //! * `table` — what lives from *event to event*: the [`ScoreTable`], its
 //!   rebuild, its `ensure` phases and the repair after an assignment;
-//! * `kernel` — the closed-form scoring loops all three call, which cache
-//!   nothing;
+//! * `kernel` — the closed-form scoring loops all three call and the
+//!   one-lookup bound that stands in front of them, which cache nothing;
 //! * `cells` — *how* the cells are executed: where they live, when a
 //!   fan-out is a worker-pool round and when it is a loop on the calling
 //!   thread. Nothing outside it names the pool.

@@ -22,10 +22,10 @@
 //! Both modes run the same per-cell update on the same inputs and merge in
 //! machine-index order, so results are bit-identical between them.
 
-use super::kernel::{score_column_scatter, PairScore};
+use super::kernel::{score_column_scatter, LiveRow, PairScore};
 use super::shared::{ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::MachineCache;
-use hcsim_model::{Task, Time};
+use hcsim_model::Time;
 use hcsim_parallel::{resolve_threads, WorkerPool};
 use hcsim_sim::MachineState;
 use std::sync::Arc;
@@ -76,9 +76,9 @@ impl WarmFilter {
 }
 
 /// Shard-grouped live window rows shipped to pooled column rounds:
-/// one `(row index, task)` list per shard, shared with workers as an
-/// `Arc` and reclaimed via `Arc::get_mut` after the round.
-type SharedLiveRows = Arc<Vec<Vec<(usize, Task)>>>;
+/// one [`LiveRow`] list per shard, shared with workers as an `Arc` and
+/// reclaimed via `Arc::get_mut` after the round.
+type SharedLiveRows = Arc<Vec<Vec<LiveRow>>>;
 
 /// The per-machine cells, index-aligned with machine ids, plus everything
 /// that decides and serves their execution mode.
@@ -237,19 +237,21 @@ impl Cells {
 
     /// Fan-out 2 of a score-table rebuild: scores the bound-surviving rows
     /// against the free machines of the shards they survived in —
-    /// `live_by_shard[s]` lists the `(row, task)` pairs live in shard `s`,
-    /// and machine `m` scores exactly `live_by_shard[m / width]` — one
-    /// column per machine, merged into `cols` in machine-index order.
-    /// Cells must already be warm for the free machines.
+    /// `live_by_shard[s]` lists the rows live in shard `s`, and machine `m`
+    /// scores those of `live_by_shard[m / width]` its own per-pair bound
+    /// lets through (see [`score_column_scatter`]) — one column per
+    /// machine, merged into `cols` in machine-index order. Cells must
+    /// already be warm for the free machines. Returns the pairs scored.
     pub(super) fn fill_columns(
         &mut self,
         shared: &Arc<ScorerShared>,
         machines: &[MachineState],
-        live_by_shard: &[Vec<(usize, Task)>],
+        live_by_shard: &[Vec<LiveRow>],
         rows: usize,
         cols: &mut [Vec<Option<PairScore>>],
         parallel: bool,
-    ) {
+    ) -> usize {
+        let mut scored = 0;
         match &mut self.store {
             CellStore::Pooled(pool) if parallel => {
                 let snap = share_snapshot(&mut self.snapshot, machines);
@@ -257,19 +259,24 @@ impl Cells {
                 let shared = Arc::clone(shared);
                 pool.run(move |i, cell| {
                     let machine = &snap[i];
-                    let MachineCache { cache, col, .. } = cell;
+                    let MachineCache { cache, col, col_scored, .. } = cell;
                     col.clear();
                     col.resize(rows, None);
+                    *col_scored = 0;
                     if machine.has_free_slot() {
                         let live = &live[i / TABLE_SHARD_WIDTH];
-                        score_column_scatter(cache.tail(), &shared, machine, live, col);
+                        *col_scored =
+                            score_column_scatter(cache.tail(), &shared, machine, live, col);
                     }
                 });
                 // Index-ordered merge: swap each worker-filled column into
                 // the table (and recycle the table's old buffer as the
                 // cell's next scratch).
                 for (i, col) in cols.iter_mut().enumerate() {
-                    pool.with_cell(i, |cell| std::mem::swap(col, &mut cell.col));
+                    scored += pool.with_cell(i, |cell| {
+                        std::mem::swap(col, &mut cell.col);
+                        cell.col_scored
+                    });
                 }
             }
             store => {
@@ -278,13 +285,14 @@ impl Cells {
                     col.resize(rows, None);
                     if machine.has_free_slot() {
                         let live = &live_by_shard[i / TABLE_SHARD_WIDTH];
-                        store.with(i, |cell| {
-                            score_column_scatter(cell.cache.tail(), shared, machine, live, col);
+                        scored += store.with(i, |cell| {
+                            score_column_scatter(cell.cache.tail(), shared, machine, live, col)
                         });
                     }
                 }
             }
         }
+        scored
     }
 }
 
@@ -325,10 +333,7 @@ fn share_snapshot(
 
 /// Same reuse pattern for the per-shard live window rows of a column
 /// round (inner buffers keep their capacity across events).
-fn share_live(
-    slot: &mut Option<SharedLiveRows>,
-    live_by_shard: &[Vec<(usize, Task)>],
-) -> SharedLiveRows {
+fn share_live(slot: &mut Option<SharedLiveRows>, live_by_shard: &[Vec<LiveRow>]) -> SharedLiveRows {
     let mut arc = slot.take().unwrap_or_else(|| Arc::new(Vec::new()));
     match Arc::get_mut(&mut arc) {
         Some(buf) => {

@@ -2,7 +2,8 @@
 //! appending a task behind a machine tail, computed from the tail and a
 //! prefix CDF of the PET cell without materializing the convolution — per
 //! pair, four lanes at a time for a table column, and as a one-lookup
-//! upper bound for the bound pass.
+//! upper bound — per shard lane for the bound pass, per (row, machine)
+//! pair in front of every exact table score.
 
 use super::shared::{PetCdf, ScorerShared};
 use hcsim_model::{Task, Time};
@@ -54,12 +55,31 @@ impl<'a> CdfCursor<'a> {
     }
 }
 
+/// One `(row, task)` pair live in a shard, with the skip threshold the row
+/// is held to: all a column needs to decide, pair by pair, whether the
+/// exact walk is worth running — so pool workers need nothing else.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LiveRow {
+    pub(super) row: usize,
+    pub(super) task: Task,
+    pub(super) threshold: f64,
+}
+
+/// Slop added to the robustness upper bound before comparing it against a
+/// skip threshold. The analytic bound `Σ p_u · cdf(δ−u) ≤ cdf(δ−u_min)`
+/// can be violated by float rounding only by ~`n·ulp` (≤ 1e-13 for any
+/// realistic tail) plus the tail's normalization epsilon (1e-9), so a
+/// 1e-8 margin makes the skip decision *provably* agree with the exact
+/// comparison.
+pub(super) const BOUND_MARGIN: f64 = 1e-8;
+
 /// Upper bound on the Eq. 1 robustness of appending a task with deadline
 /// `deadline` behind a tail whose earliest impulse is `earliest`: every
 /// startable impulse leaves at most `δ − earliest` slack, and the tail
 /// carries at most unit mass, so `Σ p_u · CDF_E(δ−u) ≤ CDF_E(δ − u_min)`.
-/// One CDF lookup — the [`super::ScoreTable`] bound pass runs this per
-/// (row, machine) in place of the full scoring walk.
+/// One CDF lookup — the [`super::ScoreTable`] runs this against a shard
+/// envelope per (row, shard) lane, then against the machine's own cell
+/// per (row, machine) pair, in place of the full scoring walk.
 pub(super) fn robustness_bound(earliest: Time, cdf: &PetCdf, deadline: Time) -> f64 {
     if earliest >= deadline {
         0.0
@@ -72,9 +92,10 @@ pub(super) fn robustness_bound(earliest: Time, cdf: &PetCdf, deadline: Time) -> 
 /// announced departure cannot be counted on past the departure instant —
 /// a drain stops the queue, a fail requeues it — so its robustness is
 /// computed against `min(δ, departs_at)`. Machines without an
-/// announcement score against the plain deadline. The bound pass keeps
-/// the unclamped deadline: clamping only *lowers* robustness, so the
-/// unclamped bound stays a valid upper bound.
+/// announcement score against the plain deadline. The per-shard bound
+/// pass keeps the unclamped deadline: clamping only *lowers* robustness,
+/// so the unclamped bound stays a valid upper bound. The per-pair bound
+/// knows its machine and takes the clamped one.
 #[inline]
 pub(super) fn effective_deadline(deadline: Time, cap: Option<Time>) -> Time {
     match cap {
@@ -83,13 +104,19 @@ pub(super) fn effective_deadline(deadline: Time, cap: Option<Time>) -> Time {
     }
 }
 
-/// Fills one machine column of a [`super::ScoreTable`] for the bound-surviving
-/// `(row, task)` pairs, every task scored against the same tail. Tasks
-/// are processed four at a time — one shared walk over the tail drives
-/// four independent accumulator lanes (distinct tasks → distinct
-/// accumulators and CDF cursors), which gives the superscalar core four
-/// dependency chains instead of one. Each lane performs exactly the
-/// per-task walk of [`score_against`] (same impulse order, same CDF
+/// Fills one machine column of a [`super::ScoreTable`] for the `live`
+/// rows of its shard, every task scored against the same tail — after one
+/// CDF lookup per pair: the shard envelope let the lane through, but the
+/// machine's own cell at its own earliest start
+/// ([`ScorerShared::pair_clears`], the very cell and deadline the kernel
+/// would score with) proves most pairs under their row's threshold, and
+/// those stay `None` without the walk. Returns how many pairs were scored.
+///
+/// The survivors are processed four at a time — one shared walk over the
+/// tail drives four independent accumulator lanes (distinct tasks →
+/// distinct accumulators and CDF cursors), which gives the superscalar
+/// core four dependency chains instead of one. Each lane performs exactly
+/// the per-task walk of [`score_against`] (same impulse order, same CDF
 /// values, same float operations), so the column is bit-identical to
 /// per-pair scoring; the remainder lanes literally call it. The machine's
 /// announced departure caps each deadline (see [`effective_deadline`]),
@@ -99,25 +126,35 @@ pub(super) fn score_column_scatter(
     tail: &Pmf,
     shared: &ScorerShared,
     machine: &MachineState,
-    live: &[(usize, Task)],
+    live: &[LiveRow],
     col: &mut [Option<PairScore>],
-) {
+) -> usize {
+    let earliest = tail.min_time();
     let cap = machine.announced_departure();
-    let mut quads = live.chunks_exact(4);
-    for quad in &mut quads {
-        let tasks = [quad[0].1, quad[1].1, quad[2].1, quad[3].1];
-        let scores = score_quad(tail, shared, machine, &tasks);
-        for (&(row, _), score) in quad.iter().zip(scores) {
-            col[row] = Some(score);
+    let mut survivors =
+        live.iter().filter(|l| shared.pair_clears(machine, &l.task, earliest, l.threshold));
+    let mut scored = 0;
+    loop {
+        let quad: [Option<&LiveRow>; 4] = std::array::from_fn(|_| survivors.next());
+        if let [Some(a), Some(b), Some(c), Some(d)] = quad {
+            let scores = score_quad(tail, shared, machine, &[a.task, b.task, c.task, d.task]);
+            for (entry, score) in [a, b, c, d].into_iter().zip(scores) {
+                col[entry.row] = Some(score);
+            }
+            scored += 4;
+            continue;
         }
-    }
-    for &(row, task) in quads.remainder() {
-        col[row] = Some(score_against(
-            tail,
-            shared.cdf_for(task.type_id, machine),
-            effective_deadline(task.deadline, cap),
-            shared.policy,
-        ));
+        // A short quad is the column's remainder.
+        for entry in quad.into_iter().flatten() {
+            col[entry.row] = Some(score_against(
+                tail,
+                shared.cdf_for(entry.task.type_id, machine),
+                effective_deadline(entry.task.deadline, cap),
+                shared.policy,
+            ));
+            scored += 1;
+        }
+        return scored;
     }
 }
 

@@ -4,9 +4,9 @@
 //! one-entry memo that lets every mapper built against the same system
 //! share them.
 
-use super::kernel::robustness_bound;
+use super::kernel::{effective_deadline, robustness_bound, BOUND_MARGIN};
 use crate::chain::PetTables;
-use hcsim_model::{MachineId, PetMatrix, SystemSpec, TaskTypeId, Time};
+use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskTypeId, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
 use hcsim_sim::MachineState;
 use std::sync::Arc;
@@ -180,6 +180,28 @@ impl ScorerShared {
             }
             _ => self.cdf(tt, machine.id()),
         }
+    }
+
+    /// The per-pair bound in front of every exact table score: whether
+    /// appending `task` to `machine`, whose tail starts no sooner than
+    /// `earliest`, can reach `threshold` at all. One lookup in the cell
+    /// the kernel would score with — warm or cold as [`Self::cdf_for`]
+    /// picks it for this machine — at the deadline the kernel would use
+    /// (capped by an announced departure). `false` proves the exact
+    /// robustness strictly below `threshold` (`BOUND_MARGIN` absorbs the
+    /// float slop), so the pair can stay unscored; an `earliest` older
+    /// than the live tail's is only looser, so still valid.
+    #[inline]
+    pub(super) fn pair_clears(
+        &self,
+        machine: &MachineState,
+        task: &Task,
+        earliest: Time,
+        threshold: f64,
+    ) -> bool {
+        let deadline = effective_deadline(task.deadline, machine.announced_departure());
+        let bound = robustness_bound(earliest, self.cdf_for(task.type_id, machine), deadline);
+        bound + BOUND_MARGIN >= threshold
     }
 
     /// How many per-(shard, type) warm-capable flags a [`super::ScoreTable`]

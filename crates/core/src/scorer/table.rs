@@ -4,7 +4,7 @@
 //! repair after an assignment ([`ScoreTable::apply_assignment`]).
 
 use super::cells::{WarmFilter, PARALLEL_MIN_MACHINES};
-use super::kernel::{score_column_scatter, PairScore};
+use super::kernel::{score_column_scatter, LiveRow, PairScore, BOUND_MARGIN};
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::TailBound;
 use super::{debug_assert_machine_alignment, ProbScorer};
@@ -20,14 +20,6 @@ use hcsim_sim::MachineState;
 /// calling thread and 250–310 µs through the two-round fan-out). Below
 /// this floor the rebuild runs on the calling thread at any thread count.
 const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
-
-/// Slop added to the robustness upper bound before comparing it against a
-/// skip threshold. The analytic bound `Σ p_u · cdf(δ−u) ≤ cdf(δ−u_min)`
-/// can be violated by float rounding only by ~`n·ulp` (≤ 1e-13 for any
-/// realistic tail) plus the tail's normalization epsilon (1e-9), so a
-/// 1e-8 margin makes the skip decision *provably* agree with the exact
-/// comparison.
-const BOUND_MARGIN: f64 = 1e-8;
 
 /// The (window task × machine) score matrix PAM and MOC reduce over,
 /// maintained *hierarchically* and *incrementally* — within a mapping
@@ -67,23 +59,41 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   agree with exact scoring: a skipped machine's exact robustness is
 ///   strictly below the threshold, so its score could only ever lose the
 ///   reduction to deferral anyway. (The shard test is conservative — an
-///   envelope can clear the threshold when no member does — so surviving
-///   shards are scored *exactly*; extra `Some` entries below the
-///   threshold never change a decision, because the reductions defer/cull
-///   on the exact value.)
+///   envelope can clear the threshold when no member does; extra `Some`
+///   entries below the threshold never change a decision, because the
+///   reductions defer/cull on the exact value.)
+/// * inside a surviving lane, a **per-pair bound** stands in front of
+///   every exact score: the same one-lookup bound, evaluated against the
+///   machine's *own* cell (warm or cold as that machine would place the
+///   type), its own earliest start and its own announced departure
+///   (`ScorerShared::pair_clears`). The envelope is a max over up to 32
+///   members, so most pairs it lets through — nine in ten on an
+///   oversubscribed cluster — fail their own machine's bound and stay
+///   `None` without the scoring walk. This is the same contract applied
+///   per pair instead of per lane, and it is the table's invariant: **a
+///   `None` on a free machine is a pair proven strictly below the
+///   threshold its row is held to; a `Some` is the exact score.** Every
+///   path that writes a cell tests the bound first (column rescores, the
+///   rebuild fan-out on either execution mode, appended rows, resurrected
+///   lanes), and the one event that can invalidate a proof without
+///   touching the machine — the caller *lowering* the row's threshold —
+///   has [`ScoreTable::ensure`] re-test the row's unscored pairs.
 /// * each shard also caches its **per-row best candidate**
 ///   (first-wins under the exact comparison), so
 ///   [`ScoreTable::best_for_row`] reduces over O(shards) precomputed
 ///   winners instead of scanning O(machines) columns. Shards are
 ///   contiguous index ranges, so the grouped first-wins reduction picks
-///   exactly the machine a flat ascending scan would.
+///   exactly the machine a flat ascending scan would. When member
+///   columns change, the cache is *folded*, not rescanned: a winner on an
+///   unchanged machine only has to be compared against the changed
+///   members' new cells (`refresh_shard_best`).
 /// * between assignments ([`ScoreTable::apply_assignment`]), only the
 ///   *assigned* machine's column (and its shard's aggregates) change,
 ///   plus one appended row when a new batch task slides into the
-///   window. Every other pair keeps its previously computed score —
-///   which is exactly the value a from-scratch rescore
-///   would produce, because pair scores are deterministic in
-///   (machine state, task) alone. Within one event machines only fill up
+///   window. Every other pair keeps its previously computed score — or
+///   its proof that none is needed — which is exactly what a from-scratch
+///   rescore would produce, because pair scores and pair bounds are
+///   deterministic in (machine state, task) alone. Within one event machines only fill up
 ///   and bounds only tighten — with one exception under a cold-start
 ///   model: an assignment makes the assigned machine warm for the
 ///   assigned *type* (the queued-entry rule), which can switch that
@@ -97,21 +107,23 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   (completions, assignments, pruner drops) or whose conditioned head
 ///   the clock re-keyed are rescored, rows whose bounds those machines
 ///   *loosened* — or whose skip threshold the caller lowered — are
-///   resurrected shard-by-shard, and the window diff is applied as
-///   removals + appended rows. Every surviving entry is
+///   resurrected shard-by-shard (and, for a lowered threshold, pair by
+///   pair inside the lanes that were already live), and the window diff
+///   is applied as removals + appended rows. Every surviving entry is
 ///   byte-identical to what a fresh rebuild would compute, so an event
 ///   costs O(changed), not O(machines).
 ///
 /// The sequential heuristics used to rescore the full window × machines
 /// product on every loop iteration; under oversubscription — where the
 /// batch is dominated by tasks that will be deferred again — the table
-/// turns that into a cheap per-shard bound sweep plus O(live) exact
-/// work, without changing a single mapping decision.
+/// turns that into a cheap per-shard bound sweep, one lookup per
+/// surviving pair, and exact work only where a task could actually clear
+/// its threshold — without changing a single mapping decision.
 #[derive(Debug, Default)]
 pub struct ScoreTable {
     /// One column per machine; `cols[m][i]` scores window task `i` on
-    /// machine `m` (`None`: no free slot, or (row, shard) skipped by the
-    /// bound pass).
+    /// machine `m` (`None`: no free slot, (row, shard) skipped by the
+    /// bound pass, or the pair rejected by the machine's own bound).
     cols: Vec<Vec<Option<PairScore>>>,
     /// Row-aligned: false when the bound pass proved the row deferred.
     scored: Vec<bool>,
@@ -120,21 +132,21 @@ pub struct ScoreTable {
     /// in [`ScoreTable::ensure`] when a changed machine loosened a bound
     /// or the caller lowered the row's threshold.
     shard_live: Vec<Vec<bool>>,
-    /// Row-aligned: the caller's skip threshold the row's dead lanes were
-    /// last proven under. [`ScoreTable::ensure`] rechecks every dead lane
-    /// of a row whose threshold has since dropped.
+    /// Row-aligned: the caller's skip threshold the row's dead lanes and
+    /// unscored pairs were last proven under. [`ScoreTable::ensure`]
+    /// rechecks all of them for a row whose threshold has since dropped.
     row_thresholds: Vec<f64>,
     /// Recycled `shard_live` lanes (keeps row churn allocation-free).
     spare_lanes: Vec<Vec<bool>>,
     /// Per shard, per row: the shard's best candidate under the exact
     /// first-wins comparison (`None`: no scored member).
     shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
-    /// Scratch: `(row, task)` pairs live in one shard — filled once per
-    /// shard by [`ScoreTable::collect_live_rows`], read by every column
-    /// rescore in that shard.
-    live: Vec<(usize, Task)>,
-    /// Scratch: per-shard `(row, task)` lists for the rebuild fan-out.
-    live_by_shard: Vec<Vec<(usize, Task)>>,
+    /// Scratch: the rows live in one shard — filled once per shard by
+    /// [`ScoreTable::collect_live_rows`], read by every column rescore in
+    /// that shard.
+    live: Vec<LiveRow>,
+    /// Scratch: per-shard live-row lists for the rebuild fan-out.
+    live_by_shard: Vec<Vec<LiveRow>>,
     /// Bound scalars and head window per free machine (`None`: no free
     /// slot), as of the machine's last column (re)score.
     tail_bounds: Vec<Option<TailBound>>,
@@ -148,8 +160,10 @@ pub struct ScoreTable {
     /// Scratch: the types an assignment just made one shard warm-capable
     /// for (`refresh_machine`).
     newly_warm: Vec<bool>,
-    /// Exact (row, machine) scores computed so far (diagnostics/tests).
+    /// Exact (row, machine) scores computed so far, and pairs of live
+    /// lanes the per-pair bound rejected instead (diagnostics/tests).
     pairs_scored: u64,
+    pairs_bounded: u64,
     /// Reuse signature: membership epoch of the last rebuild, machine
     /// versions and window tasks as last scored. The event time is *not*
     /// part of it — see [`ScoreTable::ensure`].
@@ -159,11 +173,14 @@ pub struct ScoreTable {
     /// Set by [`ScoreTable::invalidate`]: the next ensure rebuilds.
     stale: bool,
     /// Ensure scratch: indices/mask of changed machines, dirty shards,
-    /// and resurrected `(row, shard)` pairs.
+    /// one dirty shard's changed members, and the `(row, shard)` lanes
+    /// whose unscored pairs phase 3 tests — resurrected ones, and live
+    /// ones of a row whose threshold dropped.
     changed: Vec<usize>,
     changed_mask: Vec<bool>,
     dirty_shards: Vec<bool>,
-    newly_live: Vec<(usize, usize)>,
+    shard_changed: Vec<usize>,
+    retest: Vec<(usize, usize)>,
 }
 
 /// The exact phase-1 comparison: higher robustness, tie → lower expected
@@ -227,12 +244,88 @@ impl ScoreTable {
     }
 
     /// Exact (row, machine) pair scores the table has computed so far —
-    /// the work the bound pass did *not* avoid. Test support, not part of
-    /// the supported API.
+    /// kernel invocations, counted where they happen: the work neither
+    /// bound avoided. Test support, not part of the supported API.
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_scored(&self) -> u64 {
         self.pairs_scored
+    }
+
+    /// Pairs of live lanes the per-pair bound rejected so far — each one
+    /// CDF lookup in place of a kernel invocation. Test support, like
+    /// [`ScoreTable::pairs_scored`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pairs_bounded(&self) -> u64 {
+        self.pairs_bounded
+    }
+
+    /// Checks the table against its own contract, as it must stand after
+    /// every [`ScoreTable::rebuild`], [`ScoreTable::ensure`] and
+    /// [`ScoreTable::apply_assignment`] on the `machines` that call saw
+    /// (`scorer` at the same event time): every cached shard best is
+    /// bitwise the first-wins scan of its shard's columns; every scored
+    /// pair on a free machine holds the exact score; every unscored pair
+    /// on a free machine is proven below the threshold its row is held to
+    /// — by its machine's own bound in a live lane, by the shard bound in
+    /// a dead one. The first violation comes back as the error. Test
+    /// support, like [`ScoreTable::pairs_scored`].
+    #[doc(hidden)]
+    pub fn check_invariants(
+        &self,
+        scorer: &mut ProbScorer,
+        machines: &[MachineState],
+    ) -> Result<(), String> {
+        let bits = |s: &PairScore| {
+            (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits())
+        };
+        for (row, task) in self.row_tasks.iter().enumerate() {
+            let threshold = self.row_thresholds[row];
+            for (s, bests) in self.shard_best.iter().enumerate() {
+                let scan = shard_best_entry(&self.cols, s, row);
+                if bests[row].map(|(m, b)| (m, bits(&b))) != scan.map(|(m, b)| (m, bits(&b))) {
+                    return Err(format!(
+                        "row {row} shard {s}: cached best {:?}, the columns say {scan:?}",
+                        bests[row]
+                    ));
+                }
+                if !self.shard_live[row][s] && self.lane_clears(&scorer.shared, task, s, threshold)
+                {
+                    return Err(format!("row {row} shard {s}: dead, but clears {threshold}"));
+                }
+            }
+            for (m, machine) in machines.iter().enumerate() {
+                if !machine.has_free_slot() {
+                    continue;
+                }
+                match self.cols[m][row] {
+                    Some(held) => {
+                        let exact = scorer.score(machine, task);
+                        if bits(&held) != bits(&exact) {
+                            return Err(format!("({row},{m}): holds {held:?}, exact is {exact:?}"));
+                        }
+                    }
+                    None if self.shard_live[row][m / TABLE_SHARD_WIDTH] => {
+                        let earliest = scorer.ensure_tail_bound(machine).earliest;
+                        if scorer.shared.pair_clears(machine, task, earliest, threshold) {
+                            return Err(format!(
+                                "({row},{m}): unscored in a live lane, but its bound clears \
+                                 {threshold}"
+                            ));
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Books `candidates` tested pairs, `scored` of which ran the kernel.
+    fn count_pairs(&mut self, candidates: usize, scored: usize) {
+        self.pairs_scored += scored as u64;
+        self.pairs_bounded += (candidates - scored) as u64;
     }
 
     /// Recomputes the whole table for `tasks` (the batch window) against
@@ -272,9 +365,10 @@ impl ScoreTable {
 
         self.warm_and_collect_bounds(scorer, machines, parallel);
         self.bound_pass(&scorer.shared, tasks, skip_below);
-        // Fan-out 2: exact scores for the surviving (row, shard) pairs,
-        // one column per machine.
-        scorer.cells.fill_columns(
+        // Fan-out 2: exact scores for the pairs of the surviving (row,
+        // shard) lanes that clear their machine's own bound, one column
+        // per machine.
+        let scored = scorer.cells.fill_columns(
             &scorer.shared,
             machines,
             &self.live_by_shard,
@@ -282,6 +376,13 @@ impl ScoreTable {
             &mut self.cols,
             parallel,
         );
+        let candidates = (0..scorer.shared.shards)
+            .map(|s| {
+                let members = shard_range(s, self.tail_bounds.len());
+                self.tail_bounds[members].iter().flatten().count() * self.live_by_shard[s].len()
+            })
+            .sum();
+        self.count_pairs(candidates, scored);
         self.reduce_shard_bests(tasks.len());
         self.record_signature(scorer, machines, tasks);
     }
@@ -341,20 +442,13 @@ impl ScoreTable {
                 if self.lane_clears(shared, task, s, threshold) {
                     *lane = true;
                     any = true;
-                    self.live_by_shard[s].push((row, *task));
+                    self.live_by_shard[s].push(LiveRow { row, task: *task, threshold });
                 }
             }
             self.scored.push(any);
             self.row_thresholds.push(threshold);
             self.shard_live.push(lanes);
         }
-        self.pairs_scored += (0..shards)
-            .map(|s| {
-                let members = shard_range(s, self.tail_bounds.len());
-                let free = self.tail_bounds[members].iter().flatten();
-                (free.count() * self.live_by_shard[s].len()) as u64
-            })
-            .sum::<u64>();
     }
 
     /// The rebuild's per-shard phase-1 reduction: caches each shard's best
@@ -365,8 +459,8 @@ impl ScoreTable {
         for (s, bests) in self.shard_best.iter_mut().enumerate() {
             bests.clear();
             bests.resize(rows, None);
-            for &(row, _) in &self.live_by_shard[s] {
-                bests[row] = shard_best_entry(&self.cols, s, row);
+            for live in &self.live_by_shard[s] {
+                bests[live.row] = shard_best_entry(&self.cols, s, live.row);
             }
         }
     }
@@ -407,9 +501,12 @@ impl ScoreTable {
     ///
     /// `skip_below` may differ from the previous event's (adaptive trims,
     /// sufferage relief): each row remembers the threshold its skipped
-    /// shards were proven under, and a row whose threshold dropped has
-    /// all of them rechecked. A raised threshold needs nothing — what is
-    /// scored stays scored.
+    /// shards and unscored pairs were proven under, and a row whose
+    /// threshold dropped has all of them rechecked — dead lanes against
+    /// their shard bound, unscored pairs of live lanes against their
+    /// machine's own. A raised threshold needs nothing — what is scored
+    /// stays scored, and what a lower threshold rejected a higher one
+    /// rejects too.
     ///
     /// Falls back to a rebuild — returning `false` — when the table was
     /// invalidated or is of another epoch, and when incremental repair
@@ -441,7 +538,7 @@ impl ScoreTable {
         debug_assert_machine_alignment(machines);
         self.refresh_changed_bounds(scorer, machines);
         self.resurrect_lanes(&scorer.shared, skip_below);
-        self.score_resurrected_lanes(scorer, machines);
+        self.score_retested_lanes(scorer, machines);
         self.rescore_dirty_shards(scorer, machines);
         self.reconcile_window(scorer, machines, tasks, skip_below);
         true
@@ -509,60 +606,69 @@ impl ScoreTable {
     /// whose threshold dropped, restores exactly the liveness a fresh
     /// bound pass would compute (other lanes kept both their bound and
     /// their threshold; live lanes stay live, which at worst over-scores —
-    /// see [`ScoreTable::ensure`]). The revived lanes land in `newly_live`.
+    /// see [`ScoreTable::ensure`]). The revived lanes land in `retest` —
+    /// and so do the lanes that were already live for a row whose
+    /// threshold dropped: the pairs their machines' own bounds rejected
+    /// were proven under the old threshold only.
     fn resurrect_lanes(&mut self, shared: &ScorerShared, skip_below: &dyn Fn(TaskTypeId) -> f64) {
         let shards = shared.shards;
-        self.newly_live.clear();
+        self.retest.clear();
         for row in 0..self.scored.len() {
             let task = self.row_tasks[row];
             let threshold = skip_below(task.type_id);
             let lowered = threshold < self.row_thresholds[row];
             self.row_thresholds[row] = threshold;
             for s in 0..shards {
-                if !(lowered || self.dirty_shards[s]) || self.shard_live[row][s] {
+                if !(lowered || self.dirty_shards[s]) {
                     continue;
                 }
-                if self.lane_clears(shared, &task, s, threshold) {
+                if self.shard_live[row][s] {
+                    if lowered {
+                        self.retest.push((row, s));
+                    }
+                } else if self.lane_clears(shared, &task, s, threshold) {
                     self.shard_live[row][s] = true;
                     self.scored[row] = true;
-                    self.newly_live.push((row, s));
+                    self.retest.push((row, s));
                 }
             }
         }
     }
 
-    /// Ensure phase 3: scores the resurrected (row, shard) pairs on the
-    /// shard's unchanged free machines. A shard no machine changed in is
-    /// not revisited by phase 4, so its best cache is settled here.
-    fn score_resurrected_lanes(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
+    /// Ensure phase 3: tests the unscored pairs of the `retest` lanes on
+    /// their shards' unchanged free machines and scores those that clear
+    /// the row's current threshold — every pair of a resurrected lane, the
+    /// bound-rejected ones of a lane whose row's threshold dropped. Phase 4
+    /// only folds *changed* members into a shard's best cache, so each
+    /// lane's entry is settled here, dirty shard or not.
+    fn score_retested_lanes(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
         let changed_mask = std::mem::take(&mut self.changed_mask);
-        for i in 0..self.newly_live.len() {
-            let (row, s) = self.newly_live[i];
+        for i in 0..self.retest.len() {
+            let (row, s) = self.retest[i];
             self.score_lane(scorer, machines, row, s, |m| changed_mask[m]);
-            if !self.dirty_shards[s] {
-                self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
-            }
         }
         self.changed_mask = changed_mask;
     }
 
     /// Ensure phase 4: per dirty shard, rescores its changed members'
     /// columns (rows live in the shard — including the just-resurrected
-    /// ones) from one live-row list, then refreshes its best cache once,
-    /// however many members changed.
+    /// ones) from one live-row list, then folds them into its best cache
+    /// once, however many members changed.
     fn rescore_dirty_shards(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
+        let mut members = std::mem::take(&mut self.shard_changed);
         for s in 0..scorer.shared.shards {
             if !self.dirty_shards[s] {
                 continue;
             }
+            members.clear();
+            members.extend(shard_range(s, machines.len()).filter(|&m| self.changed_mask[m]));
             self.collect_live_rows(s);
-            for m in shard_range(s, machines.len()) {
-                if self.changed_mask[m] {
-                    self.rescore_column(scorer, machines, m);
-                }
+            for &m in &members {
+                self.rescore_column(scorer, machines, m);
             }
-            self.refresh_shard_best(s);
+            self.refresh_shard_best(s, &members);
         }
+        self.shard_changed = members;
     }
 
     /// Ensure phase 5: reconciles the window. The new window is the old
@@ -632,9 +738,13 @@ impl ScoreTable {
         })
     }
 
-    /// Scores a resurrected (row, shard) lane on the shard's free
-    /// machines, except those `rescored` names — their whole columns are
-    /// about to be rescored by the caller.
+    /// Tests the unscored pairs of live lane (row, shard `s`) on the
+    /// shard's free machines — except those `rescored` names, whose whole
+    /// columns the caller is about to rescore — against each machine's own
+    /// bound under the row's threshold, scores the ones that clear it, and
+    /// settles the lane's best-cache entry over what the columns now hold.
+    /// A `rescored` member's column is stale here; the fold that follows
+    /// its rescore rescans the lane if the stale cell won.
     fn score_lane(
         &mut self,
         scorer: &mut ProbScorer,
@@ -643,22 +753,43 @@ impl ScoreTable {
         s: usize,
         rescored: impl Fn(usize) -> bool,
     ) {
-        let task = self.row_tasks[row];
+        let (task, threshold) = (self.row_tasks[row], self.row_thresholds[row]);
         for m in shard_range(s, machines.len()) {
-            if rescored(m) || !machines[m].has_free_slot() {
+            if rescored(m) || !machines[m].has_free_slot() || self.cols[m][row].is_some() {
                 continue;
             }
-            self.cols[m][row] = Some(scorer.score(&machines[m], &task));
-            self.pairs_scored += 1;
+            self.cols[m][row] = self.score_pair(scorer, &machines[m], &task, threshold);
         }
+        self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
     }
 
-    /// Fills `self.live` with the `(row, task)` pairs live in shard `s`.
+    /// One pair on a free machine, behind the machine's own bound at its
+    /// *recorded* earliest start (no cell access unless it clears). Every
+    /// free machine has one on record: a slot only opens under a version
+    /// bump, which makes the machine *changed* and refreshes its bound
+    /// before any pair on it is tested.
+    fn score_pair(
+        &mut self,
+        scorer: &mut ProbScorer,
+        machine: &MachineState,
+        task: &Task,
+        threshold: f64,
+    ) -> Option<PairScore> {
+        let recorded = self.tail_bounds[machine.id().index()];
+        let earliest = recorded.expect("a free machine has a recorded tail bound").earliest;
+        let clears = scorer.shared.pair_clears(machine, task, earliest, threshold);
+        self.count_pairs(1, usize::from(clears));
+        clears.then(|| scorer.score(machine, task))
+    }
+
+    /// Fills `self.live` with the rows live in shard `s`, each with the
+    /// threshold it is currently held to.
     fn collect_live_rows(&mut self, s: usize) {
         self.live.clear();
         for (row, task) in self.row_tasks.iter().enumerate() {
             if self.shard_live[row][s] {
-                self.live.push((row, *task));
+                let threshold = self.row_thresholds[row];
+                self.live.push(LiveRow { row, task: *task, threshold });
             }
         }
     }
@@ -673,9 +804,9 @@ impl ScoreTable {
 
     /// Rescores machine `m`'s column for the rows live in its shard —
     /// `self.live`, which the caller filled via
-    /// [`ScoreTable::collect_live_rows`] — or clears it when the machine
-    /// has no free slot. Bound scalars and shard aggregates are the
-    /// caller's responsibility.
+    /// [`ScoreTable::collect_live_rows`], each pair behind the machine's
+    /// own bound — or clears it when the machine has no free slot. Bound
+    /// scalars and shard aggregates are the caller's responsibility.
     fn rescore_column(&mut self, scorer: &mut ProbScorer, machines: &[MachineState], m: usize) {
         let machine = &machines[m];
         let col = &mut self.cols[m];
@@ -685,12 +816,12 @@ impl ScoreTable {
             return;
         }
         let live = &self.live;
-        self.pairs_scored += live.len() as u64;
         let ProbScorer { shared, now, cells, .. } = scorer;
-        cells.with(m, |cell| {
+        let scored = cells.with(m, |cell| {
             cell.ensure(shared, *now, machine, false);
-            score_column_scatter(cell.cache.tail(), shared, machine, live, col);
+            score_column_scatter(cell.cache.tail(), shared, machine, live, col)
         });
+        self.count_pairs(self.live.len(), scored);
     }
 
     /// Repairs the table after the caller committed window row `row` to
@@ -736,11 +867,15 @@ impl ScoreTable {
 
     /// Appends a row for `task` (a batch task that slid into the window):
     /// shard-bound-checked against the cached earliest starts, then
-    /// scored on the free machines of its surviving shards.
+    /// scored on the free machines of its surviving shards whose own
+    /// recorded bound it clears.
     ///
-    /// The cached shard aggregates can be stale only for a machine
-    /// assigned to since its last refresh. Its queue *grew*, so the stale
-    /// earliest start is only ever looser than the live one. The stale
+    /// The cached shard aggregates, and the per-machine earliest starts
+    /// under them, can be stale only for a machine assigned to since its
+    /// last refresh. Its queue *grew*, so the stale earliest start is only
+    /// ever looser than the live one — still a valid bound, for the shard
+    /// and for the machine's own pairs alike (and that machine's column is
+    /// rescored from its live tail when the assignment closes). The stale
     /// warm-capable flags are the one thing that can err the other way —
     /// the assignment may just have made the shard warm-capable for the
     /// assigned type — and the `refresh_machine` with which
@@ -772,11 +907,13 @@ impl ScoreTable {
         let row = self.scored.len();
         self.scored.push(any);
         self.row_thresholds.push(threshold);
-        for (m, (machine, col)) in machines.iter().zip(&mut self.cols).enumerate() {
-            let value = (lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot())
-                .then(|| scorer.score(machine, task));
-            self.pairs_scored += u64::from(value.is_some());
-            col.push(value);
+        for (m, machine) in machines.iter().enumerate() {
+            let value = if lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot() {
+                self.score_pair(scorer, machine, task, threshold)
+            } else {
+                None
+            };
+            self.cols[m].push(value);
         }
         for (s, bests) in self.shard_best.iter_mut().enumerate() {
             let entry = if lanes[s] { shard_best_entry(&self.cols, s, row) } else { None };
@@ -798,9 +935,9 @@ impl ScoreTable {
     /// warm-capable for (its bound moves from the cold envelope to the
     /// looser warm one). Those lanes are rechecked under the threshold
     /// they were skipped at, and a lane that now clears it is scored on
-    /// the shard's other free members before `m`'s column and the
-    /// shard's best cache are rebuilt — what [`ScoreTable::ensure`] does
-    /// across events, for one shard.
+    /// the shard's other free members before `m`'s column is rebuilt and
+    /// folded into the shard's best cache — what [`ScoreTable::ensure`]
+    /// does across events, for one shard.
     fn refresh_machine(
         &mut self,
         scorer: &mut ProbScorer,
@@ -841,16 +978,40 @@ impl ScoreTable {
         // is a cache hit.
         self.collect_live_rows(s);
         self.rescore_column(scorer, machines, m);
-        self.refresh_shard_best(s);
+        self.refresh_shard_best(s, &[m]);
     }
 
-    /// Recomputes shard `s`'s cached best candidate for every row live in
-    /// it (some member column changed).
-    fn refresh_shard_best(&mut self, s: usize) {
+    /// Brings shard `s`'s cached best candidates up to date after the
+    /// columns of its `changed` members — and only those — were rescored,
+    /// for every row live in it. A row whose cached winner sits on an
+    /// unchanged machine keeps it and *folds* the changed members' new
+    /// cells in: the winner already beat every other unchanged member, so
+    /// only a changed one can displace it. First-wins is the maximum of
+    /// (robustness, −expected completion, −machine index), so among equals
+    /// the lower index takes it, exactly as [`shard_best_entry`]'s
+    /// ascending scan would have it. Only a row whose cached winner *was*
+    /// a changed machine has lost what it was compared against, and
+    /// rescans the shard's columns.
+    fn refresh_shard_best(&mut self, s: usize, changed: &[usize]) {
         for row in 0..self.scored.len() {
-            if self.shard_live[row][s] {
-                self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+            if !self.shard_live[row][s] {
+                continue;
             }
+            let mut best = self.shard_best[s][row];
+            if best.is_some_and(|(winner, _)| changed.contains(&winner)) {
+                best = shard_best_entry(&self.cols, s, row);
+            } else {
+                for &m in changed {
+                    let Some(score) = self.cols[m][row] else { continue };
+                    let wins = best.as_ref().is_none_or(|(winner, b)| {
+                        better_pair(&score, b) || (m < *winner && !better_pair(b, &score))
+                    });
+                    if wins {
+                        best = Some((m, score));
+                    }
+                }
+            }
+            self.shard_best[s][row] = best;
         }
     }
 

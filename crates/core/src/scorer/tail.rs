@@ -135,6 +135,9 @@ pub(super) struct MachineCache {
     /// and the caller swaps it into the table column in machine-index
     /// order (buffers recycle across events through the same swap).
     pub(super) col: Vec<Option<PairScore>>,
+    /// Pairs the last pooled round scored into `col` (the rest of its live
+    /// rows were rejected by the per-pair bound) — collected with the swap.
+    pub(super) col_scored: usize,
 }
 
 impl MachineCache {

@@ -48,7 +48,9 @@ pub(super) fn fanout_fixture(n: usize) -> (PetMatrix, Vec<MachineState>) {
 /// table must return it bit for bit; wherever it doesn't, the table
 /// may return nothing or a value the reduction would defer anyway.
 /// Pair by pair, what the table holds for a free machine is the exact
-/// score, and what it left unscored is exactly below the threshold.
+/// score, and what it left unscored is exactly below the threshold. The
+/// table's own invariants ([`ScoreTable::check_invariants`]) are checked
+/// on the way.
 pub(super) fn assert_table_agrees_with_exact(
     table: &ScoreTable,
     scorer_ref: &mut ProbScorer,
@@ -56,6 +58,7 @@ pub(super) fn assert_table_agrees_with_exact(
     tasks: &[Task],
     threshold: &dyn Fn(TaskTypeId) -> f64,
 ) {
+    table.check_invariants(scorer_ref, machines).unwrap();
     for (row, task) in tasks.iter().enumerate() {
         let mut exact: Option<(usize, PairScore)> = None;
         for (m, machine) in machines.iter().enumerate() {

@@ -351,6 +351,7 @@ fn score_table_matches_pairwise_scoring_bitwise() {
         scorer.set_parallelism(threads);
         assert_eq!(scorer.pool_active(), threads > 1);
         table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
+        table.check_invariants(&mut scorer_ref, &machines).unwrap();
         for (i, task) in tasks.iter().enumerate() {
             for (m, machine) in machines.iter().enumerate() {
                 let direct = scorer_ref.score(machine, task);
@@ -391,6 +392,7 @@ fn score_table_incremental_updates_track_live_state() {
     let fresh = Task { id: TaskId(900), type_id: TaskTypeId(1), arrival: 0, deadline: 220 };
     tasks.push(fresh);
     table.apply_assignment(&mut scorer, &machines, &tasks, 1, 2, &|_| 0.0);
+    table.check_invariants(&mut scorer, &machines).unwrap();
     let mut reference = ScoreTable::new();
     let mut ref_scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
     ref_scorer.begin_event(3);
@@ -446,6 +448,7 @@ fn score_table_ensure_matches_rebuild_after_same_tick_changes() {
         table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0),
         "same tick + same epoch must take the reuse path"
     );
+    table.check_invariants(&mut scorer, &machines).unwrap();
     let mut reference = ScoreTable::new();
     let mut ref_scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
     ref_scorer.begin_event(3);
@@ -657,6 +660,200 @@ fn score_table_ensure_follows_threshold_drift() {
     assert!((score.robustness - 0.39).abs() < 1e-12, "{score:?}");
 }
 
+/// One shard, three machines, two task types — 0 is what the heads run,
+/// 1 what the window rows are. For a type-1 row with δ = 60:
+/// * A (machine 0) frees up at 10 with probability 0.2, else at 100, and
+///   runs the row in a sure 20: its own bound is `CDF(50) = 1`, its exact
+///   robustness 0.2;
+/// * B (machine 1) frees up at 30 with probability 0.875 and runs the row
+///   in 25 with probability 0.4: own bound `CDF(30) = 0.4`, exact
+///   robustness 0.35 — unless it announced its departure for
+///   `b_departs`, which caps the row's deadline there;
+/// * C (machine 2) is idle and needs a sure 70: hopeless for δ = 60, a
+///   certain fit for δ = 400.
+fn drift_fixture(b_departs: Option<Time>) -> (PetMatrix, Vec<MachineState>) {
+    let cell = |points: &[(Time, f64)]| Pmf::from_points(points).unwrap();
+    let pet = PetMatrix::from_pmfs(
+        2,
+        3,
+        vec![
+            cell(&[(10, 0.2), (100, 0.8)]),
+            cell(&[(30, 0.875), (100, 0.125)]),
+            cell(&[(10, 1.0)]),
+            cell(&[(20, 1.0)]),
+            cell(&[(25, 0.4), (40, 0.6)]),
+            cell(&[(70, 1.0)]),
+        ],
+    );
+    let mut machines: Vec<MachineState> =
+        (0..3usize).map(|m| MachineState::new(MachineId::from(m), 3)).collect();
+    for (m, machine) in machines.iter_mut().enumerate().take(2) {
+        let head = Task { id: TaskId(m as u32), type_id: TaskTypeId(0), arrival: 0, deadline: 400 };
+        assert!(testkit::start_executing(machine, head, 0, 200));
+    }
+    testkit::announce_departure(&mut machines[1], b_departs);
+    (pet, machines)
+}
+
+fn drift_row(id: u32, deadline: Time) -> Task {
+    Task { id: TaskId(id), type_id: TaskTypeId(1), arrival: 0, deadline }
+}
+
+#[test]
+fn score_table_ensure_retests_unscored_pairs_when_a_threshold_drops() {
+    // The lane is live under 0.5 on the strength of A's bound, B's own
+    // bound (0.4) leaves B unscored, and A's exact robustness is only
+    // 0.2. With nothing but the threshold moving to 0.3, B's proof is
+    // void: B must be scored, and — at 0.35 — win the row.
+    let (pet, machines) = drift_fixture(None);
+    let rows = [drift_row(9_000, 60)];
+    let at = |threshold: f64| move |_: TaskTypeId| threshold;
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(1);
+    assert!(!table.ensure(&mut scorer, &machines, &rows, &at(0.5)), "first build");
+    assert!((table.get(0, 0).expect("A clears its bound").robustness - 0.2).abs() < 1e-12);
+    assert_eq!(table.get(0, 1), None, "B's own bound is 0.4");
+    assert_eq!(table.best_for_row(&machines, 0).map(|(m, _)| m.index()), Some(0));
+
+    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.3)), "drift alone reuses");
+    let (m, score) = table.best_for_row(&machines, 0).expect("scored on A and B");
+    assert_eq!(m.index(), 1, "B clears 0.3 and A does not");
+    assert!((score.robustness - 0.35).abs() < 1e-12, "{score:?}");
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.3));
+
+    // Raising the threshold back voids nothing: what is scored stays.
+    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.5)));
+    assert_eq!(table.get(0, 1), Some(score));
+    assert_eq!(table.best_for_row(&machines, 0), Some((m, score)));
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.5));
+}
+
+#[test]
+fn score_table_ensure_retests_slid_in_rows_in_a_dirty_shard() {
+    // The same drift, for a row that entered through `apply_assignment`
+    // (its threshold was recorded by `push_row`), and with the shard
+    // dirty at the drifting event — C's queue moved — so the lane's best
+    // cache must be settled by the retest, not by the fold over C.
+    let (pet, mut machines) = drift_fixture(None);
+    let mut rows = vec![drift_row(9_000, 400), drift_row(9_001, 60)];
+    let at = |threshold: f64| move |_: TaskTypeId| threshold;
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(1);
+    table.ensure(&mut scorer, &machines, &rows, &at(0.5));
+    let assigned = rows.remove(0);
+    assert!(testkit::apply(&mut machines[2], testkit::QueueOp::Push(assigned)));
+    rows.push(drift_row(9_002, 60));
+    table.apply_assignment(&mut scorer, &machines, &rows, 0, 2, &at(0.5));
+    for row in 0..2 {
+        assert_eq!(table.get(row, 1), None, "row {row}: B's own bound is 0.4");
+        assert_eq!(table.best_for_row(&machines, row).map(|(m, _)| m.index()), Some(0));
+    }
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.5));
+
+    assert!(testkit::apply(
+        &mut machines[2],
+        testkit::QueueOp::StartNext { now: 1, total_exec: 70 }
+    ));
+    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.3)), "one machine changed");
+    for row in 0..2 {
+        let (m, score) = table.best_for_row(&machines, row).expect("scored on A and B");
+        assert_eq!(m.index(), 1, "row {row}");
+        assert!((score.robustness - 0.35).abs() < 1e-12, "row {row}: {score:?}");
+    }
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.3));
+}
+
+#[test]
+fn score_table_pair_bound_honours_an_announced_departure() {
+    // B leaves at 52: the row's deadline there is 52, not 60, so B's own
+    // bound is `CDF(22) = 0` and the drift to 0.3 must *not* score it —
+    // the retest probes it and leaves it — while a threshold of 0 does.
+    let (pet, machines) = drift_fixture(Some(52));
+    let rows = [drift_row(9_000, 60)];
+    let at = |threshold: f64| move |_: TaskTypeId| threshold;
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(1);
+    table.ensure(&mut scorer, &machines, &rows, &at(0.5));
+    let (scored, bounded) = (table.pairs_scored(), table.pairs_bounded());
+    assert_eq!((scored, bounded), (1, 2), "A scored; B and C bounded");
+
+    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.3)));
+    assert_eq!(table.get(0, 1), None);
+    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (scored, bounded + 2));
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.3));
+
+    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.0)));
+    assert_eq!(table.get(0, 1).map(|s| s.robustness), Some(0.0));
+    assert_eq!(table.pairs_scored(), scored + 2, "B and C");
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.0));
+}
+
+#[test]
+fn score_table_shard_best_fold_keeps_first_wins_order_among_ties() {
+    // A homogeneous shard: one cell, identical queues, so scores tie bit
+    // for bit and only the scan order picks the winner. Machine 0 starts
+    // out behind a queued task; the cached winner is machine 1.
+    let n = 8;
+    let cell = Pmf::from_points(&[(5, 0.5), (9, 0.5)]).unwrap();
+    let pet = PetMatrix::from_pmfs(1, n, vec![cell; n]);
+    let queued =
+        |id: u32| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 500 };
+    let mut machines: Vec<MachineState> =
+        (0..n).map(|m| MachineState::new(MachineId::from(m), 2)).collect();
+    assert!(testkit::apply(&mut machines[0], testkit::QueueOp::Push(queued(1))));
+    let mut rows: Vec<Task> = (0..3u32)
+        .map(|i| Task { id: TaskId(9_000 + i), type_id: TaskTypeId(0), arrival: 0, deadline: 12 })
+        .collect();
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(0);
+    table.rebuild(&mut scorer, &machines, &rows, &|_| 0.0);
+    // After every step the cached winners must be what a flat ascending
+    // scan of a freshly built table picks.
+    let check = |table: &ScoreTable, machines: &[MachineState], rows: &[Task], want: usize| {
+        let mut fresh = ProbScorer::new(&pet, DropPolicy::All, 16);
+        fresh.begin_event(0);
+        let mut reference = ScoreTable::new();
+        reference.rebuild(&mut fresh, machines, rows, &|_| 0.0);
+        for row in 0..rows.len() {
+            let got = table.best_for_row(machines, row);
+            assert_eq!(got, reference.best_for_row(machines, row), "row {row}");
+            assert_eq!(got.map(|(m, _)| m.index()), Some(want), "row {row}");
+        }
+        table.check_invariants(&mut fresh, machines).unwrap();
+    };
+    check(&table, &machines, &rows, 1);
+
+    // A changed machine *below* the cached winner rescored to the very
+    // same value: the fold must hand it the row.
+    assert!(testkit::apply(&mut machines[0], testkit::QueueOp::RemovePending(TaskId(1))));
+    assert!(table.ensure(&mut scorer, &machines, &rows, &|_| 0.0));
+    check(&table, &machines, &rows, 0);
+
+    // The cached winner's own machine changed for the worse: its old
+    // cell is what the others were compared against, so rescan.
+    assert!(testkit::apply(&mut machines[0], testkit::QueueOp::Push(queued(2))));
+    assert!(table.ensure(&mut scorer, &machines, &rows, &|_| 0.0));
+    check(&table, &machines, &rows, 1);
+
+    // The same through an assignment: row 1 goes to the winner, …
+    let assigned = rows.remove(1);
+    assert!(testkit::apply(&mut machines[1], testkit::QueueOp::Push(assigned)));
+    table.apply_assignment(&mut scorer, &machines, &rows, 1, 1, &|_| 0.0);
+    check(&table, &machines, &rows, 2);
+
+    // … and the next winner loses its free slot between events.
+    for id in [3, 4] {
+        assert!(testkit::apply(&mut machines[2], testkit::QueueOp::Push(queued(id))));
+    }
+    assert!(!machines[2].has_free_slot());
+    assert!(table.ensure(&mut scorer, &machines, &rows, &|_| 0.0));
+    check(&table, &machines, &rows, 3);
+}
+
 #[test]
 fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
     // 20 free machines, every one executing (started at 0, first PET
@@ -680,6 +877,7 @@ fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
     // reuses, rescoring just those columns …
     scorer.begin_event(2);
     assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "few heads re-keyed");
+    table.check_invariants(&mut scorer, &machines).unwrap();
     // … and one that re-keys at least half the free machines takes the
     // bulk path.
     scorer.begin_event(40);
@@ -694,6 +892,7 @@ fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
     assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "invalidated");
     // And with nothing changed, the reuse path holds.
     assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "steady state");
+    table.check_invariants(&mut scorer, &machines).unwrap();
 }
 
 #[test]
@@ -774,6 +973,7 @@ fn score_table_skips_full_machines() {
     table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
     assert_eq!(table.get(0, 0), None);
     assert!(table.best_for_row(&machines, 0).is_none());
+    table.check_invariants(&mut scorer, &machines).unwrap();
 }
 
 #[test]
@@ -792,6 +992,7 @@ fn score_table_gives_absent_machines_empty_columns() {
     }
     let (best_machine, _) = table.best_for_row(&machines, 0).expect("survivors scored");
     assert!(machines[best_machine.index()].is_schedulable());
+    table.check_invariants(&mut scorer, &machines).unwrap();
 }
 
 #[test]
@@ -857,11 +1058,14 @@ fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     assert_eq!(table.pairs_scored(), 0, "all-cold cluster: every lane is under the cold bound");
     assert!((0..tasks.len()).all(|row| table.best_for_row(&machines, row).is_none()));
 
-    // One resident type-0 container in shard 1: the four type-0 rows
-    // are scored on that shard's machines, and nothing else is.
+    // One resident type-0 container in shard 1: the shard bound lets the
+    // four type-0 rows into that shard and nothing else anywhere, and
+    // the per-machine bound then scores them on machine 40 alone — every
+    // other member would start them cold.
     testkit::set_warm(&mut machines[40], TaskTypeId(0), 1_000);
     table.rebuild(&mut scorer, &machines, &tasks, &threshold);
-    assert_eq!(table.pairs_scored(), 4 * TABLE_SHARD_WIDTH as u64);
+    assert_eq!(table.pairs_scored(), 4);
+    assert_eq!(table.pairs_bounded(), 4 * (TABLE_SHARD_WIDTH as u64 - 1));
     for (row, task) in tasks.iter().enumerate() {
         let best = table.best_for_row(&machines, row);
         assert_eq!(best.map(|(m, _)| m.index()), (task.type_id.0 == 0).then_some(40));
@@ -873,6 +1077,47 @@ fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     let mut table = ScoreTable::new();
     table.rebuild(&mut classic, &machines, &tasks, &threshold);
     assert_eq!(table.pairs_scored(), (tasks.len() * machines.len()) as u64);
+}
+
+#[test]
+fn score_table_pair_bound_follows_each_machines_own_warmth() {
+    // One resident type-0 container, on machine 40: shard 1's lanes are
+    // live for type-0 rows on the strength of the warm envelope, but 31
+    // of its 32 members would start them cold and fail their own (cold)
+    // bound. The counters pin that every scoring site — appended rows,
+    // lanes an assignment warmed, column rescores — reads the cell the
+    // machine itself would place the type on, not the warm one.
+    let (pet, cold, mut machines) = two_shard_cold_fixture();
+    testkit::set_warm(&mut machines[40], TaskTypeId(0), 1_000);
+    let row = |id: u32| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 105 };
+    let mut rows = vec![row(9_000)];
+    let threshold = |_: TaskTypeId| 0.9;
+    let others = TABLE_SHARD_WIDTH as u64 - 1;
+    let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+    scorer.begin_event(0);
+    let mut table = ScoreTable::new();
+    table.ensure(&mut scorer, &machines, &rows, &threshold);
+    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (1, others));
+
+    // The row goes to machine 3 (a cold start, the caller's business) and
+    // an identical one slides in. Appended: scored on 40, bounded on the
+    // rest of shard 1. The queued entry makes machine 3 — alone in shard
+    // 0 — warm for the type: the lane opens, its other 31 members are
+    // bounded, and machine 3's rescored column holds the one score.
+    let assigned = rows.remove(0);
+    assert!(testkit::apply(&mut machines[3], testkit::QueueOp::Push(assigned)));
+    rows.push(row(9_001));
+    table.apply_assignment(&mut scorer, &machines, &rows, 0, 3, &threshold);
+    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (3, 3 * others));
+    assert!(table.get(0, 3).is_some() && table.get(0, 40).is_some());
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
+
+    // Machine 41 gains a container between events: its column, and only
+    // its column, is rescored — and now clears.
+    testkit::set_warm(&mut machines[41], TaskTypeId(0), 1_000);
+    assert!(table.ensure(&mut scorer, &machines, &rows, &threshold));
+    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (4, 3 * others));
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
 }
 
 #[test]
