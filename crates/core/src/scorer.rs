@@ -147,8 +147,10 @@ pub struct ProbScorer {
 
 impl ProbScorer {
     /// Builds a scorer for `pet` under `policy`, compacting intermediate
-    /// availability PMFs to `budget` impulses. The PET is cloned once into
-    /// shared storage; every later query scores against it.
+    /// availability PMFs to `budget` impulses. The scorer shares `pet`'s
+    /// cells (a [`PetMatrix`] clone copies no PMF) and derives its prefix
+    /// CDFs and shard envelopes once; every later query scores against
+    /// them.
     #[must_use]
     pub fn new(pet: &PetMatrix, policy: DropPolicy, budget: usize) -> Self {
         Self::with_cold(pet, None, policy, budget)
@@ -174,7 +176,10 @@ impl ProbScorer {
     /// [`ProbScorer::new`] with an explicit cold-placement PET (same
     /// dimensions as `pet`; see [`hcsim_model::ColdStartModel::cold_pet`]).
     /// Queue chains and append scores then select the warm or cold cell
-    /// per position via the [`PetTables`] warmth rules.
+    /// per position via the [`PetTables`] warmth rules. Both matrices are
+    /// shared, not copied; the derived tables are this scorer's own (no
+    /// [`ProbScorer::for_spec`] memo), so this is the way to force — or
+    /// time — a fresh derivation.
     ///
     /// # Panics
     ///

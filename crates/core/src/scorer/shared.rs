@@ -110,7 +110,8 @@ pub(super) struct ScorerShared {
 
 impl ScorerShared {
     /// Derives every table from the warm PET and (serverless model) the
-    /// cold-placement PET, both taken by value: the tables own them.
+    /// cold-placement PET, both taken by value — a [`PetMatrix`] clone
+    /// shares its cells, so the tables hold a reference, not a copy.
     ///
     /// # Panics
     ///
@@ -253,7 +254,9 @@ impl ScorerShared {
 /// member's value at `t` is the largest prefix it has shown at or before
 /// `t`, and the envelope is the running max over all `(time, prefix)`
 /// pairs in time order — one sort and one sweep, whatever the member
-/// count.
+/// count. The columns come back exact-size: the envelopes live as long as
+/// the system, and the breakpoint union is usually much narrower than the
+/// growth the pushes left behind.
 pub(super) fn envelope_cdf(members: &[PetCdf]) -> PetCdf {
     let mut steps: Vec<(Time, f64)> = members
         .iter()
@@ -271,6 +274,8 @@ pub(super) fn envelope_cdf(members: &[PetCdf]) -> PetCdf {
             prefix.push(running);
         }
     }
+    times.shrink_to_fit();
+    prefix.shrink_to_fit();
     PetCdf { times, prefix, mean: f64::NAN }
 }
 
@@ -279,16 +284,18 @@ pub(super) fn envelope_cdf(members: &[PetCdf]) -> PetCdf {
 /// cold-PET convolutions, prefix CDFs and shard envelopes again. One
 /// entry: a run maps one system at a time, and a different system simply
 /// replaces it. A hit is decided by *full equality* of everything the
-/// tables are a function of — never by a hash — and compares the warm PET
-/// against the copy the tables already own; the spin-up matrix, which
-/// they do not keep, is the only input stored alongside them.
+/// tables are a function of — never by a hash. The memo stores no copy of
+/// either input: the tables share the spec's warm PET and the entry shares
+/// its spin-up matrix ([`PetMatrix`] clones share cells), so the usual hit
+/// — the same spec again — short-circuits on identity, and only a
+/// separately built system pays the cell-by-cell comparison.
 pub(super) struct SpecMemo {
     pub(super) entry: Option<SpecEntry>,
 }
 
 pub(super) struct SpecEntry {
-    /// Spin-up matrix the cold tables were derived from (`None`: classic
-    /// model).
+    /// Spin-up matrix the cold tables were derived from, sharing the
+    /// spec's cells (`None`: classic model).
     spinup: Option<PetMatrix>,
     shared: Arc<ScorerShared>,
 }

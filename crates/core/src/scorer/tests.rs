@@ -87,6 +87,17 @@ fn spec_memo_shares_tables_until_an_input_changes() {
     let again = memo.tables_for(&spec.clone(), DropPolicy::All, 24);
     assert!(Arc::ptr_eq(&first, &again), "an equal system must share the tables");
     assert!(first.cold_pet.is_some() && first.cold_shard_cdfs.is_some());
+    // The tables share the spec's PET rather than copying it…
+    let cell = |pet: &PetMatrix| pet.pmf(TaskTypeId(1), MachineId(2)).times().as_ptr();
+    assert_eq!(cell(&first.pet), cell(&spec.pet), "the tables must share the spec's cells");
+    // …so `spec.clone()` above hits on identity alone. A system rebuilt
+    // from the same seed shares nothing and must hit on value.
+    let rebuilt = memo_spec();
+    assert_ne!(cell(&rebuilt.pet), cell(&spec.pet));
+    let rebuilt_spinup = &rebuilt.coldstart.as_ref().expect("serverless spec").spinup;
+    assert_ne!(cell(rebuilt_spinup), cell(&spec.coldstart.as_ref().unwrap().spinup));
+    let on_value = memo.tables_for(&rebuilt, DropPolicy::All, 24);
+    assert!(Arc::ptr_eq(&first, &on_value), "an equal, separately built system must hit");
 
     let mut spinup_changed = spec.clone();
     let model = spinup_changed.coldstart.as_mut().expect("serverless spec");

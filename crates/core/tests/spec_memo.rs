@@ -47,8 +47,11 @@ fn a_trial_reports_the_same_on_a_memo_miss_and_on_a_hit() {
     let miss = trial(&serverless, &requests, &seeds);
     let hit = trial(&serverless, &requests, &seeds);
     assert_eq!(miss, hit, "serverless: derived vs shared tables");
-    // An equal system built separately is the same system to the memo.
-    assert_eq!(trial(&serverless.clone(), &requests, &seeds), miss);
+    // An equal system built separately is the same system to the memo. A
+    // `clone()` would share the PET's cells and hit on identity alone; a
+    // rebuild from the same seed shares nothing and must hit on value.
+    let rebuilt = faas_system(&faas, &mut seeds.stream(0));
+    assert_eq!(trial(&rebuilt, &requests, &seeds), miss);
 
     let classic_miss = trial(&classic, &batch, &seeds);
     assert_eq!(classic_miss, trial(&classic, &batch, &seeds), "classic: derived vs shared tables");

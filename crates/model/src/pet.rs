@@ -21,18 +21,33 @@ use crate::{MachineId, TaskTypeId};
 use hcsim_pmf::Pmf;
 use hcsim_stats::{Gamma, Histogram};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The Probabilistic Execution Time matrix: one execution-time [`Pmf`] per
 /// (task type, machine) pair, plus cached expected values for the scalar
 /// heuristics (MM/MSD/MMU never need the full PMF).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Immutable once built, so the cells live in shared storage: `clone()` is
+/// O(1) and the clone reads the very same cells. The spec, the scorer's
+/// tables and the memo that remembers them all hold one copy.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PetMatrix {
     task_types: usize,
     machines: usize,
     /// Row-major: `pmfs[tt * machines + m]`.
-    pmfs: Vec<Pmf>,
+    pmfs: Arc<[Pmf]>,
     /// Cached means, same layout.
-    means: Vec<f64>,
+    means: Arc<[f64]>,
+}
+
+/// Value equality of the cells, short-circuited when both sides share
+/// them. `means` is a function of the cells, so it is not compared.
+impl PartialEq for PetMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.task_types == other.task_types
+            && self.machines == other.machines
+            && (Arc::ptr_eq(&self.pmfs, &other.pmfs) || self.pmfs == other.pmfs)
+    }
 }
 
 impl PetMatrix {
@@ -48,7 +63,17 @@ impl PetMatrix {
         assert!(task_types > 0 && machines > 0, "PET dimensions must be non-zero");
         assert_eq!(pmfs.len(), task_types * machines, "PET cell count mismatch");
         let means = pmfs.iter().map(Pmf::mean).collect();
-        Self { task_types, machines, pmfs, means }
+        Self { task_types, machines, pmfs: pmfs.into(), means }
+    }
+
+    /// Heap bytes behind this matrix: the cell and mean arrays plus every
+    /// cell's columns. Cells shared with a clone count in full here — the
+    /// gauge is per matrix, and a clone adds nothing to the process.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let arrays = std::mem::size_of_val::<[Pmf]>(&self.pmfs)
+            + std::mem::size_of_val::<[f64]>(&self.means);
+        arrays + self.pmfs.iter().map(Pmf::heap_bytes).sum::<usize>()
     }
 
     /// Number of task types (rows).
@@ -422,6 +447,26 @@ mod tests {
         let (pet2, truth2) = PetBuilder::new().build(&small_means(), &mut rng2);
         assert_eq!(pet1, pet2);
         assert_eq!(truth1, truth2);
+    }
+
+    #[test]
+    fn clones_share_cells_and_equality_is_by_value() {
+        let (pet, _) = build_small();
+        let cell = |p: &PetMatrix| p.pmf(TaskTypeId(1), MachineId(2)).times().as_ptr();
+        let shared = pet.clone();
+        assert_eq!(cell(&shared), cell(&pet), "a clone must read the same cells");
+        assert_eq!(shared.heap_bytes(), pet.heap_bytes());
+
+        // Same seed, separate allocations: equal by value alone.
+        let (rebuilt, _) = build_small();
+        assert_ne!(cell(&rebuilt), cell(&pet));
+        assert_eq!(rebuilt, pet);
+
+        let mut pmfs: Vec<Pmf> = (0..6usize)
+            .map(|i| pet.pmf(TaskTypeId::from(i / 3), MachineId::from(i % 3)).clone())
+            .collect();
+        pmfs[5] = pmfs[5].shift(1);
+        assert_ne!(PetMatrix::from_pmfs(2, 3, pmfs), pet, "one cell moved by one tick");
     }
 
     #[test]

@@ -196,6 +196,15 @@ impl Pmf {
         false
     }
 
+    /// Heap bytes the two columns hold: their *capacities*, not their
+    /// lengths, so a PMF that kept a wide working buffer after
+    /// [`Pmf::compact`] reads larger than `16 × len()`.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.times.capacity() * std::mem::size_of::<Time>()
+            + self.masses.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Total probability mass.
     #[must_use]
     pub fn mass(&self) -> f64 {
@@ -629,6 +638,17 @@ mod tests {
         assert_eq!(rows[0], Impulse { t: 2, p: 0.25 });
         assert_eq!(rows[1], Impulse { t: 7, p: 0.75 });
         assert_eq!(p.iter().len(), 2);
+    }
+
+    #[test]
+    fn heap_bytes_counts_capacity_not_length() {
+        assert_eq!(Pmf::delta(3).heap_bytes(), 16);
+        let points: Vec<(Time, f64)> = (1..=40).map(|t| (t, 1.0 / 40.0)).collect();
+        let mut wide = pmf(&points);
+        wide.compact(8);
+        assert!(wide.len() <= 8);
+        assert_eq!(wide.heap_bytes(), 16 * 40, "compaction keeps the capacity");
+        assert_eq!(wide.clone().heap_bytes(), 16 * wide.len(), "a clone is exact-size");
     }
 
     #[test]
