@@ -53,7 +53,12 @@
 //! column is a pure function of the machine's tail and version-stamped
 //! state, so [`ScoreTable::ensure`] carries the table across ticks and
 //! rescores only the machines whose version moved or whose head window
-//! closed. And it scores a pair only where the score can matter: under
+//! closed — and not even the idle ones among the latter whose columns hold
+//! no exact score: an idle tail is `delta(now)`, which only moves later,
+//! so such a machine is re-timed in place and every pair it left
+//! unscored stays proven. That is what keeps a mostly idle serverless
+//! cluster off the bulk rebuild. And the table scores a pair only where
+//! the score can matter: under
 //! oversubscription most (task, machine) pairs exist to be deferred
 //! again, and `CDF_E(δ − tail.min_time())` — one lookup in the cell the
 //! kernel would use — bounds the robustness from above. The table runs
@@ -88,7 +93,8 @@
 //! * `tail` — what lives as long as a *machine's queue*: the conditioned
 //!   head, the pending chain, the cell that owns them;
 //! * `table` — what lives from *event to event*: the [`ScoreTable`], its
-//!   rebuild, its `ensure` phases and the repair after an assignment;
+//!   row slots, its rebuild, its `ensure` phases and the repair after an
+//!   assignment;
 //! * `kernel` — the closed-form scoring loops all three call and the
 //!   one-lookup bound that stands in front of them, which cache nothing;
 //! * `cells` — *how* the cells are executed: where they live, when a

@@ -240,8 +240,10 @@ impl Cells {
     /// `live_by_shard[s]` lists the rows live in shard `s`, and machine `m`
     /// scores those of `live_by_shard[m / width]` its own per-pair bound
     /// lets through (see [`score_column_scatter`]) — one column per
-    /// machine, merged into `cols` in machine-index order. Cells must
-    /// already be warm for the free machines. Returns the pairs scored.
+    /// machine, merged into `cols` in machine-index order, with each
+    /// column's count of scored pairs in `col_scores`. Cells must already
+    /// be warm for the free machines. Returns the pairs scored.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn fill_columns(
         &mut self,
         shared: &Arc<ScorerShared>,
@@ -249,9 +251,9 @@ impl Cells {
         live_by_shard: &[Vec<LiveRow>],
         rows: usize,
         cols: &mut [Vec<Option<PairScore>>],
+        col_scores: &mut [usize],
         parallel: bool,
     ) -> usize {
-        let mut scored = 0;
         match &mut self.store {
             CellStore::Pooled(pool) if parallel => {
                 let snap = share_snapshot(&mut self.snapshot, machines);
@@ -272,27 +274,30 @@ impl Cells {
                 // Index-ordered merge: swap each worker-filled column into
                 // the table (and recycle the table's old buffer as the
                 // cell's next scratch).
-                for (i, col) in cols.iter_mut().enumerate() {
-                    scored += pool.with_cell(i, |cell| {
+                for (i, (col, count)) in cols.iter_mut().zip(col_scores.iter_mut()).enumerate() {
+                    *count = pool.with_cell(i, |cell| {
                         std::mem::swap(col, &mut cell.col);
                         cell.col_scored
                     });
                 }
             }
             store => {
-                for ((i, machine), col) in machines.iter().enumerate().zip(cols.iter_mut()) {
+                let columns = cols.iter_mut().zip(col_scores.iter_mut());
+                for ((i, machine), (col, count)) in machines.iter().enumerate().zip(columns) {
                     col.clear();
                     col.resize(rows, None);
-                    if machine.has_free_slot() {
+                    *count = if machine.has_free_slot() {
                         let live = &live_by_shard[i / TABLE_SHARD_WIDTH];
-                        scored += store.with(i, |cell| {
+                        store.with(i, |cell| {
                             score_column_scatter(cell.cache.tail(), shared, machine, live, col)
-                        });
-                    }
+                        })
+                    } else {
+                        0
+                    };
                 }
             }
         }
-        scored
+        col_scores.iter().sum()
     }
 }
 

@@ -58,6 +58,7 @@ impl<'a> CdfCursor<'a> {
 /// One `(row, task)` pair live in a shard, with the skip threshold the row
 /// is held to: all a column needs to decide, pair by pair, whether the
 /// exact walk is worth running — so pool workers need nothing else.
+/// `row` is the table's row *slot*, the index into a column.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct LiveRow {
     pub(super) row: usize,

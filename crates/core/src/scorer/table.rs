@@ -6,7 +6,7 @@
 use super::cells::{WarmFilter, PARALLEL_MIN_MACHINES};
 use super::kernel::{score_column_scatter, LiveRow, PairScore, BOUND_MARGIN};
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
-use super::tail::TailBound;
+use super::tail::{HeadWindow, TailBound};
 use super::{debug_assert_machine_alignment, ProbScorer};
 use hcsim_model::{MachineId, Task, TaskTypeId, Time};
 use hcsim_sim::MachineState;
@@ -29,10 +29,15 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// Layout is machine-major (one contiguous column per machine), grouped
 /// into contiguous `TABLE_SHARD_WIDTH`-machine shards, which is what
 /// makes both the bound pass and the phase-2 reduction cheap at cluster
-/// scale:
+/// scale. Window rows live in stable *slots*: a column is indexed by
+/// slot, a position → slot map keeps the window order, and a departing
+/// row frees its slot for the next appended one — so a removal clears
+/// one cell per column instead of shifting every column. The public API
+/// ([`ScoreTable::get`], [`ScoreTable::best_for_row`],
+/// [`ScoreTable::apply_assignment`]) stays positional.
 ///
 /// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a tick
-///   that re-keyed most of the cluster — ensures every free machine's
+///   that re-keyed most of the busy cluster — ensures every free machine's
 ///   tail cache in a per-machine fan-out (a
 ///   worker-pool round at cluster scale), then scores the surviving
 ///   (row, shard) pairs in a second fan-out (columns are disjoint cells,
@@ -105,13 +110,16 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 ///   `(membership epoch, machine versions, head windows, window)`
 ///   instead of rebuilding: only machines whose version moved
 ///   (completions, assignments, pruner drops) or whose conditioned head
-///   the clock re-keyed are rescored, rows whose bounds those machines
-///   *loosened* — or whose skip threshold the caller lowered — are
-///   resurrected shard-by-shard (and, for a lowered threshold, pair by
-///   pair inside the lanes that were already live), and the window diff
-///   is applied as removals + appended rows. Every surviving entry is
-///   byte-identical to what a fresh rebuild would compute, so an event
-///   costs O(changed), not O(machines).
+///   the clock re-keyed are rescored — except idle machines with no
+///   exact score, which are *re-timed* in place (an idle tail only moves
+///   later, so their unscored pairs stay proven) — rows whose bounds
+///   those machines *loosened* — or whose skip threshold the caller
+///   lowered — are resurrected shard-by-shard in the loosened shards only
+///   (and, for a lowered threshold, pair by pair inside the lanes that
+///   were already live), and the window diff is applied as removals +
+///   appended rows. Every surviving entry is byte-identical to what a
+///   fresh rebuild would compute, so an event costs O(changed), not
+///   O(machines) — on an idle-heavy serverless cluster too.
 ///
 /// The sequential heuristics used to rescore the full window × machines
 /// product on every loop iteration; under oversubscription — where the
@@ -121,24 +129,31 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// its threshold — without changing a single mapping decision.
 #[derive(Debug, Default)]
 pub struct ScoreTable {
-    /// One column per machine; `cols[m][i]` scores window task `i` on
-    /// machine `m` (`None`: no free slot, (row, shard) skipped by the
-    /// bound pass, or the pair rejected by the machine's own bound).
+    /// One column per machine; `cols[m][slot]` scores the window task of
+    /// row slot `slot` on machine `m` (`None`: a free slot, no free queue
+    /// slot on the machine, (row, shard) skipped by the bound pass, or the
+    /// pair rejected by the machine's own bound).
     cols: Vec<Vec<Option<PairScore>>>,
-    /// Row-aligned: false when the bound pass proved the row deferred.
-    scored: Vec<bool>,
-    /// Row-aligned: which shards the row survived the bound pass in
+    /// Per machine: how many exact scores its column holds. An idle
+    /// column with none needs no rescore when the clock moves (see
+    /// [`ScoreTable::ensure`]).
+    col_scores: Vec<usize>,
+    /// Window position → row slot. Columns and every slot-aligned vector
+    /// below are indexed by slot.
+    order: Vec<usize>,
+    /// Slots of departed rows, reused by the next appended row. A free
+    /// slot holds `None` in every column and every shard best.
+    free_slots: Vec<usize>,
+    /// Slot-aligned: which shards the row survived the bound pass in
     /// (inner length = shards). Entries only flip dead → live, and only
     /// in [`ScoreTable::ensure`] when a changed machine loosened a bound
     /// or the caller lowered the row's threshold.
     shard_live: Vec<Vec<bool>>,
-    /// Row-aligned: the caller's skip threshold the row's dead lanes and
+    /// Slot-aligned: the caller's skip threshold the row's dead lanes and
     /// unscored pairs were last proven under. [`ScoreTable::ensure`]
     /// rechecks all of them for a row whose threshold has since dropped.
     row_thresholds: Vec<f64>,
-    /// Recycled `shard_live` lanes (keeps row churn allocation-free).
-    spare_lanes: Vec<Vec<bool>>,
-    /// Per shard, per row: the shard's best candidate under the exact
+    /// Per shard, per slot: the shard's best candidate under the exact
     /// first-wins comparison (`None`: no scored member).
     shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
     /// Scratch: the rows live in one shard — filled once per shard by
@@ -148,7 +163,7 @@ pub struct ScoreTable {
     /// Scratch: per-shard live-row lists for the rebuild fan-out.
     live_by_shard: Vec<Vec<LiveRow>>,
     /// Bound scalars and head window per free machine (`None`: no free
-    /// slot), as of the machine's last column (re)score.
+    /// slot), as of the machine's last column (re)score or re-timing.
     tail_bounds: Vec<Option<TailBound>>,
     /// Per shard: min over members of `tail_bounds[..].earliest` (`None`:
     /// no free member).
@@ -157,8 +172,8 @@ pub struct ScoreTable {
     /// would place the type warm. Maintained alongside `shard_earliest`
     /// under a cold-start model; empty in the classic one.
     shard_warm: Vec<bool>,
-    /// Scratch: the types an assignment just made one shard warm-capable
-    /// for (`refresh_machine`).
+    /// Scratch: the types the last `recompute_shard_aggregates` turned
+    /// warm-capable in its shard.
     newly_warm: Vec<bool>,
     /// Exact (row, machine) scores computed so far, and pairs of live
     /// lanes the per-pair bound rejected instead (diagnostics/tests).
@@ -169,16 +184,21 @@ pub struct ScoreTable {
     /// part of it — see [`ScoreTable::ensure`].
     epoch: Option<u64>,
     versions: Vec<u64>,
+    /// Slot-aligned (a free slot keeps its last task); its length is the
+    /// row capacity.
     row_tasks: Vec<Task>,
     /// Set by [`ScoreTable::invalidate`]: the next ensure rebuilds.
     stale: bool,
-    /// Ensure scratch: indices/mask of changed machines, dirty shards,
-    /// one dirty shard's changed members, and the `(row, shard)` lanes
-    /// whose unscored pairs phase 3 tests — resurrected ones, and live
-    /// ones of a row whose threshold dropped.
+    /// Ensure scratch: indices/mask of changed machines, idle machines
+    /// re-timed in place, shards whose aggregates moved and those of them
+    /// that loosened, one dirty shard's changed members, and the `(slot,
+    /// shard)` lanes whose unscored pairs phase 3 tests — resurrected
+    /// ones, and live ones of a row whose threshold dropped.
     changed: Vec<usize>,
+    retimed: Vec<usize>,
     changed_mask: Vec<bool>,
     dirty_shards: Vec<bool>,
+    loosened: Vec<bool>,
     shard_changed: Vec<usize>,
     retest: Vec<(usize, usize)>,
 }
@@ -193,7 +213,7 @@ pub(super) fn better_pair(score: &PairScore, best: &PairScore) -> bool {
             && score.expected_completion < best.expected_completion)
 }
 
-/// First-wins best over shard `s`'s scored entries for `row`.
+/// First-wins best over shard `s`'s scored entries for row slot `row`.
 fn shard_best_entry(
     cols: &[Vec<Option<PairScore>>],
     s: usize,
@@ -240,7 +260,7 @@ impl ScoreTable {
     /// Number of window tasks currently tracked.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.scored.len()
+        self.order.len()
     }
 
     /// Exact (row, machine) pair scores the table has computed so far —
@@ -269,28 +289,32 @@ impl ScoreTable {
     /// pair on a free machine holds the exact score; every unscored pair
     /// on a free machine is proven below the threshold its row is held to
     /// — by its machine's own bound in a live lane, by the shard bound in
-    /// a dead one. The first violation comes back as the error. Test
-    /// support, like [`ScoreTable::pairs_scored`].
+    /// a dead one. The row slots are checked too: the window order and the
+    /// free list partition them, a free slot holds nothing, and each
+    /// column's count of exact scores is what a recount finds. The first
+    /// violation comes back as the error. Test support, like
+    /// [`ScoreTable::pairs_scored`].
     #[doc(hidden)]
     pub fn check_invariants(
         &self,
         scorer: &mut ProbScorer,
         machines: &[MachineState],
     ) -> Result<(), String> {
+        self.check_slots()?;
         let bits = |s: &PairScore| {
             (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits())
         };
-        for (row, task) in self.row_tasks.iter().enumerate() {
-            let threshold = self.row_thresholds[row];
+        for (row, &slot) in self.order.iter().enumerate() {
+            let (task, threshold) = (&self.row_tasks[slot], self.row_thresholds[slot]);
             for (s, bests) in self.shard_best.iter().enumerate() {
-                let scan = shard_best_entry(&self.cols, s, row);
-                if bests[row].map(|(m, b)| (m, bits(&b))) != scan.map(|(m, b)| (m, bits(&b))) {
+                let scan = shard_best_entry(&self.cols, s, slot);
+                if bests[slot].map(|(m, b)| (m, bits(&b))) != scan.map(|(m, b)| (m, bits(&b))) {
                     return Err(format!(
                         "row {row} shard {s}: cached best {:?}, the columns say {scan:?}",
-                        bests[row]
+                        bests[slot]
                     ));
                 }
-                if !self.shard_live[row][s] && self.lane_clears(&scorer.shared, task, s, threshold)
+                if !self.shard_live[slot][s] && self.lane_clears(&scorer.shared, task, s, threshold)
                 {
                     return Err(format!("row {row} shard {s}: dead, but clears {threshold}"));
                 }
@@ -299,14 +323,14 @@ impl ScoreTable {
                 if !machine.has_free_slot() {
                     continue;
                 }
-                match self.cols[m][row] {
+                match self.cols[m][slot] {
                     Some(held) => {
                         let exact = scorer.score(machine, task);
                         if bits(&held) != bits(&exact) {
                             return Err(format!("({row},{m}): holds {held:?}, exact is {exact:?}"));
                         }
                     }
-                    None if self.shard_live[row][m / TABLE_SHARD_WIDTH] => {
+                    None if self.shard_live[slot][m / TABLE_SHARD_WIDTH] => {
                         let earliest = scorer.ensure_tail_bound(machine).earliest;
                         if scorer.shared.pair_clears(machine, task, earliest, threshold) {
                             return Err(format!(
@@ -317,6 +341,39 @@ impl ScoreTable {
                     }
                     None => {}
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// The slot half of [`ScoreTable::check_invariants`].
+    fn check_slots(&self) -> Result<(), String> {
+        let capacity = self.row_tasks.len();
+        let mut seen = vec![false; capacity];
+        for &slot in self.order.iter().chain(&self.free_slots) {
+            if slot >= capacity || std::mem::replace(&mut seen[slot], true) {
+                return Err(format!("slot {slot}: out of range, or both live and free"));
+            }
+        }
+        if let Some(slot) = seen.iter().position(|&listed| !listed) {
+            return Err(format!("slot {slot}: neither live nor free"));
+        }
+        for &slot in &self.free_slots {
+            if let Some(m) = self.cols.iter().position(|col| col[slot].is_some()) {
+                return Err(format!("free slot {slot}: holds a score on machine {m}"));
+            }
+            if let Some(s) = self.shard_best.iter().position(|bests| bests[slot].is_some()) {
+                return Err(format!("free slot {slot}: holds a best in shard {s}"));
+            }
+        }
+        for (m, (col, &count)) in self.cols.iter().zip(&self.col_scores).enumerate() {
+            let recount = col.iter().flatten().count();
+            if col.len() != capacity || recount != count {
+                return Err(format!(
+                    "machine {m}: {} cells for {capacity} slots, {recount} scores counted as \
+                     {count}",
+                    col.len()
+                ));
             }
         }
         Ok(())
@@ -360,6 +417,7 @@ impl ScoreTable {
     ) {
         debug_assert_machine_alignment(machines);
         self.cols.resize_with(machines.len(), Vec::new);
+        self.col_scores.resize(machines.len(), 0);
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
         let parallel = free >= PARALLEL_MIN_MACHINES && changed >= REBUILD_FANOUT_MIN_CHANGED;
 
@@ -374,6 +432,7 @@ impl ScoreTable {
             &self.live_by_shard,
             tasks.len(),
             &mut self.cols,
+            &mut self.col_scores,
             parallel,
         );
         let candidates = (0..scorer.shared.shards)
@@ -425,29 +484,25 @@ impl ScoreTable {
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) {
         let shards = shared.shards;
-        self.scored.clear();
         self.row_thresholds.clear();
-        self.spare_lanes.append(&mut self.shard_live);
+        self.shard_live.resize_with(tasks.len(), Vec::new);
         self.live_by_shard.resize_with(shards, Vec::new);
         for lane in &mut self.live_by_shard {
             lane.clear();
         }
         for (row, task) in tasks.iter().enumerate() {
             let threshold = skip_below(task.type_id);
-            let mut lanes = self.spare_lanes.pop().unwrap_or_default();
+            let mut lanes = std::mem::take(&mut self.shard_live[row]);
             lanes.clear();
-            lanes.resize(shards, false);
-            let mut any = false;
-            for (s, lane) in lanes.iter_mut().enumerate() {
-                if self.lane_clears(shared, task, s, threshold) {
-                    *lane = true;
-                    any = true;
+            for s in 0..shards {
+                let live = self.lane_clears(shared, task, s, threshold);
+                if live {
                     self.live_by_shard[s].push(LiveRow { row, task: *task, threshold });
                 }
+                lanes.push(live);
             }
-            self.scored.push(any);
             self.row_thresholds.push(threshold);
-            self.shard_live.push(lanes);
+            self.shard_live[row] = lanes;
         }
     }
 
@@ -465,12 +520,16 @@ impl ScoreTable {
         }
     }
 
-    /// Records the reuse signature of a finished rebuild.
+    /// Records the reuse signature of a finished rebuild, whose rows sit
+    /// in slots `0..tasks.len()` in window order.
     fn record_signature(&mut self, scorer: &ProbScorer, machines: &[MachineState], tasks: &[Task]) {
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
         self.row_tasks.clear();
         self.row_tasks.extend_from_slice(tasks);
+        self.order.clear();
+        self.order.extend(0..tasks.len());
+        self.free_slots.clear();
         self.epoch = scorer.membership_epoch;
         self.stale = false;
     }
@@ -499,6 +558,17 @@ impl ScoreTable {
     /// rescored, rows whose bounds they loosened are resurrected, and the
     /// window diff is applied as removals plus appended rows.
     ///
+    /// One kind of re-keyed machine is not *changed*: an idle one (empty
+    /// queue, version unchanged) whose column holds no exact score. Its
+    /// tail is `delta(now)`, so it is *re-timed* in place — its recorded
+    /// earliest start becomes `now`, its cell is left alone until a pair
+    /// on it clears its bound — and nothing else needs doing: a later
+    /// earliest start only tightens the machine's pair bounds and its
+    /// shard's aggregates, so every `None` in the column stays proven and
+    /// no dead lane can revive. Resurrection rechecks a dead lane only in
+    /// a shard whose aggregates *loosened* (an earlier earliest start, a
+    /// type turned warm-capable), or for a row whose threshold dropped.
+    ///
     /// `skip_below` may differ from the previous event's (adaptive trims,
     /// sufferage relief): each row remembers the threshold its skipped
     /// shards and unscored pairs were proven under, and a row whose
@@ -511,8 +581,9 @@ impl ScoreTable {
     /// Falls back to a rebuild — returning `false` — when the table was
     /// invalidated or is of another epoch, and when incremental repair
     /// would not pay: the changed set is at least half the free machines
-    /// (an idle-heavy cluster re-keys wholesale every tick). Such a
-    /// rebuild mostly hits warm chains, and fans out only from
+    /// (a busy cluster whose executing heads crossed a PET impulse
+    /// together; idle re-keys are re-timed, not counted). Such a rebuild
+    /// mostly hits warm chains, and fans out only from
     /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the
     /// incremental path runs on the calling thread whatever the thread
     /// count — a pool round costs more than the few columns it would
@@ -530,9 +601,9 @@ impl ScoreTable {
         tasks: &[Task],
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) -> bool {
-        let (changed, reusable) = self.find_changed(scorer, machines);
+        let (moved, reusable) = self.find_changed(scorer, machines);
         if !reusable {
-            self.rebuild_changed(scorer, machines, tasks, skip_below, changed);
+            self.rebuild_changed(scorer, machines, tasks, skip_below, moved);
             return false;
         }
         debug_assert_machine_alignment(machines);
@@ -544,15 +615,17 @@ impl ScoreTable {
         true
     }
 
-    /// Ensure phase 1a: finds the changed machines (no scorer work yet) —
-    /// whenever the table has columns of this cluster to diff against,
-    /// reusable or not: a rebuild sizes its fan-out by the same count.
-    /// Returns that count (`usize::MAX` with nothing to diff against) and
-    /// whether the table can be repaired incrementally.
+    /// Ensure phase 1a: sorts the machines the clock or a version bump
+    /// touched into changed ones and idle ones to re-time (no scorer work
+    /// yet) — whenever the table has columns of this cluster to diff
+    /// against, reusable or not: a rebuild sizes its fan-out by how many
+    /// machines moved, re-timed ones included, since its warm-up re-keys
+    /// them all. Returns that count (`usize::MAX` with nothing to diff
+    /// against) and whether the table can be repaired incrementally.
     fn find_changed(&mut self, scorer: &ProbScorer, machines: &[MachineState]) -> (usize, bool) {
         let shards = scorer.shared.shards;
         let now = scorer.now;
-        let mut changed = usize::MAX;
+        let mut moved = usize::MAX;
         let mut reusable = false;
         if !self.stale
             && self.versions.len() == machines.len()
@@ -560,26 +633,37 @@ impl ScoreTable {
             && self.shard_warm.len() == scorer.shared.warm_flags()
         {
             self.changed.clear();
+            self.retimed.clear();
             let mut free = 0;
             for (m, machine) in machines.iter().enumerate() {
                 let free_slot = machine.has_free_slot();
                 free += usize::from(free_slot);
-                let head_holds = self.tail_bounds[m].is_some_and(|b| b.head_window.contains(now));
-                if self.versions[m] != machine.version() || (free_slot && !head_holds) {
+                if self.versions[m] != machine.version() {
                     self.changed.push(m);
+                } else if free_slot
+                    && !self.tail_bounds[m].is_some_and(|b| b.head_window.contains(now))
+                {
+                    if machine.occupancy() == 0 && self.col_scores[m] == 0 {
+                        self.retimed.push(m);
+                    } else {
+                        self.changed.push(m);
+                    }
                 }
             }
-            changed = self.changed.len();
+            let changed = self.changed.len();
+            moved = changed + self.retimed.len();
             reusable = self.epoch == scorer.membership_epoch && changed * 2 < free.max(1);
         }
-        (changed, reusable)
+        (moved, reusable)
     }
 
-    /// Ensure phase 1b: refreshes the changed machines' bound scalars (and
-    /// their shards' earliest starts), marking them in `changed_mask` and
-    /// their shards in `dirty_shards`.
+    /// Ensure phase 1b: refreshes the changed machines' bound scalars,
+    /// marking them in `changed_mask`, and re-times the idle ones to
+    /// `delta(now)`'s bound; then recomputes the aggregates of the shards
+    /// either kind touched (`dirty_shards`), recording which of them
+    /// loosened (`loosened`).
     fn refresh_changed_bounds(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
-        let shards = scorer.shared.shards;
+        let (shards, now) = (scorer.shared.shards, scorer.now);
         self.changed_mask.clear();
         self.changed_mask.resize(machines.len(), false);
         self.dirty_shards.clear();
@@ -590,9 +674,16 @@ impl ScoreTable {
             self.changed_mask[m] = true;
             self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
         }
+        let idle = TailBound { earliest: now, head_window: HeadWindow::idle(now) };
+        for &m in &self.retimed {
+            self.tail_bounds[m] = Some(idle);
+            self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
+        }
+        self.loosened.clear();
+        self.loosened.resize(shards, false);
         for s in 0..shards {
             if self.dirty_shards[s] {
-                self.recompute_shard_aggregates(&scorer.shared, machines, s);
+                self.loosened[s] = self.recompute_shard_aggregates(&scorer.shared, machines, s);
             }
         }
     }
@@ -602,24 +693,31 @@ impl ScoreTable {
     /// (a completion or drop shortens a queue; a container or queued entry
     /// makes the shard warm-capable for the row's type), or the caller
     /// lowered the row's threshold (adaptive trims, sufferage relief).
-    /// Rechecking the dirty shards of every row, and every shard of a row
-    /// whose threshold dropped, restores exactly the liveness a fresh
-    /// bound pass would compute (other lanes kept both their bound and
-    /// their threshold; live lanes stay live, which at worst over-scores —
-    /// see [`ScoreTable::ensure`]). The revived lanes land in `retest` —
-    /// and so do the lanes that were already live for a row whose
-    /// threshold dropped: the pairs their machines' own bounds rejected
-    /// were proven under the old threshold only.
+    /// Rechecking the loosened shards of every row, and every shard of a
+    /// row whose threshold dropped, restores exactly the liveness a fresh
+    /// bound pass would compute: every other lane kept its threshold and
+    /// a bound no higher than the one it was proven dead under (a queue
+    /// grew, a machine filled, an idle machine was re-timed). Live lanes
+    /// stay live, which at worst over-scores — see [`ScoreTable::ensure`].
+    /// The revived lanes land in `retest` — and so do the lanes that were
+    /// already live for a row whose threshold dropped: the pairs their
+    /// machines' own bounds rejected were proven under the old threshold
+    /// only.
     fn resurrect_lanes(&mut self, shared: &ScorerShared, skip_below: &dyn Fn(TaskTypeId) -> f64) {
         let shards = shared.shards;
+        let any_loosened = self.loosened.contains(&true);
         self.retest.clear();
-        for row in 0..self.scored.len() {
+        for i in 0..self.order.len() {
+            let row = self.order[i];
             let task = self.row_tasks[row];
             let threshold = skip_below(task.type_id);
             let lowered = threshold < self.row_thresholds[row];
             self.row_thresholds[row] = threshold;
+            if !(lowered || any_loosened) {
+                continue;
+            }
             for s in 0..shards {
-                if !(lowered || self.dirty_shards[s]) {
+                if !(lowered || self.loosened[s]) {
                     continue;
                 }
                 if self.shard_live[row][s] {
@@ -628,7 +726,6 @@ impl ScoreTable {
                     }
                 } else if self.lane_clears(shared, &task, s, threshold) {
                     self.shard_live[row][s] = true;
-                    self.scored[row] = true;
                     self.retest.push((row, s));
                 }
             }
@@ -653,7 +750,9 @@ impl ScoreTable {
     /// Ensure phase 4: per dirty shard, rescores its changed members'
     /// columns (rows live in the shard — including the just-resurrected
     /// ones) from one live-row list, then folds them into its best cache
-    /// once, however many members changed.
+    /// once, however many members changed. A shard dirty only through
+    /// re-timed members has nothing to rescore: their columns hold no
+    /// score.
     fn rescore_dirty_shards(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
         let mut members = std::mem::take(&mut self.shard_changed);
         for s in 0..scorer.shared.shards {
@@ -662,6 +761,9 @@ impl ScoreTable {
             }
             members.clear();
             members.extend(shard_range(s, machines.len()).filter(|&m| self.changed_mask[m]));
+            if members.is_empty() {
+                continue;
+            }
             self.collect_live_rows(s);
             for &m in &members {
                 self.rescore_column(scorer, machines, m);
@@ -685,7 +787,7 @@ impl ScoreTable {
     ) {
         let mut row = 0;
         for task in tasks {
-            while row < self.rows() && self.row_tasks[row].id != task.id {
+            while row < self.rows() && self.row_tasks[self.order[row]].id != task.id {
                 self.remove_row(row);
             }
             if row < self.rows() {
@@ -703,20 +805,28 @@ impl ScoreTable {
 
     /// Recomputes shard `s`'s bound inputs over its free members (those
     /// with a recorded tail bound): the earliest start and, under a
-    /// cold-start model, which types some member would place warm.
+    /// cold-start model, which types some member would place warm —
+    /// leaving in `newly_warm` the types that just turned warm-capable.
+    /// Returns whether the aggregates *loosened*: the earliest start moved
+    /// earlier (or the shard regained a free member), or a type turned
+    /// warm-capable. Aggregates that did not loosen bound every lane of
+    /// the shard at most as high as before.
     fn recompute_shard_aggregates(
         &mut self,
         shared: &ScorerShared,
         machines: &[MachineState],
         s: usize,
-    ) {
+    ) -> bool {
         let members = shard_range(s, self.tail_bounds.len());
-        self.shard_earliest[s] =
-            self.tail_bounds[members.clone()].iter().flatten().map(|b| b.earliest).min();
+        let earliest = self.tail_bounds[members.clone()].iter().flatten().map(|b| b.earliest).min();
+        let earlier = earliest.is_some_and(|t| self.shard_earliest[s].is_none_or(|old| t < old));
+        self.shard_earliest[s] = earliest;
+        self.newly_warm.clear();
         if shared.cold_shard_cdfs.is_none() {
-            return;
+            return earlier;
         }
         let flags = &mut self.shard_warm[s * shared.task_types..(s + 1) * shared.task_types];
+        self.newly_warm.extend_from_slice(flags);
         flags.fill(false);
         for m in members {
             if self.tail_bounds[m].is_some() {
@@ -725,6 +835,10 @@ impl ScoreTable {
                 }
             }
         }
+        for (flag, &now) in self.newly_warm.iter_mut().zip(flags.iter()) {
+            *flag = now && !*flag;
+        }
+        earlier || self.newly_warm.contains(&true)
     }
 
     /// Whether the (row of `task`, shard `s`) lane survives the bound
@@ -738,7 +852,7 @@ impl ScoreTable {
         })
     }
 
-    /// Tests the unscored pairs of live lane (row, shard `s`) on the
+    /// Tests the unscored pairs of live lane (row slot `row`, shard `s`) on the
     /// shard's free machines — except those `rescored` names, whose whole
     /// columns the caller is about to rescore — against each machine's own
     /// bound under the row's threshold, scores the ones that clear it, and
@@ -758,9 +872,19 @@ impl ScoreTable {
             if rescored(m) || !machines[m].has_free_slot() || self.cols[m][row].is_some() {
                 continue;
             }
-            self.cols[m][row] = self.score_pair(scorer, &machines[m], &task, threshold);
+            if let Some(score) = self.score_pair(scorer, &machines[m], &task, threshold) {
+                self.store(row, m, score);
+            }
         }
         self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+    }
+
+    /// Puts the exact score of (row slot `row`, machine `m`) in a cell
+    /// that held none, keeping the column's count.
+    fn store(&mut self, row: usize, m: usize, score: PairScore) {
+        debug_assert!(self.cols[m][row].is_none(), "({row},{m}) already scored");
+        self.cols[m][row] = Some(score);
+        self.col_scores[m] += 1;
     }
 
     /// One pair on a free machine, behind the machine's own bound at its
@@ -786,10 +910,10 @@ impl ScoreTable {
     /// threshold it is currently held to.
     fn collect_live_rows(&mut self, s: usize) {
         self.live.clear();
-        for (row, task) in self.row_tasks.iter().enumerate() {
+        for &row in &self.order {
             if self.shard_live[row][s] {
-                let threshold = self.row_thresholds[row];
-                self.live.push(LiveRow { row, task: *task, threshold });
+                let (task, threshold) = (self.row_tasks[row], self.row_thresholds[row]);
+                self.live.push(LiveRow { row, task, threshold });
             }
         }
     }
@@ -811,7 +935,8 @@ impl ScoreTable {
         let machine = &machines[m];
         let col = &mut self.cols[m];
         col.clear();
-        col.resize(self.scored.len(), None);
+        col.resize(self.row_tasks.len(), None);
+        self.col_scores[m] = 0;
         if !machine.has_free_slot() {
             return;
         }
@@ -821,6 +946,7 @@ impl ScoreTable {
             cell.ensure(shared, *now, machine, false);
             score_column_scatter(cell.cache.tail(), shared, machine, live, col)
         });
+        self.col_scores[m] = scored;
         self.count_pairs(self.live.len(), scored);
     }
 
@@ -849,20 +975,20 @@ impl ScoreTable {
         self.refresh_machine(scorer, machines, window, m);
     }
 
-    /// Drops window row `row` (its task was assigned or left the batch).
+    /// Drops the row at window position `row` (its task was assigned or
+    /// left the batch) and frees its slot: one cell per column and one
+    /// best per shard are cleared, nothing shifts.
     fn remove_row(&mut self, row: usize) {
-        debug_assert_eq!(self.row_tasks.len(), self.scored.len(), "row_tasks drifted from rows");
-        for col in &mut self.cols {
-            col.remove(row);
+        let slot = self.order.remove(row);
+        for (col, count) in self.cols.iter_mut().zip(&mut self.col_scores) {
+            if col[slot].take().is_some() {
+                *count -= 1;
+            }
         }
-        self.scored.remove(row);
-        self.row_thresholds.remove(row);
-        let lanes = self.shard_live.remove(row);
-        self.spare_lanes.push(lanes);
         for bests in &mut self.shard_best {
-            bests.remove(row);
+            bests[slot] = None;
         }
-        self.row_tasks.remove(row);
+        self.free_slots.push(slot);
     }
 
     /// Appends a row for `task` (a batch task that slid into the window):
@@ -894,33 +1020,42 @@ impl ScoreTable {
     ) {
         let shards = self.shard_earliest.len();
         let threshold = skip_below(task.type_id);
-        let mut lanes = self.spare_lanes.pop().unwrap_or_default();
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                for col in &mut self.cols {
+                    col.push(None);
+                }
+                for bests in &mut self.shard_best {
+                    bests.push(None);
+                }
+                self.shard_live.push(Vec::new());
+                self.row_thresholds.push(threshold);
+                self.row_tasks.push(*task);
+                self.row_tasks.len() - 1
+            }
+        };
+        self.row_tasks[slot] = *task;
+        self.row_thresholds[slot] = threshold;
+        let mut lanes = std::mem::take(&mut self.shard_live[slot]);
         lanes.clear();
-        lanes.resize(shards, false);
-        let mut any = false;
-        for (s, lane) in lanes.iter_mut().enumerate() {
-            if self.lane_clears(&scorer.shared, task, s, threshold) {
-                *lane = true;
-                any = true;
+        lanes.extend((0..shards).map(|s| self.lane_clears(&scorer.shared, task, s, threshold)));
+        // The slot starts out empty, so folding each score into its
+        // shard's best in ascending machine order is the first-wins scan.
+        for (m, machine) in machines.iter().enumerate() {
+            let s = m / TABLE_SHARD_WIDTH;
+            if !lanes[s] || !machine.has_free_slot() {
+                continue;
+            }
+            let Some(score) = self.score_pair(scorer, machine, task, threshold) else { continue };
+            self.store(slot, m, score);
+            let best = &mut self.shard_best[s][slot];
+            if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
+                *best = Some((m, score));
             }
         }
-        let row = self.scored.len();
-        self.scored.push(any);
-        self.row_thresholds.push(threshold);
-        for (m, machine) in machines.iter().enumerate() {
-            let value = if lanes[m / TABLE_SHARD_WIDTH] && machine.has_free_slot() {
-                self.score_pair(scorer, machine, task, threshold)
-            } else {
-                None
-            };
-            self.cols[m].push(value);
-        }
-        for (s, bests) in self.shard_best.iter_mut().enumerate() {
-            let entry = if lanes[s] { shard_best_entry(&self.cols, s, row) } else { None };
-            bests.push(entry);
-        }
-        self.shard_live.push(lanes);
-        self.row_tasks.push(*task);
+        self.shard_live[slot] = lanes;
+        self.order.push(slot);
     }
 
     /// Rescores machine `m`'s column against the current window `tasks`
@@ -947,29 +1082,22 @@ impl ScoreTable {
     ) {
         debug_assert_eq!(tasks.len(), self.rows(), "window drifted from table");
         debug_assert!(
-            tasks.iter().zip(&self.row_tasks).all(|(a, b)| a.id == b.id),
+            tasks.iter().zip(&self.order).all(|(a, &slot)| a.id == self.row_tasks[slot].id),
             "window drifted from table rows"
         );
         let s = m / TABLE_SHARD_WIDTH;
         self.refresh_bound(scorer, machines, m);
-        // No flags, no types to watch: the classic model skips all of this.
-        let types = if self.shard_warm.is_empty() { 0 } else { scorer.shared.task_types };
-        let flags = s * types..(s + 1) * types;
-        self.newly_warm.clear();
-        self.newly_warm.extend_from_slice(&self.shard_warm[flags.clone()]);
+        // The classic model keeps no flags, and leaves `newly_warm` empty.
         self.recompute_shard_aggregates(&scorer.shared, machines, s);
-        for (flag, &now) in self.newly_warm.iter_mut().zip(&self.shard_warm[flags]) {
-            *flag = now && !*flag;
-        }
         if self.newly_warm.contains(&true) {
-            for row in 0..self.rows() {
+            for i in 0..self.order.len() {
+                let row = self.order[i];
                 let task = self.row_tasks[row];
                 if self.newly_warm[task.type_id.index()]
                     && !self.shard_live[row][s]
                     && self.lane_clears(&scorer.shared, &task, s, self.row_thresholds[row])
                 {
                     self.shard_live[row][s] = true;
-                    self.scored[row] = true;
                     self.score_lane(scorer, machines, row, s, |other| other == m);
                 }
             }
@@ -993,7 +1121,7 @@ impl ScoreTable {
     /// a changed machine has lost what it was compared against, and
     /// rescans the shard's columns.
     fn refresh_shard_best(&mut self, s: usize, changed: &[usize]) {
-        for row in 0..self.scored.len() {
+        for &row in &self.order {
             if !self.shard_live[row][s] {
                 continue;
             }
@@ -1018,7 +1146,7 @@ impl ScoreTable {
     /// The score of window task `row` on machine `m`, if it was scored.
     #[must_use]
     pub fn get(&self, row: usize, m: usize) -> Option<PairScore> {
-        self.cols[m][row]
+        self.cols[m][self.order[row]]
     }
 
     /// Phase 1 for one window task: the machine offering the highest
@@ -1035,12 +1163,13 @@ impl ScoreTable {
         machines: &[MachineState],
         row: usize,
     ) -> Option<(MachineId, PairScore)> {
+        let slot = self.order[row];
         let mut best: Option<(usize, PairScore)> = None;
         for (s, bests) in self.shard_best.iter().enumerate() {
-            let cand = match bests[row] {
+            let cand = match bests[slot] {
                 None => None,
                 Some((m, score)) if machines[m].has_free_slot() => Some((m, score)),
-                Some(_) => shard_best_live(&self.cols, s, row, machines),
+                Some(_) => shard_best_live(&self.cols, s, slot, machines),
             };
             let Some((m, score)) = cand else { continue };
             if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {

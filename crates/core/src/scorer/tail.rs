@@ -51,6 +51,12 @@ pub(super) struct HeadWindow {
 }
 
 impl HeadWindow {
+    /// The window of an idle machine's `delta(now)` head: its own tick.
+    #[inline]
+    pub(super) fn idle(now: Time) -> Self {
+        Self { from: now, until: now.saturating_add(1) }
+    }
+
     #[inline]
     pub(super) fn contains(self, now: Time) -> bool {
         self.from <= now && now < self.until
@@ -214,7 +220,7 @@ impl MachineCache {
             if let Some(old) = cache.head.take() {
                 scratch.recycle(old);
             }
-            let until = if let Some(exec) = machine.executing() {
+            cache.head_window = if let Some(exec) = machine.executing() {
                 // Shared head pipeline (`chain::conditioned_head`) keeps
                 // this bit-identical to from-scratch analysis.
                 let pet = pets.for_exec(exec);
@@ -227,12 +233,12 @@ impl MachineCache {
                 }
                 cache.slots.push(SlotScore { task: exec.task, position: 0, robustness, skewness });
                 cache.head = Some(completion);
-                crate::chain::head_valid_until(exec, pet.pmf(exec.task.type_id, machine.id()), now)
+                let cell = pet.pmf(exec.task.type_id, machine.id());
+                HeadWindow { from: now, until: crate::chain::head_valid_until(exec, cell, now) }
             } else {
                 cache.head = Some(scratch.delta(now));
-                now.saturating_add(1)
+                HeadWindow::idle(now)
             };
-            cache.head_window = HeadWindow { from: now, until };
             cache.exec_sig = exec_sig;
             cache.stats_valid = true;
         }

@@ -1051,6 +1051,46 @@ fn refresh_machine_resurrects_same_type_rows_when_an_assignment_warms_the_shard(
 }
 
 #[test]
+fn ensure_revives_a_lane_a_completion_warmed_without_moving_the_earliest_start() {
+    // Idle machines everywhere but machine 5, which executes: the idle
+    // members hold shard 0's earliest start, and a type-0 row with
+    // δ = 105 is dead in both shards under the cold envelope.
+    let (pet, cold, mut machines) = two_shard_cold_fixture();
+    let head = Task { id: TaskId(1), type_id: TaskTypeId(0), arrival: 0, deadline: 900 };
+    assert!(testkit::start_executing(&mut machines[5], head, 0, 10));
+    let rows = [Task { id: TaskId(9_000), type_id: TaskTypeId(0), arrival: 0, deadline: 105 }];
+    let threshold = |_: TaskTypeId| 0.9;
+    let mut scorer = ProbScorer::with_cold(&pet, Some(&cold), DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(5);
+    assert!(!table.ensure(&mut scorer, &machines, &rows, &threshold), "first build");
+    assert!(table.best_for_row(&machines, 0).is_none(), "dead under the cold envelope");
+
+    // Machine 5 completes and keeps a warm type-0 container. Its start
+    // is `now`, like every idle member's, so shard 0's earliest start does
+    // not move: the shard loosened only by turning warm-capable for the
+    // row's type, and that alone must revive the lane.
+    assert!(testkit::apply(&mut machines[5], testkit::QueueOp::FinishExecuting));
+    testkit::set_warm(&mut machines[5], TaskTypeId(0), 1_000);
+    assert!(table.ensure(&mut scorer, &machines, &rows, &threshold), "one machine changed");
+    let (m, score) = table.best_for_row(&machines, 0).expect("the warmed lane revives");
+    assert_eq!(m.index(), 5, "the newly warm machine");
+    assert_eq!(score.robustness, 1.0, "a sure warm 10 against 100 to go");
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
+
+    // A tick later every head re-keys. Machine 5's column holds the
+    // row's exact score, which moved with the clock, so it is rescored;
+    // the other 63 hold none and are re-timed in place — which keeps the
+    // whole idle cluster from counting toward a rebuild.
+    scorer.begin_event(6);
+    assert!(table.ensure(&mut scorer, &machines, &rows, &threshold), "idle re-keys reuse");
+    let (m, later) = table.best_for_row(&machines, 0).expect("still mappable");
+    assert_eq!(m.index(), 5);
+    assert_eq!(later.expected_completion, score.expected_completion + 1.0);
+    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
+}
+
+#[test]
 fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     let (pet, cold, mut machines) = two_shard_cold_fixture();
     let tasks: Vec<Task> = (0..6u32)

@@ -298,5 +298,5 @@ fn table_work_counters_are_pinned() {
     assert_eq!(table_work(&spec, &tasks, &seeds), FAAS_72M_TABLE_WORK, "serverless");
 }
 
-const CLASSIC_72M_TABLE_WORK: (u64, u64) = (33_614, 99_876);
+const CLASSIC_72M_TABLE_WORK: (u64, u64) = (33_386, 97_296);
 const FAAS_72M_TABLE_WORK: (u64, u64) = (1_918, 522);

@@ -18,6 +18,13 @@
 //! * the mean moves by at most half a grid unit per group (rounding);
 //! * impulse count after compaction is `<= max_impulses`;
 //! * the operation is deterministic, order-preserving, and allocation-free.
+//!
+//! One property it does **not** have: it is not monotone under stochastic
+//! dominance. A PMF that lies later than another everywhere can compact
+//! to an *earlier* first impulse, because the quantile cuts fall
+//! differently (`compaction_is_not_monotone_under_stochastic_dominance`).
+//! So no bound may assume that a chain of compacted queue steps keeps its
+//! earliest impulse from moving earlier when an input moves later.
 
 use crate::Time;
 
@@ -235,6 +242,24 @@ mod tests {
         p.compact(2);
         assert!(p.len() <= 2);
         assert!((p.mass() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn compaction_is_not_monotone_under_stochastic_dominance() {
+        // B is A with 0.59 of the mass at 100 moved later, to 200: B's CDF
+        // is at or below A's everywhere. Cut into thirds, A's first group
+        // swallows the heavy impulse at 100, while B's closes right after
+        // the light one — so the later PMF keeps the earlier first impulse.
+        let a = Pmf::from_points(&[(1, 0.33), (100, 0.60), (300, 0.03), (400, 0.04)]).unwrap();
+        let b = Pmf::from_points(&[(1, 0.33), (100, 0.01), (200, 0.59), (300, 0.03), (400, 0.04)])
+            .unwrap();
+        for t in [0, 1, 99, 100, 199, 200, 299, 300, 399, 400] {
+            assert!(b.cdf_at(t) <= a.cdf_at(t) + 1e-12, "B must lie later than A at {t}");
+        }
+        let (mut a, mut b) = (a, b);
+        a.compact(3);
+        b.compact(3);
+        assert_eq!((b.min_time(), a.min_time()), (4, 65));
     }
 
     #[test]

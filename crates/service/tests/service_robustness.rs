@@ -444,8 +444,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// around it — mid-run. Committed checkpoints must keep restoring, so a
 /// codec change that moves one byte of any layout (engine
 /// `SNAPSHOT_VERSION` 3, PAM blob v2, checkpoint magic `HCSV`) fails here
-/// before it ships. The values were taken on the commit before the three
-/// layouts moved onto one codec.
+/// before it ships. The lengths were taken on the commit before the three
+/// layouts moved onto one codec. The hashes moved once since, with no
+/// layout change: when the score table began re-timing idle machines in
+/// place, more events reused it, and the only field that differs is the
+/// PAM blob's `table_reuses` counter (a u64 at blob offset 54), a cache
+/// statistic carried inside all three streams.
 #[test]
 fn wire_formats_are_pinned() {
     let (spec, tasks, churn) = pin_fixture();
@@ -469,11 +473,11 @@ fn wire_formats_are_pinned() {
     let checkpoint = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
 
     let pin = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
-    assert_eq!(pin(&snapshot), (10_121, 12_026_431_913_235_433_188), "SimSession::snapshot()");
-    assert_eq!(pin(&blob), (537, 17_222_829_594_432_080_183), "adaptive Pam::snapshot_state()");
+    assert_eq!(pin(&snapshot), (10_121, 14_173_174_143_974_062_322), "SimSession::snapshot()");
+    assert_eq!(pin(&blob), (537, 9_124_320_162_315_189_877), "adaptive Pam::snapshot_state()");
     assert_eq!(
         pin(&checkpoint),
-        (11_768, 6_599_782_705_904_901_095),
+        (11_768, 17_188_402_750_918_742_844),
         "ServiceCheckpoint::to_bytes()"
     );
 }
