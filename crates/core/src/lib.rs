@@ -14,17 +14,25 @@
 //! * [`Pruner`] — the dropping stage: walks machine queues head-first and
 //!   removes tasks whose robustness falls at or below the per-task
 //!   adjusted threshold of Eq. 7 (base + `−s·ρ/(κ+1)`).
+//! * The mapping loop PAM, PAMF and MOC share (a crate-private
+//!   `TableLoop`): it owns the [`ProbScorer`] and the incremental
+//!   [`ScoreTable`], revalidates the table once per event, and commits
+//!   one (task, machine) pair at a time as the mapper's policy picks it,
+//!   repairing only the assigned machine's column in between. The mappers
+//!   below differ only in that policy.
 //! * [`Pam`] / [`Pam::with_fairness`] — the two-phase pruning-aware mapper
-//!   (§V-D) and its fairness-aware extension PAMF built on per-type
-//!   sufferage values ([`SufferageTable`]).
+//!   (§V-D): the loop plus the detector, the pruner and deferral, every
+//!   threshold read from one view (static bases, PAMF's per-type
+//!   sufferage relaxation ([`SufferageTable`]), or the adaptive
+//!   controller's per-class values).
 //! * [`AdaptiveController`] — closed-loop per-class threshold adaptation:
 //!   a sliding window of terminal outcomes steers the drop/defer
 //!   thresholds mid-run (enabled via [`PruningConfig::adaptive`], subsumes
 //!   the sufferage fairness knob).
 //! * [`ScalarMapper`] — MM / MSD / MMU baselines.
 //! * [`Moc`] — the Max On-time Completions baseline of [Salehi et al.,
-//!   JPDC 2016] with its 30 % culling threshold and top-3 permutation
-//!   phase.
+//!   JPDC 2016]: the same loop with its 30 % culling threshold and top-3
+//!   permutation phase as the policy.
 //! * [`HeuristicKind`] — a tiny factory the experiment harness and CLI use
 //!   to instantiate any of the six heuristics by name.
 //!
@@ -68,6 +76,7 @@ mod pam;
 mod pruner;
 pub mod scalar;
 mod scorer;
+mod table_loop;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use baselines::{Phase2Rule, ScalarMapper};

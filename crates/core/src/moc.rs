@@ -15,9 +15,13 @@
 //!    other two candidates (their machine may now be busier) and keep the
 //!    commit that maximizes total robustness. Map exactly one pair, then
 //!    repeat until queues fill or candidates run out.
+//!
+//! Culling and permutation are the policy MOC runs on the mapping loop
+//! it shares with PAM ([`TableLoop`]).
 
-use crate::scorer::{PairScore, ProbScorer, ScoreTable};
-use hcsim_model::{MachineId, TaskId};
+use crate::scorer::{PairScore, ProbScorer};
+use crate::table_loop::TableLoop;
+use hcsim_model::MachineId;
 use hcsim_pmf::Pmf;
 use hcsim_sim::{MapContext, Mapper};
 
@@ -37,9 +41,6 @@ pub struct MocConfig {
     /// the host's available parallelism; same bit-identical-merge
     /// guarantee as [`crate::PruningConfig::threads`]).
     pub threads: usize,
-    /// Score-table reuse across mapping events (same semantics as
-    /// [`crate::PruningConfig::table_reuse`]).
-    pub table_reuse: bool,
 }
 
 impl Default for MocConfig {
@@ -50,7 +51,6 @@ impl Default for MocConfig {
             impulse_budget: 24,
             batch_window: 192,
             threads: 0,
-            table_reuse: true,
         }
     }
 }
@@ -59,10 +59,7 @@ impl Default for MocConfig {
 #[derive(Debug)]
 pub struct Moc {
     config: MocConfig,
-    scorer: Option<ProbScorer>,
-    /// Reused (window × machine) score matrix; revalidated per event,
-    /// updated incrementally between assignments.
-    table: ScoreTable,
+    table_loop: TableLoop,
     /// Owned-tail scratch for the permutation phase, reused across
     /// candidates and events (keeps mapping events allocation-free).
     tail_scratch: Pmf,
@@ -80,7 +77,8 @@ impl Moc {
     pub fn with_config(config: MocConfig) -> Self {
         assert!((0.0..=1.0).contains(&config.cull_threshold));
         assert!(config.permute_top >= 1);
-        Self { config, scorer: None, table: ScoreTable::new(), tail_scratch: Pmf::delta(0) }
+        let table_loop = TableLoop::new(config.impulse_budget, config.batch_window, config.threads);
+        Self { config, table_loop, tail_scratch: Pmf::delta(0) }
     }
 
     /// The configuration.
@@ -100,9 +98,65 @@ impl Default for Moc {
 struct Candidate {
     /// Window row (= batch position) the candidate came from.
     row: usize,
-    task: TaskId,
     machine: MachineId,
     score: PairScore,
+}
+
+/// Permutation: the candidate whose assignment leaves the highest total
+/// robustness across the top-k.
+fn permute(
+    candidates: &[Candidate],
+    scorer: &mut ProbScorer,
+    ctx: &MapContext<'_>,
+    tail: &mut Pmf,
+) -> Candidate {
+    if candidates.len() == 1 {
+        return candidates[0];
+    }
+    let mut best_total = f64::NEG_INFINITY;
+    let mut best_idx = 0;
+    for (idx, cand) in candidates.iter().enumerate() {
+        let mut total = cand.score.robustness;
+        // Hypothetical tail of cand's machine after assignment (single
+        // copy into the reused scratch).
+        let machine = ctx.machine(cand.machine);
+        scorer.tail_into(machine, tail);
+        let task = ctx.batch()[cand.row];
+        let pet_pmf = ctx.spec().pet.pmf(task.type_id, cand.machine);
+        // Pooled hypothetical append: the scorer compacts to its own
+        // budget (== ours) and pools the storage.
+        let hypo_tail = scorer.append_availability(tail, pet_pmf, task.deadline);
+        let slot_left = machine.free_slots() > 1;
+        for (jdx, other) in candidates.iter().enumerate() {
+            if jdx == idx {
+                continue;
+            }
+            let other_task = ctx.batch()[other.row];
+            let r = if other.machine == cand.machine {
+                if slot_left {
+                    scorer
+                        .score_against_tail(
+                            &hypo_tail,
+                            other_task.type_id,
+                            other.machine,
+                            other_task.deadline,
+                        )
+                        .robustness
+                } else {
+                    0.0 // queue would be full for the other
+                }
+            } else {
+                other.score.robustness
+            };
+            total += r;
+        }
+        scorer.recycle(hypo_tail);
+        if total > best_total {
+            best_total = total;
+            best_idx = idx;
+        }
+    }
+    candidates[best_idx]
 }
 
 impl Mapper for Moc {
@@ -111,163 +165,37 @@ impl Mapper for Moc {
     }
 
     fn on_mapping_event(&mut self, ctx: &mut MapContext<'_>) {
-        if self.scorer.is_none() {
-            self.scorer = Some(ProbScorer::for_spec(
-                ctx.spec(),
-                ctx.drop_policy(),
-                self.config.impulse_budget,
-            ));
-        }
-        let mut scorer = self.scorer.take().expect("initialized above");
-        scorer.begin_event(ctx.now());
-        // Track cluster churn (pool re-gating + departed-machine cache
-        // release; one compare per event while membership is stable).
-        scorer.sync_membership(ctx.membership_epoch(), ctx.machines());
-
-        // Phase 1 runs over the incremental (window × machine) score
-        // table: one per-machine fan-out per event, then only the assigned
-        // machine's column is rescored between assignments. The reduction
-        // reads exactly the values per-pair rescoring would compute, so
-        // culling and permutation decisions are unchanged.
-        scorer.set_parallelism(self.config.threads);
+        self.table_loop.start_event(ctx);
         // Rows the bound pass proves below the culling threshold would be
         // discarded by the reduction anyway — skip scoring them.
         let cull = self.config.cull_threshold;
-        let skip_below = move |_tt: hcsim_model::TaskTypeId| cull;
-        let mut table = std::mem::take(&mut self.table);
-        let mut table_fresh = false;
-        loop {
-            if ctx.total_free_slots() == 0 {
-                break;
-            }
-            let window = self.config.batch_window.min(ctx.batch().len());
-            if window == 0 {
-                break;
-            }
-            if !table_fresh {
-                // Cross-event reuse, mirroring PAM's.
-                if self.config.table_reuse {
-                    table.ensure(&mut scorer, ctx.machines(), &ctx.batch()[..window], &skip_below);
-                } else {
-                    table.rebuild(&mut scorer, ctx.machines(), &ctx.batch()[..window], &skip_below);
-                }
-                table_fresh = true;
-            }
-            debug_assert_eq!(table.rows(), window, "table drifted from batch window");
-
-            // Phase 1 + culling.
-            let mut candidates: Vec<Candidate> = Vec::new();
-            for i in 0..window {
-                let task = ctx.batch()[i];
-                let Some((machine, score)) = table.best_for_row(ctx.machines(), i) else {
-                    continue;
-                };
-                if score.robustness >= self.config.cull_threshold {
-                    candidates.push(Candidate { row: i, task: task.id, machine, score });
-                }
-            }
+        let (top, tail) = (self.config.permute_top, &mut self.tail_scratch);
+        self.table_loop.map(ctx, &|_| cull, |table, scorer, ctx, window| {
+            // Phase 1 + culling, then the top-k by robustness.
+            let mut candidates: Vec<Candidate> = (0..window)
+                .filter_map(|row| {
+                    let (machine, score) = table.best_for_row(ctx.machines(), row)?;
+                    (score.robustness >= cull).then_some(Candidate { row, machine, score })
+                })
+                .collect();
             if candidates.is_empty() {
-                break;
+                return None;
             }
-
-            // Top-k by robustness.
             candidates.sort_by(|a, b| b.score.robustness.total_cmp(&a.score.robustness));
-            candidates.truncate(self.config.permute_top);
-
-            // Permutation: commit the candidate whose assignment leaves the
-            // highest total robustness across the top-k.
-            let chosen = if candidates.len() == 1 {
-                candidates[0]
-            } else {
-                let mut best_total = f64::NEG_INFINITY;
-                let mut best_idx = 0;
-                for (idx, cand) in candidates.iter().enumerate() {
-                    let mut total = cand.score.robustness;
-                    // Hypothetical tail of cand's machine after assignment
-                    // (single copy into the reused scratch).
-                    let machine = ctx.machine(cand.machine);
-                    let tail = &mut self.tail_scratch;
-                    scorer.tail_into(machine, tail);
-                    let task = ctx
-                        .batch()
-                        .iter()
-                        .find(|t| t.id == cand.task)
-                        .copied()
-                        .expect("candidate from batch");
-                    let pet_pmf = ctx.spec().pet.pmf(task.type_id, cand.machine);
-                    // Pooled hypothetical append: the scorer compacts to
-                    // its own budget (== ours) and pools the storage.
-                    let hypo_tail = scorer.append_availability(tail, pet_pmf, task.deadline);
-                    let slot_left = machine.free_slots() > 1;
-                    for (jdx, other) in candidates.iter().enumerate() {
-                        if jdx == idx {
-                            continue;
-                        }
-                        let other_task = ctx
-                            .batch()
-                            .iter()
-                            .find(|t| t.id == other.task)
-                            .copied()
-                            .expect("candidate from batch");
-                        let r = if other.machine == cand.machine {
-                            if slot_left {
-                                scorer
-                                    .score_against_tail(
-                                        &hypo_tail,
-                                        other_task.type_id,
-                                        other.machine,
-                                        other_task.deadline,
-                                    )
-                                    .robustness
-                            } else {
-                                0.0 // queue would be full for the other
-                            }
-                        } else {
-                            other.score.robustness
-                        };
-                        total += r;
-                    }
-                    scorer.recycle(hypo_tail);
-                    if total > best_total {
-                        best_total = total;
-                        best_idx = idx;
-                    }
-                }
-                candidates[best_idx]
-            };
-
-            ctx.assign(chosen.task, chosen.machine).expect("machine had a free slot");
-            // Incremental maintenance, mirroring PAM's.
-            let next_window = self.config.batch_window.min(ctx.batch().len());
-            table.apply_assignment(
-                &mut scorer,
-                ctx.machines(),
-                &ctx.batch()[..next_window],
-                chosen.row,
-                chosen.machine.index(),
-                &skip_below,
-            );
-        }
-        self.table = table;
-
-        self.scorer = Some(scorer);
+            candidates.truncate(top);
+            let chosen = permute(&candidates, scorer, ctx, tail);
+            Some((chosen.row, chosen.machine))
+        });
     }
 
     fn restore_state(&mut self, _bytes: &[u8]) {
-        // MOC carries no history (the default empty blob), but its score
-        // table and the scorer's chains belong to the pre-snapshot event
-        // stream: both are keyed on machine versions, which the restored
-        // timeline may re-issue with other contents.
-        self.table.invalidate();
-        if let Some(scorer) = &mut self.scorer {
-            scorer.clear_caches();
-        }
+        // MOC carries no history (the default empty blob), but its table
+        // and chains are keyed on the pre-snapshot timeline.
+        self.table_loop.restore();
     }
 
     fn on_shutdown(&mut self) {
-        if let Some(scorer) = &mut self.scorer {
-            scorer.shutdown(std::time::Duration::from_secs(5));
-        }
+        self.table_loop.shutdown();
     }
 }
 
@@ -362,7 +290,7 @@ mod tests {
     fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
         crate::scorer::test_support::assert_restore_drops_abandoned_chains(
             &mut Moc::new(),
-            |moc| moc.scorer.as_mut().expect("built at the first mapping event"),
+            |moc| moc.table_loop.scorer.as_mut().expect("built at the first mapping event"),
         );
     }
 
@@ -382,7 +310,8 @@ mod tests {
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
         let mut rng = seeds.stream(2);
         let _ = run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut moc, &mut rng);
-        let pool_active = |moc: &Moc| moc.scorer.as_ref().expect("built by the run").pool_active();
+        let pool_active =
+            |moc: &Moc| moc.table_loop.scorer.as_ref().expect("built by the run").pool_active();
         assert!(pool_active(&moc), "32 machines on two threads map through the pool");
         moc.on_shutdown();
         assert!(!pool_active(&moc), "shutdown joins the pool within its timeout");

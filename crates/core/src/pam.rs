@@ -17,6 +17,10 @@
 //!    expected execution time; repeats until queues fill or candidates run
 //!    out.
 //!
+//! Phases 1 and 2 are a policy on the mapping loop MOC runs too
+//! ([`TableLoop`]); what PAM adds is the detector, the pruner and the
+//! deferring threshold.
+//!
 //! PAMF additionally maintains a [`SufferageTable`]: task types that keep
 //! missing deadlines accumulate sufferage, which *relaxes* (lowers) both
 //! pruning thresholds for that type, shielding it from starvation at a
@@ -25,11 +29,117 @@
 use crate::adaptive::AdaptiveController;
 use crate::fairness::SufferageTable;
 use crate::pruner::{OversubscriptionDetector, Pruner, PruningConfig};
-use crate::scorer::{PairScore, ProbScorer, ScoreTable};
+use crate::scorer::{PairScore, ProbScorer};
+use crate::table_loop::TableLoop;
 use hcsim_model::{MachineId, Task, TaskId, TaskOutcome, TaskTypeId};
 use hcsim_pmf::{queue_step, Pmf};
 use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use hcsim_sim::{MapContext, Mapper, MapperInstrumentation};
+
+/// PAM's per-type dropping and deferring thresholds: the configured
+/// bases (PAM), relaxed per type by sufferage (PAMF), or the adaptive
+/// controller's per-class values ([`PruningConfig::adaptive`], which
+/// subsumes the sufferage knob). The detector feed, the drop pass, the
+/// table's bound pass and the phase reduction all read this one view.
+#[derive(Debug)]
+struct Thresholds {
+    drop: f64,
+    defer: f64,
+    fair: bool,
+    source: ThresholdSource,
+}
+
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per mapper, read on every row
+enum ThresholdSource {
+    Static,
+    Sufferage(SufferageTable),
+    Adaptive(AdaptiveController),
+}
+
+impl Thresholds {
+    fn new(config: &PruningConfig, fair: bool) -> Self {
+        let (drop, defer) = (config.drop_threshold, config.defer_threshold);
+        Self { drop, defer, fair, source: ThresholdSource::Static }
+    }
+
+    /// Sizes the moving source to the spec's task types at the first
+    /// mapping event, keeping one `restore_state` seated before it.
+    fn size(&mut self, config: &PruningConfig, num_types: usize) {
+        match (&self.source, config.adaptive) {
+            (ThresholdSource::Adaptive(_), _) => {}
+            (_, Some(a)) => {
+                let controller = AdaptiveController::new(a, num_types, self.drop, self.defer);
+                self.source = ThresholdSource::Adaptive(controller);
+            }
+            (ThresholdSource::Static, None) if self.fair => {
+                let table = SufferageTable::new(num_types, config.fairness_factor);
+                self.source = ThresholdSource::Sufferage(table);
+            }
+            _ => {}
+        }
+    }
+
+    /// Seats the moving state a snapshot carried (the controller wins
+    /// where a blob holds both).
+    fn restore(&mut self, sufferage: Option<SufferageTable>, adaptive: Option<AdaptiveController>) {
+        self.source = match (sufferage, adaptive) {
+            (_, Some(a)) => ThresholdSource::Adaptive(a),
+            (Some(s), None) => ThresholdSource::Sufferage(s),
+            (None, None) => ThresholdSource::Static,
+        };
+    }
+
+    fn select(
+        &self,
+        tt: TaskTypeId,
+        base: f64,
+        controller: fn(&AdaptiveController, TaskTypeId) -> f64,
+    ) -> f64 {
+        match &self.source {
+            ThresholdSource::Static => base,
+            ThresholdSource::Sufferage(s) => s.relax(tt, base),
+            ThresholdSource::Adaptive(a) => controller(a, tt),
+        }
+    }
+
+    fn drop(&self, tt: TaskTypeId) -> f64 {
+        self.select(tt, self.drop, AdaptiveController::drop_threshold_for)
+    }
+
+    fn defer(&self, tt: TaskTypeId) -> f64 {
+        self.select(tt, self.defer, AdaptiveController::defer_threshold_for)
+    }
+
+    /// Feeds the detector forward into the controller; returns whether
+    /// it sits in deep calm.
+    fn set_pressure(&mut self, engaged: bool, level_ratio: f64) -> bool {
+        match &mut self.source {
+            ThresholdSource::Adaptive(a) => {
+                a.set_pressure(engaged, level_ratio);
+                a.deep_calm()
+            }
+            _ => false,
+        }
+    }
+
+    fn observe(&mut self, task: &Task, outcome: TaskOutcome) {
+        match &mut self.source {
+            ThresholdSource::Static => {}
+            ThresholdSource::Sufferage(s) => s.on_task_finished(task.type_id, outcome.is_success()),
+            ThresholdSource::Adaptive(a) => {
+                a.observe(task.type_id, outcome);
+            }
+        }
+    }
+
+    fn adaptive(&self) -> Option<&AdaptiveController> {
+        match &self.source {
+            ThresholdSource::Adaptive(a) => Some(a),
+            _ => None,
+        }
+    }
+}
 
 /// The pruning-aware mapper (PAM), optionally with PAMF fairness.
 #[derive(Debug)]
@@ -37,16 +147,8 @@ pub struct Pam {
     config: PruningConfig,
     detector: OversubscriptionDetector,
     pruner: Pruner,
-    scorer: Option<ProbScorer>,
-    /// Reused (window × machine) score matrix; revalidated per event,
-    /// updated incrementally between assignments.
-    table: ScoreTable,
-    sufferage: Option<SufferageTable>,
-    /// Online threshold controller ([`PruningConfig::adaptive`]); its
-    /// per-class thresholds replace both the static thresholds and the
-    /// sufferage relaxation while present.
-    adaptive: Option<AdaptiveController>,
-    name: &'static str,
+    table_loop: TableLoop,
+    thresholds: Thresholds,
     instr: MapperInstrumentation,
 }
 
@@ -59,11 +161,8 @@ impl Pam {
             config,
             detector: OversubscriptionDetector::new(&config),
             pruner: Pruner::new(config),
-            scorer: None,
-            table: ScoreTable::new(),
-            sufferage: None,
-            adaptive: None,
-            name: "PAM",
+            table_loop: TableLoop::new(config.impulse_budget, config.batch_window, config.threads),
+            thresholds: Thresholds::new(&config, false),
             instr: MapperInstrumentation::default(),
         }
     }
@@ -72,9 +171,7 @@ impl Pam {
     /// The table is sized lazily at the first mapping event.
     #[must_use]
     pub fn with_fairness(config: PruningConfig) -> Self {
-        let mut pam = Self::new(config);
-        pam.name = "PAMF";
-        pam
+        Self { thresholds: Thresholds::new(&config, true), ..Self::new(config) }
     }
 
     /// The pruning configuration.
@@ -95,68 +192,25 @@ impl Pam {
         self.detector.dropping_engaged()
     }
 
-    fn is_fair(&self) -> bool {
-        self.name == "PAMF"
-    }
-
     /// The adaptive controller, when threshold adaptation is on.
     #[must_use]
     pub fn adaptive(&self) -> Option<&AdaptiveController> {
-        self.adaptive.as_ref()
-    }
-
-    fn defer_threshold_for(&self, tt: TaskTypeId) -> f64 {
-        if let Some(a) = &self.adaptive {
-            return a.defer_threshold_for(tt);
-        }
-        match &self.sufferage {
-            Some(s) => s.relax(tt, self.config.defer_threshold),
-            None => self.config.defer_threshold,
-        }
+        self.thresholds.adaptive()
     }
 }
 
 impl Mapper for Pam {
     fn name(&self) -> &str {
-        self.name
+        if self.thresholds.fair {
+            "PAMF"
+        } else {
+            "PAM"
+        }
     }
 
     fn on_mapping_event(&mut self, ctx: &mut MapContext<'_>) {
-        // Lazy one-time initialization against the system spec. The
-        // sufferage table is guarded separately: `restore_state` may have
-        // re-seated it before the first event, and it must not be reset.
-        if self.scorer.is_none() {
-            self.scorer = Some(ProbScorer::for_spec(
-                ctx.spec(),
-                ctx.drop_policy(),
-                self.config.impulse_budget,
-            ));
-        }
-        if let Some(acfg) = self.config.adaptive {
-            // Adaptation subsumes the sufferage knob: per-class relief
-            // plays its role, so the static table is never built.
-            if self.adaptive.is_none() {
-                self.adaptive = Some(AdaptiveController::new(
-                    acfg,
-                    ctx.spec().num_task_types(),
-                    self.config.drop_threshold,
-                    self.config.defer_threshold,
-                ));
-            }
-        } else if self.is_fair() && self.sufferage.is_none() {
-            self.sufferage =
-                Some(SufferageTable::new(ctx.spec().num_task_types(), self.config.fairness_factor));
-        }
-        let mut scorer = self.scorer.take().expect("initialized above");
-        scorer.begin_event(ctx.now());
-        // Track cluster churn: a membership change re-gates the pool on
-        // the live machine count and releases the chains of departed
-        // machines (one compare per event while nothing changes).
-        scorer.sync_membership(ctx.membership_epoch(), ctx.machines());
-        // At cluster scale the persistent worker pool serves both the
-        // pruner warm-up and the score-table rounds below (integer
-        // compares while neither the setting nor the cluster moved).
-        scorer.set_parallelism(self.config.threads);
+        self.thresholds.size(&self.config, ctx.spec().num_task_types());
+        let scorer = self.table_loop.start_event(ctx);
 
         // Aggression control (§V-C).
         let was_engaged = self.detector.dropping_engaged();
@@ -170,133 +224,59 @@ impl Mapper for Pam {
         // not when its casualties finish. A flip moves both thresholds at
         // once; the score table rechecks its skipped rows against the
         // thresholds of the event it serves (`ScoreTable::ensure`).
-        if let Some(a) = &mut self.adaptive {
-            let ratio = self.detector.level() / self.config.toggle_on.max(f64::MIN_POSITIVE);
-            a.set_pressure(self.detector.dropping_engaged(), ratio);
-            if a.deep_calm() {
-                self.instr.events_deep_calm += 1;
-            }
+        let ratio = self.detector.level() / self.config.toggle_on.max(f64::MIN_POSITIVE);
+        if self.thresholds.set_pressure(self.detector.dropping_engaged(), ratio) {
+            self.instr.events_deep_calm += 1;
         }
+        let thresholds = &self.thresholds;
         if self.detector.dropping_engaged() {
             self.instr.events_dropping_engaged += 1;
-            let adaptive = &self.adaptive;
-            let sufferage = &self.sufferage;
-            let drop_base = self.config.drop_threshold;
-            let threshold_for = move |tt: TaskTypeId| match (adaptive, sufferage) {
-                (Some(a), _) => a.drop_threshold_for(tt),
-                (None, Some(s)) => s.relax(tt, drop_base),
-                (None, None) => drop_base,
-            };
             self.instr.pruner_drops +=
-                self.pruner.drop_pass(ctx, &mut scorer, &threshold_for) as u64;
+                self.pruner.drop_pass(ctx, scorer, &|tt| thresholds.drop(tt)) as u64;
         }
 
-        // Two-phase mapping with deferral, reduced over the incremental
-        // (window × machine) score table: the full matrix is computed once
-        // per event in a per-machine fan-out (with a bound pass proving
-        // most to-be-deferred rows skippable), and each assignment then
-        // refreshes only the assigned machine's column (plus one appended
-        // row when a batch task slides into the window). Every score the
-        // reduction reads is bit-identical to what per-pair rescoring
-        // would produce, so decisions are unchanged.
-        let adaptive = &self.adaptive;
-        let sufferage = &self.sufferage;
-        let defer_base = self.config.defer_threshold;
-        // Same thresholds the reduction applies below — a row skipped by
-        // the bound pass is exactly a row the reduction would defer.
-        let skip_below = move |tt: TaskTypeId| match (adaptive, sufferage) {
-            (Some(a), _) => a.defer_threshold_for(tt),
-            (None, Some(s)) => s.relax(tt, defer_base),
-            (None, None) => defer_base,
-        };
-        let mut table = std::mem::take(&mut self.table);
-        let mut table_fresh = false;
-        loop {
-            if ctx.total_free_slots() == 0 {
-                break;
-            }
-            let window = self.config.batch_window.min(ctx.batch().len());
-            if window == 0 {
-                break;
-            }
-            if !table_fresh {
-                // Cross-event reuse: within a membership epoch the
-                // previous event's table is revalidated — rescoring only
-                // the machines whose version moved or whose conditioned
-                // head the clock re-keyed — instead of rebuilt from scratch.
-                if self.config.table_reuse {
-                    if table.ensure(
-                        &mut scorer,
-                        ctx.machines(),
-                        &ctx.batch()[..window],
-                        &skip_below,
-                    ) {
-                        self.instr.table_reuses += 1;
-                    }
-                } else {
-                    table.rebuild(&mut scorer, ctx.machines(), &ctx.batch()[..window], &skip_below);
-                }
-                table_fresh = true;
-            }
-            debug_assert_eq!(table.rows(), window, "table drifted from batch window");
-            // Phase 1 + deferral: candidates above the (possibly relaxed)
-            // defer threshold; phase 2: minimum expected completion, tie →
-            // shortest expected execution time.
-            let mut chosen: Option<(usize, TaskId, MachineId, PairScore)> = None;
-            for i in 0..window {
-                let task = ctx.batch()[i];
-                let Some((machine, score)) = table.best_for_row(ctx.machines(), i) else {
+        // Phase 1 + deferral: each row's best machine, kept only above the
+        // row's (possibly relaxed) defer threshold — the bound pass's skip
+        // threshold too, so a row it leaves unscored is one deferred here
+        // anyway; phase 2: minimum expected completion, tie → shortest
+        // expected execution time.
+        let skip_below = |tt| thresholds.defer(tt);
+        let reused = self.table_loop.map(ctx, &skip_below, |table, _, ctx, window| {
+            let mut chosen: Option<(usize, MachineId, PairScore)> = None;
+            for row in 0..window {
+                let task = ctx.batch()[row];
+                let Some((machine, score)) = table.best_for_row(ctx.machines(), row) else {
                     continue;
                 };
-                if score.robustness < self.defer_threshold_for(task.type_id) {
+                if score.robustness < thresholds.defer(task.type_id) {
                     continue; // deferred: stays in the batch queue
                 }
-                let better = match &chosen {
-                    None => true,
-                    Some((_, _, _, b)) => {
-                        score.expected_completion < b.expected_completion
-                            || (score.expected_completion == b.expected_completion
-                                && score.mean_exec < b.mean_exec)
-                    }
-                };
-                if better {
-                    chosen = Some((i, task.id, machine, score));
+                if chosen.is_none_or(|(_, _, b)| {
+                    score.expected_completion < b.expected_completion
+                        || (score.expected_completion == b.expected_completion
+                            && score.mean_exec < b.mean_exec)
+                }) {
+                    chosen = Some((row, machine, score));
                 }
             }
-            let Some((row, task_id, machine, _)) = chosen else { break };
-            ctx.assign(task_id, machine).expect("machine had a free slot");
-            // Incremental maintenance: drop the assigned row, admit batch
-            // tasks that slid into the window, rescore only the column of
-            // the machine whose queue just changed.
-            let next_window = self.config.batch_window.min(ctx.batch().len());
-            table.apply_assignment(
-                &mut scorer,
-                ctx.machines(),
-                &ctx.batch()[..next_window],
-                row,
-                machine.index(),
-                &skip_below,
-            );
-        }
-        self.table = table;
+            chosen.map(|(row, machine, _)| (row, machine))
+        });
+        self.instr.table_reuses += u64::from(reused);
 
         // §VIII extension: probabilistic preemption for urgent arrivals
         // that the normal phases had to defer.
         if self.config.preemption {
-            self.try_preempt(ctx, &scorer);
+            let scorer = self.table_loop.scorer.as_ref().expect("built by start_event");
+            if self.try_preempt(ctx, scorer) {
+                self.instr.preemptions += 1;
+            }
         }
-
-        self.scorer = Some(scorer);
     }
 
     fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
         // Either update may move the skip thresholds between events; the
         // score table revalidates against them row by row.
-        if let Some(a) = &mut self.adaptive {
-            a.observe(task.type_id, outcome);
-        } else if let Some(s) = &mut self.sufferage {
-            s.on_task_finished(task.type_id, outcome.is_success());
-        }
+        self.thresholds.observe(task, outcome);
     }
 
     fn instrumentation(&self) -> Option<MapperInstrumentation> {
@@ -314,15 +294,15 @@ impl Mapper for Pam {
         w.u32(PAM_BLOB_VERSION);
         w.f64(self.detector.level());
         w.u8(u8::from(self.detector.dropping_engaged()));
-        match &self.sufferage {
-            Some(s) => {
+        match &self.thresholds.source {
+            ThresholdSource::Sufferage(s) => {
                 w.u8(1);
                 w.usize(s.values().len());
                 for &v in s.values() {
                     w.f64(v);
                 }
             }
-            None => w.u8(0),
+            _ => w.u8(0),
         }
         for counter in [
             self.instr.mapping_events,
@@ -338,7 +318,7 @@ impl Mapper for Pam {
         // controller's dynamic state. v1 blobs simply end after the six
         // counters above, which `restore_state` still accepts.
         w.u64(self.instr.events_deep_calm);
-        match &self.adaptive {
+        match self.thresholds.adaptive() {
             Some(a) => {
                 w.u8(1);
                 w.bytes(&a.state_bytes());
@@ -358,22 +338,13 @@ impl Mapper for Pam {
         let state =
             self.decode_state(bytes).unwrap_or_else(|e| panic!("corrupt PAM state blob: {e}"));
         self.detector.restore(state.level, state.engaged);
-        self.sufferage = state.sufferage;
+        self.thresholds.restore(state.sufferage, state.adaptive);
         self.instr = state.instr;
-        self.adaptive = state.adaptive;
-        // The score table and the scorer's chains belong to the
-        // pre-snapshot event stream: both are keyed on machine versions,
-        // which the restored timeline may re-issue with other contents.
-        self.table.invalidate();
-        if let Some(scorer) = &mut self.scorer {
-            scorer.clear_caches();
-        }
+        self.table_loop.restore();
     }
 
     fn on_shutdown(&mut self) {
-        if let Some(scorer) = &mut self.scorer {
-            scorer.shutdown(std::time::Duration::from_secs(5));
-        }
+        self.table_loop.shutdown();
     }
 }
 
@@ -442,16 +413,14 @@ impl Pam {
         }
         Ok(PamState { level, engaged, sufferage, instr, adaptive })
     }
-}
 
-impl Pam {
     /// Preempts at most one executing task per event, when an otherwise-
     /// deferred batch task would meet the defer threshold if started
     /// immediately AND the incumbent — modeled by its residual execution
     /// PMF — would still meet the defer threshold after resuming behind
     /// it. Machines with pending work are skipped (their queues would be
-    /// pushed back too).
-    fn try_preempt(&mut self, ctx: &mut MapContext<'_>, scorer: &ProbScorer) {
+    /// pushed back too). Returns whether it preempted.
+    fn try_preempt(&self, ctx: &mut MapContext<'_>, scorer: &ProbScorer) -> bool {
         let now = ctx.now();
         let pet = &ctx.spec().pet;
         let window = self.config.batch_window.min(ctx.batch().len());
@@ -460,7 +429,7 @@ impl Pam {
         let mut best: Option<(TaskId, MachineId, f64)> = None;
         for i in 0..window {
             let task = ctx.batch()[i];
-            let defer_t = self.defer_threshold_for(task.type_id);
+            let defer_t = self.thresholds.defer(task.type_id);
             for m in 0..ctx.num_machines() {
                 let machine_id = MachineId::from(m);
                 let machine = ctx.machine(machine_id);
@@ -481,7 +450,7 @@ impl Pam {
                     pet.pmf(exec.task.type_id, machine_id).residual(exec.elapsed_at(now));
                 let resumed =
                     queue_step(&urgent_completion, &residual, exec.task.deadline, scorer.policy());
-                if resumed.robustness < self.defer_threshold_for(exec.task.type_id) {
+                if resumed.robustness < self.thresholds.defer(exec.task.type_id) {
                     continue;
                 }
                 if best.is_none_or(|(_, _, r)| immediate.robustness > r) {
@@ -489,11 +458,10 @@ impl Pam {
                 }
             }
         }
-        if let Some((task_id, machine_id, _)) = best {
-            ctx.preempt_and_assign(machine_id, task_id)
-                .expect("machine verified executing, task from batch");
-            self.instr.preemptions += 1;
-        }
+        let Some((task_id, machine_id, _)) = best else { return false };
+        ctx.preempt_and_assign(machine_id, task_id)
+            .expect("machine verified executing, task from batch");
+        true
     }
 }
 
@@ -516,7 +484,7 @@ mod tests {
         }
         fn on_mapping_event(&mut self, ctx: &mut MapContext<'_>) {
             self.0.on_mapping_event(ctx);
-            let scorer = self.0.scorer.as_ref().expect("built by the first event");
+            let scorer = self.0.table_loop.scorer.as_ref().expect("built by the first event");
             assert!(!scorer.pool_active(), "pool built on an 8-machine system");
         }
         fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
@@ -769,7 +737,7 @@ mod tests {
     fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
         crate::scorer::test_support::assert_restore_drops_abandoned_chains(
             &mut Pam::new(PruningConfig::default()),
-            |pam| pam.scorer.as_mut().expect("built at the first mapping event"),
+            |pam| pam.table_loop.scorer.as_mut().expect("built at the first mapping event"),
         );
     }
 

@@ -76,14 +76,6 @@ pub struct PruningConfig {
     /// computation is deterministic, so results are **bit-identical at
     /// any thread count** — this is purely a performance knob.
     pub threads: usize,
-    /// Reuse the score table across mapping events (same instant or
-    /// later, within a membership epoch): only machines whose version
-    /// moved or whose conditioned head the clock re-keyed are rescored and
-    /// the window diff is applied incrementally, instead of rebuilding
-    /// from scratch per event. Decision-identical by
-    /// construction (see [`crate::scorer::ScoreTable::ensure`]) — another
-    /// pure performance knob, on by default.
-    pub table_reuse: bool,
     /// Close the threshold loop online: when set, PAM drives its dropping
     /// and deferring thresholds through an
     /// [`AdaptiveController`](crate::AdaptiveController) observing a
@@ -113,7 +105,6 @@ impl Default for PruningConfig {
             fairness_factor: 0.05,
             preemption: false,
             threads: 0,
-            table_reuse: true,
             adaptive: None,
         }
     }

@@ -10,8 +10,8 @@
 // The pins are intentionally recorded at full f64 round-trip precision.
 #![allow(clippy::excessive_precision)]
 
-use hcsim_core::{AdaptiveConfig, Moc, MocConfig, Pam, ProbScorer, PruningConfig, ScoreTable};
-use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskTypeId};
+use hcsim_core::{AdaptiveConfig, HeuristicKind, Moc, Pam, ProbScorer, PruningConfig, ScoreTable};
+use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskOutcome, TaskTypeId};
 use hcsim_pmf::DropPolicy;
 use hcsim_sim::{run_simulation, testkit, MapContext, Mapper, SimConfig, SimReport};
 use hcsim_stats::SeedSequence;
@@ -75,6 +75,68 @@ fn fixed_seed_fig4_run_is_unchanged() {
     assert!((report.total_cost - GOLDEN_TOTAL_COST).abs() < 1e-6);
 }
 
+/// Outcome counts (on time, late, pruned, expired unstarted, expired
+/// executing), mapping events, end time, and a placement checksum —
+/// Σ (task id + 1) × (machine index + 1) over the tasks that started —
+/// which moves when the same counts come from other placements.
+type Trajectory = (usize, usize, usize, usize, usize, u64, u64, u64);
+
+/// One seed-2019 trial of `kind` on the paper system at 34k (300 tasks)
+/// or on the 64-machine cluster at 272k (400 tasks, the
+/// `cluster_64m_seed_golden_pin` scenario), on the calling thread.
+fn pinned_trajectory(kind: HeuristicKind, cluster: bool) -> Trajectory {
+    let seeds = SeedSequence::new(2019);
+    let (spec, num_tasks, oversubscription) = if cluster {
+        (specint_cluster(64, 6, &mut seeds.stream(0)), 400, 272_000.0)
+    } else {
+        (specint_system(6, &mut seeds.stream(0)), 300, 34_000.0)
+    };
+    let gen = WorkloadGenerator::new(WorkloadConfig {
+        num_tasks,
+        oversubscription,
+        ..Default::default()
+    });
+    let tasks = gen.generate(&spec, &mut seeds.stream(1));
+    let mut mapper = kind.build(PruningConfig { threads: 1, ..PruningConfig::default() });
+    let report =
+        run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut seeds.stream(2));
+    let placements = report
+        .records
+        .iter()
+        .filter_map(|r| Some(u64::from(r.task.id.0 + 1) * (r.machine?.index() as u64 + 1)))
+        .sum();
+    let o = &report.metrics.outcomes;
+    let (events, end) = (report.mapping_events, report.end_time);
+    (o.on_time, o.late, o.pruned, o.expired_unstarted, o.expired_executing, events, end, placements)
+}
+
+/// Seed-golden pins of PAMF and MOC, on the paper system and on the
+/// 64-machine cluster. Every other test of these two mappers compares
+/// two runs of the same mapper (cold vs reused table, sequential vs
+/// pool, restored vs uninterrupted), which a change moving both arms
+/// alike would pass; these pin the trajectory itself. Re-pin from the
+/// assertion message only once a move is understood.
+#[test]
+fn pamf_and_moc_seed_golden_pins() {
+    let cases = [
+        (HeuristicKind::Pamf, false, PAMF_8M_GOLDEN),
+        (HeuristicKind::Pamf, true, PAMF_64M_GOLDEN),
+        (HeuristicKind::Moc, false, MOC_8M_GOLDEN),
+        (HeuristicKind::Moc, true, MOC_64M_GOLDEN),
+    ];
+    for (kind, cluster, golden) in cases {
+        let machines = if cluster { 64 } else { 8 };
+        let got = pinned_trajectory(kind, cluster);
+        eprintln!("{kind}, {machines}m golden: {got:?}");
+        assert_eq!(got, golden, "{kind}, {machines}m");
+    }
+}
+
+const PAMF_8M_GOLDEN: Trajectory = (148, 0, 7, 138, 7, 458, 1651, 105_515);
+const PAMF_64M_GOLDEN: Trajectory = (324, 0, 11, 62, 3, 729, 542, 2_032_590);
+const MOC_8M_GOLDEN: Trajectory = (93, 0, 0, 111, 96, 490, 1651, 127_468);
+const MOC_64M_GOLDEN: Trajectory = (329, 0, 0, 4, 67, 796, 541, 2_546_994);
+
 const GOLDEN_ON_TIME: usize = 114;
 const GOLDEN_LATE: usize = 0;
 const GOLDEN_PRUNED: usize = 3;
@@ -135,15 +197,38 @@ const GOLDEN_SCORES: [(f64, f64, f64); 7] = [
     (0.0, f64::INFINITY, 9.55219999999999771e1),
 ];
 
-/// Score-table reuse is a pure performance knob: with it on, every mapper
-/// that reduces over the table must report exactly what it reports with
-/// a from-scratch rebuild per event — on the paper system (one shard) and
-/// on a two-shard cluster, for static thresholds (PAM, MOC) and for the
-/// two mappers whose thresholds move between events (PAMF's sufferage,
-/// the adaptive controller), which the table follows row by row. A
-/// two-shard serverless cluster adds the cold-start model, where the
-/// table's warm-aware bounds skip nearly every cold lane and an
-/// assignment can un-skip one mid-event (PAM and MOC).
+/// The cold reference arm of [`table_reuse_never_changes_a_report`]: the
+/// wrapped mapper is restored from its own snapshot before every mapping
+/// event, which drops its score table and its scorer's chains, so every
+/// event scores from scratch while the mapper's history carries over.
+struct ColdEveryEvent<M>(M);
+
+impl<M: Mapper> Mapper for ColdEveryEvent<M> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn on_mapping_event(&mut self, ctx: &mut MapContext<'_>) {
+        let state = self.0.snapshot_state();
+        self.0.restore_state(&state);
+        self.0.on_mapping_event(ctx);
+    }
+
+    fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
+        self.0.on_task_finished(task, outcome);
+    }
+}
+
+/// Score-table reuse is pure performance: every mapper that reduces over
+/// the table must report exactly what it reports when the table and the
+/// chains are dropped before every event ([`ColdEveryEvent`]) — on the
+/// paper system (one shard) and on a two-shard cluster, for static
+/// thresholds (PAM, MOC) and for the two mappers whose thresholds move
+/// between events (PAMF's sufferage, the adaptive controller), which the
+/// table follows row by row. A two-shard serverless cluster adds the
+/// cold-start model, where the table's warm-aware bounds skip nearly
+/// every cold lane and an assignment can un-skip one mid-event (PAM and
+/// MOC).
 #[test]
 fn table_reuse_never_changes_a_report() {
     let seeds = SeedSequence::new(413);
@@ -171,35 +256,29 @@ fn table_reuse_never_changes_a_report() {
         (faas_spec, faas_tasks, false),
     ];
     for (spec, tasks, moving_thresholds) in &cases {
-        let run = |mut mapper: &mut dyn hcsim_sim::Mapper| {
+        let run = |mut mapper: &mut dyn Mapper| {
             let config = SimConfig::untrimmed();
             let report = run_simulation(spec, config, tasks, &mut mapper, &mut seeds.stream(3));
             format!("{} events {:?}", report.mapping_events, report.records)
         };
-        let pam = |table_reuse| PruningConfig { table_reuse, ..PruningConfig::default() };
-        let adaptive = |table_reuse| PruningConfig {
-            adaptive: Some(AdaptiveConfig::default()),
-            ..pam(table_reuse)
-        };
-        let moc = |table_reuse| Moc::with_config(MocConfig { table_reuse, ..MocConfig::default() });
         let machines = spec.num_machines();
-        assert_eq!(
-            run(&mut Pam::new(pam(true))),
-            run(&mut Pam::new(pam(false))),
-            "PAM, {machines}m"
-        );
-        assert_eq!(run(&mut moc(true)), run(&mut moc(false)), "MOC, {machines}m");
+        let pam = || Pam::new(PruningConfig::default());
+        assert_eq!(run(&mut pam()), run(&mut ColdEveryEvent(pam())), "PAM, {machines}m");
+        assert_eq!(run(&mut Moc::new()), run(&mut ColdEveryEvent(Moc::new())), "MOC, {machines}m");
         if !moving_thresholds {
             continue;
         }
+        let pamf = || Pam::with_fairness(PruningConfig::default());
+        assert_eq!(run(&mut pamf()), run(&mut ColdEveryEvent(pamf())), "PAMF, {machines}m");
+        let adaptive = || {
+            Pam::new(PruningConfig {
+                adaptive: Some(AdaptiveConfig::default()),
+                ..Default::default()
+            })
+        };
         assert_eq!(
-            run(&mut Pam::with_fairness(pam(true))),
-            run(&mut Pam::with_fairness(pam(false))),
-            "PAMF, {machines}m"
-        );
-        assert_eq!(
-            run(&mut Pam::new(adaptive(true))),
-            run(&mut Pam::new(adaptive(false))),
+            run(&mut adaptive()),
+            run(&mut ColdEveryEvent(adaptive())),
             "adaptive PAM, {machines}m"
         );
     }

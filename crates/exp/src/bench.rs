@@ -474,9 +474,7 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     // 34k level. At this rate arrivals pile onto shared ticks, so the
     // same-tick table-reuse path dominates; the hierarchical bound pass
     // keeps phase-2 candidate work at O(shards-that-can-win) rather than
-    // O(machines). The `_noreuse` ablation row runs the identical
-    // scenario with same-tick reuse disabled — the gap to
-    // `cluster_1024m/PAM_t4` is the measured burst win.
+    // O(machines).
     let mega_spec = specint_cluster(1024, 6, &mut seeds.stream(7));
     let mega_gen = WorkloadGenerator::new(WorkloadConfig {
         num_tasks: cluster_tasks_n,
@@ -484,14 +482,11 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
         ..Default::default()
     });
     let mega_tasks = mega_gen.generate(&mega_spec, &mut seeds.stream(8));
-    let mut mega_trial = |label: &str, threads: usize, table_reuse: bool| {
+    for threads in [1usize, 4] {
         let mut events = 0u64;
         let timing = cluster_timer.run(|| {
-            let mut mapper = HeuristicKind::Pam.build(PruningConfig {
-                threads,
-                table_reuse,
-                ..PruningConfig::default()
-            });
+            let mut mapper =
+                HeuristicKind::Pam.build(PruningConfig { threads, ..PruningConfig::default() });
             let mut rng = seeds.stream(5);
             let report = run_simulation(
                 &mega_spec,
@@ -503,14 +498,10 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
             events = report.mapping_events;
             std::hint::black_box(report.metrics.counted);
         });
-        let mut r = result(format!("{label}/PAM_t{threads}"), &cluster_timer, timing);
+        let mut r = result(format!("cluster_1024m/PAM_t{threads}"), &cluster_timer, timing);
         r.events_per_sec = Some(events as f64 / (r.ns_per_op / 1e9));
         results.push(r);
-    };
-    for threads in [1usize, 4] {
-        mega_trial("cluster_1024m", threads, true);
     }
-    mega_trial("cluster_1024m_noreuse", 4, false);
 
     // Serverless burst scenario (arXiv:1905.04456): a 256-machine FaaS
     // cluster under Zipf-popular, gamma-bursty request arrivals, with the
@@ -520,9 +511,7 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     // process, and every same-tick reuse hit must additionally survive
     // the warm-container revision checks (a keep-alive mutation bumps
     // `warm_rev` and invalidates the cached column) — so these rows
-    // stress the table-reuse path under its adversarial case. The
-    // `_noreuse` ablation gap is the measured burst-reuse win on the
-    // serverless shape.
+    // stress the table-reuse path under its adversarial case.
     let faas_cfg = FaasConfig {
         num_machines: 256,
         num_tasks: cluster_tasks_n,
@@ -531,14 +520,11 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     };
     let faas_spec = faas_system(&faas_cfg, &mut seeds.stream(9));
     let faas_tasks = FaasGenerator::new(faas_cfg).generate(&faas_spec, &mut seeds.stream(10));
-    let mut faas_trial = |label: &str, threads: usize, table_reuse: bool| {
+    for threads in [1usize, 4] {
         let mut events = 0u64;
         let timing = cluster_timer.run(|| {
-            let mut mapper = HeuristicKind::Pam.build(PruningConfig {
-                threads,
-                table_reuse,
-                ..PruningConfig::default()
-            });
+            let mut mapper =
+                HeuristicKind::Pam.build(PruningConfig { threads, ..PruningConfig::default() });
             let mut rng = seeds.stream(5);
             let report = run_simulation(
                 &faas_spec,
@@ -550,14 +536,10 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
             events = report.mapping_events;
             std::hint::black_box(report.metrics.counted);
         });
-        let mut r = result(format!("{label}/PAM_t{threads}"), &cluster_timer, timing);
+        let mut r = result(format!("cluster_faas256/PAM_t{threads}"), &cluster_timer, timing);
         r.events_per_sec = Some(events as f64 / (r.ns_per_op / 1e9));
         results.push(r);
-    };
-    for threads in [1usize, 4] {
-        faas_trial("cluster_faas256", threads, true);
     }
-    faas_trial("cluster_faas256_noreuse", 4, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,14 +582,10 @@ pub fn render_scaling_markdown(suite: &BenchSuite) -> String {
          cluster_64m_churn rows run the same cluster under membership\n\
          churn (8 late joins, 6 drains, 4 fails with task requeue). The\n\
          cluster_1024m rows run the mega-cluster scenario (1024 machines,\n\
-         128x arrival rate, 32 score-table shards); cluster_1024m_noreuse\n\
-         is the same scenario with same-tick table reuse disabled, so its\n\
-         gap to cluster_1024m/PAM_t4 is the measured burst-reuse win.\n\
-         The cluster_faas256 rows run the serverless burst scenario (256\n\
-         machines, Zipf-popular bursty functions, cold starts +\n\
-         keep-alive); cluster_faas256_noreuse is its same-tick-reuse\n\
-         ablation. Every scenario's speedups compare against its own t1\n\
-         leg.\n\n\
+         128x arrival rate, 32 score-table shards). The cluster_faas256\n\
+         rows run the serverless burst scenario (256 machines,\n\
+         Zipf-popular bursty functions, cold starts + keep-alive). Every\n\
+         scenario's speedups compare against its own t1 leg.\n\n\
          | id | threads | ns/op (best) | events/sec | speedup vs t1 |\n\
          |---|---|---|---|---|\n",
     );
@@ -686,9 +664,9 @@ pub fn run_scaling(opts: &ScalingOptions) -> Result<(), Vec<String>> {
 /// `cluster_1024m/PAM`, …) that has both a t1 and a t4 leg must show the
 /// t4 best sample beating the t1 best sample (within
 /// [`SCALING_GATE_TOLERANCE`]). All failures are reported, not just the
-/// first; prefixes with only one leg (like the `_noreuse` ablation row)
-/// are skipped; a sweep in which *nothing* was gateable is itself a
-/// failure — that is how the gate stays honest when rows get renamed.
+/// first; prefixes with only one leg are skipped; a sweep in which
+/// *nothing* was gateable is itself a failure — that is how the gate
+/// stays honest when rows get renamed.
 ///
 /// # Errors
 ///
@@ -1035,8 +1013,8 @@ mod tests {
             events_per_sec: None,
             baseline_ns_per_op: None,
         };
-        // Healthy sweep: every prefix's t4 beats its t1; the lone-leg
-        // ablation row is skipped, not failed.
+        // Healthy sweep: every prefix's t4 beats its t1; a lone-leg row
+        // is skipped, not failed.
         let healthy = BenchSuite {
             name: "scaling",
             results: vec![
@@ -1048,7 +1026,7 @@ mod tests {
                 mk("cluster_64m_churn/PAM_t4", 60.0),
                 mk("cluster_1024m/PAM_t1", 500.0),
                 mk("cluster_1024m/PAM_t4", 200.0),
-                mk("cluster_1024m_noreuse/PAM_t4", 400.0),
+                mk("cluster_1024m_lone/PAM_t4", 400.0),
             ],
         };
         assert!(gate_scaling_suite(&healthy).is_ok());

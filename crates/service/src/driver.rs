@@ -205,7 +205,6 @@ struct DriverState {
     shed_rng: Xoshiro256pp,
     stats: ServiceStats,
     last_epoch: u64,
-    last_checkpoint: Option<ServiceCheckpoint>,
 }
 
 impl DriverState {
@@ -215,7 +214,6 @@ impl DriverState {
             shed_rng: Xoshiro256pp::new(shed_seed),
             stats: ServiceStats::default(),
             last_epoch: 0,
-            last_checkpoint: None,
         }
     }
 
@@ -225,7 +223,6 @@ impl DriverState {
             shed_rng: Xoshiro256pp::from_state(cp.shed_rng),
             stats: ServiceStats { restores: cp.stats.restores + 1, ..cp.stats },
             last_epoch: cp.last_epoch,
-            last_checkpoint: Some(cp.clone()),
         }
     }
 
@@ -352,7 +349,6 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
             if fault.kill_at_epoch == Some(epoch) {
                 return Some(cp);
             }
-            state.last_checkpoint = Some(cp);
         }
         None
     }
