@@ -164,15 +164,9 @@ fn crash_restore_with_adaptation_enabled_is_bit_identical() {
     }
 }
 
-#[test]
-fn faas_crash_restore_keeps_keep_alive_state_bit_identical() {
-    // The serverless variant of the crash matrix: warm-container sets
-    // (some pinned in-use mid-spin-up), scheduled keep-alive expiries,
-    // and the cold/warm tallies all live in the checkpoint now, and
-    // machine churn additionally clears warm sets on departures. A
-    // restore at any epoch must resume the exact cold/warm trajectory —
-    // one lost container would fork every subsequent PET selection.
-    let seeds = SeedSequence::new(309);
+/// Eight serverless machines, twelve functions, 160 requests, churn.
+fn faas_fixture(seed: u64) -> (SystemSpec, Vec<Task>, ChurnTrace) {
+    let seeds = SeedSequence::new(seed);
     let cfg = FaasConfig {
         num_functions: 12,
         num_machines: 8,
@@ -195,8 +189,20 @@ fn faas_crash_restore_keeps_keep_alive_state_bit_identical() {
             span: 300,
             min_active: 4,
         },
-        &mut SeedSequence::new(309).stream(3),
+        &mut SeedSequence::new(seed).stream(3),
     );
+    (spec, tasks, churn)
+}
+
+#[test]
+fn faas_crash_restore_keeps_keep_alive_state_bit_identical() {
+    // The serverless variant of the crash matrix: warm-container sets
+    // (some pinned in-use mid-spin-up), scheduled keep-alive expiries,
+    // and the cold/warm tallies all live in the checkpoint now, and
+    // machine churn additionally clears warm sets on departures. A
+    // restore at any epoch must resume the exact cold/warm trajectory —
+    // one lost container would fork every subsequent PET selection.
+    let (spec, tasks, churn) = faas_fixture(309);
     let schedule = ArrivalSchedule::from_tasks(&tasks);
     let service = ServiceConfig::default();
 
@@ -449,7 +455,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// layout change: when the score table began re-timing idle machines in
 /// place, more events reused it, and the only field that differs is the
 /// PAM blob's `table_reuses` counter (a u64 at blob offset 54), a cache
-/// statistic carried inside all three streams.
+/// statistic carried inside all three streams. Two more pins cover what
+/// that fixture never writes: a PAMF blob (sufferage section) and a
+/// serverless engine snapshot (warm containers, keep-alive expiries,
+/// cold-start flags); both were taken before the layouts moved onto the
+/// declarative `Wire` layer.
 #[test]
 fn wire_formats_are_pinned() {
     let (spec, tasks, churn) = pin_fixture();
@@ -479,6 +489,55 @@ fn wire_formats_are_pinned() {
         pin(&checkpoint),
         (11_768, 17_188_402_750_918_742_844),
         "ServiceCheckpoint::to_bytes()"
+    );
+
+    // Sections the adaptive fixture never writes. A field swapped or
+    // written at the wrong width in both directions survives every
+    // roundtrip test; only a byte pin sees it. PAMF's blob carries the
+    // sufferage vector instead of a controller.
+    let mut pamf = Pam::with_fairness(PruningConfig { threads: 1, ..PruningConfig::default() });
+    let mut rng = Xoshiro256pp::new(PIN_SEED);
+    let mut task_source = TaskTraceSource::new(&tasks);
+    let mut churn_source = ChurnSource::new(&churn);
+    let mut session = SimSession::new(
+        &spec,
+        carry_progress_sim(),
+        &mut [&mut task_source, &mut churn_source],
+        &mut pamf,
+        &mut rng,
+    );
+    for _ in 0..200 {
+        assert!(session.step(), "the pin must be taken mid-run");
+    }
+    drop(session);
+    assert_eq!(
+        pin(&pamf.snapshot_state()),
+        (175, 13_752_530_210_388_893_757),
+        "PAMF Pam::snapshot_state()"
+    );
+
+    // A serverless run mid-flight: warm containers, keep-alive expiry
+    // events on the heap, a task executing after a cold start. (The
+    // adaptive snapshot above already holds a deadline eviction.)
+    let (spec, tasks, churn) = faas_fixture(PIN_SEED);
+    let mut mapper = Pam::new(PruningConfig { threads: 1, ..PruningConfig::default() });
+    let mut rng = Xoshiro256pp::new(PIN_SEED);
+    let mut task_source = TaskTraceSource::new(&tasks);
+    let mut churn_source = ChurnSource::new(&churn);
+    let mut session = SimSession::new(
+        &spec,
+        SimConfig::untrimmed(),
+        &mut [&mut task_source, &mut churn_source],
+        &mut mapper,
+        &mut rng,
+    );
+    for _ in 0..200 {
+        assert!(session.step(), "the pin must be taken mid-run");
+    }
+    assert_eq!(
+        pin(&session.snapshot()),
+        (10_134, 15_099_915_632_994_658_283),
+        "serverless SimSession::snapshot()"
     );
 }
 
