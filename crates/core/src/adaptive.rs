@@ -57,7 +57,8 @@
 //! [`Mapper::on_task_finished`]: hcsim_sim::Mapper::on_task_finished
 
 use hcsim_model::{TaskOutcome, TaskTypeId};
-use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError, Wire};
+use hcsim_sim::wire_struct;
 use serde::{Deserialize, Serialize};
 
 /// How far deferral moves per unit of *upward* dropping movement along
@@ -200,15 +201,17 @@ impl AdaptiveConfig {
     }
 }
 
-/// Sliding-window outcome counters for one adjustment period.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WindowCounts {
-    on_time: u64,
-    late: u64,
-    expired_unstarted: u64,
-    expired_on_machine: u64,
-    pruned: u64,
-    shed: u64,
+wire_struct! {
+    /// Sliding-window outcome counters for one adjustment period.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct WindowCounts {
+        on_time: u64,
+        late: u64,
+        expired_unstarted: u64,
+        expired_on_machine: u64,
+        pruned: u64,
+        shed: u64,
+    }
 }
 
 impl WindowCounts {
@@ -235,13 +238,64 @@ impl WindowCounts {
     }
 }
 
-/// Per-workload-class window state: failure accounting plus accumulated
-/// fairness relief.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct ClassState {
-    failed: u64,
-    seen: u64,
-    relief: f64,
+wire_struct! {
+    /// Per-workload-class window state: failure accounting plus accumulated
+    /// fairness relief.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct ClassState {
+        failed: u64,
+        seen: u64,
+        relief: f64,
+    }
+}
+
+wire_struct! {
+    /// One detector phase's gain-scheduled perturb-and-observe climb
+    /// (phase 0 = calm, 1 = storm).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct Phase {
+        /// Trim on the dropping threshold. Deferral is derived from the
+        /// same shift via the sweep-ray geometry.
+        trim: f64,
+        /// Perturbation direction: +1.0 (more aggressive) or -1.0.
+        dir: f64,
+        /// Perturbation magnitude: starts at [`AdaptiveConfig::step`] and
+        /// halves on every reversal after the first (floor `step / 4`), so
+        /// the climb converges onto an off-grid optimum instead of
+        /// oscillating around it with full-size probes. The first reversal
+        /// is free: the initial probe direction is a guess, and correcting
+        /// a wrong guess must happen at full speed.
+        step: f64,
+        /// Direction reversals so far (drives the step decay).
+        reversals: u64,
+        /// On-time rate of this phase's previous window (the objective
+        /// being climbed).
+        last_rate: f64,
+        /// Windows processed (the first window of a phase has no reference
+        /// rate and probes the phase's natural direction).
+        windows: u64,
+    }
+}
+
+wire_struct! {
+    /// Everything the controller learns at run time: what its snapshot
+    /// carries (the configuration and base thresholds are not).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Dynamics {
+        phases: [Phase; 2],
+        /// Windows processed so far (instrumentation + state fingerprint).
+        adjustments: u64,
+        window: WindowCounts,
+        classes: Vec<ClassState>,
+        /// Feed-forward state: true while the Eq. 8 detector is engaged.
+        pressure: bool,
+        /// Slow EWMA of the detector level as a fraction of its toggle-on
+        /// point (see [`SLOW_LAMBDA`]).
+        slow_ratio: f64,
+        /// True while the slow level average certifies sustained health —
+        /// the only state in which [`AdaptiveConfig::calm_relax`] applies.
+        deep_calm: bool,
+    }
 }
 
 /// The per-workload-class feedback controller. Owned by PAM when
@@ -254,39 +308,7 @@ pub struct AdaptiveController {
     config: AdaptiveConfig,
     base_drop: f64,
     base_defer: f64,
-    /// Per-phase trim on the dropping threshold (index 0 = calm, 1 =
-    /// storm): the gain-scheduled perturb-and-observe state. Deferral is
-    /// derived from the same shift via the sweep-ray geometry.
-    trims: [f64; 2],
-    /// Per-phase perturbation direction: +1.0 (more aggressive) or -1.0.
-    dirs: [f64; 2],
-    /// Per-phase perturbation magnitude: starts at [`AdaptiveConfig::step`]
-    /// and halves on every reversal after the first (floor `step / 4`), so
-    /// the climb converges onto an off-grid optimum instead of oscillating
-    /// around it with full-size probes. The first reversal is free: the
-    /// initial probe direction is a guess, and correcting a wrong guess
-    /// must happen at full speed.
-    steps: [f64; 2],
-    /// Per-phase count of direction reversals (drives the step decay).
-    reversals: [u64; 2],
-    /// Per-phase on-time rate of that phase's previous window (the
-    /// objective being climbed).
-    last_rates: [f64; 2],
-    /// Per-phase windows processed (the first window of a phase has no
-    /// reference rate and probes the phase's natural direction).
-    phase_windows: [u64; 2],
-    window: WindowCounts,
-    classes: Vec<ClassState>,
-    /// Windows processed so far (instrumentation + state fingerprint).
-    adjustments: u64,
-    /// Feed-forward state: true while the Eq. 8 detector is engaged.
-    pressure: bool,
-    /// Slow EWMA of the detector level as a fraction of its toggle-on
-    /// point (see [`SLOW_LAMBDA`]).
-    slow_ratio: f64,
-    /// True while the slow level average certifies sustained health —
-    /// the only state in which [`AdaptiveConfig::calm_relax`] applies.
-    deep_calm: bool,
+    state: Dynamics,
 }
 
 impl AdaptiveController {
@@ -304,25 +326,23 @@ impl AdaptiveController {
         base_defer: f64,
     ) -> Self {
         config.validate();
+        // Calm probes toward admitting more (under-load wastes capacity
+        // on deferral); storm probes toward shedding more (the Fig. 7
+        // direction) on top of the boost.
+        let phase = |dir| Phase { dir, step: config.step, ..Phase::default() };
         Self {
             config,
             base_drop,
             base_defer,
-            trims: [0.0; 2],
-            // Calm probes toward admitting more (under-load wastes
-            // capacity on deferral); storm probes toward shedding more
-            // (the Fig. 7 direction) on top of the boost.
-            dirs: [-1.0, 1.0],
-            steps: [config.step; 2],
-            reversals: [0; 2],
-            last_rates: [0.0; 2],
-            phase_windows: [0; 2],
-            window: WindowCounts::default(),
-            classes: vec![ClassState::default(); num_task_types],
-            adjustments: 0,
-            pressure: false,
-            slow_ratio: 0.0,
-            deep_calm: true,
+            state: Dynamics {
+                phases: [phase(-1.0), phase(1.0)],
+                adjustments: 0,
+                window: WindowCounts::default(),
+                classes: vec![ClassState::default(); num_task_types],
+                pressure: false,
+                slow_ratio: 0.0,
+                deep_calm: true,
+            },
         }
     }
 
@@ -340,21 +360,22 @@ impl AdaptiveController {
     /// hysteresis gates the deep-calm relaxation. Returns `true` when
     /// either state flipped (thresholds jumped).
     pub fn set_pressure(&mut self, engaged: bool, level_ratio: f64) -> bool {
-        let was = (self.pressure, self.deep_calm);
-        self.pressure = engaged;
-        self.slow_ratio = level_ratio * SLOW_LAMBDA + self.slow_ratio * (1.0 - SLOW_LAMBDA);
-        if engaged || self.slow_ratio >= DEEP_CALM_EXIT {
-            self.deep_calm = false;
-        } else if self.slow_ratio <= DEEP_CALM_ENTER {
-            self.deep_calm = true;
+        let s = &mut self.state;
+        let was = (s.pressure, s.deep_calm);
+        s.pressure = engaged;
+        s.slow_ratio = level_ratio * SLOW_LAMBDA + s.slow_ratio * (1.0 - SLOW_LAMBDA);
+        if engaged || s.slow_ratio >= DEEP_CALM_EXIT {
+            s.deep_calm = false;
+        } else if s.slow_ratio <= DEEP_CALM_ENTER {
+            s.deep_calm = true;
         }
         // Between the bounds: hold the previous state.
-        (self.pressure, self.deep_calm) != was
+        (s.pressure, s.deep_calm) != was
     }
 
     /// The active phase index (0 = calm, 1 = storm).
     fn phase(&self) -> usize {
-        usize::from(self.pressure)
+        usize::from(self.state.pressure)
     }
 
     /// Net dropping-threshold shift for the active phase: its learned
@@ -362,21 +383,24 @@ impl AdaptiveController {
     /// engaged, relaxation while the system is in sustained deep calm,
     /// nothing in the transitional band between.
     fn drop_shift(&self) -> f64 {
-        let feed_forward = if self.pressure {
+        let feed_forward = if self.state.pressure {
             self.config.pressure_boost
-        } else if self.deep_calm {
+        } else if self.state.deep_calm {
             -self.config.calm_relax
         } else {
             0.0
         };
-        self.trims[self.phase()] + feed_forward
+        self.state.phases[self.phase()].trim + feed_forward
+    }
+
+    fn relief(&self, tt: TaskTypeId) -> f64 {
+        self.state.classes.get(tt.index()).map_or(0.0, |c| c.relief)
     }
 
     /// Current effective dropping threshold for a class.
     #[must_use]
     pub fn drop_threshold_for(&self, tt: TaskTypeId) -> f64 {
-        let relief = self.classes.get(tt.index()).map_or(0.0, |c| c.relief);
-        (self.base_drop + self.drop_shift() - relief)
+        (self.base_drop + self.drop_shift() - self.relief(tt))
             .clamp(self.config.drop_min, self.config.drop_max)
     }
 
@@ -384,8 +408,7 @@ impl AdaptiveController {
     /// dropping shift along the sweep-ray geometry).
     #[must_use]
     pub fn defer_threshold_for(&self, tt: TaskTypeId) -> f64 {
-        let relief = self.classes.get(tt.index()).map_or(0.0, |c| c.relief);
-        let t = (self.base_defer + defer_shift(self.drop_shift()) - relief)
+        let t = (self.base_defer + defer_shift(self.drop_shift()) - self.relief(tt))
             .clamp(self.config.defer_min, self.config.defer_max);
         // The §V-B2 invariant (defer >= drop) must survive adaptation.
         t.max(self.drop_threshold_for(tt))
@@ -394,27 +417,27 @@ impl AdaptiveController {
     /// Number of window-boundary adjustments performed so far.
     #[must_use]
     pub fn adjustments(&self) -> u64 {
-        self.adjustments
+        self.state.adjustments
     }
 
     /// True while the slow-averaged detector level sits in sustained deep
     /// calm (the feed-forward relaxation is active).
     #[must_use]
     pub fn deep_calm(&self) -> bool {
-        self.deep_calm
+        self.state.deep_calm
     }
 
     /// Feeds one terminal task outcome. Returns `true` when a window
     /// boundary was crossed and thresholds may have moved.
     pub fn observe(&mut self, tt: TaskTypeId, outcome: TaskOutcome) -> bool {
-        self.window.add(outcome);
-        if let Some(c) = self.classes.get_mut(tt.index()) {
+        self.state.window.add(outcome);
+        if let Some(c) = self.state.classes.get_mut(tt.index()) {
             c.seen += 1;
             if !matches!(outcome, TaskOutcome::CompletedOnTime | TaskOutcome::CompletedApprox) {
                 c.failed += 1;
             }
         }
-        if self.window.total() < self.config.window as u64 {
+        if self.state.window.total() < self.config.window as u64 {
             return false;
         }
         self.adjust();
@@ -425,52 +448,54 @@ impl AdaptiveController {
     /// the phase the detector reports *now* (outcome windows lag their
     /// causes either way; the climb self-corrects).
     fn adjust(&mut self) {
-        let total = self.window.total() as f64;
-        let rate = self.window.on_time as f64 / total;
         let p = self.phase();
+        let (config, base_drop, s) = (&self.config, self.base_drop, &mut self.state);
+        let total = s.window.total() as f64;
+        let rate = s.window.on_time as f64 / total;
 
         // Keep climbing while this phase's objective improves (or holds);
         // reverse when it degrades, shrinking the probe so the walk
         // converges onto the optimum rather than orbiting it. A phase's
         // first window has no reference — it probes the phase's natural
         // direction.
-        if self.phase_windows[p] > 0 && rate < self.last_rates[p] {
-            self.dirs[p] = -self.dirs[p];
-            if self.reversals[p] > 0 {
-                self.steps[p] = (self.steps[p] * 0.5).max(self.config.step * 0.25);
+        let ph = &mut s.phases[p];
+        if ph.windows > 0 && rate < ph.last_rate {
+            ph.dir = -ph.dir;
+            if ph.reversals > 0 {
+                ph.step = (ph.step * 0.5).max(config.step * 0.25);
             }
-            self.reversals[p] += 1;
+            ph.reversals += 1;
         }
-        self.last_rates[p] = rate;
-        self.phase_windows[p] += 1;
+        ph.last_rate = rate;
+        ph.windows += 1;
         // Deferral rides the same ray rather than hunting independently
         // (one noisy objective cannot steer two coupled knobs apart), so
         // only the dropping trim is walked; clamp it to where the ray
         // still moves the thresholds.
-        self.trims[p] = (self.trims[p] + self.dirs[p] * self.steps[p])
-            .clamp(self.config.drop_min - self.base_drop, self.config.drop_max - self.base_drop);
+        ph.trim = (ph.trim + ph.dir * ph.step)
+            .clamp(config.drop_min - base_drop, config.drop_max - base_drop);
 
         // Per-class fairness relief: classes failing (missing *or* being
         // pruned) beyond the global failure rate get shielded; recovered
         // classes give the relief back. A class needs a minimum sample
         // count this window to move.
         let global_fail = 1.0 - rate;
-        let min_samples = (self.config.window as u64 / 8).max(1);
-        for c in &mut self.classes {
+        let min_samples = (config.window as u64 / 8).max(1);
+        for c in &mut s.classes {
             if c.seen >= min_samples {
                 let class_fail = c.failed as f64 / c.seen as f64;
                 if class_fail > global_fail + RELIEF_MARGIN {
-                    c.relief = (c.relief + self.config.relief_step).min(self.config.relief_max);
+                    c.relief = (c.relief + config.relief_step).min(config.relief_max);
                 } else {
-                    c.relief = decay(c.relief, self.config.relief_step);
+                    c.relief = decay(c.relief, config.relief_step);
                 }
             }
             c.failed = 0;
             c.seen = 0;
         }
 
-        self.window = WindowCounts::default();
-        self.adjustments += 1;
+        s.window = WindowCounts::default();
+        s.adjustments += 1;
     }
 
     /// Serializes the dynamic state (per-phase trims/directions/last
@@ -478,35 +503,9 @@ impl AdaptiveController {
     /// PAM snapshot blob.
     #[must_use]
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(128 + self.classes.len() * 24);
-        for p in 0..2 {
-            w.f64(self.trims[p]);
-            w.f64(self.dirs[p]);
-            w.f64(self.steps[p]);
-            w.u64(self.reversals[p]);
-            w.f64(self.last_rates[p]);
-            w.u64(self.phase_windows[p]);
-        }
-        w.u64(self.adjustments);
-        for v in [
-            self.window.on_time,
-            self.window.late,
-            self.window.expired_unstarted,
-            self.window.expired_on_machine,
-            self.window.pruned,
-            self.window.shed,
-        ] {
-            w.u64(v);
-        }
-        w.usize(self.classes.len());
-        for c in &self.classes {
-            w.u64(c.failed);
-            w.u64(c.seen);
-            w.f64(c.relief);
-        }
-        w.u8(u8::from(self.pressure));
-        w.f64(self.slow_ratio);
-        w.u8(u8::from(self.deep_calm));
+        let classes = self.state.classes.len() * ClassState::MIN_BYTES;
+        let mut w = ByteWriter::with_capacity(Dynamics::MIN_BYTES + classes);
+        self.state.put(&mut w);
         w.into_bytes()
     }
 
@@ -519,36 +518,9 @@ impl AdaptiveController {
     /// buffer.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = ByteReader::new(bytes);
-        let mut next = self.clone();
-        for p in 0..2 {
-            next.trims[p] = r.f64()?;
-            next.dirs[p] = r.f64()?;
-            next.steps[p] = r.f64()?;
-            next.reversals[p] = r.u64()?;
-            next.last_rates[p] = r.f64()?;
-            next.phase_windows[p] = r.u64()?;
-        }
-        next.adjustments = r.u64()?;
-        next.window = WindowCounts {
-            on_time: r.u64()?,
-            late: r.u64()?,
-            expired_unstarted: r.u64()?,
-            expired_on_machine: r.u64()?,
-            pruned: r.u64()?,
-            shed: r.u64()?,
-        };
-        let n = r.seq_len(24)?;
-        next.classes.clear();
-        for _ in 0..n {
-            next.classes.push(ClassState { failed: r.u64()?, seen: r.u64()?, relief: r.f64()? });
-        }
-        next.pressure = r.bool()?;
-        next.slow_ratio = r.f64()?;
-        next.deep_calm = r.bool()?;
-        if !r.at_end() {
-            return Err(SnapshotError::Corrupt("trailing bytes after adaptive controller state"));
-        }
-        *self = next;
+        let state = Dynamics::get(&mut r)?;
+        r.end("trailing bytes after adaptive controller state")?;
+        self.state = state;
         Ok(())
     }
 }
@@ -825,6 +797,15 @@ mod tests {
         feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 10);
         feed(&mut restored, 0, TaskOutcome::ExpiredExecuting, 10);
         assert_eq!(c, restored);
+    }
+
+    #[test]
+    fn state_min_bytes_is_an_empty_class_table() {
+        // The class count's guard is one class row's encoded width.
+        let empty = AdaptiveController::new(AdaptiveConfig::default(), 0, 0.50, 0.90);
+        assert_eq!(empty.state_bytes().len(), Dynamics::MIN_BYTES);
+        let three = controller(8).state_bytes().len();
+        assert_eq!(three, Dynamics::MIN_BYTES + 3 * ClassState::MIN_BYTES);
     }
 
     #[test]

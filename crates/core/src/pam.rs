@@ -33,8 +33,8 @@ use crate::scorer::{PairScore, ProbScorer};
 use crate::table_loop::TableLoop;
 use hcsim_model::{MachineId, Task, TaskId, TaskOutcome, TaskTypeId};
 use hcsim_pmf::{queue_step, Pmf};
-use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
-use hcsim_sim::{MapContext, Mapper, MapperInstrumentation};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError, Wire};
+use hcsim_sim::{wire_struct, MapContext, Mapper, MapperInstrumentation};
 
 /// PAM's per-type dropping and deferring thresholds: the configured
 /// bases (PAM), relaxed per type by sufferage (PAMF), or the adaptive
@@ -290,41 +290,20 @@ impl Mapper for Pam {
         // rebuilt cold — so they are deliberately not captured (only
         // `table_reuses` may then diverge after a restore, and it feeds no
         // report field).
+        let sufferage = match &self.thresholds.source {
+            ThresholdSource::Sufferage(s) => Some(s.values().to_vec()),
+            _ => None,
+        };
+        let state = PamState {
+            level: self.detector.level(),
+            engaged: self.detector.dropping_engaged(),
+            sufferage,
+            instr: self.instr,
+            adaptive: self.thresholds.adaptive().map(AdaptiveController::state_bytes),
+        };
         let mut w = ByteWriter::with_capacity(96);
-        w.u32(PAM_BLOB_VERSION);
-        w.f64(self.detector.level());
-        w.u8(u8::from(self.detector.dropping_engaged()));
-        match &self.thresholds.source {
-            ThresholdSource::Sufferage(s) => {
-                w.u8(1);
-                w.usize(s.values().len());
-                for &v in s.values() {
-                    w.f64(v);
-                }
-            }
-            _ => w.u8(0),
-        }
-        for counter in [
-            self.instr.mapping_events,
-            self.instr.events_dropping_engaged,
-            self.instr.toggle_transitions,
-            self.instr.pruner_drops,
-            self.instr.preemptions,
-            self.instr.table_reuses,
-        ] {
-            w.u64(counter);
-        }
-        // v2 appendix: the deep-calm occupancy counter plus the adaptive
-        // controller's dynamic state. v1 blobs simply end after the six
-        // counters above, which `restore_state` still accepts.
-        w.u64(self.instr.events_deep_calm);
-        match self.thresholds.adaptive() {
-            Some(a) => {
-                w.u8(1);
-                w.bytes(&a.state_bytes());
-            }
-            None => w.u8(0),
-        }
+        PAM_BLOB_VERSION.put(&mut w);
+        state.put(&mut w);
         w.into_bytes()
     }
 
@@ -335,10 +314,12 @@ impl Mapper for Pam {
         // The trait returns `()`, so a malformed blob can only panic — with
         // one message, after the whole blob decoded and before anything
         // here changed.
-        let state =
+        let (state, adaptive) =
             self.decode_state(bytes).unwrap_or_else(|e| panic!("corrupt PAM state blob: {e}"));
         self.detector.restore(state.level, state.engaged);
-        self.thresholds.restore(state.sufferage, state.adaptive);
+        let factor = self.config.fairness_factor;
+        let sufferage = state.sufferage.map(|values| SufferageTable::from_values(values, factor));
+        self.thresholds.restore(sufferage, adaptive);
         self.instr = state.instr;
         self.table_loop.restore();
     }
@@ -353,65 +334,57 @@ impl Mapper for Pam {
 /// controller then starts fresh).
 const PAM_BLOB_VERSION: u32 = 2;
 
-/// A decoded `snapshot_state` blob, held apart from the mapper until the
-/// whole blob proved well-formed.
-struct PamState {
-    level: f64,
-    engaged: bool,
-    sufferage: Option<SufferageTable>,
-    instr: MapperInstrumentation,
-    adaptive: Option<AdaptiveController>,
+wire_struct! {
+    /// A `snapshot_state` blob after its version word, held apart from
+    /// the mapper until the whole blob proved well-formed.
+    struct PamState {
+        level: f64,
+        engaged: bool,
+        sufferage: Option<Vec<f64>>,
+        instr: MapperInstrumentation,
+        /// The controller's own `state_bytes` (the v2 appendix, with the
+        /// deep-calm counter at the end of `instr`).
+        adaptive: Option<Vec<u8>>,
+    }
 }
 
 impl Pam {
-    fn decode_state(&self, bytes: &[u8]) -> Result<PamState, SnapshotError> {
+    /// Decodes a whole blob, the controller's section included.
+    fn decode_state(
+        &self,
+        bytes: &[u8],
+    ) -> Result<(PamState, Option<AdaptiveController>), SnapshotError> {
+        let v1_as_v2;
         let mut r = ByteReader::new(bytes);
-        let version = r.u32()?;
-        if !(1..=PAM_BLOB_VERSION).contains(&version) {
-            return Err(SnapshotError::Corrupt("unsupported PAM blob version"));
-        }
-        let level = r.f64()?;
-        let engaged = r.bool()?;
-        let sufferage = if r.bool()? {
-            let n = r.seq_len(8)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.f64()?);
+        match u32::get(&mut r)? {
+            PAM_BLOB_VERSION => {}
+            // v1 blobs (from checkpoints taken before the adaptive
+            // controller existed) end after the sixth counter. Their v2
+            // appendix is a zero deep-calm counter and no controller, so
+            // the controller starts fresh at the next mapping event,
+            // exactly as a pre-adaptation run would.
+            1 => {
+                v1_as_v2 = [&bytes[4..], &[0; 9]].concat();
+                r = ByteReader::new(&v1_as_v2);
             }
-            Some(SufferageTable::from_values(values, self.config.fairness_factor))
-        } else {
-            None
-        };
-        let mut instr = MapperInstrumentation {
-            mapping_events: r.u64()?,
-            events_dropping_engaged: r.u64()?,
-            toggle_transitions: r.u64()?,
-            pruner_drops: r.u64()?,
-            preemptions: r.u64()?,
-            table_reuses: r.u64()?,
-            events_deep_calm: 0,
-        };
-        // v1 blobs (from checkpoints taken before the adaptive controller
-        // existed) end here; the controller then starts fresh at the next
-        // mapping event, exactly as a pre-adaptation run would.
-        let mut adaptive = None;
-        if version >= 2 {
-            instr.events_deep_calm = r.u64()?;
-            if r.bool()? {
+            _ => return Err(SnapshotError::Corrupt("unsupported PAM blob version")),
+        }
+        let state = PamState::get(&mut r)?;
+        r.end("trailing bytes after PAM state")?;
+        let adaptive = match &state.adaptive {
+            Some(bytes) => {
                 let mut controller = AdaptiveController::new(
                     self.config.adaptive.unwrap_or_default(),
                     0, // class table is overwritten by the state below
                     self.config.drop_threshold,
                     self.config.defer_threshold,
                 );
-                controller.restore_state(r.bytes()?)?;
-                adaptive = Some(controller);
+                controller.restore_state(bytes)?;
+                Some(controller)
             }
-        }
-        if !r.at_end() {
-            return Err(SnapshotError::Corrupt("trailing bytes after PAM state"));
-        }
-        Ok(PamState { level, engaged, sufferage, instr, adaptive })
+            None => None,
+        };
+        Ok((state, adaptive))
     }
 
     /// Preempts at most one executing task per event, when an otherwise-

@@ -34,8 +34,10 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use hcsim_model::{SystemSpec, Task, Time};
-use hcsim_sim::snapshot::{ByteReader, ByteWriter};
-use hcsim_sim::{Mapper, SimConfig, SimReport, SimSession, SnapshotError, SnapshotRng};
+use hcsim_sim::snapshot::{ByteReader, ByteWriter, Wire};
+use hcsim_sim::{
+    wire_struct, Mapper, SimConfig, SimReport, SimSession, SnapshotError, SnapshotRng,
+};
 use hcsim_stats::Xoshiro256pp;
 
 use crate::channel::{Receiver, RecvError};
@@ -71,19 +73,21 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Service-level accounting, alongside the engine's own [`SimReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Arrivals admitted into the engine.
-    pub admitted: u64,
-    /// Arrivals refused under overload (each has a `Shed` record).
-    pub shed: u64,
-    /// Redelivered arrivals dropped by the dedup set.
-    pub duplicates_dropped: u64,
-    /// Epoch checkpoints captured.
-    pub checkpoints: u64,
-    /// Times this run was resumed from a checkpoint.
-    pub restores: u64,
+wire_struct! {
+    /// Service-level accounting, alongside the engine's own [`SimReport`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServiceStats {
+        /// Arrivals admitted into the engine.
+        pub admitted: u64,
+        /// Arrivals refused under overload (each has a `Shed` record).
+        pub shed: u64,
+        /// Redelivered arrivals dropped by the dedup set.
+        pub duplicates_dropped: u64,
+        /// Epoch checkpoints captured.
+        pub checkpoints: u64,
+        /// Times this run was resumed from a checkpoint.
+        pub restores: u64,
+    }
 }
 
 /// Everything [`serve`] hands back on a clean exit.
@@ -96,15 +100,18 @@ pub struct ServiceReport {
     pub stats: ServiceStats,
 }
 
-/// A crash-consistent capture of the whole service: engine snapshot plus
-/// driver state. Everything [`resume`] needs travels in these bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceCheckpoint {
-    engine: Vec<u8>,
-    seen: Vec<u32>,
-    shed_rng: [u64; 4],
-    stats: ServiceStats,
-    last_epoch: u64,
+wire_struct! {
+    /// A crash-consistent capture of the whole service: engine snapshot
+    /// plus driver state. Everything [`resume`] needs travels in these
+    /// bytes, in field order after the magic.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServiceCheckpoint {
+        engine: Vec<u8>,
+        seen: Vec<u32>,
+        shed_rng: [u64; 4],
+        stats: ServiceStats,
+        last_epoch: u64,
+    }
 }
 
 impl ServiceCheckpoint {
@@ -119,24 +126,7 @@ impl ServiceCheckpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(64 + self.engine.len() + self.seen.len() * 4);
         w.magic(CHECKPOINT_MAGIC);
-        w.bytes(&self.engine);
-        w.usize(self.seen.len());
-        for &id in &self.seen {
-            w.u32(id);
-        }
-        for word in self.shed_rng {
-            w.u64(word);
-        }
-        for c in [
-            self.stats.admitted,
-            self.stats.shed,
-            self.stats.duplicates_dropped,
-            self.stats.checkpoints,
-            self.stats.restores,
-            self.last_epoch,
-        ] {
-            w.u64(c);
-        }
+        self.put(&mut w);
         w.into_bytes()
     }
 
@@ -145,25 +135,9 @@ impl ServiceCheckpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         r.magic(CHECKPOINT_MAGIC)?;
-        let engine = r.bytes()?.to_vec();
-        let n_seen = r.seq_len(4)?;
-        let mut seen = Vec::with_capacity(n_seen);
-        for _ in 0..n_seen {
-            seen.push(r.u32()?);
-        }
-        let shed_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        let stats = ServiceStats {
-            admitted: r.u64()?,
-            shed: r.u64()?,
-            duplicates_dropped: r.u64()?,
-            checkpoints: r.u64()?,
-            restores: r.u64()?,
-        };
-        let last_epoch = r.u64()?;
-        if !r.at_end() {
-            return Err(SnapshotError::Corrupt("trailing bytes after checkpoint"));
-        }
-        Ok(Self { engine, seen, shed_rng, stats, last_epoch })
+        let checkpoint = Self::get(&mut r)?;
+        r.end("trailing bytes after checkpoint")?;
+        Ok(checkpoint)
     }
 }
 

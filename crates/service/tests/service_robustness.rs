@@ -587,3 +587,22 @@ fn no_prefix_of_a_checkpoint_panics_the_restore_path() {
         assert!(restore(&torn).is_err(), "engine section cut to {cut} bytes restored");
     }
 }
+
+#[test]
+fn no_bit_flip_of_a_checkpoint_panics_the_decoder() {
+    // Every byte of a real mid-run checkpoint with its low and its high
+    // bit flipped: `from_bytes` returns `Ok` or `Err`, never panics. The
+    // engine section is only framed here (its own sweep is in hcsim-sim):
+    // it carries a PAM blob, whose restore can still only panic.
+    let (spec, tasks, churn) = pin_fixture();
+    let mut bytes = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0x80] {
+            bytes[at] ^= mask;
+            let decoded =
+                std::panic::catch_unwind(|| ServiceCheckpoint::from_bytes(&bytes).is_ok());
+            assert!(decoded.is_ok(), "byte {at} ^ {mask:#04x} panicked the decoder");
+            bytes[at] ^= mask;
+        }
+    }
+}

@@ -1058,12 +1058,13 @@ pub fn run_simulation_with_sources<M: Mapper, R: rand::Rng>(
 mod tests {
     use super::*;
     use crate::mapper::FirstFitMapper;
-    use crate::snapshot::ByteWriter;
+    use crate::snapshot::{ByteWriter, Wire};
     use hcsim_model::{
         ChurnEvent, ColdStartModel, MachineSpec, PetBuilder, PriceTable, TaskId, TaskTypeId,
         TaskTypeSpec,
     };
     use hcsim_stats::SeedSequence;
+    use std::panic::AssertUnwindSafe;
 
     /// 1 task type, 2 machines, deterministic-ish exec around 10 / 20 ms.
     fn small_spec(queue_capacity: usize) -> SystemSpec {
@@ -1823,7 +1824,7 @@ mod tests {
         let mut w = ByteWriter::with_capacity(64);
         let event =
             Event { time: task.arrival, seq: u64::from(task.id.0), kind: SimEvent::Arrival(*task) };
-        wire::write_event(&mut w, &event);
+        event.put(&mut w);
         w.into_bytes()
     }
 
@@ -1870,7 +1871,7 @@ mod tests {
         let spec = small_spec(4);
         let (mut bytes, _, finished) = mid_run_snapshot(&spec);
         let mut w = ByteWriter::with_capacity(24);
-        wire::write_task(&mut w, &finished);
+        finished.put(&mut w);
         // A finished task survives only in its record, so the last (and
         // only) occurrence of its encoding is the record's.
         let at = rfind(&bytes, &w.into_bytes());
@@ -1879,6 +1880,29 @@ mod tests {
             restore_error(&spec, &bytes),
             SnapshotError::Corrupt("record task id is not its slot")
         );
+    }
+
+    #[test]
+    fn no_bit_flip_of_a_snapshot_panics_restore() {
+        // Every byte of a real mid-run snapshot with its low and its high
+        // bit flipped: restore returns `Ok` or `Err`, never panics.
+        // First-fit keeps no state blob, so every byte decoded is the
+        // engine's own.
+        let spec = small_spec(4);
+        let (mut bytes, ..) = mid_run_snapshot(&spec);
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x80] {
+                bytes[at] ^= mask;
+                let restore = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut mapper = FirstFitMapper;
+                    let mut rng = SeedSequence::new(1).stream(0);
+                    let config = SimConfig::untrimmed();
+                    SimSession::restore(&spec, config, &bytes, &mut mapper, &mut rng).is_ok()
+                }));
+                assert!(restore.is_ok(), "byte {at} ^ {mask:#04x} panicked the restore");
+                bytes[at] ^= mask;
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,19 @@ pub struct MachineState {
     warm_rev: u64,
 }
 
+// The snapshot layout. The restore path checks the queues against the
+// spec, then seats `id` and `capacity` ([`MachineState::seat`]).
+crate::wire_struct!(MachineState {
+    lifecycle: MachineLifecycle,
+    version: u64,
+    run_token: u64,
+    announced_departure: Option<Time>,
+    executing: Option<ExecutingTask>,
+    pending: VecDeque<PendingEntry>,
+    warm: Vec<WarmContainer>,
+    warm_rev: u64,
+} off_wire { id: MachineId(0), capacity: 1 });
+
 /// Hand-written so that `clone_from` reuses the destination's pending
 /// buffer: the worker-pool scoring path snapshots every machine once per
 /// fan-out round, and derived `clone_from` would reallocate the `VecDeque`
@@ -226,35 +239,13 @@ impl MachineState {
         }
     }
 
-    /// Rebuilds a machine wholesale from snapshot parts. Crate-private:
-    /// only the snapshot restore path may bypass the mutator invariants,
-    /// and it only ever replays fields captured from a live machine.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        id: MachineId,
-        capacity: usize,
-        executing: Option<ExecutingTask>,
-        pending: VecDeque<PendingEntry>,
-        lifecycle: MachineLifecycle,
-        version: u64,
-        run_token: u64,
-        announced_departure: Option<Time>,
-        warm: Vec<WarmContainer>,
-        warm_rev: u64,
-    ) -> Self {
+    /// Gives a machine decoded from a snapshot its place in the system.
+    /// Crate-private: only the restore path seats a machine, after it
+    /// checked the decoded queues against `capacity`.
+    pub(crate) fn seat(&mut self, id: MachineId, capacity: usize) {
         assert!(capacity >= 1, "capacity must include the executing slot");
-        Self {
-            id,
-            capacity,
-            executing,
-            pending,
-            lifecycle,
-            version,
-            run_token,
-            announced_departure,
-            warm,
-            warm_rev,
-        }
+        self.id = id;
+        self.capacity = capacity;
     }
 
     /// The machine's cluster-membership state.

@@ -264,6 +264,17 @@ pub struct MapperInstrumentation {
     pub events_deep_calm: u64,
 }
 
+// The counters' layout inside mapper state blobs (PAM's).
+crate::wire_struct!(MapperInstrumentation {
+    mapping_events: u64,
+    events_dropping_engaged: u64,
+    toggle_transitions: u64,
+    pruner_drops: u64,
+    preemptions: u64,
+    table_reuses: u64,
+    events_deep_calm: u64,
+});
+
 /// A mapping heuristic driven by the engine at every mapping event.
 pub trait Mapper {
     /// Short display name ("PAM", "MM", …) used in reports.
