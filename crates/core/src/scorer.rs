@@ -63,9 +63,13 @@
 //! again, and `CDF_E(δ − tail.min_time())` — one lookup in the cell the
 //! kernel would use — bounds the robustness from above. The table runs
 //! that bound per 32-machine shard on an envelope CDF, then per pair on
-//! the machine's own cell, and leaves unscored whatever it proves below
-//! the caller's threshold; decisions are unchanged because the caller
-//! would have deferred those pairs on their exact value anyway.
+//! the machine's own cell (in a column rescore, one deadline compare
+//! against a cutoff resolved once per task type), and the scoring walk
+//! itself stops as soon as the impulses left cannot reach the row's
+//! threshold. Whatever is proven below the caller's threshold — by a
+//! bound or by a stopped walk — stays unscored; decisions are unchanged
+//! because the caller would have deferred those pairs on their exact
+//! value anyway, and every pair that is scored holds the exact value.
 //!
 //! # Parallel per-machine fan-out
 //!
@@ -95,8 +99,10 @@
 //! * `table` — what lives from *event to event*: the [`ScoreTable`], its
 //!   row slots, its rebuild, its `ensure` phases and the repair after an
 //!   assignment;
-//! * `kernel` — the closed-form scoring loops all three call and the
-//!   one-lookup bound that stands in front of them, which cache nothing;
+//! * `kernel` — the closed-form scoring loops all three call, held to a
+//!   threshold when the table calls them, and the one-lookup bound that
+//!   stands in front of them; they cache nothing but a column's
+//!   per-type deadline cutoffs, in scratch the machine's cell lends them;
 //! * `cells` — *how* the cells are executed: where they live, when a
 //!   fan-out is a worker-pool round and when it is a loop on the calling
 //!   thread. Nothing outside it names the pool.
@@ -116,7 +122,7 @@ use cells::{Cells, WarmFilter};
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskTypeId, Time};
 use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
 use hcsim_sim::MachineState;
-use kernel::{effective_deadline, score_against};
+use kernel::{effective_deadline, score_against, score_unless_below};
 use shared::{ScorerShared, SPEC_MEMO};
 use std::sync::Arc;
 use tail::{MachineCache, TailBound};
@@ -380,15 +386,30 @@ impl ProbScorer {
     /// churn-aware bias that steers phase 2 away from soon-to-leave
     /// machines (see `effective_deadline`).
     pub fn score(&mut self, machine: &MachineState, task: &Task) -> PairScore {
+        self.score_unless_below(machine, task, f64::NEG_INFINITY)
+            .expect("no walk stops below an infinitely low threshold")
+    }
+
+    /// [`ProbScorer::score`] for a pair held to `threshold`: `None` when
+    /// the walk proves the exact robustness strictly below it (see
+    /// `kernel::score_unless_below`), the bit-identical exact score
+    /// otherwise.
+    fn score_unless_below(
+        &mut self,
+        machine: &MachineState,
+        task: &Task,
+        threshold: f64,
+    ) -> Option<PairScore> {
         let Self { shared, now, cells, .. } = self;
         let deadline = effective_deadline(task.deadline, machine.announced_departure());
         cells.with(machine.id().index(), |cell| {
             cell.ensure(shared, *now, machine, false);
-            score_against(
+            score_unless_below(
                 cell.cache.tail(),
                 shared.cdf_for(task.type_id, machine),
                 deadline,
                 shared.policy,
+                threshold,
             )
         })
     }

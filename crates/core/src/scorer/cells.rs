@@ -22,7 +22,7 @@
 //! Both modes run the same per-cell update on the same inputs and merge in
 //! machine-index order, so results are bit-identical between them.
 
-use super::kernel::{score_column_scatter, LiveRow, PairScore};
+use super::kernel::{score_column_scatter, LiveRow, PairScore, PairWork};
 use super::shared::{ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::MachineCache;
 use hcsim_model::Time;
@@ -242,7 +242,8 @@ impl Cells {
     /// lets through (see [`score_column_scatter`]) — one column per
     /// machine, merged into `cols` in machine-index order, with each
     /// column's count of scored pairs in `col_scores`. Cells must already
-    /// be warm for the free machines. Returns the pairs scored.
+    /// be warm for the free machines. Returns the pairs scored and the
+    /// walks stopped below their threshold.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn fill_columns(
         &mut self,
@@ -253,7 +254,8 @@ impl Cells {
         cols: &mut [Vec<Option<PairScore>>],
         col_scores: &mut [usize],
         parallel: bool,
-    ) -> usize {
+    ) -> PairWork {
+        let mut total = PairWork::default();
         match &mut self.store {
             CellStore::Pooled(pool) if parallel => {
                 let snap = share_snapshot(&mut self.snapshot, machines);
@@ -261,24 +263,26 @@ impl Cells {
                 let shared = Arc::clone(shared);
                 pool.run(move |i, cell| {
                     let machine = &snap[i];
-                    let MachineCache { cache, col, col_scored, .. } = cell;
+                    let MachineCache { cache, col, col_work, cutoffs, .. } = cell;
                     col.clear();
                     col.resize(rows, None);
-                    *col_scored = 0;
-                    if machine.has_free_slot() {
+                    *col_work = if machine.has_free_slot() {
                         let live = &live[i / TABLE_SHARD_WIDTH];
-                        *col_scored =
-                            score_column_scatter(cache.tail(), &shared, machine, live, col);
-                    }
+                        score_column_scatter(cache.tail(), &shared, machine, live, cutoffs, col)
+                    } else {
+                        PairWork::default()
+                    };
                 });
                 // Index-ordered merge: swap each worker-filled column into
                 // the table (and recycle the table's old buffer as the
                 // cell's next scratch).
                 for (i, (col, count)) in cols.iter_mut().zip(col_scores.iter_mut()).enumerate() {
-                    *count = pool.with_cell(i, |cell| {
+                    let work = pool.with_cell(i, |cell| {
                         std::mem::swap(col, &mut cell.col);
-                        cell.col_scored
+                        cell.col_work
                     });
+                    *count = work.scored;
+                    total += work;
                 }
             }
             store => {
@@ -286,18 +290,21 @@ impl Cells {
                 for ((i, machine), (col, count)) in machines.iter().enumerate().zip(columns) {
                     col.clear();
                     col.resize(rows, None);
-                    *count = if machine.has_free_slot() {
+                    let work = if machine.has_free_slot() {
                         let live = &live_by_shard[i / TABLE_SHARD_WIDTH];
                         store.with(i, |cell| {
-                            score_column_scatter(cell.cache.tail(), shared, machine, live, col)
+                            let MachineCache { cache, cutoffs, .. } = cell;
+                            score_column_scatter(cache.tail(), shared, machine, live, cutoffs, col)
                         })
                     } else {
-                        0
+                        PairWork::default()
                     };
+                    *count = work.scored;
+                    total += work;
                 }
             }
         }
-        col_scores.iter().sum()
+        total
     }
 }
 

@@ -4,9 +4,17 @@
 //! pair, four lanes at a time for a table column, and as a one-lookup
 //! upper bound — per shard lane for the bound pass, per (row, machine)
 //! pair in front of every exact table score.
+//!
+//! A table pair is held to its row's skip threshold, and the kernels take
+//! it: a walk stops as soon as the impulses left cannot lift the
+//! robustness to the threshold, and the pair stays unscored — a walk that
+//! finishes returns the bit-identical exact score. In a column rescore
+//! the per-pair bound itself shrinks to one integer compare: per (column,
+//! task type), the threshold resolves once into the smallest deadline
+//! whose bound clears it ([`Cutoffs`]).
 
 use super::shared::{PetCdf, ScorerShared};
-use hcsim_model::{Task, Time};
+use hcsim_model::{Task, TaskTypeId, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
 use hcsim_sim::MachineState;
 
@@ -66,13 +74,28 @@ pub(super) struct LiveRow {
     pub(super) threshold: f64,
 }
 
-/// Slop added to the robustness upper bound before comparing it against a
-/// skip threshold. The analytic bound `Σ p_u · cdf(δ−u) ≤ cdf(δ−u_min)`
-/// can be violated by float rounding only by ~`n·ulp` (≤ 1e-13 for any
-/// realistic tail) plus the tail's normalization epsilon (1e-9), so a
-/// 1e-8 margin makes the skip decision *provably* agree with the exact
-/// comparison.
+/// Slop added to a robustness upper bound before comparing it against a
+/// skip threshold. The analytic bounds — `Σ p_u · cdf(δ−u) ≤
+/// cdf(δ−u_min)` for a whole tail, and the stopping rule of
+/// [`score_unless_below`] for the rest of one — can be violated by float
+/// rounding only by ~`n·ulp` (≤ 1e-13 for any realistic tail) plus the
+/// tail's normalization epsilon ([`hcsim_pmf::MASS_EPSILON`]; every walk
+/// debug-asserts it), so a 1e-8 margin makes each skip decision
+/// *provably* agree with the exact comparison.
 pub(super) const BOUND_MARGIN: f64 = 1e-8;
+
+const _: () = assert!(BOUND_MARGIN > hcsim_pmf::MASS_EPSILON);
+
+/// Whether a walk that has gathered `robustness` from `mass` of the tail
+/// can stop before the impulse whose on-time chance `CDF_E(δ − t)` is
+/// `on_time`: every impulse left starts no sooner, so each scores at most
+/// `on_time`, and together they carry at most `1 − mass` (plus the
+/// normalization epsilon `BOUND_MARGIN` covers). `mass` must not include
+/// the impulse itself.
+#[inline]
+fn ends_below(robustness: f64, mass: f64, on_time: f64, threshold: f64) -> bool {
+    robustness + (1.0 - mass) * on_time + BOUND_MARGIN < threshold
+}
 
 /// Upper bound on the Eq. 1 robustness of appending a task with deadline
 /// `deadline` behind a tail whose earliest impulse is `earliest`: every
@@ -105,95 +128,182 @@ pub(super) fn effective_deadline(deadline: Time, cap: Option<Time>) -> Time {
     }
 }
 
+/// The per-pair bound of [`ScorerShared::pair_clears`] resolved, for one
+/// cell, one earliest start and one threshold, into a deadline cutoff: a
+/// pair clears iff its effective deadline is at least the cutoff (`None`:
+/// no deadline clears). The bound `CDF(δ − earliest)` only grows with δ,
+/// so the cutoff is `earliest` plus the first breakpoint whose prefix
+/// clears — and at least one tick past `earliest`, where the bound stops
+/// being 0. A threshold that a zero bound clears cuts off at 0.
+fn deadline_cutoff(earliest: Time, cdf: &PetCdf, threshold: f64) -> Option<Time> {
+    let clears = |bound: f64| bound + BOUND_MARGIN >= threshold;
+    if clears(0.0) {
+        return Some(0);
+    }
+    let first = cdf.prefix.partition_point(|&p| !clears(p));
+    cdf.times.get(first).and_then(|&t| earliest.checked_add(t.max(1)))
+}
+
+/// Per-task-type deadline cutoffs ([`deadline_cutoff`]) for the column
+/// being filled, resolved on a type's first live row and reused by every
+/// later row of that type held to the same threshold. Entries are stamped
+/// with the column they were resolved for, so starting a column costs one
+/// increment — not a reset of every type — and the storage is the cell's,
+/// reused from column to column.
+#[derive(Debug, Default)]
+pub(super) struct Cutoffs {
+    /// Columns started so far; an entry with an older stamp is stale.
+    column: u64,
+    /// Per task type: `(column, threshold bits, cutoff)`.
+    entries: Vec<(u64, u64, Option<Time>)>,
+}
+
+impl Cutoffs {
+    /// Starts a column over `task_types` types: every entry goes stale.
+    fn begin_column(&mut self, task_types: usize) {
+        self.column += 1;
+        if self.entries.len() < task_types {
+            self.entries.resize(task_types, (0, 0, None));
+        }
+    }
+
+    /// Type `tt`'s cutoff under `threshold` in the current column,
+    /// `resolve`d on a miss.
+    #[inline]
+    fn get(
+        &mut self,
+        tt: TaskTypeId,
+        threshold: f64,
+        resolve: impl FnOnce() -> Option<Time>,
+    ) -> Option<Time> {
+        let entry = &mut self.entries[tt.index()];
+        let key = (self.column, threshold.to_bits());
+        if (entry.0, entry.1) != key {
+            *entry = (key.0, key.1, resolve());
+        }
+        entry.2
+    }
+}
+
+/// What the kernels did with the pairs handed to them: exact scores
+/// written, and walks stopped below the pair's threshold (the rest of a
+/// column's live rows the deadline cutoff rejected).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(super) struct PairWork {
+    pub(super) scored: usize,
+    pub(super) abandoned: usize,
+}
+
+impl std::ops::AddAssign for PairWork {
+    fn add_assign(&mut self, other: Self) {
+        self.scored += other.scored;
+        self.abandoned += other.abandoned;
+    }
+}
+
+impl PairWork {
+    /// The work of one walk that ended in `score`.
+    pub(super) fn of(score: Option<PairScore>) -> Self {
+        Self { scored: usize::from(score.is_some()), abandoned: usize::from(score.is_none()) }
+    }
+}
+
 /// Fills one machine column of a [`super::ScoreTable`] for the `live`
-/// rows of its shard, every task scored against the same tail — after one
-/// CDF lookup per pair: the shard envelope let the lane through, but the
-/// machine's own cell at its own earliest start
-/// ([`ScorerShared::pair_clears`], the very cell and deadline the kernel
-/// would score with) proves most pairs under their row's threshold, and
-/// those stay `None` without the walk. Returns how many pairs were scored.
+/// rows of its shard, every task scored against the same tail, each held
+/// to its row's threshold — after one integer compare per pair: the shard
+/// envelope let the lane through, but the machine's own cell at its own
+/// earliest start ([`ScorerShared::pair_clears`], the very cell and
+/// deadline the kernel would score with) proves most pairs under their
+/// row's threshold, and those stay `None` without the walk. That bound is
+/// resolved once per task type into a deadline cutoff ([`Cutoffs`], in the
+/// machine's cell), against which each row compares its deadline. Of the
+/// pairs that clear it, those whose walk stops below the threshold stay
+/// `None` too.
 ///
 /// The survivors are processed four at a time — one shared walk over the
 /// tail drives four independent accumulator lanes (distinct tasks →
 /// distinct accumulators and CDF cursors), which gives the superscalar
 /// core four dependency chains instead of one. Each lane performs exactly
-/// the per-task walk of [`score_against`] (same impulse order, same CDF
-/// values, same float operations), so the column is bit-identical to
-/// per-pair scoring; the remainder lanes literally call it. The machine's
-/// announced departure caps each deadline (see [`effective_deadline`]),
-/// and under a cold-start model each task's CDF is selected warm-or-cold
-/// from the machine's warm-container set via [`ScorerShared::cdf_for`].
+/// the per-task walk of [`score_unless_below`] (same impulse order, same
+/// CDF values, same float operations, same stopping test), so the column
+/// is bit-identical to per-pair scoring; the remainder lanes literally
+/// call it. The machine's announced departure caps each deadline (see
+/// [`effective_deadline`]), and under a cold-start model each task's CDF
+/// is selected warm-or-cold from the machine's warm-container set via
+/// [`ScorerShared::cdf_for`].
 pub(super) fn score_column_scatter(
     tail: &Pmf,
     shared: &ScorerShared,
     machine: &MachineState,
     live: &[LiveRow],
+    cutoffs: &mut Cutoffs,
     col: &mut [Option<PairScore>],
-) -> usize {
+) -> PairWork {
     let earliest = tail.min_time();
     let cap = machine.announced_departure();
-    let mut survivors =
-        live.iter().filter(|l| shared.pair_clears(machine, &l.task, earliest, l.threshold));
-    let mut scored = 0;
+    cutoffs.begin_column(shared.task_types);
+    let mut survivors = live.iter().filter(|l| {
+        let tt = l.task.type_id;
+        let cutoff = cutoffs.get(tt, l.threshold, || {
+            deadline_cutoff(earliest, shared.cdf_for(tt, machine), l.threshold)
+        });
+        cutoff.is_some_and(|cutoff| effective_deadline(l.task.deadline, cap) >= cutoff)
+    });
+    let mut work = PairWork::default();
     loop {
         let quad: [Option<&LiveRow>; 4] = std::array::from_fn(|_| survivors.next());
         if let [Some(a), Some(b), Some(c), Some(d)] = quad {
-            let scores = score_quad(tail, shared, machine, &[a.task, b.task, c.task, d.task]);
+            let scores = score_quad(tail, shared, machine, [a, b, c, d]);
             for (entry, score) in [a, b, c, d].into_iter().zip(scores) {
-                col[entry.row] = Some(score);
+                col[entry.row] = score;
+                work += PairWork::of(score);
             }
-            scored += 4;
             continue;
         }
         // A short quad is the column's remainder.
         for entry in quad.into_iter().flatten() {
-            col[entry.row] = Some(score_against(
+            let score = score_unless_below(
                 tail,
                 shared.cdf_for(entry.task.type_id, machine),
                 effective_deadline(entry.task.deadline, cap),
                 shared.policy,
-            ));
-            scored += 1;
+                entry.threshold,
+            );
+            col[entry.row] = score;
+            work += PairWork::of(score);
         }
-        return scored;
+        return work;
     }
 }
 
-/// Four-lane unrolled [`score_against`] under the dropping scenarios; see
-/// [`score_column_scatter`]. Scenario A (policy `None`) has no early-break
-/// structure to share, so it stays on the scalar path.
+/// Four-lane unrolled [`score_unless_below`] under the dropping
+/// scenarios; see [`score_column_scatter`]. Each lane stops on its own
+/// threshold, and the walk ends once all four have. Scenario A (policy
+/// `None`) has no early-break structure to share, so it stays on the
+/// scalar path.
 fn score_quad(
     tail: &Pmf,
     shared: &ScorerShared,
     machine: &MachineState,
-    quad: &[Task],
-) -> [PairScore; 4] {
+    quad: [&LiveRow; 4],
+) -> [Option<PairScore>; 4] {
     let cap = machine.announced_departure();
-    let cdfs = [
-        shared.cdf_for(quad[0].type_id, machine),
-        shared.cdf_for(quad[1].type_id, machine),
-        shared.cdf_for(quad[2].type_id, machine),
-        shared.cdf_for(quad[3].type_id, machine),
-    ];
-    let deadlines = [
-        effective_deadline(quad[0].deadline, cap),
-        effective_deadline(quad[1].deadline, cap),
-        effective_deadline(quad[2].deadline, cap),
-        effective_deadline(quad[3].deadline, cap),
-    ];
+    let cdfs = quad.map(|l| shared.cdf_for(l.task.type_id, machine));
+    let deadlines = quad.map(|l| effective_deadline(l.task.deadline, cap));
+    let thresholds = quad.map(|l| l.threshold);
     if shared.policy == DropPolicy::None {
-        return [0, 1, 2, 3].map(|l| score_against(tail, cdfs[l], deadlines[l], shared.policy));
+        return [0, 1, 2, 3].map(|l| {
+            score_unless_below(tail, cdfs[l], deadlines[l], shared.policy, thresholds[l])
+        });
     }
+    debug_assert!(tail.is_normalized(), "a walked tail carries unit mass");
     let (times, masses) = (tail.times(), tail.masses());
-    let mut cursors = [
-        CdfCursor::new(cdfs[0]),
-        CdfCursor::new(cdfs[1]),
-        CdfCursor::new(cdfs[2]),
-        CdfCursor::new(cdfs[3]),
-    ];
+    let mut cursors = cdfs.map(CdfCursor::new);
     let mut robustness = [0.0f64; 4];
     let mut startable = [0.0f64; 4];
     let mut weighted = [0.0f64; 4];
+    let mut alive = [true; 4];
+    let mut walking = 4;
     let max_deadline = deadlines.iter().copied().max().expect("four lanes");
     for (&t, &p) in times.iter().zip(masses) {
         if t >= max_deadline {
@@ -201,43 +311,75 @@ fn score_quad(
         }
         let tp = t as f64 * p;
         for lane in 0..4 {
-            if t < deadlines[lane] {
-                robustness[lane] += p * cursors[lane].at_descending(deadlines[lane] - t);
+            if alive[lane] && t < deadlines[lane] {
+                let on_time = cursors[lane].at_descending(deadlines[lane] - t);
+                if ends_below(robustness[lane], startable[lane], on_time, thresholds[lane]) {
+                    alive[lane] = false;
+                    walking -= 1;
+                    continue;
+                }
+                robustness[lane] += p * on_time;
                 startable[lane] += p;
                 weighted[lane] += tp;
             }
         }
+        if walking == 0 {
+            break;
+        }
     }
     [0, 1, 2, 3].map(|lane| {
-        let expected_completion = if startable[lane] > 0.0 {
-            weighted[lane] / startable[lane] + cdfs[lane].mean
-        } else {
-            f64::INFINITY
-        };
-        PairScore {
-            robustness: robustness[lane].min(1.0),
-            expected_completion,
-            mean_exec: cdfs[lane].mean,
-        }
+        alive[lane].then(|| {
+            let expected_completion = if startable[lane] > 0.0 {
+                weighted[lane] / startable[lane] + cdfs[lane].mean
+            } else {
+                f64::INFINITY
+            };
+            PairScore {
+                robustness: robustness[lane].min(1.0),
+                expected_completion,
+                mean_exec: cdfs[lane].mean,
+            }
+        })
     })
 }
 
-/// The per-pair closed-form scoring kernel. Hot enough that it is
-/// specialized by policy: under the dropping scenarios (B/C) the
-/// full-availability accumulators are dead weight (only the startable
-/// prefix matters), impulses at or past the deadline contribute nothing
-/// (sorted times → early break), and a task that can never start —
-/// `tail.min_time() >= δ`, the common case for the hopeless tasks that
-/// pile up in an oversubscribed batch — short-circuits to the exact
-/// values the full walk would produce. All three specializations are
-/// bit-identical to the naive loop: the robustness sum visits the same
-/// impulses in the same order with the same CDF values.
+/// The exact score of appending a task with `deadline` and execution CDF
+/// `cdf` behind `tail`: [`score_unless_below`] held to no threshold.
 pub(super) fn score_against(
     tail: &Pmf,
     cdf: &PetCdf,
     deadline: Time,
     policy: DropPolicy,
 ) -> PairScore {
+    score_unless_below(tail, cdf, deadline, policy, f64::NEG_INFINITY)
+        .expect("no walk stops below an infinitely low threshold")
+}
+
+/// The per-pair closed-form scoring kernel, held to `threshold`: the
+/// exact score, or `None` once the walk proves the exact robustness
+/// strictly below the threshold. Before adding each startable impulse the
+/// walk tests whether what it has gathered plus the most the rest of the
+/// tail could add stays under the threshold (`ends_below`); that test
+/// reads the CDF value the walk reads anyway, and never changes the sum,
+/// so a walk that finishes returns the bit-identical exact score.
+///
+/// Hot enough that it is specialized by policy: under the dropping
+/// scenarios (B/C) the full-availability accumulators are dead weight
+/// (only the startable prefix matters), impulses at or past the deadline
+/// contribute nothing (sorted times → early break), and a task that can
+/// never start — `tail.min_time() >= δ`, the common case for the hopeless
+/// tasks that pile up in an oversubscribed batch — short-circuits to the
+/// exact values the full walk would produce. All three specializations are
+/// bit-identical to the naive loop: the robustness sum visits the same
+/// impulses in the same order with the same CDF values.
+pub(super) fn score_unless_below(
+    tail: &Pmf,
+    cdf: &PetCdf,
+    deadline: Time,
+    policy: DropPolicy,
+    threshold: f64,
+) -> Option<PairScore> {
+    debug_assert!(tail.is_normalized(), "a walked tail carries unit mass");
     let (times, masses) = (tail.times(), tail.masses());
     let mut robustness = 0.0;
     let mut cursor = CdfCursor::new(cdf);
@@ -248,11 +390,15 @@ pub(super) fn score_against(
             let mut full_mass = 0.0;
             let mut full_weighted_start = 0.0;
             for (&t, &p) in times.iter().zip(masses) {
+                if t < deadline {
+                    let on_time = cursor.at_descending(deadline - t);
+                    if ends_below(robustness, full_mass, on_time, threshold) {
+                        return None;
+                    }
+                    robustness += p * on_time;
+                }
                 full_mass += p;
                 full_weighted_start += t as f64 * p;
-                if t < deadline {
-                    robustness += p * cursor.at_descending(deadline - t);
-                }
             }
             if full_mass > 0.0 {
                 full_weighted_start / full_mass + cdf.mean
@@ -268,7 +414,11 @@ pub(super) fn score_against(
                 if t >= deadline {
                     break; // sorted: nothing behind can start either
                 }
-                robustness += p * cursor.at_descending(deadline - t);
+                let on_time = cursor.at_descending(deadline - t);
+                if ends_below(robustness, startable_mass, on_time, threshold) {
+                    return None;
+                }
+                robustness += p * on_time;
                 startable_mass += p;
                 weighted_start += t as f64 * p;
             }
@@ -280,5 +430,5 @@ pub(super) fn score_against(
         }
     };
     // Float-noise guard: normalized masses can sum an ulp above 1.
-    PairScore { robustness: robustness.min(1.0), expected_completion, mean_exec: cdf.mean }
+    Some(PairScore { robustness: robustness.min(1.0), expected_completion, mean_exec: cdf.mean })
 }

@@ -191,7 +191,9 @@ impl ScorerShared {
     /// (capped by an announced departure). `false` proves the exact
     /// robustness strictly below `threshold` (`BOUND_MARGIN` absorbs the
     /// float slop), so the pair can stay unscored; an `earliest` older
-    /// than the live tail's is only looser, so still valid.
+    /// than the live tail's is only looser, so still valid. A column
+    /// rescore runs the same test as one deadline compare per row
+    /// (`kernel::deadline_cutoff`).
     #[inline]
     pub(super) fn pair_clears(
         &self,

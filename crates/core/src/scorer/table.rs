@@ -4,9 +4,9 @@
 //! repair after an assignment ([`ScoreTable::apply_assignment`]).
 
 use super::cells::{WarmFilter, PARALLEL_MIN_MACHINES};
-use super::kernel::{score_column_scatter, LiveRow, PairScore, BOUND_MARGIN};
+use super::kernel::{score_column_scatter, LiveRow, PairScore, PairWork, BOUND_MARGIN};
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
-use super::tail::{HeadWindow, TailBound};
+use super::tail::{HeadWindow, MachineCache, TailBound};
 use super::{debug_assert_machine_alignment, ProbScorer};
 use hcsim_model::{MachineId, Task, TaskTypeId, Time};
 use hcsim_sim::MachineState;
@@ -74,15 +74,21 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 ///   (`ScorerShared::pair_clears`). The envelope is a max over up to 32
 ///   members, so most pairs it lets through — nine in ten on an
 ///   oversubscribed cluster — fail their own machine's bound and stay
-///   `None` without the scoring walk. This is the same contract applied
-///   per pair instead of per lane, and it is the table's invariant: **a
-///   `None` on a free machine is a pair proven strictly below the
-///   threshold its row is held to; a `Some` is the exact score.** Every
-///   path that writes a cell tests the bound first (column rescores, the
-///   rebuild fan-out on either execution mode, appended rows, resurrected
-///   lanes), and the one event that can invalidate a proof without
-///   touching the machine — the caller *lowering* the row's threshold —
-///   has [`ScoreTable::ensure`] re-test the row's unscored pairs.
+///   `None` without the scoring walk. (A column rescore resolves that
+///   bound once per task type into a deadline cutoff and compares each
+///   row's deadline against it.) A pair that clears it is walked under
+///   its row's threshold, and the walk stops — the pair stays `None` —
+///   once the impulses left cannot lift it to the threshold. This is the
+///   same contract applied per pair instead of per lane, and it is the
+///   table's invariant: **a `None` on a free machine is a pair proven
+///   strictly below the threshold its row is held to — by a bound or by
+///   a stopped walk; a `Some` is the exact score.** Every path that
+///   writes a cell tests the bound first and walks under the threshold
+///   (column rescores, the rebuild fan-out on either execution mode,
+///   appended rows, resurrected lanes), and the one event that can
+///   invalidate a proof without touching the machine — the caller
+///   *lowering* the row's threshold — has [`ScoreTable::ensure`] re-test
+///   the row's unscored pairs.
 /// * each shard also caches its **per-row best candidate**
 ///   (first-wins under the exact comparison), so
 ///   [`ScoreTable::best_for_row`] reduces over O(shards) precomputed
@@ -175,10 +181,12 @@ pub struct ScoreTable {
     /// Scratch: the types the last `recompute_shard_aggregates` turned
     /// warm-capable in its shard.
     newly_warm: Vec<bool>,
-    /// Exact (row, machine) scores computed so far, and pairs of live
-    /// lanes the per-pair bound rejected instead (diagnostics/tests).
+    /// Exact (row, machine) scores computed so far, pairs of live lanes
+    /// the per-pair bound rejected instead, and walks stopped below their
+    /// row's threshold (diagnostics/tests).
     pairs_scored: u64,
     pairs_bounded: u64,
+    pairs_abandoned: u64,
     /// Reuse signature: membership epoch of the last rebuild, machine
     /// versions and window tasks as last scored. The event time is *not*
     /// part of it — see [`ScoreTable::ensure`].
@@ -264,8 +272,9 @@ impl ScoreTable {
     }
 
     /// Exact (row, machine) pair scores the table has computed so far —
-    /// kernel invocations, counted where they happen: the work neither
-    /// bound avoided. Test support, not part of the supported API.
+    /// kernel walks that ran to the end, counted where they happen: the
+    /// work neither bound nor the threshold avoided. Test support, not
+    /// part of the supported API.
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_scored(&self) -> u64 {
@@ -273,12 +282,21 @@ impl ScoreTable {
     }
 
     /// Pairs of live lanes the per-pair bound rejected so far — each one
-    /// CDF lookup in place of a kernel invocation. Test support, like
-    /// [`ScoreTable::pairs_scored`].
+    /// CDF lookup or deadline compare in place of a kernel walk. Test
+    /// support, like [`ScoreTable::pairs_scored`].
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_bounded(&self) -> u64 {
         self.pairs_bounded
+    }
+
+    /// Pairs whose kernel walk stopped part-way, proven below their row's
+    /// threshold — left unscored like a bounded pair, at the cost of the
+    /// impulses walked. Test support, like [`ScoreTable::pairs_scored`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pairs_abandoned(&self) -> u64 {
+        self.pairs_abandoned
     }
 
     /// Checks the table against its own contract, as it must stand after
@@ -288,8 +306,9 @@ impl ScoreTable {
     /// bitwise the first-wins scan of its shard's columns; every scored
     /// pair on a free machine holds the exact score; every unscored pair
     /// on a free machine is proven below the threshold its row is held to
-    /// — by its machine's own bound in a live lane, by the shard bound in
-    /// a dead one. The row slots are checked too: the window order and the
+    /// — in a live lane by its machine's own bound or, where that clears,
+    /// by its exact score (a stopped walk), in a dead one by the shard
+    /// bound. The row slots are checked too: the window order and the
     /// free list partition them, a free slot holds nothing, and each
     /// column's count of exact scores is what a recount finds. The first
     /// violation comes back as the error. Test support, like
@@ -333,10 +352,13 @@ impl ScoreTable {
                     None if self.shard_live[slot][m / TABLE_SHARD_WIDTH] => {
                         let earliest = scorer.ensure_tail_bound(machine).earliest;
                         if scorer.shared.pair_clears(machine, task, earliest, threshold) {
-                            return Err(format!(
-                                "({row},{m}): unscored in a live lane, but its bound clears \
-                                 {threshold}"
-                            ));
+                            let exact = scorer.score(machine, task);
+                            if exact.robustness >= threshold {
+                                return Err(format!(
+                                    "({row},{m}): unscored in a live lane, but its bound \
+                                     clears {threshold} and so does its exact {exact:?}"
+                                ));
+                            }
                         }
                     }
                     None => {}
@@ -379,10 +401,11 @@ impl ScoreTable {
         Ok(())
     }
 
-    /// Books `candidates` tested pairs, `scored` of which ran the kernel.
-    fn count_pairs(&mut self, candidates: usize, scored: usize) {
-        self.pairs_scored += scored as u64;
-        self.pairs_bounded += (candidates - scored) as u64;
+    /// Books `candidates` tested pairs, `work` of which ran the kernel.
+    fn count_pairs(&mut self, candidates: usize, work: PairWork) {
+        self.pairs_scored += work.scored as u64;
+        self.pairs_abandoned += work.abandoned as u64;
+        self.pairs_bounded += (candidates - work.scored - work.abandoned) as u64;
     }
 
     /// Recomputes the whole table for `tasks` (the batch window) against
@@ -426,7 +449,7 @@ impl ScoreTable {
         // Fan-out 2: exact scores for the pairs of the surviving (row,
         // shard) lanes that clear their machine's own bound, one column
         // per machine.
-        let scored = scorer.cells.fill_columns(
+        let work = scorer.cells.fill_columns(
             &scorer.shared,
             machines,
             &self.live_by_shard,
@@ -441,7 +464,7 @@ impl ScoreTable {
                 self.tail_bounds[members].iter().flatten().count() * self.live_by_shard[s].len()
             })
             .sum();
-        self.count_pairs(candidates, scored);
+        self.count_pairs(candidates, work);
         self.reduce_shard_bests(tasks.len());
         self.record_signature(scorer, machines, tasks);
     }
@@ -888,10 +911,11 @@ impl ScoreTable {
     }
 
     /// One pair on a free machine, behind the machine's own bound at its
-    /// *recorded* earliest start (no cell access unless it clears). Every
-    /// free machine has one on record: a slot only opens under a version
-    /// bump, which makes the machine *changed* and refreshes its bound
-    /// before any pair on it is tested.
+    /// *recorded* earliest start (no cell access unless it clears), then
+    /// walked under the row's threshold. Every free machine has one on
+    /// record: a slot only opens under a version bump, which makes the
+    /// machine *changed* and refreshes its bound before any pair on it is
+    /// tested.
     fn score_pair(
         &mut self,
         scorer: &mut ProbScorer,
@@ -901,9 +925,13 @@ impl ScoreTable {
     ) -> Option<PairScore> {
         let recorded = self.tail_bounds[machine.id().index()];
         let earliest = recorded.expect("a free machine has a recorded tail bound").earliest;
-        let clears = scorer.shared.pair_clears(machine, task, earliest, threshold);
-        self.count_pairs(1, usize::from(clears));
-        clears.then(|| scorer.score(machine, task))
+        if !scorer.shared.pair_clears(machine, task, earliest, threshold) {
+            self.count_pairs(1, PairWork::default());
+            return None;
+        }
+        let score = scorer.score_unless_below(machine, task, threshold);
+        self.count_pairs(1, PairWork::of(score));
+        score
     }
 
     /// Fills `self.live` with the rows live in shard `s`, each with the
@@ -942,12 +970,13 @@ impl ScoreTable {
         }
         let live = &self.live;
         let ProbScorer { shared, now, cells, .. } = scorer;
-        let scored = cells.with(m, |cell| {
+        let work = cells.with(m, |cell| {
             cell.ensure(shared, *now, machine, false);
-            score_column_scatter(cell.cache.tail(), shared, machine, live, col)
+            let MachineCache { cache, cutoffs, .. } = cell;
+            score_column_scatter(cache.tail(), shared, machine, live, cutoffs, col)
         });
-        self.col_scores[m] = scored;
-        self.count_pairs(self.live.len(), scored);
+        self.col_scores[m] = work.scored;
+        self.count_pairs(self.live.len(), work);
     }
 
     /// Repairs the table after the caller committed window row `row` to

@@ -4,7 +4,7 @@
 //! holds for, the pending chain behind it, and the cell that owns both
 //! together with their convolution scratch.
 
-use super::kernel::PairScore;
+use super::kernel::{Cutoffs, PairScore, PairWork};
 use super::shared::ScorerShared;
 use hcsim_model::{Task, TaskId, Time};
 use hcsim_pmf::{ConvScratch, DropPolicy, Pmf};
@@ -141,9 +141,13 @@ pub(super) struct MachineCache {
     /// and the caller swaps it into the table column in machine-index
     /// order (buffers recycle across events through the same swap).
     pub(super) col: Vec<Option<PairScore>>,
-    /// Pairs the last pooled round scored into `col` (the rest of its live
-    /// rows were rejected by the per-pair bound) — collected with the swap.
-    pub(super) col_scored: usize,
+    /// What the last pooled round did with its live rows: pairs scored
+    /// into `col` and walks stopped below their threshold (the rest were
+    /// rejected by the per-pair bound) — collected with the swap.
+    pub(super) col_work: PairWork,
+    /// Deadline-cutoff scratch of this machine's column fills, on the
+    /// calling thread and in pooled rounds alike.
+    pub(super) cutoffs: Cutoffs,
 }
 
 impl MachineCache {

@@ -2,6 +2,7 @@
 //! exercise. They stay in one `scorer::tests` module so every test keeps
 //! the name it had before `scorer.rs` was split.
 
+use super::kernel::{score_column_scatter, Cutoffs, LiveRow, PairWork, BOUND_MARGIN};
 use super::shared::{envelope_cdf, PetCdf, SpecMemo, TABLE_SHARD_WIDTH};
 use super::table::better_pair;
 use super::test_support::*;
@@ -335,6 +336,136 @@ fn hopeless_deadline_scores_zero() {
     let score = scorer.score(&machine, &task_with_deadline(50));
     assert_eq!(score.robustness, 0.0);
     assert!(score.expected_completion.is_infinite());
+}
+
+const POLICIES: [DropPolicy; 3] = [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All];
+
+/// A live row of type `tt` in slot `row`, held to `threshold`.
+fn live_row(row: usize, tt: u16, deadline: Time, threshold: f64) -> LiveRow {
+    let task = Task { id: TaskId(row as u32), type_id: TaskTypeId(tt), arrival: 0, deadline };
+    LiveRow { row, task, threshold }
+}
+
+/// Fills one column through [`score_column_scatter`] — deadline cutoffs,
+/// four-lane walks, scalar remainder — and checks every row against the
+/// pairwise path: the per-pair bound ([`ScorerShared::pair_clears`]),
+/// then the scalar walk under the row's threshold. That walk is checked
+/// against the exact score in turn: a stopped walk is below the
+/// threshold, and a finished one is the exact score, bit for bit.
+fn assert_column_matches_pairwise(
+    tail: &Pmf,
+    shared: &ScorerShared,
+    machine: &MachineState,
+    live: &[LiveRow],
+    cutoffs: &mut Cutoffs,
+) {
+    let bits = |s: Option<PairScore>| {
+        s.map(|s| (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits()))
+    };
+    let mut col = vec![None; live.iter().map(|l| l.row + 1).max().unwrap_or(0)];
+    let work = score_column_scatter(tail, shared, machine, live, cutoffs, &mut col);
+    let mut want = PairWork::default();
+    for l in live {
+        let cdf = shared.cdf_for(l.task.type_id, machine);
+        let deadline = effective_deadline(l.task.deadline, machine.announced_departure());
+        let exact = score_against(tail, cdf, deadline, shared.policy);
+        let walked = score_unless_below(tail, cdf, deadline, shared.policy, l.threshold);
+        match walked {
+            Some(_) => assert_eq!(bits(walked), bits(Some(exact)), "{l:?}: finished walk"),
+            None => assert!(
+                exact.robustness < l.threshold,
+                "{l:?}: the walk stopped, but the exact score is {exact:?}"
+            ),
+        }
+        let clears = shared.pair_clears(machine, &l.task, tail.min_time(), l.threshold);
+        if clears {
+            want += PairWork::of(walked);
+        }
+        let expected = if clears { walked } else { None };
+        assert_eq!(bits(col[l.row]), bits(expected), "{l:?}: column vs pairwise");
+    }
+    assert_eq!(work, want, "scored and abandoned counts");
+}
+
+#[test]
+fn column_cutoffs_agree_with_the_pair_bound_at_the_edges() {
+    // Two types on one machine, warm and cold cells with breakpoints the
+    // rows' slack lands on, before and after; a tail starting at 10.
+    let warm = [&[(5, 0.25), (9, 0.25), (14, 0.5)][..], &[(3, 0.5), (20, 0.5)][..]];
+    let cells = |shift: Time| {
+        let shifted = |c: &[(Time, f64)]| {
+            Pmf::from_points(&c.iter().map(|&(t, p)| (t + shift, p)).collect::<Vec<_>>()).unwrap()
+        };
+        PetMatrix::from_pmfs(2, 1, warm.iter().map(|c| shifted(c)).collect())
+    };
+    let (pet, cold) = (cells(0), cells(10));
+    let tail = Pmf::from_points(&[(10, 0.5), (16, 0.3), (40, 0.2)]).unwrap();
+    let earliest = tail.min_time();
+    // Type 0 warm and type 1 cold on the first machine; the second also
+    // leaves at 22, between breakpoints; the third places both cold.
+    let mut warm0 = MachineState::new(MachineId(0), 4);
+    testkit::set_warm(&mut warm0, TaskTypeId(0), 1_000);
+    let mut leaving = warm0.clone();
+    testkit::announce_departure(&mut leaving, Some(22));
+    let all_cold = MachineState::new(MachineId(0), 4);
+    // Slack exactly on every breakpoint of every cell, one tick either
+    // side, none at all (`earliest ≥ δ`), and past the tail's end.
+    let mut deadlines = vec![0, earliest - 1, earliest, earliest + 1, 100];
+    for t in [3, 5, 9, 13, 14, 15, 19, 20, 24, 30] {
+        deadlines.extend([earliest + t - 1, earliest + t, earliest + t + 1]);
+    }
+    for policy in POLICIES {
+        let shared = ScorerShared::derive(pet.clone(), Some(cold.clone()), policy, 16);
+        // One scratch across every column: no entry may outlive its own.
+        let mut cutoffs = Cutoffs::default();
+        for machine in [&warm0, &leaving, &all_cold] {
+            // Thresholds a zero bound clears (≤ BOUND_MARGIN), each
+            // cell's prefix steps exactly and just past where the bound
+            // clears them, and certainty.
+            let mut thresholds = vec![0.0, BOUND_MARGIN / 2.0, BOUND_MARGIN, 1.0];
+            for tt in 0..2 {
+                for &p in &shared.cdf_for(TaskTypeId(tt), machine).prefix {
+                    let at = p + BOUND_MARGIN;
+                    thresholds.extend([p, at, f64::from_bits(at.to_bits() + 1)]);
+                }
+            }
+            let mut live = Vec::new();
+            for &deadline in &deadlines {
+                for tt in 0..2 {
+                    for &threshold in &thresholds {
+                        live.push(live_row(live.len(), tt, deadline, threshold));
+                    }
+                }
+            }
+            assert_column_matches_pairwise(&tail, &shared, machine, &live, &mut cutoffs);
+            // The same rows behind a later tail: equal thresholds, new
+            // cutoffs.
+            let later = tail.shift(7);
+            assert_column_matches_pairwise(&later, &shared, machine, &live, &mut cutoffs);
+        }
+    }
+}
+
+#[test]
+fn a_threshold_tie_on_a_tail_half_an_epsilon_heavy_still_scores() {
+    // The tail carries 1 + MASS_EPSILON/2: more than the stopping rule's
+    // `1 − mass` assumes, which only BOUND_MARGIN absorbs. Held to exactly
+    // its own exact score, the pair must still come back scored.
+    let tail = Pmf::from_points(&[(10, 0.5 + hcsim_pmf::MASS_EPSILON / 2.0), (50, 0.5)]).unwrap();
+    assert!(tail.mass() > 1.0 && tail.is_normalized());
+    let pet = pet_single(&[(5, 0.5), (60, 0.5)]);
+    let machine = MachineState::new(MachineId(0), 4);
+    for policy in POLICIES {
+        let shared = ScorerShared::derive(pet.clone(), None, policy, 16);
+        let cdf = shared.cdf(TaskTypeId(0), MachineId(0));
+        let exact = score_against(&tail, cdf, 100, policy);
+        assert!(exact.robustness > 0.75 && exact.robustness < 0.76, "{exact:?}");
+        let tie = score_unless_below(&tail, cdf, 100, policy, exact.robustness);
+        assert_eq!(tie, Some(exact), "{policy:?}");
+        let live: Vec<LiveRow> =
+            (0..5).map(|row| live_row(row, 0, 100, exact.robustness)).collect();
+        assert_column_matches_pairwise(&tail, &shared, &machine, &live, &mut Cutoffs::default());
+    }
 }
 
 // --- table.rs: the (window x machine) score table ---
@@ -1376,6 +1507,47 @@ mod props {
                     None => prop_assert!(score.expected_completion.is_infinite()),
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The stopping rule against the exact kernel, over random unit
+        /// tails of 1–48 impulses, random PET cells and every policy: a
+        /// column of rows held to thresholds of 0, `BOUND_MARGIN`, 1, a
+        /// random value, or the row's own exact score agrees, row by row,
+        /// with the per-pair bound followed by the scalar walk — which
+        /// stops only below the threshold and otherwise returns the exact
+        /// score bit for bit (see `assert_column_matches_pairwise`).
+        #[test]
+        fn threshold_walks_stop_only_below_the_threshold(
+            tail in arb_pmf(300, 49),
+            cells in prop::collection::vec(arb_pmf(80, 12), 3..4),
+            rows in prop::collection::vec((0u16..3, 1u64..400, 0usize..5, 0.0f64..1.0), 1..11),
+            policy_idx in 0usize..3,
+        ) {
+            let policy = POLICIES[policy_idx];
+            let pet = PetMatrix::from_pmfs(3, 1, cells);
+            let shared = ScorerShared::derive(pet, None, policy, 16);
+            let machine = MachineState::new(MachineId(0), 4);
+            let live: Vec<LiveRow> = rows
+                .iter()
+                .enumerate()
+                .map(|(row, &(tt, deadline, kind, random))| {
+                    let exact = || {
+                        let cdf = shared.cdf(TaskTypeId(tt), MachineId(0));
+                        score_against(&tail, cdf, deadline, policy).robustness
+                    };
+                    let threshold = match kind {
+                        0 => 0.0,
+                        1 => BOUND_MARGIN,
+                        2 => 1.0,
+                        3 => random,
+                        _ => exact(),
+                    };
+                    live_row(row, tt, deadline, threshold)
+                })
+                .collect();
+            assert_column_matches_pairwise(&tail, &shared, &machine, &live, &mut Cutoffs::default());
         }
     }
 

@@ -336,23 +336,26 @@ impl Mapper for TableLoop {
 }
 
 /// Runs `tasks` through [`TableLoop`]; returns the table's `(pairs
-/// scored, pairs bounded)` for the whole trial.
-fn table_work(spec: &SystemSpec, tasks: &[Task], seeds: &SeedSequence) -> (u64, u64) {
+/// scored, pairs bounded, pairs abandoned)` for the whole trial.
+fn table_work(spec: &SystemSpec, tasks: &[Task], seeds: &SeedSequence) -> (u64, u64, u64) {
     let mut mapper = TableLoop { scorer: None, table: ScoreTable::new() };
     let report =
         run_simulation(spec, SimConfig::untrimmed(), tasks, &mut mapper, &mut seeds.stream(3));
     assert!(report.mapping_events > tasks.len() as u64, "arrivals and completions both map");
-    (mapper.table.pairs_scored(), mapper.table.pairs_bounded())
+    let table = &mapper.table;
+    (table.pairs_scored(), table.pairs_bounded(), table.pairs_abandoned())
 }
 
-/// The table's two work counters — kernel invocations and pairs the
-/// per-machine bound rejected in their place — pinned on one fixed-seed
+/// The table's three work counters — completed kernel walks, pairs the
+/// per-machine bound rejected in their place, and walks stopped below
+/// their row's threshold — pinned on one fixed-seed
 /// trial each of a 72-machine (three-shard) classic cluster and a
 /// 72-machine serverless one. They are deterministic, so a pin that moves
 /// means the table did different *work*: re-pin from the assertion
 /// message once the reason is understood (a bound that reads the wrong
 /// cell — the warm one for a cold placement — shows here as pairs moving
-/// from the second counter to the first).
+/// from the second counter to the others; a stopping rule that gives up
+/// too late, as pairs moving from the third to the first).
 #[test]
 fn table_work_counters_are_pinned() {
     let seeds = SeedSequence::new(72);
@@ -377,5 +380,5 @@ fn table_work_counters_are_pinned() {
     assert_eq!(table_work(&spec, &tasks, &seeds), FAAS_72M_TABLE_WORK, "serverless");
 }
 
-const CLASSIC_72M_TABLE_WORK: (u64, u64) = (33_386, 97_296);
-const FAAS_72M_TABLE_WORK: (u64, u64) = (1_918, 522);
+const CLASSIC_72M_TABLE_WORK: (u64, u64, u64) = (10_818, 97_296, 22_568);
+const FAAS_72M_TABLE_WORK: (u64, u64, u64) = (1_899, 522, 19);
