@@ -239,11 +239,13 @@ impl Mapper for Pam {
         // row's (possibly relaxed) defer threshold — the bound pass's skip
         // threshold too, so a row it leaves unscored is one deferred here
         // anyway; phase 2: minimum expected completion, tie → shortest
-        // expected execution time.
+        // expected execution time. Rows of one (type, deadline) class get
+        // the same best and the same threshold, and phase 2 keeps the
+        // earliest of equal candidates, so only each class's head can win.
         let skip_below = |tt| thresholds.defer(tt);
         let reused = self.table_loop.map(ctx, &skip_below, |table, _, ctx, window| {
             let mut chosen: Option<(usize, MachineId, PairScore)> = None;
-            for row in 0..window {
+            for row in (0..window).filter(|&row| table.is_head(row)) {
                 let task = ctx.batch()[row];
                 let Some((machine, score)) = table.best_for_row(ctx.machines(), row) else {
                     continue;
@@ -619,6 +621,36 @@ mod tests {
         let mut rng2 = SeedSequence::new(53).stream(0);
         let report = run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng2);
         assert_eq!(report.metrics.outcomes.on_time, 1);
+    }
+
+    #[test]
+    fn a_class_commits_its_earliest_row_first() {
+        // Three requests of one (type, deadline) class, one queue slot:
+        // every event can commit one of them, they tie on every score,
+        // and phase 2 keeps the earliest — so they run in batch order.
+        let mut rng = SeedSequence::new(54).stream(0);
+        let (pet, truth) = PetBuilder::new().shape_range(6.0, 6.0).build(&[vec![20.0]], &mut rng);
+        let spec = SystemSpec {
+            machines: vec![MachineSpec { name: "m".into() }],
+            task_types: vec![TaskTypeSpec { name: "t".into() }],
+            pet,
+            truth,
+            prices: PriceTable::uniform(1, 1.0),
+            queue_capacity: 1,
+            coldstart: None,
+        }
+        .validated();
+        let tasks: Vec<Task> = (0..3)
+            .map(|i| Task { id: TaskId(i), type_id: TaskTypeId(0), arrival: 0, deadline: 500 })
+            .collect();
+        let mut mapper = Pam::new(PruningConfig::default());
+        let mut rng2 = SeedSequence::new(55).stream(0);
+        let report = run_simulation(&spec, SimConfig::untrimmed(), &tasks, &mut mapper, &mut rng2);
+        let mut started: Vec<_> =
+            report.records.iter().map(|r| (r.started_at, r.task.id)).collect();
+        started.sort();
+        let order: Vec<u32> = started.iter().map(|(_, id)| id.0).collect();
+        assert_eq!(order, [0, 1, 2], "{started:?}");
     }
 
     #[test]

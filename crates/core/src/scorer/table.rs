@@ -8,8 +8,9 @@ use super::kernel::{score_column_scatter, LiveRow, PairScore, PairWork, BOUND_MA
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::{HeadWindow, MachineCache, TailBound};
 use super::{debug_assert_machine_alignment, ProbScorer};
-use hcsim_model::{MachineId, Task, TaskTypeId, Time};
+use hcsim_model::{MachineId, Task, TaskId, TaskTypeId, Time};
 use hcsim_sim::MachineState;
+use std::collections::{HashMap, VecDeque};
 
 /// Minimum number of changed machines before a [`ScoreTable::ensure`]
 /// that falls back to a rebuild lets it fan out. Most events repair the
@@ -35,6 +36,21 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// one cell per column instead of shifting every column. The public API
 /// ([`ScoreTable::get`], [`ScoreTable::best_for_row`],
 /// [`ScoreTable::apply_assignment`]) stays positional.
+///
+/// A slot belongs to a **class**, not to one row: the window rows that
+/// share a `(type, deadline)` key. Those are the only task fields a cell,
+/// a bound, a deadline cutoff or a threshold reads (`cdf_for`,
+/// `effective_deadline`, `skip_below`), so every member of a class gets
+/// the same answer from every operation — and on a serverless burst half
+/// the window is members of a live class. A class owns one slot — its
+/// cells, lane liveness, shard bests and threshold — and lists its
+/// members in window order; the first is its *head*. Appending a member
+/// of a live class, or removing one that is not the last, does no column
+/// work, and the bound pass, resurrection and every column rescore visit
+/// each class once. Positions still resolve to their class's slot, so a
+/// member reads exactly what an unclassed row of the same task would;
+/// PAM's phase scan reads each class once, at its head (see
+/// `ScoreTable::is_head`). An unshared row is a class of one.
 ///
 /// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a tick
 ///   that re-keyed most of the busy cluster — ensures every free machine's
@@ -135,8 +151,8 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// its threshold — without changing a single mapping decision.
 #[derive(Debug, Default)]
 pub struct ScoreTable {
-    /// One column per machine; `cols[m][slot]` scores the window task of
-    /// row slot `slot` on machine `m` (`None`: a free slot, no free queue
+    /// One column per machine; `cols[m][slot]` scores the class of row
+    /// slot `slot` on machine `m` (`None`: a free slot, no free queue
     /// slot on the machine, (row, shard) skipped by the bound pass, or the
     /// pair rejected by the machine's own bound).
     cols: Vec<Vec<Option<PairScore>>>,
@@ -144,29 +160,42 @@ pub struct ScoreTable {
     /// column with none needs no rescore when the clock moves (see
     /// [`ScoreTable::ensure`]).
     col_scores: Vec<usize>,
-    /// Window position → row slot. Columns and every slot-aligned vector
-    /// below are indexed by slot.
+    /// Window position → the slot of the row's class. Columns and every
+    /// slot-aligned vector below are indexed by slot.
     order: Vec<usize>,
-    /// Slots of departed rows, reused by the next appended row. A free
-    /// slot holds `None` in every column and every shard best.
+    /// Window position → task: the reuse signature the window diff walks,
+    /// and what [`ScoreTable::check_invariants`] scores each member as.
+    window: Vec<Task>,
+    /// Slots of departed classes, reused by the next new class. A free
+    /// slot has no members and holds `None` in every column and every
+    /// shard best.
     free_slots: Vec<usize>,
-    /// Slot-aligned: which shards the row survived the bound pass in
+    /// Slot-aligned: the class's members in window order, the head first
+    /// (empty: a free slot).
+    members: Vec<VecDeque<TaskId>>,
+    /// Every live class's key → its slot.
+    classes: HashMap<ClassKey, usize>,
+    /// Slot-aligned: the task that opened the class, whose type and
+    /// deadline are the class key (a free slot keeps its last task); its
+    /// length is the slot capacity.
+    class_tasks: Vec<Task>,
+    /// Slot-aligned: which shards the class survived the bound pass in
     /// (inner length = shards). Entries only flip dead → live, and only
     /// in [`ScoreTable::ensure`] when a changed machine loosened a bound
-    /// or the caller lowered the row's threshold.
+    /// or the caller lowered the class's threshold.
     shard_live: Vec<Vec<bool>>,
-    /// Slot-aligned: the caller's skip threshold the row's dead lanes and
-    /// unscored pairs were last proven under. [`ScoreTable::ensure`]
-    /// rechecks all of them for a row whose threshold has since dropped.
+    /// Slot-aligned: the caller's skip threshold the class's dead lanes
+    /// and unscored pairs were last proven under. [`ScoreTable::ensure`]
+    /// rechecks all of them for a class whose threshold has since dropped.
     row_thresholds: Vec<f64>,
     /// Per shard, per slot: the shard's best candidate under the exact
     /// first-wins comparison (`None`: no scored member).
     shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
-    /// Scratch: the rows live in one shard — filled once per shard by
+    /// Scratch: the classes live in one shard — filled once per shard by
     /// [`ScoreTable::collect_live_rows`], read by every column rescore in
     /// that shard.
     live: Vec<LiveRow>,
-    /// Scratch: per-shard live-row lists for the rebuild fan-out.
+    /// Scratch: per-shard live-class lists for the rebuild fan-out.
     live_by_shard: Vec<Vec<LiveRow>>,
     /// Bound scalars and head window per free machine (`None`: no free
     /// slot), as of the machine's last column (re)score or re-timing.
@@ -181,27 +210,26 @@ pub struct ScoreTable {
     /// Scratch: the types the last `recompute_shard_aggregates` turned
     /// warm-capable in its shard.
     newly_warm: Vec<bool>,
-    /// Exact (row, machine) scores computed so far, pairs of live lanes
-    /// the per-pair bound rejected instead, and walks stopped below their
-    /// row's threshold (diagnostics/tests).
+    /// Exact (class, machine) scores computed so far, pairs of live lanes
+    /// the per-pair bound rejected instead, walks stopped below their
+    /// class's threshold, and appended rows that joined a live class
+    /// (diagnostics/tests).
     pairs_scored: u64,
     pairs_bounded: u64,
     pairs_abandoned: u64,
-    /// Reuse signature: membership epoch of the last rebuild, machine
-    /// versions and window tasks as last scored. The event time is *not*
-    /// part of it — see [`ScoreTable::ensure`].
+    rows_shared: u64,
+    /// Reuse signature: membership epoch of the last rebuild and machine
+    /// versions as last scored (the window is `window`). The event time
+    /// is *not* part of it — see [`ScoreTable::ensure`].
     epoch: Option<u64>,
     versions: Vec<u64>,
-    /// Slot-aligned (a free slot keeps its last task); its length is the
-    /// row capacity.
-    row_tasks: Vec<Task>,
     /// Set by [`ScoreTable::invalidate`]: the next ensure rebuilds.
     stale: bool,
     /// Ensure scratch: indices/mask of changed machines, idle machines
     /// re-timed in place, shards whose aggregates moved and those of them
     /// that loosened, one dirty shard's changed members, and the `(slot,
     /// shard)` lanes whose unscored pairs phase 3 tests — resurrected
-    /// ones, and live ones of a row whose threshold dropped.
+    /// ones, and live ones of a class whose threshold dropped.
     changed: Vec<usize>,
     retimed: Vec<usize>,
     changed_mask: Vec<bool>,
@@ -209,6 +237,14 @@ pub struct ScoreTable {
     loosened: Vec<bool>,
     shard_changed: Vec<usize>,
     retest: Vec<(usize, usize)>,
+}
+
+/// What a class shares: the type and the deadline — every input, besides
+/// the machine, of a cell, a bound, a deadline cutoff and a threshold.
+type ClassKey = (TaskTypeId, Time);
+
+fn class_key(task: &Task) -> ClassKey {
+    (task.type_id, task.deadline)
 }
 
 /// The exact phase-1 comparison: higher robustness, tie → lower expected
@@ -271,6 +307,15 @@ impl ScoreTable {
         self.order.len()
     }
 
+    /// Whether window row `row` is its class's head — its earliest
+    /// member. Every other member reads the head's cells, bests and
+    /// threshold, so a first-wins scan over the window loses nothing by
+    /// reading heads only.
+    #[must_use]
+    pub(crate) fn is_head(&self, row: usize) -> bool {
+        self.members[self.order[row]].front() == Some(&self.window[row].id)
+    }
+
     /// Exact (row, machine) pair scores the table has computed so far —
     /// kernel walks that ran to the end, counted where they happen: the
     /// work neither bound nor the threshold avoided. Test support, not
@@ -299,6 +344,16 @@ impl ScoreTable {
         self.pairs_abandoned
     }
 
+    /// Rows appended to the window so far that joined a live class — a
+    /// `(type, deadline)` some row already in the window had — and so
+    /// took no bound or column work at all. Test support, like
+    /// [`ScoreTable::pairs_scored`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn rows_shared(&self) -> u64 {
+        self.rows_shared
+    }
+
     /// Checks the table against its own contract, as it must stand after
     /// every [`ScoreTable::rebuild`], [`ScoreTable::ensure`] and
     /// [`ScoreTable::apply_assignment`] on the `machines` that call saw
@@ -308,10 +363,15 @@ impl ScoreTable {
     /// on a free machine is proven below the threshold its row is held to
     /// — in a live lane by its machine's own bound or, where that clears,
     /// by its exact score (a stopped walk), in a dead one by the shard
-    /// bound. The row slots are checked too: the window order and the
-    /// free list partition them, a free slot holds nothing, and each
-    /// column's count of exact scores is what a recount finds. The first
-    /// violation comes back as the error. Test support, like
+    /// bound. The pair checks run per window *position*, each member
+    /// scored as its own task, so a member of a class reads exactly what
+    /// an unclassed row would. The slots are checked too: the live
+    /// classes and the free list partition them, a free slot holds
+    /// nothing, each column's count of exact scores is what a recount
+    /// finds — and so are the classes: every position sits in its key's
+    /// slot, no two live slots share a key, and each class lists exactly
+    /// its positions' tasks in window order, so its head is its earliest.
+    /// The first violation comes back as the error. Test support, like
     /// [`ScoreTable::pairs_scored`].
     #[doc(hidden)]
     pub fn check_invariants(
@@ -320,24 +380,28 @@ impl ScoreTable {
         machines: &[MachineState],
     ) -> Result<(), String> {
         self.check_slots()?;
+        self.check_classes()?;
         let bits = |s: &PairScore| {
             (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits())
         };
-        for (row, &slot) in self.order.iter().enumerate() {
-            let (task, threshold) = (&self.row_tasks[slot], self.row_thresholds[slot]);
+        for slot in self.live_slots() {
+            let (task, threshold) = (&self.class_tasks[slot], self.row_thresholds[slot]);
             for (s, bests) in self.shard_best.iter().enumerate() {
                 let scan = shard_best_entry(&self.cols, s, slot);
                 if bests[slot].map(|(m, b)| (m, bits(&b))) != scan.map(|(m, b)| (m, bits(&b))) {
                     return Err(format!(
-                        "row {row} shard {s}: cached best {:?}, the columns say {scan:?}",
+                        "class {slot} shard {s}: cached best {:?}, the columns say {scan:?}",
                         bests[slot]
                     ));
                 }
                 if !self.shard_live[slot][s] && self.lane_clears(&scorer.shared, task, s, threshold)
                 {
-                    return Err(format!("row {row} shard {s}: dead, but clears {threshold}"));
+                    return Err(format!("class {slot} shard {s}: dead, but clears {threshold}"));
                 }
             }
+        }
+        for (row, (&slot, task)) in self.order.iter().zip(&self.window).enumerate() {
+            let threshold = self.row_thresholds[slot];
             for (m, machine) in machines.iter().enumerate() {
                 if !machine.has_free_slot() {
                     continue;
@@ -370,9 +434,19 @@ impl ScoreTable {
 
     /// The slot half of [`ScoreTable::check_invariants`].
     fn check_slots(&self) -> Result<(), String> {
-        let capacity = self.row_tasks.len();
+        let capacity = self.class_tasks.len();
+        let aligned = [self.members.len(), self.shard_live.len(), self.row_thresholds.len()];
+        if aligned.iter().any(|&len| len != capacity) {
+            return Err(format!("slot-aligned lengths {aligned:?} for {capacity} slots"));
+        }
         let mut seen = vec![false; capacity];
-        for &slot in self.order.iter().chain(&self.free_slots) {
+        for &slot in &self.order {
+            if slot >= capacity || self.members[slot].is_empty() {
+                return Err(format!("slot {slot}: a window position's, but out of range or empty"));
+            }
+            seen[slot] = true;
+        }
+        for &slot in &self.free_slots {
             if slot >= capacity || std::mem::replace(&mut seen[slot], true) {
                 return Err(format!("slot {slot}: out of range, or both live and free"));
             }
@@ -381,6 +455,9 @@ impl ScoreTable {
             return Err(format!("slot {slot}: neither live nor free"));
         }
         for &slot in &self.free_slots {
+            if !self.members[slot].is_empty() {
+                return Err(format!("free slot {slot}: has members"));
+            }
             if let Some(m) = self.cols.iter().position(|col| col[slot].is_some()) {
                 return Err(format!("free slot {slot}: holds a score on machine {m}"));
             }
@@ -399,6 +476,53 @@ impl ScoreTable {
             }
         }
         Ok(())
+    }
+
+    /// The class half of [`ScoreTable::check_invariants`]: every position
+    /// sits in its key's slot, no two live slots share a key, and every
+    /// class's member list is a recount of its positions in window order —
+    /// the same count, with the earliest position at the head.
+    fn check_classes(&self) -> Result<(), String> {
+        let mut recount = vec![Vec::new(); self.class_tasks.len()];
+        for (row, (&slot, task)) in self.order.iter().zip(&self.window).enumerate() {
+            let key = class_key(task);
+            if self.classes.get(&key) != Some(&slot) || class_key(&self.class_tasks[slot]) != key {
+                return Err(format!("row {row}: key {key:?} sits in slot {slot}, not its key's"));
+            }
+            recount[slot].push(task.id);
+        }
+        if self.classes.len() != self.live_slots().count() {
+            return Err(format!(
+                "{} keys for {} live slots",
+                self.classes.len(),
+                self.live_slots().count()
+            ));
+        }
+        for (slot, (members, recount)) in self.members.iter().zip(&recount).enumerate() {
+            if members.len() != recount.len() {
+                return Err(format!(
+                    "class {slot}: {} members counted, {} positions hold it",
+                    members.len(),
+                    recount.len()
+                ));
+            }
+            if members.front() != recount.first() {
+                return Err(format!(
+                    "class {slot}: head {:?}, earliest position holds {:?}",
+                    members.front(),
+                    recount.first()
+                ));
+            }
+            if !members.iter().eq(recount) {
+                return Err(format!("class {slot}: members {members:?}, positions {recount:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The slots of live classes, ascending.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members.iter().enumerate().filter(|(_, m)| !m.is_empty()).map(|(slot, _)| slot)
     }
 
     /// Books `candidates` tested pairs, `work` of which ran the kernel.
@@ -444,16 +568,17 @@ impl ScoreTable {
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
         let parallel = free >= PARALLEL_MIN_MACHINES && changed >= REBUILD_FANOUT_MIN_CHANGED;
 
+        self.assign_classes(tasks);
         self.warm_and_collect_bounds(scorer, machines, parallel);
-        self.bound_pass(&scorer.shared, tasks, skip_below);
-        // Fan-out 2: exact scores for the pairs of the surviving (row,
+        self.bound_pass(&scorer.shared, skip_below);
+        // Fan-out 2: exact scores for the pairs of the surviving (class,
         // shard) lanes that clear their machine's own bound, one column
         // per machine.
         let work = scorer.cells.fill_columns(
             &scorer.shared,
             machines,
             &self.live_by_shard,
-            tasks.len(),
+            self.class_tasks.len(),
             &mut self.cols,
             &mut self.col_scores,
             parallel,
@@ -465,8 +590,43 @@ impl ScoreTable {
             })
             .sum();
         self.count_pairs(candidates, work);
-        self.reduce_shard_bests(tasks.len());
-        self.record_signature(scorer, machines, tasks);
+        self.reduce_shard_bests(self.class_tasks.len());
+        self.versions.clear();
+        self.versions.extend(machines.iter().map(MachineState::version));
+        self.epoch = scorer.membership_epoch;
+        self.stale = false;
+    }
+
+    /// Sorts the rebuilt window `tasks` into classes, one slot each in
+    /// order of first appearance (slots `0..classes`, none free).
+    fn assign_classes(&mut self, tasks: &[Task]) {
+        self.classes.clear();
+        self.class_tasks.clear();
+        self.free_slots.clear();
+        self.order.clear();
+        self.window.clear();
+        for members in &mut self.members {
+            members.clear();
+        }
+        for task in tasks {
+            let fresh = self.class_tasks.len();
+            let slot = *self.classes.entry(class_key(task)).or_insert(fresh);
+            if slot == fresh {
+                self.class_tasks.push(*task);
+                if self.members.len() == slot {
+                    self.members.push(VecDeque::new());
+                }
+            }
+            self.append_member(slot, task);
+        }
+        self.members.truncate(self.class_tasks.len());
+    }
+
+    /// Appends `task` to the window as the newest member of class `slot`.
+    fn append_member(&mut self, slot: usize, task: &Task) {
+        self.members[slot].push_back(task.id);
+        self.order.push(slot);
+        self.window.push(*task);
     }
 
     /// Rebuild fan-out 1: brings every free machine's availability chain
@@ -497,30 +657,26 @@ impl ScoreTable {
         }
     }
 
-    /// The rebuild's hierarchical bound pass: per row, one envelope probe
-    /// per shard; only surviving (row, shard) pairs — gathered per shard
-    /// into `live_by_shard` — reach the scoring fan-out.
-    fn bound_pass(
-        &mut self,
-        shared: &ScorerShared,
-        tasks: &[Task],
-        skip_below: &dyn Fn(TaskTypeId) -> f64,
-    ) {
+    /// The rebuild's hierarchical bound pass: per class, one envelope
+    /// probe per shard; only surviving (class, shard) pairs — gathered per
+    /// shard into `live_by_shard` — reach the scoring fan-out.
+    fn bound_pass(&mut self, shared: &ScorerShared, skip_below: &dyn Fn(TaskTypeId) -> f64) {
         let shards = shared.shards;
         self.row_thresholds.clear();
-        self.shard_live.resize_with(tasks.len(), Vec::new);
+        self.shard_live.resize_with(self.class_tasks.len(), Vec::new);
         self.live_by_shard.resize_with(shards, Vec::new);
         for lane in &mut self.live_by_shard {
             lane.clear();
         }
-        for (row, task) in tasks.iter().enumerate() {
+        for row in 0..self.class_tasks.len() {
+            let task = self.class_tasks[row];
             let threshold = skip_below(task.type_id);
             let mut lanes = std::mem::take(&mut self.shard_live[row]);
             lanes.clear();
             for s in 0..shards {
-                let live = self.lane_clears(shared, task, s, threshold);
+                let live = self.lane_clears(shared, &task, s, threshold);
                 if live {
-                    self.live_by_shard[s].push(LiveRow { row, task: *task, threshold });
+                    self.live_by_shard[s].push(LiveRow { row, task, threshold });
                 }
                 lanes.push(live);
             }
@@ -530,7 +686,7 @@ impl ScoreTable {
     }
 
     /// The rebuild's per-shard phase-1 reduction: caches each shard's best
-    /// candidate per live row, so `best_for_row` touches O(shards)
+    /// candidate per live class, so `best_for_row` touches O(shards)
     /// entries.
     fn reduce_shard_bests(&mut self, rows: usize) {
         self.shard_best.resize_with(self.live_by_shard.len(), Vec::new);
@@ -541,20 +697,6 @@ impl ScoreTable {
                 bests[live.row] = shard_best_entry(&self.cols, s, live.row);
             }
         }
-    }
-
-    /// Records the reuse signature of a finished rebuild, whose rows sit
-    /// in slots `0..tasks.len()` in window order.
-    fn record_signature(&mut self, scorer: &ProbScorer, machines: &[MachineState], tasks: &[Task]) {
-        self.versions.clear();
-        self.versions.extend(machines.iter().map(MachineState::version));
-        self.row_tasks.clear();
-        self.row_tasks.extend_from_slice(tasks);
-        self.order.clear();
-        self.order.extend(0..tasks.len());
-        self.free_slots.clear();
-        self.epoch = scorer.membership_epoch;
-        self.stale = false;
     }
 
     /// Marks the table unusable for reuse: the next
@@ -711,28 +853,30 @@ impl ScoreTable {
         }
     }
 
-    /// Ensure phase 2: resurrection. A dead (row, shard) lane can have
+    /// Ensure phase 2: resurrection. A dead (class, shard) lane can have
     /// come alive two ways: a changed machine loosened its shard's bound
     /// (a completion or drop shortens a queue; a container or queued entry
-    /// makes the shard warm-capable for the row's type), or the caller
-    /// lowered the row's threshold (adaptive trims, sufferage relief).
-    /// Rechecking the loosened shards of every row, and every shard of a
-    /// row whose threshold dropped, restores exactly the liveness a fresh
-    /// bound pass would compute: every other lane kept its threshold and
-    /// a bound no higher than the one it was proven dead under (a queue
-    /// grew, a machine filled, an idle machine was re-timed). Live lanes
-    /// stay live, which at worst over-scores — see [`ScoreTable::ensure`].
-    /// The revived lanes land in `retest` — and so do the lanes that were
-    /// already live for a row whose threshold dropped: the pairs their
-    /// machines' own bounds rejected were proven under the old threshold
-    /// only.
+    /// makes the shard warm-capable for the class's type), or the caller
+    /// lowered the class's threshold (adaptive trims, sufferage relief).
+    /// Rechecking the loosened shards of every class, and every shard of
+    /// a class whose threshold dropped, restores exactly the liveness a
+    /// fresh bound pass would compute: every other lane kept its threshold
+    /// and a bound no higher than the one it was proven dead under (a
+    /// queue grew, a machine filled, an idle machine was re-timed). Live
+    /// lanes stay live, which at worst over-scores — see
+    /// [`ScoreTable::ensure`]. The revived lanes land in `retest` — and so
+    /// do the lanes that were already live for a class whose threshold
+    /// dropped: the pairs their machines' own bounds rejected were proven
+    /// under the old threshold only.
     fn resurrect_lanes(&mut self, shared: &ScorerShared, skip_below: &dyn Fn(TaskTypeId) -> f64) {
         let shards = shared.shards;
         let any_loosened = self.loosened.contains(&true);
         self.retest.clear();
-        for i in 0..self.order.len() {
-            let row = self.order[i];
-            let task = self.row_tasks[row];
+        for row in 0..self.class_tasks.len() {
+            if self.members[row].is_empty() {
+                continue;
+            }
+            let task = self.class_tasks[row];
             let threshold = skip_below(task.type_id);
             let lowered = threshold < self.row_thresholds[row];
             self.row_thresholds[row] = threshold;
@@ -757,10 +901,10 @@ impl ScoreTable {
 
     /// Ensure phase 3: tests the unscored pairs of the `retest` lanes on
     /// their shards' unchanged free machines and scores those that clear
-    /// the row's current threshold — every pair of a resurrected lane, the
-    /// bound-rejected ones of a lane whose row's threshold dropped. Phase 4
-    /// only folds *changed* members into a shard's best cache, so each
-    /// lane's entry is settled here, dirty shard or not.
+    /// the class's current threshold — every pair of a resurrected lane,
+    /// the bound-rejected ones of a lane whose class's threshold dropped.
+    /// Phase 4 only folds *changed* members into a shard's best cache, so
+    /// each lane's entry is settled here, dirty shard or not.
     fn score_retested_lanes(&mut self, scorer: &mut ProbScorer, machines: &[MachineState]) {
         let changed_mask = std::mem::take(&mut self.changed_mask);
         for i in 0..self.retest.len() {
@@ -771,8 +915,8 @@ impl ScoreTable {
     }
 
     /// Ensure phase 4: per dirty shard, rescores its changed members'
-    /// columns (rows live in the shard — including the just-resurrected
-    /// ones) from one live-row list, then folds them into its best cache
+    /// columns (classes live in the shard — including the just-resurrected
+    /// ones) from one live-class list, then folds them into its best cache
     /// once, however many members changed. A shard dirty only through
     /// re-timed members has nothing to rescore: their columns hold no
     /// score.
@@ -810,7 +954,7 @@ impl ScoreTable {
     ) {
         let mut row = 0;
         for task in tasks {
-            while row < self.rows() && self.row_tasks[self.order[row]].id != task.id {
+            while row < self.rows() && self.window[row].id != task.id {
                 self.remove_row(row);
             }
             if row < self.rows() {
@@ -864,7 +1008,7 @@ impl ScoreTable {
         earlier || self.newly_warm.contains(&true)
     }
 
-    /// Whether the (row of `task`, shard `s`) lane survives the bound
+    /// Whether the (class of `task`, shard `s`) lane survives the bound
     /// pass under `threshold`: the shard has a free member and its bound
     /// does not prove the task's robustness there below the threshold.
     fn lane_clears(&self, shared: &ScorerShared, task: &Task, s: usize, threshold: f64) -> bool {
@@ -875,13 +1019,14 @@ impl ScoreTable {
         })
     }
 
-    /// Tests the unscored pairs of live lane (row slot `row`, shard `s`) on the
-    /// shard's free machines — except those `rescored` names, whose whole
-    /// columns the caller is about to rescore — against each machine's own
-    /// bound under the row's threshold, scores the ones that clear it, and
-    /// settles the lane's best-cache entry over what the columns now hold.
-    /// A `rescored` member's column is stale here; the fold that follows
-    /// its rescore rescans the lane if the stale cell won.
+    /// Tests the unscored pairs of live lane (class slot `row`, shard `s`)
+    /// on the shard's free machines — except those `rescored` names, whose
+    /// whole columns the caller is about to rescore — against each
+    /// machine's own bound under the class's threshold, scores the ones
+    /// that clear it, and settles the lane's best-cache entry over what
+    /// the columns now hold. A `rescored` member's column is stale here;
+    /// the fold that follows its rescore rescans the lane if the stale
+    /// cell won.
     fn score_lane(
         &mut self,
         scorer: &mut ProbScorer,
@@ -890,7 +1035,7 @@ impl ScoreTable {
         s: usize,
         rescored: impl Fn(usize) -> bool,
     ) {
-        let (task, threshold) = (self.row_tasks[row], self.row_thresholds[row]);
+        let (task, threshold) = (self.class_tasks[row], self.row_thresholds[row]);
         for m in shard_range(s, machines.len()) {
             if rescored(m) || !machines[m].has_free_slot() || self.cols[m][row].is_some() {
                 continue;
@@ -902,7 +1047,7 @@ impl ScoreTable {
         self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
     }
 
-    /// Puts the exact score of (row slot `row`, machine `m`) in a cell
+    /// Puts the exact score of (class slot `row`, machine `m`) in a cell
     /// that held none, keeping the column's count.
     fn store(&mut self, row: usize, m: usize, score: PairScore) {
         debug_assert!(self.cols[m][row].is_none(), "({row},{m}) already scored");
@@ -912,7 +1057,7 @@ impl ScoreTable {
 
     /// One pair on a free machine, behind the machine's own bound at its
     /// *recorded* earliest start (no cell access unless it clears), then
-    /// walked under the row's threshold. Every free machine has one on
+    /// walked under the class's threshold. Every free machine has one on
     /// record: a slot only opens under a version bump, which makes the
     /// machine *changed* and refreshes its bound before any pair on it is
     /// tested.
@@ -934,13 +1079,13 @@ impl ScoreTable {
         score
     }
 
-    /// Fills `self.live` with the rows live in shard `s`, each with the
-    /// threshold it is currently held to.
+    /// Fills `self.live` with the classes live in shard `s`, each with
+    /// the threshold it is currently held to.
     fn collect_live_rows(&mut self, s: usize) {
         self.live.clear();
-        for &row in &self.order {
-            if self.shard_live[row][s] {
-                let (task, threshold) = (self.row_tasks[row], self.row_thresholds[row]);
+        for row in 0..self.class_tasks.len() {
+            if !self.members[row].is_empty() && self.shard_live[row][s] {
+                let (task, threshold) = (self.class_tasks[row], self.row_thresholds[row]);
                 self.live.push(LiveRow { row, task, threshold });
             }
         }
@@ -954,7 +1099,7 @@ impl ScoreTable {
         self.tail_bounds[m] = machine.has_free_slot().then(|| scorer.ensure_tail_bound(machine));
     }
 
-    /// Rescores machine `m`'s column for the rows live in its shard —
+    /// Rescores machine `m`'s column for the classes live in its shard —
     /// `self.live`, which the caller filled via
     /// [`ScoreTable::collect_live_rows`], each pair behind the machine's
     /// own bound — or clears it when the machine has no free slot. Bound
@@ -963,7 +1108,7 @@ impl ScoreTable {
         let machine = &machines[m];
         let col = &mut self.cols[m];
         col.clear();
-        col.resize(self.row_tasks.len(), None);
+        col.resize(self.class_tasks.len(), None);
         self.col_scores[m] = 0;
         if !machine.has_free_slot() {
             return;
@@ -987,7 +1132,8 @@ impl ScoreTable {
     /// order is the contract: the appended rows are bound-checked against
     /// shard flags that predate the assignment, and it is the closing
     /// column refresh that rechecks the lanes the assignment may have
-    /// warmed, theirs included (see `push_row`).
+    /// warmed, theirs included (see `push_row`). `skip_below` must be the
+    /// thresholds of the `ensure` that opened the event.
     pub fn apply_assignment(
         &mut self,
         scorer: &mut ProbScorer,
@@ -1005,10 +1151,20 @@ impl ScoreTable {
     }
 
     /// Drops the row at window position `row` (its task was assigned or
-    /// left the batch) and frees its slot: one cell per column and one
-    /// best per shard are cleared, nothing shifts.
+    /// left the batch). A member that leaves a class of several only
+    /// leaves its list — the next member is the head if it was; the last
+    /// member frees the class's slot: one cell per column and one best per
+    /// shard are cleared, nothing shifts.
     fn remove_row(&mut self, row: usize) {
         let slot = self.order.remove(row);
+        let task = self.window.remove(row);
+        let members = &mut self.members[slot];
+        let at = members.iter().position(|&id| id == task.id).expect("a row is a member");
+        members.remove(at);
+        if !members.is_empty() {
+            return;
+        }
+        self.classes.remove(&class_key(&task));
         for (col, count) in self.cols.iter_mut().zip(&mut self.col_scores) {
             if col[slot].take().is_some() {
                 *count -= 1;
@@ -1020,10 +1176,12 @@ impl ScoreTable {
         self.free_slots.push(slot);
     }
 
-    /// Appends a row for `task` (a batch task that slid into the window):
-    /// shard-bound-checked against the cached earliest starts, then
-    /// scored on the free machines of its surviving shards whose own
-    /// recorded bound it clears.
+    /// Appends a row for `task` (a batch task that slid into the window).
+    /// A task of a live class joins it: the class is already scored under
+    /// this event's thresholds and machines, so there is nothing to do.
+    /// Any other opens a class, shard-bound-checked against the cached
+    /// earliest starts, then scored on the free machines of its surviving
+    /// shards whose own recorded bound it clears.
     ///
     /// The cached shard aggregates, and the per-machine earliest starts
     /// under them, can be stale only for a machine assigned to since its
@@ -1035,7 +1193,7 @@ impl ScoreTable {
     /// the assignment may just have made the shard warm-capable for the
     /// assigned type — and the `refresh_machine` with which
     /// [`ScoreTable::apply_assignment`] closes every assignment rechecks
-    /// exactly those lanes, this row's included (the other caller,
+    /// exactly those lanes, this class's included (the other caller,
     /// [`ScoreTable::ensure`], pushes only after refreshing every changed
     /// shard). With that, liveness is a superset of a fresh bound pass,
     /// never a subset, and the extra entries are exact scores below the
@@ -1047,6 +1205,16 @@ impl ScoreTable {
         task: &Task,
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) {
+        if let Some(&slot) = self.classes.get(&class_key(task)) {
+            debug_assert_eq!(
+                skip_below(task.type_id).to_bits(),
+                self.row_thresholds[slot].to_bits(),
+                "a class joined under another threshold than it was scored under"
+            );
+            self.append_member(slot, task);
+            self.rows_shared += 1;
+            return;
+        }
         let shards = self.shard_earliest.len();
         let threshold = skip_below(task.type_id);
         let slot = match self.free_slots.pop() {
@@ -1060,11 +1228,14 @@ impl ScoreTable {
                 }
                 self.shard_live.push(Vec::new());
                 self.row_thresholds.push(threshold);
-                self.row_tasks.push(*task);
-                self.row_tasks.len() - 1
+                self.members.push(VecDeque::new());
+                self.class_tasks.push(*task);
+                self.class_tasks.len() - 1
             }
         };
-        self.row_tasks[slot] = *task;
+        self.append_member(slot, task);
+        self.classes.insert(class_key(task), slot);
+        self.class_tasks[slot] = *task;
         self.row_thresholds[slot] = threshold;
         let mut lanes = std::mem::take(&mut self.shard_live[slot]);
         lanes.clear();
@@ -1084,7 +1255,6 @@ impl ScoreTable {
             }
         }
         self.shard_live[slot] = lanes;
-        self.order.push(slot);
     }
 
     /// Rescores machine `m`'s column against the current window `tasks`
@@ -1111,7 +1281,7 @@ impl ScoreTable {
     ) {
         debug_assert_eq!(tasks.len(), self.rows(), "window drifted from table");
         debug_assert!(
-            tasks.iter().zip(&self.order).all(|(a, &slot)| a.id == self.row_tasks[slot].id),
+            tasks.iter().zip(&self.window).all(|(a, b)| a.id == b.id),
             "window drifted from table rows"
         );
         let s = m / TABLE_SHARD_WIDTH;
@@ -1119,10 +1289,10 @@ impl ScoreTable {
         // The classic model keeps no flags, and leaves `newly_warm` empty.
         self.recompute_shard_aggregates(&scorer.shared, machines, s);
         if self.newly_warm.contains(&true) {
-            for i in 0..self.order.len() {
-                let row = self.order[i];
-                let task = self.row_tasks[row];
-                if self.newly_warm[task.type_id.index()]
+            for row in 0..self.class_tasks.len() {
+                let task = self.class_tasks[row];
+                if !self.members[row].is_empty()
+                    && self.newly_warm[task.type_id.index()]
                     && !self.shard_live[row][s]
                     && self.lane_clears(&scorer.shared, &task, s, self.row_thresholds[row])
                 {
@@ -1140,18 +1310,18 @@ impl ScoreTable {
 
     /// Brings shard `s`'s cached best candidates up to date after the
     /// columns of its `changed` members — and only those — were rescored,
-    /// for every row live in it. A row whose cached winner sits on an
+    /// for every class live in it. A class whose cached winner sits on an
     /// unchanged machine keeps it and *folds* the changed members' new
     /// cells in: the winner already beat every other unchanged member, so
     /// only a changed one can displace it. First-wins is the maximum of
     /// (robustness, −expected completion, −machine index), so among equals
     /// the lower index takes it, exactly as [`shard_best_entry`]'s
-    /// ascending scan would have it. Only a row whose cached winner *was*
-    /// a changed machine has lost what it was compared against, and
+    /// ascending scan would have it. Only a class whose cached winner
+    /// *was* a changed machine has lost what it was compared against, and
     /// rescans the shard's columns.
     fn refresh_shard_best(&mut self, s: usize, changed: &[usize]) {
-        for &row in &self.order {
-            if !self.shard_live[row][s] {
+        for row in 0..self.class_tasks.len() {
+            if self.members[row].is_empty() || !self.shard_live[row][s] {
                 continue;
             }
             let mut best = self.shard_best[s][row];

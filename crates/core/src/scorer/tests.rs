@@ -1224,12 +1224,14 @@ fn ensure_revives_a_lane_a_completion_warmed_without_moving_the_earliest_start()
 #[test]
 fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     let (pet, cold, mut machines) = two_shard_cold_fixture();
+    // Distinct deadlines keep every row a class of its own, so the
+    // counters below count rows.
     let tasks: Vec<Task> = (0..6u32)
         .map(|i| Task {
             id: TaskId(9_000 + i),
             type_id: TaskTypeId(u16::from(i >= 4)),
             arrival: 0,
-            deadline: 105,
+            deadline: 100 + Time::from(i),
         })
         .collect();
     let threshold = |_: TaskTypeId| 0.9;

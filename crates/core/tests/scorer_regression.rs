@@ -336,26 +336,32 @@ impl Mapper for TableLoop {
 }
 
 /// Runs `tasks` through [`TableLoop`]; returns the table's `(pairs
-/// scored, pairs bounded, pairs abandoned)` for the whole trial.
-fn table_work(spec: &SystemSpec, tasks: &[Task], seeds: &SeedSequence) -> (u64, u64, u64) {
+/// scored, pairs bounded, pairs abandoned, rows shared)` for the whole
+/// trial.
+fn table_work(spec: &SystemSpec, tasks: &[Task], seeds: &SeedSequence) -> TableWork {
     let mut mapper = TableLoop { scorer: None, table: ScoreTable::new() };
     let report =
         run_simulation(spec, SimConfig::untrimmed(), tasks, &mut mapper, &mut seeds.stream(3));
     assert!(report.mapping_events > tasks.len() as u64, "arrivals and completions both map");
     let table = &mapper.table;
-    (table.pairs_scored(), table.pairs_bounded(), table.pairs_abandoned())
+    (table.pairs_scored(), table.pairs_bounded(), table.pairs_abandoned(), table.rows_shared())
 }
 
-/// The table's three work counters — completed kernel walks, pairs the
-/// per-machine bound rejected in their place, and walks stopped below
-/// their row's threshold — pinned on one fixed-seed
-/// trial each of a 72-machine (three-shard) classic cluster and a
-/// 72-machine serverless one. They are deterministic, so a pin that moves
+type TableWork = (u64, u64, u64, u64);
+
+/// The table's four work counters — completed kernel walks, pairs the
+/// per-machine bound rejected in their place, walks stopped below their
+/// row's threshold, and appended rows that joined a live (type,
+/// deadline) class instead of being scored — pinned on one fixed-seed
+/// trial each of a 72-machine (three-shard) classic cluster, a
+/// 72-machine serverless one, and a serverless burst whose window shares
+/// classes. They are deterministic, so a pin that moves
 /// means the table did different *work*: re-pin from the assertion
 /// message once the reason is understood (a bound that reads the wrong
 /// cell — the warm one for a cold placement — shows here as pairs moving
 /// from the second counter to the others; a stopping rule that gives up
-/// too late, as pairs moving from the third to the first).
+/// too late, as pairs moving from the third to the first; a class key
+/// that misses a field the score reads, as rows moving into the fourth).
 #[test]
 fn table_work_counters_are_pinned() {
     let seeds = SeedSequence::new(72);
@@ -378,7 +384,24 @@ fn table_work_counters_are_pinned() {
     let spec = faas_system(&faas, &mut seeds.stream(4));
     let tasks = FaasGenerator::new(faas).generate(&spec, &mut seeds.stream(5));
     assert_eq!(table_work(&spec, &tasks, &seeds), FAAS_72M_TABLE_WORK, "serverless");
+
+    // Three functions in tight bursts: same-tick requests of one function
+    // share a deadline, and many of their classes are live, so sharing
+    // saves pair work here — a slot per row would score (3 328, 6 777,
+    // 2 040).
+    let burst = FaasConfig {
+        num_functions: 3,
+        num_machines: 72,
+        num_tasks: 500,
+        oversubscription: 300_000.0,
+        burst_shape: 0.02,
+        ..FaasConfig::default()
+    };
+    let spec = faas_system(&burst, &mut seeds.stream(6));
+    let tasks = FaasGenerator::new(burst).generate(&spec, &mut seeds.stream(7));
+    assert_eq!(table_work(&spec, &tasks, &seeds), BURST_72M_TABLE_WORK, "serverless burst");
 }
 
-const CLASSIC_72M_TABLE_WORK: (u64, u64, u64) = (10_818, 97_296, 22_568);
-const FAAS_72M_TABLE_WORK: (u64, u64, u64) = (1_899, 522, 19);
+const CLASSIC_72M_TABLE_WORK: TableWork = (10_818, 97_296, 22_568, 0);
+const FAAS_72M_TABLE_WORK: TableWork = (1_899, 522, 19, 74);
+const BURST_72M_TABLE_WORK: TableWork = (1_960, 1_905, 465, 326);
