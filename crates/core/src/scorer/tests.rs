@@ -201,6 +201,7 @@ fn incremental_append_matches_from_scratch() {
     // Grow the queue one task at a time; after every append the cached
     // tail (one incremental queue_step) must equal a from-scratch
     // analysis of the whole queue.
+    let mut builds = Vec::new();
     for i in 0..6u32 {
         let t = Task {
             id: TaskId(i),
@@ -209,10 +210,22 @@ fn incremental_append_matches_from_scratch() {
             deadline: 30 + u64::from(i) * 20,
         };
         assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(t)));
+        let before = scorer.chain_builds(MachineId(0));
         let cached = scorer.tail(&machine).clone();
+        builds.push(scorer.chain_builds(MachineId(0)) - before);
         let scratch = analyze_queue(&machine, &pet, 10, DropPolicy::All, 16);
         assert_eq!(cached, scratch.tail, "append {i}");
     }
+    // One link per append; the first append also builds the idle head.
+    assert_eq!(builds, [2, 1, 1, 1, 1, 1]);
+    // Replacing the last task at depth 6 rebuilds only the last link.
+    assert!(testkit::apply(&mut machine, testkit::QueueOp::RemovePending(TaskId(5))));
+    let t = Task { id: TaskId(6), type_id: TaskTypeId(0), arrival: 0, deadline: 150 };
+    assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(t)));
+    let before = scorer.chain_builds(MachineId(0));
+    let cached = scorer.tail(&machine).clone();
+    assert_eq!(scorer.chain_builds(MachineId(0)) - before, 1);
+    assert_eq!(cached, analyze_queue(&machine, &pet, 10, DropPolicy::All, 16).tail);
 }
 
 #[test]
@@ -231,9 +244,12 @@ fn incremental_mid_queue_drop_matches_from_scratch() {
         testkit::apply(&mut machine, testkit::QueueOp::Push(t));
     }
     let _ = scorer.tail(&machine);
-    // Drop the middle task: the cache reuses the prefix ahead of it.
+    // Drop the middle task: the cache reuses the prefix ahead of it and
+    // rebuilds only the two links behind it.
     testkit::apply(&mut machine, testkit::QueueOp::RemovePending(TaskId(2)));
+    let before = scorer.chain_builds(MachineId(0));
     let cached = scorer.tail(&machine).clone();
+    assert_eq!(scorer.chain_builds(MachineId(0)) - before, 2);
     let scratch = analyze_queue(&machine, &pet, 0, DropPolicy::All, 16);
     assert_eq!(cached, scratch.tail);
 }

@@ -1,67 +1,36 @@
-//! `hcsim-exp bench` — the machine-readable performance trajectory.
+//! `hcsim-exp scaling` — the cluster threads sweeps.
 //!
-//! Runs the PMF-calculus and mapping-loop *micro* benchmarks in-process —
-//! the operations the repo benchmark (`benchmark/`, `BENCHMARK.json`)
-//! cannot see from outside the mapper — and emits `BENCH_pmf.json` /
-//! `BENCH_mapping.json`, one result object per benched operation:
+//! Times whole cluster trials (64-machine static and churn, 1024-machine,
+//! 256-machine serverless) at several in-event fan-out widths and writes
+//! `SCALING_cluster64.json` / `SCALING_cluster64.md`, one result object
+//! per (scenario, heuristic, threads) leg:
 //!
 //! ```json
-//! {"id": "tail_after_append/depth4", "ns_per_op": 1234.5,
-//!  "ns_min": 1100.0, "ns_max": 1500.0, "samples": 30}
+//! {"id": "cluster_64m/PAM_t4", "ns_per_op": 1234.5, "ns_min": 1100.0,
+//!  "ns_max": 1500.0, "samples": 4, "events_per_sec": 5678.9}
 //! ```
 //!
-//! Whole-trial throughput (events/s, decision latency) is the repo
-//! benchmark's to measure, and the cluster threads sweeps are produced
-//! once, by `hcsim-exp scaling` ([`scaling_suite`]).
-//!
-//! `--against DIR` reads previously committed `BENCH_*.json` files and
-//! embeds their `ns_per_op` as `baseline_ns_per_op` (plus a
-//! `speedup_vs_baseline` ratio) in the fresh output — this is how the
-//! repo's committed files record the before/after trajectory of perf PRs.
-//! `--check` turns the comparison into a CI gate: any op slower than 2×
-//! its baseline fails the run, and any row *absent* from the baseline
-//! fails it too — every missing row is collected and reported in one
-//! pass, so a new scenario that lands several rows at once produces one
-//! complete regeneration list rather than a fail/fix/fail loop (see
-//! [`attach_baseline`]).
-//!
-//! **Host sensitivity.** Absolute `ns_per_op` numbers move with the host
-//! class: a container-generation change, a different CPU family, or even
-//! a different core count can shift every row by tens of percent in
-//! either direction without any code change. The committed baselines must
-//! therefore be regenerated (full mode, on the CI host class) whenever
-//! the rows drift toward the edge of the 2× [`REGRESSION_FACTOR`] band —
-//! stale baselines eat the gate's headroom from one side or mask real
-//! regressions from the other. `speedup_vs_baseline` in freshly generated
-//! files is the tell: values far from 1.0 across the board mean the
-//! baseline no longer describes this host, not that the code got
-//! uniformly faster or slower.
+//! Every other performance number — events/s, decision latency and the
+//! per-layer costs inside the mapper — belongs to the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`). `--gate` turns the sweep into the
+//! multi-core check of [`gate_scaling_suite`].
 
-use crate::runner::FigOptions;
-use hcsim_core::{HeuristicKind, ProbScorer, PruningConfig};
-use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskTypeId};
-use hcsim_parallel::WorkerPool;
-use hcsim_pmf::{convolve, queue_step, DropPolicy, Pmf, Time};
-use hcsim_sim::{run_simulation, run_simulation_with_churn, testkit, SimConfig};
-use hcsim_stats::{Gamma, Histogram, SeedSequence};
+use hcsim_core::{HeuristicKind, PruningConfig};
+use hcsim_sim::{run_simulation, run_simulation_with_churn, SimConfig};
+use hcsim_stats::SeedSequence;
 use hcsim_workload::{
-    cluster_churn, faas_system, specint_cluster, specint_system, ChurnConfig, FaasConfig,
-    FaasGenerator, WorkloadConfig, WorkloadGenerator,
+    cluster_churn, faas_system, specint_cluster, ChurnConfig, FaasConfig, FaasGenerator,
+    WorkloadConfig, WorkloadGenerator,
 };
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
-/// Factor by which an op must slow down versus its recorded baseline for
-/// `--check` to fail the run.
-pub const REGRESSION_FACTOR: f64 = 2.0;
-
-/// One benched operation.
+/// One timed scaling leg.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Stable identifier, `group/case`.
+    /// Stable identifier, `scenario/HEURISTIC_tN`.
     pub id: String,
-    /// Mean wall-clock nanoseconds per operation.
+    /// Mean wall-clock nanoseconds per trial.
     pub ns_per_op: f64,
     /// Fastest sample.
     pub ns_min: f64,
@@ -69,72 +38,17 @@ pub struct BenchResult {
     pub ns_max: f64,
     /// Number of timed samples.
     pub samples: usize,
-    /// Throughput in mapping events per second (the `scaling` trials only).
+    /// Throughput in mapping events per second.
     pub events_per_sec: Option<f64>,
-    /// `ns_per_op` of the same id from `--against`, when present.
-    pub baseline_ns_per_op: Option<f64>,
 }
 
-impl BenchResult {
-    /// Baseline / current: > 1 is a speedup, < 1 a regression.
-    #[must_use]
-    pub fn speedup_vs_baseline(&self) -> Option<f64> {
-        self.baseline_ns_per_op.map(|b| b / self.ns_per_op)
-    }
-}
-
-/// A named collection of results, serialized to `BENCH_<suite>.json`.
+/// A named collection of results, serialized by [`render_json`].
 #[derive(Debug, Clone)]
 pub struct BenchSuite {
-    /// Suite name ("pmf" or "mapping").
+    /// Suite name ("scaling").
     pub name: &'static str,
     /// Results in execution order.
     pub results: Vec<BenchResult>,
-}
-
-/// Bench configuration derived from the CLI.
-#[derive(Debug, Clone)]
-pub struct BenchOptions {
-    /// Reduced sample counts for smoke/CI runs.
-    pub quick: bool,
-    /// Directory to write `BENCH_*.json` into.
-    pub out_dir: PathBuf,
-    /// Directory holding baseline `BENCH_*.json` files to compare against.
-    pub against: Option<PathBuf>,
-    /// Fail (exit nonzero) on a >[`REGRESSION_FACTOR`]× regression.
-    pub check: bool,
-}
-
-impl BenchOptions {
-    /// Derives bench options from the CLI flags. The figure options
-    /// (`--seed`/`--trials`/`--tasks`/`--threads`) deliberately do NOT
-    /// apply here: bench fixtures are pinned so that `ns_per_op` is
-    /// comparable across runs and against the committed baselines —
-    /// [`warn_ignored_fig_options`] tells the user when they passed one.
-    #[must_use]
-    pub fn from_cli(out_dir: Option<&Path>, quick: bool) -> Self {
-        Self {
-            quick,
-            out_dir: out_dir.map_or_else(|| PathBuf::from("."), Path::to_path_buf),
-            against: None,
-            check: false,
-        }
-    }
-}
-
-/// Prints a note when figure options that the bench subcommand ignores
-/// were overridden on the command line.
-pub fn warn_ignored_fig_options(opts: &FigOptions, quick: bool) {
-    let reference = if quick { FigOptions::quick() } else { FigOptions::default() };
-    if opts.seed != reference.seed
-        || opts.trials != reference.trials
-        || opts.num_tasks != reference.num_tasks
-    {
-        eprintln!(
-            "note: `bench` pins its own seeds and sample counts so results stay \
-             comparable to the committed baselines; --seed/--trials/--tasks are ignored"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -143,43 +57,26 @@ pub fn warn_ignored_fig_options(opts: &FigOptions, quick: bool) {
 
 struct Timer {
     samples: usize,
-    min_sample_ns: f64,
 }
 
 impl Timer {
-    fn new(quick: bool) -> Self {
-        // Quick mode trims the sample count but keeps each sample long
-        // enough to batch out timer overhead — short samples on shared CI
-        // runners produce junk.
-        if quick {
-            Self { samples: 10, min_sample_ns: 1e6 }
-        } else {
-            Self { samples: 30, min_sample_ns: 1e6 }
-        }
-    }
-
-    /// Times `op`, batching iterations so each sample is long enough to
-    /// measure. Returns (mean, min, max) ns/op over the samples.
+    /// Warms `op` up, then times it once per sample. Returns (mean, min,
+    /// max) ns/op over the samples.
     fn run<F: FnMut()>(&self, mut op: F) -> (f64, f64, f64) {
-        // Warm-up doubles as the batch-size estimator.
         let warm = Instant::now();
         let mut warm_iters = 0u64;
         while warm.elapsed().as_nanos() < 20_000_000 && warm_iters < 10_000 {
             op();
             warm_iters += 1;
         }
-        let per_iter = warm.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
-        let batch = ((self.min_sample_ns / per_iter.max(1.0)) as u64).max(1);
 
         let mut mins = f64::INFINITY;
         let mut maxs = 0.0f64;
         let mut total = 0.0f64;
         for _ in 0..self.samples {
             let start = Instant::now();
-            for _ in 0..batch {
-                op();
-            }
-            let ns = start.elapsed().as_nanos() as f64 / batch as f64;
+            op();
+            let ns = start.elapsed().as_nanos() as f64;
             mins = mins.min(ns);
             maxs = maxs.max(ns);
             total += ns;
@@ -196,187 +93,12 @@ fn result(id: impl Into<String>, timer: &Timer, (mean, min, max): (f64, f64, f64
         ns_max: max,
         samples: timer.samples,
         events_per_sec: None,
-        baseline_ns_per_op: None,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Fixtures
+// Cluster sweeps
 // ---------------------------------------------------------------------------
-
-fn gamma_pmf(mean: f64, shape: f64, bins: usize, seed: u64) -> Pmf {
-    let mut rng = SeedSequence::new(seed).stream(0);
-    let gamma = Gamma::from_mean_shape(mean, shape).expect("valid gamma");
-    let samples: Vec<f64> = (0..500).map(|_| gamma.sample(&mut rng)).collect();
-    Pmf::from_histogram(&Histogram::from_samples(&samples, bins))
-}
-
-fn bench_task(id: u32, type_id: u16, deadline: Time) -> Task {
-    Task { id: TaskId(id), type_id: TaskTypeId(type_id), arrival: 0, deadline }
-}
-
-fn bench_system() -> SystemSpec {
-    let seeds = SeedSequence::new(99);
-    specint_system(8, &mut seeds.stream(0))
-}
-
-// ---------------------------------------------------------------------------
-// Suites
-// ---------------------------------------------------------------------------
-
-/// PMF-calculus micro-benchmarks (the per-pair hot path).
-#[must_use]
-pub fn pmf_suite(quick: bool) -> BenchSuite {
-    let timer = Timer::new(quick);
-    let mut results = Vec::new();
-
-    let a24 = gamma_pmf(100.0, 4.0, 24, 1);
-    let b24 = gamma_pmf(140.0, 9.0, 24, 2);
-    results.push(result(
-        "convolve/24x24",
-        &timer,
-        timer.run(|| {
-            std::hint::black_box(convolve(&a24, &b24));
-        }),
-    ));
-
-    let avail = gamma_pmf(200.0, 6.0, 24, 3);
-    let exec = gamma_pmf(120.0, 8.0, 24, 4);
-    results.push(result(
-        "queue_step/All24",
-        &timer,
-        timer.run(|| {
-            std::hint::black_box(queue_step(&avail, &exec, 320, DropPolicy::All));
-        }),
-    ));
-
-    results.push(result(
-        "chain/depth6",
-        &timer,
-        timer.run(|| {
-            let mut avail = Pmf::delta(0);
-            for i in 0..6u64 {
-                let mut step = queue_step(&avail, &exec, 200 * (i + 1), DropPolicy::All);
-                step.availability.compact(24);
-                avail = step.availability;
-            }
-            std::hint::black_box(avail);
-        }),
-    ));
-
-    let wide = gamma_pmf(300.0, 2.0, 64, 6);
-    results.push(result(
-        "cdf_at/64",
-        &timer,
-        timer.run(|| {
-            std::hint::black_box(wide.cdf_at(std::hint::black_box(310)));
-        }),
-    ));
-    results.push(result(
-        "mass_above/64",
-        &timer,
-        timer.run(|| {
-            std::hint::black_box(wide.mass_above(std::hint::black_box(310)));
-        }),
-    ));
-
-    let huge = convolve(&gamma_pmf(300.0, 2.0, 64, 7), &gamma_pmf(250.0, 2.0, 64, 8));
-    results.push(result(
-        "compact/wide_to24",
-        &timer,
-        timer.run(|| {
-            let mut p = huge.clone();
-            p.compact(24);
-            std::hint::black_box(p);
-        }),
-    ));
-
-    BenchSuite { name: "pmf", results }
-}
-
-/// Mapping-loop micro-benchmarks: incremental tail maintenance, the Eq. 6
-/// moment pass, from-scratch queue analysis and one worker-pool round.
-#[must_use]
-pub fn mapping_suite(quick: bool) -> BenchSuite {
-    let timer = Timer::new(quick);
-    let mut results = Vec::new();
-    let spec = bench_system();
-    let now: Time = 100;
-
-    // The steady-state mapping op: one queue mutation (version bump) then a
-    // tail query. A from-scratch scorer reconvolves the whole queue; the
-    // incremental cache extends the cached chain by one queue_step.
-    for depth in [2usize, 4, 6] {
-        let pending: Vec<Task> = (0..depth as u32)
-            .map(|i| bench_task(i, (i % 12) as u16, 2_000 + u64::from(i) * 250))
-            .collect();
-        let mut machine = testkit::machine_with_pending(MachineId(0), depth + 2, &pending);
-        let mut scorer = ProbScorer::new(&spec.pet, DropPolicy::All, 24);
-        scorer.begin_event(now);
-        let mut i = depth as u32;
-        results.push(result(
-            format!("tail_after_append/depth{depth}"),
-            &timer,
-            timer.run(|| {
-                i = i.wrapping_add(1);
-                let t = bench_task(i, (i % 12) as u16, 2_000 + u64::from(i % 16) * 125);
-                testkit::replace_last_pending(&mut machine, t);
-                std::hint::black_box(scorer.tail(&machine).len());
-            }),
-        ));
-    }
-
-    // The Eq. 6 stats pass the pruner pays per stats-mode chain
-    // extension: one fused moments pass over a wide *uncompacted*
-    // completion PMF (a convolution product, thousands of impulses).
-    {
-        let wide = convolve(&gamma_pmf(300.0, 2.0, 64, 10), &gamma_pmf(260.0, 3.0, 64, 11));
-        // Stable id (no embedded width): a drift in the convolved length
-        // would otherwise rename the row and silently drop it from the
-        // `--against --check` gate, which skips unknown ids.
-        eprintln!("  (moments fixture: {} impulses)", wide.len());
-        results.push(result(
-            "moments/uncompacted",
-            &timer,
-            timer.run(|| {
-                std::hint::black_box(wide.moments());
-            }),
-        ));
-    }
-
-    // From-scratch full-queue analysis (the pruner's view), for reference.
-    {
-        let pending: Vec<Task> =
-            (0..6u32).map(|i| bench_task(i, (i % 12) as u16, 2_000 + u64::from(i) * 250)).collect();
-        let machine = testkit::machine_with_pending(MachineId(0), 8, &pending);
-        let scorer = ProbScorer::new(&spec.pet, DropPolicy::All, 24);
-        results.push(result(
-            "queue_analysis/depth6",
-            &timer,
-            timer.run(|| {
-                std::hint::black_box(scorer.analyze(&machine, now).slots.len());
-            }),
-        ));
-    }
-
-    // Fan-out dispatch overhead, isolated: a 64-cell trivial job through
-    // one persistent-pool request/response round over 4 workers — the
-    // fixed tax every pooled fan-out pays before any scoring work (the
-    // `scaling` threads sweeps show it end-to-end).
-    {
-        let pool = WorkerPool::new(vec![0u64; 64], 4);
-        results.push(result(
-            "fanout/pool_roundtrip_t4",
-            &timer,
-            timer.run(|| {
-                pool.run(|i, c| *c = c.wrapping_add(i as u64));
-                std::hint::black_box(pool.with_cell(0, |c| *c));
-            }),
-        ));
-    }
-
-    BenchSuite { name: "mapping", results }
-}
 
 /// The cluster-scale scenario (arXiv:1905.04456's regime): 64 machines
 /// with the arrival rate scaled 8× so the per-machine load matches the
@@ -384,7 +106,7 @@ pub fn mapping_suite(quick: bool) -> BenchSuite {
 /// term lives — every mapping event rebuilds/scores 64 machine chains —
 /// and the threads sweep makes the fan-out's contribution visible. The
 /// sweep runs on the persistent worker pool (except `t1`, which stays on
-/// the calling thread), so the committed rows track pool-round dispatch.
+/// the calling thread), so its rows include pool-round dispatch.
 ///
 /// Feeds [`scaling_suite`] (the multi-core scaling table + CI gate). The
 /// task count is the SAME in quick and full mode (quick only trims sample
@@ -399,7 +121,7 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
         ..Default::default()
     });
     let cluster_tasks = cluster_gen.generate(&cluster_spec, &mut seeds.stream(4));
-    let cluster_timer = Timer { samples: if quick { 2 } else { 4 }, min_sample_ns: 0.0 };
+    let cluster_timer = Timer { samples: if quick { 2 } else { 4 } };
     let mut cluster_trial = |kind: HeuristicKind, threads: usize| {
         let mut events = 0u64;
         let timing = cluster_timer.run(|| {
@@ -431,8 +153,8 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     // joining mid-run, 6 drains + 4 fails (floor 40) spread over the
     // run's time window. This exercises the full dynamic path — event
     // pipeline, failure requeue, scorer cache release, pool re-gating —
-    // at bench scale, so membership handling showing up on the per-event
-    // hot path is caught by the regression gate like any other slowdown.
+    // at sweep scale, so membership handling on the per-event hot path
+    // shows in these rows like any other slowdown.
     let churn_trace = cluster_churn(
         &ChurnConfig {
             num_machines: 64,
@@ -546,9 +268,8 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
 // Scaling table (the `scaling` subcommand)
 // ---------------------------------------------------------------------------
 
-/// Just the `cluster_64m` threads sweep, as its own suite — what the CI
-/// `scaling` job runs on a multi-core runner to capture the real-speedup
-/// table the single-core bench container cannot produce.
+/// Every cluster threads sweep, as one suite — what the CI `scaling` job
+/// runs on a multi-core runner to capture the real-speedup table.
 #[must_use]
 pub fn scaling_suite(quick: bool) -> BenchSuite {
     let mut results = Vec::new();
@@ -711,10 +432,10 @@ pub fn gate_scaling_suite(suite: &BenchSuite) -> Result<(), Vec<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON output / baseline comparison
+// JSON output
 // ---------------------------------------------------------------------------
 
-/// Renders a suite as the committed `BENCH_*.json` document.
+/// Renders a suite as the `SCALING_cluster64.json` document.
 #[must_use]
 pub fn render_json(suite: &BenchSuite, quick: bool) -> String {
     let mut out = String::new();
@@ -731,276 +452,15 @@ pub fn render_json(suite: &BenchSuite, quick: bool) -> String {
         if let Some(eps) = r.events_per_sec {
             out.push_str(&format!(", \"events_per_sec\": {eps:.1}"));
         }
-        if let Some(base) = r.baseline_ns_per_op {
-            out.push_str(&format!(
-                ", \"baseline_ns_per_op\": {:.1}, \"speedup_vs_baseline\": {:.2}",
-                base,
-                r.speedup_vs_baseline().expect("baseline present")
-            ));
-        }
         out.push_str(if i + 1 == suite.results.len() { "}\n" } else { "},\n" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Extracts `id → ns_per_op` pairs from a `BENCH_*.json` document (or from
-/// the same result objects written one per line).
-///
-/// This is a deliberately minimal scanner for the repo's own format, not a
-/// general JSON parser: it pairs each `"id": "…"` with the `"ns_per_op":`
-/// number that follows it.
-#[must_use]
-pub fn parse_baseline(doc: &str) -> BTreeMap<String, f64> {
-    let mut map = BTreeMap::new();
-    let mut rest = doc;
-    while let Some(pos) = rest.find("\"id\":") {
-        rest = &rest[pos + 5..];
-        let Some(q0) = rest.find('"') else { break };
-        let Some(q1) = rest[q0 + 1..].find('"') else { break };
-        let id = rest[q0 + 1..q0 + 1 + q1].to_string();
-        rest = &rest[q0 + 2 + q1..];
-        let Some(np) = rest.find("\"ns_per_op\":") else { break };
-        let tail = rest[np + 12..].trim_start();
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(tail.len());
-        if let Ok(v) = tail[..end].parse::<f64>() {
-            map.insert(id, v);
-        }
-        rest = &rest[np + 12..];
-    }
-    map
-}
-
-/// Attaches baselines from `dir/BENCH_<suite>.json` to `suite`'s results.
-/// Returns the failures — ids that regressed beyond [`REGRESSION_FACTOR`],
-/// plus every row with *no* baseline entry at all — or `None` when the
-/// baseline file does not exist; callers running as a gate must treat
-/// that as a failure, not a pass (a silently skipped comparison would let
-/// the CI guarantee rot).
-///
-/// Unknown ids used to be skipped silently, which meant a brand-new
-/// scenario was never gated until someone remembered to regenerate the
-/// baseline; a first hardening pass then failed unknown `cluster_*` rows
-/// but still let micro rows drift out of the gate. Now *every* missing
-/// row is a failure, and all of them are collected before returning —
-/// one `--check` run yields the complete regeneration list instead of
-/// surfacing the misses one fix/rerun cycle at a time.
-pub fn attach_baseline(suite: &mut BenchSuite, dir: &Path) -> Option<Vec<String>> {
-    let path = dir.join(format!("BENCH_{}.json", suite.name));
-    let Ok(doc) = std::fs::read_to_string(&path) else {
-        eprintln!("  (no baseline at {}; nothing to compare)", path.display());
-        return None;
-    };
-    let baseline = parse_baseline(&doc);
-    let mut regressions = Vec::new();
-    for r in &mut suite.results {
-        if !baseline.contains_key(&r.id) {
-            eprintln!("  WARNING: result id `{}` has no entry in {}", r.id, path.display());
-            regressions.push(format!(
-                "{}: no baseline entry in BENCH_{}.json — every emitted row must be gated; \
-                 regenerate the committed baseline",
-                r.id, suite.name
-            ));
-        }
-        if let Some(&b) = baseline.get(&r.id) {
-            r.baseline_ns_per_op = Some(b);
-            // The fanout/* rows time raw thread-dispatch (channel
-            // wakeups) whose best sample still swings several-fold with
-            // OS scheduling on shared runners — they exist to *record*
-            // the pool's round-trip cost, not to gate on it, so they are
-            // exempt from the regression check (the baseline comparison
-            // is still embedded in the JSON for the record).
-            if r.id.starts_with("fanout/") {
-                continue;
-            }
-            // Gate on the *fastest* sample: the minimum is far more robust
-            // to transient CI load spikes than the mean, while a genuine
-            // regression (reintroduced allocation, broken cache) slows
-            // every sample including the best one.
-            if r.ns_min > b * REGRESSION_FACTOR {
-                regressions.push(format!(
-                    "{}: best sample {:.0} ns/op vs baseline {:.0} ns/op ({:.2}x slower)",
-                    r.id,
-                    r.ns_min,
-                    b,
-                    r.ns_min / b
-                ));
-            }
-        }
-    }
-    Some(regressions)
-}
-
-/// Runs both suites, writes `BENCH_pmf.json` / `BENCH_mapping.json`, prints
-/// a summary, and returns `Err` with the regression list when `--check`
-/// failed.
-///
-/// # Errors
-///
-/// Returns the human-readable regression (or I/O) messages when the run
-/// cannot be considered healthy.
-pub fn run_and_emit(opts: &BenchOptions) -> Result<(), Vec<String>> {
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|e| vec![format!("cannot create {}: {e}", opts.out_dir.display())])?;
-    let mut failures = Vec::new();
-    for suite in [pmf_suite(opts.quick), mapping_suite(opts.quick)] {
-        let mut suite = suite;
-        eprintln!("== bench suite: {} ==", suite.name);
-        let regressions = match &opts.against {
-            Some(dir) => match attach_baseline(&mut suite, dir) {
-                Some(r) => r,
-                // A gate with no baseline must fail, not pass vacuously.
-                None if opts.check => vec![format!(
-                    "--check requires a baseline: BENCH_{}.json not found in {}",
-                    suite.name,
-                    dir.display()
-                )],
-                None => Vec::new(),
-            },
-            None => Vec::new(),
-        };
-        for r in &suite.results {
-            let speed = r
-                .speedup_vs_baseline()
-                .map_or(String::new(), |s| format!("  ({s:.2}x vs baseline)"));
-            eprintln!("  {:<32} {:>12.1} ns/op{speed}", r.id, r.ns_per_op);
-        }
-        let path = opts.out_dir.join(format!("BENCH_{}.json", suite.name));
-        std::fs::write(&path, render_json(&suite, opts.quick))
-            .map_err(|e| vec![format!("cannot write {}: {e}", path.display())])?;
-        eprintln!("  wrote {}", path.display());
-        if opts.check {
-            failures.extend(regressions);
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_baseline_roundtrips_render() {
-        let suite = BenchSuite {
-            name: "pmf",
-            results: vec![
-                BenchResult {
-                    id: "convolve/24x24".into(),
-                    ns_per_op: 1234.5,
-                    ns_min: 1000.0,
-                    ns_max: 2000.0,
-                    samples: 30,
-                    events_per_sec: None,
-                    baseline_ns_per_op: Some(2469.0),
-                },
-                BenchResult {
-                    id: "cdf_at/64".into(),
-                    ns_per_op: 55.0,
-                    ns_min: 50.0,
-                    ns_max: 60.0,
-                    samples: 30,
-                    events_per_sec: Some(120.0),
-                    baseline_ns_per_op: None,
-                },
-            ],
-        };
-        let doc = render_json(&suite, true);
-        assert!(doc.contains("\"schema\": \"hcsim-bench-v1\""));
-        assert!(doc.contains("\"speedup_vs_baseline\": 2.00"));
-        let parsed = parse_baseline(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert!((parsed["convolve/24x24"] - 1234.5).abs() < 1e-9);
-        assert!((parsed["cdf_at/64"] - 55.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parse_baseline_handles_json_lines() {
-        let doc = "{\"id\": \"a/b\", \"ns_per_op\": 10.5, \"samples\": 3}\n\
-                   {\"id\": \"c/d\", \"ns_per_op\": 2e3, \"samples\": 3}\n";
-        let parsed = parse_baseline(doc);
-        assert_eq!(parsed.len(), 2);
-        assert!((parsed["a/b"] - 10.5).abs() < 1e-9);
-        assert!((parsed["c/d"] - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn attach_baseline_gates_on_best_sample() {
-        let dir = std::env::temp_dir().join(format!("hcsim_attach_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_pmf.json"),
-            "{\"results\": [\
-             {\"id\": \"fast\", \"ns_per_op\": 100.0, \"samples\": 3},\
-             {\"id\": \"slow\", \"ns_per_op\": 100.0, \"samples\": 3},\
-             {\"id\": \"fanout/dispatch\", \"ns_per_op\": 100.0, \"samples\": 3}]}",
-        )
-        .unwrap();
-        let mk = |id: &str, min: f64| BenchResult {
-            id: id.into(),
-            ns_per_op: min * 1.2,
-            ns_min: min,
-            ns_max: min * 2.0,
-            samples: 3,
-            events_per_sec: None,
-            baseline_ns_per_op: None,
-        };
-        let mut suite = BenchSuite {
-            name: "pmf",
-            // "fast": noisy mean (240) but healthy best sample (within 2x).
-            // "slow": even the best sample is 3x the baseline → regression.
-            // "fanout/dispatch": 5x over baseline but dispatch rows are
-            // exempt from the gate (recorded, never failed on).
-            results: vec![
-                mk("fast", 190.0),
-                mk("slow", 300.0),
-                // TWO rows missing from the baseline — a micro row and a
-                // cluster row. Both must fail, and both must be listed in
-                // the SAME pass: the regression test for (a) the
-                // unknown-id hole that let new scenarios sail through
-                // `--check` ungated, and (b) the one-miss-per-run loop
-                // that made baseline regeneration a fail/fix/fail cycle.
-                mk("unknown", 9e9),
-                mk("fanout/dispatch", 500.0),
-                mk("cluster_1024m/PAM_t4", 100.0),
-            ],
-        };
-        let regressions = attach_baseline(&mut suite, &dir).expect("baseline file exists");
-        assert_eq!(regressions.len(), 3, "{regressions:?}");
-        assert_eq!(
-            suite.results[3].baseline_ns_per_op,
-            Some(100.0),
-            "exempt rows still record their baseline"
-        );
-        assert!(
-            attach_baseline(&mut BenchSuite { name: "mapping", results: Vec::new() }, &dir)
-                .is_none(),
-            "missing baseline file must be distinguishable from a clean pass"
-        );
-        assert!(regressions[0].starts_with("slow:"));
-        assert!(
-            regressions[1].starts_with("unknown:") && regressions[1].contains("no baseline entry"),
-            "{regressions:?}"
-        );
-        assert!(
-            regressions[2].starts_with("cluster_1024m/PAM_t4:")
-                && regressions[2].contains("no baseline entry"),
-            "{regressions:?}"
-        );
-        assert_eq!(suite.results[0].baseline_ns_per_op, Some(100.0));
-        assert_eq!(suite.results[2].baseline_ns_per_op, None, "unknown ids are not compared");
-        assert_eq!(
-            suite.results[4].baseline_ns_per_op, None,
-            "missing cluster baseline is reported, not invented"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn scaling_gate_covers_every_swept_prefix() {
@@ -1011,7 +471,6 @@ mod tests {
             ns_max: min,
             samples: 2,
             events_per_sec: None,
-            baseline_ns_per_op: None,
         };
         // Healthy sweep: every prefix's t4 beats its t1; a lone-leg row
         // is skipped, not failed.
@@ -1045,19 +504,5 @@ mod tests {
         let failures = gate_scaling_suite(&empty).unwrap_err();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("no scenario"), "{failures:?}");
-    }
-
-    #[test]
-    fn speedup_direction() {
-        let r = BenchResult {
-            id: "x".into(),
-            ns_per_op: 100.0,
-            ns_min: 90.0,
-            ns_max: 110.0,
-            samples: 5,
-            events_per_sec: None,
-            baseline_ns_per_op: Some(300.0),
-        };
-        assert!((r.speedup_vs_baseline().unwrap() - 3.0).abs() < 1e-12);
     }
 }

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Subcommands to run, in order: [`ALL_FIGURES`] and
-    /// [`EXTRA_FIGURES`] names, "ablate", "bench", "scaling".
+    /// [`EXTRA_FIGURES`] names, "ablate", "scaling".
     pub figures: Vec<String>,
     /// Trial/seed/thread options.
     pub opts: FigOptions,
@@ -17,12 +17,9 @@ pub struct Cli {
     pub csv: bool,
     /// Directory to write `<fig>.md` / `<fig>.csv` into.
     pub out_dir: Option<PathBuf>,
-    /// `--quick` was passed (bench uses reduced sample counts).
+    /// The last preset given was `--quick` (scaling uses reduced sample
+    /// counts).
     pub quick: bool,
-    /// bench: compare against committed `BENCH_*.json` from this directory.
-    pub against: Option<PathBuf>,
-    /// bench: fail on a >2× regression versus the `--against` baseline.
-    pub check: bool,
     /// scaling: fail unless the t=4 leg beats t=1 (multi-core hosts only).
     pub gate: bool,
 }
@@ -30,12 +27,12 @@ pub struct Cli {
 /// Subcommands that are neither a paper figure nor a supplementary
 /// sweep (`all` expands to [`ALL_FIGURES`] and is not stored). Private:
 /// only `parse_args` and the usage test read it.
-const OTHER_COMMANDS: [&str; 3] = ["ablate", "bench", "scaling"];
+const OTHER_COMMANDS: [&str; 2] = ["ablate", "scaling"];
 
 /// CLI usage text.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: hcsim-exp <fig4|..|fig9|all|levels|churn|service|adaptive|faas|ablate|bench|scaling> [options]
+    "usage: hcsim-exp <fig4|..|fig9|all|levels|churn|service|adaptive|faas|ablate|scaling> [options]
 
 figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           'levels' sweeps all heuristics over six oversubscription levels;
@@ -54,18 +51,15 @@ figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           baseline with cold/warm accounting;
           'ablate' runs the design-choice ablation suite, one table per
           knob (see docs/ARCHITECTURE.md, Experiments);
-          'bench' times the micro operations the repo benchmark cannot see
-          from outside the mapper (PMF calculus, tail_after_append,
-          moments, queue_analysis, one worker-pool round), writing
-          BENCH_pmf.json / BENCH_mapping.json; events/s and decision
-          latency belong to the repo benchmark (benchmark/README.md);
           'scaling' runs the cluster threads sweeps (64m, churn, 1024m,
           faas256) and writes SCALING_cluster64.{json,md} (the multi-core
           scaling table)
 
 options:
-  --quick           5 trials x 300 tasks (smoke run; bench: fewer samples)
-  --full            30 trials x 800 tasks (paper fidelity; the default)
+  --quick           5 trials x 300 tasks (smoke run; scaling: fewer samples)
+  --full            30 trials x 800 tasks (paper fidelity; the default); the
+                    last of --quick/--full wins, and --trials/--tasks
+                    override either preset wherever they appear
   --trials N        workload trials per data point
   --tasks N         tasks per trial
   --seed N          master seed (default 2019)
@@ -74,12 +68,10 @@ options:
                     scoring fan-out has its own setting
                     (PruningConfig::threads, 0 = host parallelism) and
                     is bit-identical at any value; `scaling` sweeps it
-                    per scenario, and both it and `bench` ignore this flag
+                    per scenario and ignores this flag
   --csv             print CSV instead of Markdown
-  --out DIR         write <fig>.md and <fig>.csv (bench: BENCH_*.json) into DIR
-  --against DIR     bench: record DIR's BENCH_*.json numbers as the baseline
-  --check           bench: exit nonzero if any op regresses >2x vs --against
-                    or has no row there
+  --out DIR         write <fig>.md and <fig>.csv (scaling:
+                    SCALING_cluster64.{json,md}) into DIR
   --gate            scaling: exit nonzero unless PAM t=4 beats t=1 (use on
                     hosts with at least 4 cores; the CI scaling job does)
   -h, --help        this text"
@@ -97,38 +89,26 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut csv = false;
     let mut out_dir = None;
     let mut quick = false;
-    let mut against = None;
-    let mut check = false;
+    let mut trials = None;
+    let mut num_tasks = None;
     let mut gate = false;
 
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-h" | "--help" => return Err(String::new()),
-            "--quick" => {
-                quick = true;
-                opts = FigOptions { seed: opts.seed, threads: opts.threads, ..FigOptions::quick() }
-            }
-            "--full" => {
-                opts =
-                    FigOptions { seed: opts.seed, threads: opts.threads, ..FigOptions::default() }
-            }
+            "--quick" => quick = true,
+            "--full" => quick = false,
             "--csv" => csv = true,
-            "--check" => check = true,
             "--gate" => gate = true,
-            "--against" => {
-                let value = iter.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                against = Some(PathBuf::from(value));
-            }
             "--trials" | "--tasks" | "--seed" | "--threads" | "--out" => {
                 let value = iter.next().ok_or_else(|| format!("{arg} requires a value"))?;
                 match arg.as_str() {
                     "--trials" => {
-                        opts.trials = value.parse().map_err(|_| format!("bad --trials {value}"))?
+                        trials = Some(value.parse().map_err(|_| format!("bad --trials {value}"))?)
                     }
                     "--tasks" => {
-                        opts.num_tasks =
-                            value.parse().map_err(|_| format!("bad --tasks {value}"))?
+                        num_tasks = Some(value.parse().map_err(|_| format!("bad --tasks {value}"))?)
                     }
                     "--seed" => {
                         opts.seed = value.parse().map_err(|_| format!("bad --seed {value}"))?
@@ -154,11 +134,15 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     if figures.is_empty() {
         return Err("no figure selected".to_string());
     }
+    // The preset is applied last so that an explicit count wins in any order.
+    let preset = if quick { FigOptions::quick() } else { FigOptions::default() };
+    opts.trials = trials.unwrap_or(preset.trials);
+    opts.num_tasks = num_tasks.unwrap_or(preset.num_tasks);
     if opts.trials == 0 || opts.num_tasks == 0 {
         return Err("--trials and --tasks must be positive".to_string());
     }
     figures.dedup();
-    Ok(Cli { figures, opts, csv, out_dir, quick, against, check, gate })
+    Ok(Cli { figures, opts, csv, out_dir, quick, gate })
 }
 
 #[cfg(test)]
@@ -198,6 +182,15 @@ mod tests {
         assert_eq!(cli.opts.trials, 7, "explicit --trials overrides the preset");
         assert_eq!(cli.opts.num_tasks, 300, "preset task count kept");
         assert_eq!(cli.opts.seed, 99);
+        let cli = parse(&["fig5", "--trials", "7", "--quick"]).unwrap();
+        assert_eq!(cli.opts.trials, 7, "an explicit count before the preset still wins");
+        assert_eq!(cli.opts.num_tasks, 300);
+        let cli = parse(&["fig5", "--tasks", "40", "--full", "--quick"]).unwrap();
+        assert_eq!((cli.opts.trials, cli.opts.num_tasks), (5, 40));
+        assert!(cli.quick);
+        let cli = parse(&["scaling", "--quick", "--full"]).unwrap();
+        assert!(!cli.quick, "the last preset picks the sample counts too");
+        assert_eq!((cli.opts.trials, cli.opts.num_tasks), (30, 800));
     }
 
     #[test]
@@ -217,6 +210,9 @@ mod tests {
     fn errors_are_informative() {
         assert!(parse(&[]).unwrap_err().contains("no figure"));
         assert!(parse(&["nope"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["bench"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["fig7", "--check"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["fig7", "--against", "x"]).unwrap_err().contains("unknown argument"));
         assert!(parse(&["fig7", "--trials"]).unwrap_err().contains("requires a value"));
         assert!(parse(&["fig7", "--trials", "x"]).unwrap_err().contains("bad --trials"));
         assert!(parse(&["fig7", "--trials", "0"]).unwrap_err().contains("positive"));
@@ -240,9 +236,7 @@ mod tests {
             ("--quick", None),
             ("--full", None),
             ("--csv", None),
-            ("--check", None),
             ("--gate", None),
-            ("--against", Some("dir")),
             ("--trials", Some("3")),
             ("--tasks", Some("3")),
             ("--seed", Some("3")),

@@ -7,7 +7,6 @@
 //! hcsim-exp all levels ablate --out results/
 //! ```
 
-use hcsim_exp::bench::BenchOptions;
 use hcsim_exp::cli::{parse_args, usage, Cli};
 use hcsim_exp::{ablations, bench, figures, Table};
 use std::process::ExitCode;
@@ -53,20 +52,7 @@ fn main() -> ExitCode {
     for name in &cli.figures {
         let started = std::time::Instant::now();
         eprintln!("== {name} ==");
-        if name == "bench" {
-            bench::warn_ignored_fig_options(&cli.opts, cli.quick);
-            let bench_opts = BenchOptions {
-                against: cli.against.clone(),
-                check: cli.check,
-                ..BenchOptions::from_cli(cli.out_dir.as_deref(), cli.quick)
-            };
-            if let Err(failures) = bench::run_and_emit(&bench_opts) {
-                for f in failures {
-                    eprintln!("bench regression: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-        } else if name == "scaling" {
+        if name == "scaling" {
             let scaling_opts = bench::ScalingOptions {
                 quick: cli.quick,
                 out_dir: cli.out_dir.clone().unwrap_or_else(|| std::path::PathBuf::from(".")),

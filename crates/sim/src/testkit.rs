@@ -143,22 +143,6 @@ pub fn machine_with_pending(
     m
 }
 
-/// Replaces the last pending task with `task` (remove + push), keeping the
-/// queue depth constant — the steady-state mutation the tail-cache
-/// benchmarks use to force a version bump per iteration.
-///
-/// Returns `false` (no-op) when the queue has no pending tasks or no way
-/// to re-add one.
-pub fn replace_last_pending(machine: &mut MachineState, task: Task) -> bool {
-    let Some(last) = machine.pending().last().map(|t| t.id) else {
-        return false;
-    };
-    let removed = machine.remove_pending(last).is_some();
-    debug_assert!(removed);
-    machine.push_pending(task);
-    true
-}
-
 /// (Re)starts a keep-alive clock for `tt` on `machine`, exactly as the
 /// engine does when a function's container is released at completion
 /// (serverless cold-start model): the container stays warm until
@@ -242,11 +226,7 @@ mod tests {
         let tasks: Vec<Task> = (0..4).map(|i| task(i, 500)).collect();
         let mut m = machine_with_pending(MachineId(1), 6, &tasks);
         assert_eq!(m.occupancy(), 4);
-        let v = m.version();
-        assert!(replace_last_pending(&mut m, task(99, 700)));
-        assert_eq!(m.occupancy(), 4);
-        assert!(m.version() > v);
-        assert_eq!(m.pending().last().unwrap().id, TaskId(99));
+        assert_eq!(m.pending().last().unwrap().id, TaskId(3));
         assert!(start_executing(&mut m, task(100, 900), 5, 40));
         assert!(!start_executing(&mut m, task(101, 900), 5, 40));
         assert_eq!(m.executing().unwrap().task.id, TaskId(100));
