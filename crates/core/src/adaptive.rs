@@ -13,24 +13,21 @@
 //!   the machines are already clogged with weak admissions. The Eq. 8
 //!   oversubscription detector watches queue misses per mapping event and
 //!   fires first, so it schedules the operating point directly. While it
-//!   is *engaged* the thresholds jump to base plus
-//!   [`AdaptiveConfig::pressure_boost`] (the Fig. 7 direction — prune
-//!   harder under oversubscription — applied the moment oversubscription
-//!   is *detected* rather than a window after it is suffered). In the
-//!   opposite direction, a slow average of the detector *level* with its
-//!   own hysteresis certifies *sustained deep calm*, and only then do the
-//!   thresholds drop [`AdaptiveConfig::calm_relax`] *below* base (§VII-C's
-//!   own sweeps show conservative pairs dominate at low oversubscription —
-//!   deferral wastes healthy capacity). The toggle being merely off is not
-//!   enough: during a gradual ramp-up the fast toggle lags the queue
+//!   is *engaged* the controller runs its storm trim from the base pair.
+//!   In the opposite direction, a slow average of the detector *level*
+//!   with its own hysteresis certifies *sustained deep calm*, and only
+//!   then do the thresholds drop [`CALM_RELAX`] *below* base (§VII-C's
+//!   own sweeps show conservative pairs dominate at low oversubscription
+//!   — deferral wastes healthy capacity). The toggle being merely off is
+//!   not enough: during a gradual ramp-up the fast toggle lags the queue
 //!   build-up, and relaxing into that would admit weak work exactly when
 //!   capacity is about to run out.
 //! * **Gain-scheduled perturb-and-observe trim** — the windowed loop
 //!   maximizes the on-time completion rate directly, and it learns *two*
 //!   operating points, one per detector phase: a calm trim (applied while
 //!   the detector is disengaged, first probing toward admitting more)
-//!   and a storm trim (applied on top of the boost while engaged, first
-//!   probing toward shedding more). Each window of terminal outcomes
+//!   and a storm trim (applied while engaged, first probing toward
+//!   shedding more). Each window of terminal outcomes
 //!   moves the active phase's trim one step along the sweep ray and
 //!   keeps the direction while the windowed on-time rate improves,
 //!   reversing when it degrades; a phase flip *jumps* to the other
@@ -47,6 +44,10 @@
 //!   sufferage knob — shielding the class from starvation — and decays
 //!   once the class recovers. Per-class thresholds thereby subsume the
 //!   static fairness factor.
+//!
+//! Every gain, window and clamp is a constant below; the one choice left
+//! to a caller is whether PAM runs the controller at all
+//! ([`PruningConfig::adaptive`](crate::PruningConfig::adaptive)).
 //!
 //! The controller is driven from [`Mapper::on_task_finished`]
 //! (terminal-record order equals event order, so its trajectory is
@@ -99,107 +100,47 @@ const DEEP_CALM_ENTER: f64 = 0.2;
 /// the detector's own Schmitt trigger, so the relaxation cannot flap).
 const DEEP_CALM_EXIT: f64 = 0.4;
 
-/// Knobs of the adaptive threshold controller, with conservative defaults
-/// (small steps, wide clamps) that track load without oscillating.
-///
-/// Attach it to a [`PruningConfig`](crate::PruningConfig) to switch PAM
-/// from the paper's static thresholds to the online controller:
+/// Dropping-threshold movement per adjustment, in robustness units
+/// (deferral follows at quarter gain).
+const STEP: f64 = 0.01;
+
+/// Per-class relief gained per window while a class's failure rate
+/// overshoots the global rate (and lost per window once it recovers) —
+/// the dynamic replacement for PAMF's static fairness factor.
+const RELIEF_STEP: f64 = 0.05;
+
+/// Cap on accumulated per-class relief.
+const RELIEF_MAX: f64 = 0.30;
+
+/// Feed-forward *relaxation* subtracted from both thresholds (unit gain on
+/// deferral, down the sweep ray) while the slow-averaged detector level
+/// certifies sustained deep calm: a healthy system should defer far less
+/// readily than the storm-tuned base pair does.
+const CALM_RELAX: f64 = 0.20;
+
+/// Clamp range for the effective dropping threshold.
+const DROP_MIN: f64 = 0.20;
+const DROP_MAX: f64 = 0.90;
+
+/// Clamp range for the effective deferring threshold.
+const DEFER_MIN: f64 = 0.50;
+const DEFER_MAX: f64 = 0.98;
+
+/// Switches PAM from the paper's static thresholds to the online
+/// [`AdaptiveController`] when attached to a
+/// [`PruningConfig`](crate::PruningConfig). It carries no settings: every
+/// gain, window and clamp of the controller is fixed.
 ///
 /// ```
 /// use hcsim_core::{AdaptiveConfig, Pam, PruningConfig};
 ///
-/// let adaptive = AdaptiveConfig {
-///     window: 16,      // re-decide every 16 terminal outcomes
-///     calm_relax: 0.1, // relax less aggressively in sustained calm
-///     ..AdaptiveConfig::default()
-/// };
-/// adaptive.validate();
 /// let _mapper = Pam::new(PruningConfig {
-///     adaptive: Some(adaptive),
+///     adaptive: Some(AdaptiveConfig),
 ///     ..PruningConfig::default()
 /// });
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveConfig {
-    /// Terminal outcomes per adjustment window: the controller re-decides
-    /// every `window` finished tasks. Smaller reacts faster; larger
-    /// estimates the on-time rate more stably.
-    pub window: usize,
-    /// Dropping-threshold movement per adjustment, in robustness units
-    /// (deferral follows at quarter gain).
-    pub step: f64,
-    /// Per-class relief gained per window while a class's failure rate
-    /// overshoots the global rate (and lost per window once it recovers) —
-    /// the dynamic replacement for PAMF's static fairness factor.
-    pub relief_step: f64,
-    /// Cap on accumulated per-class relief.
-    pub relief_max: f64,
-    /// Feed-forward aggression added to the dropping threshold (quarter
-    /// gain on deferral) the moment the Eq. 8 oversubscription detector
-    /// engages, removed the moment it disengages.
-    pub pressure_boost: f64,
-    /// Feed-forward *relaxation* subtracted from both thresholds (unit
-    /// gain on deferral, down the sweep ray) while the slow-averaged
-    /// detector level certifies sustained deep calm: a healthy system
-    /// should defer far less readily than the storm-tuned base pair does.
-    pub calm_relax: f64,
-    /// Clamp range for the effective dropping threshold.
-    pub drop_min: f64,
-    /// Upper clamp for the effective dropping threshold.
-    pub drop_max: f64,
-    /// Clamp range for the effective deferring threshold.
-    pub defer_min: f64,
-    /// Upper clamp for the effective deferring threshold.
-    pub defer_max: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            window: 32,
-            step: 0.01,
-            relief_step: 0.05,
-            relief_max: 0.30,
-            pressure_boost: 0.0,
-            calm_relax: 0.20,
-            drop_min: 0.20,
-            drop_max: 0.90,
-            defer_min: 0.50,
-            defer_max: 0.98,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty window, non-positive steps, rates outside
-    /// `[0, 1]`, or inverted clamp ranges.
-    pub fn validate(&self) {
-        assert!(self.window >= 1, "adaptive window must be positive");
-        assert!(self.step > 0.0 && self.step.is_finite(), "step must be positive");
-        assert!(self.relief_step >= 0.0, "relief step must be non-negative");
-        assert!((0.0..=1.0).contains(&self.relief_max), "relief cap in [0,1]");
-        assert!(
-            self.pressure_boost >= 0.0 && self.pressure_boost.is_finite(),
-            "pressure boost must be non-negative"
-        );
-        assert!(
-            self.calm_relax >= 0.0 && self.calm_relax.is_finite(),
-            "calm relax must be non-negative"
-        );
-        assert!(
-            0.0 <= self.drop_min && self.drop_min <= self.drop_max && self.drop_max <= 1.0,
-            "drop clamp range must satisfy 0 <= min <= max <= 1"
-        );
-        assert!(
-            0.0 <= self.defer_min && self.defer_min <= self.defer_max && self.defer_max <= 1.0,
-            "defer clamp range must satisfy 0 <= min <= max <= 1"
-        );
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct AdaptiveConfig;
 
 wire_struct! {
     /// Sliding-window outcome counters for one adjustment period.
@@ -259,8 +200,8 @@ wire_struct! {
         trim: f64,
         /// Perturbation direction: +1.0 (more aggressive) or -1.0.
         dir: f64,
-        /// Perturbation magnitude: starts at [`AdaptiveConfig::step`] and
-        /// halves on every reversal after the first (floor `step / 4`), so
+        /// Perturbation magnitude: starts at [`STEP`] and halves on every
+        /// reversal after the first (floor `STEP / 4`), so
         /// the climb converges onto an off-grid optimum instead of
         /// oscillating around it with full-size probes. The first reversal
         /// is free: the initial probe direction is a guess, and correcting
@@ -279,7 +220,7 @@ wire_struct! {
 
 wire_struct! {
     /// Everything the controller learns at run time: what its snapshot
-    /// carries (the configuration and base thresholds are not).
+    /// carries (the base thresholds are not).
     #[derive(Debug, Clone, PartialEq)]
     struct Dynamics {
         phases: [Phase; 2],
@@ -293,7 +234,7 @@ wire_struct! {
         /// point (see [`SLOW_LAMBDA`]).
         slow_ratio: f64,
         /// True while the slow level average certifies sustained health —
-        /// the only state in which [`AdaptiveConfig::calm_relax`] applies.
+        /// the only state in which [`CALM_RELAX`] applies.
         deep_calm: bool,
     }
 }
@@ -305,33 +246,26 @@ wire_struct! {
 /// current effective thresholds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveController {
-    config: AdaptiveConfig,
     base_drop: f64,
     base_defer: f64,
     state: Dynamics,
 }
 
 impl AdaptiveController {
+    /// Terminal outcomes per adjustment window: the controller re-decides
+    /// every `WINDOW` finished tasks. Smaller reacts faster; larger
+    /// estimates the on-time rate more stably.
+    pub const WINDOW: usize = 32;
+
     /// Creates a controller for `num_task_types` workload classes around
     /// the static base thresholds it modulates.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid.
     #[must_use]
-    pub fn new(
-        config: AdaptiveConfig,
-        num_task_types: usize,
-        base_drop: f64,
-        base_defer: f64,
-    ) -> Self {
-        config.validate();
+    pub fn new(num_task_types: usize, base_drop: f64, base_defer: f64) -> Self {
         // Calm probes toward admitting more (under-load wastes capacity
         // on deferral); storm probes toward shedding more (the Fig. 7
-        // direction) on top of the boost.
-        let phase = |dir| Phase { dir, step: config.step, ..Phase::default() };
+        // direction).
+        let phase = |dir| Phase { dir, step: STEP, ..Phase::default() };
         Self {
-            config,
             base_drop,
             base_defer,
             state: Dynamics {
@@ -344,12 +278,6 @@ impl AdaptiveController {
                 deep_calm: true,
             },
         }
-    }
-
-    /// The controller configuration.
-    #[must_use]
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// Feed-forward input: the Eq. 8 oversubscription detector's toggle
@@ -379,18 +307,15 @@ impl AdaptiveController {
     }
 
     /// Net dropping-threshold shift for the active phase: its learned
-    /// trim, plus the feed-forward schedule — boost while the detector is
-    /// engaged, relaxation while the system is in sustained deep calm,
-    /// nothing in the transitional band between.
+    /// trim, less the feed-forward relaxation while the detector is
+    /// disengaged and the system sits in sustained deep calm.
     fn drop_shift(&self) -> f64 {
-        let feed_forward = if self.state.pressure {
-            self.config.pressure_boost
-        } else if self.state.deep_calm {
-            -self.config.calm_relax
+        let trim = self.state.phases[self.phase()].trim;
+        if !self.state.pressure && self.state.deep_calm {
+            trim - CALM_RELAX
         } else {
-            0.0
-        };
-        self.state.phases[self.phase()].trim + feed_forward
+            trim
+        }
     }
 
     fn relief(&self, tt: TaskTypeId) -> f64 {
@@ -400,8 +325,7 @@ impl AdaptiveController {
     /// Current effective dropping threshold for a class.
     #[must_use]
     pub fn drop_threshold_for(&self, tt: TaskTypeId) -> f64 {
-        (self.base_drop + self.drop_shift() - self.relief(tt))
-            .clamp(self.config.drop_min, self.config.drop_max)
+        (self.base_drop + self.drop_shift() - self.relief(tt)).clamp(DROP_MIN, DROP_MAX)
     }
 
     /// Current effective deferring threshold for a class (follows the
@@ -409,7 +333,7 @@ impl AdaptiveController {
     #[must_use]
     pub fn defer_threshold_for(&self, tt: TaskTypeId) -> f64 {
         let t = (self.base_defer + defer_shift(self.drop_shift()) - self.relief(tt))
-            .clamp(self.config.defer_min, self.config.defer_max);
+            .clamp(DEFER_MIN, DEFER_MAX);
         // The §V-B2 invariant (defer >= drop) must survive adaptation.
         t.max(self.drop_threshold_for(tt))
     }
@@ -437,7 +361,7 @@ impl AdaptiveController {
                 c.failed += 1;
             }
         }
-        if self.state.window.total() < self.config.window as u64 {
+        if self.state.window.total() < Self::WINDOW as u64 {
             return false;
         }
         self.adjust();
@@ -449,7 +373,7 @@ impl AdaptiveController {
     /// causes either way; the climb self-corrects).
     fn adjust(&mut self) {
         let p = self.phase();
-        let (config, base_drop, s) = (&self.config, self.base_drop, &mut self.state);
+        let (base_drop, s) = (self.base_drop, &mut self.state);
         let total = s.window.total() as f64;
         let rate = s.window.on_time as f64 / total;
 
@@ -462,7 +386,7 @@ impl AdaptiveController {
         if ph.windows > 0 && rate < ph.last_rate {
             ph.dir = -ph.dir;
             if ph.reversals > 0 {
-                ph.step = (ph.step * 0.5).max(config.step * 0.25);
+                ph.step = (ph.step * 0.5).max(STEP * 0.25);
             }
             ph.reversals += 1;
         }
@@ -472,22 +396,21 @@ impl AdaptiveController {
         // (one noisy objective cannot steer two coupled knobs apart), so
         // only the dropping trim is walked; clamp it to where the ray
         // still moves the thresholds.
-        ph.trim = (ph.trim + ph.dir * ph.step)
-            .clamp(config.drop_min - base_drop, config.drop_max - base_drop);
+        ph.trim = (ph.trim + ph.dir * ph.step).clamp(DROP_MIN - base_drop, DROP_MAX - base_drop);
 
         // Per-class fairness relief: classes failing (missing *or* being
         // pruned) beyond the global failure rate get shielded; recovered
         // classes give the relief back. A class needs a minimum sample
         // count this window to move.
         let global_fail = 1.0 - rate;
-        let min_samples = (config.window as u64 / 8).max(1);
+        let min_samples = Self::WINDOW as u64 / 8;
         for c in &mut s.classes {
             if c.seen >= min_samples {
                 let class_fail = c.failed as f64 / c.seen as f64;
                 if class_fail > global_fail + RELIEF_MARGIN {
-                    c.relief = (c.relief + config.relief_step).min(config.relief_max);
+                    c.relief = (c.relief + RELIEF_STEP).min(RELIEF_MAX);
                 } else {
-                    c.relief = decay(c.relief, config.relief_step);
+                    c.relief = decay(c.relief, RELIEF_STEP);
                 }
             }
             c.failed = 0;
@@ -540,9 +463,13 @@ fn decay(value: f64, step: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn controller(window: usize) -> AdaptiveController {
-        let config = AdaptiveConfig { window, ..Default::default() };
-        AdaptiveController::new(config, 3, 0.50, 0.90)
+    /// One adjustment window's worth of outcomes — a literal, not
+    /// `AdaptiveController::WINDOW`, so a changed window fails the
+    /// boundary check below.
+    const W: usize = 32;
+
+    fn controller() -> AdaptiveController {
+        AdaptiveController::new(3, 0.50, 0.90)
     }
 
     fn feed(c: &mut AdaptiveController, tt: u16, outcome: TaskOutcome, n: usize) {
@@ -554,48 +481,46 @@ mod tests {
     #[test]
     fn starts_calm_relaxed_below_base() {
         // The detector starts disengaged, so the schedule opens at the
-        // calm point: calm_relax below base along the sweep ray.
-        let c = controller(8);
-        let relax = c.config().calm_relax;
-        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - relax)).abs() < 1e-12);
-        assert!((c.defer_threshold_for(TaskTypeId(0)) - (0.90 - relax)).abs() < 1e-12);
+        // calm point: 0.20 below base along the sweep ray.
+        let c = controller();
+        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - 0.20)).abs() < 1e-12);
+        assert!((c.defer_threshold_for(TaskTypeId(0)) - (0.90 - 0.20)).abs() < 1e-12);
         assert_eq!(c.adjustments(), 0);
     }
 
     #[test]
     fn calm_probes_toward_admission_storm_toward_aggression() {
-        let mut calm = controller(8);
-        feed(&mut calm, 0, TaskOutcome::ExpiredExecuting, 8);
+        let mut calm = controller();
+        feed(&mut calm, 0, TaskOutcome::ExpiredExecuting, W - 1);
+        assert_eq!(calm.adjustments(), 0, "a window is 32 outcomes");
+        feed(&mut calm, 0, TaskOutcome::ExpiredExecuting, 1);
         assert_eq!(calm.adjustments(), 1);
         assert!(
-            calm.drop_threshold_for(TaskTypeId(0)) < 0.50 - calm.config().calm_relax,
+            calm.drop_threshold_for(TaskTypeId(0)) < 0.50 - CALM_RELAX,
             "calm first probe admits more, not less"
         );
-        let mut storm = controller(8);
+        let mut storm = controller();
         storm.set_pressure(true, 1.0);
-        feed(&mut storm, 0, TaskOutcome::ExpiredExecuting, 8);
-        assert!(
-            storm.drop_threshold_for(TaskTypeId(0)) > 0.50 + storm.config().pressure_boost,
-            "storm first probe sheds more, on top of the boost"
-        );
+        feed(&mut storm, 0, TaskOutcome::ExpiredExecuting, W);
+        assert!(storm.drop_threshold_for(TaskTypeId(0)) > 0.50, "storm first probe sheds more");
         assert!(storm.defer_threshold_for(TaskTypeId(0)) > 0.90, "deferral rides the same ray");
     }
 
     #[test]
     fn improving_rate_keeps_the_direction() {
-        let mut c = controller(8);
-        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 8); // rate 0: calm probes down
+        let mut c = controller();
+        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, W); // rate 0: calm probes down
         let after_one = c.drop_threshold_for(TaskTypeId(0));
-        feed(&mut c, 0, TaskOutcome::CompletedOnTime, 8); // rate 1 > 0: keep going
+        feed(&mut c, 0, TaskOutcome::CompletedOnTime, W); // rate 1 > 0: keep going
         assert!(c.drop_threshold_for(TaskTypeId(0)) < after_one);
     }
 
     #[test]
     fn degrading_rate_reverses_the_direction() {
-        let mut c = controller(8);
-        feed(&mut c, 0, TaskOutcome::CompletedOnTime, 8); // rate 1, calm probes down
+        let mut c = controller();
+        feed(&mut c, 0, TaskOutcome::CompletedOnTime, W); // rate 1, calm probes down
         let after_one = c.drop_threshold_for(TaskTypeId(0));
-        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 8); // rate 0 < 1: reverse
+        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, W); // rate 0 < 1: reverse
         assert!(
             c.drop_threshold_for(TaskTypeId(0)) > after_one,
             "worse objective must reverse the perturbation"
@@ -604,19 +529,17 @@ mod tests {
 
     #[test]
     fn phase_flip_recalls_the_other_phases_trim() {
-        let mut c = controller(8);
+        let mut c = controller();
         // Calm descends for two windows (0 -> -step -> -2·step).
-        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 8);
-        feed(&mut c, 0, TaskOutcome::CompletedOnTime, 8);
+        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, W);
+        feed(&mut c, 0, TaskOutcome::CompletedOnTime, W);
         let calm_point = c.drop_threshold_for(TaskTypeId(0));
-        assert!(calm_point < 0.50 - c.config().calm_relax);
-        // Storm: jumps to base + boost instantly, untouched by the calm
-        // descent.
+        assert!(calm_point < 0.50 - CALM_RELAX);
+        // Storm: jumps to base instantly, untouched by the calm descent.
         c.set_pressure(true, 1.0);
         assert!(
-            (c.drop_threshold_for(TaskTypeId(0)) - (0.50 + c.config().pressure_boost)).abs()
-                < 1e-12,
-            "storm trim starts fresh at the boosted point"
+            (c.drop_threshold_for(TaskTypeId(0)) - 0.50).abs() < 1e-12,
+            "storm trim starts fresh at base"
         );
         // And flipping back recalls the calm trim exactly.
         c.set_pressure(false, 0.0);
@@ -629,13 +552,13 @@ mod tests {
         // tasks cannot miss deadlines; the on-time objective must treat a
         // pruned-away window exactly like an expired one. Two controllers
         // fed the two failure shapes must walk identical trajectories.
-        let mut pruned = controller(8);
+        let mut pruned = controller();
         pruned.set_pressure(true, 1.0);
-        let mut expired = controller(8);
+        let mut expired = controller();
         expired.set_pressure(true, 1.0);
         for _ in 0..4 {
-            feed(&mut pruned, 0, TaskOutcome::PrunedDropped, 8);
-            feed(&mut expired, 0, TaskOutcome::ExpiredExecuting, 8);
+            feed(&mut pruned, 0, TaskOutcome::PrunedDropped, W);
+            feed(&mut expired, 0, TaskOutcome::ExpiredExecuting, W);
         }
         assert!(
             (pruned.drop_threshold_for(TaskTypeId(1)) - expired.drop_threshold_for(TaskTypeId(1)))
@@ -647,14 +570,15 @@ mod tests {
 
     #[test]
     fn suffering_class_accumulates_relief() {
-        let mut c = controller(16);
-        c.set_pressure(true, 1.0); // keep the shared point off the lower clamp
-                                   // Class 0 fails everything; classes 1/2 are fine → class 0's
-                                   // failure rate (100 %) overshoots the global rate (25 %).
+        let mut c = controller();
+        // Keep the shared point off the lower clamp. Class 0 fails
+        // everything; classes 1/2 are fine → class 0's failure rate
+        // (100 %) overshoots the global rate (25 %).
+        c.set_pressure(true, 1.0);
         for _ in 0..4 {
-            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 4);
-            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 6);
-            feed(&mut c, 2, TaskOutcome::CompletedOnTime, 6);
+            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 8);
+            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 12);
+            feed(&mut c, 2, TaskOutcome::CompletedOnTime, 12);
         }
         let relieved = c.drop_threshold_for(TaskTypeId(0));
         let normal = c.drop_threshold_for(TaskTypeId(1));
@@ -669,12 +593,12 @@ mod tests {
     fn pruned_away_class_counts_as_suffering() {
         // Fairness must see pruning: a class whose tasks are dropped by
         // the pruner is being sacrificed even though it never "misses".
-        let mut c = controller(16);
+        let mut c = controller();
         c.set_pressure(true, 1.0);
         for _ in 0..4 {
-            feed(&mut c, 0, TaskOutcome::PrunedDropped, 4);
-            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 6);
-            feed(&mut c, 2, TaskOutcome::CompletedOnTime, 6);
+            feed(&mut c, 0, TaskOutcome::PrunedDropped, 8);
+            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 12);
+            feed(&mut c, 2, TaskOutcome::CompletedOnTime, 12);
         }
         assert!(
             c.drop_threshold_for(TaskTypeId(0)) < c.drop_threshold_for(TaskTypeId(1)),
@@ -684,18 +608,18 @@ mod tests {
 
     #[test]
     fn relief_is_capped_and_decays() {
-        let mut c = controller(16);
+        let mut c = controller();
         c.set_pressure(true, 1.0);
         for _ in 0..20 {
-            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 4);
-            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 12);
+            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 8);
+            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 24);
         }
         let floor = c.drop_threshold_for(TaskTypeId(0));
-        assert!(floor >= c.config().drop_min - 1e-12);
+        assert!(floor >= DROP_MIN - 1e-12);
         // Class 0 recovers: relief drains away again.
         for _ in 0..20 {
-            feed(&mut c, 0, TaskOutcome::CompletedOnTime, 4);
-            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 12);
+            feed(&mut c, 0, TaskOutcome::CompletedOnTime, 8);
+            feed(&mut c, 1, TaskOutcome::CompletedOnTime, 24);
         }
         assert!(c.drop_threshold_for(TaskTypeId(0)) >= floor);
         assert!(
@@ -707,23 +631,21 @@ mod tests {
 
     #[test]
     fn thresholds_stay_inside_clamps_and_ordered() {
-        let mut c = controller(4);
+        let mut c = controller();
         c.set_pressure(true, 1.0);
         // Hammer it with pathological windows in both directions.
         for _ in 0..50 {
-            feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 4);
+            feed(&mut c, 0, TaskOutcome::ExpiredExecuting, W);
         }
         for tt in 0..3u16 {
             let drop = c.drop_threshold_for(TaskTypeId(tt));
             let defer = c.defer_threshold_for(TaskTypeId(tt));
-            assert!((c.config().drop_min..=c.config().drop_max).contains(&drop));
-            assert!(
-                (c.config().defer_min..=c.config().defer_max).contains(&defer) || defer == drop
-            );
+            assert!((DROP_MIN..=DROP_MAX).contains(&drop));
+            assert!((DEFER_MIN..=DEFER_MAX).contains(&defer) || defer == drop);
             assert!(defer >= drop, "§V-B2 invariant must survive adaptation");
         }
         for _ in 0..50 {
-            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 4);
+            feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, W);
         }
         for tt in 0..3u16 {
             assert!(c.defer_threshold_for(TaskTypeId(tt)) >= c.drop_threshold_for(TaskTypeId(tt)));
@@ -731,36 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn pressure_boost_is_immediate_and_reversible() {
-        // Non-neutral feed-forward schedule: +0.20 while engaged, −0.10
-        // while calm (the defaults are neutral; the mechanism is not).
-        let config = AdaptiveConfig {
-            window: 8,
-            pressure_boost: 0.20,
-            calm_relax: 0.10,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(config, 3, 0.50, 0.90);
-        assert!(!c.set_pressure(false, 0.0), "no flip: nothing changed");
-        assert!(c.set_pressure(true, 1.0), "engage flips");
-        let boosted = c.drop_threshold_for(TaskTypeId(0));
-        assert!(
-            (boosted - (0.50 + 0.20)).abs() < 1e-12,
-            "boost applies with zero windowed outcomes: {boosted}"
-        );
-        assert!(c.defer_threshold_for(TaskTypeId(0)) > 0.90);
-        assert!(!c.set_pressure(true, 1.0), "steady state: no flip");
-        assert!(c.set_pressure(false, 0.0), "disengage flips");
-        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - 0.10)).abs() < 1e-12);
-        assert!((c.defer_threshold_for(TaskTypeId(0)) - (0.90 - 0.10)).abs() < 1e-12);
-    }
-
-    #[test]
     fn relax_requires_sustained_deep_calm() {
-        let mut c = controller(8);
-        let relax = c.config().calm_relax;
+        let mut c = controller();
         // Fresh controller: deep calm, relaxed below base.
-        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - relax)).abs() < 1e-12);
+        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - CALM_RELAX)).abs() < 1e-12);
         // Detector level climbs (toggle still off — a gradual ramp):
         // the slow average crosses the exit bound and the relaxation is
         // withdrawn even though pressure never engaged.
@@ -778,39 +674,33 @@ mod tests {
         for _ in 0..20 {
             c.set_pressure(false, 0.0);
         }
-        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - relax)).abs() < 1e-12);
+        assert!((c.drop_threshold_for(TaskTypeId(0)) - (0.50 - CALM_RELAX)).abs() < 1e-12);
     }
 
     #[test]
     fn state_roundtrip_is_exact() {
-        let mut c = controller(8);
-        feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 5);
-        feed(&mut c, 1, TaskOutcome::CompletedOnTime, 6);
-        feed(&mut c, 2, TaskOutcome::PrunedDropped, 3);
+        let mut c = controller();
+        feed(&mut c, 0, TaskOutcome::ExpiredUnstarted, 20);
+        feed(&mut c, 1, TaskOutcome::CompletedOnTime, 24);
+        feed(&mut c, 2, TaskOutcome::PrunedDropped, 12);
         c.set_pressure(true, 1.0);
         // Mid-window on purpose: partial counters must survive too.
         let bytes = c.state_bytes();
-        let mut restored = controller(8);
+        let mut restored = controller();
         restored.restore_state(&bytes).unwrap();
         assert_eq!(c, restored);
         // And the trajectories stay identical afterwards.
-        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 10);
-        feed(&mut restored, 0, TaskOutcome::ExpiredExecuting, 10);
+        feed(&mut c, 0, TaskOutcome::ExpiredExecuting, 40);
+        feed(&mut restored, 0, TaskOutcome::ExpiredExecuting, 40);
         assert_eq!(c, restored);
     }
 
     #[test]
     fn state_min_bytes_is_an_empty_class_table() {
         // The class count's guard is one class row's encoded width.
-        let empty = AdaptiveController::new(AdaptiveConfig::default(), 0, 0.50, 0.90);
+        let empty = AdaptiveController::new(0, 0.50, 0.90);
         assert_eq!(empty.state_bytes().len(), Dynamics::MIN_BYTES);
-        let three = controller(8).state_bytes().len();
+        let three = controller().state_bytes().len();
         assert_eq!(three, Dynamics::MIN_BYTES + 3 * ClassState::MIN_BYTES);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_rejected() {
-        AdaptiveConfig { window: 0, ..Default::default() }.validate();
     }
 }

@@ -3,7 +3,8 @@
 //! §IV of the paper defines how the completion-time PMF of each task in a
 //! machine queue is obtained: the executing task's PET is shifted by its
 //! start time, and every pending task's PET is chained onto the machine's
-//! availability by the drop-policy-aware convolution ([`queue_step`]).
+//! availability by the drop-policy-aware convolution
+//! ([`queue_step`](hcsim_pmf::queue_step)).
 //!
 //! The executing task's PMF is additionally *conditioned* on the fact that
 //! it has not finished yet (mass before `now` is impossible and is
@@ -35,7 +36,7 @@
 //! the PET is the scheduler's model of the world, not the world.
 
 use hcsim_model::{PetMatrix, Task, TaskTypeId, Time};
-use hcsim_pmf::{queue_step, queue_step_into, ConvScratch, DropPolicy, Pmf};
+use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
 use hcsim_sim::{MachineState, PendingEntry};
 
 /// The warm PET plus the optional cold (spin-up-convolved) PET, with the
@@ -160,22 +161,6 @@ pub fn analyze_queue(
 ) -> QueueAnalysis {
     let mut scratch = ConvScratch::new();
     analyze_queue_cold_into(machine, PetTables::warm_only(pet), now, policy, budget, &mut scratch)
-}
-
-/// [`analyze_queue`] with a caller-provided [`ConvScratch`]: intermediate
-/// availability PMFs are drawn from and returned to the scratch pool, so
-/// repeated analyses (the pruner's re-evaluation loop, Monte-Carlo
-/// sweeps) stop churning the allocator.
-#[must_use]
-pub fn analyze_queue_into(
-    machine: &MachineState,
-    pet: &PetMatrix,
-    now: Time,
-    policy: DropPolicy,
-    budget: usize,
-    scratch: &mut ConvScratch,
-) -> QueueAnalysis {
-    analyze_queue_cold_into(machine, PetTables::warm_only(pet), now, policy, budget, scratch)
 }
 
 /// Cold-start-aware [`analyze_queue`]: each queue position chains with
@@ -344,28 +329,6 @@ pub(crate) fn chain_extension(
     (step, skewness)
 }
 
-/// Robustness and expected completion of hypothetically appending `task`
-/// to a queue whose tail availability is `tail`.
-#[derive(Debug, Clone)]
-pub struct AppendOutcome {
-    /// Eq. 1 robustness of the appended task.
-    pub robustness: f64,
-    /// Mean of the appended task's completion PMF (`infinity` when it can
-    /// never start before its deadline).
-    pub expected_completion: f64,
-}
-
-/// Evaluates appending `task` behind `tail` on machine `m` of `pet`.
-#[must_use]
-pub fn append_outcome(tail: &Pmf, pet_pmf: &Pmf, task: &Task, policy: DropPolicy) -> AppendOutcome {
-    let step = queue_step(tail, pet_pmf, task.deadline, policy);
-    let expected_completion = match &step.completion {
-        Some(c) => c.mean(),
-        None => f64::INFINITY,
-    };
-    AppendOutcome { robustness: step.robustness, expected_completion }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,10 +340,6 @@ mod tests {
         let mut rng = SeedSequence::new(3).stream(0);
         let (pet, _) = PetBuilder::new().shape_range(6.0, 6.0).build(&[vec![mean]], &mut rng);
         pet
-    }
-
-    fn task(id: u32, deadline: Time) -> Task {
-        Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline }
     }
 
     /// Builds a MachineState via a real mini-simulation so the crate-only
@@ -502,35 +461,6 @@ mod tests {
         let analysis = snapshot_queue(5, 5, 80);
         let max_deadline = analysis.slots.iter().map(|s| s.task.deadline).max().unwrap();
         assert!(analysis.tail.max_time() <= max_deadline);
-    }
-
-    #[test]
-    fn append_outcome_on_idle_machine() {
-        let pet = pet_with_mean(20.0);
-        let tail = Pmf::delta(100);
-        let pet_pmf = pet.pmf(TaskTypeId(0), MachineId(0));
-        // Deadline 100+60 ≈ mean 20 + slack: nearly certain.
-        let good = append_outcome(&tail, pet_pmf, &task(0, 160), DropPolicy::All);
-        assert!(good.robustness > 0.95, "{}", good.robustness);
-        assert!(good.expected_completion > 100.0 && good.expected_completion < 160.0);
-        // Deadline already passed: impossible.
-        let hopeless = append_outcome(&tail, pet_pmf, &task(1, 90), DropPolicy::All);
-        assert_eq!(hopeless.robustness, 0.0);
-        assert!(hopeless.expected_completion.is_infinite());
-    }
-
-    #[test]
-    fn append_robustness_monotone_in_deadline() {
-        let pet = pet_with_mean(20.0);
-        let tail = Pmf::delta(0);
-        let pet_pmf = pet.pmf(TaskTypeId(0), MachineId(0));
-        let mut prev = 0.0;
-        for slack in [5u64, 15, 25, 40, 80] {
-            let out = append_outcome(&tail, pet_pmf, &task(0, slack), DropPolicy::All);
-            assert!(out.robustness + 1e-12 >= prev, "slack {slack}");
-            prev = out.robustness;
-        }
-        assert!(prev > 0.99);
     }
 
     #[test]

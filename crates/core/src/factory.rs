@@ -2,7 +2,7 @@
 //! the experiment harness and CLI build mappers through this.
 
 use crate::baselines::ScalarMapper;
-use crate::moc::{Moc, MocConfig};
+use crate::moc::Moc;
 use crate::pam::Pam;
 use crate::pruner::PruningConfig;
 use hcsim_sim::{FirstFitMapper, Mapper};
@@ -75,10 +75,7 @@ impl HeuristicKind {
         match self {
             HeuristicKind::Pam => Box::new(Pam::new(config)),
             HeuristicKind::Pamf => Box::new(Pam::with_fairness(config)),
-            HeuristicKind::Moc => Box::new(Moc::with_config(MocConfig {
-                threads: config.threads,
-                ..MocConfig::default()
-            })),
+            HeuristicKind::Moc => Box::new(Moc::new(config.threads)),
             HeuristicKind::Mm => Box::new(ScalarMapper::mm()),
             HeuristicKind::Msd => Box::new(ScalarMapper::msd()),
             HeuristicKind::Mmu => Box::new(ScalarMapper::mmu()),

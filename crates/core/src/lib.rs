@@ -82,7 +82,7 @@ pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use baselines::{Phase2Rule, ScalarMapper};
 pub use factory::HeuristicKind;
 pub use fairness::SufferageTable;
-pub use moc::{Moc, MocConfig};
+pub use moc::Moc;
 pub use pam::Pam;
 pub use pruner::{OversubscriptionDetector, Pruner, PruningConfig};
 pub use scorer::{PairScore, ProbScorer, ScoreTable, SlotScore, PARALLEL_MIN_MACHINES};

@@ -19,46 +19,23 @@
 //! Culling and permutation are the policy MOC runs on the mapping loop
 //! it shares with PAM ([`TableLoop`]).
 
+use crate::pruner::PruningConfig;
 use crate::scorer::{PairScore, ProbScorer};
 use crate::table_loop::TableLoop;
 use hcsim_model::MachineId;
 use hcsim_pmf::Pmf;
 use hcsim_sim::{MapContext, Mapper};
 
-/// Configuration for [`Moc`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MocConfig {
-    /// Culling threshold (paper: 30 %).
-    pub cull_threshold: f64,
-    /// Number of top pairs permuted (paper: 3).
-    pub permute_top: usize,
-    /// Impulse budget for availability PMFs.
-    pub impulse_budget: usize,
-    /// Maximum batch tasks evaluated per event (same engineering bound as
-    /// PAM's).
-    pub batch_window: usize,
-    /// Worker threads for the phase-1 per-machine scoring fan-out (`0` =
-    /// the host's available parallelism; same bit-identical-merge
-    /// guarantee as [`crate::PruningConfig::threads`]).
-    pub threads: usize,
-}
+/// Culling threshold: provisional pairs below 30 % robustness are
+/// discarded (§VI-C4).
+const CULL_THRESHOLD: f64 = 0.30;
 
-impl Default for MocConfig {
-    fn default() -> Self {
-        Self {
-            cull_threshold: 0.30,
-            permute_top: 3,
-            impulse_budget: 24,
-            batch_window: 192,
-            threads: 0,
-        }
-    }
-}
+/// Number of top pairs permuted (§VI-C4).
+const PERMUTE_TOP: usize = 3;
 
 /// The MOC mapping heuristic.
 #[derive(Debug)]
 pub struct Moc {
-    config: MocConfig,
     table_loop: TableLoop,
     /// Owned-tail scratch for the permutation phase, reused across
     /// candidates and events (keeps mapping events allocation-free).
@@ -66,31 +43,15 @@ pub struct Moc {
 }
 
 impl Moc {
-    /// Creates MOC with the paper's parameters.
+    /// Creates MOC with the paper's parameters, PAM's impulse budget and
+    /// batch window, and `threads` workers for the phase-1 per-machine
+    /// scoring fan-out (`0` = the host's available parallelism; same
+    /// bit-identical-merge guarantee as [`PruningConfig::threads`]).
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(MocConfig::default())
-    }
-
-    /// Creates MOC with explicit parameters.
-    #[must_use]
-    pub fn with_config(config: MocConfig) -> Self {
-        assert!((0.0..=1.0).contains(&config.cull_threshold));
-        assert!(config.permute_top >= 1);
-        let table_loop = TableLoop::new(config.impulse_budget, config.batch_window, config.threads);
-        Self { config, table_loop, tail_scratch: Pmf::delta(0) }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &MocConfig {
-        &self.config
-    }
-}
-
-impl Default for Moc {
-    fn default() -> Self {
-        Self::new()
+    pub fn new(threads: usize) -> Self {
+        let pam = PruningConfig::default();
+        let table_loop = TableLoop::new(pam.impulse_budget, pam.batch_window, threads);
+        Self { table_loop, tail_scratch: Pmf::delta(0) }
     }
 }
 
@@ -168,21 +129,24 @@ impl Mapper for Moc {
         self.table_loop.start_event(ctx);
         // Rows the bound pass proves below the culling threshold would be
         // discarded by the reduction anyway — skip scoring them.
-        let cull = self.config.cull_threshold;
-        let (top, tail) = (self.config.permute_top, &mut self.tail_scratch);
-        self.table_loop.map(ctx, &|_| cull, |table, scorer, ctx, window| {
+        let tail = &mut self.tail_scratch;
+        self.table_loop.map(ctx, &|_| CULL_THRESHOLD, |table, scorer, ctx, window| {
             // Phase 1 + culling, then the top-k by robustness.
             let mut candidates: Vec<Candidate> = (0..window)
                 .filter_map(|row| {
                     let (machine, score) = table.best_for_row(ctx.machines(), row)?;
-                    (score.robustness >= cull).then_some(Candidate { row, machine, score })
+                    (score.robustness >= CULL_THRESHOLD).then_some(Candidate {
+                        row,
+                        machine,
+                        score,
+                    })
                 })
                 .collect();
             if candidates.is_empty() {
                 return None;
             }
             candidates.sort_by(|a, b| b.score.robustness.total_cmp(&a.score.robustness));
-            candidates.truncate(top);
+            candidates.truncate(PERMUTE_TOP);
             let chosen = permute(&candidates, scorer, ctx, tail);
             Some((chosen.row, chosen.machine))
         });
@@ -216,7 +180,7 @@ mod tests {
             ..Default::default()
         });
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
-        let mut mapper = Moc::new();
+        let mut mapper = Moc::new(0);
         let mut rng = seeds.stream(2);
         run_simulation(
             &spec,
@@ -229,10 +193,9 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let moc = Moc::new();
-        assert_eq!(moc.name(), "MOC");
-        assert!((moc.config().cull_threshold - 0.30).abs() < 1e-12);
-        assert_eq!(moc.config().permute_top, 3);
+        assert_eq!(Moc::new(0).name(), "MOC");
+        assert_eq!(CULL_THRESHOLD, 0.30);
+        assert_eq!(PERMUTE_TOP, 3);
     }
 
     #[test]
@@ -274,7 +237,7 @@ mod tests {
         });
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
         let cfg = SimConfig { trim: 20, ..SimConfig::default() };
-        let mut moc = Moc::new();
+        let mut moc = Moc::new(0);
         let moc_report = run_simulation(&spec, cfg, &tasks, &mut moc, &mut seeds.stream(2));
         let mut ff = hcsim_sim::FirstFitMapper;
         let ff_report = run_simulation(&spec, cfg, &tasks, &mut ff, &mut seeds.stream(2));
@@ -289,7 +252,7 @@ mod tests {
     #[test]
     fn restore_state_drops_chains_keyed_on_the_abandoned_timeline() {
         crate::scorer::test_support::assert_restore_drops_abandoned_chains(
-            &mut Moc::new(),
+            &mut Moc::new(0),
             |moc| moc.table_loop.scorer.as_mut().expect("built at the first mapping event"),
         );
     }
@@ -298,7 +261,7 @@ mod tests {
     fn moc_shutdown_is_safe_before_and_after_init() {
         // Cluster scale with two threads, so the run leaves a live worker
         // pool behind for the shutdown to join.
-        let mut moc = Moc::with_config(MocConfig { threads: 2, ..MocConfig::default() });
+        let mut moc = Moc::new(2);
         moc.on_shutdown(); // no scorer yet: must be a no-op
         let seeds = SeedSequence::new(8);
         let spec = hcsim_workload::specint_cluster(32, 6, &mut seeds.stream(0));
@@ -329,7 +292,7 @@ mod tests {
             arrival: 0,
             deadline: 100_000,
         }];
-        let mut mapper = Moc::new();
+        let mut mapper = Moc::new(0);
         let report = run_simulation(
             &spec,
             SimConfig::untrimmed(),

@@ -28,11 +28,10 @@
 
 use crate::adaptive::AdaptiveController;
 use crate::fairness::SufferageTable;
-use crate::pruner::{OversubscriptionDetector, Pruner, PruningConfig};
-use crate::scorer::{PairScore, ProbScorer};
+use crate::pruner::{OversubscriptionDetector, Pruner, PruningConfig, TOGGLE_ON};
+use crate::scorer::PairScore;
 use crate::table_loop::TableLoop;
-use hcsim_model::{MachineId, Task, TaskId, TaskOutcome, TaskTypeId};
-use hcsim_pmf::{queue_step, Pmf};
+use hcsim_model::{MachineId, Task, TaskOutcome, TaskTypeId};
 use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError, Wire};
 use hcsim_sim::{wire_struct, MapContext, Mapper, MapperInstrumentation};
 
@@ -68,8 +67,8 @@ impl Thresholds {
     fn size(&mut self, config: &PruningConfig, num_types: usize) {
         match (&self.source, config.adaptive) {
             (ThresholdSource::Adaptive(_), _) => {}
-            (_, Some(a)) => {
-                let controller = AdaptiveController::new(a, num_types, self.drop, self.defer);
+            (_, Some(_)) => {
+                let controller = AdaptiveController::new(num_types, self.drop, self.defer);
                 self.source = ThresholdSource::Adaptive(controller);
             }
             (ThresholdSource::Static, None) if self.fair => {
@@ -224,7 +223,7 @@ impl Mapper for Pam {
         // not when its casualties finish. A flip moves both thresholds at
         // once; the score table rechecks its skipped rows against the
         // thresholds of the event it serves (`ScoreTable::ensure`).
-        let ratio = self.detector.level() / self.config.toggle_on.max(f64::MIN_POSITIVE);
+        let ratio = self.detector.level() / TOGGLE_ON;
         if self.thresholds.set_pressure(self.detector.dropping_engaged(), ratio) {
             self.instr.events_deep_calm += 1;
         }
@@ -264,15 +263,6 @@ impl Mapper for Pam {
             chosen.map(|(row, machine, _)| (row, machine))
         });
         self.instr.table_reuses += u64::from(reused);
-
-        // §VIII extension: probabilistic preemption for urgent arrivals
-        // that the normal phases had to defer.
-        if self.config.preemption {
-            let scorer = self.table_loop.scorer.as_ref().expect("built by start_event");
-            if self.try_preempt(ctx, scorer) {
-                self.instr.preemptions += 1;
-            }
-        }
     }
 
     fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
@@ -376,7 +366,6 @@ impl Pam {
         let adaptive = match &state.adaptive {
             Some(bytes) => {
                 let mut controller = AdaptiveController::new(
-                    self.config.adaptive.unwrap_or_default(),
                     0, // class table is overwritten by the state below
                     self.config.drop_threshold,
                     self.config.defer_threshold,
@@ -388,62 +377,12 @@ impl Pam {
         };
         Ok((state, adaptive))
     }
-
-    /// Preempts at most one executing task per event, when an otherwise-
-    /// deferred batch task would meet the defer threshold if started
-    /// immediately AND the incumbent — modeled by its residual execution
-    /// PMF — would still meet the defer threshold after resuming behind
-    /// it. Machines with pending work are skipped (their queues would be
-    /// pushed back too). Returns whether it preempted.
-    fn try_preempt(&self, ctx: &mut MapContext<'_>, scorer: &ProbScorer) -> bool {
-        let now = ctx.now();
-        let pet = &ctx.spec().pet;
-        let window = self.config.batch_window.min(ctx.batch().len());
-        let idle_tail = Pmf::delta(now);
-
-        let mut best: Option<(TaskId, MachineId, f64)> = None;
-        for i in 0..window {
-            let task = ctx.batch()[i];
-            let defer_t = self.thresholds.defer(task.type_id);
-            for m in 0..ctx.num_machines() {
-                let machine_id = MachineId::from(m);
-                let machine = ctx.machine(machine_id);
-                let Some(exec) = machine.executing() else { continue };
-                if machine.pending().len() > 0 {
-                    continue; // conservative: do not push back queued work
-                }
-                // (a) The urgent task succeeds if it starts right now.
-                let immediate =
-                    scorer.score_against_tail(&idle_tail, task.type_id, machine_id, task.deadline);
-                if immediate.robustness < defer_t {
-                    continue;
-                }
-                // (b) The incumbent can afford the delay: chain its
-                // residual behind the urgent task's completion.
-                let urgent_completion = pet.pmf(task.type_id, machine_id).shift(now);
-                let residual =
-                    pet.pmf(exec.task.type_id, machine_id).residual(exec.elapsed_at(now));
-                let resumed =
-                    queue_step(&urgent_completion, &residual, exec.task.deadline, scorer.policy());
-                if resumed.robustness < self.thresholds.defer(exec.task.type_id) {
-                    continue;
-                }
-                if best.is_none_or(|(_, _, r)| immediate.robustness > r) {
-                    best = Some((task.id, machine_id, immediate.robustness));
-                }
-            }
-        }
-        let Some((task_id, machine_id, _)) = best else { return false };
-        ctx.preempt_and_assign(machine_id, task_id)
-            .expect("machine verified executing, task from batch");
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskTypeSpec};
+    use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskId, TaskTypeSpec};
     use hcsim_sim::{run_simulation, SimConfig, SimReport};
     use hcsim_stats::SeedSequence;
     use hcsim_workload::{specint_system, WorkloadConfig, WorkloadGenerator};
@@ -682,7 +621,7 @@ mod tests {
             let make_mapper = || match kind {
                 "PAM" => Pam::new(PruningConfig::default()),
                 "ADAPTIVE" => Pam::new(PruningConfig {
-                    adaptive: Some(crate::AdaptiveConfig::default()),
+                    adaptive: Some(crate::AdaptiveConfig),
                     ..PruningConfig::default()
                 }),
                 _ => Pam::with_fairness(PruningConfig::default()),
@@ -832,7 +771,7 @@ mod tests {
         v1[..4].copy_from_slice(&1u32.to_le_bytes());
 
         let mut restored = Pam::new(PruningConfig {
-            adaptive: Some(crate::AdaptiveConfig::default()),
+            adaptive: Some(crate::AdaptiveConfig),
             ..PruningConfig::default()
         });
         restored.restore_state(&v1);
@@ -852,10 +791,8 @@ mod tests {
             ..Default::default()
         });
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
-        let cfg = PruningConfig {
-            adaptive: Some(crate::AdaptiveConfig::default()),
-            ..PruningConfig::default()
-        };
+        let cfg =
+            PruningConfig { adaptive: Some(crate::AdaptiveConfig), ..PruningConfig::default() };
         let mut mapper = Pam::new(cfg);
         let mut rng = seeds.stream(2);
         let _ = run_simulation(
@@ -887,10 +824,8 @@ mod tests {
             ..Default::default()
         });
         let tasks = gen.generate(&spec, &mut seeds.stream(1));
-        let cfg = PruningConfig {
-            adaptive: Some(crate::AdaptiveConfig::default()),
-            ..PruningConfig::default()
-        };
+        let cfg =
+            PruningConfig { adaptive: Some(crate::AdaptiveConfig), ..PruningConfig::default() };
         let mut mapper = Pam::new(cfg);
         let _ = run_simulation(
             &spec,

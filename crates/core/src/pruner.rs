@@ -40,9 +40,6 @@ pub struct PruningConfig {
     pub rho: f64,
     /// Eq. 8 EWMA weight λ (§VII-B selects 0.9).
     pub lambda: f64,
-    /// Oversubscription level at which dropping engages (§VII-A: "the
-    /// dropping toggle is one task").
-    pub toggle_on: f64,
     /// Use a Schmitt trigger with 20 % separation (§V-C) instead of a
     /// single threshold.
     pub schmitt: bool,
@@ -60,13 +57,6 @@ pub struct PruningConfig {
     /// Fairness factor ϑ for PAMF (§VII-D selects 5 %). Only consulted by
     /// [`crate::Pam::with_fairness`] / the PAMF factory entry.
     pub fairness_factor: f64,
-    /// §VIII future-work extension: allow PAM to *preempt* an executing
-    /// task in favor of an urgent batch task when (a) the urgent task
-    /// meets the defer threshold only if started immediately and (b) the
-    /// incumbent still meets the defer threshold after resuming behind it
-    /// (judged by its residual execution PMF). Off by default — the
-    /// paper's published mechanism does not preempt.
-    pub preemption: bool,
     /// Worker threads for the per-machine scoring fan-out (`0` = the
     /// host's available parallelism, resolved once per mapper) — the one
     /// setting the mapping-event fan-out has. One thread, or a cluster below
@@ -96,14 +86,12 @@ impl Default for PruningConfig {
             defer_threshold: 0.90,
             rho: 0.1,
             lambda: 0.9,
-            toggle_on: 1.0,
             schmitt: true,
             per_task_adjustment: true,
             drop_executing: true,
             impulse_budget: 24,
             batch_window: 192,
             fairness_factor: 0.05,
-            preemption: false,
             threads: 0,
             adaptive: None,
         }
@@ -126,13 +114,9 @@ impl PruningConfig {
         );
         assert!(self.lambda > 0.0 && self.lambda <= 1.0, "lambda in (0,1]");
         assert!(self.rho >= 0.0 && self.rho.is_finite(), "rho must be non-negative");
-        assert!(self.toggle_on > 0.0, "toggle must be positive");
         assert!(self.impulse_budget >= 2, "impulse budget too small");
         assert!(self.batch_window >= 1, "batch window must be positive");
         assert!((0.0..=1.0).contains(&self.fairness_factor), "fairness factor in [0,1]");
-        if let Some(a) = &self.adaptive {
-            a.validate();
-        }
     }
 }
 
@@ -150,12 +134,16 @@ pub fn adjusted_drop_threshold(base: f64, skewness: f64, position: usize, rho: f
     (base + phi).clamp(0.0, 1.0)
 }
 
+/// Oversubscription level at which dropping engages (§VII-A: "the
+/// dropping toggle is one task").
+pub(crate) const TOGGLE_ON: f64 = 1.0;
+
 /// Eq. 8 oversubscription detector with optional Schmitt trigger (§V-C).
 ///
 /// `d_τ = µ_τ·λ + d_{τ−1}·(1−λ)` where µ_τ is the number of deadline
 /// misses since the previous mapping event. Dropping engages when the
-/// level reaches `toggle_on`; with the Schmitt trigger it only disengages
-/// once the level falls to `0.8·toggle_on` (20 % separation), preventing
+/// level reaches one task (§VII-A); with the Schmitt trigger it only
+/// disengages once the level falls to 0.8 (20 % separation), preventing
 /// rapid on/off flapping around the threshold.
 ///
 /// ```
@@ -173,7 +161,6 @@ pub struct OversubscriptionDetector {
     level: f64,
     engaged: bool,
     lambda: f64,
-    toggle_on: f64,
     schmitt: bool,
 }
 
@@ -181,13 +168,7 @@ impl OversubscriptionDetector {
     /// Creates a detector from the pruning configuration.
     #[must_use]
     pub fn new(config: &PruningConfig) -> Self {
-        Self {
-            level: 0.0,
-            engaged: false,
-            lambda: config.lambda,
-            toggle_on: config.toggle_on,
-            schmitt: config.schmitt,
-        }
+        Self { level: 0.0, engaged: false, lambda: config.lambda, schmitt: config.schmitt }
     }
 
     /// Feeds the misses observed since the last mapping event (µ_τ) and
@@ -195,14 +176,14 @@ impl OversubscriptionDetector {
     pub fn observe(&mut self, missed: usize) {
         self.level = missed as f64 * self.lambda + self.level * (1.0 - self.lambda);
         if self.schmitt {
-            if self.level >= self.toggle_on {
+            if self.level >= TOGGLE_ON {
                 self.engaged = true;
-            } else if self.level <= 0.8 * self.toggle_on {
+            } else if self.level <= 0.8 * TOGGLE_ON {
                 self.engaged = false;
             }
             // Between the two bounds: hold the previous state.
         } else {
-            self.engaged = self.level >= self.toggle_on;
+            self.engaged = self.level >= TOGGLE_ON;
         }
     }
 
@@ -219,8 +200,8 @@ impl OversubscriptionDetector {
     }
 
     /// Overwrites the smoothed level and toggle state with values captured
-    /// from a snapshot. The λ/toggle parameters stay as configured — only
-    /// the dynamic state is restored.
+    /// from a snapshot. λ and the trigger stay as configured — only the
+    /// dynamic state is restored.
     pub fn restore(&mut self, level: f64, engaged: bool) {
         self.level = level;
         self.engaged = engaged;
@@ -347,7 +328,7 @@ mod tests {
         assert!((c.drop_threshold - 0.5).abs() < 1e-12);
         assert!((c.defer_threshold - 0.9).abs() < 1e-12);
         assert!((c.lambda - 0.9).abs() < 1e-12);
-        assert!((c.toggle_on - 1.0).abs() < 1e-12);
+        assert_eq!(TOGGLE_ON, 1.0);
         assert!(c.schmitt);
         assert!(c.adaptive.is_none(), "threshold adaptation is opt-in");
     }

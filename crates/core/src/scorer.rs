@@ -38,7 +38,7 @@
 //!    against the live queue and reconvolves only the suffix: appending a
 //!    task (the mapper's assignment loop) costs one `queue_step`;
 //!    dropping a mid-queue task (the pruner) reuses everything ahead of
-//!    it. Eviction, preemption, a warm-set change, or an event time
+//!    it. Eviction, a warm-set change, or an event time
 //!    outside the head's window fall back to a full rebuild.
 //!
 //! Because the incremental path replays exactly the operations a
@@ -420,8 +420,8 @@ impl ProbScorer {
     /// Always scores against the *warm* PET cell: the hypothetical tail
     /// carries no machine-warmth context. Under a cold-start model this
     /// overestimates the robustness of what would be a cold placement — an
-    /// accepted approximation for the permutation/preemption probes that
-    /// use this path (the serverless scenario maps with PAM, whose phases
+    /// accepted approximation for the MOC permutation probes that use
+    /// this path (the serverless scenario maps with PAM, whose phases
     /// all go through the warmth-aware [`ProbScorer::score`] and
     /// [`ScoreTable`] paths).
     #[must_use]

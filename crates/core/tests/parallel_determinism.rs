@@ -47,7 +47,7 @@ fn fixed(threads: usize) -> PruningConfig {
 /// across execution modes — any fan-out ordering leak would change a
 /// threshold mid-run and fork the whole trajectory.
 fn adaptive(threads: usize) -> PruningConfig {
-    PruningConfig { adaptive: Some(AdaptiveConfig::default()), ..fixed(threads) }
+    PruningConfig { adaptive: Some(AdaptiveConfig), ..fixed(threads) }
 }
 
 /// One cluster trial: `machines` machines, arrival rate scaled with the
@@ -124,30 +124,11 @@ fn churn_cluster_trial(
     run_simulation_with_churn(&spec, config, &tasks, &churn, &mut mapper, &mut rng)
 }
 
-/// Proptest case count for the churn invariance proptest; the CI wide-sweep
-/// leg (`HCSIM_TEST_CHURN=1`) runs a deeper sweep.
-fn churn_cases() -> u32 {
-    if std::env::var("HCSIM_TEST_CHURN").as_deref() == Ok("1") {
-        8
-    } else {
-        3
-    }
-}
-
-/// Proptest case count for the adaptive-controller invariance proptests;
-/// the CI wide-sweep leg (`HCSIM_TEST_ADAPTIVE=1`) runs a deeper sweep.
-fn adaptive_cases() -> u32 {
-    if std::env::var("HCSIM_TEST_ADAPTIVE").as_deref() == Ok("1") {
-        8
-    } else {
-        3
-    }
-}
-
-/// Proptest case count for the serverless invariance proptests; the CI
-/// wide-sweep leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
-fn faas_cases() -> u32 {
-    if std::env::var("HCSIM_TEST_FAAS").as_deref() == Ok("1") {
+/// Proptest case count for the churn, adaptive and serverless invariance
+/// proptests; the CI wide-sweep leg (`HCSIM_TEST_WIDE=1`) runs a deeper
+/// sweep.
+fn wide_cases() -> u32 {
+    if std::env::var("HCSIM_TEST_WIDE").as_deref() == Ok("1") {
         8
     } else {
         3
@@ -212,13 +193,13 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: churn_cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: wide_cases(), ..ProptestConfig::default() })]
 
     /// PAM under cluster churn: joins, drains, and failures (with their
     /// task requeues) land mid-run, the scorer releases departed cells
     /// and re-gates the pool across membership epochs — and the report
     /// must still be byte-identical between sequential and pooled
-    /// execution. `HCSIM_TEST_CHURN=1` (the CI wide-sweep leg) widens the
+    /// execution. `HCSIM_TEST_WIDE=1` (the CI wide-sweep leg) widens the
     /// seed sweep.
     #[test]
     fn pam_churn_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
@@ -237,13 +218,13 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: adaptive_cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: wide_cases(), ..ProptestConfig::default() })]
 
     /// PAM with the closed-loop controller on: the controller's windowed
     /// observations and pressure detector are part of the mapper state,
     /// so its threshold trims — and the full report they shape — must be
-    /// bit-identical in both execution modes. `HCSIM_TEST_ADAPTIVE=1` (the
-    /// CI wide-sweep leg) widens the seed sweep.
+    /// bit-identical in both execution modes. `HCSIM_TEST_WIDE=1` (the CI
+    /// wide-sweep leg) widens the seed sweep.
     #[test]
     fn adaptive_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
@@ -272,13 +253,13 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: faas_cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: wide_cases(), ..ProptestConfig::default() })]
 
     /// PAM on the serverless workload: cold/warm PET selection, warm-set
     /// revisions invalidating tail caches, and spin-up sampling all ride
     /// the mapping hot path now — and the report (including the
     /// cold-start/warm-hit tallies) must stay byte-identical in both
-    /// execution modes. `HCSIM_TEST_FAAS=1` (the CI wide-sweep leg) widens
+    /// execution modes. `HCSIM_TEST_WIDE=1` (the CI wide-sweep leg) widens
     /// the seed sweep.
     #[test]
     fn faas_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
@@ -390,7 +371,7 @@ const GOLDEN_END_TIME: u64 = 542;
 /// trajectory — membership ordering, failure requeue, per-epoch
 /// attribution — against behavioral drift, and re-proves execution-mode
 /// agreement on every CI leg (the wide-sweep leg sets
-/// `HCSIM_TEST_CHURN=1` for the wider proptest sweep; the pin itself
+/// `HCSIM_TEST_WIDE=1` for the wider proptest sweep; the pin itself
 /// runs everywhere).
 #[test]
 fn cluster_64m_churn_seed_golden_pin() {

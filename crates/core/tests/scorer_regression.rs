@@ -264,18 +264,18 @@ fn table_reuse_never_changes_a_report() {
         let machines = spec.num_machines();
         let pam = || Pam::new(PruningConfig::default());
         assert_eq!(run(&mut pam()), run(&mut ColdEveryEvent(pam())), "PAM, {machines}m");
-        assert_eq!(run(&mut Moc::new()), run(&mut ColdEveryEvent(Moc::new())), "MOC, {machines}m");
+        assert_eq!(
+            run(&mut Moc::new(0)),
+            run(&mut ColdEveryEvent(Moc::new(0))),
+            "MOC, {machines}m"
+        );
         if !moving_thresholds {
             continue;
         }
         let pamf = || Pam::with_fairness(PruningConfig::default());
         assert_eq!(run(&mut pamf()), run(&mut ColdEveryEvent(pamf())), "PAMF, {machines}m");
-        let adaptive = || {
-            Pam::new(PruningConfig {
-                adaptive: Some(AdaptiveConfig::default()),
-                ..Default::default()
-            })
-        };
+        let adaptive =
+            || Pam::new(PruningConfig { adaptive: Some(AdaptiveConfig), ..Default::default() });
         assert_eq!(
             run(&mut adaptive()),
             run(&mut ColdEveryEvent(adaptive())),

@@ -21,12 +21,12 @@
 //! `parallel_determinism.rs` — restore may not drift even if both sides
 //! of an equality comparison drift together.
 
-use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES};
+use hcsim_core::{AdaptiveConfig, HeuristicKind, Pam, PruningConfig, PARALLEL_MIN_MACHINES};
 use hcsim_sim::{ChurnSource, EventSource, SimConfig, SimReport, SimSession, TaskTraceSource};
 use hcsim_stats::SeedSequence;
 use hcsim_workload::{
-    cluster_churn, faas_system, specint_cluster, ChurnConfig, FaasConfig, FaasGenerator,
-    WorkloadConfig, WorkloadGenerator,
+    cluster_churn, faas_system, specint_cluster, specint_system, ChurnConfig, FaasConfig,
+    FaasGenerator, WorkloadConfig, WorkloadGenerator,
 };
 use proptest::prelude::*;
 
@@ -178,9 +178,9 @@ fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> 
 }
 
 /// Proptest case count for the serverless snapshot proptest; the CI
-/// wide-sweep leg (`HCSIM_TEST_FAAS=1`) runs a deeper sweep.
-fn faas_cases() -> u32 {
-    if std::env::var("HCSIM_TEST_FAAS").as_deref() == Ok("1") {
+/// wide-sweep leg (`HCSIM_TEST_WIDE=1`) runs a deeper sweep.
+fn wide_cases() -> u32 {
+    if std::env::var("HCSIM_TEST_WIDE").as_deref() == Ok("1") {
         8
     } else {
         3
@@ -188,7 +188,7 @@ fn faas_cases() -> u32 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: faas_cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: wide_cases(), ..ProptestConfig::default() })]
 
     /// The serverless scenario interrupted at an arbitrary step: warm
     /// containers (possibly pinned in-use), scheduled keep-alive
@@ -250,7 +250,7 @@ proptest! {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let pruning = PruningConfig {
             threads: test_threads(),
-            adaptive: Some(AdaptiveConfig::default()),
+            adaptive: Some(AdaptiveConfig),
             ..PruningConfig::default()
         };
         let sim = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
@@ -308,3 +308,31 @@ const CHURN_GOLDEN_MAPPING_EVENTS: u64 = 695;
 const CHURN_GOLDEN_END_TIME: u64 = 749;
 const CHURN_GOLDEN_REQUEUED: u64 = 2;
 const CHURN_GOLDEN_EPOCHS: usize = 23;
+
+/// A mid-run snapshot of a 60-task PAM trial on the paper system (seed
+/// 2019, 34k), taken by a build whose PAM could still preempt: machine
+/// queues hold a preempted entry — started once, its sampled total and
+/// warmth carried in the pending entry. The wire format still admits that
+/// state, so restoring it and running to the end must keep reproducing
+/// the run recorded when the snapshot was taken: the resumed entry runs
+/// out the total it sampled at its first start.
+#[test]
+fn preempted_entry_snapshot_restores_to_its_recorded_run() {
+    const SNAPSHOT: &[u8] = include_bytes!("fixtures/preempted_pam.snap");
+    const REPORT_FNV: u64 = 0xdc8b_5494_56c6_0f1a;
+    let seeds = SeedSequence::new(2019);
+    let spec = specint_system(6, &mut seeds.stream(0));
+    let mut mapper = Pam::new(PruningConfig::default());
+    let mut rng = seeds.stream(9); // overwritten by restore
+    let report =
+        SimSession::restore(&spec, SimConfig::untrimmed(), SNAPSHOT, &mut mapper, &mut rng)
+            .expect("the committed snapshot restores")
+            .run_to_completion();
+    let o = &report.metrics.outcomes;
+    assert_eq!((o.on_time, o.expired_unstarted, o.expired_executing), (42, 17, 1), "{o:?}");
+    let rendered = fingerprint(&report);
+    let fnv = rendered
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    assert_eq!(fnv, REPORT_FNV, "report digest moved: {fnv:#018x}");
+}

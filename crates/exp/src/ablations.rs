@@ -15,7 +15,6 @@
 //! | [`approximate_computing`] | §VIII future work: how much evicted work could be salvaged as degraded results? |
 //! | [`queue_capacity`] | The paper fixes machine queues at 6; how does depth interact with pruning? |
 //! | [`arrival_burstiness`] | The paper fixes arrival variance at 10 % of the mean; does pruning survive bursty arrivals? |
-//! | [`preemption`] | §VIII future work: does residual-PMF-guided preemption of executing tasks help? |
 
 use crate::report::Table;
 use crate::runner::{FigOptions, Scenario, SystemKind};
@@ -287,33 +286,6 @@ pub fn arrival_burstiness(opts: &FigOptions) -> Table {
     table
 }
 
-/// §VIII future work: probabilistic preemption. PAM may pause an
-/// executing task for an urgent arrival when the incumbent's residual
-/// execution PMF says it can afford the delay. Evaluated under steady and
-/// bursty arrivals (preemption only has room to act when machines are
-/// busy on long work while urgent tasks arrive).
-#[must_use]
-pub fn preemption(opts: &FigOptions) -> Table {
-    let mut table = Table::new(
-        "Extension — probabilistic preemption (paper §VIII future work)",
-        vec!["arrivals".into(), "PAM (%)".into(), "PAM+preempt (%)".into()],
-    );
-    table.note("@34k; preemption gated on residual-PMF robustness of the incumbent");
-    for (label, variance_frac) in [("steady (var 0.1x)", 0.1), ("bursty (var 2.0x)", 2.0)] {
-        let mut cells = vec![label.to_string()];
-        for preempt in [false, true] {
-            let mut scenario = Scenario::paper_default(HeuristicKind::Pam, 34_000.0);
-            scenario.workload.arrival_variance_frac = variance_frac;
-            scenario.pruning = PruningConfig { preemption: preempt, ..PruningConfig::default() };
-            scenario.label = format!("preempt={preempt} {label}");
-            let agg = scenario.run(opts);
-            cells.push(ci(&agg.robustness));
-        }
-        table.push_row(cells);
-    }
-    table
-}
-
 /// All ablations, in documentation order.
 #[must_use]
 pub fn all(opts: &FigOptions) -> Vec<Table> {
@@ -328,7 +300,6 @@ pub fn all(opts: &FigOptions) -> Vec<Table> {
         approximate_computing(opts),
         queue_capacity(opts),
         arrival_burstiness(opts),
-        preemption(opts),
     ]
 }
 

@@ -3,7 +3,7 @@
 
 use crate::report::Table;
 use crate::runner::{FigOptions, Scenario, SystemKind};
-use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig};
+use hcsim_core::{AdaptiveConfig, AdaptiveController, HeuristicKind, PruningConfig};
 use hcsim_model::Time;
 use hcsim_parallel::parallel_map;
 use hcsim_service::{run_with_recovery, FaultPlan, ServiceConfig};
@@ -769,10 +769,7 @@ pub fn adaptive_sweep(opts: &FigOptions) -> Vec<AdaptiveSweepRow> {
                 .collect();
             let adaptive = run_config(
                 &trace,
-                PruningConfig {
-                    adaptive: Some(AdaptiveConfig::default()),
-                    ..PruningConfig::default()
-                },
+                PruningConfig { adaptive: Some(AdaptiveConfig), ..PruningConfig::default() },
             );
             progress(&format!("adaptive trace {name}"));
             AdaptiveSweepRow { trace: name, statics, adaptive }
@@ -805,7 +802,7 @@ pub fn adaptive(opts: &FigOptions) -> Table {
          the controller observes a {}-outcome window and steers drop/defer online",
         opts.trials,
         opts.num_tasks,
-        AdaptiveConfig::default().window,
+        AdaptiveController::WINDOW,
     ));
     for row in adaptive_sweep(opts) {
         let mut cells = vec![row.trace.to_string()];
@@ -905,10 +902,10 @@ mod tests {
     /// The acceptance sweep: at full fidelity the controller must match or
     /// beat the best static pair on every trace and strictly beat every
     /// static pair on at least one. Runs the real 30x800 sweep, so it is
-    /// gated behind `HCSIM_TEST_ADAPTIVE=1` (one CI matrix leg).
+    /// gated behind `HCSIM_TEST_WIDE=1` (CI's wide-sweep leg).
     #[test]
     fn adaptive_beats_statics_at_full_fidelity() {
-        if std::env::var("HCSIM_TEST_ADAPTIVE").as_deref() != Ok("1") {
+        if std::env::var("HCSIM_TEST_WIDE").as_deref() != Ok("1") {
             return;
         }
         let rows = adaptive_sweep(&FigOptions::default());
@@ -950,11 +947,11 @@ mod tests {
     /// The serverless acceptance sweep: at full fidelity PAM's
     /// function-level pruning must beat the no-pruning baseline on
     /// on-time completions under >10x overload. Runs the real 30-trial
-    /// sweep, so it is gated behind `HCSIM_TEST_FAAS=1` (one CI matrix
+    /// sweep, so it is gated behind `HCSIM_TEST_WIDE=1` (CI's wide-sweep
     /// leg).
     #[test]
     fn faas_pruning_beats_baseline_at_full_fidelity() {
-        if std::env::var("HCSIM_TEST_FAAS").as_deref() != Ok("1") {
+        if std::env::var("HCSIM_TEST_WIDE").as_deref() != Ok("1") {
             return;
         }
         let rows = faas_sweep(&FigOptions::default());

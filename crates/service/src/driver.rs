@@ -61,17 +61,18 @@ pub struct ServiceConfig {
     /// Engine backlog (batch-queue length) at which probabilistic shedding
     /// engages; at twice this bound shedding becomes unconditional.
     pub backlog_bound: usize,
-    /// Seed of the dedicated admission-shedding RNG stream (separate from
-    /// the simulation's execution-time stream, so shedding never perturbs
-    /// drawn execution times).
-    pub shed_seed: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { pace: None, backlog_bound: 512, shed_seed: 0x5EED_5EED }
+        Self { pace: None, backlog_bound: 512 }
     }
 }
+
+/// Seed of the dedicated admission-shedding RNG stream (separate from the
+/// simulation's execution-time stream, so shedding never perturbs drawn
+/// execution times).
+const SHED_SEED: u64 = 0x5EED_5EED;
 
 wire_struct! {
     /// Service-level accounting, alongside the engine's own [`SimReport`].
@@ -182,10 +183,10 @@ struct DriverState {
 }
 
 impl DriverState {
-    fn new(shed_seed: u64) -> Self {
+    fn new() -> Self {
         Self {
             seen: HashSet::new(),
-            shed_rng: Xoshiro256pp::new(shed_seed),
+            shed_rng: Xoshiro256pp::new(SHED_SEED),
             stats: ServiceStats::default(),
             last_epoch: 0,
         }
@@ -256,7 +257,7 @@ pub fn serve<M: Mapper, R: SnapshotRng>(
     rng: &mut R,
 ) -> ServiceExit {
     let session = SimSession::new(spec, sim_config, sources, mapper, rng);
-    run_driver(spec, service, fault, arrivals, session, DriverState::new(service.shed_seed))
+    run_driver(spec, service, fault, arrivals, session, DriverState::new())
 }
 
 /// Resumes a killed service from a checkpoint, runs it to its next exit,

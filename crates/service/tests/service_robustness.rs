@@ -131,8 +131,7 @@ fn crash_restore_with_adaptation_enabled_is_bit_identical() {
     let churn = churn_for(&spec, 308);
     let schedule = ArrivalSchedule::from_tasks(&tasks);
     let service = ServiceConfig::default();
-    let pruning =
-        PruningConfig { adaptive: Some(AdaptiveConfig::default()), ..PruningConfig::default() };
+    let pruning = PruningConfig { adaptive: Some(AdaptiveConfig), ..PruningConfig::default() };
     let sim = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
     let run_adaptive = |fault: &FaultPlan| {
         run_with_recovery(
@@ -402,7 +401,7 @@ const PIN_SEED: u64 = 318;
 /// format has (detector, counters, v2 appendix with controller state).
 fn adaptive_pam() -> Pam {
     Pam::new(PruningConfig {
-        adaptive: Some(AdaptiveConfig::default()),
+        adaptive: Some(AdaptiveConfig),
         threads: 1,
         ..PruningConfig::default()
     })

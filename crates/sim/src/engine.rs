@@ -126,6 +126,7 @@ pub struct EventSink<'a> {
     seq: &'a mut u64,
     num_task_slots: &'a mut usize,
     num_machines: usize,
+    num_task_types: usize,
 }
 
 impl EventSink<'_> {
@@ -133,13 +134,15 @@ impl EventSink<'_> {
     ///
     /// # Panics
     ///
-    /// Panics when a membership event names a machine outside the system
-    /// spec — the pipeline is open to arbitrary sources (hand-written
-    /// traces, CSV imports), so the range check happens here, at intake,
-    /// rather than as an index panic mid-run.
+    /// Panics when an arrival names a task type, or a membership event a
+    /// machine, outside the system spec — the pipeline is open to
+    /// arbitrary sources (hand-written traces, CSV imports), so the range
+    /// check happens here, at intake, rather than as an index panic
+    /// mid-run.
     pub fn push(&mut self, time: Time, event: SimEvent) {
         match &event {
             SimEvent::Arrival(task) => {
+                check_task_type(task, self.num_task_types);
                 *self.num_task_slots = (*self.num_task_slots).max(task.id.index() + 1);
             }
             SimEvent::MachineJoin(m)
@@ -158,6 +161,16 @@ impl EventSink<'_> {
         self.events.push(Reverse(Event { time, seq: *self.seq, kind: event }));
         *self.seq += 1;
     }
+}
+
+/// The intake range check on an arrival's task type.
+fn check_task_type(task: &Task, num_task_types: usize) {
+    assert!(
+        task.type_id.index() < num_task_types,
+        "task {} type {} out of range (system has {num_task_types} task types)",
+        task.id,
+        task.type_id.0
+    );
 }
 
 /// A composable producer of simulation events. The engine drains every
@@ -363,7 +376,6 @@ struct Engine<'a, M: Mapper, R: rand::Rng> {
     /// Scratch buffers reused across events.
     expired_buf: Vec<Task>,
     pruned_buf: Vec<PrunedTask>,
-    segment_charges_buf: Vec<(MachineId, Time)>,
     requeue_buf: Vec<(Task, Time)>,
 }
 
@@ -391,6 +403,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
                 seq: &mut seq,
                 num_task_slots: &mut num_task_slots,
                 num_machines: machines.len(),
+                num_task_types: spec.num_task_types(),
             };
             source.emit(&mut sink);
         }
@@ -422,7 +435,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             carried: vec![0; num_task_slots],
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
-            segment_charges_buf: Vec::with_capacity(spec.num_machines()),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
         }
     }
@@ -556,7 +568,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             .expect("completion event for idle machine");
         self.release_container(machine, exec.task.type_id);
         // Only the current segment is new busy time (earlier segments were
-        // charged at preemption); the record reports total machine time.
+        // charged when they ended); the record reports total machine time.
         let segment = self.now - exec.started_at;
         self.cost.record_busy(machine, segment);
         let elapsed = exec.elapsed_at(self.now);
@@ -676,8 +688,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         self.mapping_events += 1;
         let mut pruned = std::mem::take(&mut self.pruned_buf);
         pruned.clear();
-        let mut segment_charges = std::mem::take(&mut self.segment_charges_buf);
-        segment_charges.clear();
         let mut ctx = MapContext {
             now,
             missed_since_last: self.missed_since_last,
@@ -687,15 +697,10 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             batch: &mut self.batch,
             machines: &mut self.machines,
             pruned: &mut pruned,
-            segment_charges: &mut segment_charges,
             carried: &mut self.carried,
         };
         self.mapper.on_mapping_event(&mut ctx);
         self.missed_since_last = 0;
-        for &(machine, segment) in &segment_charges {
-            self.cost.record_busy(machine, segment);
-        }
-        self.segment_charges_buf = segment_charges;
 
         // Account for the pruner's removals. An evicted executing task
         // consumed machine time up to now.
@@ -927,9 +932,11 @@ impl<'a, M: Mapper, R: rand::Rng> SimSession<'a, M, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the task id already has a terminal record — service ids
-    /// must be fresh (the driver deduplicates duplicated deliveries).
+    /// Panics if the task type is outside the system spec, or if the task
+    /// id already has a terminal record — service ids must be fresh (the
+    /// driver deduplicates duplicated deliveries).
     pub fn inject_arrival(&mut self, task: Task) {
+        check_task_type(&task, self.engine.spec.num_task_types());
         let idx = task.id.index();
         self.grow_slots(idx + 1);
         assert!(
@@ -1532,6 +1539,27 @@ mod tests {
             &mut mapper,
             &mut rng,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "type 99 out of range")]
+    fn out_of_range_task_type_is_rejected_at_intake() {
+        let spec = small_spec(2);
+        let mut tasks = tasks_every(2, 10, 100);
+        tasks[1].type_id = TaskTypeId(99);
+        let _ = run(&spec, &tasks, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "type 99 out of range")]
+    fn out_of_range_task_type_is_rejected_at_injection() {
+        let spec = small_spec(2);
+        let mut mapper = FirstFitMapper;
+        let mut rng = SeedSequence::new(1).stream(0);
+        let mut session =
+            SimSession::new(&spec, SimConfig::untrimmed(), &mut [], &mut mapper, &mut rng);
+        let task = Task { id: TaskId(0), type_id: TaskTypeId(99), arrival: 0, deadline: 100 };
+        session.inject_arrival(task);
     }
 
     #[test]

@@ -252,7 +252,6 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
             carried,
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
-            segment_charges_buf: Vec::with_capacity(spec.num_machines()),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
         })
     }

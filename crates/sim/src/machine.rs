@@ -46,8 +46,10 @@ pub enum MachineLifecycle {
 }
 
 /// A mapped-but-not-executing queue entry. `progress` is non-zero only for
-/// tasks that were preempted mid-execution (§VIII future work): the work
-/// already done is retained and the engine resumes the remainder.
+/// work resumed mid-execution — progress carried from a failed machine, or
+/// a preempted entry (§VIII future work; no mapper preempts any more, but
+/// a restored snapshot may still hold one): the work already done is
+/// retained and the engine resumes the remainder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingEntry {
     /// The task.
@@ -104,8 +106,8 @@ pub struct ExecutingTask {
     pub task: Task,
     /// When the current execution segment began.
     pub started_at: Time,
-    /// Execution time completed in earlier segments (non-zero only after
-    /// a preemption).
+    /// Execution time completed in earlier segments (non-zero only for
+    /// resumed work: carried progress or a preempted entry).
     pub progress_before: Time,
     /// Whether this execution began with a container spin-up (serverless
     /// cold-start model; always `false` in the classic HC model). Unlike
@@ -284,7 +286,7 @@ impl MachineState {
         self.pending.iter().map(|e| &e.task)
     }
 
-    /// Pending entries including preemption progress, FCFS order.
+    /// Pending entries including resumed progress, FCFS order.
     pub fn pending_entries(&self) -> impl ExactSizeIterator<Item = &PendingEntry> {
         self.pending.iter()
     }
@@ -392,13 +394,6 @@ impl MachineState {
             self.announced_departure = departs_at;
             self.version += 1;
         }
-    }
-
-    /// Inserts an entry at the queue front (preemption bookkeeping).
-    pub(crate) fn push_pending_front(&mut self, entry: PendingEntry) {
-        debug_assert!(self.has_free_slot(), "push on full machine {}", self.id);
-        self.pending.push_front(entry);
-        self.version += 1;
     }
 
     pub(crate) fn pop_next_pending(&mut self) -> Option<PendingEntry> {

@@ -18,8 +18,6 @@ pub enum AssignError {
     NotInBatch,
     /// The target machine has no free queue slot.
     MachineFull,
-    /// A preemption was requested on a machine with no executing task.
-    MachineNotExecuting,
     /// The target machine is draining or offline (not a cluster member).
     MachineUnavailable,
 }
@@ -29,9 +27,6 @@ impl std::fmt::Display for AssignError {
         match self {
             AssignError::NotInBatch => write!(f, "task is not in the batch queue"),
             AssignError::MachineFull => write!(f, "machine queue is full"),
-            AssignError::MachineNotExecuting => {
-                write!(f, "machine has no executing task to preempt")
-            }
             AssignError::MachineUnavailable => {
                 write!(f, "machine is draining or offline")
             }
@@ -50,7 +45,7 @@ pub(crate) struct PrunedTask {
     /// `Some(started_at)` when the task was executing (evicted), `None`
     /// when it was pending.
     pub started_at: Option<Time>,
-    /// Execution time from earlier (preempted) segments.
+    /// Execution time from earlier segments.
     pub progress_before: Time,
 }
 
@@ -64,9 +59,6 @@ pub struct MapContext<'a> {
     pub(crate) batch: &'a mut Vec<Task>,
     pub(crate) machines: &'a mut [MachineState],
     pub(crate) pruned: &'a mut Vec<PrunedTask>,
-    /// Busy time consumed by interrupted execution segments (preemptions)
-    /// during this event, applied by the engine afterwards.
-    pub(crate) segment_charges: &'a mut Vec<(MachineId, Time)>,
     /// Per-task-slot execution progress salvaged from failed machines
     /// (`SimConfig::carry_progress`); consumed when the task is assigned
     /// so it resumes from a residual PMF instead of restarting cold.
@@ -211,32 +203,6 @@ impl<'a> MapContext<'a> {
         });
         Some(exec.task)
     }
-
-    /// Preempts machine `m`'s executing task and maps `task_id` ahead of
-    /// it: the batch task takes the queue head, the preempted task resumes
-    /// immediately after with its completed work retained (§VIII future
-    /// work — probabilistic task preemption).
-    ///
-    /// Fails when the machine is idle or the task is not in the batch;
-    /// occupancy is unchanged (executing → pending), so capacity is never
-    /// an obstacle.
-    pub fn preempt_and_assign(&mut self, m: MachineId, task_id: TaskId) -> Result<(), AssignError> {
-        if !self.machines[m.index()].is_schedulable() {
-            return Err(AssignError::MachineUnavailable);
-        }
-        if self.machines[m.index()].executing().is_none() {
-            return Err(AssignError::MachineNotExecuting);
-        }
-        let pos = self.batch.iter().position(|t| t.id == task_id).ok_or(AssignError::NotInBatch)?;
-        let task = self.batch.remove(pos);
-        let progress = self.take_carried(task.id);
-        let now = self.now;
-        let machine = &mut self.machines[m.index()];
-        let segment = machine.preempt_executing(now).expect("checked executing above");
-        self.segment_charges.push((m, segment));
-        machine.push_pending_front(crate::machine::PendingEntry::carrying(task, progress));
-        Ok(())
-    }
 }
 
 /// Counters a mapper may expose for experiment instrumentation (Fig. 4's
@@ -252,8 +218,9 @@ pub struct MapperInstrumentation {
     pub toggle_transitions: u64,
     /// Tasks removed by the probabilistic dropping pass.
     pub pruner_drops: u64,
-    /// Executing tasks preempted in favor of urgent arrivals (§VIII
-    /// extension; zero unless preemption is enabled).
+    /// Executing tasks preempted in favor of urgent arrivals. No mapper
+    /// preempts any more, so this stays 0 unless restored from a blob
+    /// written when PAM could; it keeps its slot in the PAM blob layout.
     pub preemptions: u64,
     /// Mapping events served by score-table reuse: the previous event's
     /// table — from the same tick or an earlier one — was revalidated
@@ -442,7 +409,6 @@ mod tests {
         batch: Vec<Task>,
         machines: Vec<MachineState>,
         pruned: Vec<PrunedTask>,
-        segment_charges: Vec<(MachineId, crate::Time)>,
         carried: Vec<crate::Time>,
     }
 
@@ -451,14 +417,7 @@ mod tests {
             let spec = spec();
             let machines =
                 (0..2).map(|m| MachineState::new(MachineId::from(m as usize), 2)).collect();
-            Self {
-                spec,
-                batch,
-                machines,
-                pruned: Vec::new(),
-                segment_charges: Vec::new(),
-                carried: vec![0; 16],
-            }
+            Self { spec, batch, machines, pruned: Vec::new(), carried: vec![0; 16] }
         }
 
         fn ctx(&mut self) -> MapContext<'_> {
@@ -471,7 +430,6 @@ mod tests {
                 batch: &mut self.batch,
                 machines: &mut self.machines,
                 pruned: &mut self.pruned,
-                segment_charges: &mut self.segment_charges,
                 carried: &mut self.carried,
             }
         }
@@ -539,34 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn preempt_and_assign_orders_queue_correctly() {
-        let mut fx = Fixture::new(vec![task(9)]);
-        fx.machines[0].start(crate::machine::PendingEntry::new(task(1)), 0, 100);
-        let mut ctx = fx.ctx();
-        ctx.preempt_and_assign(MachineId(0), TaskId(9)).unwrap();
-        assert!(ctx.batch().is_empty());
-        let m = ctx.machine(MachineId(0));
-        assert!(m.executing().is_none(), "engine restarts after the event");
-        let order: Vec<u32> = m.pending().map(|t| t.id.0).collect();
-        assert_eq!(order, vec![9, 1], "urgent task first, preempted resumes second");
-        assert_eq!(fx.segment_charges.len(), 1);
-    }
-
-    #[test]
-    fn preempt_requires_executing_task() {
-        let mut fx = Fixture::new(vec![task(9)]);
-        let mut ctx = fx.ctx();
-        assert_eq!(
-            ctx.preempt_and_assign(MachineId(0), TaskId(9)),
-            Err(AssignError::MachineNotExecuting)
-        );
-    }
-
-    #[test]
     fn error_display() {
         assert!(AssignError::NotInBatch.to_string().contains("batch"));
         assert!(AssignError::MachineFull.to_string().contains("full"));
-        assert!(AssignError::MachineNotExecuting.to_string().contains("preempt"));
         assert!(AssignError::MachineUnavailable.to_string().contains("offline"));
     }
 

@@ -33,7 +33,8 @@ pub enum QueueOp {
     /// pruner eviction).
     FinishExecuting,
     /// Preempt the executing task back to the queue front with its
-    /// progress retained (engine: `preempt_and_assign`).
+    /// progress retained: no mapper preempts any more, but a restored
+    /// snapshot can still hold the state this leaves behind.
     Preempt {
         /// Current simulation time.
         now: Time,

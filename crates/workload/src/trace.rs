@@ -78,6 +78,10 @@ pub fn save_tasks_csv<W: Write>(tasks: &[Task], out: &mut W) -> Result<(), Trace
 }
 
 /// Reads tasks from CSV produced by [`save_tasks_csv`].
+///
+/// Task ids index the engine's per-task record table, so each row's id
+/// must be its 0-based data-row index; any other id is a
+/// [`TraceError::Parse`] at its line.
 pub fn load_tasks_csv<R: Read>(input: R) -> Result<Vec<Task>, TraceError> {
     let reader = BufReader::new(input);
     let mut tasks = Vec::new();
@@ -110,6 +114,12 @@ pub fn load_tasks_csv<R: Read>(input: R) -> Result<Vec<Task>, TraceError> {
         let deadline: Time = parse_field(next_field("deadline")?, "deadline", lineno)?;
         if fields.next().is_some() {
             return Err(TraceError::Parse { line: lineno, reason: "too many fields".into() });
+        }
+        if id as usize != tasks.len() {
+            return Err(TraceError::Parse {
+                line: lineno,
+                reason: format!("task id {id} is not its row index {}", tasks.len()),
+            });
         }
         if deadline < arrival {
             return Err(TraceError::Parse {
@@ -277,6 +287,19 @@ mod tests {
         let input = "id,type,arrival,deadline\n0,1,100,50\n";
         let err = load_tasks_csv(input.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("precedes"), "{err}");
+    }
+
+    #[test]
+    fn ids_must_be_row_indices() {
+        let gap = "id,type,arrival,deadline\n0,1,5,9\n2,1,6,12\n";
+        let err = load_tasks_csv(gap.as_bytes()).unwrap_err();
+        match err {
+            TraceError::Parse { line, reason } => {
+                assert_eq!(line, 3);
+                assert!(reason.contains("row index 1"), "{reason}");
+            }
+            other => panic!("unexpected {other}"),
+        }
     }
 
     #[test]
