@@ -23,7 +23,6 @@ use crate::pruner::PruningConfig;
 use crate::scorer::{PairScore, ProbScorer};
 use crate::table_loop::TableLoop;
 use hcsim_model::MachineId;
-use hcsim_pmf::Pmf;
 use hcsim_sim::{MapContext, Mapper};
 
 /// Culling threshold: provisional pairs below 30 % robustness are
@@ -37,9 +36,6 @@ const PERMUTE_TOP: usize = 3;
 #[derive(Debug)]
 pub struct Moc {
     table_loop: TableLoop,
-    /// Owned-tail scratch for the permutation phase, reused across
-    /// candidates and events (keeps mapping events allocation-free).
-    tail_scratch: Pmf,
 }
 
 impl Moc {
@@ -51,7 +47,7 @@ impl Moc {
     pub fn new(threads: usize) -> Self {
         let pam = PruningConfig::default();
         let table_loop = TableLoop::new(pam.impulse_budget, pam.batch_window, threads);
-        Self { table_loop, tail_scratch: Pmf::delta(0) }
+        Self { table_loop }
     }
 }
 
@@ -65,12 +61,7 @@ struct Candidate {
 
 /// Permutation: the candidate whose assignment leaves the highest total
 /// robustness across the top-k.
-fn permute(
-    candidates: &[Candidate],
-    scorer: &mut ProbScorer,
-    ctx: &MapContext<'_>,
-    tail: &mut Pmf,
-) -> Candidate {
+fn permute(candidates: &[Candidate], scorer: &mut ProbScorer, ctx: &MapContext<'_>) -> Candidate {
     if candidates.len() == 1 {
         return candidates[0];
     }
@@ -78,31 +69,17 @@ fn permute(
     let mut best_idx = 0;
     for (idx, cand) in candidates.iter().enumerate() {
         let mut total = cand.score.robustness;
-        // Hypothetical tail of cand's machine after assignment (single
-        // copy into the reused scratch).
         let machine = ctx.machine(cand.machine);
-        scorer.tail_into(machine, tail);
         let task = ctx.batch()[cand.row];
-        let pet_pmf = ctx.spec().pet.pmf(task.type_id, cand.machine);
-        // Pooled hypothetical append: the scorer compacts to its own
-        // budget (== ours) and pools the storage.
-        let hypo_tail = scorer.append_availability(tail, pet_pmf, task.deadline);
         let slot_left = machine.free_slots() > 1;
         for (jdx, other) in candidates.iter().enumerate() {
             if jdx == idx {
                 continue;
             }
-            let other_task = ctx.batch()[other.row];
             let r = if other.machine == cand.machine {
                 if slot_left {
-                    scorer
-                        .score_against_tail(
-                            &hypo_tail,
-                            other_task.type_id,
-                            other.machine,
-                            other_task.deadline,
-                        )
-                        .robustness
+                    // The other re-scored behind cand's hypothetical commit.
+                    scorer.score_behind(machine, &task, &ctx.batch()[other.row]).robustness
                 } else {
                     0.0 // queue would be full for the other
                 }
@@ -111,7 +88,6 @@ fn permute(
             };
             total += r;
         }
-        scorer.recycle(hypo_tail);
         if total > best_total {
             best_total = total;
             best_idx = idx;
@@ -129,7 +105,6 @@ impl Mapper for Moc {
         self.table_loop.start_event(ctx);
         // Rows the bound pass proves below the culling threshold would be
         // discarded by the reduction anyway — skip scoring them.
-        let tail = &mut self.tail_scratch;
         self.table_loop.map(ctx, &|_| CULL_THRESHOLD, |table, scorer, ctx, window| {
             // Phase 1 + culling, then the top-k by robustness.
             let mut candidates: Vec<Candidate> = (0..window)
@@ -147,7 +122,7 @@ impl Mapper for Moc {
             }
             candidates.sort_by(|a, b| b.score.robustness.total_cmp(&a.score.robustness));
             candidates.truncate(PERMUTE_TOP);
-            let chosen = permute(&candidates, scorer, ctx, tail);
+            let chosen = permute(&candidates, scorer, ctx);
             Some((chosen.row, chosen.machine))
         });
     }

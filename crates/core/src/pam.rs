@@ -173,12 +173,6 @@ impl Pam {
         Self { thresholds: Thresholds::new(&config, true), ..Self::new(config) }
     }
 
-    /// The pruning configuration.
-    #[must_use]
-    pub fn config(&self) -> &PruningConfig {
-        &self.config
-    }
-
     /// Current oversubscription level d_τ (for instrumentation).
     #[must_use]
     pub fn oversubscription_level(&self) -> f64 {

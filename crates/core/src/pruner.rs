@@ -225,12 +225,6 @@ impl Pruner {
         Self { config }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &PruningConfig {
-        &self.config
-    }
-
     /// Runs the dropping pass over all machine queues. `threshold_for`
     /// supplies the (possibly fairness-relaxed) base dropping threshold per
     /// task type. Returns the number of tasks removed.

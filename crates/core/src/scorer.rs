@@ -117,12 +117,12 @@ pub(crate) mod test_support;
 #[cfg(test)]
 mod tests;
 
-use crate::chain::{analyze_queue_cold, PetTables, QueueAnalysis};
+use crate::chain::{analyze_queue_cold, chain_extension, PetTables, QueueAnalysis};
 use cells::{Cells, WarmFilter};
-use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskTypeId, Time};
-use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
-use hcsim_sim::MachineState;
-use kernel::{effective_deadline, score_against, score_unless_below};
+use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, Time};
+use hcsim_pmf::{DropPolicy, Pmf};
+use hcsim_sim::{MachineState, PendingEntry};
+use kernel::{effective_deadline, score_unless_below};
 use shared::{ScorerShared, SPEC_MEMO};
 use std::sync::Arc;
 use tail::{MachineCache, TailBound};
@@ -148,9 +148,6 @@ pub struct ProbScorer {
     /// Per-machine incremental availability chains, index-aligned with
     /// machine ids.
     cells: Cells,
-    /// Scratch for scorer-level (machine-independent) operations:
-    /// hypothetical appends and their recycling.
-    hypo_scratch: ConvScratch,
     /// Copy-out buffers for single-cell queries in pooled mode (see
     /// `Cells::view`).
     slots_buf: Vec<SlotScore>,
@@ -220,7 +217,6 @@ impl ProbScorer {
             membership_epoch: None,
             schedulable: machines,
             cells: Cells::new(machines),
-            hypo_scratch: ConvScratch::new(),
             slots_buf: Vec::new(),
             tail_buf: Pmf::delta(0),
         }
@@ -357,9 +353,9 @@ impl ProbScorer {
     }
 
     /// Clones the machine's tail into `out`, reusing `out`'s buffers —
-    /// the single-copy path for callers that need an *owned* tail (MOC's
-    /// permutation phase): in pooled mode a borrow cannot escape the cell
-    /// lock, so [`ProbScorer::tail`] + `clone()` would copy twice.
+    /// the single-copy path for callers that need an *owned* tail: in
+    /// pooled mode a borrow cannot escape the cell lock, so
+    /// [`ProbScorer::tail`] + `clone()` would copy twice.
     pub fn tail_into(&mut self, machine: &MachineState, out: &mut Pmf) {
         let Self { shared, now, cells, .. } = self;
         cells.with(machine.id().index(), |cell| {
@@ -414,44 +410,50 @@ impl ProbScorer {
         })
     }
 
-    /// Scores `task` against an explicit tail (used by MOC's permutation
-    /// phase, which evaluates hypothetical assignments).
-    ///
-    /// Always scores against the *warm* PET cell: the hypothetical tail
-    /// carries no machine-warmth context. Under a cold-start model this
-    /// overestimates the robustness of what would be a cold placement — an
-    /// accepted approximation for the MOC permutation probes that use
-    /// this path (the serverless scenario maps with PAM, whose phases
-    /// all go through the warmth-aware [`ProbScorer::score`] and
-    /// [`ScoreTable`] paths).
-    #[must_use]
-    pub fn score_against_tail(
-        &self,
-        tail: &Pmf,
-        tt: TaskTypeId,
-        m: MachineId,
-        deadline: Time,
-    ) -> PairScore {
-        score_against(tail, self.shared.cdf(tt, m), deadline, self.shared.policy)
-    }
-
-    /// Availability after hypothetically appending a task with execution
-    /// PMF `exec` and `deadline` behind `tail`, compacted to the scorer's
-    /// budget. Storage is drawn from the scorer's pool; hand the result
-    /// back via [`ProbScorer::recycle`] to keep the loop allocation-free.
-    pub fn append_availability(&mut self, tail: &Pmf, exec: &Pmf, deadline: Time) -> Pmf {
-        let mut step =
-            queue_step_into(tail, exec, deadline, self.shared.policy, &mut self.hypo_scratch);
-        step.availability.compact(self.shared.budget);
-        if let Some(c) = step.completion {
-            self.hypo_scratch.recycle(c);
-        }
-        step.availability
-    }
-
-    /// Returns a PMF obtained from this scorer to its storage pool.
-    pub fn recycle(&mut self, pmf: Pmf) {
-        self.hypo_scratch.recycle(pmf);
+    /// Scores `task` behind a hypothetical append of `ahead` to `machine`:
+    /// bit for bit what [`ProbScorer::score`] returns for `task` once
+    /// `ahead` is pushed for real — MOC's permutation phase asks this of
+    /// every hypothetical commit. `ahead` chains with the cell the append
+    /// rule picks ([`PetTables::append_is_cold`]); `task` scores warm
+    /// behind a same-type `ahead` and by the same rule otherwise, at its
+    /// deadline capped by an announced departure.
+    pub fn score_behind(&mut self, machine: &MachineState, ahead: &Task, task: &Task) -> PairScore {
+        let Self { shared, now, cells, .. } = self;
+        let pets = shared.pets();
+        let pet = pets.cold.filter(|_| pets.append_is_cold(machine, ahead.type_id));
+        let cdf = if task.type_id == ahead.type_id {
+            shared.cdf(task.type_id, machine.id())
+        } else {
+            shared.cdf_for(task.type_id, machine)
+        };
+        let deadline = effective_deadline(task.deadline, machine.announced_departure());
+        cells.with(machine.id().index(), |cell| {
+            cell.ensure(shared, *now, machine, false);
+            // The step the chain takes once `ahead` is pushed for real.
+            let MachineCache { cache, scratch, .. } = cell;
+            let (mut step, _) = chain_extension(
+                cache.tail(),
+                &PendingEntry::new(*ahead),
+                pet.unwrap_or(pets.warm),
+                machine.id(),
+                shared.policy,
+                shared.budget,
+                false,
+                scratch,
+            );
+            if let Some(c) = step.completion.take() {
+                scratch.recycle(c);
+            }
+            let score = score_unless_below(
+                &step.availability,
+                cdf,
+                deadline,
+                shared.policy,
+                f64::NEG_INFINITY,
+            );
+            scratch.recycle(step.availability);
+            score.expect("no walk stops below an infinitely low threshold")
+        })
     }
 
     /// Brings every occupied machine's cache up to date in one fan-out —

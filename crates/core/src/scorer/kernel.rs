@@ -343,18 +343,6 @@ fn score_quad(
     })
 }
 
-/// The exact score of appending a task with `deadline` and execution CDF
-/// `cdf` behind `tail`: [`score_unless_below`] held to no threshold.
-pub(super) fn score_against(
-    tail: &Pmf,
-    cdf: &PetCdf,
-    deadline: Time,
-    policy: DropPolicy,
-) -> PairScore {
-    score_unless_below(tail, cdf, deadline, policy, f64::NEG_INFINITY)
-        .expect("no walk stops below an infinitely low threshold")
-}
-
 /// The per-pair closed-form scoring kernel, held to `threshold`: the
 /// exact score, or `None` once the walk proves the exact robustness
 /// strictly below the threshold. Before adding each startable impulse the

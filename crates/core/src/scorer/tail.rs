@@ -135,7 +135,7 @@ impl TailCache {
 pub(super) struct MachineCache {
     pub(super) cache: TailCache,
     /// Convolution scratch + PMF storage pool private to this machine.
-    scratch: ConvScratch,
+    pub(super) scratch: ConvScratch,
     /// Score-column scratch for pooled [`super::ScoreTable::rebuild`] rounds:
     /// workers cannot write into the caller-owned table, so they fill this
     /// and the caller swaps it into the table column in machine-index

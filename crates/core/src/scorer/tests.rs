@@ -8,7 +8,7 @@ use super::table::better_pair;
 use super::test_support::*;
 use super::*;
 use crate::chain::analyze_queue;
-use hcsim_model::TaskId;
+use hcsim_model::{TaskId, TaskTypeId};
 use hcsim_pmf::queue_step;
 use hcsim_sim::testkit;
 
@@ -283,14 +283,31 @@ fn slot_scores_match_analyze_queue() {
 
 // --- kernel.rs: closed-form pair scoring ---
 
+/// The exact score of a task with execution CDF `cdf` and `deadline`
+/// appended behind `tail`: the kernel held to no threshold.
+fn exact_score(tail: &Pmf, cdf: &PetCdf, deadline: Time, policy: DropPolicy) -> PairScore {
+    score_unless_below(tail, cdf, deadline, policy, f64::NEG_INFINITY)
+        .expect("no walk stops below an infinitely low threshold")
+}
+
+/// [`exact_score`] against the one cell of a 1×1 PET.
+fn exact_score_single(
+    pet: &PetMatrix,
+    tail: &Pmf,
+    deadline: Time,
+    policy: DropPolicy,
+) -> PairScore {
+    let shared = ScorerShared::derive(pet.clone(), None, policy, 64);
+    exact_score(tail, shared.cdf(TaskTypeId(0), MachineId(0)), deadline, policy)
+}
+
 #[test]
 fn closed_form_matches_queue_step() {
     let pet = pet_single(&[(2, 0.25), (3, 0.5), (5, 0.25)]);
     let tail = Pmf::from_points(&[(1, 0.3), (4, 0.4), (9, 0.3)]).unwrap();
     for deadline in [1u64, 3, 5, 7, 9, 12, 20] {
         for policy in [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All] {
-            let scorer = ProbScorer::new(&pet, policy, 64);
-            let score = scorer.score_against_tail(&tail, TaskTypeId(0), MachineId(0), deadline);
+            let score = exact_score_single(&pet, &tail, deadline, policy);
             let step = queue_step(&tail, pet.pmf(TaskTypeId(0), MachineId(0)), deadline, policy);
             assert!(
                 (score.robustness - step.robustness).abs() < 1e-12,
@@ -317,16 +334,14 @@ fn closed_form_matches_queue_step() {
 fn policy_none_mean_is_additive() {
     let pet = pet_single(&[(2, 0.5), (6, 0.5)]);
     let tail = Pmf::from_points(&[(10, 0.5), (20, 0.5)]).unwrap();
-    let scorer = ProbScorer::new(&pet, DropPolicy::None, 64);
-    let score = scorer.score_against_tail(&tail, TaskTypeId(0), MachineId(0), 5);
+    let score = exact_score_single(&pet, &tail, 5, DropPolicy::None);
     assert!((score.expected_completion - (15.0 + 4.0)).abs() < 1e-9);
 }
 
 #[test]
 fn mean_exec_reported() {
     let pet = pet_single(&[(2, 0.5), (6, 0.5)]);
-    let scorer = ProbScorer::new(&pet, DropPolicy::All, 64);
-    let score = scorer.score_against_tail(&Pmf::delta(0), TaskTypeId(0), MachineId(0), 100);
+    let score = exact_score_single(&pet, &Pmf::delta(0), 100, DropPolicy::All);
     assert!((score.mean_exec - 4.0).abs() < 1e-12);
     assert!((score.robustness - 1.0).abs() < 1e-12);
 }
@@ -384,7 +399,7 @@ fn assert_column_matches_pairwise(
     for l in live {
         let cdf = shared.cdf_for(l.task.type_id, machine);
         let deadline = effective_deadline(l.task.deadline, machine.announced_departure());
-        let exact = score_against(tail, cdf, deadline, shared.policy);
+        let exact = exact_score(tail, cdf, deadline, shared.policy);
         let walked = score_unless_below(tail, cdf, deadline, shared.policy, l.threshold);
         match walked {
             Some(_) => assert_eq!(bits(walked), bits(Some(exact)), "{l:?}: finished walk"),
@@ -474,7 +489,7 @@ fn a_threshold_tie_on_a_tail_half_an_epsilon_heavy_still_scores() {
     for policy in POLICIES {
         let shared = ScorerShared::derive(pet.clone(), None, policy, 16);
         let cdf = shared.cdf(TaskTypeId(0), MachineId(0));
-        let exact = score_against(&tail, cdf, 100, policy);
+        let exact = exact_score(&tail, cdf, 100, policy);
         assert!(exact.robustness > 0.75 && exact.robustness < 0.76, "{exact:?}");
         let tie = score_unless_below(&tail, cdf, 100, policy, exact.robustness);
         assert_eq!(tie, Some(exact), "{policy:?}");
@@ -1337,17 +1352,87 @@ fn hierarchical_bound_pass_agrees_with_exact_under_a_cold_model() {
 
 // --- the facade: ProbScorer queries, membership and execution mode ---
 
+fn score_bits(s: PairScore) -> (u64, u64, u64) {
+    (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits())
+}
+
+/// The what-if against the real thing: `task` scored behind a
+/// hypothetical `ahead` on `machine`, then `ahead` pushed for real and
+/// `task` scored on the machine that results — bit for bit. Caches are
+/// cleared first: a clone's version is unique only within its own
+/// timeline.
+fn assert_score_behind_is_a_real_push(
+    scorer: &mut ProbScorer,
+    machine: &MachineState,
+    ahead: Task,
+    task: Task,
+) -> PairScore {
+    scorer.clear_caches();
+    let what_if = scorer.score_behind(machine, &ahead, &task);
+    let mut after = machine.clone();
+    assert!(testkit::apply(&mut after, testkit::QueueOp::Push(ahead)), "a free slot");
+    let real = scorer.score(&after, &task);
+    assert_eq!(score_bits(what_if), score_bits(real), "{what_if:?} vs {real:?}");
+    what_if
+}
+
 #[test]
-fn append_availability_matches_queue_step() {
+fn score_behind_matches_queue_step() {
     let pet = pet_single(&[(2, 0.25), (3, 0.5), (5, 0.25)]);
     let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 64);
-    let tail = Pmf::from_points(&[(1, 0.3), (4, 0.4), (9, 0.3)]).unwrap();
+    scorer.begin_event(1);
+    let machine = testkit::machine_with_pending(MachineId(0), 4, &[task_with_deadline(6)]);
+    let tail = scorer.tail(&machine).clone();
     let exec = pet.pmf(TaskTypeId(0), MachineId(0));
-    let got = scorer.append_availability(&tail, exec, 7);
-    let mut want = queue_step(&tail, exec, 7, DropPolicy::All).availability;
-    want.compact(64);
-    assert_eq!(got, want);
-    scorer.recycle(got);
+    let mut avail = queue_step(&tail, exec, 7, DropPolicy::All).availability;
+    avail.compact(64);
+    let shared = ScorerShared::derive(pet.clone(), None, DropPolicy::All, 64);
+    let want = exact_score(&avail, shared.cdf(TaskTypeId(0), MachineId(0)), 12, DropPolicy::All);
+    let got = scorer.score_behind(&machine, &task_with_deadline(7), &task_with_deadline(12));
+    assert_eq!(score_bits(got), score_bits(want));
+}
+
+#[test]
+fn score_behind_on_a_cold_machine_is_a_real_push() {
+    // Serverless spec; the machine runs a cold-started type 3 and holds no
+    // warm container, so `ahead` (type 0) places cold, a type-1 task
+    // behind it scores cold and a type-0 one warm.
+    let spec = memo_spec();
+    let mut scorer = ProbScorer::for_spec(&spec, DropPolicy::All, 24);
+    let task =
+        |id, tt, deadline| Task { id: TaskId(id), type_id: TaskTypeId(tt), arrival: 0, deadline };
+    let mut machine =
+        testkit::machine_with_pending(MachineId(1), spec.queue_capacity, &[task(0, 3, 400)]);
+    assert!(testkit::start_next(&mut machine, 0, 40, true));
+    scorer.begin_event(5);
+    let ahead = task(1, 0, 300);
+    assert!(machine.warm_containers().is_empty());
+    assert!(scorer.pets().append_is_cold(&machine, ahead.type_id));
+    for (tt, deadline) in [(1, 150), (1, 600), (0, 150), (0, 600)] {
+        assert_score_behind_is_a_real_push(&mut scorer, &machine, ahead, task(2, tt, deadline));
+    }
+}
+
+#[test]
+fn score_behind_on_a_departing_machine_is_a_real_push() {
+    let pmfs = vec![
+        Pmf::from_points(&[(2, 0.25), (3, 0.5), (5, 0.25)]).unwrap(),
+        Pmf::from_points(&[(4, 0.5), (9, 0.5)]).unwrap(),
+    ];
+    let pet = PetMatrix::from_pmfs(2, 1, pmfs);
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let task =
+        |id, tt, deadline| Task { id: TaskId(id), type_id: TaskTypeId(tt), arrival: 0, deadline };
+    let mut staying = testkit::machine_with_pending(MachineId(0), 4, &[task(0, 0, 30)]);
+    assert!(testkit::start_next(&mut staying, 0, 5, false));
+    testkit::apply(&mut staying, testkit::QueueOp::Push(task(1, 1, 30)));
+    let mut leaving = staying.clone();
+    testkit::announce_departure(&mut leaving, Some(16));
+    scorer.begin_event(1);
+    let (ahead, behind) = (task(2, 0, 30), task(3, 1, 40));
+    let capped = assert_score_behind_is_a_real_push(&mut scorer, &leaving, ahead, behind);
+    let uncapped = assert_score_behind_is_a_real_push(&mut scorer, &staying, ahead, behind);
+    assert!(capped.robustness < uncapped.robustness, "{capped:?} vs {uncapped:?}");
 }
 
 #[test]
@@ -1512,9 +1597,7 @@ mod props {
             let policy =
                 [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All][policy_idx];
             let pet = PetMatrix::from_pmfs(1, 1, vec![exec.clone()]);
-            let scorer = ProbScorer::new(&pet, policy, 256);
-            let score =
-                scorer.score_against_tail(&tail, TaskTypeId(0), MachineId(0), deadline);
+            let score = exact_score_single(&pet, &tail, deadline, policy);
             let step = queue_step(&tail, &exec, deadline, policy);
             prop_assert!((score.robustness - step.robustness).abs() < 1e-9);
             if policy != DropPolicy::None {
@@ -1553,7 +1636,7 @@ mod props {
                 .map(|(row, &(tt, deadline, kind, random))| {
                     let exact = || {
                         let cdf = shared.cdf(TaskTypeId(tt), MachineId(0));
-                        score_against(&tail, cdf, deadline, policy).robustness
+                        exact_score(&tail, cdf, deadline, policy).robustness
                     };
                     let threshold = match kind {
                         0 => 0.0,

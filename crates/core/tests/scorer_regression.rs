@@ -395,7 +395,6 @@ fn table_work_counters_are_pinned() {
         num_tasks: 500,
         oversubscription: 300_000.0,
         burst_shape: 0.02,
-        ..FaasConfig::default()
     };
     let spec = faas_system(&burst, &mut seeds.stream(6));
     let tasks = FaasGenerator::new(burst).generate(&spec, &mut seeds.stream(7));

@@ -484,7 +484,7 @@ pub fn service(opts: &FigOptions) -> Table {
         let trial_seeds = seeds.child(300 + trial as u64);
         let tasks = overload_gen.generate(&spec, &mut trial_seeds.stream(0));
         let schedule = ArrivalSchedule::from_tasks(&tasks);
-        let service = ServiceConfig { backlog_bound: 16, ..ServiceConfig::default() };
+        let service = ServiceConfig { backlog_bound: 16 };
         let out = run(&service, &FaultPlan::none(), None, &schedule, &trial_seeds);
         assert_eq!(
             out.report.stats.admitted + out.report.stats.shed,
@@ -632,9 +632,9 @@ pub fn faas(opts: &FigOptions) -> Table {
         opts.num_tasks,
         cfg.num_functions,
         cfg.num_machines,
-        cfg.keep_alive,
-        cfg.spinup_factor.0,
-        cfg.spinup_factor.1,
+        FaasConfig::KEEP_ALIVE,
+        FaasConfig::SPINUP_FACTOR.0,
+        FaasConfig::SPINUP_FACTOR.1,
     ));
     table.note(format!(
         "arrival intensity {:.1}x the trial_200t_34k benchmark ({:.2} vs {:.2} requests/unit)",

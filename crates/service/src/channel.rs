@@ -4,16 +4,14 @@
 //! Both halves are plain blocking code over one mutex and two condition
 //! variables. On the send side [`Sender::try_send`] reports a full queue
 //! instead of blocking and [`Sender::send`] blocks with backpressure. On
-//! the receive side [`Receiver::recv`] blocks until a value or the close,
-//! and [`Receiver::recv_deadline`] additionally gives up at a wall-clock
-//! instant — exactly the two waits the driver needs ("the next arrival"
-//! and "the next arrival, or the next event's due time"). Nothing is ever
-//! dropped silently: a rejected send hands the value back to the caller,
-//! who decides (and accounts for) its fate.
+//! the receive side [`Receiver::try_recv`] reports an empty queue and
+//! [`Receiver::recv`] blocks until a value or the close — the driver's
+//! one wait ("the next arrival"). Nothing is ever dropped silently: a
+//! rejected send hands the value back to the caller, who decides (and
+//! accounts for) its fate.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 struct Inner<T> {
     queue: VecDeque<T>,
@@ -45,15 +43,6 @@ pub enum SendError<T> {
     Full(T),
     /// The receiver is gone; the channel will never drain.
     Closed(T),
-}
-
-/// Why [`Receiver::recv_deadline`] returned without a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// Every sender is gone and the queue is drained.
-    Closed,
-    /// The deadline passed with the queue still empty.
-    TimedOut,
 }
 
 /// The producing half; clonable across feeder threads.
@@ -172,35 +161,16 @@ impl<T> Receiver<T> {
     /// Blocks for the next value; `None` once the channel is closed and
     /// drained.
     pub fn recv(&mut self) -> Option<T> {
-        self.wait(None).ok()
-    }
-
-    /// Blocks for the next value until `deadline`. A queued value wins
-    /// over a deadline that has already passed.
-    pub fn recv_deadline(&mut self, deadline: Instant) -> Result<T, RecvError> {
-        self.wait(Some(deadline))
-    }
-
-    fn wait(&mut self, deadline: Option<Instant>) -> Result<T, RecvError> {
         let mut inner = self.shared.lock();
         loop {
             if let Some(v) = inner.queue.pop_front() {
                 self.shared.space.notify_one();
-                return Ok(v);
+                return Some(v);
             }
             if inner.senders == 0 {
-                return Err(RecvError::Closed);
+                return None;
             }
-            inner = match deadline {
-                None => self.shared.ready.wait(inner).expect("channel poisoned"),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(RecvError::TimedOut);
-                    }
-                    self.shared.ready.wait_timeout(inner, left).expect("channel poisoned").0
-                }
-            };
+            inner = self.shared.ready.wait(inner).expect("channel poisoned");
         }
     }
 }
@@ -268,31 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_deadline_already_past_times_out_at_once() {
-        let (tx, mut rx) = bounded::<u32>(1);
-        let start = Instant::now();
-        assert_eq!(rx.recv_deadline(start - Duration::from_secs(1)), Err(RecvError::TimedOut));
-        assert!(start.elapsed() < Duration::from_millis(100));
-        // A queued value still wins over a deadline in the past.
-        tx.try_send(5).unwrap();
-        assert_eq!(rx.recv_deadline(start - Duration::from_secs(1)), Ok(5));
-    }
-
-    #[test]
-    fn recv_deadline_on_an_empty_open_channel_waits_to_the_deadline() {
-        let (_tx, mut rx) = bounded::<u32>(1);
-        let deadline = Instant::now() + Duration::from_millis(30);
-        assert_eq!(rx.recv_deadline(deadline), Err(RecvError::TimedOut));
-        assert!(Instant::now() >= deadline);
-    }
-
-    /// A deadline no test run reaches: returning at all proves the wake.
-    fn far_future() -> Instant {
-        Instant::now() + Duration::from_secs(3600)
-    }
-
-    #[test]
-    fn send_from_another_thread_wakes_a_far_future_wait() {
+    fn send_from_another_thread_wakes_a_blocked_recv() {
         // `tx` outlives the wait, so the close cannot be what wakes it.
         let (tx, mut rx) = bounded::<u32>(1);
         let feeder = tx.clone();
@@ -301,12 +247,12 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(20)); // let the receiver park
                 feeder.send(9).unwrap();
             });
-            assert_eq!(rx.recv_deadline(far_future()), Ok(9));
+            assert_eq!(rx.recv(), Some(9));
         });
     }
 
     #[test]
-    fn last_sender_dropping_wakes_a_far_future_wait_with_closed() {
+    fn last_sender_dropping_wakes_a_blocked_recv_with_none() {
         let (tx, mut rx) = bounded::<u32>(1);
         let tx2 = tx.clone();
         std::thread::scope(|s| {
@@ -315,7 +261,7 @@ mod tests {
                 drop(tx);
                 drop(tx2);
             });
-            assert_eq!(rx.recv_deadline(far_future()), Err(RecvError::Closed));
+            assert_eq!(rx.recv(), None);
         });
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`serve`] turns the offline engine into a service. Arrivals flow in
 //! through a bounded [`crate::channel`]; the driver catches the engine up
-//! to each arrival's timestamp, decides admission, and paces event
-//! processing against the wall clock (or fast-forwards). Three robustness
+//! to each arrival's timestamp, decides admission, and processes events as
+//! fast as they can be computed (fast-forward). Three robustness
 //! mechanisms live here:
 //!
 //! * **Bounded-backpressure admission.** When the engine's batch backlog
@@ -23,15 +23,14 @@
 //!   dedup set, so at-least-once delivery after a crash converges to the
 //!   exact uninterrupted schedule.
 //!
-//! Determinism contract: in fast-forward mode (`pace: None`) the engine is
-//! only ever stepped *up to* the next arrival's timestamp before that
-//! arrival is admitted, so every admission decision is a pure function of
-//! the (deduplicated) arrival sequence and the shedding RNG stream —
-//! independent of channel timing, feeder thread scheduling, and crash
-//! points.
+//! Determinism contract: the engine is only ever stepped *up to* the next
+//! arrival's timestamp before that arrival is admitted, so every admission
+//! decision is a pure function of the (deduplicated) arrival sequence and
+//! the shedding RNG stream — independent of channel timing, feeder thread
+//! scheduling, and crash points.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hcsim_model::{SystemSpec, Task, Time};
 use hcsim_sim::snapshot::{ByteReader, ByteWriter, Wire};
@@ -40,7 +39,7 @@ use hcsim_sim::{
 };
 use hcsim_stats::Xoshiro256pp;
 
-use crate::channel::{Receiver, RecvError};
+use crate::channel::Receiver;
 use crate::fault::FaultPlan;
 
 /// Magic bytes opening a [`ServiceCheckpoint`] (distinct from the engine
@@ -51,13 +50,9 @@ const CHECKPOINT_MAGIC: [u8; 4] = *b"HCSV";
 /// default (`PruningConfig::rho` in `hcsim-core`).
 const ADMISSION_RHO: f64 = 0.1;
 
-/// Tuning knobs of the service driver.
+/// Tuning knob of the service driver.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Wall-clock duration per unit of simulated time. `None` fast-forwards
-    /// (process events as fast as they can be computed) — the mode every
-    /// determinism test uses.
-    pub pace: Option<Duration>,
     /// Engine backlog (batch-queue length) at which probabilistic shedding
     /// engages; at twice this bound shedding becomes unconditional.
     pub backlog_bound: usize,
@@ -65,7 +60,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { pace: None, backlog_bound: 512 }
+        Self { backlog_bound: 512 }
     }
 }
 
@@ -296,17 +291,6 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
     mut session: SimSession<'_, M, R>,
     mut state: DriverState,
 ) -> ServiceExit {
-    // Paced mode's `(pace, anchor)`: sim time t is due at wall-clock
-    // `anchor + t * pace`. On resume the anchor shifts so the restored
-    // `now` maps to the present.
-    fn wall_offset(pace: Duration, t: Time) -> Duration {
-        Duration::from_nanos(u64::try_from(pace.as_nanos()).unwrap_or(u64::MAX).saturating_mul(t))
-    }
-    let pacing = cfg.pace.map(|pace| {
-        let now = Instant::now();
-        (pace, now.checked_sub(wall_offset(pace, session.now())).unwrap_or(now))
-    });
-
     // Steps one event, then runs the epoch-boundary bookkeeping: every
     // membership epoch opens with a checkpoint. Returns it as the kill
     // checkpoint when the fault plan says this epoch is fatal.
@@ -372,32 +356,17 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
     let killed = loop {
         // Arrivals order the whole loop: whatever the feeder has queued is
         // admitted before the engine moves.
-        let arrival = match (arrivals.try_recv(), session.next_event_time(), pacing) {
-            (Some(task), ..) => Some(task),
+        let arrival = match (arrivals.try_recv(), session.next_event_time()) {
+            (Some(task), _) => Some(task),
             // Nothing scheduled: only an arrival can make progress, and
             // the close ends the run.
-            (None, None, _) => match arrivals.recv() {
+            (None, None) => match arrivals.recv() {
                 Some(task) => Some(task),
                 None => break None,
             },
-            // Fast-forward: never run ahead of an arrival we have not seen
-            // — block for it. Once the feeder is gone, drain freely.
-            (None, Some(_), None) => arrivals.recv(),
-            // Paced: wait for the event's wall-clock due time, but let an
-            // earlier arrival preempt the wait.
-            (None, Some(t), Some((pace, anchor))) => {
-                let due = anchor + wall_offset(pace, t);
-                match arrivals.recv_deadline(due) {
-                    Ok(task) => Some(task),
-                    Err(RecvError::TimedOut) => None,
-                    Err(RecvError::Closed) => {
-                        // No arrival can preempt this wait any more:
-                        // finish the pace on the clock alone.
-                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                        None
-                    }
-                }
-            }
+            // Never run ahead of an arrival we have not seen — block for
+            // it. Once the feeder is gone, drain freely.
+            (None, Some(_)) => arrivals.recv(),
         };
         let killed = match arrival {
             Some(task) => admit(&mut session, &mut state, spec, cfg, fault, task),

@@ -7,10 +7,10 @@
 //! * [`channel`] — a bounded MPSC channel from feeder threads into the
 //!   driver, blocking on both sides (`std` mutex + condition variables).
 //!   Overflow backpressures the sender; the driver thread blocks in
-//!   `recv` / `recv_deadline` between arrivals and pacing deadlines;
-//!   nothing is dropped silently.
+//!   `recv` whenever it may not run ahead of the next arrival; nothing is
+//!   dropped silently.
 //! * [`driver`] — [`serve`], one plain loop on the calling thread:
-//!   wall-clock pacing (or fast-forward), bounded-backpressure admission
+//!   fast-forward event processing, bounded-backpressure admission
 //!   with Eq. 6/7 probabilistic shedding (every refused task gets a
 //!   terminal `Shed` record), epoch-boundary [`ServiceCheckpoint`]s, and
 //!   [`resume`] from a checkpoint that is provably bit-identical to never
@@ -27,7 +27,7 @@ pub mod channel;
 pub mod driver;
 pub mod fault;
 
-pub use channel::{bounded, Receiver, RecvError, SendError, Sender};
+pub use channel::{bounded, Receiver, SendError, Sender};
 pub use driver::{
     admission_worth, resume, serve, ServiceCheckpoint, ServiceConfig, ServiceExit, ServiceReport,
     ServiceStats,

@@ -2,13 +2,8 @@
 //! graceful overload shedding with full accounting, and delivery-fault
 //! absorption — the fault-injection acceptance tests.
 
-use std::time::{Duration, Instant};
-
 use hcsim_core::{AdaptiveConfig, Pam, PruningConfig};
-use hcsim_model::{
-    MachineSpec, PetBuilder, PriceTable, SystemSpec, Task, TaskId, TaskOutcome, TaskTypeId,
-    TaskTypeSpec,
-};
+use hcsim_model::{SystemSpec, Task, TaskOutcome};
 use hcsim_service::{
     bounded, feed_schedule, resume, run_with_recovery, serve, FaultPlan, RecoveryOutcome,
     ServiceCheckpoint, ServiceConfig, ServiceExit,
@@ -283,7 +278,7 @@ fn overload_sheds_gracefully_with_full_accounting() {
     // carries a terminal Shed record.
     let (spec, tasks) = system(306, 200, 340_000.0);
     let schedule = ArrivalSchedule::from_tasks(&tasks);
-    let service = ServiceConfig { backlog_bound: 16, ..ServiceConfig::default() };
+    let service = ServiceConfig { backlog_bound: 16 };
     let outcome = run(&spec, &service, &FaultPlan::none(), None, schedule.entries());
     let r = &outcome.report;
 
@@ -293,104 +288,6 @@ fn overload_sheds_gracefully_with_full_accounting() {
     let shed_records =
         r.sim.records.iter().filter(|rec| rec.outcome == TaskOutcome::Shed).count() as u64;
     assert_eq!(shed_records, r.stats.shed, "every shed is accounted as a record");
-}
-
-#[test]
-fn paced_mode_completes_against_the_wall_clock() {
-    // Tiny pace so the test stays fast while still exercising the timer
-    // path; the wall-clock floor is derived from the run's actual span.
-    let (spec, tasks) = system(307, 20, 19_000.0);
-    let schedule = ArrivalSchedule::from_tasks(&tasks);
-    let pace = Duration::from_micros(20);
-    let service = ServiceConfig { pace: Some(pace), ..ServiceConfig::default() };
-    let start = Instant::now();
-    let outcome = run(&spec, &service, &FaultPlan::none(), None, schedule.entries());
-    let elapsed = start.elapsed();
-    assert_eq!(outcome.report.sim.records.len(), 20);
-    // Admission catch-up steps are deliberately unpaced (the driver fast-
-    // forwards the engine to each arrival's timestamp), so only the span
-    // AFTER the last arrival is guaranteed to hit the timer path. Floor
-    // the elapsed time on half of that tail, not the whole run, so the
-    // test does not depend on how fast the feeder floods arrivals in.
-    let last_arrival = tasks.iter().map(|t| t.arrival).max().unwrap_or(0);
-    let paced_tail = outcome.report.sim.end_time.saturating_sub(last_arrival);
-    assert!(paced_tail > 0, "workload must leave a post-arrival tail to pace");
-    let floor = pace * u32::try_from(paced_tail).unwrap_or(u32::MAX) / 2;
-    assert!(
-        elapsed >= floor,
-        "pacing must slow the run down: elapsed {elapsed:?} < floor {floor:?} \
-         (end_time {}, last arrival {last_arrival})",
-        outcome.report.sim.end_time
-    );
-}
-
-#[test]
-fn paced_driver_parked_on_a_far_off_event_admits_an_arrival_at_once() {
-    // Three identical machines, one task type that runs ~100 time units,
-    // 10 ms of wall clock per unit: once the first task is mapped, the only
-    // scheduled event (its completion) is due about a second away.
-    let mut rng = SeedSequence::new(310).stream(0);
-    let (pet, truth) =
-        PetBuilder::new().shape_range(200.0, 200.0).build(&[vec![100.0; 3]], &mut rng);
-    let spec = SystemSpec {
-        machines: (0..3).map(|m| MachineSpec { name: format!("m{m}") }).collect(),
-        task_types: vec![TaskTypeSpec { name: "t".into() }],
-        pet,
-        truth,
-        prices: PriceTable::new(vec![1.0; 3]),
-        queue_capacity: 4,
-        coldstart: None,
-    }
-    .validated();
-    let pace = Duration::from_millis(10);
-    let service = ServiceConfig { pace: Some(pace), ..ServiceConfig::default() };
-    let task = |id| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 10_000 };
-
-    let mut mapper = Pam::new(PruningConfig::default());
-    let mut rng = Xoshiro256pp::new(RNG_SEED);
-
-    let start = Instant::now();
-    let (exit, preempted_in) = std::thread::scope(|s| {
-        // Capacity 1: a `send` returns only once the driver has taken the
-        // previous value, so the feeder can time the driver's reaction.
-        let (tx, rx) = bounded::<Task>(1);
-        let feeder = s.spawn(move || {
-            tx.send(task(0)).unwrap();
-            // Let the driver map task 0 and park on its completion, ~1 s
-            // out. (Should it not get there in time, the loop's `try_recv`
-            // takes the arrival below: a vacuous pass, never a failure.)
-            std::thread::sleep(Duration::from_millis(50));
-            let sent = Instant::now();
-            tx.send(task(1)).unwrap();
-            tx.send(task(2)).unwrap(); // returns when the driver took task 1
-            sent.elapsed()
-        });
-        let exit = serve(
-            &spec,
-            SimConfig::untrimmed(),
-            &service,
-            &FaultPlan::none(),
-            &mut [],
-            rx,
-            &mut mapper,
-            &mut rng,
-        );
-        (exit, feeder.join().unwrap())
-    });
-    mapper.on_shutdown();
-    let report = exit.expect_completed();
-    assert_eq!(report.stats.admitted, 3);
-
-    let first_completion = report.sim.records.iter().map(|r| r.finished_at).min().unwrap();
-    assert!(first_completion >= 50, "the parked-on event must be far off: {first_completion}");
-    let timer = pace * u32::try_from(first_completion).unwrap();
-    assert!(
-        preempted_in < timer / 4,
-        "an arrival must preempt the pacing wait, not sit out the timer: \
-         taken after {preempted_in:?} of a {timer:?} wait"
-    );
-    // …and the run as a whole was still paced against the wall clock.
-    assert!(start.elapsed() >= timer, "{:?} < {timer:?}", start.elapsed());
 }
 
 // ---- wire formats: byte pins and torn-write sweeps over one fixture ----

@@ -164,13 +164,6 @@ impl<'a> MapContext<'a> {
         self.carried.get_mut(task_id.index()).map_or(0, std::mem::take)
     }
 
-    /// Salvaged execution progress a requeued batch task would resume
-    /// with, for heuristics that want to prefer resuming migrants.
-    #[must_use]
-    pub fn carried_progress(&self, task_id: TaskId) -> Time {
-        self.carried.get(task_id.index()).copied().unwrap_or(0)
-    }
-
     /// Probabilistically drops a *pending* task from machine `m`'s queue
     /// (the pruner's dropping stage, §V-B). Returns false when the task is
     /// not pending on that machine.

@@ -35,8 +35,10 @@ use hcsim_model::{
 use hcsim_stats::Gamma;
 use serde::{Deserialize, Serialize};
 
-/// Parameters of a serverless trial: platform shape, traffic shape, and
-/// the cold-start model.
+/// Parameters of a serverless trial. The platform and traffic shape the
+/// sequel paper fixes — queue capacity, span, Zipf skew, slack, spin-up
+/// multiple and keep-alive — are associated constants; the fields are
+/// what a figure, the benchmark or a test fixture sets.
 ///
 /// ```
 /// use hcsim_workload::FaasConfig;
@@ -51,30 +53,15 @@ pub struct FaasConfig {
     pub num_functions: usize,
     /// Number of worker nodes (the eight §VI-A hardware profiles tiled).
     pub num_machines: usize,
-    /// Per-machine queue capacity, counting the executing request.
-    pub queue_capacity: usize,
     /// Number of requests actually generated per trial.
     pub num_tasks: usize,
-    /// Simulated window the oversubscription level refers to.
-    pub span: Time,
-    /// Nominal request count over `span` — same x-axis as the batch
-    /// workload's oversubscription level, but an order of magnitude up.
+    /// Nominal request count over [`FaasConfig::SPAN`] — same x-axis as
+    /// the batch workload's oversubscription level, but an order of
+    /// magnitude up.
     pub oversubscription: f64,
-    /// Zipf exponent of function popularity (`weight ∝ rank^-s`); larger
-    /// = more skewed toward the hot functions.
-    pub zipf_s: f64,
     /// Gamma shape of per-function inter-arrival times. Shape < 1 means
     /// coefficient of variation > 1: bursts separated by gaps.
     pub burst_shape: f64,
-    /// Slack coefficient β of the deadline formula
-    /// `δᵢ = arrᵢ + avgᵢ + β·avg_all`.
-    pub slack_beta: f64,
-    /// Container spin-up mean as a multiple of the cell's execution mean,
-    /// interpolated across functions between these two factors.
-    pub spinup_factor: (f64, f64),
-    /// Keep-alive window: how long a container stays warm after its
-    /// function completes.
-    pub keep_alive: Time,
 }
 
 impl Default for FaasConfig {
@@ -82,26 +69,37 @@ impl Default for FaasConfig {
         Self {
             num_functions: 48,
             num_machines: 32,
-            queue_capacity: 6,
             num_tasks: 2_500,
-            span: 150_000,
             // >10x the classic trial_200t_34k arrival intensity (with
             // margin so the multiple survives float rounding).
             oversubscription: 350_000.0,
-            zipf_s: 1.2,
             burst_shape: 0.35,
-            slack_beta: 4.0,
-            spinup_factor: (5.0, 15.0),
-            keep_alive: 60,
         }
     }
 }
 
 impl FaasConfig {
+    /// Per-machine queue capacity, counting the executing request.
+    pub const QUEUE_CAPACITY: usize = 6;
+    /// Simulated window the oversubscription level refers to.
+    pub const SPAN: Time = 150_000;
+    /// Zipf exponent of function popularity (`weight ∝ rank^-s`); larger
+    /// = more skewed toward the hot functions.
+    pub const ZIPF_S: f64 = 1.2;
+    /// Slack coefficient β of the deadline formula
+    /// `δᵢ = arrᵢ + avgᵢ + β·avg_all`.
+    pub const SLACK_BETA: f64 = 4.0;
+    /// Container spin-up mean as a multiple of the cell's execution mean,
+    /// interpolated across functions between these two factors.
+    pub const SPINUP_FACTOR: (f64, f64) = (5.0, 15.0);
+    /// Keep-alive window: how long a container stays warm after its
+    /// function completes.
+    pub const KEEP_ALIVE: Time = 60;
+
     /// Aggregate request rate in requests per time unit.
     #[must_use]
     pub fn aggregate_arrival_rate(&self) -> f64 {
-        self.oversubscription / self.span as f64
+        self.oversubscription / Self::SPAN as f64
     }
 
     /// How many times the classic workload's arrival intensity this
@@ -116,7 +114,7 @@ impl FaasConfig {
     #[must_use]
     pub fn popularity(&self) -> Vec<f64> {
         let raw: Vec<f64> =
-            (0..self.num_functions).map(|f| ((f + 1) as f64).powf(-self.zipf_s)).collect();
+            (0..self.num_functions).map(|f| ((f + 1) as f64).powf(-Self::ZIPF_S)).collect();
         let total: f64 = raw.iter().sum();
         raw.into_iter().map(|w| w / total).collect()
     }
@@ -129,26 +127,14 @@ impl FaasConfig {
     pub fn validate(&self) {
         assert!(self.num_functions > 0, "num_functions must be positive");
         assert!(self.num_machines > 0, "num_machines must be positive");
-        assert!(self.queue_capacity > 0, "queue_capacity must be positive");
         assert!(self.num_tasks > 0, "num_tasks must be positive");
-        assert!(self.span > 0, "span must be positive");
         assert!(
             self.oversubscription.is_finite() && self.oversubscription > 0.0,
             "oversubscription must be positive"
         );
-        assert!(self.zipf_s.is_finite() && self.zipf_s >= 0.0, "zipf_s must be non-negative");
         assert!(
             self.burst_shape.is_finite() && self.burst_shape > 0.0,
             "burst_shape must be positive"
-        );
-        assert!(
-            self.slack_beta.is_finite() && self.slack_beta >= 0.0,
-            "slack_beta must be non-negative"
-        );
-        let (lo, hi) = self.spinup_factor;
-        assert!(
-            lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi,
-            "spinup_factor must be an ordered positive pair"
         );
     }
 }
@@ -175,17 +161,18 @@ pub fn faas_means(num_functions: usize, num_machines: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Per-function spin-up factor: interpolates across `(lo, hi)` on a
-/// 7-cycle so image sizes do not correlate with execution length.
-fn spinup_factor(cfg: &FaasConfig, f: usize) -> f64 {
-    let (lo, hi) = cfg.spinup_factor;
+/// Per-function spin-up factor: interpolates across
+/// [`FaasConfig::SPINUP_FACTOR`] on a 7-cycle so image sizes do not
+/// correlate with execution length.
+fn spinup_factor(f: usize) -> f64 {
+    let (lo, hi) = FaasConfig::SPINUP_FACTOR;
     lo + (hi - lo) * ((f * 3) % 7) as f64 / 6.0
 }
 
 /// Builds the serverless platform: `num_machines` nodes tiling the eight
 /// §VI-A hardware profiles, `num_functions` function classes with
 /// millisecond-scale gamma PETs, and a [`ColdStartModel`] whose spin-up
-/// means are `spinup_factor` × the execution means.
+/// means are [`FaasConfig::SPINUP_FACTOR`] × the execution means.
 ///
 /// PET and spin-up construction consume randomness from `rng`; pass a
 /// dedicated stream so trace generation elsewhere stays reproducible.
@@ -198,7 +185,7 @@ pub fn faas_system<R: rand::Rng>(cfg: &FaasConfig, rng: &mut R) -> SystemSpec {
         .iter()
         .enumerate()
         .map(|(f, row)| {
-            let factor = spinup_factor(cfg, f);
+            let factor = spinup_factor(f);
             row.iter().map(|mean| mean * factor).collect()
         })
         .collect();
@@ -213,8 +200,12 @@ pub fn faas_system<R: rand::Rng>(cfg: &FaasConfig, rng: &mut R) -> SystemSpec {
         pet,
         truth,
         prices: PriceTable::new((0..cfg.num_machines).map(|m| PRICES[m % 8]).collect()),
-        queue_capacity: cfg.queue_capacity,
-        coldstart: Some(ColdStartModel { spinup, truth: spin_truth, keep_alive: cfg.keep_alive }),
+        queue_capacity: FaasConfig::QUEUE_CAPACITY,
+        coldstart: Some(ColdStartModel {
+            spinup,
+            truth: spin_truth,
+            keep_alive: FaasConfig::KEEP_ALIVE,
+        }),
     }
     .validated()
 }
@@ -231,12 +222,6 @@ impl FaasGenerator {
     pub fn new(config: FaasConfig) -> Self {
         config.validate();
         Self { config }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &FaasConfig {
-        &self.config
     }
 
     /// Generates one trial's request list, sorted by arrival time, ids in
@@ -263,7 +248,7 @@ impl FaasGenerator {
         let mut arrivals: Vec<(f64, TaskTypeId)> = Vec::new();
         for (f, &w) in weights.iter().enumerate() {
             let type_id = TaskTypeId::from(f);
-            let mean_ia = cfg.span as f64 / (cfg.oversubscription * w);
+            let mean_ia = FaasConfig::SPAN as f64 / (cfg.oversubscription * w);
             // Gamma with fixed shape k: variance = mean²/k, so shape < 1
             // gives every function the same burstiness regardless of rate.
             let variance = mean_ia * mean_ia / cfg.burst_shape;
@@ -286,7 +271,7 @@ impl FaasGenerator {
             .map(|(i, (arr, type_id))| {
                 let arrival = arr.round().max(0.0) as Time;
                 let avg_i = spec.truth.mean_over_machines(type_id);
-                let slack = (avg_i + cfg.slack_beta * avg_all).round() as Time;
+                let slack = (avg_i + FaasConfig::SLACK_BETA * avg_all).round() as Time;
                 Task { id: TaskId::from(i), type_id, arrival, deadline: arrival + slack }
             })
             .collect()
@@ -330,7 +315,7 @@ mod tests {
         assert_eq!(spec.num_machines(), 8);
         assert_eq!(spec.num_task_types(), 16);
         let cold = spec.coldstart.as_ref().expect("faas system carries a cold-start model");
-        assert_eq!(cold.keep_alive, cfg.keep_alive);
+        assert_eq!(cold.keep_alive, FaasConfig::KEEP_ALIVE);
         for f in 0..16u16 {
             for m in 0..8usize {
                 let (tt, mid) = (hcsim_model::TaskTypeId(f), hcsim_model::MachineId::from(m));
@@ -410,12 +395,6 @@ mod tests {
         let mut a = SeedSequence::new(24).stream(0);
         let mut b = SeedSequence::new(24).stream(0);
         assert_eq!(faas_system(&cfg, &mut a), faas_system(&cfg, &mut b));
-    }
-
-    #[test]
-    #[should_panic(expected = "spinup_factor")]
-    fn inverted_spinup_factor_rejected() {
-        FaasConfig { spinup_factor: (15.0, 5.0), ..Default::default() }.validate();
     }
 
     #[test]

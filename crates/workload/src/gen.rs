@@ -103,12 +103,6 @@ impl WorkloadGenerator {
         Self { config }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
     /// Generates one trial's task list, sorted by arrival time, with ids
     /// assigned in arrival order.
     ///
