@@ -36,7 +36,7 @@
 //! the PET is the scheduler's model of the world, not the world.
 
 use hcsim_model::{PetMatrix, Task, TaskTypeId, Time};
-use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
+use hcsim_pmf::{queue_step_into, queue_step_tail_into, ConvScratch, DropPolicy, Pmf, QueueStep};
 use hcsim_sim::{MachineState, PendingEntry};
 
 /// The warm PET plus the optional cold (spin-up-convolved) PET, with the
@@ -235,8 +235,9 @@ pub fn analyze_queue_cold_into(
 ///
 /// This is the *single* definition of the head-slot float pipeline; the
 /// from-scratch analysis above and the scorer's incremental tail cache
-/// both call it, which is what keeps cached tails bit-identical to
-/// from-scratch analysis. `pet` is the matrix [`PetTables::for_exec`]
+/// both call it, which is what keeps cached heads bit-identical to
+/// from-scratch analysis (the links behind the head share
+/// [`chain_extension`]). `pet` is the matrix [`PetTables::for_exec`]
 /// selected (cold for a cold-started head). Callers apply the
 /// policy-dependent Eq. 5 clamp
 /// themselves (the analysis keeps the unclamped completion for its slot).
@@ -290,14 +291,19 @@ pub(crate) fn head_valid_until(exec: &hcsim_sim::ExecutingTask, pet_pmf: &Pmf, n
     }
 }
 
-/// Chains one pending entry behind `avail`: the policy-aware
-/// [`queue_step_into`] with the availability compacted to `budget`, plus
-/// the completion's Eq. 6 bounded skewness (0 when the task can never
-/// start; NaN when `with_skewness` is false — the scorer's stats-free
-/// fast path skips the moment pass over the uncompacted completion).
-/// Shared by the from-scratch analysis and the scorer's incremental
-/// extension — see [`conditioned_head`] for why. `pet` is the matrix
-/// [`PetTables::for_pending`] selected for this entry.
+/// Chains one pending entry behind `avail`: the policy-aware queue step
+/// with the availability compacted to `budget`, plus the completion's
+/// Eq. 6 bounded skewness (0 when the task can never start). `pet` is the
+/// matrix [`PetTables::for_pending`] selected for this entry.
+///
+/// With `with_skewness` this is [`queue_step_into`] plus the moment pass
+/// over the uncompacted completion — the single definition the
+/// from-scratch analysis and the scorer's stats mode share. Without it
+/// (the scorer's stats-free fast path) it is the fused
+/// [`queue_step_tail_into`], which never builds the completion: the
+/// returned step's `completion` is `None` and the skewness NaN. The fused
+/// step is pinned bit-identical to the plain one, so either way the
+/// availability and robustness are the ones from-scratch analysis gets.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn chain_extension(
     avail: &Pmf,
@@ -308,7 +314,7 @@ pub(crate) fn chain_extension(
     budget: usize,
     with_skewness: bool,
     scratch: &mut ConvScratch,
-) -> (hcsim_pmf::QueueStep, f64) {
+) -> (QueueStep, f64) {
     // A preempted entry resumes with its remaining work: model it by the
     // residual PET (§VIII — preemption's impact on convolution), with the
     // residual's storage drawn from — and returned to — the scratch pool.
@@ -316,13 +322,17 @@ pub(crate) fn chain_extension(
     let resumed =
         (entry.progress > 0).then(|| base_pmf.residual_shifted_into(entry.progress, 0, scratch));
     let exec_pmf = resumed.as_ref().unwrap_or(base_pmf);
-    let mut step = queue_step_into(avail, exec_pmf, entry.task.deadline, policy, scratch);
-    step.availability.compact(budget);
-    let skewness = if with_skewness {
-        step.completion.as_ref().map_or(0.0, Pmf::bounded_skewness)
+    let deadline = entry.task.deadline;
+    let (mut step, skewness) = if with_skewness {
+        let step = queue_step_into(avail, exec_pmf, deadline, policy, scratch);
+        let skewness = step.completion.as_ref().map_or(0.0, Pmf::bounded_skewness);
+        (step, skewness)
     } else {
-        f64::NAN
+        let (availability, robustness) =
+            queue_step_tail_into(avail, exec_pmf, deadline, policy, scratch);
+        (QueueStep { completion: None, availability, robustness }, f64::NAN)
     };
+    step.availability.compact(budget);
     if let Some(residual) = resumed {
         scratch.recycle(residual);
     }

@@ -32,7 +32,7 @@
 //!    two-compare hit. An idle machine's `delta(now)` and an overdue
 //!    head's `delta(now + 1)` hold for their own tick only;
 //! 2. a **pending chain** — one availability PMF per pending queue entry,
-//!    chained by [`hcsim_pmf::queue_step_into`]. Nothing in it reads the
+//!    chained by the policy-aware queue step. Nothing in it reads the
 //!    clock. On a queue mutation the cache matches the *longest common
 //!    prefix* of the cached entry signatures `(task id, progress)`
 //!    against the live queue and reconvolves only the suffix: appending a
@@ -41,13 +41,16 @@
 //!    it. Eviction, a warm-set change, or an event time
 //!    outside the head's window fall back to a full rebuild.
 //!
-//! Because the incremental path replays exactly the operations a
-//! from-scratch [`analyze_queue`] would perform — in the same order, with
-//! the same compaction budget — cached tails are bit-identical to
-//! from-scratch analysis (replay and clock-sweep proptests in `tests/`
-//! assert this). All intermediate storage — idle heads included — is
-//! drawn from a per-machine [`ConvScratch`] pool, so the steady-state
-//! scoring loop allocates nothing per (task, machine) pair.
+//! The incremental path chains the same links a from-scratch
+//! [`analyze_queue`] would, in the same order, with the same compaction
+//! budget. Where no slot statistics are wanted it takes the fused step
+//! [`hcsim_pmf::queue_step_tail_into`], which never builds the completion
+//! PMF; the fused step is pinned bit-identical to the plain one, so cached
+//! tails are bit-identical to from-scratch analysis (replay and
+//! clock-sweep proptests in `tests/` assert this). All intermediate
+//! storage — idle heads included — is drawn from a per-machine
+//! [`ConvScratch`] pool, so the steady-state scoring loop allocates
+//! nothing per (task, machine) pair.
 //!
 //! The [`ScoreTable`] applies the same observation one level up: a score
 //! column is a pure function of the machine's tail and version-stamped
@@ -431,7 +434,7 @@ impl ProbScorer {
             cell.ensure(shared, *now, machine, false);
             // The step the chain takes once `ahead` is pushed for real.
             let MachineCache { cache, scratch, .. } = cell;
-            let (mut step, _) = chain_extension(
+            let (step, _) = chain_extension(
                 cache.tail(),
                 &PendingEntry::new(*ahead),
                 pet.unwrap_or(pets.warm),
@@ -441,9 +444,6 @@ impl ProbScorer {
                 false,
                 scratch,
             );
-            if let Some(c) = step.completion.take() {
-                scratch.recycle(c);
-            }
             let score = score_unless_below(
                 &step.availability,
                 cdf,

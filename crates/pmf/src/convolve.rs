@@ -30,7 +30,15 @@
 //! output PMFs draw their columns from the pool, and callers hand finished
 //! PMFs back via [`ConvScratch::recycle`]. In steady state (pool warm,
 //! capacities grown to the workload's impulse budget) a `queue_step_into`
-//! call performs zero heap allocation.
+//! call performs zero heap allocation. The dense accumulator grows to the
+//! widest range a scratch has convolved, not to its ceiling up front, so a
+//! scratch that only ever sorts never allocates one.
+//!
+//! A queue chain that reads only each step's availability and robustness
+//! calls [`queue_step_tail_into`] instead: under [`DropPolicy::All`] it
+//! builds the availability straight from the dense accumulator and never
+//! materialises the completion PMF, with results bit-identical to
+//! `queue_step_into`'s.
 
 use crate::pmf::{merge_add, merge_sorted_pairs, Impulse, Pmf};
 use crate::Time;
@@ -61,15 +69,14 @@ pub struct ConvScratch {
     pairs: Vec<Impulse>,
     /// Auxiliary buffer for the radix sort's stable scatter passes.
     radix: Vec<Impulse>,
-    /// Dense accumulator for narrow-range convolutions (mass per rebased
-    /// time slot).
+    /// Dense accumulator for narrow-range convolutions: mass per rebased
+    /// time slot. Each call zero-fills `acc[..width]` and adds every
+    /// product into it, so the buffer grows to the widest range seen and
+    /// needs no record of which slots a call touched.
     acc: Vec<f64>,
-    /// Epoch stamps marking which `acc` slots the current convolution
-    /// touched — avoids clearing the whole accumulator per call and
-    /// distinguishes "slot holds 0.0 mass" from "slot untouched".
-    stamp: Vec<u32>,
-    /// Current epoch for `stamp`.
-    epoch: u32,
+    /// Execution-time offsets `tb − bt[0]` of the current dense
+    /// convolution, computed once per call rather than once per product.
+    offsets: Vec<usize>,
     /// Retired PMF storage, reused for outputs.
     pool: Vec<(Vec<Time>, Vec<f64>)>,
 }
@@ -142,58 +149,13 @@ impl ConvScratch {
 
     /// Dense-accumulator convolution for narrow rebased time ranges: every
     /// product mass lands directly in its output slot, so sorting, the
-    /// duplicate merge, and the column copy all disappear. Equal-time
-    /// masses accumulate in row-major `(availability, execution)` order —
-    /// exactly the order the stable radix sort presents them to the merge
-    /// — so the result is bit-identical to the sort-and-merge path.
-    fn dense_convolve(
-        &mut self,
-        a: (&[Time], &[f64]),
-        b: (&[Time], &[f64]),
-        min: Time,
-        range: u64,
-    ) -> Pmf {
-        let width = range as usize + 1;
-        if self.acc.len() < DENSE_RANGE as usize {
-            self.acc.resize(DENSE_RANGE as usize, 0.0);
-            self.stamp.resize(DENSE_RANGE as usize, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        {
-            let acc = &mut self.acc[..width];
-            let stamp = &mut self.stamp[..width];
-            let (at, am) = a;
-            let (bt, bm) = b;
-            // `min = at[0] + bt[0]`, so the rebased slot splits into two
-            // non-negative offsets.
-            let (a0, b0) = (at[0], bt[0]);
-            for (&ta, &pa) in at.iter().zip(am) {
-                let base = ta - a0;
-                for (&tb, &pb) in bt.iter().zip(bm) {
-                    let slot = (base + (tb - b0)) as usize;
-                    let mass = pa * pb;
-                    if stamp[slot] == epoch {
-                        acc[slot] += mass;
-                    } else {
-                        stamp[slot] = epoch;
-                        acc[slot] = mass;
-                    }
-                }
-            }
-        }
+    /// duplicate merge, and the column copy all disappear. Only inputs
+    /// [`dense_range`] admits come here; see [`accumulate`] for why the
+    /// result is bit-identical to the sort-and-merge path.
+    fn dense_convolve(&mut self, a: (&[Time], &[f64]), b: (&[Time], &[f64]), range: u64) -> Pmf {
         let (mut times, mut masses) = self.take_storage();
-        for (slot, (&mark, &mass)) in self.stamp[..width].iter().zip(&self.acc[..width]).enumerate()
-        {
-            if mark == epoch {
-                times.push(min + slot as u64);
-                masses.push(mass);
-            }
-        }
+        let acc = accumulate(&mut self.acc, &mut self.offsets, a, b, range);
+        push_touched(acc, a.0[0] + b.0[0], &mut times, &mut masses);
         Pmf::from_parts_unchecked(times, masses)
     }
 
@@ -204,6 +166,76 @@ impl ConvScratch {
         masses.extend_from_slice(src_masses);
         Pmf::from_parts_unchecked(times, masses)
     }
+}
+
+/// The rebased time range of `a ⊛ b` when it takes the dense path, `None`
+/// when it sorts pairs instead.
+///
+/// Dense needs more than 32 pairs over a range narrower than
+/// [`DENSE_RANGE`] and at most four slots per pair, and one more thing:
+/// `min(a) · min(b) > 0`. IEEE products of non-negative numbers are
+/// monotone, so every product is then positive and a slot was touched iff
+/// its sum is non-zero — which is how [`accumulate`]'s callers tell the
+/// two apart. An input whose smallest product underflows to `0.0` sorts,
+/// and keeps that zero-mass impulse as the merge does.
+fn dense_range(a: (&[Time], &[f64]), b: (&[Time], &[f64])) -> Option<u64> {
+    let ((at, am), (bt, bm)) = (a, b);
+    let pairs = (at.len() * bt.len()) as u64;
+    let range = (at[at.len() - 1] + bt[bt.len() - 1]) - (at[0] + bt[0]);
+    let smallest = |m: &[f64]| m.iter().copied().fold(f64::INFINITY, f64::min);
+    (pairs > 32 && range < DENSE_RANGE && range <= 4 * pairs && smallest(am) * smallest(bm) > 0.0)
+        .then_some(range)
+}
+
+/// Fills `acc[..=range]` with the mass of `a ⊛ b` per slot rebased to
+/// `a[0] + b[0]` and returns that slice.
+///
+/// The slice is zero-filled first and every product added, in row-major
+/// `(availability, execution)` order — the order the stable radix sort
+/// presents equal times to the merge. `0.0 + m == m`, so each slot's sum
+/// is bit-identical to the merge's first-write-then-add. No branch decides
+/// whether a slot was touched: under [`dense_range`]'s positivity
+/// condition an untouched slot is exactly the one that still holds `0.0`.
+fn accumulate<'a>(
+    acc: &'a mut Vec<f64>,
+    offsets: &mut Vec<usize>,
+    a: (&[Time], &[f64]),
+    b: (&[Time], &[f64]),
+    range: u64,
+) -> &'a [f64] {
+    let ((at, am), (bt, bm)) = (a, b);
+    let width = range as usize + 1;
+    if acc.len() < width {
+        acc.resize(width, 0.0);
+    }
+    let acc = &mut acc[..width];
+    acc.fill(0.0);
+    offsets.clear();
+    offsets.extend(bt.iter().map(|&tb| (tb - bt[0]) as usize));
+    for (&ta, &pa) in at.iter().zip(am) {
+        let row = &mut acc[(ta - at[0]) as usize..];
+        for (&off, &pb) in offsets.iter().zip(bm) {
+            row[off] += pa * pb;
+        }
+    }
+    acc
+}
+
+/// Appends the non-zero slots of a dense accumulator as impulses at
+/// `t0 + slot`, in time order. Branch-free: every slot is written, and the
+/// length advances past the non-zero ones only.
+fn push_touched(acc: &[f64], t0: Time, times: &mut Vec<Time>, masses: &mut Vec<f64>) {
+    let start = times.len();
+    times.resize(start + acc.len(), 0);
+    masses.resize(start + acc.len(), 0.0);
+    let mut n = start;
+    for (slot, &mass) in acc.iter().enumerate() {
+        times[n] = t0 + slot as u64;
+        masses[n] = mass;
+        n += usize::from(mass != 0.0);
+    }
+    times.truncate(n);
+    masses.truncate(n);
 }
 
 /// Plain convolution (Eq. 2): the distribution of `A + B` for independent
@@ -250,10 +282,8 @@ fn convolve_slices(a: (&[Time], &[f64]), b: &Pmf, scratch: &mut ConvScratch) -> 
     let (bt, bm) = (b.times(), b.masses());
     // Both inputs are sorted, so the output extrema — and therefore the
     // rebased range — are known without materializing a single pair.
-    let pairs = at.len() * bt.len();
-    let range = (at[at.len() - 1] + bt[bt.len() - 1]) - (at[0] + bt[0]);
-    if pairs > 32 && range < DENSE_RANGE && range <= 4 * pairs as u64 {
-        return scratch.dense_convolve((at, am), (bt, bm), at[0] + bt[0], range);
+    if let Some(range) = dense_range(a, (bt, bm)) {
+        return scratch.dense_convolve(a, (bt, bm), range);
     }
     let (buf, aux) = (&mut scratch.pairs, &mut scratch.radix);
     buf.clear();
@@ -435,37 +465,19 @@ pub fn queue_step_into(
                 convolve_slices((&avail.times()[..split], &avail.masses()[..split]), exec, scratch);
             let robustness = completion.cdf_at(deadline);
             let availability = if policy == DropPolicy::All {
-                // Eq. 5 + Eq. 4 fused in one pass: the task's own mass
-                // past δ aggregates onto the impulse at δ (eviction), and
-                // the carry-over — whose support is entirely `>= δ` by
-                // construction — appends after it, summing on a shared
-                // boundary impulse. Operation order matches the unfused
-                // clamp-then-superpose exactly.
                 let (mut times, mut masses) = scratch.take_storage();
                 let cut = completion.times().partition_point(|&x| x <= deadline);
                 times.extend_from_slice(&completion.times()[..cut]);
                 masses.extend_from_slice(&completion.masses()[..cut]);
-                if cut < completion.len() {
-                    let moved: f64 = completion.masses()[cut..].iter().sum();
-                    match times.last() {
-                        Some(&last) if last == deadline => {
-                            *masses.last_mut().expect("parallel") += moved;
-                        }
-                        _ => {
-                            times.push(deadline);
-                            masses.push(moved);
-                        }
-                    }
-                }
-                let mut k = 0;
-                if let (Some(&first), Some(&last)) = (carry_times.first(), times.last()) {
-                    if first == last {
-                        *masses.last_mut().expect("parallel") += carry_masses[0];
-                        k = 1;
-                    }
-                }
-                times.extend_from_slice(&carry_times[k..]);
-                masses.extend_from_slice(&carry_masses[k..]);
+                let moved =
+                    (cut < completion.len()).then(|| completion.masses()[cut..].iter().sum());
+                evict_and_carry(
+                    &mut times,
+                    &mut masses,
+                    moved,
+                    deadline,
+                    (carry_times, carry_masses),
+                );
                 Pmf::from_parts_unchecked(times, masses)
             } else if carry_times.is_empty() {
                 scratch.pmf_from_slices(completion.times(), completion.masses())
@@ -485,6 +497,103 @@ pub fn queue_step_into(
             QueueStep { completion: Some(completion), availability, robustness }
         }
     }
+}
+
+/// Eq. 5 + Eq. 4 behind the on-time prefix already in `times`/`masses`:
+/// the task's own mass past δ (`moved`, `None` when there is none)
+/// aggregates onto the impulse at δ (eviction), and the carry-over — whose
+/// support is entirely `>= δ` by construction — appends after it, summing
+/// on a shared boundary impulse. Operation order matches the unfused
+/// clamp-then-superpose exactly.
+fn evict_and_carry(
+    times: &mut Vec<Time>,
+    masses: &mut Vec<f64>,
+    moved: Option<f64>,
+    deadline: Time,
+    carry: (&[Time], &[f64]),
+) {
+    if let Some(moved) = moved {
+        match times.last() {
+            Some(&last) if last == deadline => {
+                *masses.last_mut().expect("parallel") += moved;
+            }
+            _ => {
+                times.push(deadline);
+                masses.push(moved);
+            }
+        }
+    }
+    let (carry_times, carry_masses) = carry;
+    let mut k = 0;
+    if let (Some(&first), Some(&last)) = (carry_times.first(), times.last()) {
+        if first == last {
+            *masses.last_mut().expect("parallel") += carry_masses[0];
+            k = 1;
+        }
+    }
+    times.extend_from_slice(&carry_times[k..]);
+    masses.extend_from_slice(&carry_masses[k..]);
+}
+
+/// [`queue_step_into`]'s availability and Eq. 1 robustness without its
+/// completion PMF — the step a queue chain takes when nothing reads the
+/// completion. Both results are bit-identical to `queue_step_into`'s
+/// under every policy.
+///
+/// Under [`DropPolicy::All`], when the startable prefix takes the dense
+/// path, the completion is never built: one pass over the accumulator
+/// writes the slots at or before δ as the availability's prefix, whose
+/// sum — the fold [`Pmf::cdf_at`] runs — is the robustness, and folds the
+/// slots past δ, in time order, into the mass Eq. 5 moves onto δ. The δ-
+/// and carry-over merges are the ones `queue_step_into` runs. Every other
+/// case calls `queue_step_into` and recycles the completion.
+pub fn queue_step_tail_into(
+    avail: &Pmf,
+    exec: &Pmf,
+    deadline: Time,
+    policy: DropPolicy,
+    scratch: &mut ConvScratch,
+) -> (Pmf, f64) {
+    let split = avail.partition_index(deadline);
+    let (prefix_times, carry_times) = avail.times().split_at(split);
+    let (prefix_masses, carry_masses) = avail.masses().split_at(split);
+    let prefix = (prefix_times, prefix_masses);
+    let range = match policy {
+        DropPolicy::All if split > 0 => dense_range(prefix, (exec.times(), exec.masses())),
+        _ => None,
+    };
+    let Some(range) = range else {
+        let step = queue_step_into(avail, exec, deadline, policy, scratch);
+        if let Some(completion) = step.completion {
+            scratch.recycle(completion);
+        }
+        return (step.availability, step.robustness);
+    };
+    let (mut times, mut masses) = scratch.take_storage();
+    let t0 = prefix_times[0] + exec.times()[0];
+    let acc = accumulate(
+        &mut scratch.acc,
+        &mut scratch.offsets,
+        prefix,
+        (exec.times(), exec.masses()),
+        range,
+    );
+    // Slots `..cut` complete at or before δ.
+    let cut = deadline.checked_sub(t0).map_or(0, |d| d.min(range) as usize + 1);
+    push_touched(&acc[..cut], t0, &mut times, &mut masses);
+    let robustness = masses.iter().sum();
+    // Untouched slots hold `0.0`, and adding `0.0` leaves a positive sum
+    // unchanged: this is the completion's own sum past δ, positive iff it
+    // has an impulse there.
+    let moved: f64 = acc[cut..].iter().sum();
+    evict_and_carry(
+        &mut times,
+        &mut masses,
+        (moved > 0.0).then_some(moved),
+        deadline,
+        (carry_times, carry_masses),
+    );
+    (Pmf::from_parts_unchecked(times, masses), robustness)
 }
 
 #[cfg(test)]

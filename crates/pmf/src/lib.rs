@@ -44,7 +44,8 @@ mod convolve;
 mod pmf;
 
 pub use convolve::{
-    convolve, convolve_into, queue_step, queue_step_into, ConvScratch, DropPolicy, QueueStep,
+    convolve, convolve_into, queue_step, queue_step_into, queue_step_tail_into, ConvScratch,
+    DropPolicy, QueueStep,
 };
 pub use pmf::{Impulse, Moments, Pmf, PmfError};
 
