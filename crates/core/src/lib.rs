@@ -72,6 +72,8 @@ pub mod chain;
 mod factory;
 mod fairness;
 mod moc;
+#[cfg(test)]
+mod oracle;
 mod pam;
 mod pruner;
 pub mod scalar;

@@ -1,12 +1,60 @@
 //! Fixtures and cross-checks shared by the scorer unit tests (and, for
 //! the restore contract, by the PAM and MOC ones).
 
-use super::shared::TABLE_SHARD_WIDTH;
+use super::kernel::{effective_deadline, score_unless_below};
+use super::shared::{PetCdf, TABLE_SHARD_WIDTH};
 use super::table::better_pair;
 use super::{PairScore, ProbScorer, ScoreTable};
+use crate::chain::{append_would_be_cold, PetTables};
 use hcsim_model::{MachineId, PetMatrix, Task, TaskId, TaskTypeId, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
 use hcsim_sim::{testkit, MachineState};
+
+/// Exact append scores with none of the scorer's tables but the prefix
+/// CDF of every PET cell: a pair is scored in the cell
+/// `ScorerShared::cdf_for` picks (cold when the append is a cold
+/// placement under a cold-start model), at the deadline an announced
+/// departure caps, walked to its end.
+#[derive(Debug)]
+pub(crate) struct ExactScores {
+    warm: Vec<PetCdf>,
+    cold: Option<Vec<PetCdf>>,
+    machines: usize,
+}
+
+impl ExactScores {
+    pub(crate) fn new(pets: PetTables<'_>) -> Self {
+        let machines = pets.warm.machines();
+        let cdfs = |pet: &PetMatrix| -> Vec<PetCdf> {
+            let cells = pet.task_types() * machines;
+            (0..cells)
+                .map(|i| {
+                    let (tt, m) = (TaskTypeId::from(i / machines), MachineId::from(i % machines));
+                    PetCdf::build(pet.pmf(tt, m))
+                })
+                .collect()
+        };
+        Self { warm: cdfs(pets.warm), cold: pets.cold.map(cdfs), machines }
+    }
+
+    /// The exact score of appending `task` to `machine` behind `tail`.
+    pub(crate) fn score(
+        &self,
+        tail: &Pmf,
+        machine: &MachineState,
+        task: &Task,
+        policy: DropPolicy,
+    ) -> PairScore {
+        let cdfs = match &self.cold {
+            Some(cold) if append_would_be_cold(machine, task.type_id) => cold,
+            _ => &self.warm,
+        };
+        let cdf = &cdfs[task.type_id.index() * self.machines + machine.id().index()];
+        let deadline = effective_deadline(task.deadline, machine.announced_departure());
+        score_unless_below(tail, cdf, deadline, policy, f64::NEG_INFINITY)
+            .expect("no walk stops below an infinitely low threshold")
+    }
+}
 
 pub(super) fn pet_single(points: &[(Time, f64)]) -> PetMatrix {
     PetMatrix::from_pmfs(1, 1, vec![Pmf::from_points(points).unwrap()])
