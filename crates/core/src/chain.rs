@@ -36,7 +36,7 @@
 //! the PET is the scheduler's model of the world, not the world.
 
 use hcsim_model::{PetMatrix, Task, TaskTypeId, Time};
-use hcsim_pmf::{queue_step_into, queue_step_tail_into, ConvScratch, DropPolicy, Pmf, QueueStep};
+use hcsim_pmf::{chain_step_into, queue_step_into, ChainStep, ConvScratch, DropPolicy, Pmf};
 use hcsim_sim::{MachineState, PendingEntry};
 
 /// The warm PET plus the optional cold (spin-up-convolved) PET, with the
@@ -212,16 +212,20 @@ pub fn analyze_queue_cold_into(
         avail = after;
     }
 
+    // The reference chain: the plain step, then compaction, then the
+    // moment pass over the completion — what `chain_extension` fuses.
     for (idx, entry) in machine.pending_entries().enumerate() {
         let pet = pets.for_pending(machine, idx, entry);
-        let (mut step, skewness) =
-            chain_extension(&avail, entry, pet, machine.id(), policy, budget, true, scratch);
+        let mut step = with_exec(entry, pet, machine.id(), scratch, |exec, scratch| {
+            queue_step_into(&avail, exec, entry.task.deadline, policy, scratch)
+        });
+        step.availability.compact(budget);
         slots.push(QueueSlot {
             task: entry.task,
             position: slots.len(),
             robustness: step.robustness.min(1.0),
-            completion: step.completion.take(),
-            skewness,
+            skewness: step.completion.as_ref().map_or(0.0, Pmf::bounded_skewness),
+            completion: step.completion,
         });
         scratch.recycle(std::mem::replace(&mut avail, step.availability));
     }
@@ -291,19 +295,17 @@ pub(crate) fn head_valid_until(exec: &hcsim_sim::ExecutingTask, pet_pmf: &Pmf, n
     }
 }
 
-/// Chains one pending entry behind `avail`: the policy-aware queue step
-/// with the availability compacted to `budget`, plus the completion's
-/// Eq. 6 bounded skewness (0 when the task can never start). `pet` is the
-/// matrix [`PetTables::for_pending`] selected for this entry.
+/// Chains one pending entry behind `avail` — the step every extension of
+/// the scorer's tail cache takes: [`chain_step_into`], the availability
+/// compacted to `budget` and, with `with_skewness`, the completion's Eq. 6
+/// bounded skewness (0 when the task can never start; NaN without it).
+/// `pet` is the matrix [`PetTables::for_pending`] selected for this entry.
 ///
-/// With `with_skewness` this is [`queue_step_into`] plus the moment pass
-/// over the uncompacted completion — the single definition the
-/// from-scratch analysis and the scorer's stats mode share. Without it
-/// (the scorer's stats-free fast path) it is the fused
-/// [`queue_step_tail_into`], which never builds the completion: the
-/// returned step's `completion` is `None` and the skewness NaN. The fused
-/// step is pinned bit-identical to the plain one, so either way the
-/// availability and robustness are the ones from-scratch analysis gets.
+/// The kernel is pinned bit-identical to the plain step, compaction and
+/// moment pass the from-scratch analysis chains with, so either way the
+/// availability, robustness and skewness are the ones
+/// [`analyze_queue_cold`] gets. The link's storage comes from `scratch`,
+/// sized for at most twice the budget.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn chain_extension(
     avail: &Pmf,
@@ -314,29 +316,31 @@ pub(crate) fn chain_extension(
     budget: usize,
     with_skewness: bool,
     scratch: &mut ConvScratch,
-) -> (QueueStep, f64) {
-    // A preempted entry resumes with its remaining work: model it by the
-    // residual PET (§VIII — preemption's impact on convolution), with the
-    // residual's storage drawn from — and returned to — the scratch pool.
-    let base_pmf = pet.pmf(entry.task.type_id, machine);
-    let resumed =
-        (entry.progress > 0).then(|| base_pmf.residual_shifted_into(entry.progress, 0, scratch));
-    let exec_pmf = resumed.as_ref().unwrap_or(base_pmf);
-    let deadline = entry.task.deadline;
-    let (mut step, skewness) = if with_skewness {
-        let step = queue_step_into(avail, exec_pmf, deadline, policy, scratch);
-        let skewness = step.completion.as_ref().map_or(0.0, Pmf::bounded_skewness);
-        (step, skewness)
-    } else {
-        let (availability, robustness) =
-            queue_step_tail_into(avail, exec_pmf, deadline, policy, scratch);
-        (QueueStep { completion: None, availability, robustness }, f64::NAN)
-    };
-    step.availability.compact(budget);
-    if let Some(residual) = resumed {
-        scratch.recycle(residual);
+) -> ChainStep {
+    with_exec(entry, pet, machine, scratch, |exec, scratch| {
+        chain_step_into(avail, exec, entry.task.deadline, policy, budget, with_skewness, scratch)
+    })
+}
+
+/// Runs `step` with the execution PMF `entry` chains with: its PET cell,
+/// or — for an entry that resumes with progress — the cell's residual
+/// (§VIII, preemption's impact on convolution), drawn from and returned
+/// to `scratch`'s pool.
+fn with_exec<R>(
+    entry: &hcsim_sim::PendingEntry,
+    pet: &PetMatrix,
+    machine: hcsim_model::MachineId,
+    scratch: &mut ConvScratch,
+    step: impl FnOnce(&Pmf, &mut ConvScratch) -> R,
+) -> R {
+    let cell = pet.pmf(entry.task.type_id, machine);
+    if entry.progress == 0 {
+        return step(cell, scratch);
     }
-    (step, skewness)
+    let residual = cell.residual_shifted_into(entry.progress, 0, scratch);
+    let out = step(&residual, scratch);
+    scratch.recycle(residual);
+    out
 }
 
 #[cfg(test)]

@@ -43,14 +43,18 @@
 //!
 //! The incremental path chains the same links a from-scratch
 //! [`analyze_queue`] would, in the same order, with the same compaction
-//! budget. Where no slot statistics are wanted it takes the fused step
-//! [`hcsim_pmf::queue_step_tail_into`], which never builds the completion
-//! PMF; the fused step is pinned bit-identical to the plain one, so cached
-//! tails are bit-identical to from-scratch analysis (replay and
-//! clock-sweep proptests in `tests/` assert this). All intermediate
-//! storage — idle heads included — is drawn from a per-machine
-//! [`ConvScratch`] pool, so the steady-state scoring loop allocates
-//! nothing per (task, machine) pair.
+//! budget. Every extension takes the chain kernel
+//! [`hcsim_pmf::chain_step_into`], which compacts — and in stats mode
+//! takes the Eq. 6 moments — straight from its convolution accumulator
+//! and never builds the completion PMF; it is pinned bit-identical to the
+//! plain step, compaction and moment pass the analysis runs, so cached
+//! tails and slot statistics are bit-identical to from-scratch analysis
+//! (replay and clock-sweep proptests in `tests/` assert this). Heads and
+//! links — idle heads included — draw their storage from a per-machine
+//! [`ConvScratch`] free-list, a link sized for at most twice the budget,
+//! and the convolution's working buffers are per thread, so the
+//! steady-state scoring loop allocates nothing per (task, machine) pair
+//! and a cell keeps no buffer wider than a link or a PET cell.
 //!
 //! The [`ScoreTable`] applies the same observation one level up: a score
 //! column is a pure function of the machine's tail and version-stamped
@@ -77,8 +81,9 @@
 //! # Parallel per-machine fan-out
 //!
 //! Each [`MachineCache`] is a self-contained mutable cell: its chain, its
-//! slot statistics, its column scratch, *and* its convolution scratch
-//! pool. That is what lets [`ScoreTable::rebuild`] and
+//! slot statistics, its column scratch, *and* the storage pool its chain
+//! draws from (the convolution buffers belong to whichever thread runs
+//! the cell). That is what lets [`ScoreTable::rebuild`] and
 //! [`ProbScorer::warm_caches`] fan the per-machine work out across worker
 //! threads with no locking contention: every worker owns a disjoint set of
 //! machine cells, and results merge in machine-index order. Because every
@@ -434,7 +439,7 @@ impl ProbScorer {
             cell.ensure(shared, *now, machine, false);
             // The step the chain takes once `ahead` is pushed for real.
             let MachineCache { cache, scratch, .. } = cell;
-            let (step, _) = chain_extension(
+            let step = chain_extension(
                 cache.tail(),
                 &PendingEntry::new(*ahead),
                 pet.unwrap_or(pets.warm),

@@ -2,7 +2,7 @@
 //! cross-tick cache layer (see the `scorer` module docs, *Incremental tail
 //! maintenance*): the conditioned head with the window of event times it
 //! holds for, the pending chain behind it, and the cell that owns both
-//! together with their convolution scratch.
+//! together with the storage they are built in.
 
 use super::kernel::{Cutoffs, PairScore, PairWork};
 use super::shared::ScorerShared;
@@ -105,8 +105,8 @@ pub(super) struct TailCache {
     /// Per-slot robustness/skewness, head first — the pruner's view.
     pub(super) slots: Vec<SlotScore>,
     /// True when every slot's skewness is populated. Skewness is only
-    /// needed by the pruner and costs a moment pass over the *uncompacted*
-    /// completion PMF, so tail/score extensions skip it (leaving NaN
+    /// needed by the pruner and costs a moment fold over the *uncompacted*
+    /// completion, so tail/score extensions skip it (leaving NaN
     /// placeholders) and [`super::ProbScorer::slot_scores`] rebuilds in stats
     /// mode on demand.
     stats_valid: bool,
@@ -125,16 +125,23 @@ impl TailCache {
     pub(super) fn bound(&self) -> TailBound {
         TailBound { earliest: self.tail().min_time(), head_window: self.head_window }
     }
+
+    /// The cached head, then every link behind it.
+    #[cfg(test)]
+    pub(super) fn chain(&self) -> impl Iterator<Item = &Pmf> {
+        self.head.iter().chain(&self.links)
+    }
 }
 
 /// One machine's independently-borrowable scoring cell: the incremental
-/// tail cache, the convolution scratch pool that feeds it, and a column
-/// scratch the pooled fan-out fills in place. Workers in a fan-out own one
+/// tail cache, the storage free-list its heads and links draw from, and a
+/// column scratch the pooled fan-out fills in place. Workers in a fan-out own one
 /// cell each; nothing is shared mutably across cells.
 #[derive(Debug, Default)]
 pub(super) struct MachineCache {
     pub(super) cache: TailCache,
-    /// Convolution scratch + PMF storage pool private to this machine.
+    /// PMF storage pool private to this machine: retired heads and
+    /// links, none sized for more than twice the budget or a PET cell.
     pub(super) scratch: ConvScratch,
     /// Score-column scratch for pooled [`super::ScoreTable::rebuild`] rounds:
     /// workers cannot write into the caller-owned table, so they fill this
@@ -248,14 +255,13 @@ impl MachineCache {
         }
 
         // Extend the chain over the (new) pending suffix, via the shared
-        // `chain::chain_extension` step. The Eq. 6 moment pass over the
-        // uncompacted completion is the single most expensive part of an
-        // append; only the pruner reads it, so stats-free callers skip it
-        // (leaving the NaN placeholder `stats_valid` tracks).
+        // `chain::chain_extension` step. Only the pruner reads the Eq. 6
+        // skewness, so stats-free callers skip its moment fold (leaving
+        // the NaN placeholder `stats_valid` tracks).
         for (idx, entry) in machine.pending_entries().enumerate().skip(cache.pending_sig.len()) {
             cache.builds += 1;
             let avail = cache.links.last().or(cache.head.as_ref()).expect("head built above");
-            let (mut step, skewness) = crate::chain::chain_extension(
+            let step = crate::chain::chain_extension(
                 avail,
                 entry,
                 pets.for_pending(machine, idx, entry),
@@ -268,14 +274,11 @@ impl MachineCache {
             if !want_stats {
                 cache.stats_valid = false;
             }
-            if let Some(c) = step.completion.take() {
-                scratch.recycle(c);
-            }
             cache.slots.push(SlotScore {
                 task: entry.task,
                 position: cache.slots.len(),
                 robustness: step.robustness.min(1.0),
-                skewness,
+                skewness: step.skewness,
             });
             cache.pending_sig.push(PendingSig { id: entry.task.id, progress: entry.progress });
             cache.links.push(step.availability);

@@ -281,6 +281,59 @@ fn slot_scores_match_analyze_queue() {
     }
 }
 
+/// The memory a cached chain keeps: after chains are built stats-free
+/// and then in stats mode on a 72-machine cluster of 32-impulse PETs —
+/// queues of up to six, executing heads on half the machines — every
+/// head and link holds storage of link size, at most twice the budget in
+/// impulses, although its uncompacted availability spans many more.
+#[test]
+fn cached_chains_keep_link_sized_storage() {
+    const BUDGET: usize = 24;
+    let seeds = hcsim_stats::SeedSequence::new(72);
+    let spec = hcsim_workload::specint_cluster(72, 7, &mut seeds.stream(0));
+    let machines: Vec<MachineState> = (0..72u32)
+        .map(|m| {
+            let pending: Vec<Task> = (0..m % 7)
+                .map(|i| Task {
+                    id: TaskId(m * 10 + i),
+                    type_id: TaskTypeId(((m + i) % 12) as u16),
+                    arrival: 0,
+                    deadline: 150 + u64::from(i) * 120 + u64::from(m % 5) * 40,
+                })
+                .collect();
+            let mut machine =
+                testkit::machine_with_pending(MachineId::from(m as usize), 7, &pending);
+            if m % 2 == 1 {
+                testkit::apply(
+                    &mut machine,
+                    testkit::QueueOp::StartNext { now: 0, total_exec: 90 },
+                );
+            }
+            machine
+        })
+        .collect();
+    let mut scorer = ProbScorer::new(&spec.pet, DropPolicy::All, BUDGET);
+    scorer.begin_event(20);
+    let mut compacted = 0;
+    for want_stats in [false, true] {
+        scorer.warm_caches(&machines, want_stats);
+        for m in 0..machines.len() {
+            scorer.cells.with(m, |cell| {
+                for pmf in cell.cache.chain() {
+                    compacted += usize::from(pmf.len() == BUDGET);
+                    assert!(
+                        pmf.heap_bytes() <= 2 * 16 * BUDGET,
+                        "machine {m}: {} bytes for {} impulses (stats {want_stats})",
+                        pmf.heap_bytes(),
+                        pmf.len()
+                    );
+                }
+            });
+        }
+    }
+    assert!(compacted > 100, "only {compacted} links reached the budget");
+}
+
 // --- kernel.rs: closed-form pair scoring ---
 
 /// The exact score of a task with execution CDF `cdf` and `deadline`

@@ -7,13 +7,15 @@
 //! the from-scratch analysis exactly as well.
 //!
 //! This is the safety net that lets the mapping loop trust incremental
-//! maintenance, and a differential check of the two queue steps: the
-//! from-scratch analysis chains with the plain `queue_step_into` →
-//! `compact`, while the cache's stats-free extensions take the fused
-//! `queue_step_tail_into` → `compact`, which never builds the completion
-//! PMF. Both claim the same float operations in the same order, so *any*
-//! divergence is a bug, not float noise — hence exact (bitwise)
-//! comparison, no epsilons.
+//! maintenance, and a differential check of the two chain steps: the
+//! from-scratch analysis chains with the plain `queue_step_into`, then
+//! `compact`, then the Eq. 6 moment pass over the completion, while every
+//! cache extension takes the fused `chain_step_into`, which compacts
+//! straight from its accumulator and never builds the completion PMF. So
+//! the cached skewness is a fused-versus-plain check too: stats mode folds
+//! the moments from the accumulator's slots. Both claim the same float
+//! operations in the same order, so *any* divergence is a bug, not float
+//! noise — hence exact (bitwise) comparison, no epsilons.
 //!
 //! A third property pins the cache's *time* contract: with the queue held
 //! still and only the clock moving, the chain is served unchanged for as

@@ -89,8 +89,7 @@ impl ColdStartModel {
         budget: usize,
     ) -> Pmf {
         let (spinup, exec) = (self.spinup.pmf(tt, m), warm.pmf(tt, m));
-        let mut scratch = ConvScratch::with_capacity(spinup.len() * exec.len());
-        cold_cell_into(spinup, exec, budget, &mut scratch)
+        cold_cell_into(spinup, exec, budget, &mut ConvScratch::new())
     }
 
     /// The full *cold* PET: every cell of `warm` convolved with its

@@ -45,36 +45,18 @@ pub(crate) fn compact_in_place(times: &mut Vec<Time>, masses: &mut Vec<f64>, max
         masses.truncate(1);
         return;
     }
-    let quantum = total / max as f64;
-
+    let mut walk = GroupWalk::new(total, max);
     let mut write = 0usize;
-    let mut group_mass = 0.0f64;
-    let mut group_sum_tp = 0.0f64; // Σ t·p within the group
-    let mut cum = 0.0f64; // running mass over all emitted + current group
-    let mut next_cut = quantum;
-
     for read in 0..times.len() {
-        let (t, p) = (times[read], masses[read]);
-        group_mass += p;
-        group_sum_tp += t as f64 * p;
-        cum += p;
-        // Close the group once we cross the next quantile boundary.
-        // (A single heavy impulse may span several boundaries; it still
-        // produces one group, which only helps the budget.)
-        if cum + 1e-15 >= next_cut {
-            times[write] = (group_sum_tp / group_mass).round() as u64;
-            masses[write] = group_mass;
+        if let Some((t, p)) = walk.push(times[read], masses[read]) {
+            times[write] = t;
+            masses[write] = p;
             write += 1;
-            group_mass = 0.0;
-            group_sum_tp = 0.0;
-            while next_cut <= cum + 1e-15 {
-                next_cut += quantum;
-            }
         }
     }
-    if group_mass > 0.0 {
-        times[write] = (group_sum_tp / group_mass).round() as u64;
-        masses[write] = group_mass;
+    if let Some((t, p)) = walk.finish() {
+        times[write] = t;
+        masses[write] = p;
         write += 1;
     }
     times.truncate(write);
@@ -83,6 +65,64 @@ pub(crate) fn compact_in_place(times: &mut Vec<Time>, masses: &mut Vec<f64>, max
     // Weighted-mean rounding can make adjacent groups collide on a time.
     merge_sorted_columns(times, masses);
     debug_assert!(times.len() <= max, "compaction produced {} > {max}", times.len());
+}
+
+/// The mass-quantile group walk of [`compact_in_place`], one impulse at a
+/// time: a group closes once the running mass reaches the next multiple
+/// of `total / max` (less a `1e-15` slack against float shortfall) and
+/// becomes one impulse at its mass-weighted mean time, rounded to the
+/// grid. The chain kernel in `convolve` feeds it straight from its
+/// accumulator, so both compactions run these float operations in this
+/// order.
+pub(crate) struct GroupWalk {
+    quantum: f64,
+    group_mass: f64,
+    /// Σ t·p within the group.
+    group_sum_tp: f64,
+    /// Running mass over all emitted groups plus the current one.
+    cum: f64,
+    next_cut: f64,
+}
+
+impl GroupWalk {
+    /// A walk over impulses of total mass `total > 0` into at most `max`
+    /// groups.
+    pub(crate) fn new(total: f64, max: usize) -> Self {
+        let quantum = total / max as f64;
+        Self { quantum, group_mass: 0.0, group_sum_tp: 0.0, cum: 0.0, next_cut: quantum }
+    }
+
+    /// Adds the impulse `(t, p)`; returns the group it closes, if any. A
+    /// zero-mass impulse changes no sum, and the running mass it leaves
+    /// already failed the cut test, so it never closes a group.
+    #[inline]
+    pub(crate) fn push(&mut self, t: Time, p: f64) -> Option<(Time, f64)> {
+        self.group_mass += p;
+        self.group_sum_tp += t as f64 * p;
+        self.cum += p;
+        // A single heavy impulse may span several boundaries; it still
+        // produces one group, which only helps the budget.
+        if self.cum + 1e-15 >= self.next_cut {
+            let group = self.close();
+            while self.next_cut <= self.cum + 1e-15 {
+                self.next_cut += self.quantum;
+            }
+            return Some(group);
+        }
+        None
+    }
+
+    /// The trailing partial group, if it holds mass.
+    pub(crate) fn finish(mut self) -> Option<(Time, f64)> {
+        (self.group_mass > 0.0).then(|| self.close())
+    }
+
+    fn close(&mut self) -> (Time, f64) {
+        let group = ((self.group_sum_tp / self.group_mass).round() as u64, self.group_mass);
+        self.group_mass = 0.0;
+        self.group_sum_tp = 0.0;
+        group
+    }
 }
 
 /// Merges runs of equal times in sorted parallel columns (summing mass).

@@ -24,25 +24,34 @@
 //!
 //! # Allocation discipline
 //!
-//! The mapping loop performs one [`queue_step`] per (task, machine)
-//! evaluation, so the `*_into` variants take a [`ConvScratch`] that owns
-//! every intermediate buffer *and* a free-list of retired [`Pmf`] storage:
-//! output PMFs draw their columns from the pool, and callers hand finished
-//! PMFs back via [`ConvScratch::recycle`]. In steady state (pool warm,
-//! capacities grown to the workload's impulse budget) a `queue_step_into`
-//! call performs zero heap allocation. The dense accumulator grows to the
-//! widest range a scratch has convolved, not to its ceiling up front, so a
-//! scratch that only ever sorts never allocates one.
+//! The mapping loop performs one queue step per (task, machine)
+//! evaluation, so nothing here allocates in steady state. Two kinds of
+//! storage serve that:
 //!
-//! A queue chain that reads only each step's availability and robustness
-//! calls [`queue_step_tail_into`] instead: under [`DropPolicy::All`] it
-//! builds the availability straight from the dense accumulator and never
-//! materialises the completion PMF, with results bit-identical to
-//! `queue_step_into`'s.
+//! * **Per thread**: the transient buffers of a convolution — the pair
+//!   buffer and radix-sort scatter buffer of the sorting path, the dense
+//!   accumulator and its offset table — plus a free-list of *wide*
+//!   storage for the chain kernel's uncompacted intermediates. One set
+//!   serves every convolution a thread runs, so a cluster's machine cells
+//!   do not each keep their own. The dense accumulator grows to the
+//!   widest range its thread has convolved, not to its ceiling up front.
+//! * **Per caller**: a [`ConvScratch`] is a free-list of retired [`Pmf`]
+//!   storage. Output PMFs draw their columns from it, and callers hand
+//!   finished PMFs back via [`ConvScratch::recycle`].
+//!
+//! Pooled storage grows to exactly what a PMF built in it needs, never
+//! by doubling. A queue chain extends with [`chain_step_into`], which
+//! returns the availability already compacted to the impulse budget in
+//! the caller's storage, sized for at most twice the budget; anything
+//! wider is built in the thread's own free-list and copied out
+//! compacted. So a cached chain link never keeps the capacity of the
+//! uncompacted availability it came from.
 
-use crate::pmf::{merge_add, merge_sorted_pairs, Impulse, Pmf};
+use crate::compact::{merge_sorted_columns, GroupWalk};
+use crate::pmf::{merge_add, merge_sorted_pairs, Impulse, Moments, Pmf};
 use crate::Time;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Which tasks may be dropped when their deadline passes (§IV scenarios
 /// A/B/C).
@@ -60,23 +69,12 @@ pub enum DropPolicy {
     All,
 }
 
-/// Reusable scratch for the convolution calculus: pairing/merge buffers
-/// plus a free-list of retired PMF storage, keeping the hot mapping loop
-/// allocation-free including its outputs.
+/// A free-list of retired PMF storage, keeping the hot mapping loop
+/// allocation-free including its outputs. The convolution's own working
+/// buffers are per thread (see the module docs), so a scratch holds
+/// nothing but storage to hand out.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
-    /// Convolution accumulation buffer (sorted then merged in place).
-    pairs: Vec<Impulse>,
-    /// Auxiliary buffer for the radix sort's stable scatter passes.
-    radix: Vec<Impulse>,
-    /// Dense accumulator for narrow-range convolutions: mass per rebased
-    /// time slot. Each call zero-fills `acc[..width]` and adds every
-    /// product into it, so the buffer grows to the widest range seen and
-    /// needs no record of which slots a call touched.
-    acc: Vec<f64>,
-    /// Execution-time offsets `tb − bt[0]` of the current dense
-    /// convolution, computed once per call rather than once per product.
-    offsets: Vec<usize>,
     /// Retired PMF storage, reused for outputs.
     pool: Vec<(Vec<Time>, Vec<f64>)>,
 }
@@ -87,15 +85,8 @@ const DENSE_RANGE: u64 = 2048;
 impl ConvScratch {
     /// Creates an empty scratch buffer.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a scratch buffer with pre-reserved capacity for the pairing
-    /// buffer (≈ the product of typical input impulse counts).
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { pairs: Vec::with_capacity(cap), ..Self::default() }
+    pub const fn new() -> Self {
+        Self { pool: Vec::new() }
     }
 
     /// Returns a finished PMF's storage to the pool for reuse by later
@@ -119,29 +110,54 @@ impl ConvScratch {
     /// tick of an idle-heavy cluster (recycle it like any pooled output).
     #[must_use]
     pub fn delta(&mut self, t: Time) -> Pmf {
-        let (mut times, mut masses) = self.take_storage();
-        times.push(t);
-        masses.push(1.0);
+        self.pmf_from_slices(&[t], &[1.0])
+    }
+
+    /// Takes storage from the pool (or allocates) with both columns empty
+    /// and room for `n` impulses, grown to exactly that if it is smaller:
+    /// pooled storage is then never larger than the most a PMF built in
+    /// it was sized for.
+    pub(crate) fn take_storage(&mut self, n: usize) -> (Vec<Time>, Vec<f64>) {
+        let (mut times, mut masses) = self.pool.pop().unwrap_or_default();
+        times.clear();
+        masses.clear();
+        times.reserve_exact(n);
+        masses.reserve_exact(n);
+        (times, masses)
+    }
+
+    /// Builds a pooled PMF copying the given columns.
+    fn pmf_from_slices(&mut self, src_times: &[Time], src_masses: &[f64]) -> Pmf {
+        let (mut times, mut masses) = self.take_storage(src_times.len());
+        times.extend_from_slice(src_times);
+        masses.extend_from_slice(src_masses);
         Pmf::from_parts_unchecked(times, masses)
     }
+}
 
-    /// Takes storage from the pool (or allocates) with both columns empty.
-    pub(crate) fn take_storage(&mut self) -> (Vec<Time>, Vec<f64>) {
-        match self.pool.pop() {
-            Some((mut t, mut m)) => {
-                t.clear();
-                m.clear();
-                (t, m)
-            }
-            None => (Vec::new(), Vec::new()),
-        }
-    }
+/// A thread's transient convolution buffers (see the module docs).
+#[derive(Debug)]
+struct Workspace {
+    /// Convolution pairing buffer (sorted then merged in place).
+    pairs: Vec<Impulse>,
+    /// Auxiliary buffer for the radix sort's stable scatter passes.
+    radix: Vec<Impulse>,
+    /// Dense accumulator for narrow-range convolutions: mass per rebased
+    /// time slot. Each call zero-fills `acc[..width]` and adds every
+    /// product into it, so the buffer grows to the widest range seen and
+    /// needs no record of which slots a call touched.
+    acc: Vec<f64>,
+    /// Execution-time offsets `tb − bt[0]` of the current dense
+    /// convolution, computed once per call rather than once per product.
+    offsets: Vec<usize>,
+}
 
-    /// Builds a pooled PMF from the sorted, merged pairing buffer. Two
-    /// column-wise passes (exact-size iterators → one reserve + dense
-    /// copy loop each) instead of interleaved per-element pushes.
-    fn pmf_from_pairs(&mut self) -> Pmf {
-        let (mut times, mut masses) = self.take_storage();
+impl Workspace {
+    /// Builds a PMF in `pool`'s storage from the sorted, merged pairing
+    /// buffer. Two column-wise passes (exact-size iterators → one reserve
+    /// + dense copy loop each) instead of interleaved per-element pushes.
+    fn pmf_from_pairs(&self, pool: &mut ConvScratch) -> Pmf {
+        let (mut times, mut masses) = pool.take_storage(self.pairs.len());
         times.extend(self.pairs.iter().map(|i| i.t));
         masses.extend(self.pairs.iter().map(|i| i.p));
         Pmf::from_parts_unchecked(times, masses)
@@ -152,20 +168,47 @@ impl ConvScratch {
     /// duplicate merge, and the column copy all disappear. Only inputs
     /// [`dense_range`] admits come here; see [`accumulate`] for why the
     /// result is bit-identical to the sort-and-merge path.
-    fn dense_convolve(&mut self, a: (&[Time], &[f64]), b: (&[Time], &[f64]), range: u64) -> Pmf {
-        let (mut times, mut masses) = self.take_storage();
+    fn dense_convolve(
+        &mut self,
+        a: (&[Time], &[f64]),
+        b: (&[Time], &[f64]),
+        range: u64,
+        pool: &mut ConvScratch,
+    ) -> Pmf {
+        let (mut times, mut masses) = pool.take_storage(range as usize + 1);
         let acc = accumulate(&mut self.acc, &mut self.offsets, a, b, range);
         push_touched(acc, a.0[0] + b.0[0], &mut times, &mut masses);
         Pmf::from_parts_unchecked(times, masses)
     }
+}
 
-    /// Builds a pooled PMF copying the given columns.
-    fn pmf_from_slices(&mut self, src_times: &[Time], src_masses: &[f64]) -> Pmf {
-        let (mut times, mut masses) = self.take_storage();
-        times.extend_from_slice(src_times);
-        masses.extend_from_slice(src_masses);
-        Pmf::from_parts_unchecked(times, masses)
-    }
+/// One thread's [`Workspace`] plus its free-list of wide storage.
+struct ThreadBuffers {
+    work: Workspace,
+    wide: ConvScratch,
+}
+
+thread_local! {
+    static BUFFERS: RefCell<ThreadBuffers> = const {
+        RefCell::new(ThreadBuffers {
+            work: Workspace {
+                pairs: Vec::new(),
+                radix: Vec::new(),
+                acc: Vec::new(),
+                offsets: Vec::new(),
+            },
+            wide: ConvScratch::new(),
+        })
+    };
+}
+
+/// Runs `f` on this thread's buffers. Every public entry point borrows
+/// them once, and nothing it calls borrows them again.
+fn with_buffers<R>(f: impl FnOnce(&mut Workspace, &mut ConvScratch) -> R) -> R {
+    BUFFERS.with(|buffers| {
+        let ThreadBuffers { work, wide } = &mut *buffers.borrow_mut();
+        f(work, wide)
+    })
 }
 
 /// The rebased time range of `a ⊛ b` when it takes the dense path, `None`
@@ -257,14 +300,13 @@ fn push_touched(acc: &[f64], t0: Time, times: &mut Vec<Time>, masses: &mut Vec<f
 /// ```
 #[must_use]
 pub fn convolve(a: &Pmf, b: &Pmf) -> Pmf {
-    let mut scratch = ConvScratch::with_capacity(a.len() * b.len());
-    convolve_into(a, b, &mut scratch)
+    convolve_into(a, b, &mut ConvScratch::new())
 }
 
 /// [`convolve`] with a caller-provided scratch buffer; the output PMF draws
 /// its storage from the scratch pool.
 pub fn convolve_into(a: &Pmf, b: &Pmf, scratch: &mut ConvScratch) -> Pmf {
-    convolve_slices((a.times(), a.masses()), b, scratch)
+    with_buffers(|work, _| convolve_slices(work, (a.times(), a.masses()), b, scratch))
 }
 
 /// Convolves an availability *prefix* (the Eq. 3 startable slice) with an
@@ -277,15 +319,20 @@ pub fn convolve_into(a: &Pmf, b: &Pmf, scratch: &mut ConvScratch) -> Pmf {
 /// turns into vector adds/muls and which emits pairs in exactly the same
 /// row-major order as the naive nested push loop (the stable radix sort
 /// and the duplicate merge downstream depend on that order).
-fn convolve_slices(a: (&[Time], &[f64]), b: &Pmf, scratch: &mut ConvScratch) -> Pmf {
+fn convolve_slices(
+    work: &mut Workspace,
+    a: (&[Time], &[f64]),
+    b: &Pmf,
+    pool: &mut ConvScratch,
+) -> Pmf {
     let (at, am) = a;
     let (bt, bm) = (b.times(), b.masses());
     // Both inputs are sorted, so the output extrema — and therefore the
     // rebased range — are known without materializing a single pair.
     if let Some(range) = dense_range(a, (bt, bm)) {
-        return scratch.dense_convolve(a, (bt, bm), range);
+        return work.dense_convolve(a, (bt, bm), range, pool);
     }
-    let (buf, aux) = (&mut scratch.pairs, &mut scratch.radix);
+    let (buf, aux) = (&mut work.pairs, &mut work.radix);
     buf.clear();
     buf.resize(at.len() * bt.len(), Impulse { t: 0, p: 0.0 });
     for ((&ta, &pa), row) in at.iter().zip(am).zip(buf.chunks_exact_mut(bt.len())) {
@@ -306,7 +353,7 @@ fn convolve_slices(a: (&[Time], &[f64]), b: &Pmf, scratch: &mut ConvScratch) -> 
     }
     radix_sort_by_time(buf, aux);
     merge_sorted_pairs(buf);
-    scratch.pmf_from_pairs()
+    work.pmf_from_pairs(pool)
 }
 
 /// Stable LSB-radix sort of impulse pairs by time, over only the digits
@@ -444,11 +491,23 @@ pub fn queue_step_into(
     policy: DropPolicy,
     scratch: &mut ConvScratch,
 ) -> QueueStep {
+    with_buffers(|work, _| step(work, avail, exec, deadline, policy, scratch))
+}
+
+/// The body of [`queue_step_into`], its outputs drawn from `pool`.
+fn step(
+    work: &mut Workspace,
+    avail: &Pmf,
+    exec: &Pmf,
+    deadline: Time,
+    policy: DropPolicy,
+    pool: &mut ConvScratch,
+) -> QueueStep {
     match policy {
         DropPolicy::None => {
-            let completion = convolve_into(avail, exec, scratch);
+            let completion = convolve_slices(work, (avail.times(), avail.masses()), exec, pool);
             let robustness = completion.cdf_at(deadline);
-            let availability = scratch.pmf_from_slices(completion.times(), completion.masses());
+            let availability = pool.pmf_from_slices(completion.times(), completion.masses());
             QueueStep { availability, completion: Some(completion), robustness }
         }
         DropPolicy::PendingOnly | DropPolicy::All => {
@@ -458,15 +517,15 @@ pub fn queue_step_into(
             if split == 0 {
                 // The task can never start: availability is the carry-over
                 // verbatim (a non-empty PMF has a non-empty late side here).
-                let availability = scratch.pmf_from_slices(carry_times, carry_masses);
+                let availability = pool.pmf_from_slices(carry_times, carry_masses);
                 return QueueStep { completion: None, availability, robustness: 0.0 };
             }
-            let completion =
-                convolve_slices((&avail.times()[..split], &avail.masses()[..split]), exec, scratch);
+            let prefix = (&avail.times()[..split], &avail.masses()[..split]);
+            let completion = convolve_slices(work, prefix, exec, pool);
             let robustness = completion.cdf_at(deadline);
             let availability = if policy == DropPolicy::All {
-                let (mut times, mut masses) = scratch.take_storage();
                 let cut = completion.times().partition_point(|&x| x <= deadline);
+                let (mut times, mut masses) = pool.take_storage(cut + 1 + carry_times.len());
                 times.extend_from_slice(&completion.times()[..cut]);
                 masses.extend_from_slice(&completion.masses()[..cut]);
                 let moved =
@@ -480,12 +539,13 @@ pub fn queue_step_into(
                 );
                 Pmf::from_parts_unchecked(times, masses)
             } else if carry_times.is_empty() {
-                scratch.pmf_from_slices(completion.times(), completion.masses())
+                pool.pmf_from_slices(completion.times(), completion.masses())
             } else {
                 // Eq. 4's second branch: for t >= δ, add the predecessor's
                 // impulses — the machine frees when task i−1 finishes and
                 // task i is dropped.
-                let (mut times, mut masses) = scratch.take_storage();
+                let (mut times, mut masses) =
+                    pool.take_storage(completion.len() + carry_times.len());
                 merge_add(
                     (completion.times(), completion.masses()),
                     (carry_times, carry_masses),
@@ -535,64 +595,182 @@ fn evict_and_carry(
     masses.extend_from_slice(&carry_masses[k..]);
 }
 
-/// [`queue_step_into`]'s availability and Eq. 1 robustness without its
-/// completion PMF — the step a queue chain takes when nothing reads the
-/// completion. Both results are bit-identical to `queue_step_into`'s
-/// under every policy.
+/// One link of a queue chain: what [`chain_step_into`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChainStep {
+    /// [`QueueStep::availability`] compacted to the impulse budget, in
+    /// storage from the caller's pool.
+    pub availability: Pmf,
+    /// [`QueueStep::robustness`].
+    pub robustness: f64,
+    /// Eq. 6 bounded skewness of [`QueueStep::completion`] — `0.0` when
+    /// the task can never start, NaN when the caller did not ask for it.
+    pub skewness: f64,
+}
+
+/// The queue step a chain takes: [`queue_step_into`] with the
+/// availability compacted to `budget` impulses ([`Pmf::compact`]) and,
+/// with `with_skewness`, the completion's
+/// [`Pmf::bounded_skewness`] — bit for bit, under every policy, without
+/// handing the completion back. Recycle the availability into `scratch`
+/// when the link is retired.
 ///
 /// Under [`DropPolicy::All`], when the startable prefix takes the dense
-/// path, the completion is never built: one pass over the accumulator
-/// writes the slots at or before δ as the availability's prefix, whose
-/// sum — the fold [`Pmf::cdf_at`] runs — is the robustness, and folds the
-/// slots past δ, in time order, into the mass Eq. 5 moves onto δ. The δ-
-/// and carry-over merges are the ones `queue_step_into` runs. Every other
-/// case calls `queue_step_into` and recycles the completion.
-pub fn queue_step_tail_into(
+/// path, neither the completion nor the uncompacted availability is ever
+/// built. Two passes over the accumulator's slots replace them:
+///
+/// * the **fold pass** sums the slots at or before δ into the robustness
+///   (the fold [`Pmf::cdf_at`] runs), the slots past δ into the mass
+///   Eq. 5 moves onto δ, and — when compaction will run — the
+///   availability's masses into the `total` that sizes its groups; with
+///   `with_skewness` it also folds Eq. 6's power sums over every slot,
+///   with `x = slot` (the completion's first impulse is slot 0);
+/// * the **write pass** feeds the slots before δ, then the merged impulse
+///   at δ, then the rest of the carry-over to the mass-quantile group
+///   walk of [`Pmf::compact`], writing the groups straight into storage
+///   of link size — or copies them there when they fit the budget.
+///
+/// Three facts make that bit-identical to step-then-compact:
+///
+/// * **Zero slots are inert.** An untouched slot holds `0.0` and adds it
+///   to every fold: `x · 0.0 = 0.0` and `s + 0.0 = s`. It cannot close a
+///   group either — the running mass it leaves already failed the cut.
+/// * **No empty group.** Slot 0 is non-zero under the dense path's
+///   positivity rule (`min(a) · min(b) > 0`), and it is the walk's first impulse or part of the
+///   one at δ, so no group can close before it holds mass.
+/// * **Same fold order as the plain path.** `total` folds over the
+///   *merged* impulse at δ — own mass there, then the evicted mass, then
+///   the carry-over landing on δ, as the plain merge adds them — not as
+///   `robustness + moved`. The `1e-15` cut slack and the final
+///   duplicate merge are [`Pmf::compact`]'s own.
+///
+/// Every other case takes the plain step and compacts in place: in the
+/// caller's storage when it cannot build more than `2 · budget`
+/// impulses, otherwise in the thread's wide storage, copying the
+/// ≤ `budget` impulses out — so a cached link never keeps more than
+/// twice the budget of capacity.
+pub fn chain_step_into(
     avail: &Pmf,
     exec: &Pmf,
     deadline: Time,
     policy: DropPolicy,
+    budget: usize,
+    with_skewness: bool,
+    scratch: &mut ConvScratch,
+) -> ChainStep {
+    with_buffers(|work, wide| {
+        // The impulses that can start: all of them under Eq. 2, those
+        // before δ under Eq. 3.
+        let startable = match policy {
+            DropPolicy::None => avail.len(),
+            _ => avail.partition_index(deadline),
+        };
+        let (prefix_times, carry_times) = avail.times().split_at(startable);
+        let (prefix_masses, carry_masses) = avail.masses().split_at(startable);
+        let prefix = (prefix_times, prefix_masses);
+        let exec_cols = (exec.times(), exec.masses());
+        let range = (startable > 0).then(|| dense_range(prefix, exec_cols)).flatten();
+        let (DropPolicy::All, Some(range)) = (policy, range) else {
+            // A sorted step that cannot build more than twice the budget
+            // builds in the caller's storage; any other in the thread's
+            // wide storage, whose compacted impulses are then copied out.
+            let widest = startable * exec.len() + 1 + carry_times.len();
+            let narrow = range.is_none() && widest <= 2 * budget.max(1);
+            let pool = if narrow { &mut *scratch } else { &mut *wide };
+            let QueueStep { completion, mut availability, robustness } =
+                step(work, avail, exec, deadline, policy, pool);
+            let skewness = match &completion {
+                _ if !with_skewness => f64::NAN,
+                Some(completion) => completion.bounded_skewness(),
+                None => 0.0,
+            };
+            availability.compact(budget);
+            if let Some(completion) = completion {
+                pool.recycle(completion);
+            }
+            if !narrow {
+                let link = scratch.pmf_from_slices(availability.times(), availability.masses());
+                wide.recycle(std::mem::replace(&mut availability, link));
+            }
+            return ChainStep { availability, robustness, skewness };
+        };
+        let t0 = prefix_times[0] + exec.times()[0];
+        let acc = accumulate(&mut work.acc, &mut work.offsets, prefix, exec_cols, range);
+        let skewness = if with_skewness {
+            Moments::fold(t0, acc.iter().enumerate().map(|(slot, &p)| (slot as f64, p)))
+                .bounded_skewness()
+        } else {
+            f64::NAN
+        };
+        let (availability, robustness) =
+            compact_dense_tail(acc, t0, deadline, (carry_times, carry_masses), budget, scratch);
+        ChainStep { availability, robustness, skewness }
+    })
+}
+
+/// [`chain_step_into`]'s two passes over a dense `All` accumulator `acc`
+/// (slot `s` at time `t0 + s`) behind the carry-over `carry`: returns the
+/// Eq. 5 availability compacted to `budget` impulses, in `scratch`'s
+/// storage, and the Eq. 1 robustness.
+fn compact_dense_tail(
+    acc: &[f64],
+    t0: Time,
+    deadline: Time,
+    carry: (&[Time], &[f64]),
+    budget: usize,
     scratch: &mut ConvScratch,
 ) -> (Pmf, f64) {
-    let split = avail.partition_index(deadline);
-    let (prefix_times, carry_times) = avail.times().split_at(split);
-    let (prefix_masses, carry_masses) = avail.masses().split_at(split);
-    let prefix = (prefix_times, prefix_masses);
-    let range = match policy {
-        DropPolicy::All if split > 0 => dense_range(prefix, (exec.times(), exec.masses())),
-        _ => None,
-    };
-    let Some(range) = range else {
-        let step = queue_step_into(avail, exec, deadline, policy, scratch);
-        if let Some(completion) = step.completion {
-            scratch.recycle(completion);
-        }
-        return (step.availability, step.robustness);
-    };
-    let (mut times, mut masses) = scratch.take_storage();
-    let t0 = prefix_times[0] + exec.times()[0];
-    let acc = accumulate(
-        &mut scratch.acc,
-        &mut scratch.offsets,
-        prefix,
-        (exec.times(), exec.masses()),
-        range,
-    );
-    // Slots `..cut` complete at or before δ.
-    let cut = deadline.checked_sub(t0).map_or(0, |d| d.min(range) as usize + 1);
-    push_touched(&acc[..cut], t0, &mut times, &mut masses);
-    let robustness = masses.iter().sum();
-    // Untouched slots hold `0.0`, and adding `0.0` leaves a positive sum
-    // unchanged: this is the completion's own sum past δ, positive iff it
-    // has an impulse there.
+    // Fold pass. Slots `..before` complete strictly before δ; `on_time`
+    // is δ's own slot when the range holds one.
+    let before = deadline.saturating_sub(t0).min(acc.len() as u64) as usize;
+    let on_time = if deadline >= t0 { acc.get(before).copied() } else { None };
+    let cut = before + usize::from(on_time.is_some());
+    let early: f64 = acc[..before].iter().sum();
+    let robustness = on_time.map_or(early, |m| early + m);
+    // The last slot is positive, so this is positive iff a slot lies past δ.
     let moved: f64 = acc[cut..].iter().sum();
-    evict_and_carry(
-        &mut times,
-        &mut masses,
-        (moved > 0.0).then_some(moved),
-        deadline,
-        (carry_times, carry_masses),
-    );
+    let landing = carry.0.first() == Some(&deadline);
+    let (carry_times, carry_masses) =
+        (&carry.0[usize::from(landing)..], &carry.1[usize::from(landing)..]);
+    // The impulse at δ, merged in the plain step's order.
+    let own = on_time.filter(|&m| m != 0.0);
+    let at_deadline = [own, (moved > 0.0).then_some(moved), landing.then(|| carry.1[0])]
+        .into_iter()
+        .flatten()
+        .reduce(|a, b| a + b);
+    let touched = acc[..before].iter().filter(|&&m| m != 0.0).count();
+    let len = touched + usize::from(at_deadline.is_some()) + carry_times.len();
+    let max = budget.max(1);
+
+    // Write pass.
+    let (mut times, mut masses) = scratch.take_storage(len.min(max));
+    let slots = acc[..before].iter().enumerate().map(|(slot, &m)| (t0 + slot as u64, m));
+    let rest = at_deadline
+        .map(|m| (deadline, m))
+        .into_iter()
+        .chain(carry_times.iter().copied().zip(carry_masses.iter().copied()));
+    if len <= max {
+        for (t, m) in slots.filter(|&(_, m)| m != 0.0).chain(rest) {
+            times.push(t);
+            masses.push(m);
+        }
+    } else {
+        let total =
+            carry_masses.iter().fold(at_deadline.map_or(early, |m| early + m), |s, &m| s + m);
+        debug_assert!(total > 0.0, "slot 0 is positive and in the availability");
+        let mut walk = GroupWalk::new(total, max);
+        for (t, m) in slots.chain(rest) {
+            if let Some((t, m)) = walk.push(t, m) {
+                times.push(t);
+                masses.push(m);
+            }
+        }
+        if let Some((t, m)) = walk.finish() {
+            times.push(t);
+            masses.push(m);
+        }
+        merge_sorted_columns(&mut times, &mut masses);
+    }
     (Pmf::from_parts_unchecked(times, masses), robustness)
 }
 

@@ -18,6 +18,11 @@
 //!   `hcsim-core`).
 //! * [`Pmf::compact`] — impulse aggregation, the approximation §IV suggests
 //!   to keep the convolution overhead bounded.
+//! * [`chain_step_into`] — the queue step a chain of compacted
+//!   availabilities takes: Eq. 3–5, compaction and the Eq. 6 moments in
+//!   two passes over the convolution's accumulator, bit-identical to
+//!   [`queue_step`] followed by [`Pmf::compact`] and
+//!   [`Pmf::bounded_skewness`].
 //!
 //! The worked examples of the paper's Figures 2 and 3 are encoded verbatim
 //! as unit tests in [`convolve`] — reproducing them exactly pins down the
@@ -44,7 +49,7 @@ mod convolve;
 mod pmf;
 
 pub use convolve::{
-    convolve, convolve_into, queue_step, queue_step_into, queue_step_tail_into, ConvScratch,
+    chain_step_into, convolve, convolve_into, queue_step, queue_step_into, ChainStep, ConvScratch,
     DropPolicy, QueueStep,
 };
 pub use pmf::{Impulse, Moments, Pmf, PmfError};

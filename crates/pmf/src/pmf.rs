@@ -43,6 +43,35 @@ impl Moments {
     pub fn bounded_skewness(&self) -> f64 {
         self.skewness.clamp(-1.0, 1.0)
     }
+
+    /// The moment kernel of [`Pmf::moments`] over `(x, p)` points in time
+    /// order, `x = t − t0`: raw power sums `Σp·xᵏ` folded left to right,
+    /// then converted to central moments. The chain kernel folds a dense
+    /// accumulator's slots through it too, zero slots included — they add
+    /// `0.0` to every sum, which changes none.
+    pub(crate) fn fold(t0: Time, points: impl Iterator<Item = (f64, f64)>) -> Self {
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for (x, p) in points {
+            let xp = x * p;
+            let x2p = x * xp;
+            s0 += p;
+            s1 += xp;
+            s2 += x2p;
+            s3 += x * x2p;
+        }
+        if s0 <= 0.0 {
+            return Self { mean: 0.0, variance: 0.0, skewness: 0.0 };
+        }
+        let mu = s1 / s0;
+        let variance = (s2 / s0 - mu * mu).max(0.0);
+        let mean = t0 as f64 + mu;
+        if variance <= 1e-300 {
+            return Self { mean, variance: 0.0, skewness: 0.0 };
+        }
+        // E[(x−µ)³] = E[x³] − 3µE[x²] + 2µ³, standardized by σ³.
+        let m3 = s3 / s0 - 3.0 * mu * (s2 / s0) + 2.0 * mu * mu * mu;
+        Self { mean, variance, skewness: m3 / (variance * variance.sqrt()) }
+    }
 }
 
 /// Error produced when constructing a [`Pmf`] from invalid data.
@@ -294,9 +323,10 @@ impl Pmf {
 
     /// Mean, variance, and Eq. 6 skewness in **one fused pass** over the
     /// impulses — the moment kernel behind the pruner's stats-mode drop
-    /// pass, which runs it on the *uncompacted* completion PMF of every
-    /// chain extension (hundreds of impulses; the priciest part of a
-    /// stats-mode append).
+    /// pass, which needs it for the *uncompacted* completion PMF of every
+    /// chain extension (hundreds of impulses). The chain kernel
+    /// [`crate::chain_step_into`] folds the same sums over its
+    /// accumulator's slots instead of building that PMF.
     ///
     /// The kernel accumulates shifted raw power sums `Σp·xᵏ` with
     /// `x = t − t₀` anchored at the first impulse: three fused multiplies
@@ -321,28 +351,7 @@ impl Pmf {
     #[must_use]
     pub fn moments(&self) -> Moments {
         let t0 = self.times[0];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (&t, &p) in self.times.iter().zip(&self.masses) {
-            let x = (t - t0) as f64;
-            let xp = x * p;
-            let x2p = x * xp;
-            s0 += p;
-            s1 += xp;
-            s2 += x2p;
-            s3 += x * x2p;
-        }
-        if s0 <= 0.0 {
-            return Moments { mean: 0.0, variance: 0.0, skewness: 0.0 };
-        }
-        let mu = s1 / s0;
-        let variance = (s2 / s0 - mu * mu).max(0.0);
-        let mean = t0 as f64 + mu;
-        if variance <= 1e-300 {
-            return Moments { mean, variance: 0.0, skewness: 0.0 };
-        }
-        // E[(x−µ)³] = E[x³] − 3µE[x²] + 2µ³, standardized by σ³.
-        let m3 = s3 / s0 - 3.0 * mu * (s2 / s0) + 2.0 * mu * mu * mu;
-        Moments { mean, variance, skewness: m3 / (variance * variance.sqrt()) }
+        Moments::fold(t0, self.times.iter().zip(&self.masses).map(|(&t, &p)| ((t - t0) as f64, p)))
     }
 
     /// Shifts every impulse later by `dt`.
@@ -500,8 +509,9 @@ impl Pmf {
         dt: Time,
         scratch: &mut crate::ConvScratch,
     ) -> Pmf {
-        let (mut times, mut masses) = scratch.take_storage();
         let split = self.times.partition_point(|&x| x <= elapsed);
+        // A residual is at most its PET cell.
+        let (mut times, mut masses) = scratch.take_storage((self.len() - split).max(1));
         if split == self.len() {
             // Overdue: the model collapses to "any moment now".
             times.push(1u64.checked_add(dt).expect("time overflow in residual shift"));

@@ -1,19 +1,23 @@
 //! Differential checks for the convolution calculus' fast paths.
 //!
-//! * [`queue_step_tail_into`] — the fused step a stats-free queue chain
-//!   takes — must return [`queue_step_into`]'s availability and Eq. 1
-//!   robustness bit for bit under every [`DropPolicy`].
+//! * [`chain_step_into`] — the step a queue chain takes — must return
+//!   [`queue_step_into`]'s availability compacted by [`Pmf::compact`], its
+//!   Eq. 1 robustness and its completion's [`Pmf::bounded_skewness`] bit
+//!   for bit, under every [`DropPolicy`] and impulse budget, in storage
+//!   of link size.
 //! * The completion [`queue_step_into`] builds — dense accumulator or
 //!   radix sort, whichever the operands pick — must equal a naive O(n·m)
 //!   reference: every product in row-major `(availability, execution)`
 //!   order, a stable sort by time, equal times summed in that order.
+//! * The mass-quantile group walk both compactions share must keep its
+//!   `1e-15` cut slack against a naive reference.
 //!
-//! Both comparisons are on bits (`f64::to_bits`), not within an epsilon:
+//! The comparisons are on bits (`f64::to_bits`), not within an epsilon:
 //! the fast paths claim to run the same float operations in the same
 //! order, so any difference is a bug.
 
 use hcsim_pmf::{
-    convolve_into, queue_step_into, queue_step_tail_into, ConvScratch, DropPolicy, Pmf, Time,
+    chain_step_into, convolve_into, queue_step_into, ConvScratch, DropPolicy, Pmf, QueueStep, Time,
 };
 use proptest::prelude::*;
 
@@ -21,6 +25,10 @@ use proptest::prelude::*;
 const TINY: f64 = 1e-200;
 
 const POLICIES: [DropPolicy; 3] = [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All];
+
+/// Impulse budgets the chain kernel is checked at: a single group, a
+/// small and the default budget, and one wider than most availabilities.
+const BUDGETS: [usize; 4] = [1, 8, 24, 48];
 
 /// The naive sort-and-merge convolution of `a` and `b`, as `(time, mass)`
 /// pairs; zero-mass products are kept like any other.
@@ -120,32 +128,66 @@ fn with_first_mass(pmf: &Pmf, mass: f64) -> Pmf {
     Pmf::from_points(&points).expect("positive masses")
 }
 
+/// Checks [`chain_step_into`] against the plain chain step — the step,
+/// then [`Pmf::compact`], then the moment pass over the completion — at
+/// every policy, budget and mode, twice: on a fresh pool, where its link
+/// must hold storage of link size — at most twice the budget, never the
+/// width of the uncompacted availability — and again on a dirty
+/// accumulator and pooled storage.
+fn check_chain_step(avail: &Pmf, exec: &Pmf, deadline: Time) {
+    let mut scratch = ConvScratch::new();
+    for policy in POLICIES {
+        for budget in BUDGETS {
+            for with_skewness in [false, true] {
+                let QueueStep { completion, availability: mut expected, robustness } =
+                    queue_step_into(avail, exec, deadline, policy, &mut ConvScratch::new());
+                expected.compact(budget);
+                let skewness = completion.as_ref().map_or(0.0, Pmf::bounded_skewness);
+                for pass in 0..2 {
+                    let mut fresh = ConvScratch::new();
+                    let pool = if pass == 0 { &mut fresh } else { &mut scratch };
+                    let step =
+                        chain_step_into(avail, exec, deadline, policy, budget, with_skewness, pool);
+                    let case = format!(
+                        "{policy:?}, budget {budget}, stats {with_skewness} at δ={deadline} on \
+                         {avail:?} ⊛ {exec:?}"
+                    );
+                    assert_eq!(bits(&step.availability), bits(&expected), "{}", case);
+                    assert_eq!(step.robustness.to_bits(), robustness.to_bits(), "{}", case);
+                    if with_skewness {
+                        assert_eq!(step.skewness.to_bits(), skewness.to_bits(), "{}", case);
+                    } else {
+                        assert!(step.skewness.is_nan(), "{}", case);
+                    }
+                    if pass == 0 {
+                        assert!(
+                            step.availability.heap_bytes() <= 2 * 16 * budget,
+                            "{} bytes for a {budget}-impulse link: {}",
+                            step.availability.heap_bytes(),
+                            case
+                        );
+                    }
+                    scratch.recycle(step.availability);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn fused_step_matches_plain_step_bit_for_bit(raw in raw_case()) {
-        let (avail, exec, deadline) = build(raw);
-        let mut scratch = ConvScratch::new();
-        for policy in POLICIES {
-            // Twice on one scratch: the second call runs on a dirty
-            // accumulator and pooled storage.
-            for _ in 0..2 {
-                let plain = queue_step_into(&avail, &exec, deadline, policy, &mut scratch);
-                let (availability, robustness) =
-                    queue_step_tail_into(&avail, &exec, deadline, policy, &mut scratch);
-                prop_assert_eq!(
-                    bits(&availability),
-                    bits(&plain.availability),
-                    "{:?} at δ={} on {:?} ⊛ {:?}",
-                    policy,
-                    deadline,
-                    avail,
-                    exec
-                );
-                prop_assert_eq!(robustness.to_bits(), plain.robustness.to_bits(), "{:?}", policy);
-                scratch.recycle(availability);
-                plain.recycle_into(&mut scratch);
-            }
-        }
+        // A chain steps distributions: normalized availabilities and PET
+        // cells. `TINY` stays out: a PMF whose last impulses hold less
+        // than the compaction's 1e-15 cut slack compacts to one impulse
+        // over the budget — in both paths, which share the group walk,
+        // but `Pmf::compact` debug-asserts the budget. The chain meets
+        // an underflowed impulse in the test below instead.
+        let (operands, knobs, (wide, _)) = raw;
+        let (mut avail, mut exec, deadline) = build((operands, knobs, (wide, false)));
+        avail.normalize();
+        exec.normalize();
+        check_chain_step(&avail, &exec, deadline);
     }
 
     #[test]
@@ -190,4 +232,105 @@ fn underflowed_product_keeps_its_zero_mass_impulse() {
     assert_eq!(product.times()[0], 0, "the underflowed impulse at t = 0 is kept");
     assert_eq!(product.masses()[0].to_bits(), 0.0f64.to_bits());
     assert_eq!(bits(&product), pair_bits(&naive_convolve((a.times(), a.masses()), &b)));
+    // The chain keeps it too, wherever the step sorts.
+    check_chain_step(&a, &b, 7);
+}
+
+/// Dense-shaped operands (40 pairs over a 22-slot range) whose completion
+/// lands on even times only, at an odd δ: δ's own slot is untouched while
+/// completion mass lies past it. Twice: with the carry-over starting
+/// after δ, and with a carry-over impulse on δ, which is then merged with
+/// the evicted mass alone.
+#[test]
+fn zero_deadline_slot_with_mass_past_it() {
+    let odd = |n: u64| -> Vec<(Time, f64)> {
+        (0..n).map(|k| (1 + 2 * k, 0.5 + k as f64 / 16.0)).collect()
+    };
+    let exec = Pmf::from_points(&odd(8)).expect("positive masses");
+    for carry in [[(13, 0.4), (15, 0.2)], [(11, 0.4), (15, 0.2)]] {
+        let mut avail =
+            Pmf::from_points(&[odd(5), carry.to_vec()].concat()).expect("positive masses");
+        avail.normalize();
+        check_chain_step(&avail, &exec, 11);
+    }
+}
+
+/// Starts at 1..=8 and executions 1..=8 (64 pairs, dense) complete over
+/// 2..=16: at δ = 14 the task's own completion, the mass Eq. 5 evicts
+/// from past δ and the carry-over's first impulse all meet on δ. The
+/// neighbouring deadlines leave the carry-over off δ.
+#[test]
+fn carry_lands_on_an_impulse_at_deadline() {
+    let avail: Vec<(Time, f64)> =
+        (0..8).map(|k| (1 + k, 0.1 + k as f64 / 50.0)).chain([(14, 0.3), (20, 0.1)]).collect();
+    let mut avail = Pmf::from_points(&avail).expect("positive masses");
+    avail.normalize();
+    let exec = Pmf::from_points(&(1..=8).map(|k| (k, 1.0 / 8.0)).collect::<Vec<_>>())
+        .expect("positive masses");
+    for deadline in [13, 14, 15] {
+        check_chain_step(&avail, &exec, deadline);
+    }
+}
+
+/// The naive mass-quantile compaction: cut a group once the running mass
+/// reaches the next multiple of `total / max` less `slack`, each group an
+/// impulse at its rounded mass-weighted mean time, merging equal times.
+fn naive_compact(pmf: &Pmf, max: usize, slack: f64) -> Vec<(Time, f64)> {
+    let total: f64 = pmf.masses().iter().sum();
+    let quantum = total / max as f64;
+    let (mut cum, mut next_cut) = (0.0f64, quantum);
+    let mut groups: Vec<(Time, f64)> = Vec::new();
+    let mut group = (0.0f64, 0.0f64);
+    for i in pmf.iter() {
+        group = (group.0 + i.p, group.1 + i.t as f64 * i.p);
+        cum += i.p;
+        if cum + slack >= next_cut {
+            groups.push(((group.1 / group.0).round() as Time, group.0));
+            group = (0.0, 0.0);
+            while next_cut <= cum + slack {
+                next_cut += quantum;
+            }
+        }
+    }
+    if group.0 > 0.0 {
+        groups.push(((group.1 / group.0).round() as Time, group.0));
+    }
+    let mut merged: Vec<(Time, f64)> = Vec::new();
+    for (t, p) in groups {
+        match merged.last_mut() {
+            Some(last) if last.0 == t => last.1 += p,
+            _ => merged.push((t, p)),
+        }
+    }
+    merged
+}
+
+/// Nine impulses of mass 1/9 cut in thirds: the running mass after three
+/// falls an ulp short of the first cut, and only the `1e-15` slack closes
+/// the group there. The case is checked to depend on the slack, then the
+/// chain kernel (whose `None`-policy step is a shift here) and
+/// [`Pmf::compact`] must both match the reference that keeps it.
+#[test]
+fn group_walk_keeps_the_cut_slack() {
+    let uniform: Vec<(Time, f64)> = (1..=9).map(|t| (t, 1.0 / 9.0)).collect();
+    let avail = Pmf::from_points(&uniform).expect("positive masses");
+    let expected = naive_compact(&avail.shift(1), 3, 1e-15);
+    assert_ne!(
+        pair_bits(&expected),
+        pair_bits(&naive_compact(&avail.shift(1), 3, 0.0)),
+        "the case must depend on the slack"
+    );
+    let step = chain_step_into(
+        &avail,
+        &Pmf::delta(1),
+        100,
+        DropPolicy::None,
+        3,
+        false,
+        &mut ConvScratch::new(),
+    );
+    assert_eq!(bits(&step.availability), pair_bits(&expected));
+    let mut compacted = avail.shift(1);
+    compacted.compact(3);
+    assert_eq!(bits(&compacted), pair_bits(&expected));
 }
