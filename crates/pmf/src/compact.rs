@@ -67,15 +67,26 @@ pub(crate) fn compact_in_place(times: &mut Vec<Time>, masses: &mut Vec<f64>, max
     debug_assert!(times.len() <= max, "compaction produced {} > {max}", times.len());
 }
 
+/// The cut slack against float shortfall in a running mass near 1.
+const SLACK: f64 = 1e-15;
+
 /// The mass-quantile group walk of [`compact_in_place`], one impulse at a
 /// time: a group closes once the running mass reaches the next multiple
-/// of `total / max` (less a `1e-15` slack against float shortfall) and
-/// becomes one impulse at its mass-weighted mean time, rounded to the
-/// grid. The chain kernel in `convolve` feeds it straight from its
-/// accumulator, so both compactions run these float operations in this
-/// order.
+/// of `total / max` (less a slack against float shortfall: `1e-15`, or
+/// half that quantum where the quantum is smaller, so the cuts still
+/// step through the mass) and becomes one impulse at its mass-weighted
+/// mean time, rounded to the grid. At most `max - 1` groups close that
+/// way; whatever follows the last of them — however little mass it
+/// holds, even less than the slack — is the final group, so a walk
+/// never yields more than `max`. The chain kernel in `convolve` feeds
+/// it straight from its accumulator, so both compactions run these
+/// float operations in this order.
 pub(crate) struct GroupWalk {
     quantum: f64,
+    slack: f64,
+    /// Groups [`push`](Self::push) may still close; the last of the
+    /// `max` is left to [`finish`](Self::finish).
+    cuts_left: usize,
     group_mass: f64,
     /// Σ t·p within the group.
     group_sum_tp: f64,
@@ -85,11 +96,20 @@ pub(crate) struct GroupWalk {
 }
 
 impl GroupWalk {
-    /// A walk over impulses of total mass `total > 0` into at most `max`
-    /// groups.
+    /// A walk over impulses of total mass `total > 0` into at most
+    /// `max ≥ 1` groups.
     pub(crate) fn new(total: f64, max: usize) -> Self {
         let quantum = total / max as f64;
-        Self { quantum, group_mass: 0.0, group_sum_tp: 0.0, cum: 0.0, next_cut: quantum }
+        Self {
+            quantum,
+            slack: SLACK.min(quantum / 2.0),
+            // A quantum that underflows to zero cuts nothing: one group.
+            cuts_left: if quantum > 0.0 { max - 1 } else { 0 },
+            group_mass: 0.0,
+            group_sum_tp: 0.0,
+            cum: 0.0,
+            next_cut: quantum,
+        }
     }
 
     /// Adds the impulse `(t, p)`; returns the group it closes, if any. A
@@ -102,9 +122,10 @@ impl GroupWalk {
         self.cum += p;
         // A single heavy impulse may span several boundaries; it still
         // produces one group, which only helps the budget.
-        if self.cum + 1e-15 >= self.next_cut {
+        if self.cuts_left > 0 && self.cum + self.slack >= self.next_cut {
+            self.cuts_left -= 1;
             let group = self.close();
-            while self.next_cut <= self.cum + 1e-15 {
+            while self.next_cut <= self.cum + self.slack {
                 self.next_cut += self.quantum;
             }
             return Some(group);
@@ -282,6 +303,17 @@ mod tests {
         p.compact(2);
         assert!(p.len() <= 2);
         assert!((p.mass() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mass_below_the_cut_slack_compacts_within_budget() {
+        // Quanta far below 1e-15: a fixed slack would let every impulse
+        // reach its cut, and the cuts would crawl past the running mass.
+        let points: Vec<(u64, f64)> = (1..=100).map(|t| (t, 1e-200)).collect();
+        let mut p = Pmf::from_points(&points).unwrap();
+        p.compact(8);
+        assert!(p.len() <= 8, "{} impulses", p.len());
+        assert!((p.mass() / 1e-198 - 1.0).abs() < 1e-12);
     }
 
     #[test]

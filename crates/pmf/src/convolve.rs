@@ -641,8 +641,8 @@ pub struct ChainStep {
 /// * **Same fold order as the plain path.** `total` folds over the
 ///   *merged* impulse at δ — own mass there, then the evicted mass, then
 ///   the carry-over landing on δ, as the plain merge adds them — not as
-///   `robustness + moved`. The `1e-15` cut slack and the final
-///   duplicate merge are [`Pmf::compact`]'s own.
+///   `robustness + moved`. The cut slack, the cap of `budget - 1` cuts
+///   and the final duplicate merge are [`Pmf::compact`]'s own.
 ///
 /// Every other case takes the plain step and compacts in place: in the
 /// caller's storage when it cannot build more than `2 · budget`
@@ -770,6 +770,7 @@ fn compact_dense_tail(
             masses.push(m);
         }
         merge_sorted_columns(&mut times, &mut masses);
+        debug_assert!(times.len() <= max, "compaction produced {} > {max}", times.len());
     }
     (Pmf::from_parts_unchecked(times, masses), robustness)
 }

@@ -177,16 +177,7 @@ fn check_chain_step(avail: &Pmf, exec: &Pmf, deadline: Time) {
 proptest! {
     #[test]
     fn fused_step_matches_plain_step_bit_for_bit(raw in raw_case()) {
-        // A chain steps distributions: normalized availabilities and PET
-        // cells. `TINY` stays out: a PMF whose last impulses hold less
-        // than the compaction's 1e-15 cut slack compacts to one impulse
-        // over the budget — in both paths, which share the group walk,
-        // but `Pmf::compact` debug-asserts the budget. The chain meets
-        // an underflowed impulse in the test below instead.
-        let (operands, knobs, (wide, _)) = raw;
-        let (mut avail, mut exec, deadline) = build((operands, knobs, (wide, false)));
-        avail.normalize();
-        exec.normalize();
+        let (avail, exec, deadline) = build(raw);
         check_chain_step(&avail, &exec, deadline);
     }
 
@@ -273,7 +264,8 @@ fn carry_lands_on_an_impulse_at_deadline() {
 }
 
 /// The naive mass-quantile compaction: cut a group once the running mass
-/// reaches the next multiple of `total / max` less `slack`, each group an
+/// reaches the next multiple of `total / max` less `slack`, at most
+/// `max - 1` times, the rest forming the last group; each group is an
 /// impulse at its rounded mass-weighted mean time, merging equal times.
 fn naive_compact(pmf: &Pmf, max: usize, slack: f64) -> Vec<(Time, f64)> {
     let total: f64 = pmf.masses().iter().sum();
@@ -284,7 +276,7 @@ fn naive_compact(pmf: &Pmf, max: usize, slack: f64) -> Vec<(Time, f64)> {
     for i in pmf.iter() {
         group = (group.0 + i.p, group.1 + i.t as f64 * i.p);
         cum += i.p;
-        if cum + slack >= next_cut {
+        if groups.len() + 1 < max && cum + slack >= next_cut {
             groups.push(((group.1 / group.0).round() as Time, group.0));
             group = (0.0, 0.0);
             while next_cut <= cum + slack {
@@ -333,4 +325,31 @@ fn group_walk_keeps_the_cut_slack() {
     let mut compacted = avail.shift(1);
     compacted.compact(3);
     assert_eq!(bits(&compacted), pair_bits(&expected));
+}
+
+/// A tail lighter than the cut slack — here lighter than an ulp of the
+/// total, so the running mass meets the last cut before it — joins the
+/// last group instead of forming one past the budget, in both
+/// compactions. Before the walk capped its cuts this compacted to three
+/// impulses at a budget of two.
+#[test]
+fn tail_below_the_cut_slack_stays_within_budget() {
+    for tail in [1e-17, TINY] {
+        let avail = Pmf::from_points(&[(1, 0.5), (2, 0.5), (3, tail)]).expect("positive masses");
+        let expected = naive_compact(&avail.shift(1), 2, 1e-15);
+        assert_eq!(expected.len(), 2, "{expected:?}");
+        let step = chain_step_into(
+            &avail,
+            &Pmf::delta(1),
+            100,
+            DropPolicy::None,
+            2,
+            false,
+            &mut ConvScratch::new(),
+        );
+        assert_eq!(bits(&step.availability), pair_bits(&expected));
+        let mut compacted = avail.shift(1);
+        compacted.compact(2);
+        assert_eq!(bits(&compacted), pair_bits(&expected));
+    }
 }
