@@ -23,9 +23,7 @@
 //!
 //! * the executing task uses the cold cell iff its start *was* cold
 //!   (observable via [`hcsim_sim::ExecutingTask::cold_start`]);
-//! * a preempted pending entry keeps the warmth of its first start (its
-//!   total is already fixed);
-//! * a fresh pending entry is warm iff the machine holds a warm container
+//! * a pending task is warm iff the machine holds a warm container
 //!   for its type *or* an earlier queue position runs the same type (its
 //!   completion re-warms the container just in time — back-to-back reuse);
 //! * a hypothetical append is warm under the same rule applied to the
@@ -37,7 +35,7 @@
 
 use hcsim_model::{PetMatrix, Task, TaskTypeId, Time};
 use hcsim_pmf::{chain_step_into, queue_step_into, ChainStep, ConvScratch, DropPolicy, Pmf};
-use hcsim_sim::{MachineState, PendingEntry};
+use hcsim_sim::MachineState;
 
 /// The warm PET plus the optional cold (spin-up-convolved) PET, with the
 /// per-queue-position selection rules (see module docs). `Copy`-cheap: two
@@ -58,7 +56,8 @@ impl<'a> PetTables<'a> {
         Self { warm: pet, cold: None }
     }
 
-    /// The matrix the executing task's residual is drawn from.
+    /// The matrix the executing task's residual is drawn from: warmth
+    /// was fixed when it started.
     pub(crate) fn for_exec(&self, exec: &hcsim_sim::ExecutingTask) -> &'a PetMatrix {
         match self.cold {
             Some(cold) if exec.cold_start => cold,
@@ -66,28 +65,22 @@ impl<'a> PetTables<'a> {
         }
     }
 
-    /// The matrix pending entry `idx` (0-based position within the
-    /// pending queue) chains with.
+    /// The matrix the pending task of type `tt` at `idx` (0-based position
+    /// within the pending queue) chains with.
     pub(crate) fn for_pending(
         &self,
         machine: &MachineState,
         idx: usize,
-        entry: &PendingEntry,
+        tt: TaskTypeId,
     ) -> &'a PetMatrix {
-        let Some(cold) = self.cold else { return self.warm };
-        let is_cold = match entry.started_cold() {
-            // Preemption victim: warmth was fixed at its first start.
-            Some(started_cold) => started_cold,
-            None => {
-                let tt = entry.task.type_id;
-                !machine.is_warm(tt)
-                    && !machine.pending_entries().take(idx).any(|e| e.task.type_id == tt)
+        match self.cold {
+            Some(cold)
+                if !machine.is_warm(tt)
+                    && !machine.pending().take(idx).any(|t| t.type_id == tt) =>
+            {
+                cold
             }
-        };
-        if is_cold {
-            cold
-        } else {
-            self.warm
+            _ => self.warm,
         }
     }
 
@@ -115,7 +108,7 @@ pub(crate) fn append_would_be_cold(machine: &MachineState, tt: TaskTypeId) -> bo
 /// flags): resident containers, then queued entries.
 pub(crate) fn warm_append_types(machine: &MachineState) -> impl Iterator<Item = TaskTypeId> + '_ {
     let resident = machine.warm_containers().iter().map(|c| c.type_id);
-    resident.chain(machine.pending_entries().map(|e| e.task.type_id))
+    resident.chain(machine.pending().map(|t| t.type_id))
 }
 
 /// Analysis of one queue position.
@@ -214,14 +207,12 @@ pub fn analyze_queue_cold_into(
 
     // The reference chain: the plain step, then compaction, then the
     // moment pass over the completion — what `chain_extension` fuses.
-    for (idx, entry) in machine.pending_entries().enumerate() {
-        let pet = pets.for_pending(machine, idx, entry);
-        let mut step = with_exec(entry, pet, machine.id(), scratch, |exec, scratch| {
-            queue_step_into(&avail, exec, entry.task.deadline, policy, scratch)
-        });
+    for (idx, task) in machine.pending().enumerate() {
+        let exec = pets.for_pending(machine, idx, task.type_id).pmf(task.type_id, machine.id());
+        let mut step = queue_step_into(&avail, exec, task.deadline, policy, scratch);
         step.availability.compact(budget);
         slots.push(QueueSlot {
-            task: entry.task,
+            task: *task,
             position: slots.len(),
             robustness: step.robustness.min(1.0),
             skewness: step.completion.as_ref().map_or(0.0, Pmf::bounded_skewness),
@@ -256,7 +247,7 @@ pub(crate) fn conditioned_head(
 ) -> (Pmf, f64, f64) {
     // The completion PMF of the executing task is its *residual* execution
     // distribution — the PET conditioned on having already run `elapsed`
-    // units (across preemption segments) — shifted to now, with its
+    // units — shifted to now, with its
     // storage pooled (`residual` used to allocate two fresh PMFs per head
     // recompute, once per machine per mapping event).
     let elapsed = exec.elapsed_at(now);
@@ -274,7 +265,7 @@ pub(crate) fn conditioned_head(
 ///
 /// The head is the PET conditioned on `elapsed` and shifted to `now`:
 /// [`Pmf::residual_shifted_into`] keeps `masses[split..]` (renormalized)
-/// at times `t − elapsed + now = t − progress_before + started_at`, where
+/// at times `t − elapsed + now = t + started_at`, where
 /// `split` counts the PET impulses at or below `elapsed`. The clock
 /// therefore enters only through `split`: until `elapsed` reaches
 /// `times[split]` the completion — and its compaction, robustness,
@@ -287,19 +278,16 @@ pub(crate) fn head_valid_until(exec: &hcsim_sim::ExecutingTask, pet_pmf: &Pmf, n
     let elapsed = exec.elapsed_at(now);
     let times = pet_pmf.times();
     match times.get(times.partition_point(|&t| t <= elapsed)) {
-        // `next > elapsed ≥ progress_before`, so the subtraction is safe.
-        Some(&next) if now >= exec.started_at => {
-            exec.started_at.saturating_add(next - exec.progress_before)
-        }
+        Some(&next) if now >= exec.started_at => exec.started_at.saturating_add(next),
         _ => now.saturating_add(1),
     }
 }
 
-/// Chains one pending entry behind `avail` — the step every extension of
+/// Chains one pending task behind `avail` — the step every extension of
 /// the scorer's tail cache takes: [`chain_step_into`], the availability
 /// compacted to `budget` and, with `with_skewness`, the completion's Eq. 6
 /// bounded skewness (0 when the task can never start; NaN without it).
-/// `pet` is the matrix [`PetTables::for_pending`] selected for this entry.
+/// `pet` is the matrix [`PetTables::for_pending`] selected for this task.
 ///
 /// The kernel is pinned bit-identical to the plain step, compaction and
 /// moment pass the from-scratch analysis chains with, so either way the
@@ -309,7 +297,7 @@ pub(crate) fn head_valid_until(exec: &hcsim_sim::ExecutingTask, pet_pmf: &Pmf, n
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn chain_extension(
     avail: &Pmf,
-    entry: &hcsim_sim::PendingEntry,
+    task: &Task,
     pet: &PetMatrix,
     machine: hcsim_model::MachineId,
     policy: DropPolicy,
@@ -317,30 +305,8 @@ pub(crate) fn chain_extension(
     with_skewness: bool,
     scratch: &mut ConvScratch,
 ) -> ChainStep {
-    with_exec(entry, pet, machine, scratch, |exec, scratch| {
-        chain_step_into(avail, exec, entry.task.deadline, policy, budget, with_skewness, scratch)
-    })
-}
-
-/// Runs `step` with the execution PMF `entry` chains with: its PET cell,
-/// or — for an entry that resumes with progress — the cell's residual
-/// (§VIII, preemption's impact on convolution), drawn from and returned
-/// to `scratch`'s pool.
-fn with_exec<R>(
-    entry: &hcsim_sim::PendingEntry,
-    pet: &PetMatrix,
-    machine: hcsim_model::MachineId,
-    scratch: &mut ConvScratch,
-    step: impl FnOnce(&Pmf, &mut ConvScratch) -> R,
-) -> R {
-    let cell = pet.pmf(entry.task.type_id, machine);
-    if entry.progress == 0 {
-        return step(cell, scratch);
-    }
-    let residual = cell.residual_shifted_into(entry.progress, 0, scratch);
-    let out = step(&residual, scratch);
-    scratch.recycle(residual);
-    out
+    let exec = pet.pmf(task.type_id, machine);
+    chain_step_into(avail, exec, task.deadline, policy, budget, with_skewness, scratch)
 }
 
 #[cfg(test)]

@@ -269,13 +269,8 @@ mod tests {
 
     /// Where each task of an event's batch and queues stands.
     fn fates(machines: &[MachineState], batch: &[Task]) -> Vec<(TaskId, Option<MachineId>)> {
-        let queued = machines.iter().flat_map(|m| {
-            let executing = m.executing().map(|e| e.task.id);
-            executing
-                .into_iter()
-                .chain(m.pending_entries().map(|e| e.task.id))
-                .map(move |id| (id, Some(m.id())))
-        });
+        let queued =
+            machines.iter().flat_map(|m| m.queued_tasks().map(move |t| (t.id, Some(m.id()))));
         batch.iter().map(|t| (t.id, None)).chain(queued).collect()
     }
 
@@ -340,11 +335,8 @@ mod tests {
             }
             // Each machine's new entries, in queue order.
             for machine in ctx.machines() {
-                let appended: Vec<TaskId> = machine
-                    .pending_entries()
-                    .map(|e| e.task.id)
-                    .filter(|id| batched.contains(id))
-                    .collect();
+                let appended: Vec<TaskId> =
+                    machine.pending().map(|t| t.id).filter(|id| batched.contains(id)).collect();
                 let want: Vec<TaskId> = expected
                     .iter()
                     .filter(|d| d.choice == Choice::Machine(machine.id()))

@@ -288,7 +288,6 @@ impl Mapper for Pam {
             adaptive: self.thresholds.adaptive().map(AdaptiveController::state_bytes),
         };
         let mut w = ByteWriter::with_capacity(96);
-        PAM_BLOB_VERSION.put(&mut w);
         state.put(&mut w);
         w.into_bytes()
     }
@@ -315,21 +314,17 @@ impl Mapper for Pam {
     }
 }
 
-/// Format version of the PAM `snapshot_state` blob. v2 appends the
-/// adaptive-controller section; v1 blobs are still restorable (the
-/// controller then starts fresh).
-const PAM_BLOB_VERSION: u32 = 2;
-
 wire_struct! {
-    /// A `snapshot_state` blob after its version word, held apart from
-    /// the mapper until the whole blob proved well-formed.
+    /// A `snapshot_state` blob, held apart from the mapper until the whole
+    /// blob proved well-formed. It carries no version of its own: it only
+    /// travels inside an engine snapshot, whose `SNAPSHOT_VERSION` covers
+    /// it.
     struct PamState {
         level: f64,
         engaged: bool,
         sufferage: Option<Vec<f64>>,
         instr: MapperInstrumentation,
-        /// The controller's own `state_bytes` (the v2 appendix, with the
-        /// deep-calm counter at the end of `instr`).
+        /// The controller's own `state_bytes`.
         adaptive: Option<Vec<u8>>,
     }
 }
@@ -340,21 +335,7 @@ impl Pam {
         &self,
         bytes: &[u8],
     ) -> Result<(PamState, Option<AdaptiveController>), SnapshotError> {
-        let v1_as_v2;
         let mut r = ByteReader::new(bytes);
-        match u32::get(&mut r)? {
-            PAM_BLOB_VERSION => {}
-            // v1 blobs (from checkpoints taken before the adaptive
-            // controller existed) end after the sixth counter. Their v2
-            // appendix is a zero deep-calm counter and no controller, so
-            // the controller starts fresh at the next mapping event,
-            // exactly as a pre-adaptation run would.
-            1 => {
-                v1_as_v2 = [&bytes[4..], &[0; 9]].concat();
-                r = ByteReader::new(&v1_as_v2);
-            }
-            _ => return Err(SnapshotError::Corrupt("unsupported PAM blob version")),
-        }
         let state = PamState::get(&mut r)?;
         r.end("trailing bytes after PAM state")?;
         let adaptive = match &state.adaptive {
@@ -749,34 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_blob_still_restores() {
-        // Checkpoints written before the adaptive controller existed carry
-        // a version-1 blob that simply ends after the instrumentation
-        // counters. Restoring one must succeed, leaving the controller
-        // unset so it starts fresh at the next mapping event.
-        let pam = Pam::new(PruningConfig::default());
-        let v2 = pam.snapshot_state();
-        // A fresh PAM has no adaptive state: the v2 blob is exactly the v1
-        // payload plus the deep-calm counter (u64) and the trailing
-        // presence flag (0).
-        assert_eq!(*v2.last().unwrap(), 0, "fresh PAM must have no adaptive section");
-        let mut v1 = v2.clone();
-        v1.truncate(v2.len() - 9);
-        v1[..4].copy_from_slice(&1u32.to_le_bytes());
-
-        let mut restored = Pam::new(PruningConfig {
-            adaptive: Some(crate::AdaptiveConfig),
-            ..PruningConfig::default()
-        });
-        restored.restore_state(&v1);
-        assert!(restored.adaptive().is_none(), "v1 blob cannot carry controller state");
-    }
-
-    #[test]
     fn adaptive_state_survives_blob_roundtrip() {
         // Drive an adaptive PAM through an oversubscribed run so the
         // controller has adjusted at least once, then round-trip its state
-        // through the v2 blob into a fresh mapper.
+        // through the blob into a fresh mapper.
         let seeds = SeedSequence::new(88);
         let spec = specint_system(6, &mut seeds.stream(0));
         let gen = WorkloadGenerator::new(WorkloadConfig {

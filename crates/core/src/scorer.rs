@@ -34,8 +34,7 @@
 //! 2. a **pending chain** — one availability PMF per pending queue entry,
 //!    chained by the policy-aware queue step. Nothing in it reads the
 //!    clock. On a queue mutation the cache matches the *longest common
-//!    prefix* of the cached entry signatures `(task id, progress)`
-//!    against the live queue and reconvolves only the suffix: appending a
+//!    prefix* of the cached task ids against the live queue and reconvolves only the suffix: appending a
 //!    task (the mapper's assignment loop) costs one `queue_step`;
 //!    dropping a mid-queue task (the pruner) reuses everything ahead of
 //!    it. Eviction, a warm-set change, or an event time
@@ -129,7 +128,7 @@ use crate::chain::{analyze_queue_cold, chain_extension, PetTables, QueueAnalysis
 use cells::{Cells, WarmFilter};
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
-use hcsim_sim::{MachineState, PendingEntry};
+use hcsim_sim::MachineState;
 use kernel::{effective_deadline, score_unless_below};
 use shared::{ScorerShared, SPEC_MEMO};
 use std::sync::Arc;
@@ -441,7 +440,7 @@ impl ProbScorer {
             let MachineCache { cache, scratch, .. } = cell;
             let step = chain_extension(
                 cache.tail(),
-                &PendingEntry::new(*ahead),
+                ahead,
                 pet.unwrap_or(pets.warm),
                 machine.id(),
                 shared.policy,

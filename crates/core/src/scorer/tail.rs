@@ -26,14 +26,6 @@ pub struct SlotScore {
     pub skewness: f64,
 }
 
-/// Identity of one pending queue entry, as far as the chain math cares:
-/// the task id pins (type, deadline); `progress` pins the residual PET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingSig {
-    id: TaskId,
-    progress: Time,
-}
-
 /// The event times `[from, until)` over which a conditioned head — and
 /// with it the whole availability chain, which never reads the clock — is
 /// bit-identical to what a rebuild would produce. The clock reaches the
@@ -90,12 +82,12 @@ pub(super) struct TailCache {
     warm_rev: u64,
     /// Event times over which the cached head (hence chain) holds.
     head_window: HeadWindow,
-    /// Executing-task identity: `(id, started_at, progress_before)`.
-    /// Together with the head window this fully determines the
-    /// conditioned head.
-    exec_sig: Option<(TaskId, Time, Time)>,
-    /// Signatures of the pending entries the chain was built over.
-    pending_sig: Vec<PendingSig>,
+    /// Executing-task identity: `(id, started_at)`. Together with the
+    /// head window this fully determines the conditioned head.
+    exec_sig: Option<(TaskId, Time)>,
+    /// The pending tasks the chain was built over; an id pins the type
+    /// and deadline, all the chain math reads of a task.
+    pending_sig: Vec<TaskId>,
     /// Layer 1: availability after the executing task (or `delta(now)`);
     /// `None` only before the first build.
     head: Option<Pmf>,
@@ -201,7 +193,7 @@ impl MachineCache {
             return;
         }
 
-        let exec_sig = machine.executing().map(|e| (e.task.id, e.started_at, e.progress_before));
+        let exec_sig = machine.executing().map(|e| (e.task.id, e.started_at));
         let head_reusable = cache.valid
             && cache.head_window.contains(now)
             && cache.exec_sig == exec_sig
@@ -211,9 +203,9 @@ impl MachineCache {
             // Layer 2 prefix reuse: keep every chain link up to the first
             // divergence between the cached and live pending queues.
             let lcp = machine
-                .pending_entries()
-                .zip(cache.pending_sig.iter())
-                .take_while(|(e, s)| e.task.id == s.id && e.progress == s.progress)
+                .pending()
+                .zip(&cache.pending_sig)
+                .take_while(|&(t, &id)| t.id == id)
                 .count();
             for link in cache.links.drain(lcp..) {
                 scratch.recycle(link);
@@ -258,13 +250,13 @@ impl MachineCache {
         // `chain::chain_extension` step. Only the pruner reads the Eq. 6
         // skewness, so stats-free callers skip its moment fold (leaving
         // the NaN placeholder `stats_valid` tracks).
-        for (idx, entry) in machine.pending_entries().enumerate().skip(cache.pending_sig.len()) {
+        for (idx, task) in machine.pending().enumerate().skip(cache.pending_sig.len()) {
             cache.builds += 1;
             let avail = cache.links.last().or(cache.head.as_ref()).expect("head built above");
             let step = crate::chain::chain_extension(
                 avail,
-                entry,
-                pets.for_pending(machine, idx, entry),
+                task,
+                pets.for_pending(machine, idx, task.type_id),
                 machine.id(),
                 policy,
                 budget,
@@ -275,12 +267,12 @@ impl MachineCache {
                 cache.stats_valid = false;
             }
             cache.slots.push(SlotScore {
-                task: entry.task,
+                task: *task,
                 position: cache.slots.len(),
                 robustness: step.robustness.min(1.0),
                 skewness: step.skewness,
             });
-            cache.pending_sig.push(PendingSig { id: entry.task.id, progress: entry.progress });
+            cache.pending_sig.push(task.id);
             cache.links.push(step.availability);
         }
 

@@ -84,9 +84,7 @@ fn fingerprint(report: &SimReport) -> String {
 /// a quarter of the cluster joins late, and drains + failures (with task
 /// requeue through the mapper) land mid-run. Exercises the scorer's cell
 /// release, the pool re-gating across epochs, and the engine's requeue
-/// path in both execution modes. With `carry_progress`, failure-requeued
-/// tasks keep their completed progress — the migration semantics end to
-/// end: residual-PMF scoring of carried tasks and progress-aware restarts.
+/// path in both execution modes.
 fn churn_cluster_trial(
     kind: HeuristicKind,
     machines: usize,
@@ -94,7 +92,6 @@ fn churn_cluster_trial(
     oversubscription: f64,
     seed: u64,
     pruning: PruningConfig,
-    carry_progress: bool,
 ) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
@@ -120,8 +117,7 @@ fn churn_cluster_trial(
     );
     let mut mapper = kind.build(pruning);
     let mut rng = seeds.stream(2);
-    let config = SimConfig { carry_progress, ..SimConfig::untrimmed() };
-    run_simulation_with_churn(&spec, config, &tasks, &churn, &mut mapper, &mut rng)
+    run_simulation_with_churn(&spec, SimConfig::untrimmed(), &tasks, &churn, &mut mapper, &mut rng)
 }
 
 /// Proptest case count for the churn, adaptive and serverless invariance
@@ -206,9 +202,9 @@ proptest! {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
         let seq = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(1), false);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(1));
         let pool = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(t), false);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, fixed(t));
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
         // Membership bookkeeping is decided before execution-mode
         // choices, so it must agree byte-for-byte too.
@@ -234,18 +230,17 @@ proptest! {
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
     }
 
-    /// Controller on, churn landing mid-run, and failure-requeued tasks
-    /// carrying completed progress: the requeued-with-progress tasks (and
-    /// the residual-PMF scoring they get) must be identical in both
+    /// Controller on and churn landing mid-run: the trims that failure
+    /// requeues and epoch changes steer must be identical in both
     /// execution modes, byte for byte.
     #[test]
-    fn adaptive_carry_churn_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
+    fn adaptive_churn_reports_are_execution_mode_invariant(seed in 0u64..10_000) {
         let machines = PARALLEL_MIN_MACHINES + 4;
         let t = test_threads();
         let seq = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(1), true);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(1));
         let pool = churn_cluster_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(t), true);
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, adaptive(t));
         prop_assert_eq!(fingerprint(&seq), fingerprint(&pool));
         prop_assert_eq!(seq.churn, pool.churn);
         prop_assert_eq!(seq.epochs, pool.epochs);
@@ -375,16 +370,9 @@ const GOLDEN_END_TIME: u64 = 542;
 /// runs everywhere).
 #[test]
 fn cluster_64m_churn_seed_golden_pin() {
-    let report = churn_cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(1), false);
-    let parallel = churn_cluster_trial(
-        HeuristicKind::Pam,
-        64,
-        400,
-        272_000.0,
-        2019,
-        fixed(test_threads()),
-        false,
-    );
+    let report = churn_cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(1));
+    let parallel =
+        churn_cluster_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, fixed(test_threads()));
     assert_eq!(
         fingerprint(&report),
         fingerprint(&parallel),

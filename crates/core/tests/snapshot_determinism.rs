@@ -15,18 +15,25 @@
 //! which worker owns which scorer cell, and a restore rebuilds the pool
 //! cold.
 //!
+//! Every trial steps its sessions one event at a time with the engine's
+//! `StepChecker` checking its invariants after each step, before the
+//! snapshot and after the restore.
+//!
 //! A seed-golden pin re-runs the `cluster_64m_churn` bench scenario
 //! interrupted at a fixed step and requires the restored run to reproduce
 //! the same pinned constants as the uninterrupted pin in
 //! `parallel_determinism.rs` — restore may not drift even if both sides
 //! of an equality comparison drift together.
 
-use hcsim_core::{AdaptiveConfig, HeuristicKind, Pam, PruningConfig, PARALLEL_MIN_MACHINES};
-use hcsim_sim::{ChurnSource, EventSource, SimConfig, SimReport, SimSession, TaskTraceSource};
-use hcsim_stats::SeedSequence;
+use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES};
+use hcsim_sim::testkit::StepChecker;
+use hcsim_sim::{
+    ChurnSource, EventSource, Mapper, SimConfig, SimReport, SimSession, TaskTraceSource,
+};
+use hcsim_stats::{SeedSequence, Xoshiro256pp};
 use hcsim_workload::{
-    cluster_churn, faas_system, specint_cluster, specint_system, ChurnConfig, FaasConfig,
-    FaasGenerator, WorkloadConfig, WorkloadGenerator,
+    cluster_churn, faas_system, specint_cluster, ChurnConfig, FaasConfig, FaasGenerator,
+    WorkloadConfig, WorkloadGenerator,
 };
 use proptest::prelude::*;
 
@@ -34,6 +41,18 @@ use proptest::prelude::*;
 /// matrix pin it.
 fn test_threads() -> usize {
     std::env::var("HCSIM_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
+}
+
+/// Steps `session` to the end with `checker` checking the engine's
+/// invariants after every step, and returns the report.
+fn run_checked(
+    mut session: SimSession<'_, Box<dyn Mapper>, Xoshiro256pp>,
+    mut checker: StepChecker,
+) -> SimReport {
+    while session.step() {
+        checker.check(&session);
+    }
+    session.finish()
 }
 
 /// Byte-comparable rendering of everything a run decided: records,
@@ -73,9 +92,7 @@ fn session_trial(
 }
 
 /// [`session_trial`] with the mapper and sim configs fully caller-chosen
-/// (the adaptive-controller trial needs `adaptive` on and
-/// `carry_progress` set so failure-requeued tasks carry progress through
-/// the snapshot).
+/// (the adaptive-controller trial needs `adaptive` on).
 #[allow(clippy::too_many_arguments)]
 fn session_trial_with(
     kind: HeuristicKind,
@@ -113,13 +130,15 @@ fn session_trial_with(
     let mut sources: Vec<&mut dyn EventSource> = vec![&mut task_source, &mut churn_source];
     let mut session = SimSession::new(&spec, sim, &mut sources, &mut mapper, &mut rng);
 
+    let mut checker = StepChecker::new();
     let Some(steps) = snapshot_at else {
-        return session.run_to_completion();
+        return run_checked(session, checker);
     };
     for _ in 0..steps {
         if !session.step() {
             break;
         }
+        checker.check(&session);
     }
     let bytes = session.snapshot();
     drop(session);
@@ -131,7 +150,7 @@ fn session_trial_with(
     let mut rng = seeds.stream(9);
     let session = SimSession::restore(&spec, sim, &bytes, &mut mapper, &mut rng)
         .expect("inter-event-boundary snapshot must restore");
-    session.run_to_completion()
+    run_checked(session, StepChecker::new())
 }
 
 /// One serverless trial through the stepwise [`SimSession`] API, with the
@@ -158,13 +177,15 @@ fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> 
     let sim = SimConfig::untrimmed();
     let mut session = SimSession::new(&spec, sim, &mut sources, &mut mapper, &mut rng);
 
+    let mut checker = StepChecker::new();
     let Some(steps) = snapshot_at else {
-        return session.run_to_completion();
+        return run_checked(session, checker);
     };
     for _ in 0..steps {
         if !session.step() {
             break;
         }
+        checker.check(&session);
     }
     let bytes = session.snapshot();
     drop(session);
@@ -174,7 +195,7 @@ fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> 
     let mut rng = seeds.stream(9);
     let session = SimSession::restore(&spec, sim, &bytes, &mut mapper, &mut rng)
         .expect("inter-event-boundary snapshot must restore");
-    session.run_to_completion()
+    run_checked(session, StepChecker::new())
 }
 
 /// Proptest case count for the serverless snapshot proptest; the CI
@@ -237,11 +258,10 @@ proptest! {
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&par_resumed));
     }
 
-    /// PAM with the closed-loop controller active AND failure-requeued
-    /// tasks carrying progress: the snapshot now includes the v2 blob
-    /// appendix (controller trims, step schedules, outcome window,
-    /// deep-calm counter) and the engine's carried-progress table, and a
-    /// restore at any step must still resume bit-identically.
+    /// PAM with the closed-loop controller active: the snapshot now
+    /// includes the mapper blob's controller section (trims, step
+    /// schedules, outcome window, deep-calm counter), and a restore at any
+    /// step must still resume bit-identically.
     #[test]
     fn adaptive_snapshot_restore_is_bit_identical_at_any_step(
         seed in 0u64..10_000,
@@ -253,7 +273,7 @@ proptest! {
             adaptive: Some(AdaptiveConfig),
             ..PruningConfig::default()
         };
-        let sim = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
+        let sim = SimConfig::untrimmed();
         let baseline = session_trial_with(
             HeuristicKind::Pam, pruning, sim, machines, 160, 110_000.0, seed, None);
         let resumed = session_trial_with(
@@ -308,31 +328,3 @@ const CHURN_GOLDEN_MAPPING_EVENTS: u64 = 695;
 const CHURN_GOLDEN_END_TIME: u64 = 749;
 const CHURN_GOLDEN_REQUEUED: u64 = 2;
 const CHURN_GOLDEN_EPOCHS: usize = 23;
-
-/// A mid-run snapshot of a 60-task PAM trial on the paper system (seed
-/// 2019, 34k), taken by a build whose PAM could still preempt: machine
-/// queues hold a preempted entry — started once, its sampled total and
-/// warmth carried in the pending entry. The wire format still admits that
-/// state, so restoring it and running to the end must keep reproducing
-/// the run recorded when the snapshot was taken: the resumed entry runs
-/// out the total it sampled at its first start.
-#[test]
-fn preempted_entry_snapshot_restores_to_its_recorded_run() {
-    const SNAPSHOT: &[u8] = include_bytes!("fixtures/preempted_pam.snap");
-    const REPORT_FNV: u64 = 0xdc8b_5494_56c6_0f1a;
-    let seeds = SeedSequence::new(2019);
-    let spec = specint_system(6, &mut seeds.stream(0));
-    let mut mapper = Pam::new(PruningConfig::default());
-    let mut rng = seeds.stream(9); // overwritten by restore
-    let report =
-        SimSession::restore(&spec, SimConfig::untrimmed(), SNAPSHOT, &mut mapper, &mut rng)
-            .expect("the committed snapshot restores")
-            .run_to_completion();
-    let o = &report.metrics.outcomes;
-    assert_eq!((o.on_time, o.expired_unstarted, o.expired_executing), (42, 17, 1), "{o:?}");
-    let rendered = fingerprint(&report);
-    let fnv = rendered
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-    assert_eq!(fnv, REPORT_FNV, "report digest moved: {fnv:#018x}");
-}

@@ -1,6 +1,6 @@
 //! Equivalence proof for the incremental tail cache: replay random machine
-//! event sequences (assign / start / finish / evict / preempt / drop /
-//! clock advance) and assert that the scorer's cached tail — maintained by
+//! event sequences (assign / start / finish / evict / drop / clock
+//! advance) and assert that the scorer's cached tail — maintained by
 //! prefix reuse and single-step extension — is **byte-identical** to a
 //! from-scratch [`analyze_queue`] of the same machine state at the same
 //! instant. Per-slot robustness/skewness served from the cache must match
@@ -56,7 +56,6 @@ enum OpKind {
     StartNext { total: Time },
     Finish,
     Evict,
-    Preempt,
     DropAt { nth: usize },
     DrainExpired,
 }
@@ -73,8 +72,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
                 0..=3 => OpKind::Push { tt: tt as u16, slack },
                 4 | 5 => OpKind::StartNext { total },
                 6 | 7 => OpKind::Finish,
-                8 => OpKind::Evict,
-                9 => OpKind::Preempt,
+                8 | 9 => OpKind::Evict,
                 10 | 11 => OpKind::DropAt { nth: nth as usize },
                 _ => OpKind::DrainExpired,
             };
@@ -104,9 +102,6 @@ fn apply_step(machine: &mut MachineState, step: OpKind, now: Time, next_id: &mut
         // distinguishing it exercises the same transition twice as often.
         OpKind::Evict => {
             testkit::apply(machine, QueueOp::FinishExecuting);
-        }
-        OpKind::Preempt => {
-            testkit::apply(machine, QueueOp::Preempt { now });
         }
         OpKind::DropAt { nth } => {
             let id = machine.pending().nth(nth).map(|t| t.id);
@@ -201,9 +196,9 @@ proptest! {
         }
     }
 
-    /// Only the clock moves: random queues (an executing head with carried
-    /// progress or a cold start, a preemption victim at the pending front,
-    /// fresh pending entries — or no head at all), then `now` advanced in
+    /// Only the clock moves: random queues (an executing head started at
+    /// zero or later, warm or cold, with pending entries behind it — or no
+    /// head at all), then `now` advanced in
     /// random steps through every conditioning bucket up to and past
     /// overdue. After every step the cached tail and slot scores equal
     /// from-scratch analysis bit for bit, and the chain was reconvolved iff
@@ -211,7 +206,7 @@ proptest! {
     /// moved.
     #[test]
     fn chain_is_reconvolved_only_when_the_head_key_moves(
-        head in (0u32..4, 0u32..NUM_TYPES as u32, 0u64..50, 0u32..2),
+        head in (0u32..3, 0u32..NUM_TYPES as u32, 0u64..50, 0u32..2),
         pending in prop::collection::vec((0u32..NUM_TYPES as u32, 30u64..400), 0..4),
         advances in prop::collection::vec(1u64..25, 8..40),
         policy_idx in 0usize..3,
@@ -235,24 +230,14 @@ proptest! {
             deadline,
         };
 
-        // Queue shape: 0 = no head (idle-with-pending), 1 = fresh head,
-        // 2 = head resumed with carried progress, 3 = fresh head in front
-        // of a preemption victim.
-        let (shape, head_tt, progress, cold_start) = head;
+        // Queue shape: 0 = no head (idle-with-pending), 1 = head started
+        // at 0, 2 = head started at `start + 1`.
+        let (shape, head_tt, start, cold_start) = head;
         let cold_start = cold_start == 1;
-        let mut now: Time = 0;
+        let mut now: Time = if shape == 2 { start + 1 } else { 0 };
         if shape > 0 {
-            testkit::apply(&mut machine, QueueOp::Push(task(0, head_tt, 500)));
+            testkit::apply(&mut machine, QueueOp::Push(task(0, head_tt, now + 500)));
             assert!(testkit::start_next(&mut machine, now, 1_000, cold_start));
-        }
-        if shape >= 2 {
-            now = progress + 1;
-            assert!(testkit::apply(&mut machine, QueueOp::Preempt { now }));
-            if shape == 2 {
-                assert!(testkit::start_next(&mut machine, now, 1_000, cold_start));
-            } else {
-                assert!(testkit::start_executing(&mut machine, task(1, (head_tt + 1) % 3, 600), now, 1_000));
-            }
         }
         for (i, &(tt, deadline)) in pending.iter().enumerate() {
             testkit::apply(&mut machine, QueueOp::Push(task(10 + i as u32, tt, now + deadline)));

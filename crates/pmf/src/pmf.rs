@@ -469,10 +469,10 @@ impl Pmf {
     /// The residual distribution after `elapsed` time units of execution:
     /// `P(remaining = r) = P(total = elapsed + r | total > elapsed)`.
     ///
-    /// This is the §VIII "impact [of preemption] on the convolution
-    /// process": a preempted task's remaining work is its execution PMF
+    /// An executing task's remaining work is its execution PMF
     /// conditioned on having already survived `elapsed` units, shifted
-    /// back to the origin. When the distribution carries no mass above
+    /// back to the origin; the scorer conditions every executing head
+    /// this way, through [`Pmf::residual_shifted_into`]. When the distribution carries no mass above
     /// `elapsed` (the model thinks the task should already have finished),
     /// the residual collapses to a unit impulse at 1 — "any moment now".
     ///
@@ -493,8 +493,7 @@ impl Pmf {
 
     /// [`Pmf::residual`] with the result shifted `dt` later and its
     /// storage drawn from `scratch`'s free-list — the allocation-free form
-    /// the mapping loop uses for preempted queue entries and conditioned
-    /// executing heads (recycle the result via
+    /// the mapping loop uses for conditioned executing heads (recycle the result via
     /// [`crate::ConvScratch::recycle`]). Bit-identical to
     /// `residual(elapsed).shift(dt)`: the time arithmetic is the same
     /// integer sum and normalization scales the same mass column.
@@ -1004,10 +1003,10 @@ mod tests {
         }
 
         proptest! {
-            /// The migration path's core soundness property: conditioning
-            /// an execution PMF on `elapsed` progress conserves unit mass
-            /// — a requeued task that carries progress must be exactly as
-            /// probable to finish as a fresh one, just sooner.
+            /// The conditioned head's core soundness property:
+            /// conditioning an execution PMF on `elapsed` progress
+            /// conserves unit mass — a task still running must be exactly
+            /// as certain to finish as a fresh one, just sooner.
             #[test]
             fn residual_conserves_mass(p in arb_pmf(100, 8), elapsed in 0u64..150) {
                 let r = p.residual(elapsed);

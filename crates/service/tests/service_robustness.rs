@@ -117,17 +117,16 @@ fn crash_restore_resume_is_bit_identical_to_uninterrupted() {
 #[test]
 fn crash_restore_with_adaptation_enabled_is_bit_identical() {
     // Same kill-at-epoch matrix, but with the closed-loop controller
-    // steering thresholds AND failure-requeued tasks carrying progress:
-    // the checkpoint now includes the controller's trims, step schedule,
-    // outcome window, and pressure-detector state (the v2 mapper blob)
-    // plus the engine's carried-progress table — losing any of it would
-    // fork the resumed trajectory.
+    // steering thresholds: the checkpoint now includes the controller's
+    // trims, step schedule, outcome window, and pressure-detector state
+    // (inside the mapper blob) — losing any of it would fork the resumed
+    // trajectory.
     let (spec, tasks) = system(308, 160, 34_000.0);
     let churn = churn_for(&spec, 308);
     let schedule = ArrivalSchedule::from_tasks(&tasks);
     let service = ServiceConfig::default();
     let pruning = PruningConfig { adaptive: Some(AdaptiveConfig), ..PruningConfig::default() };
-    let sim = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
+    let sim = SimConfig::untrimmed();
     let run_adaptive = |fault: &FaultPlan| {
         run_with_recovery(
             &spec,
@@ -295,17 +294,13 @@ fn overload_sheds_gracefully_with_full_accounting() {
 const PIN_SEED: u64 = 318;
 
 /// Adaptive PAM on the calling thread: its blob carries every section the
-/// format has (detector, counters, v2 appendix with controller state).
+/// format has (detector, counters, controller state).
 fn adaptive_pam() -> Pam {
     Pam::new(PruningConfig {
         adaptive: Some(AdaptiveConfig),
         threads: 1,
         ..PruningConfig::default()
     })
-}
-
-fn carry_progress_sim() -> SimConfig {
-    SimConfig { carry_progress: true, ..SimConfig::untrimmed() }
 }
 
 fn pin_fixture() -> (SystemSpec, Vec<Task>, ChurnTrace) {
@@ -326,7 +321,7 @@ fn killed_checkpoint(spec: &SystemSpec, tasks: &[Task], churn: &ChurnTrace) -> S
         let mut churn_source = ChurnSource::new(churn);
         let sources: &mut [&mut dyn EventSource] = &mut [&mut churn_source];
         let service = ServiceConfig::default();
-        serve(spec, carry_progress_sim(), &service, &fault, sources, rx, &mut mapper, &mut rng)
+        serve(spec, SimConfig::untrimmed(), &service, &fault, sources, rx, &mut mapper, &mut rng)
     });
     mapper.on_shutdown();
     match exit {
@@ -341,21 +336,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Byte length + FNV-1a of the three snapshot streams — the engine
-/// snapshot, the adaptive PAM state blob inside it, the service checkpoint
-/// around it — mid-run. Committed checkpoints must keep restoring, so a
-/// codec change that moves one byte of any layout (engine
-/// `SNAPSHOT_VERSION` 3, PAM blob v2, checkpoint magic `HCSV`) fails here
-/// before it ships. The lengths were taken on the commit before the three
-/// layouts moved onto one codec. The hashes moved once since, with no
-/// layout change: when the score table began re-timing idle machines in
-/// place, more events reused it, and the only field that differs is the
-/// PAM blob's `table_reuses` counter (a u64 at blob offset 54), a cache
-/// statistic carried inside all three streams. Two more pins cover what
-/// that fixture never writes: a PAMF blob (sufferage section) and a
-/// serverless engine snapshot (warm containers, keep-alive expiries,
-/// cold-start flags); both were taken before the layouts moved onto the
-/// declarative `Wire` layer.
+/// Byte length + FNV-1a of five snapshot streams taken mid-run: the
+/// engine snapshot, the adaptive PAM state blob inside it and the service
+/// checkpoint around it (one classic churn fixture), a PAMF blob (the
+/// sufferage section that fixture never writes) and a serverless engine
+/// snapshot (warm containers, keep-alive expiries, cold-start flags). A
+/// codec change that moves one byte of any layout fails here before it
+/// ships; a layout change must bump `SNAPSHOT_VERSION`, the one version
+/// every nested stream travels under, and re-pin from the assertion
+/// message. All five moved together at version 4, when tasks became
+/// single-start: a pending entry shrank to its task, an executing one
+/// lost its earlier progress, the engine's per-task carried-progress table
+/// and the PAM blob's own version word and preemption counter went, and
+/// the fixtures stopped carrying progress across failures.
 #[test]
 fn wire_formats_are_pinned() {
     let (spec, tasks, churn) = pin_fixture();
@@ -365,7 +358,7 @@ fn wire_formats_are_pinned() {
     let mut churn_source = ChurnSource::new(&churn);
     let mut session = SimSession::new(
         &spec,
-        carry_progress_sim(),
+        SimConfig::untrimmed(),
         &mut [&mut task_source, &mut churn_source],
         &mut mapper,
         &mut rng,
@@ -379,11 +372,11 @@ fn wire_formats_are_pinned() {
     let checkpoint = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
 
     let pin = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
-    assert_eq!(pin(&snapshot), (10_121, 14_173_174_143_974_062_322), "SimSession::snapshot()");
-    assert_eq!(pin(&blob), (537, 9_124_320_162_315_189_877), "adaptive Pam::snapshot_state()");
+    assert_eq!(pin(&snapshot), (8_671, 2_918_179_779_969_834_621), "SimSession::snapshot()");
+    assert_eq!(pin(&blob), (525, 7_833_073_530_335_260_931), "adaptive Pam::snapshot_state()");
     assert_eq!(
         pin(&checkpoint),
-        (11_768, 17_188_402_750_918_742_844),
+        (10_476, 16_126_363_017_339_967_334),
         "ServiceCheckpoint::to_bytes()"
     );
 
@@ -397,7 +390,7 @@ fn wire_formats_are_pinned() {
     let mut churn_source = ChurnSource::new(&churn);
     let mut session = SimSession::new(
         &spec,
-        carry_progress_sim(),
+        SimConfig::untrimmed(),
         &mut [&mut task_source, &mut churn_source],
         &mut pamf,
         &mut rng,
@@ -408,7 +401,7 @@ fn wire_formats_are_pinned() {
     drop(session);
     assert_eq!(
         pin(&pamf.snapshot_state()),
-        (175, 13_752_530_210_388_893_757),
+        (163, 4_990_755_587_742_218_443),
         "PAMF Pam::snapshot_state()"
     );
 
@@ -432,7 +425,7 @@ fn wire_formats_are_pinned() {
     }
     assert_eq!(
         pin(&session.snapshot()),
-        (10_134, 15_099_915_632_994_658_283),
+        (8_806, 1_282_988_468_210_405_342),
         "serverless SimSession::snapshot()"
     );
 }
@@ -440,8 +433,8 @@ fn wire_formats_are_pinned() {
 #[test]
 fn no_prefix_of_a_checkpoint_panics_the_restore_path() {
     // A torn write hands restore a prefix. Every strict prefix of a real
-    // mid-run checkpoint — adaptive controller state, carried progress,
-    // churn — must come back as an `Err` from `from_bytes`, or failing
+    // mid-run checkpoint — adaptive controller state, churn — must come
+    // back as an `Err` from `from_bytes`, or failing
     // that from `resume`; the same goes for a well-framed checkpoint whose
     // engine section is a strict prefix of the real one.
     let (spec, tasks, churn) = pin_fixture();
@@ -454,7 +447,7 @@ fn no_prefix_of_a_checkpoint_panics_the_restore_path() {
         let (service, fault) = (ServiceConfig::default(), FaultPlan::none());
         resume(
             &spec,
-            carry_progress_sim(),
+            SimConfig::untrimmed(),
             &service,
             &fault,
             rx,

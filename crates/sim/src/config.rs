@@ -31,15 +31,6 @@ pub struct SimConfig {
     /// default, preserving the published model and the seed goldens) retries
     /// without bound.
     pub max_requeues: Option<u32>,
-    /// Migration semantics for failure requeues: when `true`, a task
-    /// requeued by a [`MachineFail`](crate::SimEvent::MachineFail) event
-    /// carries the execution progress it had completed, and resumes on its
-    /// next machine from the residual (that machine re-samples its own
-    /// ground-truth total and the carried progress is subtracted — the
-    /// scorer convolves the matching residual PMF). `false` (the default,
-    /// preserving the published model and the seed goldens) restarts
-    /// requeued tasks cold, losing the work in progress.
-    pub carry_progress: bool,
 }
 
 impl Default for SimConfig {
@@ -49,7 +40,6 @@ impl Default for SimConfig {
             trim: 100,
             approx_min_progress: None,
             max_requeues: None,
-            carry_progress: false,
         }
     }
 }
@@ -74,7 +64,6 @@ mod tests {
         assert_eq!(c.trim, 100);
         assert!(c.approx_min_progress.is_none(), "approximate computing is opt-in");
         assert!(c.max_requeues.is_none(), "failure requeues are unbounded by default");
-        assert!(!c.carry_progress, "migration progress carrying is opt-in");
     }
 
     #[test]

@@ -48,7 +48,10 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+mod check;
 mod wire;
+
+pub use check::StepChecker;
 
 /// One simulation event. `Arrival` and the membership events are the
 /// *external* vocabulary (what an [`EventSource`] may emit); `Completion`
@@ -250,9 +253,8 @@ impl EventSource for ChurnSource<'_> {
 }
 
 /// Serverless cold-start accounting over one trial (all zeros when the
-/// spec carries no [`hcsim_model::ColdStartModel`]). A task counts once,
-/// at its *first* start on a machine; a preempted task resuming later does
-/// not count again.
+/// spec carries no [`hcsim_model::ColdStartModel`]). A task counts once
+/// per start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaasStats {
     /// Task starts that paid a container spin-up.
@@ -369,14 +371,13 @@ struct Engine<'a, M: Mapper, R: rand::Rng> {
     /// only when `config.max_requeues` is set, but maintained always so a
     /// snapshot taken before the cap is toggled restores exactly.
     requeue_counts: Vec<u32>,
-    /// Per-task progress salvaged from failed machines (indexed like
-    /// `records`); populated only under [`SimConfig::carry_progress`],
-    /// consumed by [`MapContext`] when the task is next assigned.
-    carried: Vec<Time>,
     /// Scratch buffers reused across events.
     expired_buf: Vec<Task>,
     pruned_buf: Vec<PrunedTask>,
-    requeue_buf: Vec<(Task, Time)>,
+    requeue_buf: Vec<Task>,
+    /// Run after every step of the engine's own tests.
+    #[cfg(test)]
+    checker: StepChecker,
 }
 
 impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
@@ -432,10 +433,11 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             faas: FaasStats::default(),
             epochs: vec![EpochSlice { start: 0, active_machines: active, on_time: 0, finished: 0 }],
             requeue_counts: vec![0; num_task_slots],
-            carried: vec![0; num_task_slots],
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
+            #[cfg(test)]
+            checker: StepChecker::new(),
         }
     }
 
@@ -494,6 +496,17 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
     /// `step` calls the engine is at a consistent inter-event boundary,
     /// which is where snapshots are taken.
     fn step(&mut self) -> bool {
+        let stepped = self.process_next_event();
+        #[cfg(test)]
+        if stepped {
+            let mut checker = std::mem::take(&mut self.checker);
+            checker.check_engine(self);
+            self.checker = checker;
+        }
+        stepped
+    }
+
+    fn process_next_event(&mut self) -> bool {
         let Some(Reverse(event)) = self.events.pop() else {
             return false;
         };
@@ -567,11 +580,8 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             .finish_executing()
             .expect("completion event for idle machine");
         self.release_container(machine, exec.task.type_id);
-        // Only the current segment is new busy time (earlier segments were
-        // charged when they ended); the record reports total machine time.
-        let segment = self.now - exec.started_at;
-        self.cost.record_busy(machine, segment);
-        let elapsed = exec.elapsed_at(self.now);
+        let elapsed = self.now - exec.started_at;
+        self.cost.record_busy(machine, elapsed);
         let outcome = if evict {
             // Still a deadline miss for the oversubscription detector —
             // but under approximate computing (§VIII future work) an
@@ -603,13 +613,12 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         }
         let mut requeue = std::mem::take(&mut self.requeue_buf);
         debug_assert!(requeue.is_empty(), "requeue scratch is always drained before return");
-        let interrupted = self.machines[i].fail(self.now, &mut requeue);
+        let interrupted = self.machines[i].fail(&mut requeue);
         if let Some(exec) = interrupted {
             // The segment occupied the machine even though the machine is
-            // gone; under the default (cold-restart) semantics the work is
-            // lost too, so nothing is added to the task's (eventual)
-            // record's machine time. Under `carry_progress` the salvaged
-            // progress travels with the requeue entry below.
+            // gone; the work is lost too (the task starts over), so
+            // nothing is added to the task's (eventual) record's machine
+            // time.
             let segment = self.now - exec.started_at;
             if segment > 0 {
                 self.cost.record_busy(machine, segment);
@@ -619,7 +628,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         // (executing task first); an already-expired re-arrival is culled
         // by the mapping event that follows immediately. Tasks that have
         // already burned their retry budget are shed instead.
-        for (task, progress) in requeue.drain(..) {
+        for task in requeue.drain(..) {
             let count = &mut self.requeue_counts[task.id.index()];
             if self.config.max_requeues.is_some_and(|cap| *count >= cap) {
                 self.churn.dropped_after_retry += 1;
@@ -627,12 +636,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             } else {
                 *count += 1;
                 self.churn.requeued += 1;
-                if self.config.carry_progress && progress > 0 {
-                    // Migration semantics: the completed progress resumes
-                    // on the next machine (which re-samples its own total;
-                    // the carried time is subtracted from it).
-                    self.carried[task.id.index()] = progress;
-                }
                 self.batch.push(task);
             }
         }
@@ -697,7 +700,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             batch: &mut self.batch,
             machines: &mut self.machines,
             pruned: &mut pruned,
-            carried: &mut self.carried,
         };
         self.mapper.on_mapping_event(&mut ctx);
         self.missed_since_last = 0;
@@ -709,20 +711,12 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             if segment > 0 {
                 self.cost.record_busy(p.machine, segment);
             }
-            let machine_time = p.progress_before + segment;
-            // A pruned task that had ever started (evicted now, or
-            // preempted earlier and dropped while pending) occupied a
-            // container; pruning releases it into its keep-alive window.
-            if p.started_at.is_some() || p.progress_before > 0 {
+            // An evicted task occupied a container; pruning releases it
+            // into its keep-alive window.
+            if p.started_at.is_some() {
                 self.release_container(p.machine, p.task.type_id);
             }
-            self.record(
-                p.task,
-                TaskOutcome::PrunedDropped,
-                Some(p.machine),
-                p.started_at,
-                machine_time,
-            );
+            self.record(p.task, TaskOutcome::PrunedDropped, Some(p.machine), p.started_at, segment);
         }
         self.pruned_buf = pruned;
     }
@@ -736,8 +730,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         for m in 0..self.machines.len() {
             let machine = MachineId::from(m);
             while self.machines[m].executing().is_none() {
-                let Some(entry) = self.machines[m].pop_next_pending() else { break };
-                let task = entry.task;
+                let Some(task) = self.machines[m].pop_next_pending() else { break };
                 // Eq. 3: a start is only possible strictly before the
                 // deadline — a task beginning at δ can never finish by δ.
                 if cull_pending && self.now >= task.deadline {
@@ -745,35 +738,27 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
                     self.record(task, TaskOutcome::ExpiredUnstarted, Some(machine), None, 0);
                     continue;
                 }
-                // Preempted tasks resume their remaining work (container
-                // still resident, warmth decided at first start); fresh
-                // tasks sample a ground-truth total once — plus a spin-up
-                // on a cold machine under the serverless model.
-                let (total, cold) = match entry.sampled_total {
-                    Some(total) => (total, entry.cold_start),
-                    None => {
-                        let exec = self.spec.truth.sample_exec(task.type_id, machine, self.rng);
-                        match &self.spec.coldstart {
-                            Some(cs) if !self.machines[m].is_warm(task.type_id) => {
-                                self.faas.cold_starts += 1;
-                                let spin = cs.truth.sample_exec(task.type_id, machine, self.rng);
-                                (exec + spin, true)
-                            }
-                            Some(_) => {
-                                self.faas.warm_hits += 1;
-                                (exec, false)
-                            }
-                            None => (exec, false),
-                        }
+                // The task samples its ground-truth total — plus a
+                // spin-up on a cold machine under the serverless model.
+                let exec = self.spec.truth.sample_exec(task.type_id, machine, self.rng);
+                let (total, cold) = match &self.spec.coldstart {
+                    Some(cs) if !self.machines[m].is_warm(task.type_id) => {
+                        self.faas.cold_starts += 1;
+                        let spin = cs.truth.sample_exec(task.type_id, machine, self.rng);
+                        (exec + spin, true)
                     }
+                    Some(_) => {
+                        self.faas.warm_hits += 1;
+                        (exec, false)
+                    }
+                    None => (exec, false),
                 };
-                let remaining = total.saturating_sub(entry.progress).max(1);
-                self.machines[m].start_with_warmth(entry, self.now, total, cold);
+                self.machines[m].start_with_warmth(task, self.now, total, cold);
                 if self.spec.coldstart.is_some() {
                     // Pin the container for the duration of the run.
                     self.machines[m].pin_warm(task.type_id);
                 }
-                let finish = self.now + remaining;
+                let finish = self.now + total.max(1);
                 let token = self.machines[m].run_token;
                 if drop_all && finish > task.deadline {
                     // The task will be evicted at its deadline (Eq. 5
@@ -965,7 +950,6 @@ impl<'a, M: Mapper, R: rand::Rng> SimSession<'a, M, R> {
         if len > self.engine.records.len() {
             self.engine.records.resize(len, None);
             self.engine.requeue_counts.resize(len, 0);
-            self.engine.carried.resize(len, 0);
         }
     }
 

@@ -7,7 +7,7 @@
 
 use super::{ChurnStats, Engine, EpochSlice, Event, FaasStats, SimEvent};
 use crate::config::SimConfig;
-use crate::machine::{ExecutingTask, MachineLifecycle, MachineState, PendingEntry, WarmContainer};
+use crate::machine::{ExecutingTask, MachineLifecycle, MachineState, WarmContainer};
 use crate::mapper::Mapper;
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError, SnapshotRng, Wire};
 use crate::{wire_enum, wire_struct};
@@ -53,20 +53,7 @@ wire_struct!(TaskRecord {
     machine_time: Time,
 });
 
-wire_struct!(ExecutingTask {
-    task: Task,
-    started_at: Time,
-    progress_before: Time,
-    total_exec: Time,
-    cold_start: bool,
-});
-
-wire_struct!(PendingEntry {
-    task: Task,
-    progress: Time,
-    sampled_total: Option<Time>,
-    cold_start: bool,
-});
+wire_struct!(ExecutingTask { task: Task, started_at: Time, total_exec: Time, cold_start: bool });
 
 wire_struct!(WarmContainer { type_id: TaskTypeId, expires_at: Time });
 
@@ -113,12 +100,10 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
         self.batch.put(&mut w);
         // Fixed counts from the shape: machine queues in index order
         // (warm containers in pin/refresh order, part of determinism),
-        // then per task slot its record, failure-requeue count and
-        // carried migration progress.
+        // then per task slot its record and failure-requeue count.
         MachineState::put_all(&self.machines, &mut w);
         Option::put_all(&self.records, &mut w);
         u32::put_all(&self.requeue_counts, &mut w);
-        u64::put_all(&self.carried, &mut w);
         // Busy time per machine; the tracker is rebuilt via `record_busy`.
         for m in 0..self.machines.len() {
             self.cost.busy_time(MachineId::from(m)).put(&mut w);
@@ -190,7 +175,7 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
         let mut batch: Vec<Task> = Wire::get(&mut r)?;
         let mut machines = MachineState::get_n(&mut r, num_machines)?;
         for (i, m) in machines.iter_mut().enumerate() {
-            if 1 + m.pending_entries().len() > queue_capacity {
+            if 1 + m.pending().len() > queue_capacity {
                 return Err(SnapshotError::Corrupt("pending queue exceeds capacity"));
             }
             let warm = m.warm_containers();
@@ -217,7 +202,6 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
         // The batch never outgrows the task slots; reserve them once.
         batch.reserve_exact(num_task_slots.saturating_sub(batch.len()));
         let requeue_counts = u32::get_n(&mut r, num_task_slots)?;
-        let carried = u64::get_n(&mut r, num_task_slots)?;
         let mut cost = CostTracker::new(num_machines);
         for (m, busy) in u64::get_n(&mut r, num_machines)?.into_iter().enumerate() {
             if busy > 0 {
@@ -249,10 +233,11 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
             faas,
             epochs,
             requeue_counts,
-            carried,
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
+            #[cfg(test)]
+            checker: super::StepChecker::new(),
         })
     }
 }
@@ -301,14 +286,7 @@ mod tests {
             finished_at: 0,
             machine_time: 0,
         });
-        assert_min(ExecutingTask {
-            task,
-            started_at: 0,
-            progress_before: 0,
-            total_exec: 0,
-            cold_start: false,
-        });
-        assert_min(PendingEntry::new(task));
+        assert_min(ExecutingTask { task, started_at: 0, total_exec: 0, cold_start: false });
         assert_min(WarmContainer { type_id: TaskTypeId(0), expires_at: 0 });
         assert_min(EpochSlice { start: 0, active_machines: 0, on_time: 0, finished: 0 });
         assert_min(ChurnStats::default());

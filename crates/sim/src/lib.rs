@@ -53,7 +53,7 @@ pub use engine::{
     ChurnStats, EpochSlice, EventSink, EventSource, FaasStats, SimEvent, SimReport, SimSession,
     TaskTraceSource,
 };
-pub use machine::{ExecutingTask, MachineLifecycle, MachineState, PendingEntry, WarmContainer};
+pub use machine::{ExecutingTask, MachineLifecycle, MachineState, WarmContainer};
 pub use mapper::{AssignError, FirstFitMapper, MapContext, Mapper, MapperInstrumentation};
 pub use metrics::{Metrics, OutcomeCounts};
 pub use snapshot::{SnapshotError, SnapshotRng, SNAPSHOT_VERSION};

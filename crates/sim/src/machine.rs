@@ -45,55 +45,6 @@ pub enum MachineLifecycle {
     Offline,
 }
 
-/// A mapped-but-not-executing queue entry. `progress` is non-zero only for
-/// work resumed mid-execution — progress carried from a failed machine, or
-/// a preempted entry (§VIII future work; no mapper preempts any more, but
-/// a restored snapshot may still hold one): the work already done is
-/// retained and the engine resumes the remainder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingEntry {
-    /// The task.
-    pub task: Task,
-    /// Execution time already completed in earlier segments.
-    pub progress: Time,
-    /// Ground-truth total sampled at first start (crate-private; absent
-    /// until the task has started once).
-    pub(crate) sampled_total: Option<Time>,
-    /// Whether the first start of this task was a cold start (meaningful
-    /// only for preempted entries, whose container is still resident).
-    pub(crate) cold_start: bool,
-}
-
-impl PendingEntry {
-    /// A fresh, never-started entry.
-    #[must_use]
-    pub fn new(task: Task) -> Self {
-        Self { task, progress: 0, sampled_total: None, cold_start: false }
-    }
-
-    /// An entry resuming with salvaged progress from another machine
-    /// (migration after a failure). The ground-truth total is *not*
-    /// carried: execution time is machine-specific, so the new machine
-    /// re-samples its own total and the salvaged progress is subtracted
-    /// from it — exactly the residual the scorer's
-    /// `Pmf::residual_shifted_into` convolution models.
-    #[must_use]
-    pub fn carrying(task: Task, progress: Time) -> Self {
-        Self { task, progress, sampled_total: None, cold_start: false }
-    }
-
-    /// For an entry that has started before (a preemption victim): whether
-    /// that first start was a cold start, i.e. whether its already-sampled
-    /// total still includes container spin-up. `None` for entries that
-    /// never started — their warmth is decided at start time. Observable
-    /// (the scheduler knew the warmth at placement), so scorers may
-    /// condition on it; the sampled total itself stays hidden.
-    #[must_use]
-    pub fn started_cold(&self) -> Option<bool> {
-        self.sampled_total.map(|_| self.cold_start)
-    }
-}
-
 /// The task currently executing on a machine.
 ///
 /// The sampled total execution time is deliberately *crate-private*:
@@ -104,11 +55,8 @@ impl PendingEntry {
 pub struct ExecutingTask {
     /// The task.
     pub task: Task,
-    /// When the current execution segment began.
+    /// When the task started.
     pub started_at: Time,
-    /// Execution time completed in earlier segments (non-zero only for
-    /// resumed work: carried progress or a preempted entry).
-    pub progress_before: Time,
     /// Whether this execution began with a container spin-up (serverless
     /// cold-start model; always `false` in the classic HC model). Unlike
     /// the sampled total, warmth is observable — the scheduler knew it at
@@ -119,10 +67,10 @@ pub struct ExecutingTask {
 }
 
 impl ExecutingTask {
-    /// Total execution time completed by `now`, across all segments.
+    /// Execution time completed by `now`.
     #[must_use]
     pub fn elapsed_at(&self, now: Time) -> Time {
-        self.progress_before + now.saturating_sub(self.started_at)
+        now.saturating_sub(self.started_at)
     }
 }
 
@@ -132,7 +80,7 @@ pub struct MachineState {
     id: MachineId,
     capacity: usize,
     executing: Option<ExecutingTask>,
-    pending: VecDeque<PendingEntry>,
+    pending: VecDeque<Task>,
     /// Cluster-membership state; only [`MachineLifecycle::Active`]
     /// machines are schedulable.
     lifecycle: MachineLifecycle,
@@ -163,7 +111,7 @@ crate::wire_struct!(MachineState {
     run_token: u64,
     announced_departure: Option<Time>,
     executing: Option<ExecutingTask>,
-    pending: VecDeque<PendingEntry>,
+    pending: VecDeque<Task>,
     warm: Vec<WarmContainer>,
     warm_rev: u64,
 } off_wire { id: MachineId(0), capacity: 1 });
@@ -283,11 +231,6 @@ impl MachineState {
 
     /// Pending (mapped but not yet started) tasks in FCFS order.
     pub fn pending(&self) -> impl ExactSizeIterator<Item = &Task> {
-        self.pending.iter().map(|e| &e.task)
-    }
-
-    /// Pending entries including resumed progress, FCFS order.
-    pub fn pending_entries(&self) -> impl ExactSizeIterator<Item = &PendingEntry> {
         self.pending.iter()
     }
 
@@ -366,24 +309,14 @@ impl MachineState {
     /// followed by pending tasks. Matches the paper's queue-position κ
     /// numbering for the Eq. 7 threshold adjustment.
     pub fn queued_tasks(&self) -> impl Iterator<Item = &Task> {
-        self.executing
-            .as_ref()
-            .map(|e| &e.task)
-            .into_iter()
-            .chain(self.pending.iter().map(|e| &e.task))
+        self.executing.as_ref().map(|e| &e.task).into_iter().chain(&self.pending)
     }
 
     // ---- mutations (crate-internal: only the engine mutates machines) ----
 
     pub(crate) fn push_pending(&mut self, task: Task) {
-        self.push_pending_carrying(task, 0);
-    }
-
-    /// Queues a task that resumes with salvaged progress (zero for a fresh
-    /// task — the common case).
-    pub(crate) fn push_pending_carrying(&mut self, task: Task, progress: Time) {
         debug_assert!(self.has_free_slot(), "push on full machine {}", self.id);
-        self.pending.push_back(PendingEntry::carrying(task, progress));
+        self.pending.push_back(task);
         self.version += 1;
     }
 
@@ -396,7 +329,7 @@ impl MachineState {
         }
     }
 
-    pub(crate) fn pop_next_pending(&mut self) -> Option<PendingEntry> {
+    pub(crate) fn pop_next_pending(&mut self) -> Option<Task> {
         let t = self.pending.pop_front();
         if t.is_some() {
             self.version += 1;
@@ -404,27 +337,21 @@ impl MachineState {
         t
     }
 
-    pub(crate) fn start(&mut self, entry: PendingEntry, now: Time, total_exec: Time) {
-        self.start_with_warmth(entry, now, total_exec, false);
+    pub(crate) fn start(&mut self, task: Task, now: Time, total_exec: Time) {
+        self.start_with_warmth(task, now, total_exec, false);
     }
 
     /// [`MachineState::start`] with an explicit cold-start flag (serverless
     /// model; the engine decides warmth from the warm-container set).
     pub(crate) fn start_with_warmth(
         &mut self,
-        entry: PendingEntry,
+        task: Task,
         now: Time,
         total_exec: Time,
         cold_start: bool,
     ) {
         debug_assert!(self.executing.is_none(), "start on busy machine {}", self.id);
-        self.executing = Some(ExecutingTask {
-            task: entry.task,
-            started_at: now,
-            progress_before: entry.progress,
-            cold_start,
-            total_exec,
-        });
+        self.executing = Some(ExecutingTask { task, started_at: now, cold_start, total_exec });
         self.version += 1;
     }
 
@@ -481,24 +408,6 @@ impl MachineState {
         }
     }
 
-    /// Preempts the executing task: it returns to the *front* of the
-    /// pending queue with its accumulated progress, and the in-flight
-    /// completion event is invalidated. Returns the duration of the
-    /// interrupted segment (for busy-time accounting).
-    pub(crate) fn preempt_executing(&mut self, now: Time) -> Option<Time> {
-        let exec = self.executing.take()?;
-        let segment = now.saturating_sub(exec.started_at);
-        self.pending.push_front(PendingEntry {
-            task: exec.task,
-            progress: exec.progress_before + segment,
-            sampled_total: Some(exec.total_exec),
-            cold_start: exec.cold_start,
-        });
-        self.version += 1;
-        self.run_token += 1; // stale the scheduled Finish event
-        Some(segment)
-    }
-
     pub(crate) fn finish_executing(&mut self) -> Option<ExecutingTask> {
         let e = self.executing.take();
         if e.is_some() {
@@ -510,10 +419,10 @@ impl MachineState {
 
     /// Removes a pending task by id; returns it if present.
     pub(crate) fn remove_pending(&mut self, task_id: TaskId) -> Option<Task> {
-        let pos = self.pending.iter().position(|e| e.task.id == task_id)?;
-        let e = self.pending.remove(pos);
+        let pos = self.pending.iter().position(|t| t.id == task_id)?;
+        let task = self.pending.remove(pos);
         self.version += 1;
-        e.map(|e| e.task)
+        task
     }
 
     // ---- membership lifecycle (driven by churn events) ----
@@ -528,7 +437,8 @@ impl MachineState {
 
     /// `Join`: brings the machine (back) into the cluster with its queue
     /// empty. Returns false (no change) when already active. Re-activating
-    /// a draining machine cancels the drain and keeps its queue.
+    /// a draining machine cancels the drain and keeps its queue and its
+    /// warm containers (an offline machine lost its own when it left).
     pub(crate) fn activate(&mut self) -> bool {
         if self.lifecycle == MachineLifecycle::Active {
             return false;
@@ -540,8 +450,6 @@ impl MachineState {
         );
         self.lifecycle = MachineLifecycle::Active;
         self.announced_departure = None;
-        // A (re)joining machine brings no warm containers with it.
-        self.clear_warm();
         self.version += 1;
         true
     }
@@ -581,28 +489,17 @@ impl MachineState {
 
     /// `Fail`: the machine leaves the cluster immediately. Every queued
     /// task (executing first, then pending in FCFS order) is pushed into
-    /// `requeue` with the execution progress completed so far (the
-    /// interrupted segment counts, at `now`); the in-flight completion
-    /// event is invalidated via the run token. Whether the progress is
-    /// honored on the next machine is the engine's call
-    /// (`SimConfig::carry_progress`). Returns the interrupted executing
-    /// task (for busy-time accounting), or `None` if the machine was
-    /// already offline (no-op).
-    pub(crate) fn fail(
-        &mut self,
-        now: Time,
-        requeue: &mut Vec<(Task, Time)>,
-    ) -> Option<ExecutingTask> {
+    /// `requeue`, to start over on its next machine; the in-flight
+    /// completion event is invalidated via the run token. Returns the
+    /// interrupted executing task (for busy-time accounting), or `None`
+    /// if the machine was already offline (no-op).
+    pub(crate) fn fail(&mut self, requeue: &mut Vec<Task>) -> Option<ExecutingTask> {
         if self.lifecycle == MachineLifecycle::Offline {
             return None;
         }
         let exec = self.executing.take();
-        if let Some(e) = &exec {
-            requeue.push((e.task, e.elapsed_at(now)));
-        }
-        for entry in self.pending.drain(..) {
-            requeue.push((entry.task, entry.progress));
-        }
+        requeue.extend(exec.map(|e| e.task));
+        requeue.extend(self.pending.drain(..));
         self.lifecycle = MachineLifecycle::Offline;
         self.announced_departure = None;
         self.clear_warm();
@@ -615,9 +512,9 @@ impl MachineState {
     pub(crate) fn drain_expired_pending(&mut self, now: Time, out: &mut Vec<Task>) {
         let before = self.pending.len();
         // VecDeque::retain preserves FCFS order of survivors.
-        self.pending.retain(|e| {
-            if e.task.is_expired_at(now) {
-                out.push(e.task);
+        self.pending.retain(|t| {
+            if t.is_expired_at(now) {
+                out.push(*t);
                 false
             } else {
                 true

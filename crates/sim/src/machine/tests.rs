@@ -28,9 +28,9 @@ fn fcfs_order_preserved() {
     for id in 1..=3 {
         m.push_pending(task(id, 100));
     }
-    assert_eq!(m.pop_next_pending().unwrap().task.id, TaskId(1));
-    assert_eq!(m.pop_next_pending().unwrap().task.id, TaskId(2));
-    assert_eq!(m.pop_next_pending().unwrap().task.id, TaskId(3));
+    assert_eq!(m.pop_next_pending().unwrap().id, TaskId(1));
+    assert_eq!(m.pop_next_pending().unwrap().id, TaskId(2));
+    assert_eq!(m.pop_next_pending().unwrap().id, TaskId(3));
     assert!(m.pop_next_pending().is_none());
 }
 
@@ -65,7 +65,7 @@ fn version_bumps_on_every_mutation() {
 #[test]
 fn finish_bumps_run_token() {
     let mut m = MachineState::new(MachineId(0), 2);
-    m.start(PendingEntry::new(task(1, 100)), 0, 30);
+    m.start(task(1, 100), 0, 30);
     let tok = m.run_token;
     let done = m.finish_executing().unwrap();
     assert_eq!(done.task.id, TaskId(1));
@@ -117,27 +117,6 @@ fn zero_capacity_rejected() {
 }
 
 #[test]
-fn preempt_returns_task_to_front_with_progress() {
-    let mut m = MachineState::new(MachineId(0), 4);
-    m.push_pending(task(1, 1000));
-    m.push_pending(task(2, 1000));
-    let first = m.pop_next_pending().unwrap();
-    m.start(first, 100, 50); // total exec 50, started at 100
-    let token = m.run_token;
-    let segment = m.preempt_executing(130).unwrap();
-    assert_eq!(segment, 30);
-    assert!(m.executing().is_none());
-    assert!(m.run_token > token, "in-flight finish event must be staled");
-    let head = m.pending_entries().next().unwrap();
-    assert_eq!(head.task.id, TaskId(1));
-    assert_eq!(head.progress, 30);
-    assert_eq!(head.sampled_total, Some(50));
-    // FCFS order: preempted task resumes before task 2.
-    let ids: Vec<u32> = m.pending().map(|t| t.id.0).collect();
-    assert_eq!(ids, vec![1, 2]);
-}
-
-#[test]
 fn lifecycle_transitions_and_free_slots() {
     let mut m = MachineState::new(MachineId(0), 3);
     assert_eq!(m.lifecycle(), MachineLifecycle::Active);
@@ -182,20 +161,20 @@ fn fail_requeues_executing_then_pending_and_stales_completions() {
     m.start(head, 10, 100);
     let token = m.run_token;
     let mut requeue = Vec::new();
-    let exec = m.fail(40, &mut requeue).expect("machine was executing");
+    let exec = m.fail(&mut requeue).expect("machine was executing");
     assert_eq!(exec.task.id, TaskId(1));
     assert_eq!(exec.started_at, 10);
     assert_eq!(
-        requeue.iter().map(|(t, p)| (t.id.0, *p)).collect::<Vec<_>>(),
-        vec![(1, 30), (2, 0), (3, 0)],
-        "executing first (with its interrupted segment), pending in FCFS order"
+        requeue.iter().map(|t| t.id.0).collect::<Vec<_>>(),
+        vec![1, 2, 3],
+        "executing first, pending in FCFS order"
     );
     assert_eq!(m.lifecycle(), MachineLifecycle::Offline);
     assert!(m.is_idle());
     assert!(m.run_token > token, "in-flight completion must be staled");
     // Failing an offline machine is a no-op.
     let mut again = Vec::new();
-    assert!(m.fail(40, &mut again).is_none());
+    assert!(m.fail(&mut again).is_none());
     assert!(again.is_empty());
 }
 
@@ -210,7 +189,7 @@ fn departure_announcement_bumps_version_and_clears_on_exit() {
     m.set_announced_departure(Some(500));
     assert_eq!(m.version(), v, "idempotent announcement is version-neutral");
     let mut requeue = Vec::new();
-    m.fail(10, &mut requeue);
+    m.fail(&mut requeue);
     assert_eq!(m.announced_departure(), None, "cleared when the machine leaves");
     m.activate();
     m.set_announced_departure(Some(900));
@@ -227,27 +206,6 @@ fn initially_offline_machines_refuse_work_until_joined() {
     assert_eq!(m.free_slots(), 0);
     assert!(m.activate());
     assert!(m.has_free_slot());
-}
-
-#[test]
-fn preempt_idle_machine_is_none() {
-    let mut m = MachineState::new(MachineId(0), 4);
-    assert!(m.preempt_executing(10).is_none());
-}
-
-#[test]
-fn elapsed_accumulates_across_segments() {
-    let mut m = MachineState::new(MachineId(0), 4);
-    m.push_pending(task(1, 1000));
-    let e = m.pop_next_pending().unwrap();
-    m.start(e, 0, 100);
-    m.preempt_executing(40);
-    let resumed = m.pop_next_pending().unwrap();
-    assert_eq!(resumed.progress, 40);
-    m.start(resumed, 70, 100);
-    let exec = m.executing().unwrap();
-    assert_eq!(exec.progress_before, 40);
-    assert_eq!(exec.elapsed_at(90), 60); // 40 earlier + 20 current
 }
 
 #[test]
@@ -292,24 +250,11 @@ fn churn_transitions_clear_warm_containers() {
     let mut m = MachineState::new(MachineId(0), 4);
     m.set_warm_expiry(TaskTypeId(1), 800);
     let mut requeue = Vec::new();
-    m.fail(10, &mut requeue);
+    m.fail(&mut requeue);
     assert!(m.warm_containers().is_empty(), "failure loses all containers");
     m.activate();
     assert!(m.warm_containers().is_empty(), "rejoin starts cold");
     m.set_warm_expiry(TaskTypeId(1), 900);
     assert!(m.begin_drain());
     assert!(m.warm_containers().is_empty(), "idle drain releases containers");
-}
-
-#[test]
-fn preemption_preserves_cold_start_flag() {
-    let mut m = MachineState::new(MachineId(0), 4);
-    m.push_pending(task(1, 1000));
-    let mut e = m.pop_next_pending().unwrap();
-    e.cold_start = true;
-    m.start_with_warmth(e, 0, 100, true);
-    assert!(m.executing().unwrap().cold_start);
-    m.preempt_executing(40);
-    let resumed = m.pop_next_pending().unwrap();
-    assert!(resumed.cold_start, "spin-up already paid; carried through preemption");
 }

@@ -45,8 +45,6 @@ pub(crate) struct PrunedTask {
     /// `Some(started_at)` when the task was executing (evicted), `None`
     /// when it was pending.
     pub started_at: Option<Time>,
-    /// Execution time from earlier segments.
-    pub progress_before: Time,
 }
 
 /// Mutable view of the system handed to the mapper at each mapping event.
@@ -59,10 +57,6 @@ pub struct MapContext<'a> {
     pub(crate) batch: &'a mut Vec<Task>,
     pub(crate) machines: &'a mut [MachineState],
     pub(crate) pruned: &'a mut Vec<PrunedTask>,
-    /// Per-task-slot execution progress salvaged from failed machines
-    /// (`SimConfig::carry_progress`); consumed when the task is assigned
-    /// so it resumes from a residual PMF instead of restarting cold.
-    pub(crate) carried: &'a mut Vec<Time>,
 }
 
 impl<'a> MapContext<'a> {
@@ -153,15 +147,8 @@ impl<'a> MapContext<'a> {
         }
         let pos = self.batch.iter().position(|t| t.id == task_id).ok_or(AssignError::NotInBatch)?;
         let task = self.batch.remove(pos);
-        let progress = self.take_carried(task.id);
-        self.machines[m.index()].push_pending_carrying(task, progress);
+        self.machines[m.index()].push_pending(task);
         Ok(())
-    }
-
-    /// Consumes any salvaged progress for a task slot (zero when the task
-    /// never ran, or when progress carrying is disabled).
-    fn take_carried(&mut self, task_id: TaskId) -> Time {
-        self.carried.get_mut(task_id.index()).map_or(0, std::mem::take)
     }
 
     /// Probabilistically drops a *pending* task from machine `m`'s queue
@@ -170,12 +157,7 @@ impl<'a> MapContext<'a> {
     pub fn drop_pending(&mut self, m: MachineId, task_id: TaskId) -> bool {
         match self.machines[m.index()].remove_pending(task_id) {
             Some(task) => {
-                self.pruned.push(PrunedTask {
-                    task,
-                    machine: m,
-                    started_at: None,
-                    progress_before: 0,
-                });
+                self.pruned.push(PrunedTask { task, machine: m, started_at: None });
                 true
             }
             None => false,
@@ -192,7 +174,6 @@ impl<'a> MapContext<'a> {
             task: exec.task,
             machine: m,
             started_at: Some(exec.started_at),
-            progress_before: exec.progress_before,
         });
         Some(exec.task)
     }
@@ -211,10 +192,6 @@ pub struct MapperInstrumentation {
     pub toggle_transitions: u64,
     /// Tasks removed by the probabilistic dropping pass.
     pub pruner_drops: u64,
-    /// Executing tasks preempted in favor of urgent arrivals. No mapper
-    /// preempts any more, so this stays 0 unless restored from a blob
-    /// written when PAM could; it keeps its slot in the PAM blob layout.
-    pub preemptions: u64,
     /// Mapping events served by score-table reuse: the previous event's
     /// table — from the same tick or an earlier one — was revalidated
     /// incrementally instead of rebuilt.
@@ -230,7 +207,6 @@ crate::wire_struct!(MapperInstrumentation {
     events_dropping_engaged: u64,
     toggle_transitions: u64,
     pruner_drops: u64,
-    preemptions: u64,
     table_reuses: u64,
     events_deep_calm: u64,
 });
@@ -402,7 +378,6 @@ mod tests {
         batch: Vec<Task>,
         machines: Vec<MachineState>,
         pruned: Vec<PrunedTask>,
-        carried: Vec<crate::Time>,
     }
 
     impl Fixture {
@@ -410,7 +385,7 @@ mod tests {
             let spec = spec();
             let machines =
                 (0..2).map(|m| MachineState::new(MachineId::from(m as usize), 2)).collect();
-            Self { spec, batch, machines, pruned: Vec::new(), carried: vec![0; 16] }
+            Self { spec, batch, machines, pruned: Vec::new() }
         }
 
         fn ctx(&mut self) -> MapContext<'_> {
@@ -423,7 +398,6 @@ mod tests {
                 batch: &mut self.batch,
                 machines: &mut self.machines,
                 pruned: &mut self.pruned,
-                carried: &mut self.carried,
             }
         }
     }
@@ -469,7 +443,7 @@ mod tests {
     #[test]
     fn evict_executing_records_start_time() {
         let mut fx = Fixture::new(vec![]);
-        fx.machines[0].start(crate::machine::PendingEntry::new(task(7)), 42, 30);
+        fx.machines[0].start(task(7), 42, 30);
         let mut ctx = fx.ctx();
         let evicted = ctx.evict_executing(MachineId(0)).unwrap();
         assert_eq!(evicted.id, TaskId(7));

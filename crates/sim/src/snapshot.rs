@@ -16,10 +16,14 @@
 //! `engine/wire.rs`, the mapper state blobs in `hcsim-core` (`Pam`,
 //! `AdaptiveController`), the service checkpoint in `hcsim-service`.
 //!
-//! **Versioning caveat**: the format is an engine-internal checkpoint, not
-//! an archival interchange format. A snapshot is readable only by the same
-//! `SNAPSHOT_VERSION` that wrote it; any change to engine state layout
-//! bumps the version and old snapshots are rejected (never misread).
+//! **Versioning**: the format is an engine-internal checkpoint, not an
+//! archival interchange format. One version, [`SNAPSHOT_VERSION`] in the
+//! engine snapshot's header, covers every layout nested in it — the
+//! engine's own and the mapper blobs (`Pam`, `AdaptiveController`), which
+//! carry no version of their own. A snapshot is readable only by the
+//! version that wrote it: any change to any of these layouts bumps it, and
+//! older snapshots are rejected whole with
+//! [`SnapshotError::UnsupportedVersion`], never half-restored.
 
 use hcsim_model::{MachineId, TaskId, TaskTypeId};
 use hcsim_stats::Xoshiro256pp;
@@ -28,9 +32,13 @@ use std::collections::VecDeque;
 /// Magic bytes opening every snapshot.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"HCSN";
 
-/// Current snapshot format version. Bumped on any layout change (v2:
-/// departure announcements, carried migration progress, notice events).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. Bumped on any layout change, nested
+/// mapper blobs included (v2: departure announcements, carried migration
+/// progress, notice events; v4: single-start tasks — a pending entry is
+/// its task, an executing one has no earlier progress, the per-task
+/// carried-progress table is gone, the PAM blob lost its own version
+/// word and its preemption counter).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -633,12 +641,16 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut bytes = SNAPSHOT_MAGIC.to_vec();
-        bytes.extend_from_slice(&999u32.to_le_bytes());
-        assert_eq!(
-            ByteReader::with_header(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion(999)
-        );
+        // The version before the current one included: its streams are
+        // rejected whole, never half-restored.
+        for version in [SNAPSHOT_VERSION - 1, 999] {
+            let mut bytes = SNAPSHOT_MAGIC.to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                ByteReader::with_header(&bytes).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! transition it reports whether it applied, which lets property tests
 //! feed arbitrary operation sequences without pre-filtering.
 
-use crate::machine::{MachineState, PendingEntry};
+use crate::machine::MachineState;
 use hcsim_model::{Task, TaskId, TaskTypeId, Time};
+
+pub use crate::engine::StepChecker;
 
 /// One queue transition, mirroring the engine's machine mutations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,13 +34,6 @@ pub enum QueueOp {
     /// Complete (or evict) the executing task (engine: `Finish` event /
     /// pruner eviction).
     FinishExecuting,
-    /// Preempt the executing task back to the queue front with its
-    /// progress retained: no mapper preempts any more, but a restored
-    /// snapshot can still hold the state this leaves behind.
-    Preempt {
-        /// Current simulation time.
-        now: Time,
-    },
     /// Remove a pending task by id (engine: pruner `drop_pending`).
     RemovePending(TaskId),
     /// Drop every pending task whose deadline has passed (engine:
@@ -73,7 +68,6 @@ pub fn apply(machine: &mut MachineState, op: QueueOp) -> bool {
         }
         QueueOp::StartNext { now, total_exec } => start_next(machine, now, total_exec, false),
         QueueOp::FinishExecuting => machine.finish_executing().is_some(),
-        QueueOp::Preempt { now } => machine.preempt_executing(now).is_some(),
         QueueOp::RemovePending(id) => machine.remove_pending(id).is_some(),
         QueueOp::DrainExpired { now } => {
             let mut out = Vec::new();
@@ -89,7 +83,7 @@ pub fn apply(machine: &mut MachineState, op: QueueOp) -> bool {
         QueueOp::Fail => {
             let was_member = machine.lifecycle() != crate::MachineLifecycle::Offline;
             let mut dropped = Vec::new();
-            let _ = machine.fail(0, &mut dropped);
+            let _ = machine.fail(&mut dropped);
             was_member
         }
     }
@@ -110,8 +104,8 @@ pub fn start_next(
         return false;
     }
     match machine.pop_next_pending() {
-        Some(entry) => {
-            machine.start_with_warmth(entry, now, total_exec.max(1), cold_start);
+        Some(task) => {
+            machine.start_with_warmth(task, now, total_exec.max(1), cold_start);
             true
         }
         None => false,
@@ -172,7 +166,7 @@ pub fn start_executing(
     if machine.executing().is_some() || !machine.has_free_slot() {
         return false;
     }
-    machine.start(PendingEntry::new(task), now, total_exec.max(1));
+    machine.start(task, now, total_exec.max(1));
     true
 }
 
@@ -194,9 +188,6 @@ mod tests {
         assert!(!apply(&mut m, QueueOp::Push(task(4, 100))), "full queue rejects");
         assert!(apply(&mut m, QueueOp::StartNext { now: 0, total_exec: 50 }));
         assert!(!apply(&mut m, QueueOp::StartNext { now: 0, total_exec: 50 }), "busy rejects");
-        assert!(apply(&mut m, QueueOp::Preempt { now: 10 }));
-        assert_eq!(m.pending_entries().next().unwrap().progress, 10);
-        assert!(apply(&mut m, QueueOp::StartNext { now: 10, total_exec: 50 }));
         assert!(apply(&mut m, QueueOp::FinishExecuting));
         assert!(!apply(&mut m, QueueOp::FinishExecuting));
         assert!(apply(&mut m, QueueOp::RemovePending(TaskId(2))));

@@ -12,17 +12,19 @@
 //!   once even across repeated failures;
 //! * drained machines finish their queues without accepting new work and
 //!   can later re-join;
-//! * epoch slices partition the terminal records;
-//! * with `carry_progress` on, a requeued task resumes from its completed
-//!   progress (finishing strictly earlier than a cold restart) and the
-//!   stale completion event of the interrupted attempt stays a no-op.
+//! * epoch slices partition the terminal records.
+//!
+//! Every run steps through a [`SimSession`] with the engine's
+//! [`StepChecker`] checking its invariants after each step.
 
 use hcsim_model::{
     ChurnEvent, ChurnKind, ChurnTrace, MachineId, MachineSpec, PetBuilder, PriceTable, SystemSpec,
     Task, TaskId, TaskOutcome, TaskTypeId, TaskTypeSpec, Time,
 };
+use hcsim_sim::testkit::StepChecker;
 use hcsim_sim::{
-    run_simulation_with_churn, FirstFitMapper, MapContext, Mapper, SimConfig, SimReport,
+    ChurnSource, FirstFitMapper, MapContext, Mapper, SimConfig, SimReport, SimSession,
+    TaskTraceSource,
 };
 use hcsim_stats::SeedSequence;
 
@@ -74,19 +76,23 @@ fn run_with_watcher(
     churn: &ChurnTrace,
     seed: u64,
 ) -> (SimReport, Vec<(Time, Vec<u32>)>) {
-    run_with_watcher_cfg(spec, SimConfig::untrimmed(), tasks, churn, seed)
-}
-
-fn run_with_watcher_cfg(
-    spec: &SystemSpec,
-    config: SimConfig,
-    tasks: &[Task],
-    churn: &ChurnTrace,
-    seed: u64,
-) -> (SimReport, Vec<(Time, Vec<u32>)>) {
+    churn.validate(spec.num_machines());
     let mut mapper = BatchWatcher::default();
     let mut rng = SeedSequence::new(seed).stream(9);
-    let report = run_simulation_with_churn(spec, config, tasks, churn, &mut mapper, &mut rng);
+    let mut task_source = TaskTraceSource::new(tasks);
+    let mut churn_source = ChurnSource::new(churn);
+    let mut session = SimSession::new(
+        spec,
+        SimConfig::untrimmed(),
+        &mut [&mut task_source, &mut churn_source],
+        &mut mapper,
+        &mut rng,
+    );
+    let mut checker = StepChecker::new();
+    while session.step() {
+        checker.check(&session);
+    }
+    let report = session.finish();
     (report, mapper.snapshots)
 }
 
@@ -242,72 +248,6 @@ fn drain_completes_queue_then_leaves_and_can_rejoin() {
     assert_eq!(report.records[1].machine, Some(MachineId(0)));
     assert_eq!(report.records[2].machine, Some(MachineId(1)));
     assert_eq!(report.records[3].machine, Some(MachineId(0)));
-}
-
-#[test]
-fn carried_progress_finishes_strictly_earlier_than_cold_restart() {
-    let spec = two_machine_spec(6);
-    // One task, executing on machine 0 (≈10 ms) when it fails at t=5: the
-    // task restarts on machine 1 (≈20 ms). Cold, the restart pays the
-    // full ≈20 ms again; carrying, the ≈5 ms of completed progress is
-    // subtracted from machine 1's freshly sampled total. Both runs share
-    // a seed, so every random draw up to and including the restart's
-    // total is identical and the comparison isolates `carry_progress`.
-    let tasks = tasks_at_zero(1, 500);
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)], notices: vec![] };
-    let (cold, _) = run_with_watcher_cfg(&spec, SimConfig::untrimmed(), &tasks, &churn, 8);
-    let carry = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
-    let (carried, _) = run_with_watcher_cfg(&spec, carry, &tasks, &churn, 8);
-
-    let cold_rec = &cold.records[0];
-    let carried_rec = &carried.records[0];
-    assert_eq!(cold_rec.machine, Some(MachineId(1)));
-    assert_eq!(carried_rec.machine, Some(MachineId(1)));
-    assert_eq!(cold_rec.outcome, TaskOutcome::CompletedOnTime);
-    assert_eq!(carried_rec.outcome, TaskOutcome::CompletedOnTime);
-    assert_eq!(cold_rec.started_at, carried_rec.started_at, "restart time is config-independent");
-    assert!(
-        carried_rec.finished_at < cold_rec.finished_at,
-        "carried restart must finish strictly earlier: carried {:?} vs cold {:?}",
-        carried_rec.finished_at,
-        cold_rec.finished_at
-    );
-    // The carried remainder is the sampled total minus ≈5 ms of progress,
-    // never a free instant completion.
-    assert!(carried_rec.finished_at > carried_rec.started_at.unwrap());
-}
-
-#[test]
-fn stale_completion_never_resurrects_under_carry_progress() {
-    let spec = two_machine_spec(6);
-    let tasks = tasks_at_zero(3, 500);
-    // Fail machine 0 at t=5, mid-execution of task 0 (≈10 ms exec): even
-    // with progress carried into the requeue, the completion event the
-    // interrupted attempt left behind (≈t=10, now a stale run-token)
-    // must stay a no-op — the task terminates exactly once, on the
-    // machine that restarted it.
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)], notices: vec![] };
-    let carry = SimConfig { carry_progress: true, ..SimConfig::untrimmed() };
-    let (report, snapshots) = run_with_watcher_cfg(&spec, carry, &tasks, &churn, 3);
-    assert_eq!(report.records.len(), 3);
-    for (i, r) in report.records.iter().enumerate() {
-        assert_eq!(r.task.id.index(), i, "records stay id-ordered and unique");
-    }
-    assert_eq!(report.metrics.outcomes.total(), 3);
-    assert_eq!(report.metrics.outcomes.unfinished, 0);
-    let r0 = &report.records[0];
-    assert_eq!(r0.machine, Some(MachineId(1)), "terminal record on the restart machine: {r0:?}");
-    assert!(r0.finished_at > 5, "not the interrupted attempt's schedule");
-    // Exactly-once requeue still holds with progress attached.
-    for (t, ids) in &snapshots {
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len(), "duplicate batch entry at t={t}: {ids:?}");
-    }
-    assert_eq!(report.churn.requeued, 3);
 }
 
 #[test]

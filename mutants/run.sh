@@ -4,9 +4,10 @@
 #   mutants/run.sh [FILTER]     run every mutant whose patch name contains FILTER
 #   mutants/run.sh --check      only check that every patch still applies
 #
-# Each mutant is applied in one reused worktree at target/mutants/tree
-# (checked out at HEAD, so its release build is incremental across
-# mutants), and its named tests run in release. A mutant is `killed`
+# Each mutant is applied in one reused worktree at target/mutants/tree,
+# checked out at HEAD and built into target/mutants/target, so that each
+# mutant rebuilds only the crates its patch touches; its named tests run
+# in release. A mutant is `killed`
 # when they fail, `survived` when they pass, and `stale` when its patch
 # no longer applies or the mutated tree does not build. Any survived or
 # stale mutant makes the run exit 1.
@@ -31,6 +32,8 @@ root=$(git rev-parse --show-toplevel) || exit 2
 cd "$root" || exit 2
 tree=target/mutants/tree
 log=target/mutants/log
+CARGO_TARGET_DIR=$root/target/mutants/target
+export CARGO_TARGET_DIR
 if [ "$check" -eq 0 ]; then
     head=$(git rev-parse HEAD) || exit 2
     if [ -e "$tree/.git" ]; then
