@@ -753,7 +753,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
                     }
                     None => (exec, false),
                 };
-                self.machines[m].start_with_warmth(task, self.now, total, cold);
+                self.machines[m].start(task, self.now, total, cold);
                 if self.spec.coldstart.is_some() {
                     // Pin the container for the duration of the run.
                     self.machines[m].pin_warm(task.type_id);

@@ -1,17 +1,15 @@
-//! The engine's step invariants, checked from outside the event loop:
-//! [`StepChecker`] (re-exported by [`crate::testkit`]) inspects a
-//! [`SimSession`] between steps and panics at the first broken invariant.
-//! The engine's own unit tests run it after every step.
+//! The engine's step invariants, checked from outside the event loop.
 
 use super::{Engine, Event, SimEvent, SimSession};
-use crate::machine::{MachineLifecycle, WarmContainer};
+use crate::machine::{MachineLifecycle, MachineState, WarmContainer};
 use crate::mapper::Mapper;
-use hcsim_model::{MachineId, TaskTypeId};
+use hcsim_model::{MachineId, TaskTypeId, Time};
 use std::cmp::Reverse;
 
-/// Checks the engine's invariants after every step of a run. Feed it the
-/// session after each [`SimSession::step`]; a violation panics, naming
-/// the invariant. Between two steps:
+/// Checks the engine's invariants between steps (re-exported by
+/// [`crate::testkit`]; the engine's own unit tests run it after every
+/// step). Feed it the session after each [`SimSession::step`]; a
+/// violation panics, naming the invariant:
 ///
 /// * every task that has entered the engine — an `Arrival` event on the
 ///   heap, a batch entry, a queue entry or a terminal record — is in
@@ -19,8 +17,7 @@ use std::cmp::Reverse;
 ///   arrivals equal terminal plus in-system tasks, and no task is
 ///   resident twice;
 /// * under a cold-start model a machine holds an `IN_USE` warm pin
-///   exactly for the type it executes (none when idle); without one it
-///   holds no warm containers at all;
+///   exactly for the type it executes; without one, no warm containers;
 /// * run tokens never decrease;
 /// * a stale `Completion` (its token no longer the machine's) changes no
 ///   machine, and a stale `ContainerExpiry` (the container was re-pinned
@@ -32,19 +29,11 @@ use std::cmp::Reverse;
 pub struct StepChecker {
     /// Per task slot: whether the task was somewhere at the last check.
     seen: Vec<bool>,
-    /// Per machine at the last check.
-    machines: Vec<Seen>,
+    /// Per machine at the last check: version, run token, warm_rev and
+    /// warm set.
+    machines: Vec<(u64, u64, u64, Vec<WarmContainer>)>,
     /// The event due next at the last check, if it was stale then.
     stale_next: Option<Event>,
-}
-
-/// What the checker keeps of one machine between checks.
-#[derive(Debug, Clone)]
-struct Seen {
-    version: u64,
-    run_token: u64,
-    warm_rev: u64,
-    warm: Vec<WarmContainer>,
 }
 
 impl StepChecker {
@@ -65,79 +54,67 @@ impl StepChecker {
     }
 
     pub(super) fn check_engine<M: Mapper, R: rand::Rng>(&mut self, engine: &Engine<'_, M, R>) {
-        let now = engine.now;
+        let (now, machines) = (engine.now, &engine.machines);
+        let seen = |m: &MachineState| {
+            (m.version(), m.run_token, m.warm_rev(), m.warm_containers().to_vec())
+        };
+        if self.machines.len() != machines.len() {
+            self.machines = machines.iter().map(seen).collect();
+        }
+        // The stale event due at the last check, if it was the one
+        // processed since, must have changed nothing it targets.
         if let Some(event) = self.stale_next.take() {
-            if !engine.events.iter().any(|Reverse(e)| e.seq == event.seq) {
-                self.check_stale_event_was_inert(engine, event);
+            let processed = !engine.events.iter().any(|Reverse(e)| e.seq == event.seq);
+            match event.kind {
+                SimEvent::Completion { machine, .. } if processed => assert!(
+                    machines
+                        .iter()
+                        .zip(&self.machines)
+                        .all(|(m, s)| (m.version(), m.run_token) == (s.0, s.1)),
+                    "{now}: a stale completion on {machine} acted"
+                ),
+                SimEvent::ContainerExpiry { machine: m, type_id } if processed => {
+                    let state = &machines[m.index()];
+                    assert!(
+                        state.lifecycle() == MachineLifecycle::Offline
+                            || warm_deadline(state, type_id).is_some(),
+                        "{now}: a stale expiry reclaimed {m}'s container for {type_id:?}"
+                    );
+                }
+                _ => {}
             }
         }
         self.check_residency(engine);
-        let cold_model = engine.spec.coldstart.is_some();
-        if self.machines.len() != engine.machines.len() {
-            self.machines = engine.machines.iter().map(Seen::from).collect();
-        }
-        for (m, (machine, seen)) in engine.machines.iter().zip(&mut self.machines).enumerate() {
+        for (m, (machine, last)) in machines.iter().zip(&mut self.machines).enumerate() {
             let m = MachineId::from(m);
-            assert!(machine.run_token >= seen.run_token, "{now}: run token of {m} went backwards");
-            assert!(machine.warm_rev() >= seen.warm_rev, "{now}: warm_rev of {m} went backwards");
+            let now_seen = seen(machine);
+            assert!(now_seen.1 >= last.1, "{now}: run token of {m} went backwards");
+            assert!(now_seen.2 >= last.2, "{now}: warm_rev of {m} went backwards");
             assert!(
-                machine.warm_rev() != seen.warm_rev || machine.warm_containers() == seen.warm,
+                now_seen.2 != last.2 || now_seen.3 == last.3,
                 "{now}: warm set of {m} changed without a warm_rev bump"
             );
-            let mut pins =
-                machine.warm_containers().iter().filter(|c| c.expires_at == WarmContainer::IN_USE);
-            let executing = machine.executing().map(|e| e.task.type_id);
-            if cold_model {
+            let mut pins = now_seen.3.iter().filter(|c| c.expires_at == WarmContainer::IN_USE);
+            if engine.spec.coldstart.is_some() {
                 assert_eq!(
                     (pins.next().map(|c| c.type_id), pins.next()),
-                    (executing, None),
+                    (machine.executing().map(|e| e.task.type_id), None),
                     "{now}: {m}'s IN_USE pins are not exactly its executing type"
                 );
             } else {
-                assert!(
-                    machine.warm_containers().is_empty(),
-                    "{now}: warm container on {m} without a cold-start model"
-                );
+                assert!(now_seen.3.is_empty(), "{now}: warm container on {m}, no cold starts");
             }
-            *seen = Seen::from(machine);
+            *last = now_seen;
         }
         self.stale_next = engine.events.peek().map(|Reverse(e)| *e).filter(|e| match e.kind {
             SimEvent::Completion { machine, token, .. } => {
-                engine.machines[machine.index()].run_token != token
+                machines[machine.index()].run_token != token
             }
             SimEvent::ContainerExpiry { machine, type_id } => {
-                warm_deadline(engine, machine, type_id).is_some_and(|at| at != e.time)
+                warm_deadline(&machines[machine.index()], type_id).is_some_and(|at| at != e.time)
             }
             _ => false,
         });
-    }
-
-    /// The event `event`, stale at the last check, was the one processed
-    /// since: it must have changed nothing it targets.
-    fn check_stale_event_was_inert<M: Mapper, R: rand::Rng>(
-        &self,
-        engine: &Engine<'_, M, R>,
-        event: Event,
-    ) {
-        let now = engine.now;
-        match event.kind {
-            SimEvent::Completion { machine, .. } => {
-                let unchanged =
-                    engine.machines.iter().zip(&self.machines).all(|(m, seen)| {
-                        m.version() == seen.version && m.run_token == seen.run_token
-                    });
-                assert!(unchanged, "{now}: a stale completion on {machine} acted");
-            }
-            SimEvent::ContainerExpiry { machine, type_id } => {
-                let state = &engine.machines[machine.index()];
-                assert!(
-                    state.lifecycle() == MachineLifecycle::Offline
-                        || warm_deadline(engine, machine, type_id).is_some(),
-                    "{now}: a stale expiry reclaimed {machine}'s container for type {type_id:?}"
-                );
-            }
-            _ => {}
-        }
     }
 
     /// Every task is in at most one place, and one that was somewhere at
@@ -163,24 +140,7 @@ impl StepChecker {
     }
 }
 
-impl From<&crate::MachineState> for Seen {
-    fn from(m: &crate::MachineState) -> Self {
-        Self {
-            version: m.version(),
-            run_token: m.run_token,
-            warm_rev: m.warm_rev(),
-            warm: m.warm_containers().to_vec(),
-        }
-    }
-}
-
-/// The keep-alive deadline of `machine`'s container for `type_id`, if it
-/// holds one.
-fn warm_deadline<M: Mapper, R: rand::Rng>(
-    engine: &Engine<'_, M, R>,
-    machine: MachineId,
-    type_id: TaskTypeId,
-) -> Option<hcsim_model::Time> {
-    let warm = engine.machines[machine.index()].warm_containers();
-    warm.iter().find(|c| c.type_id == type_id).map(|c| c.expires_at)
+/// The keep-alive deadline of `machine`'s container for `type_id`.
+fn warm_deadline(machine: &MachineState, type_id: TaskTypeId) -> Option<Time> {
+    machine.warm_containers().iter().find(|c| c.type_id == type_id).map(|c| c.expires_at)
 }

@@ -337,19 +337,10 @@ impl MachineState {
         t
     }
 
-    pub(crate) fn start(&mut self, task: Task, now: Time, total_exec: Time) {
-        self.start_with_warmth(task, now, total_exec, false);
-    }
-
-    /// [`MachineState::start`] with an explicit cold-start flag (serverless
-    /// model; the engine decides warmth from the warm-container set).
-    pub(crate) fn start_with_warmth(
-        &mut self,
-        task: Task,
-        now: Time,
-        total_exec: Time,
-        cold_start: bool,
-    ) {
+    /// Starts `task`; `cold_start` is the serverless model's warmth, which
+    /// the engine decides from the warm-container set (always `false` in
+    /// the classic model).
+    pub(crate) fn start(&mut self, task: Task, now: Time, total_exec: Time, cold_start: bool) {
         debug_assert!(self.executing.is_none(), "start on busy machine {}", self.id);
         self.executing = Some(ExecutingTask { task, started_at: now, cold_start, total_exec });
         self.version += 1;

@@ -14,7 +14,7 @@ fn capacity_accounting() {
     m.push_pending(task(2, 100));
     assert_eq!(m.occupancy(), 2);
     let first = m.pop_next_pending().unwrap();
-    m.start(first, 10, 30);
+    m.start(first, 10, 30, false);
     assert_eq!(m.occupancy(), 2); // 1 executing + 1 pending
     assert_eq!(m.free_slots(), 1);
     assert!(!m.is_idle());
@@ -40,7 +40,7 @@ fn queued_tasks_includes_executing_head_first() {
     m.push_pending(task(1, 100));
     m.push_pending(task(2, 100));
     let first = m.pop_next_pending().unwrap();
-    m.start(first, 0, 30);
+    m.start(first, 0, 30, false);
     let ids: Vec<u32> = m.queued_tasks().map(|t| t.id.0).collect();
     assert_eq!(ids, vec![1, 2]);
 }
@@ -55,7 +55,7 @@ fn version_bumps_on_every_mutation() {
     let t = m.pop_next_pending().unwrap();
     let v2 = m.version();
     assert!(v2 > v1);
-    m.start(t, 0, 30);
+    m.start(t, 0, 30, false);
     let v3 = m.version();
     assert!(v3 > v2);
     m.finish_executing();
@@ -65,7 +65,7 @@ fn version_bumps_on_every_mutation() {
 #[test]
 fn finish_bumps_run_token() {
     let mut m = MachineState::new(MachineId(0), 2);
-    m.start(task(1, 100), 0, 30);
+    m.start(task(1, 100), 0, 30, false);
     let tok = m.run_token;
     let done = m.finish_executing().unwrap();
     assert_eq!(done.task.id, TaskId(1));
@@ -133,7 +133,7 @@ fn lifecycle_transitions_and_free_slots() {
     assert!(!m.begin_drain(), "drain is idempotent");
     // Queue still runs: starting the head is legal while draining.
     let entry = m.pop_next_pending().unwrap();
-    m.start(entry, 0, 10);
+    m.start(entry, 0, 10, false);
     assert!(!m.try_complete_drain(), "still executing");
     m.finish_executing();
     assert!(m.try_complete_drain());
@@ -158,7 +158,7 @@ fn fail_requeues_executing_then_pending_and_stales_completions() {
     m.push_pending(task(2, 500));
     m.push_pending(task(3, 500));
     let head = m.pop_next_pending().unwrap();
-    m.start(head, 10, 100);
+    m.start(head, 10, 100, false);
     let token = m.run_token;
     let mut requeue = Vec::new();
     let exec = m.fail(&mut requeue).expect("machine was executing");

@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn evict_executing_records_start_time() {
         let mut fx = Fixture::new(vec![]);
-        fx.machines[0].start(task(7), 42, 30);
+        fx.machines[0].start(task(7), 42, 30, false);
         let mut ctx = fx.ctx();
         let evicted = ctx.evict_executing(MachineId(0)).unwrap();
         assert_eq!(evicted.id, TaskId(7));

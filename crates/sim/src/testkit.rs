@@ -105,7 +105,7 @@ pub fn start_next(
     }
     match machine.pop_next_pending() {
         Some(task) => {
-            machine.start_with_warmth(task, now, total_exec.max(1), cold_start);
+            machine.start(task, now, total_exec.max(1), cold_start);
             true
         }
         None => false,
@@ -166,7 +166,7 @@ pub fn start_executing(
     if machine.executing().is_some() || !machine.has_free_slot() {
         return false;
     }
-    machine.start(task, now, total_exec.max(1));
+    machine.start(task, now, total_exec.max(1), false);
     true
 }
 

@@ -1,89 +1,60 @@
 #!/bin/sh
 # Runs the mutation catalogue in mutants/INDEX.
 #
-#   mutants/run.sh [FILTER]     run every mutant whose patch name contains FILTER
-#   mutants/run.sh --check      only check that every patch still applies
+#   mutants/run.sh [FILTER]   run every mutant whose patch name contains FILTER
+#   mutants/run.sh --check    only check that every patch still applies
 #
 # Each mutant is applied in one reused worktree at target/mutants/tree,
 # checked out at HEAD and built into target/mutants/target, so that each
 # mutant rebuilds only the crates its patch touches; its named tests run
-# in release. A mutant is `killed`
-# when they fail, `survived` when they pass, and `stale` when its patch
-# no longer applies or the mutated tree does not build. Any survived or
-# stale mutant makes the run exit 1.
+# in release. A mutant is `killed` when they fail, `survived` when they
+# pass, and `stale` when its patch no longer applies or the mutated tree
+# does not build. Any survived or stale mutant makes the run exit 1.
 set -u
-
-usage() {
-    sed -n '2,5p' "$0" | sed 's/^# \{0,1\}//'
-}
-
-check=0
-filter=
+check=0 filter=
 for arg in "$@"; do
     case $arg in
     --check) check=1 ;;
-    -h | --help) usage; exit 0 ;;
-    -*) usage >&2; exit 2 ;;
+    -*) sed -n '4,5p' "$0" >&2; exit 2 ;;
     *) filter=$arg ;;
     esac
 done
-
-root=$(git rev-parse --show-toplevel) || exit 2
-cd "$root" || exit 2
-tree=target/mutants/tree
-log=target/mutants/log
-CARGO_TARGET_DIR=$root/target/mutants/target
-export CARGO_TARGET_DIR
+root=$(git rev-parse --show-toplevel) && cd "$root" || exit 2
+tree=target/mutants/tree log=target/mutants/log
+export CARGO_TARGET_DIR="$root/target/mutants/target"
 if [ "$check" -eq 0 ]; then
-    head=$(git rev-parse HEAD) || exit 2
     if [ -e "$tree/.git" ]; then
-        git -C "$tree" checkout -q --detach "$head" && git -C "$tree" reset -q --hard
+        git -C "$tree" checkout -q --detach "$(git rev-parse HEAD)" && git -C "$tree" reset -q --hard
     else
-        mkdir -p target/mutants && git worktree add -q --detach "$tree" "$head"
+        mkdir -p target/mutants && git worktree add -q --detach "$tree" HEAD
     fi || exit 2
 fi
 
-failed=0
-total=0
-start=$(date +%s)
+total=0 failed=0 start=$(date +%s)
 while read -r patch package target tests claim; do
-    case $patch in '' | '#'*) continue ;; esac
-    case $patch in *"$filter"*) ;; *) continue ;; esac
+    case $patch in '' | '#'*) continue ;; *"$filter"*) ;; *) continue ;; esac
     total=$((total + 1))
     if [ "$check" -eq 1 ]; then
-        if git apply --check "mutants/$patch" 2>/dev/null; then
-            echo "applies   $patch"
-        else
-            echo "stale     $patch ($claim)"
-            failed=$((failed + 1))
-        fi
-        continue
-    fi
-    case $target in
-    lib) selector=--lib ;;
-    *) selector="--test $target" ;;
-    esac
-    case $tests in
-    -) filters= ;;
-    *) filters=$(echo "$tests" | tr ',' ' ') ;;
-    esac
-    if ! git -C "$tree" apply "$root/mutants/$patch" 2>/dev/null; then
-        verdict="stale (no longer applies)"
-    elif ! (cd "$tree" && cargo test --release -q -p "$package" $selector --no-run) </dev/null >"$log" 2>&1; then
-        verdict="stale (does not build)"
-    elif (cd "$tree" && cargo test --release -q -p "$package" $selector -- $filters) </dev/null >"$log" 2>&1; then
-        verdict=survived
+        verdict=applies
+        git apply --check "mutants/$patch" 2>/dev/null || verdict=stale
     else
-        verdict=killed
+        selector=--lib filters=
+        [ "$target" = lib ] || selector="--test $target"
+        [ "$tests" = - ] || filters=$(echo "$tests" | tr ',' ' ')
+        test="cargo test --release -q -p $package $selector"
+        if ! git -C "$tree" apply "$root/mutants/$patch" 2>/dev/null; then
+            verdict="stale (no longer applies)"
+        elif ! (cd "$tree" && $test --no-run) </dev/null >"$log" 2>&1; then
+            verdict="stale (does not build)"
+        elif (cd "$tree" && $test -- $filters) </dev/null >"$log" 2>&1; then
+            verdict=survived
+        else
+            verdict=killed
+        fi
+        git -C "$tree" checkout -q -- .
     fi
-    git -C "$tree" checkout -q -- .
     echo "$verdict $patch ($package $target $tests; $claim)"
-    case $verdict in killed) ;; *) failed=$((failed + 1)) ;; esac
+    case $verdict in applies | killed) ;; *) failed=$((failed + 1)) ;; esac
 done <mutants/INDEX
-
-if [ "$check" -eq 1 ]; then
-    echo "$total patches, $failed stale"
-else
-    echo "$total mutants, $failed not killed, $(($(date +%s) - start)) s"
-fi
+echo "$total patches, $failed survived or stale, $(($(date +%s) - start)) s"
 [ "$total" -gt 0 ] && [ "$failed" -eq 0 ]
