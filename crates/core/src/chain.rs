@@ -247,9 +247,9 @@ pub(crate) fn conditioned_head(
 ) -> (Pmf, f64, f64) {
     // The completion PMF of the executing task is its *residual* execution
     // distribution — the PET conditioned on having already run `elapsed`
-    // units — shifted to now, with its
-    // storage pooled (`residual` used to allocate two fresh PMFs per head
-    // recompute, once per machine per mapping event).
+    // units — shifted to now, with its storage pooled (`residual` used to
+    // allocate two fresh PMFs per head recompute, once per machine per
+    // mapping event).
     let elapsed = exec.elapsed_at(now);
     let mut completion =
         pet.pmf(exec.task.type_id, machine).residual_shifted_into(elapsed, now, scratch);
