@@ -129,7 +129,7 @@ use cells::{Cells, WarmFilter};
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
 use hcsim_sim::MachineState;
-use kernel::{effective_deadline, score_unless_below};
+use kernel::score_unless_below;
 use shared::{ScorerShared, SPEC_MEMO};
 use std::sync::Arc;
 use tail::{MachineCache, TailBound};
@@ -384,10 +384,7 @@ impl ProbScorer {
         slots
     }
 
-    /// Scores appending `task` to `machine`'s queue. A machine with an
-    /// announced departure scores against `min(δ, departs_at)` — the
-    /// churn-aware bias that steers phase 2 away from soon-to-leave
-    /// machines (see `effective_deadline`).
+    /// Scores appending `task` to `machine`'s queue.
     pub fn score(&mut self, machine: &MachineState, task: &Task) -> PairScore {
         self.score_unless_below(machine, task, f64::NEG_INFINITY)
             .expect("no walk stops below an infinitely low threshold")
@@ -404,13 +401,12 @@ impl ProbScorer {
         threshold: f64,
     ) -> Option<PairScore> {
         let Self { shared, now, cells, .. } = self;
-        let deadline = effective_deadline(task.deadline, machine.announced_departure());
         cells.with(machine.id().index(), |cell| {
             cell.ensure(shared, *now, machine, false);
             score_unless_below(
                 cell.cache.tail(),
                 shared.cdf_for(task.type_id, machine),
-                deadline,
+                task.deadline,
                 shared.policy,
                 threshold,
             )
@@ -422,8 +418,7 @@ impl ProbScorer {
     /// `ahead` is pushed for real — MOC's permutation phase asks this of
     /// every hypothetical commit. `ahead` chains with the cell the append
     /// rule picks ([`PetTables::append_is_cold`]); `task` scores warm
-    /// behind a same-type `ahead` and by the same rule otherwise, at its
-    /// deadline capped by an announced departure.
+    /// behind a same-type `ahead` and by the same rule otherwise.
     pub fn score_behind(&mut self, machine: &MachineState, ahead: &Task, task: &Task) -> PairScore {
         let Self { shared, now, cells, .. } = self;
         let pets = shared.pets();
@@ -433,7 +428,6 @@ impl ProbScorer {
         } else {
             shared.cdf_for(task.type_id, machine)
         };
-        let deadline = effective_deadline(task.deadline, machine.announced_departure());
         cells.with(machine.id().index(), |cell| {
             cell.ensure(shared, *now, machine, false);
             // The step the chain takes once `ahead` is pushed for real.
@@ -451,7 +445,7 @@ impl ProbScorer {
             let score = score_unless_below(
                 &step.availability,
                 cdf,
-                deadline,
+                task.deadline,
                 shared.policy,
                 f64::NEG_INFINITY,
             );

@@ -112,25 +112,9 @@ pub(super) fn robustness_bound(earliest: Time, cdf: &PetCdf, deadline: Time) -> 
     }
 }
 
-/// Effective scoring deadline on one machine: a task on a machine with an
-/// announced departure cannot be counted on past the departure instant —
-/// a drain stops the queue, a fail requeues it — so its robustness is
-/// computed against `min(δ, departs_at)`. Machines without an
-/// announcement score against the plain deadline. The per-shard bound
-/// pass keeps the unclamped deadline: clamping only *lowers* robustness,
-/// so the unclamped bound stays a valid upper bound. The per-pair bound
-/// knows its machine and takes the clamped one.
-#[inline]
-pub(super) fn effective_deadline(deadline: Time, cap: Option<Time>) -> Time {
-    match cap {
-        Some(departs_at) => deadline.min(departs_at),
-        None => deadline,
-    }
-}
-
 /// The per-pair bound of [`ScorerShared::pair_clears`] resolved, for one
 /// cell, one earliest start and one threshold, into a deadline cutoff: a
-/// pair clears iff its effective deadline is at least the cutoff (`None`:
+/// pair clears iff its deadline is at least the cutoff (`None`:
 /// no deadline clears). The bound `CDF(δ − earliest)` only grows with δ,
 /// so the cutoff is `earliest` plus the first breakpoint whose prefix
 /// clears — and at least one tick past `earliest`, where the bound stops
@@ -227,9 +211,8 @@ impl PairWork {
 /// the per-task walk of [`score_unless_below`] (same impulse order, same
 /// CDF values, same float operations, same stopping test), so the column
 /// is bit-identical to per-pair scoring; the remainder lanes literally
-/// call it. The machine's announced departure caps each deadline (see
-/// [`effective_deadline`]), and under a cold-start model each task's CDF
-/// is selected warm-or-cold from the machine's warm-container set via
+/// call it. Under a cold-start model each task's CDF is selected
+/// warm-or-cold from the machine's warm-container set via
 /// [`ScorerShared::cdf_for`].
 pub(super) fn score_column_scatter(
     tail: &Pmf,
@@ -240,14 +223,13 @@ pub(super) fn score_column_scatter(
     col: &mut [Option<PairScore>],
 ) -> PairWork {
     let earliest = tail.min_time();
-    let cap = machine.announced_departure();
     cutoffs.begin_column(shared.task_types);
     let mut survivors = live.iter().filter(|l| {
         let tt = l.task.type_id;
         let cutoff = cutoffs.get(tt, l.threshold, || {
             deadline_cutoff(earliest, shared.cdf_for(tt, machine), l.threshold)
         });
-        cutoff.is_some_and(|cutoff| effective_deadline(l.task.deadline, cap) >= cutoff)
+        cutoff.is_some_and(|cutoff| l.task.deadline >= cutoff)
     });
     let mut work = PairWork::default();
     loop {
@@ -265,7 +247,7 @@ pub(super) fn score_column_scatter(
             let score = score_unless_below(
                 tail,
                 shared.cdf_for(entry.task.type_id, machine),
-                effective_deadline(entry.task.deadline, cap),
+                entry.task.deadline,
                 shared.policy,
                 entry.threshold,
             );
@@ -287,9 +269,8 @@ fn score_quad(
     machine: &MachineState,
     quad: [&LiveRow; 4],
 ) -> [Option<PairScore>; 4] {
-    let cap = machine.announced_departure();
     let cdfs = quad.map(|l| shared.cdf_for(l.task.type_id, machine));
-    let deadlines = quad.map(|l| effective_deadline(l.task.deadline, cap));
+    let deadlines = quad.map(|l| l.task.deadline);
     let thresholds = quad.map(|l| l.threshold);
     if shared.policy == DropPolicy::None {
         return [0, 1, 2, 3].map(|l| {

@@ -4,7 +4,7 @@
 //! one-entry memo that lets every mapper built against the same system
 //! share them.
 
-use super::kernel::{effective_deadline, robustness_bound, BOUND_MARGIN};
+use super::kernel::{robustness_bound, BOUND_MARGIN};
 use crate::chain::PetTables;
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskTypeId, Time};
 use hcsim_pmf::{DropPolicy, Pmf};
@@ -187,13 +187,12 @@ impl ScorerShared {
     /// appending `task` to `machine`, whose tail starts no sooner than
     /// `earliest`, can reach `threshold` at all. One lookup in the cell
     /// the kernel would score with — warm or cold as [`Self::cdf_for`]
-    /// picks it for this machine — at the deadline the kernel would use
-    /// (capped by an announced departure). `false` proves the exact
-    /// robustness strictly below `threshold` (`BOUND_MARGIN` absorbs the
-    /// float slop), so the pair can stay unscored; an `earliest` older
-    /// than the live tail's is only looser, so still valid. A column
-    /// rescore runs the same test as one deadline compare per row
-    /// (`kernel::deadline_cutoff`).
+    /// picks it for this machine — at the task's deadline. `false` proves
+    /// the exact robustness strictly below `threshold` (`BOUND_MARGIN`
+    /// absorbs the float slop), so the pair can stay unscored; an
+    /// `earliest` older than the live tail's is only looser, so still
+    /// valid. A column rescore runs the same test as one deadline compare
+    /// per row (`kernel::deadline_cutoff`).
     #[inline]
     pub(super) fn pair_clears(
         &self,
@@ -202,8 +201,7 @@ impl ScorerShared {
         earliest: Time,
         threshold: f64,
     ) -> bool {
-        let deadline = effective_deadline(task.deadline, machine.announced_departure());
-        let bound = robustness_bound(earliest, self.cdf_for(task.type_id, machine), deadline);
+        let bound = robustness_bound(earliest, self.cdf_for(task.type_id, machine), task.deadline);
         bound + BOUND_MARGIN >= threshold
     }
 

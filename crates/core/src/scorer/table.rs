@@ -39,8 +39,8 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 ///
 /// A slot belongs to a **class**, not to one row: the window rows that
 /// share a `(type, deadline)` key. Those are the only task fields a cell,
-/// a bound, a deadline cutoff or a threshold reads (`cdf_for`,
-/// `effective_deadline`, `skip_below`), so every member of a class gets
+/// a bound, a deadline cutoff or a threshold reads (`cdf_for`, the
+/// deadline, `skip_below`), so every member of a class gets
 /// the same answer from every operation — and on a serverless burst half
 /// the window is members of a live class. A class owns one slot — its
 /// cells, lane liveness, shard bests and threshold — and lists its
@@ -86,25 +86,24 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// * inside a surviving lane, a **per-pair bound** stands in front of
 ///   every exact score: the same one-lookup bound, evaluated against the
 ///   machine's *own* cell (warm or cold as that machine would place the
-///   type), its own earliest start and its own announced departure
-///   (`ScorerShared::pair_clears`). The envelope is a max over up to 32
-///   members, so most pairs it lets through — nine in ten on an
-///   oversubscribed cluster — fail their own machine's bound and stay
-///   `None` without the scoring walk. (A column rescore resolves that
-///   bound once per task type into a deadline cutoff and compares each
-///   row's deadline against it.) A pair that clears it is walked under
-///   its row's threshold, and the walk stops — the pair stays `None` —
-///   once the impulses left cannot lift it to the threshold. This is the
-///   same contract applied per pair instead of per lane, and it is the
-///   table's invariant: **a `None` on a free machine is a pair proven
-///   strictly below the threshold its row is held to — by a bound or by
-///   a stopped walk; a `Some` is the exact score.** Every path that
-///   writes a cell tests the bound first and walks under the threshold
-///   (column rescores, the rebuild fan-out on either execution mode,
-///   appended rows, resurrected lanes), and the one event that can
-///   invalidate a proof without touching the machine — the caller
-///   *lowering* the row's threshold — has [`ScoreTable::ensure`] re-test
-///   the row's unscored pairs.
+///   type) and its own earliest start (`ScorerShared::pair_clears`). The
+///   envelope is a max over up to 32 members, so most pairs it lets
+///   through — nine in ten on an oversubscribed cluster — fail their own
+///   machine's bound and stay `None` without the scoring walk. (A column
+///   rescore resolves that bound once per task type into a deadline
+///   cutoff and compares each row's deadline against it.) A pair that
+///   clears it is walked under its row's threshold, and the walk stops —
+///   the pair stays `None` — once the impulses left cannot lift it to the
+///   threshold. This is the same contract applied per pair instead of per
+///   lane, and it is the table's invariant: **a `None` on a free machine
+///   is a pair proven strictly below the threshold its row is held to —
+///   by a bound or by a stopped walk; a `Some` is the exact score.**
+///   Every path that writes a cell tests the bound first and walks under
+///   the threshold (column rescores, the rebuild fan-out on either
+///   execution mode, appended rows, resurrected lanes), and the one event
+///   that can invalidate a proof without touching the machine — the
+///   caller *lowering* the row's threshold — has [`ScoreTable::ensure`]
+///   re-test the row's unscored pairs.
 /// * each shard also caches its **per-row best candidate**
 ///   (first-wins under the exact comparison), so
 ///   [`ScoreTable::best_for_row`] reduces over O(shards) precomputed
@@ -710,14 +709,13 @@ impl ScoreTable {
 
     /// Revalidates the table for a new mapping event — at the same
     /// instant or a later one — instead of rebuilding. A column is a pure
-    /// function of the machine's tail, its warm/cold CDF selection and its
-    /// announced departure; none of them reads the clock, and every one
-    /// of them bumps [`MachineState::version`] when it changes, except
-    /// the tail's conditioned head, whose validity the table records per
-    /// machine as a window of event times. So while the membership epoch
-    /// holds, the *changed* machines are exactly those whose version
-    /// moved (completions, assignments, pruner drops, warm-set and
-    /// announcement changes) plus the free machines whose recorded head
+    /// function of the machine's tail and its warm/cold CDF selection;
+    /// neither reads the clock, and each bumps [`MachineState::version`]
+    /// when it changes, except the tail's conditioned head, whose
+    /// validity the table records per machine as a window of event times.
+    /// So while the membership epoch holds, the *changed* machines are
+    /// exactly those whose version moved (completions, assignments, pruner
+    /// drops, warm-set changes) plus the free machines whose recorded head
     /// window no longer contains `now` (an executing task crossed a PET
     /// impulse; an idle machine's `delta(now)` moved). Only they are
     /// rescored, rows whose bounds they loosened are resurrected, and the

@@ -1,7 +1,7 @@
 //! Fixtures and cross-checks shared by the scorer unit tests (and, for
 //! the restore contract, by the PAM and MOC ones).
 
-use super::kernel::{effective_deadline, score_unless_below};
+use super::kernel::score_unless_below;
 use super::shared::{PetCdf, TABLE_SHARD_WIDTH};
 use super::table::better_pair;
 use super::{PairScore, ProbScorer, ScoreTable};
@@ -13,8 +13,7 @@ use hcsim_sim::{testkit, MachineState};
 /// Exact append scores with none of the scorer's tables but the prefix
 /// CDF of every PET cell: a pair is scored in the cell
 /// `ScorerShared::cdf_for` picks (cold when the append is a cold
-/// placement under a cold-start model), at the deadline an announced
-/// departure caps, walked to its end.
+/// placement under a cold-start model), walked to its end.
 #[derive(Debug)]
 pub(crate) struct ExactScores {
     warm: Vec<PetCdf>,
@@ -50,8 +49,7 @@ impl ExactScores {
             _ => &self.warm,
         };
         let cdf = &cdfs[task.type_id.index() * self.machines + machine.id().index()];
-        let deadline = effective_deadline(task.deadline, machine.announced_departure());
-        score_unless_below(tail, cdf, deadline, policy, f64::NEG_INFINITY)
+        score_unless_below(tail, cdf, task.deadline, policy, f64::NEG_INFINITY)
             .expect("no walk stops below an infinitely low threshold")
     }
 }

@@ -451,9 +451,8 @@ fn assert_column_matches_pairwise(
     let mut want = PairWork::default();
     for l in live {
         let cdf = shared.cdf_for(l.task.type_id, machine);
-        let deadline = effective_deadline(l.task.deadline, machine.announced_departure());
-        let exact = exact_score(tail, cdf, deadline, shared.policy);
-        let walked = score_unless_below(tail, cdf, deadline, shared.policy, l.threshold);
+        let exact = exact_score(tail, cdf, l.task.deadline, shared.policy);
+        let walked = score_unless_below(tail, cdf, l.task.deadline, shared.policy, l.threshold);
         match walked {
             Some(_) => assert_eq!(bits(walked), bits(Some(exact)), "{l:?}: finished walk"),
             None => assert!(
@@ -485,12 +484,10 @@ fn column_cutoffs_agree_with_the_pair_bound_at_the_edges() {
     let (pet, cold) = (cells(0), cells(10));
     let tail = Pmf::from_points(&[(10, 0.5), (16, 0.3), (40, 0.2)]).unwrap();
     let earliest = tail.min_time();
-    // Type 0 warm and type 1 cold on the first machine; the second also
-    // leaves at 22, between breakpoints; the third places both cold.
+    // Type 0 warm and type 1 cold on the first machine; the second
+    // places both cold.
     let mut warm0 = MachineState::new(MachineId(0), 4);
     testkit::set_warm(&mut warm0, TaskTypeId(0), 1_000);
-    let mut leaving = warm0.clone();
-    testkit::announce_departure(&mut leaving, Some(22));
     let all_cold = MachineState::new(MachineId(0), 4);
     // Slack exactly on every breakpoint of every cell, one tick either
     // side, none at all (`earliest ≥ δ`), and past the tail's end.
@@ -502,7 +499,7 @@ fn column_cutoffs_agree_with_the_pair_bound_at_the_edges() {
         let shared = ScorerShared::derive(pet.clone(), Some(cold.clone()), policy, 16);
         // One scratch across every column: no entry may outlive its own.
         let mut cutoffs = Cutoffs::default();
-        for machine in [&warm0, &leaving, &all_cold] {
+        for machine in [&warm0, &all_cold] {
             // Thresholds a zero bound clears (≤ BOUND_MARGIN), each
             // cell's prefix steps exactly and just past where the bound
             // clears them, and certainty.
@@ -816,11 +813,9 @@ fn score_table_ensure_across_ticks_matches_fresh_rebuild() {
     // Tick 9 — inside every executing head's bucket (first impulse at
     // 20). Machine 70 completes and drains (resurrection in shard 2),
     // machine 10 gains a warm container (`warm_rev` flip: the append
-    // CDF goes cold → warm), machine 20 announces its departure
-    // (deadline clamp), and the eight idle heads re-key.
+    // CDF goes cold → warm), and the eight idle heads re-key.
     assert!(testkit::apply(&mut machines[70], testkit::QueueOp::FinishExecuting));
     testkit::set_warm(&mut machines[10], TaskTypeId(1), 500);
-    testkit::announce_departure(&mut machines[20], Some(50));
     scorer.begin_event(9);
     assert!(table.ensure(&mut scorer, &machines, &tasks, &threshold), "cross-tick reuse");
     assert_table_matches_fresh_rebuild(&table, (&pet, &cold), &machines, &tasks, 9, &threshold);
@@ -893,11 +888,10 @@ fn score_table_ensure_follows_threshold_drift() {
 ///   robustness 0.2;
 /// * B (machine 1) frees up at 30 with probability 0.875 and runs the row
 ///   in 25 with probability 0.4: own bound `CDF(30) = 0.4`, exact
-///   robustness 0.35 — unless it announced its departure for
-///   `b_departs`, which caps the row's deadline there;
+///   robustness 0.35;
 /// * C (machine 2) is idle and needs a sure 70: hopeless for δ = 60, a
 ///   certain fit for δ = 400.
-fn drift_fixture(b_departs: Option<Time>) -> (PetMatrix, Vec<MachineState>) {
+fn drift_fixture() -> (PetMatrix, Vec<MachineState>) {
     let cell = |points: &[(Time, f64)]| Pmf::from_points(points).unwrap();
     let pet = PetMatrix::from_pmfs(
         2,
@@ -917,7 +911,6 @@ fn drift_fixture(b_departs: Option<Time>) -> (PetMatrix, Vec<MachineState>) {
         let head = Task { id: TaskId(m as u32), type_id: TaskTypeId(0), arrival: 0, deadline: 400 };
         assert!(testkit::start_executing(machine, head, 0, 200));
     }
-    testkit::announce_departure(&mut machines[1], b_departs);
     (pet, machines)
 }
 
@@ -931,7 +924,7 @@ fn score_table_ensure_retests_unscored_pairs_when_a_threshold_drops() {
     // bound (0.4) leaves B unscored, and A's exact robustness is only
     // 0.2. With nothing but the threshold moving to 0.3, B's proof is
     // void: B must be scored, and — at 0.35 — win the row.
-    let (pet, machines) = drift_fixture(None);
+    let (pet, machines) = drift_fixture();
     let rows = [drift_row(9_000, 60)];
     let at = |threshold: f64| move |_: TaskTypeId| threshold;
     let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
@@ -961,7 +954,7 @@ fn score_table_ensure_retests_slid_in_rows_in_a_dirty_shard() {
     // (its threshold was recorded by `push_row`), and with the shard
     // dirty at the drifting event — C's queue moved — so the lane's best
     // cache must be settled by the retest, not by the fold over C.
-    let (pet, mut machines) = drift_fixture(None);
+    let (pet, mut machines) = drift_fixture();
     let mut rows = vec![drift_row(9_000, 400), drift_row(9_001, 60)];
     let at = |threshold: f64| move |_: TaskTypeId| threshold;
     let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
@@ -989,32 +982,6 @@ fn score_table_ensure_retests_slid_in_rows_in_a_dirty_shard() {
         assert!((score.robustness - 0.35).abs() < 1e-12, "row {row}: {score:?}");
     }
     assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.3));
-}
-
-#[test]
-fn score_table_pair_bound_honours_an_announced_departure() {
-    // B leaves at 52: the row's deadline there is 52, not 60, so B's own
-    // bound is `CDF(22) = 0` and the drift to 0.3 must *not* score it —
-    // the retest probes it and leaves it — while a threshold of 0 does.
-    let (pet, machines) = drift_fixture(Some(52));
-    let rows = [drift_row(9_000, 60)];
-    let at = |threshold: f64| move |_: TaskTypeId| threshold;
-    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
-    let mut table = ScoreTable::new();
-    scorer.begin_event(1);
-    table.ensure(&mut scorer, &machines, &rows, &at(0.5));
-    let (scored, bounded) = (table.pairs_scored(), table.pairs_bounded());
-    assert_eq!((scored, bounded), (1, 2), "A scored; B and C bounded");
-
-    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.3)));
-    assert_eq!(table.get(0, 1), None);
-    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (scored, bounded + 2));
-    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.3));
-
-    assert!(table.ensure(&mut scorer, &machines, &rows, &at(0.0)));
-    assert_eq!(table.get(0, 1).map(|s| s.robustness), Some(0.0));
-    assert_eq!(table.pairs_scored(), scored + 2, "B and C");
-    assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &at(0.0));
 }
 
 #[test]
@@ -1464,28 +1431,6 @@ fn score_behind_on_a_cold_machine_is_a_real_push() {
     for (tt, deadline) in [(1, 150), (1, 600), (0, 150), (0, 600)] {
         assert_score_behind_is_a_real_push(&mut scorer, &machine, ahead, task(2, tt, deadline));
     }
-}
-
-#[test]
-fn score_behind_on_a_departing_machine_is_a_real_push() {
-    let pmfs = vec![
-        Pmf::from_points(&[(2, 0.25), (3, 0.5), (5, 0.25)]).unwrap(),
-        Pmf::from_points(&[(4, 0.5), (9, 0.5)]).unwrap(),
-    ];
-    let pet = PetMatrix::from_pmfs(2, 1, pmfs);
-    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
-    let task =
-        |id, tt, deadline| Task { id: TaskId(id), type_id: TaskTypeId(tt), arrival: 0, deadline };
-    let mut staying = testkit::machine_with_pending(MachineId(0), 4, &[task(0, 0, 30)]);
-    assert!(testkit::start_next(&mut staying, 0, 5, false));
-    testkit::apply(&mut staying, testkit::QueueOp::Push(task(1, 1, 30)));
-    let mut leaving = staying.clone();
-    testkit::announce_departure(&mut leaving, Some(16));
-    scorer.begin_event(1);
-    let (ahead, behind) = (task(2, 0, 30), task(3, 1, 40));
-    let capped = assert_score_behind_is_a_real_push(&mut scorer, &leaving, ahead, behind);
-    let uncapped = assert_score_behind_is_a_real_push(&mut scorer, &staying, ahead, behind);
-    assert!(capped.robustness < uncapped.robustness, "{capped:?} vs {uncapped:?}");
 }
 
 #[test]

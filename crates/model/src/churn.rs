@@ -54,23 +54,6 @@ pub struct ChurnEvent {
     pub kind: ChurnKind,
 }
 
-/// An advance warning that a machine will leave the cluster: planned
-/// maintenance publishes its drain window ahead of time, and failure
-/// predictors flag unhealthy machines before they die. The simulator
-/// surfaces the notice to mappers (via the machine state) so phase-2
-/// placement can bias away from soon-to-leave machines *before* the
-/// membership event lands, instead of learning it indirectly through
-/// degraded scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepartureNotice {
-    /// When the notice becomes visible to the scheduler.
-    pub time: Time,
-    /// The machine expected to leave.
-    pub machine: MachineId,
-    /// When it is expected to leave (the matching churn event's time).
-    pub departs_at: Time,
-}
-
 /// A full membership timeline for one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnTrace {
@@ -79,11 +62,6 @@ pub struct ChurnTrace {
     pub initially_offline: Vec<MachineId>,
     /// Membership events, sorted by time (ties resolved in vector order).
     pub events: Vec<ChurnEvent>,
-    /// Optional pre-announcements of drains/failures, sorted by time.
-    /// Empty in traces that model unannounced churn (the default; absent
-    /// in serialized traces from before notices existed).
-    #[serde(default)]
-    pub notices: Vec<DepartureNotice>,
 }
 
 impl ChurnTrace {
@@ -96,7 +74,7 @@ impl ChurnTrace {
     /// True when the trace changes nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.initially_offline.is_empty() && self.events.is_empty() && self.notices.is_empty()
+        self.initially_offline.is_empty() && self.events.is_empty()
     }
 
     /// Validates the trace against a cluster of `num_machines` machines.
@@ -118,13 +96,6 @@ impl ChurnTrace {
                 "churn event machine {} out of range",
                 e.machine
             );
-        }
-        for w in self.notices.windows(2) {
-            assert!(w[0].time <= w[1].time, "departure notices must be time-sorted");
-        }
-        for n in &self.notices {
-            assert!(n.machine.index() < num_machines, "notice machine {} out of range", n.machine);
-            assert!(n.time <= n.departs_at, "a notice cannot postdate the departure it announces");
         }
     }
 }
@@ -149,7 +120,6 @@ mod tests {
                 ChurnEvent { time: 10, machine: MachineId(0), kind: ChurnKind::Drain },
                 ChurnEvent { time: 25, machine: MachineId(1), kind: ChurnKind::Fail },
             ],
-            notices: vec![],
         };
         assert!(!t.is_empty());
         t.validate(4);
@@ -164,7 +134,6 @@ mod tests {
                 ChurnEvent { time: 25, machine: MachineId(1), kind: ChurnKind::Fail },
                 ChurnEvent { time: 10, machine: MachineId(0), kind: ChurnKind::Join },
             ],
-            notices: vec![],
         }
         .validate(2);
     }
@@ -172,30 +141,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn validate_rejects_out_of_range() {
-        ChurnTrace { initially_offline: vec![MachineId(9)], events: vec![], notices: vec![] }
-            .validate(4);
-    }
-
-    #[test]
-    fn notice_validation() {
-        let t = ChurnTrace {
-            initially_offline: vec![],
-            events: vec![ChurnEvent { time: 40, machine: MachineId(1), kind: ChurnKind::Fail }],
-            notices: vec![DepartureNotice { time: 20, machine: MachineId(1), departs_at: 40 }],
-        };
-        assert!(!t.is_empty());
-        t.validate(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "postdate")]
-    fn notice_after_departure_rejected() {
-        ChurnTrace {
-            initially_offline: vec![],
-            events: vec![],
-            notices: vec![DepartureNotice { time: 50, machine: MachineId(0), departs_at: 40 }],
-        }
-        .validate(1);
+        ChurnTrace { initially_offline: vec![MachineId(9)], events: vec![] }.validate(4);
     }
 
     #[test]

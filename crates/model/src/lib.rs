@@ -35,7 +35,7 @@ mod pet;
 mod spec;
 mod task;
 
-pub use churn::{ChurnEvent, ChurnKind, ChurnTrace, DepartureNotice};
+pub use churn::{ChurnEvent, ChurnKind, ChurnTrace};
 pub use coldstart::ColdStartModel;
 pub use cost::{CostTracker, PriceTable};
 pub use ids::{MachineId, TaskId, TaskTypeId};

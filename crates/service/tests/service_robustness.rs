@@ -348,7 +348,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// single-start: a pending entry shrank to its task, an executing one
 /// lost its earlier progress, the engine's per-task carried-progress table
 /// and the PAM blob's own version word and preemption counter went, and
-/// the fixtures stopped carrying progress across failures.
+/// the fixtures stopped carrying progress across failures. At version 5
+/// the three engine-bearing streams moved again, when departure notices
+/// went: each machine lost its announced-departure field (one byte per
+/// machine) and the notice event tag went; the two blobs did not move.
 #[test]
 fn wire_formats_are_pinned() {
     let (spec, tasks, churn) = pin_fixture();
@@ -372,11 +375,11 @@ fn wire_formats_are_pinned() {
     let checkpoint = killed_checkpoint(&spec, &tasks, &churn).to_bytes();
 
     let pin = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
-    assert_eq!(pin(&snapshot), (8_671, 2_918_179_779_969_834_621), "SimSession::snapshot()");
+    assert_eq!(pin(&snapshot), (8_663, 4_811_677_088_987_657_482), "SimSession::snapshot()");
     assert_eq!(pin(&blob), (525, 7_833_073_530_335_260_931), "adaptive Pam::snapshot_state()");
     assert_eq!(
         pin(&checkpoint),
-        (10_476, 16_126_363_017_339_967_334),
+        (10_468, 2_575_284_371_924_069_077),
         "ServiceCheckpoint::to_bytes()"
     );
 
@@ -425,7 +428,7 @@ fn wire_formats_are_pinned() {
     }
     assert_eq!(
         pin(&session.snapshot()),
-        (8_806, 1_282_988_468_210_405_342),
+        (8_798, 8_441_121_712_211_467_214),
         "serverless SimSession::snapshot()"
     );
 }

@@ -78,16 +78,6 @@ pub enum SimEvent {
     MachineDrain(MachineId),
     /// The machine fails immediately; its queued tasks re-enter the batch.
     MachineFail(MachineId),
-    /// Advance warning that `machine` will leave the cluster at
-    /// `departs_at` (see [`hcsim_model::DepartureNotice`]). Membership is
-    /// unchanged; the machine is flagged so mappers bias placement away
-    /// from it before the departure lands.
-    MachineNotice {
-        /// The machine expected to leave.
-        machine: MachineId,
-        /// When it is expected to leave.
-        departs_at: Time,
-    },
     /// Liveness tick: forces a mapping event so deferred tasks expire.
     DeadlineSweep,
     /// Keep-alive expiry of `machine`'s warm container for `type_id`
@@ -139,7 +129,7 @@ impl EventSink<'_> {
     ///
     /// Panics when an arrival names a task type, or a membership event a
     /// machine, outside the system spec — the pipeline is open to
-    /// arbitrary sources (hand-written traces, CSV imports), so the range
+    /// arbitrary sources (hand-written traces included), so the range
     /// check happens here, at intake, rather than as an index panic
     /// mid-run.
     pub fn push(&mut self, time: Time, event: SimEvent) {
@@ -151,7 +141,6 @@ impl EventSink<'_> {
             SimEvent::MachineJoin(m)
             | SimEvent::MachineDrain(m)
             | SimEvent::MachineFail(m)
-            | SimEvent::MachineNotice { machine: m, .. }
             | SimEvent::ContainerExpiry { machine: m, .. } => {
                 assert!(
                     m.index() < self.num_machines,
@@ -235,12 +224,6 @@ impl EventSource for ChurnSource<'_> {
     }
 
     fn emit(&mut self, sink: &mut EventSink<'_>) {
-        for n in &self.trace.notices {
-            sink.push(
-                n.time,
-                SimEvent::MachineNotice { machine: n.machine, departs_at: n.departs_at },
-            );
-        }
         for e in &self.trace.events {
             let event = match e.kind {
                 ChurnKind::Join => SimEvent::MachineJoin(e.machine),
@@ -540,12 +523,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
                 }
             }
             SimEvent::MachineFail(m) => self.handle_fail(m),
-            SimEvent::MachineNotice { machine, departs_at } => {
-                // Not a membership change (the schedulable count is
-                // untouched) — the machine's version bump re-keys scorer
-                // caches, and the mapping event below lets phase 2 react.
-                self.machines[machine.index()].set_announced_departure(Some(departs_at));
-            }
             SimEvent::DeadlineSweep => {}
             SimEvent::ContainerExpiry { machine, type_id } => {
                 // Reclaim iff the container's keep-alive deadline is

@@ -367,7 +367,6 @@ fn failed_machine_requeues_tasks_and_survivors_finish_them() {
         // Fail machine 0 at t=5: its executing + pending tasks must
         // re-enter the batch and be remapped to machine 1.
         events: vec![ChurnEvent { time: 5, machine: MachineId(0), kind: ChurnKind::Fail }],
-        notices: vec![],
     };
     let report = churn_run(&spec, &tasks, &churn, 22);
     assert_eq!(report.churn.fails, 1);
@@ -387,7 +386,6 @@ fn drained_machine_finishes_queue_but_takes_no_new_work() {
     let churn = ChurnTrace {
         initially_offline: vec![],
         events: vec![ChurnEvent { time: 2, machine: MachineId(0), kind: ChurnKind::Drain }],
-        notices: vec![],
     };
     let report = churn_run(&spec, &tasks, &churn, 23);
     assert_eq!(report.churn.drains, 1);
@@ -408,7 +406,6 @@ fn joining_machine_adds_capacity_mid_run() {
     let churn = ChurnTrace {
         initially_offline: vec![MachineId(1)],
         events: vec![ChurnEvent { time: 3, machine: MachineId(1), kind: ChurnKind::Join }],
-        notices: vec![],
     };
     let report = churn_run(&spec, &tasks, &churn, 24);
     assert_eq!(report.churn.joins, 1);
@@ -434,7 +431,6 @@ fn all_machines_failing_expires_remaining_tasks() {
             ChurnEvent { time: 1, machine: MachineId(0), kind: ChurnKind::Fail },
             ChurnEvent { time: 1, machine: MachineId(1), kind: ChurnKind::Fail },
         ],
-        notices: vec![],
     };
     let report = churn_run(&spec, &tasks, &churn, 25);
     assert_eq!(report.churn.fails, 2);
@@ -451,14 +447,13 @@ fn all_machines_failing_expires_remaining_tasks() {
 #[should_panic(expected = "out of range")]
 fn out_of_range_membership_event_is_rejected_at_intake() {
     // The open pipeline accepts arbitrary sources (hand-written
-    // traces, CSV imports), so a bad machine id must fail with a
+    // traces included), so a bad machine id must fail with a
     // clear message at emit time, not an index panic mid-run.
     let spec = small_spec(2);
     let tasks = tasks_every(1, 0, 100);
     let churn = ChurnTrace {
         initially_offline: vec![],
         events: vec![ChurnEvent { time: 5, machine: MachineId(9), kind: ChurnKind::Fail }],
-        notices: vec![],
     };
     let mut task_source = TaskTraceSource::new(&tasks);
     let mut churn_source = ChurnSource::new(&churn);
@@ -520,7 +515,6 @@ fn membership_epoch_is_visible_to_the_mapper() {
             ChurnEvent { time: 7, machine: MachineId(1), kind: ChurnKind::Drain },
             ChurnEvent { time: 20, machine: MachineId(1), kind: ChurnKind::Join },
         ],
-        notices: vec![],
     };
     let mut mapper = EpochProbe::default();
     let mut rng = SeedSequence::new(26).stream(9);
@@ -547,7 +541,6 @@ fn max_requeues_zero_sheds_on_first_failure() {
     let churn = ChurnTrace {
         initially_offline: vec![],
         events: vec![ChurnEvent { time: 5, machine: MachineId(0), kind: ChurnKind::Fail }],
-        notices: vec![],
     };
     let mut rng = SeedSequence::new(30).stream(9);
     let mut mapper = FirstFitMapper;
@@ -576,7 +569,6 @@ fn max_requeues_one_allows_a_single_retry() {
             ChurnEvent { time: 5, machine: MachineId(0), kind: ChurnKind::Fail },
             ChurnEvent { time: 7, machine: MachineId(1), kind: ChurnKind::Fail },
         ],
-        notices: vec![],
     };
     let mut rng = SeedSequence::new(31).stream(9);
     let mut mapper = FirstFitMapper;
@@ -597,7 +589,6 @@ fn unbounded_requeues_match_the_default() {
     let churn = ChurnTrace {
         initially_offline: vec![],
         events: vec![ChurnEvent { time: 5, machine: MachineId(0), kind: ChurnKind::Fail }],
-        notices: vec![],
     };
     let baseline = churn_run(&spec, &tasks, &churn, 22);
     let mut rng = SeedSequence::new(22).stream(9);
@@ -619,7 +610,6 @@ fn service_churn() -> ChurnTrace {
             ChurnEvent { time: 70, machine: MachineId(0), kind: ChurnKind::Fail },
             ChurnEvent { time: 95, machine: MachineId(0), kind: ChurnKind::Join },
         ],
-        notices: vec![],
     }
 }
 

@@ -27,8 +27,7 @@ wire_enum!(SimEvent, "event tag" {
     3 => MachineDrain(machine: MachineId),
     4 => MachineFail(machine: MachineId),
     5 => DeadlineSweep,
-    6 => MachineNotice { machine: MachineId, departs_at: Time },
-    7 => ContainerExpiry { machine: MachineId, type_id: TaskTypeId },
+    6 => ContainerExpiry { machine: MachineId, type_id: TaskTypeId },
 });
 
 wire_enum!(TaskOutcome, "outcome tag" {

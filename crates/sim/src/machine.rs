@@ -88,11 +88,6 @@ pub struct MachineState {
     version: u64,
     /// Invalidates in-flight completion events after an eviction.
     pub(crate) run_token: u64,
-    /// Announced departure time (drain/fail pre-announcement from the
-    /// churn trace): `Some(t)` means the machine is expected to leave the
-    /// cluster at `t`, so mappers should not queue work that cannot finish
-    /// by then. Cleared when the machine actually leaves or (re)joins.
-    announced_departure: Option<Time>,
     /// Warm containers (serverless cold-start model), in pin/refresh
     /// order. Empty in the classic HC model — the engine only populates
     /// this when the spec carries a [`hcsim_model::ColdStartModel`].
@@ -109,7 +104,6 @@ crate::wire_struct!(MachineState {
     lifecycle: MachineLifecycle,
     version: u64,
     run_token: u64,
-    announced_departure: Option<Time>,
     executing: Option<ExecutingTask>,
     pending: VecDeque<Task>,
     warm: Vec<WarmContainer>,
@@ -130,7 +124,6 @@ impl Clone for MachineState {
             lifecycle: self.lifecycle,
             version: self.version,
             run_token: self.run_token,
-            announced_departure: self.announced_departure,
             warm: self.warm.clone(),
             warm_rev: self.warm_rev,
         }
@@ -148,7 +141,6 @@ impl Clone for MachineState {
             lifecycle,
             version,
             run_token,
-            announced_departure,
             warm,
             warm_rev,
         } = source;
@@ -159,7 +151,6 @@ impl Clone for MachineState {
         self.lifecycle = *lifecycle;
         self.version = *version;
         self.run_token = *run_token;
-        self.announced_departure = *announced_departure;
         self.warm.clone_from(warm);
         self.warm_rev = *warm_rev;
     }
@@ -183,7 +174,6 @@ impl MachineState {
             lifecycle: MachineLifecycle::Active,
             version: 0,
             run_token: 0,
-            announced_departure: None,
             warm: Vec::new(),
             warm_rev: 0,
         }
@@ -270,15 +260,6 @@ impl MachineState {
         self.version
     }
 
-    /// Announced departure time, if a drain or failure of this machine has
-    /// been pre-announced by the churn pipeline. Robustness-aware mappers
-    /// clamp a task's deadline to this when scoring the machine: work that
-    /// cannot finish before the departure contributes nothing.
-    #[must_use]
-    pub fn announced_departure(&self) -> Option<Time> {
-        self.announced_departure
-    }
-
     /// Warm containers (serverless cold-start model), in pin/refresh
     /// order. Always empty in the classic HC model.
     #[must_use]
@@ -318,15 +299,6 @@ impl MachineState {
         debug_assert!(self.has_free_slot(), "push on full machine {}", self.id);
         self.pending.push_back(task);
         self.version += 1;
-    }
-
-    /// Records a departure announcement (or clears it with `None`). Bumps
-    /// the version so scorer caches keyed on machine state re-score.
-    pub(crate) fn set_announced_departure(&mut self, departs_at: Option<Time>) {
-        if self.announced_departure != departs_at {
-            self.announced_departure = departs_at;
-            self.version += 1;
-        }
     }
 
     pub(crate) fn pop_next_pending(&mut self) -> Option<Task> {
@@ -440,7 +412,6 @@ impl MachineState {
             self.id
         );
         self.lifecycle = MachineLifecycle::Active;
-        self.announced_departure = None;
         self.version += 1;
         true
     }
@@ -458,8 +429,6 @@ impl MachineState {
         if self.lifecycle == MachineLifecycle::Offline {
             self.clear_warm();
         }
-        // The announcement has come true; non-members don't need it.
-        self.announced_departure = None;
         self.version += 1;
         true
     }
@@ -469,7 +438,6 @@ impl MachineState {
     pub(crate) fn try_complete_drain(&mut self) -> bool {
         if self.lifecycle == MachineLifecycle::Draining && self.is_idle() {
             self.lifecycle = MachineLifecycle::Offline;
-            self.announced_departure = None;
             self.clear_warm();
             self.version += 1;
             true
@@ -492,7 +460,6 @@ impl MachineState {
         requeue.extend(exec.map(|e| e.task));
         requeue.extend(self.pending.drain(..));
         self.lifecycle = MachineLifecycle::Offline;
-        self.announced_departure = None;
         self.clear_warm();
         self.version += 1;
         self.run_token += 1; // stale any scheduled completion

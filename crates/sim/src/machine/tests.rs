@@ -179,26 +179,6 @@ fn fail_requeues_executing_then_pending_and_stales_completions() {
 }
 
 #[test]
-fn departure_announcement_bumps_version_and_clears_on_exit() {
-    let mut m = MachineState::new(MachineId(0), 2);
-    let v = m.version();
-    m.set_announced_departure(Some(500));
-    assert_eq!(m.announced_departure(), Some(500));
-    assert!(m.version() > v);
-    let v = m.version();
-    m.set_announced_departure(Some(500));
-    assert_eq!(m.version(), v, "idempotent announcement is version-neutral");
-    let mut requeue = Vec::new();
-    m.fail(&mut requeue);
-    assert_eq!(m.announced_departure(), None, "cleared when the machine leaves");
-    m.activate();
-    m.set_announced_departure(Some(900));
-    assert!(m.begin_drain());
-    assert_eq!(m.lifecycle(), MachineLifecycle::Offline, "idle drain leaves immediately");
-    assert_eq!(m.announced_departure(), None, "cleared once the drain fires");
-}
-
-#[test]
 fn initially_offline_machines_refuse_work_until_joined() {
     let mut m = MachineState::new(MachineId(0), 2);
     m.set_initially_offline();

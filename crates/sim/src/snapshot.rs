@@ -37,8 +37,9 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"HCSN";
 /// progress, notice events; v4: single-start tasks — a pending entry is
 /// its task, an executing one has no earlier progress, the per-task
 /// carried-progress table is gone, the PAM blob lost its own version
-/// word and its preemption counter).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// word and its preemption counter; v5: departure notices gone — no
+/// announced departure on a machine, no notice event tag).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

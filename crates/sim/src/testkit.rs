@@ -112,12 +112,6 @@ pub fn start_next(
     }
 }
 
-/// Records (or, with `None`, clears) a pre-announced departure exactly as
-/// the engine's `MachineNotice` event does.
-pub fn announce_departure(machine: &mut MachineState, departs_at: Option<Time>) {
-    machine.set_announced_departure(departs_at);
-}
-
 /// Builds a machine with `tasks` already pending (in order), without an
 /// executing task — the common fixture for tail-cache benchmarks.
 ///

@@ -106,8 +106,7 @@ fn failed_machine_requeues_pending_and_executing_exactly_once() {
     // Three tasks at t=0: FirstFit queues all on machine 0 (task 0
     // executing, 1–2 pending). Machine 0 fails at t=5.
     let tasks = tasks_at_zero(3, 500);
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)], notices: vec![] };
+    let churn = ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)] };
     let (report, snapshots) = run_with_watcher(&spec, &tasks, &churn, 1);
 
     // The mapping event fired by the failure sees all three tasks back in
@@ -143,8 +142,7 @@ fn requeued_tasks_keep_their_deadlines() {
             deadline: 400 + u64::from(i) * 13, // distinct, recognizable
         })
         .collect();
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(6, 0)], notices: vec![] };
+    let churn = ChurnTrace { initially_offline: vec![], events: vec![fail_at(6, 0)] };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 2);
     for (original, rec) in tasks.iter().zip(&report.records) {
         assert_eq!(rec.task, *original, "requeue must not alter the task (deadline included)");
@@ -157,8 +155,7 @@ fn interrupted_completion_event_is_stale_and_records_stay_unique() {
     let tasks = tasks_at_zero(3, 500);
     // Fail machine 0 at t=5, mid-execution of task 0 (≈10 ms exec): the
     // completion event scheduled for ≈t=10 must be a no-op.
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)], notices: vec![] };
+    let churn = ChurnTrace { initially_offline: vec![], events: vec![fail_at(5, 0)] };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 3);
     assert_eq!(report.records.len(), 3);
     for (i, r) in report.records.iter().enumerate() {
@@ -187,7 +184,6 @@ fn repeated_failures_requeue_again_but_record_once() {
             ChurnEvent { time: 30, machine: MachineId(1), kind: ChurnKind::Fail },
             ChurnEvent { time: 35, machine: MachineId(0), kind: ChurnKind::Join },
         ],
-        notices: vec![],
     };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 4);
     assert_eq!(report.churn.fails, 2);
@@ -211,8 +207,7 @@ fn expired_requeued_task_is_culled_not_restarted() {
         Task { id: TaskId(0), type_id: TaskTypeId(0), arrival: 0, deadline: 500 },
         Task { id: TaskId(1), type_id: TaskTypeId(0), arrival: 0, deadline: 8 },
     ];
-    let churn =
-        ChurnTrace { initially_offline: vec![], events: vec![fail_at(9, 0)], notices: vec![] };
+    let churn = ChurnTrace { initially_offline: vec![], events: vec![fail_at(9, 0)] };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 5);
     let r1 = &report.records[1];
     assert_eq!(r1.outcome, TaskOutcome::ExpiredUnstarted, "{r1:?}");
@@ -234,7 +229,6 @@ fn drain_completes_queue_then_leaves_and_can_rejoin() {
             ChurnEvent { time: 2, machine: MachineId(0), kind: ChurnKind::Drain },
             ChurnEvent { time: 80, machine: MachineId(0), kind: ChurnKind::Join },
         ],
-        notices: vec![],
     };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 6);
     assert_eq!(report.churn.drains, 1);
@@ -267,7 +261,6 @@ fn epoch_slices_partition_the_records() {
             ChurnEvent { time: 20, machine: MachineId(1), kind: ChurnKind::Join },
             fail_at(50, 0),
         ],
-        notices: vec![],
     };
     let (report, _) = run_with_watcher(&spec, &tasks, &churn, 7);
     // 1 active → 2 active → 1 active: three slices, boundaries at the

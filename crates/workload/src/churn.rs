@@ -127,33 +127,8 @@ pub fn cluster_churn<R: rand::Rng>(config: &ChurnConfig, rng: &mut R) -> ChurnTr
         events.push(ChurnEvent { time, machine, kind });
     }
 
-    let trace = ChurnTrace { initially_offline, events, notices: Vec::new() };
+    let trace = ChurnTrace { initially_offline, events };
     trace.validate(n);
-    trace
-}
-
-/// Derives departure pre-announcements for every removal in a trace: each
-/// [`ChurnKind::Drain`] / [`ChurnKind::Fail`] event gains a
-/// [`hcsim_model::DepartureNotice`] `lead` time units ahead of it (clamped
-/// to 0). A `lead` of zero announces at the moment of departure — useless
-/// to a scheduler and therefore the "unannounced churn" baseline.
-///
-/// Pure trace surgery, no randomness: the membership events themselves are
-/// untouched, so an announced trace and its unannounced twin exercise the
-/// exact same capacity timeline.
-#[must_use]
-pub fn announce_departures(mut trace: ChurnTrace, lead: Time) -> ChurnTrace {
-    trace.notices = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, ChurnKind::Drain | ChurnKind::Fail))
-        .map(|e| hcsim_model::DepartureNotice {
-            time: e.time.saturating_sub(lead),
-            machine: e.machine,
-            departs_at: e.time,
-        })
-        .collect();
-    trace.notices.sort_by_key(|n| n.time);
     trace
 }
 
@@ -240,21 +215,6 @@ mod tests {
         let trace = cluster_churn(&config(), &mut rng);
         let offline: Vec<usize> = trace.initially_offline.iter().map(|m| m.index()).collect();
         assert_eq!(offline, vec![12, 13, 14, 15]);
-    }
-
-    #[test]
-    fn announcements_cover_every_removal_and_stay_sorted() {
-        let mut rng = SeedSequence::new(7).stream(0);
-        let base = cluster_churn(&config(), &mut rng);
-        let announced = announce_departures(base.clone(), 500);
-        assert_eq!(announced.events, base.events, "membership timeline untouched");
-        let removals = base.events.iter().filter(|e| e.kind != ChurnKind::Join).count();
-        assert_eq!(announced.notices.len(), removals);
-        for n in &announced.notices {
-            assert_eq!(n.time, n.departs_at.saturating_sub(500));
-        }
-        assert!(announced.notices.windows(2).all(|w| w[0].time <= w[1].time));
-        announced.validate(16);
     }
 
     #[test]

@@ -37,11 +37,10 @@ mod faas;
 mod gen;
 mod nonstationary;
 mod specint;
-mod trace;
 mod transcode;
 
 pub use arrivals::ArrivalSchedule;
-pub use churn::{announce_departures, cluster_churn, ChurnConfig};
+pub use churn::{cluster_churn, ChurnConfig};
 pub use faas::{faas_means, faas_system, FaasConfig, FaasGenerator};
 pub use gen::{WorkloadConfig, WorkloadGenerator};
 pub use nonstationary::{generate_nonstationary, LoadPattern, NonStationaryConfig};
@@ -49,7 +48,6 @@ pub use specint::{
     specint_cluster, specint_means, specint_system, specint_system_with_model_error,
     SPECINT_BENCHMARKS, SPECINT_MACHINES,
 };
-pub use trace::{load_churn_csv, load_tasks_csv, save_churn_csv, save_tasks_csv, TraceError};
 pub use transcode::{transcode_means, transcode_system, TRANSCODE_OPS, TRANSCODE_VMS};
 
-pub use hcsim_model::{ChurnEvent, ChurnKind, ChurnTrace, DepartureNotice, Time};
+pub use hcsim_model::{ChurnEvent, ChurnKind, ChurnTrace, Time};
