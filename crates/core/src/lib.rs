@@ -87,4 +87,6 @@ pub use fairness::SufferageTable;
 pub use moc::Moc;
 pub use pam::Pam;
 pub use pruner::{OversubscriptionDetector, Pruner, PruningConfig};
-pub use scorer::{PairScore, ProbScorer, ScoreTable, SlotScore, PARALLEL_MIN_MACHINES};
+pub use scorer::{
+    PairScore, ProbScorer, ScoreTable, SlotScore, WorkCounters, PARALLEL_MIN_MACHINES,
+};

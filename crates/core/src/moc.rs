@@ -20,7 +20,7 @@
 //! it shares with PAM ([`TableLoop`]).
 
 use crate::pruner::PruningConfig;
-use crate::scorer::{PairScore, ProbScorer};
+use crate::scorer::{PairScore, ProbScorer, WorkCounters};
 use crate::table_loop::TableLoop;
 use hcsim_model::MachineId;
 use hcsim_sim::{MapContext, Mapper};
@@ -48,6 +48,13 @@ impl Moc {
         let pam = PruningConfig::default();
         let table_loop = TableLoop::new(pam.impulse_budget, pam.batch_window, threads);
         Self { table_loop }
+    }
+
+    /// The work MOC's score table and tail caches did so far. Kept
+    /// outside [`hcsim_sim::MapperInstrumentation`], so no wire layout
+    /// carries it; see [`WorkCounters`].
+    pub fn work(&mut self) -> WorkCounters {
+        self.table_loop.work()
     }
 }
 

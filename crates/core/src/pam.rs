@@ -29,7 +29,7 @@
 use crate::adaptive::AdaptiveController;
 use crate::fairness::SufferageTable;
 use crate::pruner::{OversubscriptionDetector, Pruner, PruningConfig, TOGGLE_ON};
-use crate::scorer::PairScore;
+use crate::scorer::{PairScore, WorkCounters};
 use crate::table_loop::TableLoop;
 use hcsim_model::{MachineId, Task, TaskOutcome, TaskTypeId};
 use hcsim_sim::snapshot::{ByteReader, ByteWriter, SnapshotError, Wire};
@@ -189,6 +189,13 @@ impl Pam {
     #[must_use]
     pub fn adaptive(&self) -> Option<&AdaptiveController> {
         self.thresholds.adaptive()
+    }
+
+    /// The work PAM's (or PAMF's) score table and tail caches did so far.
+    /// Kept outside [`MapperInstrumentation`], so no wire layout carries
+    /// it, and not restored from a snapshot; see [`WorkCounters`].
+    pub fn work(&mut self) -> WorkCounters {
+        self.table_loop.work()
     }
 }
 

@@ -139,6 +139,90 @@ pub use kernel::PairScore;
 pub use table::ScoreTable;
 pub use tail::SlotScore;
 
+/// What a score-table mapper's scorer and table did so far, in counts
+/// that repeat exactly on every run of one seed, on one thread or on the
+/// pool — the work digest's inputs. Every counter only grows.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Table pairs whose kernel walk ran to the end: exact scores.
+    pub pairs_scored: u64,
+    /// Table pairs the first-impulse bound rejected without a walk.
+    pub pairs_bounded: u64,
+    /// Table pairs the tail-wide deadline cutoff rejected without a walk.
+    pub pairs_cut: u64,
+    /// Table pairs whose walk stopped below the row's threshold.
+    pub pairs_abandoned: u64,
+    /// The part of `pairs_abandoned` walked in column fills (rebuilds and
+    /// column rescores); the rest were appended rows and retested lanes.
+    pub column_abandoned: u64,
+    /// Appended rows that joined a live `(type, deadline)` class.
+    pub rows_shared: u64,
+    /// Tail-wide deadline cutoffs resolved.
+    pub cutoffs_resolved: u64,
+    /// Conditioned heads the tail caches (re)built.
+    pub head_builds: u64,
+    /// Links the tail caches chained behind a head.
+    pub chain_extensions: u64,
+    /// Table revalidations that fell back to a full rebuild.
+    pub table_rebuilds: u64,
+    /// Table revalidations repaired incrementally.
+    pub table_reuses: u64,
+}
+
+impl WorkCounters {
+    /// Every counter with its name, in declaration order.
+    #[must_use]
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        [
+            ("pairs_scored", self.pairs_scored),
+            ("pairs_bounded", self.pairs_bounded),
+            ("pairs_cut", self.pairs_cut),
+            ("pairs_abandoned", self.pairs_abandoned),
+            ("column_abandoned", self.column_abandoned),
+            ("rows_shared", self.rows_shared),
+            ("cutoffs_resolved", self.cutoffs_resolved),
+            ("head_builds", self.head_builds),
+            ("chain_extensions", self.chain_extensions),
+            ("table_rebuilds", self.table_rebuilds),
+            ("table_reuses", self.table_reuses),
+        ]
+    }
+
+    /// Every counter with its name, in declaration order — what
+    /// [`WorkCounters::fields`] reads and `+=` adds.
+    fn fields_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.pairs_scored,
+            &mut self.pairs_bounded,
+            &mut self.pairs_cut,
+            &mut self.pairs_abandoned,
+            &mut self.column_abandoned,
+            &mut self.rows_shared,
+            &mut self.cutoffs_resolved,
+            &mut self.head_builds,
+            &mut self.chain_extensions,
+            &mut self.table_rebuilds,
+            &mut self.table_reuses,
+        ]
+    }
+
+    /// The table's counters from `table`, the chain counters from
+    /// `scorer`'s cells.
+    pub(crate) fn of(table: &ScoreTable, scorer: &mut ProbScorer) -> Self {
+        let mut work = table.work();
+        scorer.add_chain_work(&mut work);
+        work
+    }
+}
+
+impl std::ops::AddAssign for WorkCounters {
+    fn add_assign(&mut self, other: Self) {
+        for (sum, (_, add)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *sum += add;
+        }
+    }
+}
+
 /// Robustness/expected-completion scorer with incremental tail caching.
 #[derive(Debug)]
 pub struct ProbScorer {
@@ -309,7 +393,18 @@ impl ProbScorer {
     #[doc(hidden)]
     #[must_use]
     pub fn chain_builds(&mut self, m: MachineId) -> u64 {
-        self.cells.with(m.index(), |cell| cell.cache.builds)
+        self.cells.with(m.index(), |cell| cell.cache.head_builds + cell.cache.extensions)
+    }
+
+    /// Adds every cell's head builds and chain extensions so far to
+    /// `work`.
+    fn add_chain_work(&mut self, work: &mut WorkCounters) {
+        for i in 0..self.shared.machines {
+            let (heads, extensions) =
+                self.cells.with(i, |cell| (cell.cache.head_builds, cell.cache.extensions));
+            work.head_builds += heads;
+            work.chain_extensions += extensions;
+        }
     }
 
     /// Drops every machine's cached chain (storage returns to the cells'

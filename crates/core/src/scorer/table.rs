@@ -7,7 +7,7 @@ use super::cells::{WarmFilter, PARALLEL_MIN_MACHINES};
 use super::kernel::{score_column_scatter, LiveRow, PairScore, PairWork, BOUND_MARGIN};
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::{HeadWindow, MachineCache, TailBound};
-use super::{debug_assert_machine_alignment, ProbScorer};
+use super::{debug_assert_machine_alignment, ProbScorer, WorkCounters};
 use hcsim_model::{MachineId, Task, TaskId, TaskTypeId, Time};
 use hcsim_sim::MachineState;
 use std::collections::{HashMap, VecDeque};
@@ -210,13 +210,20 @@ pub struct ScoreTable {
     /// warm-capable in its shard.
     newly_warm: Vec<bool>,
     /// Exact (class, machine) scores computed so far, pairs of live lanes
-    /// the per-pair bound rejected instead, walks stopped below their
-    /// class's threshold, and appended rows that joined a live class
-    /// (diagnostics/tests).
+    /// the per-pair bound rejected instead, pairs the tail-wide deadline
+    /// cutoff rejected, walks stopped below their class's threshold (and
+    /// those of them in column fills), appended rows that joined a live
+    /// class, tail cutoffs resolved, and full rebuilds and incremental
+    /// repairs of the table (diagnostics/tests, [`ScoreTable::work`]).
     pairs_scored: u64,
     pairs_bounded: u64,
+    pairs_cut: u64,
     pairs_abandoned: u64,
+    column_abandoned: u64,
     rows_shared: u64,
+    cutoffs_resolved: u64,
+    rebuilds: u64,
+    reuses: u64,
     /// Reuse signature: membership epoch of the last rebuild and machine
     /// versions as last scored (the window is `window`). The event time
     /// is *not* part of it — see [`ScoreTable::ensure`].
@@ -351,6 +358,23 @@ impl ScoreTable {
     #[must_use]
     pub fn rows_shared(&self) -> u64 {
         self.rows_shared
+    }
+
+    /// The table's half of the work counters (the chain counters are the
+    /// scorer's).
+    pub(super) fn work(&self) -> WorkCounters {
+        WorkCounters {
+            pairs_scored: self.pairs_scored,
+            pairs_bounded: self.pairs_bounded,
+            pairs_cut: self.pairs_cut,
+            pairs_abandoned: self.pairs_abandoned,
+            column_abandoned: self.column_abandoned,
+            rows_shared: self.rows_shared,
+            cutoffs_resolved: self.cutoffs_resolved,
+            table_rebuilds: self.rebuilds,
+            table_reuses: self.reuses,
+            ..WorkCounters::default()
+        }
     }
 
     /// Checks the table against its own contract, as it must stand after
@@ -562,6 +586,7 @@ impl ScoreTable {
         changed: usize,
     ) {
         debug_assert_machine_alignment(machines);
+        self.rebuilds += 1;
         self.cols.resize_with(machines.len(), Vec::new);
         self.col_scores.resize(machines.len(), 0);
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
@@ -589,6 +614,7 @@ impl ScoreTable {
             })
             .sum();
         self.count_pairs(candidates, work);
+        self.column_abandoned += work.abandoned as u64;
         self.reduce_shard_bests(self.class_tasks.len());
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
@@ -775,6 +801,7 @@ impl ScoreTable {
         self.score_retested_lanes(scorer, machines);
         self.rescore_dirty_shards(scorer, machines);
         self.reconcile_window(scorer, machines, tasks, skip_below);
+        self.reuses += 1;
         true
     }
 
@@ -1120,6 +1147,7 @@ impl ScoreTable {
         });
         self.col_scores[m] = work.scored;
         self.count_pairs(self.live.len(), work);
+        self.column_abandoned += work.abandoned as u64;
     }
 
     /// Repairs the table after the caller committed window row `row` to

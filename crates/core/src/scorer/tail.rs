@@ -102,9 +102,10 @@ pub(super) struct TailCache {
     /// placeholders) and [`super::ProbScorer::slot_scores`] rebuilds in stats
     /// mode on demand.
     stats_valid: bool,
-    /// Head rebuilds plus chain extensions performed so far — the
+    /// Head rebuilds and chain extensions performed so far — the
     /// convolution work the cache did *not* avoid (diagnostics/tests).
-    pub(super) builds: u64,
+    pub(super) head_builds: u64,
+    pub(super) extensions: u64,
 }
 
 impl TailCache {
@@ -214,7 +215,7 @@ impl MachineCache {
             cache.slots.truncate(usize::from(exec_sig.is_some()) + lcp);
         } else {
             // Full rebuild: recompute the conditioned head at `now`.
-            cache.builds += 1;
+            cache.head_builds += 1;
             for link in cache.links.drain(..) {
                 scratch.recycle(link);
             }
@@ -251,7 +252,7 @@ impl MachineCache {
         // skewness, so stats-free callers skip its moment fold (leaving
         // the NaN placeholder `stats_valid` tracks).
         for (idx, task) in machine.pending().enumerate().skip(cache.pending_sig.len()) {
-            cache.builds += 1;
+            cache.extensions += 1;
             let avail = cache.links.last().or(cache.head.as_ref()).expect("head built above");
             let step = crate::chain::chain_extension(
                 avail,

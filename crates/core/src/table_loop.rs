@@ -4,7 +4,7 @@
 //! committed one at a time, each refreshing only the assigned machine's
 //! column. The mappers differ only in the policy that picks the pair.
 
-use crate::scorer::{ProbScorer, ScoreTable};
+use crate::scorer::{ProbScorer, ScoreTable, WorkCounters};
 use hcsim_model::{MachineId, TaskTypeId};
 use hcsim_sim::MapContext;
 
@@ -89,6 +89,15 @@ impl TableLoop {
             );
         }
         reused == Some(true)
+    }
+
+    /// The work the table and the scorer's cells did so far (all zero
+    /// before the first event).
+    pub(crate) fn work(&mut self) -> WorkCounters {
+        match &mut self.scorer {
+            Some(scorer) => WorkCounters::of(&self.table, scorer),
+            None => WorkCounters::default(),
+        }
     }
 
     /// Forgets what the table and the scorer's chains learned from the

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Subcommands to run, in order: [`ALL_FIGURES`] and
-    /// [`EXTRA_FIGURES`] names, "ablate", "scaling".
+    /// [`EXTRA_FIGURES`] names, "ablate", "scaling", "work".
     pub figures: Vec<String>,
     /// Trial/seed/thread options.
     pub opts: FigOptions,
@@ -22,17 +22,19 @@ pub struct Cli {
     pub quick: bool,
     /// scaling: fail unless the t=4 leg beats t=1 (multi-core hosts only).
     pub gate: bool,
+    /// work: compare against the pin instead of printing.
+    pub check: bool,
 }
 
 /// Subcommands that are neither a paper figure nor a supplementary
 /// sweep (`all` expands to [`ALL_FIGURES`] and is not stored). Private:
 /// only `parse_args` and the usage test read it.
-const OTHER_COMMANDS: [&str; 2] = ["ablate", "scaling"];
+const OTHER_COMMANDS: [&str; 3] = ["ablate", "scaling", "work"];
 
 /// CLI usage text.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: hcsim-exp <fig4|..|fig9|all|levels|churn|service|adaptive|faas|ablate|scaling> [options]
+    "usage: hcsim-exp <fig4|..|fig9|all|levels|churn|service|adaptive|faas|ablate|scaling|work> [options]
 
 figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           'levels' sweeps all heuristics over six oversubscription levels;
@@ -53,7 +55,11 @@ figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           knob (see docs/ARCHITECTURE.md, Experiments);
           'scaling' runs the cluster threads sweeps (64m, churn, 1024m,
           faas256) and writes SCALING_cluster64.{json,md} (the multi-core
-          scaling table)
+          scaling table);
+          'work' runs a reduced mirror of each PAM benchmark workload at
+          seed 2019 and prints the score table's and tail caches' work
+          counters and their work_digest as JSON (the pin is
+          crates/exp/work_digest.json); ignores the other options
 
 options:
   --quick           5 trials x 300 tasks (smoke run; scaling: fewer samples)
@@ -74,6 +80,8 @@ options:
                     SCALING_cluster64.{json,md}) into DIR
   --gate            scaling: exit nonzero unless PAM t=4 beats t=1 (use on
                     hosts with at least 4 cores; the CI scaling job does)
+  --check           work: exit nonzero, listing the moved lines, unless
+                    the counters equal the pin
   -h, --help        this text"
 }
 
@@ -92,6 +100,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut trials = None;
     let mut num_tasks = None;
     let mut gate = false;
+    let mut check = false;
 
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -101,6 +110,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--full" => quick = false,
             "--csv" => csv = true,
             "--gate" => gate = true,
+            "--check" => check = true,
             "--trials" | "--tasks" | "--seed" | "--threads" | "--out" => {
                 let value = iter.next().ok_or_else(|| format!("{arg} requires a value"))?;
                 match arg.as_str() {
@@ -134,6 +144,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     if figures.is_empty() {
         return Err("no figure selected".to_string());
     }
+    if check && !figures.iter().any(|f| f == "work") {
+        return Err("unknown argument \"--check\" (only 'work' takes it)".to_string());
+    }
     // The preset is applied last so that an explicit count wins in any order.
     let preset = if quick { FigOptions::quick() } else { FigOptions::default() };
     opts.trials = trials.unwrap_or(preset.trials);
@@ -142,7 +155,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
         return Err("--trials and --tasks must be positive".to_string());
     }
     figures.dedup();
-    Ok(Cli { figures, opts, csv, out_dir, quick, gate })
+    Ok(Cli { figures, opts, csv, out_dir, quick, gate, check })
 }
 
 #[cfg(test)]
@@ -217,6 +230,15 @@ mod tests {
         assert!(parse(&["fig7", "--trials", "x"]).unwrap_err().contains("bad --trials"));
         assert!(parse(&["fig7", "--trials", "0"]).unwrap_err().contains("positive"));
         assert_eq!(parse(&["--help"]).unwrap_err(), "");
+    }
+
+    #[test]
+    fn work_takes_check_and_nothing_else_does() {
+        let cli = parse(&["work", "--check"]).unwrap();
+        assert_eq!((cli.figures, cli.check), (vec!["work".to_string()], true));
+        assert!(!parse(&["work"]).unwrap().check);
+        assert!(parse(&["scaling", "--check"]).unwrap_err().contains("only 'work'"));
+        assert!(usage().contains("\n  --check "), "--check undocumented");
     }
 
     #[test]

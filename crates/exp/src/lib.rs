@@ -30,6 +30,7 @@ pub mod cli;
 pub mod figures;
 mod report;
 mod runner;
+pub mod work;
 
 pub use hcsim_parallel::parallel_map;
 pub use report::Table;

@@ -8,7 +8,7 @@
 //! ```
 
 use hcsim_exp::cli::{parse_args, usage, Cli};
-use hcsim_exp::{ablations, bench, figures, Table};
+use hcsim_exp::{ablations, bench, figures, work, Table};
 use std::process::ExitCode;
 
 fn emit(table: &Table, name: &str, cli: &Cli) -> std::io::Result<()> {
@@ -63,6 +63,16 @@ fn main() -> ExitCode {
                     eprintln!("{f}");
                 }
                 return ExitCode::FAILURE;
+            }
+        } else if name == "work" {
+            let fresh = work::render(&work::run());
+            if !cli.check {
+                print!("{fresh}");
+            } else if let Err(moved) = work::check(&fresh, work::PIN) {
+                eprintln!("{moved}");
+                return ExitCode::FAILURE;
+            } else {
+                println!("work digest matches crates/exp/work_digest.json");
             }
         } else if name == "ablate" {
             for (i, table) in ablations::all(&cli.opts).into_iter().enumerate() {
