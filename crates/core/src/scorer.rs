@@ -72,10 +72,16 @@
 //! the machine's own cell (in a column rescore, one deadline compare
 //! against a cutoff resolved once per task type), and the scoring walk
 //! itself stops as soon as the impulses left cannot reach the row's
-//! threshold. Whatever is proven below the caller's threshold — by a
-//! bound or by a stopped walk — stays unscored; decisions are unchanged
-//! because the caller would have deferred those pairs on their exact
-//! value anyway, and every pair that is scored holds the exact value.
+//! threshold. A column rescore also arms, per task type, a second cutoff
+//! once a walk of that type has stopped: resolved from the stop test at
+//! every impulse of the tail (`M_k + (1 − M_k) · CDF_E(δ − t_k)` for the
+//! mass `M_k` ahead of impulse `k`), it rejects the type's later rows
+//! whose walks could only have stopped too, one deadline compare each —
+//! on a tick storm, most of a re-keyed column's walks. Whatever is proven
+//! below the caller's threshold — by a bound, a cutoff or a stopped walk
+//! — stays unscored; decisions are unchanged because the caller would
+//! have deferred those pairs on their exact value anyway, and every pair
+//! that is scored holds the exact value.
 //!
 //! # Parallel per-machine fan-out
 //!

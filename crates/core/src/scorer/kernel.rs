@@ -11,7 +11,11 @@
 //! finishes returns the bit-identical exact score. In a column rescore
 //! the per-pair bound itself shrinks to one integer compare: per (column,
 //! task type), the threshold resolves once into the smallest deadline
-//! whose bound clears it ([`Cutoffs`]).
+//! whose first-impulse bound clears it ([`deadline_cutoff`]). A type that
+//! had a walk abandoned in the column also resolves a second, tail-wide
+//! cutoff ([`tail_cutoff`]) from the stop test at every impulse, and its
+//! later rows below that cutoff are proven below the threshold without a
+//! walk. Both live in one per-cell entry per type ([`Cutoffs`]).
 
 use super::shared::{PetCdf, ScorerShared};
 use hcsim_model::{Task, TaskTypeId, Time};
@@ -118,8 +122,9 @@ pub(super) fn robustness_bound(earliest: Time, cdf: &PetCdf, deadline: Time) -> 
 /// no deadline clears). The bound `CDF(δ − earliest)` only grows with δ,
 /// so the cutoff is `earliest` plus the first breakpoint whose prefix
 /// clears — and at least one tick past `earliest`, where the bound stops
-/// being 0. A threshold that a zero bound clears cuts off at 0.
-fn deadline_cutoff(earliest: Time, cdf: &PetCdf, threshold: f64) -> Option<Time> {
+/// being 0. A threshold that a zero bound clears cuts off at 0. It is the
+/// first impulse's term of [`tail_cutoff`].
+pub(super) fn deadline_cutoff(earliest: Time, cdf: &PetCdf, threshold: f64) -> Option<Time> {
     let clears = |bound: f64| bound + BOUND_MARGIN >= threshold;
     if clears(0.0) {
         return Some(0);
@@ -128,18 +133,81 @@ fn deadline_cutoff(earliest: Time, cdf: &PetCdf, threshold: f64) -> Option<Time>
     cdf.times.get(first).and_then(|&t| earliest.checked_add(t.max(1)))
 }
 
-/// Per-task-type deadline cutoffs ([`deadline_cutoff`]) for the column
-/// being filled, resolved on a type's first live row and reused by every
-/// later row of that type held to the same threshold. Entries are stamped
-/// with the column they were resolved for, so starting a column costs one
-/// increment — not a reset of every type — and the storage is the cell's,
-/// reused from column to column.
+/// The deadline cutoff of the whole tail: below it, the stop test of
+/// [`score_unless_below`] proves a pair under `threshold` at some impulse
+/// (`None`: at every deadline). Impulse `k` at `t_k`, with mass `M_k`
+/// ahead of it, bounds the robustness of every deadline δ by
+/// `M_k + (1 − M_k) · CDF_E(δ − t_k)` — the impulses ahead score at most
+/// their mass, those from `k` on at most `CDF_E(δ − t_k)` each — and by
+/// `M_k` alone while `δ ≤ t_k`. Both only grow with δ, so impulse `k` cuts
+/// off at `t_k` plus the first breakpoint where its bound clears, and at
+/// least one tick past `t_k`; the cutoff is the largest over `k`. `M_k`
+/// grows with `k`, so the breakpoint a cursor finds only moves left, and
+/// one pass over the tail and the cell finds all of them; it ends at the
+/// first impulse whose `M_k` clears on its own. The `k = 0` term is
+/// [`deadline_cutoff`], so this cutoff is never below it.
+///
+/// Each bound is the stop test's expression with `M_k` summed in the
+/// walk's order — bit for bit the walk's `mass` — in place of the walk's
+/// robustness, which never exceeds it: a pair this proves below its
+/// threshold past `t_k` is one whose walk stops at impulse `k` at the
+/// latest, and one at `δ ≤ t_k` has an exact robustness of at most `M_k`.
+pub(super) fn tail_cutoff(tail: &Pmf, cdf: &PetCdf, threshold: f64) -> Option<Time> {
+    let clears = |ahead: f64, on_time: f64| !ends_below(ahead, ahead, on_time, threshold);
+    let mut first = cdf.prefix.len();
+    let mut ahead = 0.0;
+    let mut cutoff = 0;
+    for (&t, &p) in tail.times().iter().zip(tail.masses()) {
+        if clears(ahead, 0.0) {
+            break;
+        }
+        while first > 0 && clears(ahead, cdf.prefix[first - 1]) {
+            first -= 1;
+        }
+        cutoff = cutoff.max(t.checked_add((*cdf.times.get(first)?).max(1))?);
+        ahead += p;
+    }
+    Some(cutoff)
+}
+
+/// The tail-wide cutoff of one [`Cutoffs`] entry.
+#[derive(Debug, Clone, Copy)]
+enum TailCutoff {
+    /// No walk of the type was abandoned in the column yet.
+    Unarmed,
+    /// One was: the type's next row that clears the first-impulse cutoff
+    /// resolves it.
+    Armed,
+    /// Resolved ([`tail_cutoff`]).
+    Resolved(Option<Time>),
+}
+
+/// One type's cutoffs in the column being filled.
+#[derive(Debug, Clone, Copy)]
+struct CutoffEntry {
+    /// The column and threshold bits the entry was resolved for.
+    column: u64,
+    threshold: u64,
+    /// [`deadline_cutoff`], resolved on the type's first live row.
+    first: Option<Time>,
+    tail: TailCutoff,
+}
+
+/// Per-task-type deadline cutoffs for the column being filled: the
+/// first-impulse one ([`deadline_cutoff`]), resolved on a type's first
+/// live row and reused by every later row of that type held to the same
+/// threshold, and the tail-wide one ([`tail_cutoff`]), resolved only once
+/// a walk of the type was abandoned in the column — resolving it for
+/// every type up front costs more than the walks it saves where few are
+/// abandoned. Entries are stamped with the column they were resolved for,
+/// so starting a column costs one increment — not a reset of every type —
+/// and the storage is the cell's, reused from column to column.
 #[derive(Debug, Default)]
 pub(super) struct Cutoffs {
     /// Columns started so far; an entry with an older stamp is stale.
     column: u64,
-    /// Per task type: `(column, threshold bits, cutoff)`.
-    entries: Vec<(u64, u64, Option<Time>)>,
+    /// Per task type.
+    entries: Vec<CutoffEntry>,
 }
 
 impl Cutoffs {
@@ -147,48 +215,88 @@ impl Cutoffs {
     fn begin_column(&mut self, task_types: usize) {
         self.column += 1;
         if self.entries.len() < task_types {
-            self.entries.resize(task_types, (0, 0, None));
+            let stale =
+                CutoffEntry { column: 0, threshold: 0, first: None, tail: TailCutoff::Unarmed };
+            self.entries.resize(task_types, stale);
         }
     }
 
-    /// Type `tt`'s cutoff under `threshold` in the current column,
-    /// `resolve`d on a miss.
+    /// Whether `row`'s deadline clears its type's cutoffs under its
+    /// threshold in the current column, resolving `first` on the type's
+    /// first row and `tail` on its first row after [`Cutoffs::arm`]; a
+    /// row the tail cutoff rejects, and a tail cutoff resolved, are
+    /// booked in `work`.
     #[inline]
-    fn get(
+    fn admits(
         &mut self,
-        tt: TaskTypeId,
-        threshold: f64,
-        resolve: impl FnOnce() -> Option<Time>,
-    ) -> Option<Time> {
-        let entry = &mut self.entries[tt.index()];
-        let key = (self.column, threshold.to_bits());
-        if (entry.0, entry.1) != key {
-            *entry = (key.0, key.1, resolve());
+        row: &LiveRow,
+        first: impl FnOnce() -> Option<Time>,
+        tail: impl FnOnce() -> Option<Time>,
+        work: &mut PairWork,
+    ) -> bool {
+        let entry = &mut self.entries[row.task.type_id.index()];
+        let (column, threshold) = (self.column, row.threshold.to_bits());
+        if (entry.column, entry.threshold) != (column, threshold) {
+            *entry = CutoffEntry { column, threshold, first: first(), tail: TailCutoff::Unarmed };
         }
-        entry.2
+        // A `None` cutoff is one no deadline clears.
+        let clears = |cutoff: Option<Time>| cutoff.is_some_and(|c| row.task.deadline >= c);
+        if !clears(entry.first) {
+            return false;
+        }
+        if let TailCutoff::Armed = entry.tail {
+            entry.tail = TailCutoff::Resolved(tail());
+            work.resolved += 1;
+        }
+        if let TailCutoff::Resolved(cutoff) = entry.tail {
+            if !clears(cutoff) {
+                work.cut += 1;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Records that a walk of type `tt` was abandoned in the current
+    /// column: its tail-wide cutoff is worth resolving.
+    #[inline]
+    fn arm(&mut self, tt: TaskTypeId) {
+        let entry = &mut self.entries[tt.index()];
+        if let TailCutoff::Unarmed = entry.tail {
+            entry.tail = TailCutoff::Armed;
+        }
     }
 }
 
 /// What the kernels did with the pairs handed to them: exact scores
-/// written, and walks stopped below the pair's threshold (the rest of a
-/// column's live rows the deadline cutoff rejected).
+/// written, walks stopped below the pair's threshold, pairs the tail-wide
+/// cutoff rejected and tail cutoffs resolved (the rest of a column's live
+/// rows the first-impulse cutoff rejected).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(super) struct PairWork {
     pub(super) scored: usize,
     pub(super) abandoned: usize,
+    pub(super) cut: usize,
+    pub(super) resolved: usize,
 }
 
 impl std::ops::AddAssign for PairWork {
     fn add_assign(&mut self, other: Self) {
         self.scored += other.scored;
         self.abandoned += other.abandoned;
+        self.cut += other.cut;
+        self.resolved += other.resolved;
     }
 }
 
 impl PairWork {
     /// The work of one walk that ended in `score`.
     pub(super) fn of(score: Option<PairScore>) -> Self {
-        Self { scored: usize::from(score.is_some()), abandoned: usize::from(score.is_none()) }
+        Self {
+            scored: usize::from(score.is_some()),
+            abandoned: usize::from(score.is_none()),
+            ..Self::default()
+        }
     }
 }
 
@@ -202,7 +310,10 @@ impl PairWork {
 /// resolved once per task type into a deadline cutoff ([`Cutoffs`], in the
 /// machine's cell), against which each row compares its deadline. Of the
 /// pairs that clear it, those whose walk stops below the threshold stay
-/// `None` too.
+/// `None` too — and once a type had one, its later rows are held to the
+/// tail-wide cutoff as well ([`tail_cutoff`]): those below it stay `None`
+/// without the walk that would only have stopped. A row's `None` is the
+/// same either way; only the work differs.
 ///
 /// The survivors are processed four at a time — one shared walk over the
 /// tail drives four independent accumulator lanes (distinct tasks →
@@ -224,38 +335,55 @@ pub(super) fn score_column_scatter(
 ) -> PairWork {
     let earliest = tail.min_time();
     cutoffs.begin_column(shared.task_types);
-    let mut survivors = live.iter().filter(|l| {
-        let tt = l.task.type_id;
-        let cutoff = cutoffs.get(tt, l.threshold, || {
-            deadline_cutoff(earliest, shared.cdf_for(tt, machine), l.threshold)
-        });
-        cutoff.is_some_and(|cutoff| l.task.deadline >= cutoff)
-    });
     let mut work = PairWork::default();
-    loop {
-        let quad: [Option<&LiveRow>; 4] = std::array::from_fn(|_| survivors.next());
+    // Writes a walk's outcome; an abandoned one arms its type's tail
+    // cutoff for the rest of the column.
+    let settle = |col: &mut [Option<PairScore>],
+                  work: &mut PairWork,
+                  cutoffs: &mut Cutoffs,
+                  entry: &LiveRow,
+                  score: Option<PairScore>| {
+        col[entry.row] = score;
+        *work += PairWork::of(score);
+        if score.is_none() {
+            cutoffs.arm(entry.task.type_id);
+        }
+    };
+    let mut quad: [Option<&LiveRow>; 4] = [None; 4];
+    let mut lanes = 0;
+    for entry in live {
+        let cdf = || shared.cdf_for(entry.task.type_id, machine);
+        let admitted = cutoffs.admits(
+            entry,
+            || deadline_cutoff(earliest, cdf(), entry.threshold),
+            || tail_cutoff(tail, cdf(), entry.threshold),
+            &mut work,
+        );
+        if !admitted {
+            continue;
+        }
+        quad[lanes] = Some(entry);
+        lanes += 1;
         if let [Some(a), Some(b), Some(c), Some(d)] = quad {
             let scores = score_quad(tail, shared, machine, [a, b, c, d]);
             for (entry, score) in [a, b, c, d].into_iter().zip(scores) {
-                col[entry.row] = score;
-                work += PairWork::of(score);
+                settle(col, &mut work, cutoffs, entry, score);
             }
-            continue;
+            (quad, lanes) = ([None; 4], 0);
         }
-        // A short quad is the column's remainder.
-        for entry in quad.into_iter().flatten() {
-            let score = score_unless_below(
-                tail,
-                shared.cdf_for(entry.task.type_id, machine),
-                entry.task.deadline,
-                shared.policy,
-                entry.threshold,
-            );
-            col[entry.row] = score;
-            work += PairWork::of(score);
-        }
-        return work;
     }
+    // A short quad is the column's remainder.
+    for entry in quad.into_iter().flatten() {
+        let score = score_unless_below(
+            tail,
+            shared.cdf_for(entry.task.type_id, machine),
+            entry.task.deadline,
+            shared.policy,
+            entry.threshold,
+        );
+        settle(col, &mut work, cutoffs, entry, score);
+    }
+    work
 }
 
 /// Four-lane unrolled [`score_unless_below`] under the dropping

@@ -94,10 +94,15 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 ///   cutoff and compares each row's deadline against it.) A pair that
 ///   clears it is walked under its row's threshold, and the walk stops —
 ///   the pair stays `None` — once the impulses left cannot lift it to the
-///   threshold. This is the same contract applied per pair instead of per
-///   lane, and it is the table's invariant: **a `None` on a free machine
-///   is a pair proven strictly below the threshold its row is held to —
-///   by a bound or by a stopped walk; a `Some` is the exact score.**
+///   threshold. In a column fill, a type that had a walk stop also gets
+///   a *tail-wide* cutoff, resolved from that stop test at every impulse
+///   of the tail: its later rows below it stay `None` without the walk
+///   (`kernel::tail_cutoff`; appended rows and retested lanes keep the
+///   per-pair path). This is the same contract applied per pair instead
+///   of per lane, and it is the table's invariant: **a `None` on a free
+///   machine is a pair proven strictly below the threshold its row is
+///   held to — by a bound, a cutoff or a stopped walk; a `Some` is the
+///   exact score.**
 ///   Every path that writes a cell tests the bound first and walks under
 ///   the threshold (column rescores, the rebuild fan-out on either
 ///   execution mode, appended rows, resurrected lanes), and the one event
@@ -341,6 +346,16 @@ impl ScoreTable {
         self.pairs_bounded
     }
 
+    /// Pairs of live lanes a column's tail-wide deadline cutoff rejected
+    /// so far — each one deadline compare in place of a walk that could
+    /// only have stopped below the threshold. Test support, like
+    /// [`ScoreTable::pairs_scored`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pairs_cut(&self) -> u64 {
+        self.pairs_cut
+    }
+
     /// Pairs whose kernel walk stopped part-way, proven below their row's
     /// threshold — left unscored like a bounded pair, at the cost of the
     /// impulses walked. Test support, like [`ScoreTable::pairs_scored`].
@@ -548,11 +563,15 @@ impl ScoreTable {
         self.members.iter().enumerate().filter(|(_, m)| !m.is_empty()).map(|(slot, _)| slot)
     }
 
-    /// Books `candidates` tested pairs, `work` of which ran the kernel.
+    /// Books `candidates` tested pairs: `work` says how many of them ran
+    /// the kernel and how many the tail-wide cutoff rejected; the
+    /// first-impulse bound rejected the rest.
     fn count_pairs(&mut self, candidates: usize, work: PairWork) {
         self.pairs_scored += work.scored as u64;
         self.pairs_abandoned += work.abandoned as u64;
-        self.pairs_bounded += (candidates - work.scored - work.abandoned) as u64;
+        self.pairs_cut += work.cut as u64;
+        self.cutoffs_resolved += work.resolved as u64;
+        self.pairs_bounded += (candidates - work.scored - work.abandoned - work.cut) as u64;
     }
 
     /// Recomputes the whole table for `tasks` (the batch window) against

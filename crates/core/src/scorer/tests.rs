@@ -2,7 +2,9 @@
 //! exercise. They stay in one `scorer::tests` module so every test keeps
 //! the name it had before `scorer.rs` was split.
 
-use super::kernel::{score_column_scatter, Cutoffs, LiveRow, PairWork, BOUND_MARGIN};
+use super::kernel::{
+    deadline_cutoff, score_column_scatter, tail_cutoff, Cutoffs, LiveRow, PairWork, BOUND_MARGIN,
+};
 use super::shared::{envelope_cdf, PetCdf, SpecMemo, TABLE_SHARD_WIDTH};
 use super::table::better_pair;
 use super::test_support::*;
@@ -432,10 +434,15 @@ fn live_row(row: usize, tt: u16, deadline: Time, threshold: f64) -> LiveRow {
 
 /// Fills one column through [`score_column_scatter`] — deadline cutoffs,
 /// four-lane walks, scalar remainder — and checks every row against the
-/// pairwise path: the per-pair bound ([`ScorerShared::pair_clears`]),
-/// then the scalar walk under the row's threshold. That walk is checked
-/// against the exact score in turn: a stopped walk is below the
-/// threshold, and a finished one is the exact score, bit for bit.
+/// table's contract: a `None` has an exact robustness below the row's
+/// threshold, a `Some` is the exact score bit for bit, and every pair
+/// whose exact score clears the threshold is `Some`. The column walks no
+/// more pairs than the pairwise path — the per-pair bound
+/// ([`ScorerShared::pair_clears`]), then the scalar walk under the row's
+/// threshold — whose walks are checked against the exact score in turn:
+/// a stopped walk is below the threshold, a finished one is exact. (The
+/// column may leave unscored a pair that path scores: one below its
+/// threshold that the tail-wide cutoff rejects.)
 fn assert_column_matches_pairwise(
     tail: &Pmf,
     shared: &ScorerShared,
@@ -448,7 +455,7 @@ fn assert_column_matches_pairwise(
     };
     let mut col = vec![None; live.iter().map(|l| l.row + 1).max().unwrap_or(0)];
     let work = score_column_scatter(tail, shared, machine, live, cutoffs, &mut col);
-    let mut want = PairWork::default();
+    let mut pairwise = PairWork::default();
     for l in live {
         let cdf = shared.cdf_for(l.task.type_id, machine);
         let exact = exact_score(tail, cdf, l.task.deadline, shared.policy);
@@ -460,14 +467,23 @@ fn assert_column_matches_pairwise(
                 "{l:?}: the walk stopped, but the exact score is {exact:?}"
             ),
         }
-        let clears = shared.pair_clears(machine, &l.task, tail.min_time(), l.threshold);
-        if clears {
-            want += PairWork::of(walked);
+        if shared.pair_clears(machine, &l.task, tail.min_time(), l.threshold) {
+            pairwise += PairWork::of(walked);
         }
-        let expected = if clears { walked } else { None };
-        assert_eq!(bits(col[l.row]), bits(expected), "{l:?}: column vs pairwise");
+        match col[l.row] {
+            Some(_) => assert_eq!(bits(col[l.row]), bits(Some(exact)), "{l:?}: column score"),
+            None => assert!(
+                exact.robustness < l.threshold,
+                "{l:?}: unscored in the column, but the exact score is {exact:?}"
+            ),
+        }
     }
-    assert_eq!(work, want, "scored and abandoned counts");
+    assert_eq!(work.scored, col.iter().flatten().count(), "scored count");
+    assert!(
+        work.scored + work.abandoned <= pairwise.scored + pairwise.abandoned,
+        "the column walked {work:?}, the pairwise path {pairwise:?}"
+    );
+    assert!(work.scored + work.abandoned + work.cut <= live.len(), "{work:?} of {}", live.len());
 }
 
 #[test]
@@ -1647,6 +1663,43 @@ mod props {
                 })
                 .collect();
             assert_column_matches_pairwise(&tail, &shared, &machine, &live, &mut Cutoffs::default());
+        }
+    }
+
+    proptest! {
+        /// The tail-wide deadline cutoff over random unit tails of 1–48
+        /// impulses, random PET cells and thresholds (random, or the
+        /// exact robustness at a random deadline, a tie): it is sound —
+        /// never above the smallest deadline whose exact robustness
+        /// clears the threshold (`None` only when none does) — and at
+        /// least as tight as the first-impulse cutoff.
+        #[test]
+        fn tail_cutoffs_are_sound_and_at_least_the_first_impulse_cutoff(
+            tail in arb_pmf(300, 49),
+            cell in arb_pmf(80, 12),
+            random in 0.0f64..1.0,
+            tie in 0usize..2,
+            tie_at in 1u64..400,
+            policy_idx in 0usize..3,
+        ) {
+            let policy = POLICIES[policy_idx];
+            let shared =
+                ScorerShared::derive(PetMatrix::from_pmfs(1, 1, vec![cell]), None, policy, 16);
+            let cdf = shared.cdf(TaskTypeId(0), MachineId(0));
+            let exact = |deadline| exact_score(&tail, cdf, deadline, policy).robustness;
+            let threshold = if tie == 1 { exact(tie_at) } else { random };
+            let cutoff = tail_cutoff(&tail, cdf, threshold);
+            let first = deadline_cutoff(tail.min_time(), cdf, threshold);
+            // `None` is a cutoff past every deadline.
+            let tighter = cutoff.is_none_or(|t| first.is_some_and(|f| f <= t));
+            prop_assert!(tighter, "tail {cutoff:?} below first-impulse {first:?}");
+            let last = tail.max_time() + cdf.times.last().copied().unwrap_or(0) + 2;
+            if let Some(clears) = (0..=last).find(|&deadline| exact(deadline) >= threshold) {
+                prop_assert!(
+                    cutoff.is_some_and(|c| c <= clears),
+                    "cutoff {cutoff:?} above {clears}, the first deadline that clears {threshold}"
+                );
+            }
         }
     }
 

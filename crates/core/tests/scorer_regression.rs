@@ -336,32 +336,41 @@ impl Mapper for TableLoop {
 }
 
 /// Runs `tasks` through [`TableLoop`]; returns the table's `(pairs
-/// scored, pairs bounded, pairs abandoned, rows shared)` for the whole
-/// trial.
+/// scored, pairs bounded, pairs cut, pairs abandoned, rows shared)` for
+/// the whole trial.
 fn table_work(spec: &SystemSpec, tasks: &[Task], seeds: &SeedSequence) -> TableWork {
     let mut mapper = TableLoop { scorer: None, table: ScoreTable::new() };
     let report =
         run_simulation(spec, SimConfig::untrimmed(), tasks, &mut mapper, &mut seeds.stream(3));
     assert!(report.mapping_events > tasks.len() as u64, "arrivals and completions both map");
     let table = &mapper.table;
-    (table.pairs_scored(), table.pairs_bounded(), table.pairs_abandoned(), table.rows_shared())
+    (
+        table.pairs_scored(),
+        table.pairs_bounded(),
+        table.pairs_cut(),
+        table.pairs_abandoned(),
+        table.rows_shared(),
+    )
 }
 
-type TableWork = (u64, u64, u64, u64);
+type TableWork = (u64, u64, u64, u64, u64);
 
-/// The table's four work counters — completed kernel walks, pairs the
-/// per-machine bound rejected in their place, walks stopped below their
-/// row's threshold, and appended rows that joined a live (type,
-/// deadline) class instead of being scored — pinned on one fixed-seed
+/// The table's five work counters — completed kernel walks, pairs the
+/// per-machine bound rejected in their place, pairs a column's tail-wide
+/// deadline cutoff rejected, walks stopped below their row's threshold,
+/// and appended rows that joined a live (type, deadline) class instead
+/// of being scored — pinned on one fixed-seed
 /// trial each of a 72-machine (three-shard) classic cluster, a
 /// 72-machine serverless one, and a serverless burst whose window shares
 /// classes. They are deterministic, so a pin that moves
 /// means the table did different *work*: re-pin from the assertion
 /// message once the reason is understood (a bound that reads the wrong
 /// cell — the warm one for a cold placement — shows here as pairs moving
-/// from the second counter to the others; a stopping rule that gives up
-/// too late, as pairs moving from the third to the first; a class key
-/// that misses a field the score reads, as rows moving into the fourth).
+/// from the second counter to the others; a tail cutoff that is never
+/// armed, as pairs moving from the third to the fourth; a stopping rule
+/// that gives up too late, as pairs moving from the fourth to the first;
+/// a class key that misses a field the score reads, as rows moving into
+/// the fifth).
 #[test]
 fn table_work_counters_are_pinned() {
     let seeds = SeedSequence::new(72);
@@ -388,7 +397,7 @@ fn table_work_counters_are_pinned() {
     // Three functions in tight bursts: same-tick requests of one function
     // share a deadline, and many of their classes are live, so sharing
     // saves pair work here — a slot per row would score (3 328, 6 777,
-    // 2 040).
+    // 2 040) before the tail cutoff.
     let burst = FaasConfig {
         num_functions: 3,
         num_machines: 72,
@@ -401,6 +410,6 @@ fn table_work_counters_are_pinned() {
     assert_eq!(table_work(&spec, &tasks, &seeds), BURST_72M_TABLE_WORK, "serverless burst");
 }
 
-const CLASSIC_72M_TABLE_WORK: TableWork = (10_818, 97_296, 22_568, 0);
-const FAAS_72M_TABLE_WORK: TableWork = (1_899, 522, 19, 74);
-const BURST_72M_TABLE_WORK: TableWork = (1_960, 1_905, 465, 326);
+const CLASSIC_72M_TABLE_WORK: TableWork = (10_818, 97_296, 3_772, 18_796, 0);
+const FAAS_72M_TABLE_WORK: TableWork = (1_899, 522, 0, 19, 74);
+const BURST_72M_TABLE_WORK: TableWork = (1_960, 1_905, 27, 438, 326);
