@@ -7,7 +7,8 @@
 # Each mutant is applied in one reused worktree at target/mutants/tree,
 # checked out at HEAD and built into target/mutants/target, so that each
 # mutant rebuilds only the crates its patch touches; its named tests run
-# in release. A mutant is `killed` when they fail, `survived` when they
+# in release. A tree that is gone but still registered (after `cargo
+# clean`, say) is pruned and added afresh. A mutant is `killed` when they fail, `survived` when they
 # pass, and `stale` when its patch no longer applies or the mutated tree
 # does not build. Any survived or stale mutant makes the run exit 1.
 set -u
@@ -26,7 +27,7 @@ if [ "$check" -eq 0 ]; then
     if [ -e "$tree/.git" ]; then
         git -C "$tree" checkout -q --detach "$(git rev-parse HEAD)" && git -C "$tree" reset -q --hard
     else
-        mkdir -p target/mutants && git worktree add -q --detach "$tree" HEAD
+        mkdir -p target/mutants && git worktree prune && git worktree add -q --detach "$tree" HEAD
     fi || exit 2
 fi
 
