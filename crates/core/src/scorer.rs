@@ -194,38 +194,12 @@ impl WorkCounters {
         ]
     }
 
-    /// Every counter with its name, in declaration order — what
-    /// [`WorkCounters::fields`] reads and `+=` adds.
-    fn fields_mut(&mut self) -> [&mut u64; 11] {
-        [
-            &mut self.pairs_scored,
-            &mut self.pairs_bounded,
-            &mut self.pairs_cut,
-            &mut self.pairs_abandoned,
-            &mut self.column_abandoned,
-            &mut self.rows_shared,
-            &mut self.cutoffs_resolved,
-            &mut self.head_builds,
-            &mut self.chain_extensions,
-            &mut self.table_rebuilds,
-            &mut self.table_reuses,
-        ]
-    }
-
     /// The table's counters from `table`, the chain counters from
     /// `scorer`'s cells.
     pub(crate) fn of(table: &ScoreTable, scorer: &mut ProbScorer) -> Self {
         let mut work = table.work();
         scorer.add_chain_work(&mut work);
         work
-    }
-}
-
-impl std::ops::AddAssign for WorkCounters {
-    fn add_assign(&mut self, other: Self) {
-        for (sum, (_, add)) in self.fields_mut().into_iter().zip(other.fields()) {
-            *sum += add;
-        }
     }
 }
 

@@ -214,21 +214,9 @@ pub struct ScoreTable {
     /// Scratch: the types the last `recompute_shard_aggregates` turned
     /// warm-capable in its shard.
     newly_warm: Vec<bool>,
-    /// Exact (class, machine) scores computed so far, pairs of live lanes
-    /// the per-pair bound rejected instead, pairs the tail-wide deadline
-    /// cutoff rejected, walks stopped below their class's threshold (and
-    /// those of them in column fills), appended rows that joined a live
-    /// class, tail cutoffs resolved, and full rebuilds and incremental
-    /// repairs of the table (diagnostics/tests, [`ScoreTable::work`]).
-    pairs_scored: u64,
-    pairs_bounded: u64,
-    pairs_cut: u64,
-    pairs_abandoned: u64,
-    column_abandoned: u64,
-    rows_shared: u64,
-    cutoffs_resolved: u64,
-    rebuilds: u64,
-    reuses: u64,
+    /// The table's work counters so far (diagnostics/tests; the chain
+    /// counters stay zero here, they are the scorer's).
+    work: WorkCounters,
     /// Reuse signature: membership epoch of the last rebuild and machine
     /// versions as last scored (the window is `window`). The event time
     /// is *not* part of it — see [`ScoreTable::ensure`].
@@ -334,7 +322,7 @@ impl ScoreTable {
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_scored(&self) -> u64 {
-        self.pairs_scored
+        self.work.pairs_scored
     }
 
     /// Pairs of live lanes the per-pair bound rejected so far — each one
@@ -343,7 +331,7 @@ impl ScoreTable {
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_bounded(&self) -> u64 {
-        self.pairs_bounded
+        self.work.pairs_bounded
     }
 
     /// Pairs of live lanes a column's tail-wide deadline cutoff rejected
@@ -353,7 +341,7 @@ impl ScoreTable {
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_cut(&self) -> u64 {
-        self.pairs_cut
+        self.work.pairs_cut
     }
 
     /// Pairs whose kernel walk stopped part-way, proven below their row's
@@ -362,7 +350,7 @@ impl ScoreTable {
     #[doc(hidden)]
     #[must_use]
     pub fn pairs_abandoned(&self) -> u64 {
-        self.pairs_abandoned
+        self.work.pairs_abandoned
     }
 
     /// Rows appended to the window so far that joined a live class — a
@@ -372,24 +360,13 @@ impl ScoreTable {
     #[doc(hidden)]
     #[must_use]
     pub fn rows_shared(&self) -> u64 {
-        self.rows_shared
+        self.work.rows_shared
     }
 
     /// The table's half of the work counters (the chain counters are the
     /// scorer's).
     pub(super) fn work(&self) -> WorkCounters {
-        WorkCounters {
-            pairs_scored: self.pairs_scored,
-            pairs_bounded: self.pairs_bounded,
-            pairs_cut: self.pairs_cut,
-            pairs_abandoned: self.pairs_abandoned,
-            column_abandoned: self.column_abandoned,
-            rows_shared: self.rows_shared,
-            cutoffs_resolved: self.cutoffs_resolved,
-            table_rebuilds: self.rebuilds,
-            table_reuses: self.reuses,
-            ..WorkCounters::default()
-        }
+        self.work
     }
 
     /// Checks the table against its own contract, as it must stand after
@@ -567,11 +544,11 @@ impl ScoreTable {
     /// the kernel and how many the tail-wide cutoff rejected; the
     /// first-impulse bound rejected the rest.
     fn count_pairs(&mut self, candidates: usize, work: PairWork) {
-        self.pairs_scored += work.scored as u64;
-        self.pairs_abandoned += work.abandoned as u64;
-        self.pairs_cut += work.cut as u64;
-        self.cutoffs_resolved += work.resolved as u64;
-        self.pairs_bounded += (candidates - work.scored - work.abandoned - work.cut) as u64;
+        self.work.pairs_scored += work.scored as u64;
+        self.work.pairs_abandoned += work.abandoned as u64;
+        self.work.pairs_cut += work.cut as u64;
+        self.work.cutoffs_resolved += work.resolved as u64;
+        self.work.pairs_bounded += (candidates - work.scored - work.abandoned - work.cut) as u64;
     }
 
     /// Recomputes the whole table for `tasks` (the batch window) against
@@ -605,7 +582,7 @@ impl ScoreTable {
         changed: usize,
     ) {
         debug_assert_machine_alignment(machines);
-        self.rebuilds += 1;
+        self.work.table_rebuilds += 1;
         self.cols.resize_with(machines.len(), Vec::new);
         self.col_scores.resize(machines.len(), 0);
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
@@ -633,7 +610,7 @@ impl ScoreTable {
             })
             .sum();
         self.count_pairs(candidates, work);
-        self.column_abandoned += work.abandoned as u64;
+        self.work.column_abandoned += work.abandoned as u64;
         self.reduce_shard_bests(self.class_tasks.len());
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
@@ -820,7 +797,7 @@ impl ScoreTable {
         self.score_retested_lanes(scorer, machines);
         self.rescore_dirty_shards(scorer, machines);
         self.reconcile_window(scorer, machines, tasks, skip_below);
-        self.reuses += 1;
+        self.work.table_reuses += 1;
         true
     }
 
@@ -1166,7 +1143,7 @@ impl ScoreTable {
         });
         self.col_scores[m] = work.scored;
         self.count_pairs(self.live.len(), work);
-        self.column_abandoned += work.abandoned as u64;
+        self.work.column_abandoned += work.abandoned as u64;
     }
 
     /// Repairs the table after the caller committed window row `row` to
@@ -1257,7 +1234,7 @@ impl ScoreTable {
                 "a class joined under another threshold than it was scored under"
             );
             self.append_member(slot, task);
-            self.rows_shared += 1;
+            self.work.rows_shared += 1;
             return;
         }
         let shards = self.shard_earliest.len();

@@ -113,8 +113,9 @@ pub struct WorkRow {
     pub name: &'static str,
     /// PAM mapping events, the denominator of every per-event figure.
     pub mapping_events: u64,
-    /// The table's and the tail caches' counters, summed over trials.
-    pub work: WorkCounters,
+    /// The table's and the tail caches' counters
+    /// ([`WorkCounters::fields`]), summed over trials.
+    pub work: [(&'static str, u64); 11],
 }
 
 /// Runs every mirror at [`SEED`].
@@ -137,7 +138,8 @@ fn run_mirror(mirror: &Mirror) -> WorkRow {
         System::Faas => faas_system(&faas, rng),
     };
     let seeds = SeedSequence::new(SEED);
-    let mut row = WorkRow { name: mirror.name, mapping_events: 0, work: WorkCounters::default() };
+    let work = WorkCounters::default().fields();
+    let mut row = WorkRow { name: mirror.name, mapping_events: 0, work };
     for i in 0..mirror.trials {
         let trial = seeds.child(100 + i as u64);
         let tasks = match mirror.system {
@@ -174,7 +176,9 @@ fn run_mirror(mirror: &Mirror) -> WorkRow {
             step_trial(&spec, &tasks, &trial, &mut pam)
         };
         pam.on_shutdown();
-        row.work += pam.work();
+        for (sum, (_, add)) in row.work.iter_mut().zip(pam.work().fields()) {
+            sum.1 += add;
+        }
     }
     row
 }
@@ -238,7 +242,7 @@ pub fn digest(rows: &[WorkRow]) -> u64 {
     for row in rows {
         eat(row.name.as_bytes());
         eat(&row.mapping_events.to_le_bytes());
-        for (name, value) in row.work.fields() {
+        for (name, value) in row.work {
             eat(name.as_bytes());
             eat(&value.to_le_bytes());
         }
@@ -256,7 +260,7 @@ pub fn render(rows: &[WorkRow]) -> String {
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(out, "    \"{}\": {{", row.name);
         let _ = write!(out, "      \"mapping_events\": {}", row.mapping_events);
-        for (name, value) in row.work.fields() {
+        for (name, value) in row.work {
             let _ = write!(out, ",\n      \"{name}\": {value}");
         }
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -296,7 +300,7 @@ mod tests {
     use super::*;
 
     fn row(name: &'static str, scored: u64) -> WorkRow {
-        let work = WorkCounters { pairs_scored: scored, ..WorkCounters::default() };
+        let work = WorkCounters { pairs_scored: scored, ..WorkCounters::default() }.fields();
         WorkRow { name, mapping_events: 10, work }
     }
 
@@ -307,7 +311,8 @@ mod tests {
         assert_ne!(digest(&base), digest(&[row("a", 1), row("b", 3)]));
         assert_ne!(digest(&base), digest(&[row("a", 1), row("c", 2)]));
         let mut cut = base;
-        cut[1].work.pairs_cut = 1;
+        let pairs_cut = cut[1].work.iter_mut().find(|(name, _)| *name == "pairs_cut");
+        pairs_cut.expect("a counter").1 = 1;
         assert_ne!(digest(&base), digest(&cut));
     }
 
