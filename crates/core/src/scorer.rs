@@ -62,8 +62,9 @@
 //! closed — and not even the idle ones among the latter whose columns hold
 //! no exact score: an idle tail is `delta(now)`, which only moves later,
 //! so such a machine is re-timed in place and every pair it left
-//! unscored stays proven. That is what keeps a mostly idle serverless
-//! cluster off the bulk rebuild. And the table scores a pair only where
+//! unscored stays proven, which spares a mostly idle serverless cluster
+//! a column rescore per idle machine per tick. And the table scores a
+//! pair only where
 //! the score can matter: under
 //! oversubscription most (task, machine) pairs exist to be deferred
 //! again, and `CDF_E(δ − tail.min_time())` — one lookup in the cell the

@@ -1,9 +1,8 @@
 //! The closed-form scoring kernels: robustness and expected completion of
 //! appending a task behind a machine tail, computed from the tail and a
 //! prefix CDF of the PET cell without materializing the convolution — per
-//! pair, four lanes at a time for a table column, and as a one-lookup
-//! upper bound — per shard lane for the bound pass, per (row, machine)
-//! pair in front of every exact table score.
+//! pair, and as a one-lookup upper bound — per shard lane for the bound
+//! pass, per (row, machine) pair in front of every exact table score.
 //!
 //! A table pair is held to its row's skip threshold, and the kernels take
 //! it: a walk stops as soon as the impulses left cannot lift the
@@ -309,22 +308,13 @@ impl PairWork {
 /// row's threshold, and those stay `None` without the walk. That bound is
 /// resolved once per task type into a deadline cutoff ([`Cutoffs`], in the
 /// machine's cell), against which each row compares its deadline. Of the
-/// pairs that clear it, those whose walk stops below the threshold stay
-/// `None` too — and once a type had one, its later rows are held to the
-/// tail-wide cutoff as well ([`tail_cutoff`]): those below it stay `None`
-/// without the walk that would only have stopped. A row's `None` is the
-/// same either way; only the work differs.
-///
-/// The survivors are processed four at a time — one shared walk over the
-/// tail drives four independent accumulator lanes (distinct tasks →
-/// distinct accumulators and CDF cursors), which gives the superscalar
-/// core four dependency chains instead of one. Each lane performs exactly
-/// the per-task walk of [`score_unless_below`] (same impulse order, same
-/// CDF values, same float operations, same stopping test), so the column
-/// is bit-identical to per-pair scoring; the remainder lanes literally
-/// call it. Under a cold-start model each task's CDF is selected
-/// warm-or-cold from the machine's warm-container set via
-/// [`ScorerShared::cdf_for`].
+/// pairs that clear it, those whose walk ([`score_unless_below`]) stops
+/// below the threshold stay `None` too — and once a type had one, its
+/// later rows are held to the tail-wide cutoff as well ([`tail_cutoff`]):
+/// those below it stay `None` without the walk that would only have
+/// stopped. A row's `None` is the same either way; only the work differs.
+/// Under a cold-start model each task's CDF is selected warm-or-cold from
+/// the machine's warm-container set via [`ScorerShared::cdf_for`].
 pub(super) fn score_column_scatter(
     tail: &Pmf,
     shared: &ScorerShared,
@@ -336,21 +326,6 @@ pub(super) fn score_column_scatter(
     let earliest = tail.min_time();
     cutoffs.begin_column(shared.task_types);
     let mut work = PairWork::default();
-    // Writes a walk's outcome; an abandoned one arms its type's tail
-    // cutoff for the rest of the column.
-    let settle = |col: &mut [Option<PairScore>],
-                  work: &mut PairWork,
-                  cutoffs: &mut Cutoffs,
-                  entry: &LiveRow,
-                  score: Option<PairScore>| {
-        col[entry.row] = score;
-        *work += PairWork::of(score);
-        if score.is_none() {
-            cutoffs.arm(entry.task.type_id);
-        }
-    };
-    let mut quad: [Option<&LiveRow>; 4] = [None; 4];
-    let mut lanes = 0;
     for entry in live {
         let cdf = || shared.cdf_for(entry.task.type_id, machine);
         let admitted = cutoffs.admits(
@@ -362,94 +337,17 @@ pub(super) fn score_column_scatter(
         if !admitted {
             continue;
         }
-        quad[lanes] = Some(entry);
-        lanes += 1;
-        if let [Some(a), Some(b), Some(c), Some(d)] = quad {
-            let scores = score_quad(tail, shared, machine, [a, b, c, d]);
-            for (entry, score) in [a, b, c, d].into_iter().zip(scores) {
-                settle(col, &mut work, cutoffs, entry, score);
-            }
-            (quad, lanes) = ([None; 4], 0);
+        let score =
+            score_unless_below(tail, cdf(), entry.task.deadline, shared.policy, entry.threshold);
+        col[entry.row] = score;
+        work += PairWork::of(score);
+        // An abandoned walk arms its type's tail cutoff for the rest of
+        // the column.
+        if score.is_none() {
+            cutoffs.arm(entry.task.type_id);
         }
-    }
-    // A short quad is the column's remainder.
-    for entry in quad.into_iter().flatten() {
-        let score = score_unless_below(
-            tail,
-            shared.cdf_for(entry.task.type_id, machine),
-            entry.task.deadline,
-            shared.policy,
-            entry.threshold,
-        );
-        settle(col, &mut work, cutoffs, entry, score);
     }
     work
-}
-
-/// Four-lane unrolled [`score_unless_below`] under the dropping
-/// scenarios; see [`score_column_scatter`]. Each lane stops on its own
-/// threshold, and the walk ends once all four have. Scenario A (policy
-/// `None`) has no early-break structure to share, so it stays on the
-/// scalar path.
-fn score_quad(
-    tail: &Pmf,
-    shared: &ScorerShared,
-    machine: &MachineState,
-    quad: [&LiveRow; 4],
-) -> [Option<PairScore>; 4] {
-    let cdfs = quad.map(|l| shared.cdf_for(l.task.type_id, machine));
-    let deadlines = quad.map(|l| l.task.deadline);
-    let thresholds = quad.map(|l| l.threshold);
-    if shared.policy == DropPolicy::None {
-        return [0, 1, 2, 3].map(|l| {
-            score_unless_below(tail, cdfs[l], deadlines[l], shared.policy, thresholds[l])
-        });
-    }
-    debug_assert!(tail.is_normalized(), "a walked tail carries unit mass");
-    let (times, masses) = (tail.times(), tail.masses());
-    let mut cursors = cdfs.map(CdfCursor::new);
-    let mut robustness = [0.0f64; 4];
-    let mut startable = [0.0f64; 4];
-    let mut weighted = [0.0f64; 4];
-    let mut alive = [true; 4];
-    let mut walking = 4;
-    let max_deadline = deadlines.iter().copied().max().expect("four lanes");
-    for (&t, &p) in times.iter().zip(masses) {
-        if t >= max_deadline {
-            break; // sorted: no lane can start from here on
-        }
-        let tp = t as f64 * p;
-        for lane in 0..4 {
-            if alive[lane] && t < deadlines[lane] {
-                let on_time = cursors[lane].at_descending(deadlines[lane] - t);
-                if ends_below(robustness[lane], startable[lane], on_time, thresholds[lane]) {
-                    alive[lane] = false;
-                    walking -= 1;
-                    continue;
-                }
-                robustness[lane] += p * on_time;
-                startable[lane] += p;
-                weighted[lane] += tp;
-            }
-        }
-        if walking == 0 {
-            break;
-        }
-    }
-    [0, 1, 2, 3].map(|lane| {
-        alive[lane].then(|| {
-            let expected_completion = if startable[lane] > 0.0 {
-                weighted[lane] / startable[lane] + cdfs[lane].mean
-            } else {
-                f64::INFINITY
-            };
-            PairScore {
-                robustness: robustness[lane].min(1.0),
-                expected_completion,
-                mean_exec: cdfs[lane].mean,
-            }
-        })
-    })
 }
 
 /// The per-pair closed-form scoring kernel, held to `threshold`: the

@@ -52,9 +52,9 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// PAM's phase scan reads each class once, at its head (see
 /// `ScoreTable::is_head`). An unshared row is a class of one.
 ///
-/// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a tick
-///   that re-keyed most of the busy cluster — ensures every free machine's
-///   tail cache in a per-machine fan-out (a
+/// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a table
+///   [`ScoreTable::invalidate`]d — ensures every free machine's tail
+///   cache in a per-machine fan-out (a
 ///   worker-pool round at cluster scale), then scores the surviving
 ///   (row, shard) pairs in a second fan-out (columns are disjoint cells,
 ///   merged in machine-index order);
@@ -315,57 +315,14 @@ impl ScoreTable {
         self.members[self.order[row]].front() == Some(&self.window[row].id)
     }
 
-    /// Exact (row, machine) pair scores the table has computed so far —
-    /// kernel walks that ran to the end, counted where they happen: the
-    /// work neither bound nor the threshold avoided. Test support, not
-    /// part of the supported API.
+    /// The table's half of the work counters so far — completed kernel
+    /// walks, pairs a bound, a deadline cutoff or a stopped walk left
+    /// unscored, appended rows that joined a live class, rebuilds and
+    /// reuses; the chain counters are the scorer's and read zero here.
+    /// Test support, not part of the supported API.
     #[doc(hidden)]
     #[must_use]
-    pub fn pairs_scored(&self) -> u64 {
-        self.work.pairs_scored
-    }
-
-    /// Pairs of live lanes the per-pair bound rejected so far — each one
-    /// CDF lookup or deadline compare in place of a kernel walk. Test
-    /// support, like [`ScoreTable::pairs_scored`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn pairs_bounded(&self) -> u64 {
-        self.work.pairs_bounded
-    }
-
-    /// Pairs of live lanes a column's tail-wide deadline cutoff rejected
-    /// so far — each one deadline compare in place of a walk that could
-    /// only have stopped below the threshold. Test support, like
-    /// [`ScoreTable::pairs_scored`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn pairs_cut(&self) -> u64 {
-        self.work.pairs_cut
-    }
-
-    /// Pairs whose kernel walk stopped part-way, proven below their row's
-    /// threshold — left unscored like a bounded pair, at the cost of the
-    /// impulses walked. Test support, like [`ScoreTable::pairs_scored`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn pairs_abandoned(&self) -> u64 {
-        self.work.pairs_abandoned
-    }
-
-    /// Rows appended to the window so far that joined a live class — a
-    /// `(type, deadline)` some row already in the window had — and so
-    /// took no bound or column work at all. Test support, like
-    /// [`ScoreTable::pairs_scored`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn rows_shared(&self) -> u64 {
-        self.work.rows_shared
-    }
-
-    /// The table's half of the work counters (the chain counters are the
-    /// scorer's).
-    pub(super) fn work(&self) -> WorkCounters {
+    pub fn work(&self) -> WorkCounters {
         self.work
     }
 
@@ -387,7 +344,7 @@ impl ScoreTable {
     /// slot, no two live slots share a key, and each class lists exactly
     /// its positions' tasks in window order, so its head is its earliest.
     /// The first violation comes back as the error. Test support, like
-    /// [`ScoreTable::pairs_scored`].
+    /// [`ScoreTable::work`].
     #[doc(hidden)]
     pub fn check_invariants(
         &self,
@@ -763,16 +720,15 @@ impl ScoreTable {
     /// stays scored, and what a lower threshold rejected a higher one
     /// rejects too.
     ///
-    /// Falls back to a rebuild — returning `false` — when the table was
-    /// invalidated or is of another epoch, and when incremental repair
-    /// would not pay: the changed set is at least half the free machines
-    /// (a busy cluster whose executing heads crossed a PET impulse
-    /// together; idle re-keys are re-timed, not counted). Such a rebuild
-    /// mostly hits warm chains, and fans out only from
-    /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the
-    /// incremental path runs on the calling thread whatever the thread
-    /// count — a pool round costs more than the few columns it would
-    /// share out. Returns `true` when the table was reused incrementally.
+    /// Falls back to a rebuild — returning `false` — only when there is
+    /// nothing to repair: the first build, a table of another membership
+    /// epoch, or one [`ScoreTable::invalidate`]d. However many machines
+    /// changed, the repair rescores exactly the columns a rebuild would
+    /// have to, and skips the rest. A rebuild fans out only from
+    /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the incremental
+    /// path runs on the calling thread whatever the thread count — a
+    /// pool round costs more than the columns it would share out.
+    /// Returns `true` when the table was reused incrementally.
     ///
     /// Every entry after `ensure` that a fresh rebuild would also score
     /// is byte-identical to the rebuilt value; entries `ensure` keeps
@@ -807,7 +763,9 @@ impl ScoreTable {
     /// against, reusable or not: a rebuild sizes its fan-out by how many
     /// machines moved, re-timed ones included, since its warm-up re-keys
     /// them all. Returns that count (`usize::MAX` with nothing to diff
-    /// against) and whether the table can be repaired incrementally.
+    /// against) and whether the table can be repaired incrementally: it
+    /// has columns to diff against, was not invalidated, and is of the
+    /// current membership epoch.
     fn find_changed(&mut self, scorer: &ProbScorer, machines: &[MachineState]) -> (usize, bool) {
         let shards = scorer.shared.shards;
         let now = scorer.now;
@@ -820,13 +778,10 @@ impl ScoreTable {
         {
             self.changed.clear();
             self.retimed.clear();
-            let mut free = 0;
             for (m, machine) in machines.iter().enumerate() {
-                let free_slot = machine.has_free_slot();
-                free += usize::from(free_slot);
                 if self.versions[m] != machine.version() {
                     self.changed.push(m);
-                } else if free_slot
+                } else if machine.has_free_slot()
                     && !self.tail_bounds[m].is_some_and(|b| b.head_window.contains(now))
                 {
                     if machine.occupancy() == 0 && self.col_scores[m] == 0 {
@@ -836,9 +791,8 @@ impl ScoreTable {
                     }
                 }
             }
-            let changed = self.changed.len();
-            moved = changed + self.retimed.len();
-            reusable = self.epoch == scorer.membership_epoch && changed * 2 < free.max(1);
+            moved = self.changed.len() + self.retimed.len();
+            reusable = self.epoch == scorer.membership_epoch;
         }
         (moved, reusable)
     }

@@ -433,7 +433,7 @@ fn live_row(row: usize, tt: u16, deadline: Time, threshold: f64) -> LiveRow {
 }
 
 /// Fills one column through [`score_column_scatter`] — deadline cutoffs,
-/// four-lane walks, scalar remainder — and checks every row against the
+/// then one walk per admitted row — and checks every row against the
 /// table's contract: a `None` has an exact robustness below the row's
 /// threshold, a `Some` is the exact score bit for bit, and every pair
 /// whose exact score clears the threshold is `Some`. The column walks no
@@ -566,6 +566,28 @@ fn a_threshold_tie_on_a_tail_half_an_epsilon_heavy_still_scores() {
 }
 
 // --- table.rs: the (window x machine) score table ---
+
+#[test]
+fn an_abandoned_walk_arms_the_tail_cutoff_from_the_next_row() {
+    // Half the tail starts at 0, half at 40, and the cell finishes at
+    // exactly 10. A deadline in (40, 50) clears the first-impulse cutoff
+    // (10) but not the tail-wide one (40 + 10): its walk gathers 0.5 at
+    // the first impulse and stops at the second, which cannot start on
+    // time. Five such rows of one type and one threshold.
+    let tail = Pmf::from_points(&[(0, 0.5), (40, 0.5)]).unwrap();
+    let shared = ScorerShared::derive(pet_single(&[(10, 1.0)]), None, DropPolicy::All, 16);
+    let machine = MachineState::new(MachineId(0), 4);
+    let live: Vec<LiveRow> = (0..5).map(|row| live_row(row, 0, 41 + row as Time, 0.9)).collect();
+    let cdf = shared.cdf_for(TaskTypeId(0), &machine);
+    assert_eq!((deadline_cutoff(0, cdf, 0.9), tail_cutoff(&tail, cdf, 0.9)), (Some(10), Some(50)));
+    // The first walk stops and arms the type's tail cutoff; the next row
+    // resolves it, and it and the three after it are cut without a walk.
+    let mut col = vec![None; live.len()];
+    let work =
+        score_column_scatter(&tail, &shared, &machine, &live, &mut Cutoffs::default(), &mut col);
+    assert_eq!(work, PairWork { scored: 0, abandoned: 1, cut: 4, resolved: 1 });
+    assert_column_matches_pairwise(&tail, &shared, &machine, &live, &mut Cutoffs::default());
+}
 
 #[test]
 fn score_table_matches_pairwise_scoring_bitwise() {
@@ -839,10 +861,11 @@ fn score_table_ensure_across_ticks_matches_fresh_rebuild() {
     assert!(machines[m.index()].is_idle());
     assert!(table.get(0, 70).is_some(), "machine 70's completion resurrects shard 2");
 
-    // Tick 30 — every executing head has crossed its first impulse:
-    // the changed set is most of the cluster, so the bulk path runs.
+    // Tick 30 — every executing head has crossed its first impulse: the
+    // changed set is most of the cluster, and the table is still
+    // repaired, not rebuilt.
     scorer.begin_event(30);
-    assert!(!table.ensure(&mut scorer, &machines, &tasks, &threshold), "bulk re-key");
+    assert!(table.ensure(&mut scorer, &machines, &tasks, &threshold), "bulk re-key");
     assert_table_matches_fresh_rebuild(&table, (&pet, &cold), &machines, &tasks, 30, &threshold);
 }
 
@@ -1087,10 +1110,11 @@ fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
     scorer.begin_event(2);
     assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "few heads re-keyed");
     table.check_invariants(&mut scorer, &machines).unwrap();
-    // … and one that re-keys at least half the free machines takes the
-    // bulk path.
+    // … and so does one that re-keys every free machine.
     scorer.begin_event(40);
-    assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "all overdue: rebuild");
+    assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "all overdue: reuse");
+    table.check_invariants(&mut scorer, &machines).unwrap();
+    assert_table_matches_fresh_rebuild(&table, (&pet, &pet), &machines, &tasks, 40, &|_| 0.0);
     // A membership epoch bump must rebuild (shard geometry may move).
     scorer.sync_membership(1, &machines);
     assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new epoch");
@@ -1306,7 +1330,11 @@ fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     scorer.begin_event(0);
     let mut table = ScoreTable::new();
     table.rebuild(&mut scorer, &machines, &tasks, &threshold);
-    assert_eq!(table.pairs_scored(), 0, "all-cold cluster: every lane is under the cold bound");
+    assert_eq!(
+        table.work().pairs_scored,
+        0,
+        "all-cold cluster: every lane is under the cold bound"
+    );
     assert!((0..tasks.len()).all(|row| table.best_for_row(&machines, row).is_none()));
 
     // One resident type-0 container in shard 1: the shard bound lets the
@@ -1315,8 +1343,8 @@ fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     // other member would start them cold.
     testkit::set_warm(&mut machines[40], TaskTypeId(0), 1_000);
     table.rebuild(&mut scorer, &machines, &tasks, &threshold);
-    assert_eq!(table.pairs_scored(), 4);
-    assert_eq!(table.pairs_bounded(), 4 * (TABLE_SHARD_WIDTH as u64 - 1));
+    assert_eq!(table.work().pairs_scored, 4);
+    assert_eq!(table.work().pairs_bounded, 4 * (TABLE_SHARD_WIDTH as u64 - 1));
     for (row, task) in tasks.iter().enumerate() {
         let best = table.best_for_row(&machines, row);
         assert_eq!(best.map(|(m, _)| m.index()), (task.type_id.0 == 0).then_some(40));
@@ -1327,7 +1355,7 @@ fn rebuild_scores_no_cold_pair_the_cold_bound_rejects() {
     classic.begin_event(0);
     let mut table = ScoreTable::new();
     table.rebuild(&mut classic, &machines, &tasks, &threshold);
-    assert_eq!(table.pairs_scored(), (tasks.len() * machines.len()) as u64);
+    assert_eq!(table.work().pairs_scored, (tasks.len() * machines.len()) as u64);
 }
 
 #[test]
@@ -1348,7 +1376,7 @@ fn score_table_pair_bound_follows_each_machines_own_warmth() {
     scorer.begin_event(0);
     let mut table = ScoreTable::new();
     table.ensure(&mut scorer, &machines, &rows, &threshold);
-    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (1, others));
+    assert_eq!((table.work().pairs_scored, table.work().pairs_bounded), (1, others));
 
     // The row goes to machine 3 (a cold start, the caller's business) and
     // an identical one slides in. Appended: scored on 40, bounded on the
@@ -1359,7 +1387,7 @@ fn score_table_pair_bound_follows_each_machines_own_warmth() {
     assert!(testkit::apply(&mut machines[3], testkit::QueueOp::Push(assigned)));
     rows.push(row(9_001));
     table.apply_assignment(&mut scorer, &machines, &rows, 0, 3, &threshold);
-    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (3, 3 * others));
+    assert_eq!((table.work().pairs_scored, table.work().pairs_bounded), (3, 3 * others));
     assert!(table.get(0, 3).is_some() && table.get(0, 40).is_some());
     assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
 
@@ -1367,7 +1395,7 @@ fn score_table_pair_bound_follows_each_machines_own_warmth() {
     // its column, is rescored — and now clears.
     testkit::set_warm(&mut machines[41], TaskTypeId(0), 1_000);
     assert!(table.ensure(&mut scorer, &machines, &rows, &threshold));
-    assert_eq!((table.pairs_scored(), table.pairs_bounded()), (4, 3 * others));
+    assert_eq!((table.work().pairs_scored, table.work().pairs_bounded), (4, 3 * others));
     assert_table_agrees_with_exact(&table, &mut scorer, &machines, &rows, &threshold);
 }
 

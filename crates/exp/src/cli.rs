@@ -20,7 +20,8 @@ pub struct Cli {
     /// The last preset given was `--quick` (scaling uses reduced sample
     /// counts).
     pub quick: bool,
-    /// scaling: fail unless the t=4 leg beats t=1 (multi-core hosts only).
+    /// scaling: fail unless every swept scenario's t=4 leg keeps within
+    /// 1.05x of its t=1 leg (multi-core hosts only).
     pub gate: bool,
     /// work: compare against the pin instead of printing.
     pub check: bool,
@@ -78,8 +79,10 @@ options:
   --csv             print CSV instead of Markdown
   --out DIR         write <fig>.md and <fig>.csv (scaling:
                     SCALING_cluster64.{json,md}) into DIR
-  --gate            scaling: exit nonzero unless PAM t=4 beats t=1 (use on
-                    hosts with at least 4 cores; the CI scaling job does)
+  --gate            scaling: exit nonzero unless every swept scenario
+                    (PAM, MOC, churn, 1024m) runs t=4 within 1.05x of its
+                    t=1 or faster (use on hosts with at least 4 cores;
+                    the CI scaling job does)
   --check           work: exit nonzero, listing the moved lines, unless
                     the counters equal the pin
   -h, --help        this text"
