@@ -64,11 +64,10 @@
 //! so such a machine is re-timed in place and every pair it left
 //! unscored stays proven, which spares a mostly idle serverless cluster
 //! a column rescore per idle machine per tick. And the table scores a
-//! pair only where
-//! the score can matter: under
-//! oversubscription most (task, machine) pairs exist to be deferred
-//! again, and `CDF_E(δ − tail.min_time())` — one lookup in the cell the
-//! kernel would use — bounds the robustness from above. The table runs
+//! pair only where the score can matter: under oversubscription most
+//! (task, machine) pairs exist to be deferred again, and
+//! `CDF_E(δ − tail.min_time())` — one lookup in the cell the kernel would
+//! use — bounds the robustness from above. The table runs
 //! that bound per 32-machine shard on an envelope CDF, then per pair on
 //! the machine's own cell (in a column rescore, one deadline compare
 //! against a cutoff resolved once per task type), and the scoring walk

@@ -723,12 +723,11 @@ impl ScoreTable {
     /// Falls back to a rebuild — returning `false` — only when there is
     /// nothing to repair: the first build, a table of another membership
     /// epoch, or one [`ScoreTable::invalidate`]d. However many machines
-    /// changed, the repair rescores exactly the columns a rebuild would
-    /// have to, and skips the rest. A rebuild fans out only from
-    /// `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the incremental
-    /// path runs on the calling thread whatever the thread count — a
-    /// pool round costs more than the columns it would share out.
-    /// Returns `true` when the table was reused incrementally.
+    /// changed, the repair rescores only their columns. A rebuild fans
+    /// out only from `REBUILD_FANOUT_MIN_CHANGED` changed machines up; the
+    /// incremental path runs on the calling thread whatever the thread
+    /// count — a pool round costs more than the columns it would share
+    /// out. Returns `true` when the table was reused incrementally.
     ///
     /// Every entry after `ensure` that a fresh rebuild would also score
     /// is byte-identical to the rebuilt value; entries `ensure` keeps
