@@ -36,6 +36,7 @@ const OTHER_COMMANDS: [&str; 3] = ["ablate", "scaling", "work"];
 #[must_use]
 pub fn usage() -> &'static str {
     "usage: hcsim-exp <fig4|..|fig9|all|levels|churn|service|adaptive|faas|ablate|scaling|work> [options]
+       hcsim-exp ab --base BIN --head BIN --workload W [--pairs N] [--seconds S] [--seed S] [--aa]
 
 figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           'levels' sweeps all heuristics over six oversubscription levels;
@@ -60,7 +61,10 @@ figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           'work' runs a reduced mirror of each PAM benchmark workload at
           seed 2019 and prints the score table's and tail caches' work
           counters and their work_digest as JSON (the pin is
-          crates/exp/work_digest.json); ignores the other options
+          crates/exp/work_digest.json); ignores the other options;
+          'ab' runs two benchmark binaries in alternated, order-flipped
+          pairs and prints per-metric medians, the median per-pair ratio
+          and the sign count (its own options: hcsim-exp ab --help)
 
 options:
   --quick           5 trials x 300 tasks (smoke run; scaling: fewer samples)

@@ -20,10 +20,13 @@
 //! and the §IV drop scenarios).
 //!
 //! The `hcsim-exp` binary exposes all of it over a small CLI; see `--help`.
+//! Its [`ab`] subcommand compares two builds of the repo benchmark in
+//! interleaved pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod ablations;
 pub mod bench;
 pub mod cli;

@@ -5,10 +5,11 @@
 //! hcsim-exp all --quick          # smoke-run everything
 //! hcsim-exp fig5 --trials 10 --tasks 400 --csv
 //! hcsim-exp all levels ablate --out results/
+//! hcsim-exp ab --base OLD --head NEW --workload faas_256m_pam --aa
 //! ```
 
 use hcsim_exp::cli::{parse_args, usage, Cli};
-use hcsim_exp::{ablations, bench, figures, work, Table};
+use hcsim_exp::{ab, ablations, bench, figures, work, Table};
 use std::process::ExitCode;
 
 fn emit(table: &Table, name: &str, cli: &Cli) -> std::io::Result<()> {
@@ -28,6 +29,9 @@ fn emit(table: &Table, name: &str, cli: &Cli) -> std::io::Result<()> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "ab") {
+        return run_ab(&args[1..]);
+    }
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -91,4 +95,29 @@ fn main() -> ExitCode {
         eprintln!("== {name} finished in {:.1}s ==\n", started.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
+}
+
+/// `hcsim-exp ab`: its own arguments, no figure options.
+fn run_ab(args: &[String]) -> ExitCode {
+    let opts = match ab::parse_args(args) {
+        Ok(opts) => opts,
+        Err(msg) if msg.is_empty() => {
+            println!("{}", ab::usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n\n{}", ab::usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    match ab::run(&opts) {
+        Ok(report) => {
+            print!("{report}");
+            ExitCode::SUCCESS
+        }
+        Err(why) => {
+            eprintln!("{why}");
+            ExitCode::FAILURE
+        }
+    }
 }
