@@ -1,7 +1,8 @@
 //! `hcsim-exp work`: the work digest. A reduced mirror of each of the
 //! repo benchmark's five PAM workloads runs at seed 2019, and what PAM's
-//! score table and tail caches did ([`WorkCounters`]) is printed as JSON
-//! with one FNV-1a `work_digest` over every counter. The counters are
+//! score table and tail caches did ([`WorkCounters`]) and what the
+//! engine's per-step scans did ([`EngineWork`]) is printed as JSON with
+//! one FNV-1a `work_digest` over every counter. The counters are
 //! integers that repeat exactly on every run and every host, so
 //! `crates/exp/work_digest.json` pins them: a change that claims less
 //! work re-pins it and says which counters fell, and one that claims no
@@ -15,7 +16,9 @@
 use hcsim_core::{AdaptiveConfig, Pam, PruningConfig, WorkCounters};
 use hcsim_model::{ChurnTrace, SystemSpec, Task};
 use hcsim_service::{bounded, serve, FaultPlan, ServiceConfig, ServiceExit};
-use hcsim_sim::{ChurnSource, EventSource, Mapper, SimConfig, SimSession, TaskTraceSource};
+use hcsim_sim::{
+    ChurnSource, EngineWork, EventSource, Mapper, SimConfig, SimSession, TaskTraceSource,
+};
 use hcsim_stats::SeedSequence;
 use hcsim_workload::{
     cluster_churn, faas_system, specint_cluster, specint_system, ChurnConfig, FaasConfig,
@@ -116,6 +119,9 @@ pub struct WorkRow {
     /// The table's and the tail caches' counters
     /// ([`WorkCounters::fields`]), summed over trials.
     pub work: [(&'static str, u64); 11],
+    /// The engine's scan counters ([`EngineWork::fields`]), summed over
+    /// trials.
+    pub engine: [(&'static str, u64); 6],
 }
 
 /// Runs every mirror at [`SEED`].
@@ -139,7 +145,8 @@ fn run_mirror(mirror: &Mirror) -> WorkRow {
     };
     let seeds = SeedSequence::new(SEED);
     let work = WorkCounters::default().fields();
-    let mut row = WorkRow { name: mirror.name, mapping_events: 0, work };
+    let engine = EngineWork::default().fields();
+    let mut row = WorkRow { name: mirror.name, mapping_events: 0, work, engine };
     for i in 0..mirror.trials {
         let trial = seeds.child(100 + i as u64);
         let tasks = match mirror.system {
@@ -159,7 +166,7 @@ fn run_mirror(mirror: &Mirror) -> WorkRow {
             adaptive,
             ..PruningConfig::default()
         });
-        row.mapping_events += if mirror.service {
+        let (mapping_events, engine) = if mirror.service {
             let churn = cluster_churn(
                 &ChurnConfig {
                     num_machines: spec.num_machines(),
@@ -176,32 +183,43 @@ fn run_mirror(mirror: &Mirror) -> WorkRow {
             step_trial(&spec, &tasks, &trial, &mut pam)
         };
         pam.on_shutdown();
+        row.mapping_events += mapping_events;
         for (sum, (_, add)) in row.work.iter_mut().zip(pam.work().fields()) {
+            sum.1 += add;
+        }
+        for (sum, (_, add)) in row.engine.iter_mut().zip(engine.fields()) {
             sum.1 += add;
         }
     }
     row
 }
 
-/// Steps one trial to the end; returns its mapping events.
-fn step_trial(spec: &SystemSpec, tasks: &[Task], trial: &SeedSequence, pam: &mut Pam) -> u64 {
+/// Steps one trial to the end; returns its mapping events and engine
+/// work.
+fn step_trial(
+    spec: &SystemSpec,
+    tasks: &[Task],
+    trial: &SeedSequence,
+    pam: &mut Pam,
+) -> (u64, EngineWork) {
     let mut rng = trial.stream(1);
     let mut source = TaskTraceSource::new(tasks);
     let mut sources: Vec<&mut dyn EventSource> = vec![&mut source];
     let mut session = SimSession::new(spec, SimConfig::untrimmed(), &mut sources, pam, &mut rng);
     while session.step() {}
-    session.finish().mapping_events
+    let engine = session.engine_work();
+    (session.finish().mapping_events, engine)
 }
 
 /// Serves one trial in fast-forward, fed by one feeder thread; returns
-/// its mapping events.
+/// its mapping events and engine work.
 fn serve_trial(
     spec: &SystemSpec,
     tasks: &[Task],
     churn: &ChurnTrace,
     trial: &SeedSequence,
     pam: &mut Pam,
-) -> u64 {
+) -> (u64, EngineWork) {
     let mut rng = trial.stream(1);
     let (tx, rx) = bounded::<Task>(SERVICE_BOUND);
     let exit = std::thread::scope(|s| {
@@ -225,7 +243,7 @@ fn serve_trial(
         )
     });
     match exit {
-        ServiceExit::Completed(report) => report.sim.mapping_events,
+        ServiceExit::Completed(report) => (report.sim.mapping_events, report.engine_work),
         ServiceExit::Killed { .. } => panic!("the no-fault plan killed the service"),
     }
 }
@@ -242,7 +260,7 @@ pub fn digest(rows: &[WorkRow]) -> u64 {
     for row in rows {
         eat(row.name.as_bytes());
         eat(&row.mapping_events.to_le_bytes());
-        for (name, value) in row.work {
+        for (name, value) in row.work.iter().chain(&row.engine) {
             eat(name.as_bytes());
             eat(&value.to_le_bytes());
         }
@@ -251,7 +269,7 @@ pub fn digest(rows: &[WorkRow]) -> u64 {
 }
 
 /// The rows as the pin's JSON: the seed, the digest, then every counter
-/// per workload, one per line.
+/// per workload, one per line (the table's, then the engine's).
 #[must_use]
 pub fn render(rows: &[WorkRow]) -> String {
     let mut out =
@@ -260,7 +278,7 @@ pub fn render(rows: &[WorkRow]) -> String {
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(out, "    \"{}\": {{", row.name);
         let _ = write!(out, "      \"mapping_events\": {}", row.mapping_events);
-        for (name, value) in row.work {
+        for (name, value) in row.work.iter().chain(&row.engine) {
             let _ = write!(out, ",\n      \"{name}\": {value}");
         }
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -301,7 +319,7 @@ mod tests {
 
     fn row(name: &'static str, scored: u64) -> WorkRow {
         let work = WorkCounters { pairs_scored: scored, ..WorkCounters::default() }.fields();
-        WorkRow { name, mapping_events: 10, work }
+        WorkRow { name, mapping_events: 10, work, engine: EngineWork::default().fields() }
     }
 
     #[test]
@@ -314,6 +332,9 @@ mod tests {
         let pairs_cut = cut[1].work.iter_mut().find(|(name, _)| *name == "pairs_cut");
         pairs_cut.expect("a counter").1 = 1;
         assert_ne!(digest(&base), digest(&cut));
+        let mut culled = base;
+        culled[0].engine[0].1 = 1;
+        assert_ne!(digest(&base), digest(&culled), "the engine counters are digested too");
     }
 
     #[test]

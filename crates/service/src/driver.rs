@@ -35,7 +35,7 @@ use std::time::Instant;
 use hcsim_model::{SystemSpec, Task, Time};
 use hcsim_sim::snapshot::{ByteReader, ByteWriter, Wire};
 use hcsim_sim::{
-    wire_struct, Mapper, SimConfig, SimReport, SimSession, SnapshotError, SnapshotRng,
+    wire_struct, EngineWork, Mapper, SimConfig, SimReport, SimSession, SnapshotError, SnapshotRng,
 };
 use hcsim_stats::Xoshiro256pp;
 
@@ -94,6 +94,10 @@ pub struct ServiceReport {
     pub sim: SimReport,
     /// Driver-level accounting.
     pub stats: ServiceStats,
+    /// The engine's scan work since the session was opened or restored
+    /// ([`SimSession::engine_work`]); outside `sim`, which a restored run
+    /// must reproduce byte for byte.
+    pub engine_work: EngineWork,
 }
 
 wire_struct! {
@@ -380,7 +384,12 @@ fn run_driver<M: Mapper, R: SnapshotRng>(
     match killed {
         None => {
             let stats = state.stats;
-            ServiceExit::Completed(Box::new(ServiceReport { sim: session.finish(), stats }))
+            let engine_work = session.engine_work();
+            ServiceExit::Completed(Box::new(ServiceReport {
+                sim: session.finish(),
+                stats,
+                engine_work,
+            }))
         }
         Some(checkpoint) => ServiceExit::Killed { checkpoint, stats: state.stats },
     }

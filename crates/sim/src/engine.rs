@@ -259,6 +259,42 @@ impl FaasStats {
     }
 }
 
+/// What the engine's per-step scans did: how many machines each scan
+/// looked at and how often the batch's expiry cull ran. Integers that
+/// repeat exactly for a seeded run on any host, like the score table's
+/// work counters; not part of a snapshot (a restored session counts from
+/// zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineWork {
+    /// Machines whose pending queue the expiry cull walked.
+    pub cull_machines: u64,
+    /// Machines the start pass looked at for an idle head to start.
+    pub start_machines: u64,
+    /// Machines the drain pass looked at for a drain to complete.
+    pub drain_machines: u64,
+    /// Machines read to answer [`MapContext::total_free_slots`].
+    pub free_slot_machines: u64,
+    /// Mapping events whose batch expiry cull ran.
+    pub batch_culls_run: u64,
+    /// Mapping events whose batch expiry cull was skipped.
+    pub batch_culls_skipped: u64,
+}
+
+impl EngineWork {
+    /// Every counter with its name, in declaration order.
+    #[must_use]
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("cull_machines", self.cull_machines),
+            ("start_machines", self.start_machines),
+            ("drain_machines", self.drain_machines),
+            ("free_slot_machines", self.free_slot_machines),
+            ("batch_culls_run", self.batch_culls_run),
+            ("batch_culls_skipped", self.batch_culls_skipped),
+        ]
+    }
+}
+
 /// Membership-churn accounting over one trial.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnStats {
@@ -358,6 +394,9 @@ struct Engine<'a, M: Mapper, R: rand::Rng> {
     expired_buf: Vec<Task>,
     pruned_buf: Vec<PrunedTask>,
     requeue_buf: Vec<Task>,
+    work: EngineWork,
+    /// Machines read by [`MapContext::total_free_slots`] (a `&self` call).
+    free_slot_reads: std::cell::Cell<u64>,
     /// Run after every step of the engine's own tests.
     #[cfg(test)]
     checker: StepChecker,
@@ -419,6 +458,8 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
+            work: EngineWork::default(),
+            free_slot_reads: std::cell::Cell::new(0),
             #[cfg(test)]
             checker: StepChecker::new(),
         }
@@ -623,6 +664,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
 
     /// Draining machines whose queues ran dry leave the cluster.
     fn complete_drains(&mut self) {
+        self.work.drain_machines += self.machines.len() as u64;
         for m in 0..self.machines.len() {
             if self.machines[m].try_complete_drain() {
                 self.membership_changed();
@@ -638,6 +680,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         let now = self.now;
         let mut expired = std::mem::take(&mut self.expired_buf);
         expired.clear();
+        self.work.batch_culls_run += 1;
         self.batch.retain(|t| {
             if t.is_expired_at(now) {
                 expired.push(*t);
@@ -653,6 +696,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
 
         // Expired pending tasks leave their machine queues under B/C.
         if self.config.drop_policy != DropPolicy::None {
+            self.work.cull_machines += self.machines.len() as u64;
             for m in 0..self.machines.len() {
                 self.machines[m].drain_expired_pending(now, &mut expired);
                 let machine = MachineId::from(m);
@@ -677,6 +721,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             batch: &mut self.batch,
             machines: &mut self.machines,
             pruned: &mut pruned,
+            free_slot_reads: &self.free_slot_reads,
         };
         self.mapper.on_mapping_event(&mut ctx);
         self.missed_since_last = 0;
@@ -704,6 +749,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
     fn start_idle_machines(&mut self) {
         let drop_all = self.config.drop_policy == DropPolicy::All;
         let cull_pending = self.config.drop_policy != DropPolicy::None;
+        self.work.start_machines += self.machines.len() as u64;
         for m in 0..self.machines.len() {
             let machine = MachineId::from(m);
             while self.machines[m].executing().is_none() {
@@ -809,6 +855,10 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             faas: self.faas,
         }
     }
+
+    fn engine_work(&self) -> EngineWork {
+        EngineWork { free_slot_machines: self.free_slot_reads.get(), ..self.work }
+    }
 }
 
 /// A stepwise simulation handle for **service mode**: instead of running a
@@ -881,6 +931,12 @@ impl<'a, M: Mapper, R: rand::Rng> SimSession<'a, M, R> {
     #[must_use]
     pub fn backlog(&self) -> usize {
         self.engine.batch.len()
+    }
+
+    /// The engine's scan work since the session was opened or restored.
+    #[must_use]
+    pub fn engine_work(&self) -> EngineWork {
+        self.engine.engine_work()
     }
 
     /// Terminal records produced so far (admitted + shed).

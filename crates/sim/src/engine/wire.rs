@@ -235,6 +235,8 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
+            work: super::EngineWork::default(),
+            free_slot_reads: std::cell::Cell::new(0),
             #[cfg(test)]
             checker: super::StepChecker::new(),
         })

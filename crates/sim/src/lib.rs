@@ -50,8 +50,8 @@ pub mod testkit;
 pub use config::SimConfig;
 pub use engine::{
     run_simulation, run_simulation_with_churn, run_simulation_with_sources, ChurnSource,
-    ChurnStats, EpochSlice, EventSink, EventSource, FaasStats, SimEvent, SimReport, SimSession,
-    TaskTraceSource,
+    ChurnStats, EngineWork, EpochSlice, EventSink, EventSource, FaasStats, SimEvent, SimReport,
+    SimSession, TaskTraceSource,
 };
 pub use machine::{ExecutingTask, MachineLifecycle, MachineState, WarmContainer};
 pub use mapper::{AssignError, FirstFitMapper, MapContext, Mapper, MapperInstrumentation};

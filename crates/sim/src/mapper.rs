@@ -57,6 +57,7 @@ pub struct MapContext<'a> {
     pub(crate) batch: &'a mut Vec<Task>,
     pub(crate) machines: &'a mut [MachineState],
     pub(crate) pruned: &'a mut Vec<PrunedTask>,
+    pub(crate) free_slot_reads: &'a std::cell::Cell<u64>,
 }
 
 impl<'a> MapContext<'a> {
@@ -130,6 +131,7 @@ impl<'a> MapContext<'a> {
     /// Total free queue slots across machines.
     #[must_use]
     pub fn total_free_slots(&self) -> usize {
+        self.free_slot_reads.set(self.free_slot_reads.get() + self.machines.len() as u64);
         self.machines.iter().map(MachineState::free_slots).sum()
     }
 
@@ -378,6 +380,7 @@ mod tests {
         batch: Vec<Task>,
         machines: Vec<MachineState>,
         pruned: Vec<PrunedTask>,
+        free_slot_reads: std::cell::Cell<u64>,
     }
 
     impl Fixture {
@@ -385,7 +388,7 @@ mod tests {
             let spec = spec();
             let machines =
                 (0..2).map(|m| MachineState::new(MachineId::from(m as usize), 2)).collect();
-            Self { spec, batch, machines, pruned: Vec::new() }
+            Self { spec, batch, machines, pruned: Vec::new(), free_slot_reads: Default::default() }
         }
 
         fn ctx(&mut self) -> MapContext<'_> {
@@ -398,6 +401,7 @@ mod tests {
                 batch: &mut self.batch,
                 machines: &mut self.machines,
                 pruned: &mut self.pruned,
+                free_slot_reads: &self.free_slot_reads,
             }
         }
     }
