@@ -26,7 +26,7 @@
 //! of an equality comparison drift together.
 
 use hcsim_core::{AdaptiveConfig, HeuristicKind, PruningConfig, PARALLEL_MIN_MACHINES};
-use hcsim_sim::testkit::StepChecker;
+use hcsim_sim::testkit::{pending_expires_next, StepChecker};
 use hcsim_sim::{
     ChurnSource, EventSource, Mapper, SimConfig, SimReport, SimSession, TaskTraceSource,
 };
@@ -61,14 +61,50 @@ fn fingerprint(report: &SimReport) -> String {
     format!("{report:?}")
 }
 
+/// Where an interrupted trial takes its snapshot.
+#[derive(Debug, Clone, Copy)]
+enum SnapshotAt {
+    /// After this many steps (or when the heap drains).
+    Step(usize),
+    /// After the first step at which a queued task's deadline falls due
+    /// on the next event, so the next event's expiry cull must remove it
+    /// ([`pending_expires_next`]); the trial panics if there is none.
+    PendingDue,
+}
+
+/// Steps `session` to the snapshot point `at` with `checker` checking
+/// every step, and returns the snapshot.
+fn step_to_snapshot(
+    session: &mut SimSession<'_, Box<dyn Mapper>, Xoshiro256pp>,
+    checker: &mut StepChecker,
+    at: SnapshotAt,
+) -> Vec<u8> {
+    let mut taken = 0;
+    loop {
+        let reached = match at {
+            SnapshotAt::Step(n) => taken == n,
+            SnapshotAt::PendingDue => taken > 0 && pending_expires_next(session),
+        };
+        if reached {
+            break;
+        }
+        if !session.step() {
+            assert!(matches!(at, SnapshotAt::Step(_)), "no step had a pending deadline due next");
+            break;
+        }
+        checker.check(session);
+        taken += 1;
+    }
+    session.snapshot()
+}
+
 /// One churn-cluster trial through the stepwise [`SimSession`] API.
 ///
 /// With `snapshot_at == None` the session runs straight to completion
-/// (the baseline). With `Some(n)` the session is stepped `n` times (or
-/// until the heap drains), snapshotted, torn down, restored into a fresh
-/// identically configured mapper and a fresh RNG — whose state the
-/// snapshot overwrites, so its seed is deliberately different — and only
-/// then run to completion.
+/// (the baseline). With `Some(at)` the session is stepped to `at`,
+/// snapshotted, torn down, restored into a fresh identically configured
+/// mapper and a fresh RNG — whose state the snapshot overwrites, so its
+/// seed is deliberately different — and only then run to completion.
 fn session_trial(
     kind: HeuristicKind,
     machines: usize,
@@ -76,7 +112,7 @@ fn session_trial(
     oversubscription: f64,
     seed: u64,
     threads: usize,
-    snapshot_at: Option<usize>,
+    snapshot_at: Option<SnapshotAt>,
 ) -> SimReport {
     let pruning = PruningConfig { threads, ..PruningConfig::default() };
     session_trial_with(
@@ -102,7 +138,7 @@ fn session_trial_with(
     num_tasks: usize,
     oversubscription: f64,
     seed: u64,
-    snapshot_at: Option<usize>,
+    snapshot_at: Option<SnapshotAt>,
 ) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let spec = specint_cluster(machines, 6, &mut seeds.stream(0));
@@ -131,16 +167,10 @@ fn session_trial_with(
     let mut session = SimSession::new(&spec, sim, &mut sources, &mut mapper, &mut rng);
 
     let mut checker = StepChecker::new();
-    let Some(steps) = snapshot_at else {
+    let Some(at) = snapshot_at else {
         return run_checked(session, checker);
     };
-    for _ in 0..steps {
-        if !session.step() {
-            break;
-        }
-        checker.check(&session);
-    }
-    let bytes = session.snapshot();
+    let bytes = step_to_snapshot(&mut session, &mut checker, at);
     drop(session);
     drop(mapper);
 
@@ -158,7 +188,12 @@ fn session_trial_with(
 /// additionally carries warm-container sets (including in-use pins),
 /// pending `ContainerExpiry` heap events, and the cold/warm tallies —
 /// the keep-alive state dimension this scenario exists to cover.
-fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> SimReport {
+fn faas_session_trial(
+    kind: HeuristicKind,
+    seed: u64,
+    threads: usize,
+    snapshot_at: Option<SnapshotAt>,
+) -> SimReport {
     let seeds = SeedSequence::new(seed);
     let cfg = FaasConfig {
         num_functions: 16,
@@ -170,7 +205,7 @@ fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> 
     let spec = faas_system(&cfg, &mut seeds.stream(0));
     let tasks = FaasGenerator::new(cfg).generate(&spec, &mut seeds.stream(1));
     let config = PruningConfig { threads, ..PruningConfig::default() };
-    let mut mapper = HeuristicKind::Pam.build(config);
+    let mut mapper = kind.build(config);
     let mut rng = seeds.stream(2);
     let mut task_source = TaskTraceSource::new(&tasks);
     let mut sources: Vec<&mut dyn EventSource> = vec![&mut task_source];
@@ -178,20 +213,14 @@ fn faas_session_trial(seed: u64, threads: usize, snapshot_at: Option<usize>) -> 
     let mut session = SimSession::new(&spec, sim, &mut sources, &mut mapper, &mut rng);
 
     let mut checker = StepChecker::new();
-    let Some(steps) = snapshot_at else {
+    let Some(at) = snapshot_at else {
         return run_checked(session, checker);
     };
-    for _ in 0..steps {
-        if !session.step() {
-            break;
-        }
-        checker.check(&session);
-    }
-    let bytes = session.snapshot();
+    let bytes = step_to_snapshot(&mut session, &mut checker, at);
     drop(session);
     drop(mapper);
 
-    let mut mapper = HeuristicKind::Pam.build(config);
+    let mut mapper = kind.build(config);
     let mut rng = seeds.stream(9);
     let session = SimSession::restore(&spec, sim, &bytes, &mut mapper, &mut rng)
         .expect("inter-event-boundary snapshot must restore");
@@ -221,8 +250,9 @@ proptest! {
         seed in 0u64..10_000,
         snap_step in 0usize..600,
     ) {
-        let baseline = faas_session_trial(seed, 1, None);
-        let resumed = faas_session_trial(seed, test_threads(), Some(snap_step));
+        let pam = HeuristicKind::Pam;
+        let baseline = faas_session_trial(pam, seed, 1, None);
+        let resumed = faas_session_trial(pam, seed, test_threads(), Some(SnapshotAt::Step(snap_step)));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
         prop_assert_eq!(baseline.faas.cold_starts, resumed.faas.cold_starts);
         prop_assert_eq!(baseline.faas.warm_hits, resumed.faas.warm_hits);
@@ -245,13 +275,13 @@ proptest! {
         let baseline = session_trial(
             HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, None);
         let resumed = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, Some(snap_step));
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, 1, Some(SnapshotAt::Step(snap_step)));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
 
         let par_baseline = session_trial(
             HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, None);
         let par_resumed = session_trial(
-            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, Some(snap_step));
+            HeuristicKind::Pam, machines, 160, 110_000.0, seed, t, Some(SnapshotAt::Step(snap_step)));
         prop_assert_eq!(fingerprint(&par_baseline), fingerprint(&par_resumed));
         // And the parallel leg agrees with the sequential leg, so the
         // snapshot path cannot hide an execution-mode divergence.
@@ -277,7 +307,7 @@ proptest! {
         let baseline = session_trial_with(
             HeuristicKind::Pam, pruning, sim, machines, 160, 110_000.0, seed, None);
         let resumed = session_trial_with(
-            HeuristicKind::Pam, pruning, sim, machines, 160, 110_000.0, seed, Some(snap_step));
+            HeuristicKind::Pam, pruning, sim, machines, 160, 110_000.0, seed, Some(SnapshotAt::Step(snap_step)));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
     }
 
@@ -293,8 +323,30 @@ proptest! {
         let baseline = session_trial(
             HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, None);
         let resumed = session_trial(
-            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, Some(snap_step));
+            HeuristicKind::Moc, machines, 160, 220_000.0, seed, t, Some(SnapshotAt::Step(snap_step)));
         prop_assert_eq!(fingerprint(&baseline), fingerprint(&resumed));
+    }
+}
+
+/// A snapshot taken just before an expiry cull of a queued task: the
+/// engine's per-step caches (each machine's earliest pending deadline and
+/// the bound over them, the batch bound, the free-slot count, the
+/// draining set) are no wire field, so the restored engine must rebuild
+/// them from machine state or skip the cull the uninterrupted run makes.
+/// Both runs, faas and churn, step under the `StepChecker`, whose recounts
+/// hold the rebuilt caches to their definitions. MM maps without pruning,
+/// so queued tasks do expire (PAM's pruner mostly drops them first).
+#[test]
+fn restore_just_before_a_pending_expiry_is_bit_identical() {
+    let mm = HeuristicKind::Mm;
+    for seed in [2019, 7] {
+        let baseline = faas_session_trial(mm, seed, 1, None);
+        let resumed = faas_session_trial(mm, seed, 1, Some(SnapshotAt::PendingDue));
+        assert_eq!(fingerprint(&baseline), fingerprint(&resumed), "faas, seed {seed}");
+        let machines = PARALLEL_MIN_MACHINES + 4;
+        let churn = |at| session_trial(mm, machines, 160, 110_000.0, seed, 1, at);
+        let (baseline, resumed) = (churn(None), churn(Some(SnapshotAt::PendingDue)));
+        assert_eq!(fingerprint(&baseline), fingerprint(&resumed), "churn, seed {seed}");
     }
 }
 
@@ -305,8 +357,15 @@ proptest! {
 /// that could drift with it. Runs on the worker pool.
 #[test]
 fn cluster_64m_churn_restored_seed_golden_pin() {
-    let report =
-        session_trial(HeuristicKind::Pam, 64, 400, 272_000.0, 2019, test_threads(), Some(300));
+    let report = session_trial(
+        HeuristicKind::Pam,
+        64,
+        400,
+        272_000.0,
+        2019,
+        test_threads(),
+        Some(SnapshotAt::Step(300)),
+    );
     let o = &report.metrics.outcomes;
     assert_eq!(o.on_time, CHURN_GOLDEN_ON_TIME);
     assert_eq!(o.pruned, CHURN_GOLDEN_PRUNED);

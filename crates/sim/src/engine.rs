@@ -48,10 +48,13 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+mod cache;
 mod check;
 mod wire;
 
-pub use check::StepChecker;
+pub(crate) use cache::StepCache;
+
+pub use check::{pending_expires_next, StepChecker};
 
 /// One simulation event. `Arrival` and the membership events are the
 /// *external* vocabulary (what an [`EventSource`] may emit); `Completion`
@@ -266,7 +269,7 @@ impl FaasStats {
 /// zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineWork {
-    /// Machines whose pending queue the expiry cull walked.
+    /// Machines the pending-queue expiry cull looked at.
     pub cull_machines: u64,
     /// Machines the start pass looked at for an idle head to start.
     pub start_machines: u64,
@@ -394,9 +397,10 @@ struct Engine<'a, M: Mapper, R: rand::Rng> {
     expired_buf: Vec<Task>,
     pruned_buf: Vec<PrunedTask>,
     requeue_buf: Vec<Task>,
-    work: EngineWork,
-    /// Machines read by [`MapContext::total_free_slots`] (a `&self` call).
-    free_slot_reads: std::cell::Cell<u64>,
+    /// The per-step caches and their work counters.
+    cache: StepCache,
+    /// The machines this step's start and drain passes visit.
+    visits: Vec<usize>,
     /// Run after every step of the engine's own tests.
     #[cfg(test)]
     checker: StepChecker,
@@ -436,6 +440,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         // oversubscription), and an expiry/prune/failure sweep can at most
         // empty every machine queue in one event.
         let queue_slots = spec.num_machines() * spec.queue_capacity;
+        let cache = StepCache::rebuild(&machines, &[]);
         Self {
             spec,
             config,
@@ -458,11 +463,16 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
-            work: EngineWork::default(),
-            free_slot_reads: std::cell::Cell::new(0),
+            cache,
+            visits: Vec::with_capacity(spec.num_machines()),
             #[cfg(test)]
             checker: StepChecker::new(),
         }
+    }
+
+    /// Marks machine `m` mutated this step; see [`StepCache::touch`].
+    fn touch(&mut self, m: MachineId) {
+        self.cache.touch(m.index(), &self.machines[m.index()]);
     }
 
     fn push_event(&mut self, time: Time, kind: SimEvent) {
@@ -538,6 +548,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         self.now = event.time;
         match event.kind {
             SimEvent::Arrival(task) => {
+                self.cache.batch_entered(&task);
                 self.batch.push(task);
             }
             SimEvent::Completion { machine, token, evict } => {
@@ -553,12 +564,14 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             }
             SimEvent::MachineJoin(m) => {
                 if self.machines[m.index()].activate() {
+                    self.touch(m);
                     self.churn.joins += 1;
                     self.membership_changed();
                 }
             }
             SimEvent::MachineDrain(m) => {
                 if self.machines[m.index()].begin_drain() {
+                    self.touch(m);
                     self.churn.drains += 1;
                     self.membership_changed();
                 }
@@ -597,6 +610,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         let exec = self.machines[machine.index()]
             .finish_executing()
             .expect("completion event for idle machine");
+        self.touch(machine);
         self.release_container(machine, exec.task.type_id);
         let elapsed = self.now - exec.started_at;
         self.cost.record_busy(machine, elapsed);
@@ -632,6 +646,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         let mut requeue = std::mem::take(&mut self.requeue_buf);
         debug_assert!(requeue.is_empty(), "requeue scratch is always drained before return");
         let interrupted = self.machines[i].fail(&mut requeue);
+        self.touch(machine);
         if let Some(exec) = interrupted {
             // The segment occupied the machine even though the machine is
             // gone; the work is lost too (the task starts over), so
@@ -654,6 +669,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             } else {
                 *count += 1;
                 self.churn.requeued += 1;
+                self.cache.batch_entered(&task);
                 self.batch.push(task);
             }
         }
@@ -662,11 +678,14 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
         self.membership_changed();
     }
 
-    /// Draining machines whose queues ran dry leave the cluster.
+    /// Draining machines whose queues ran dry leave the cluster. Only a
+    /// machine the start pass visited can be one.
     fn complete_drains(&mut self) {
-        self.work.drain_machines += self.machines.len() as u64;
-        for m in 0..self.machines.len() {
+        self.cache.work.drain_machines += self.visits.len() as u64;
+        for i in 0..self.visits.len() {
+            let m = self.visits[i];
             if self.machines[m].try_complete_drain() {
+                self.cache.sync(m, &self.machines[m]);
                 self.membership_changed();
             }
         }
@@ -676,35 +695,50 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
     fn mapping_event(&mut self) {
         // Expired unmapped tasks leave the system (§III: "before the
         // mapping event, tasks that have missed their deadlines are
-        // dropped").
+        // dropped"). None has while `now` is within the batch bound.
         let now = self.now;
         let mut expired = std::mem::take(&mut self.expired_buf);
         expired.clear();
-        self.work.batch_culls_run += 1;
-        self.batch.retain(|t| {
-            if t.is_expired_at(now) {
-                expired.push(*t);
-                false
-            } else {
-                true
+        if now > self.cache.batch_bound {
+            self.cache.work.batch_culls_run += 1;
+            let mut bound = Time::MAX;
+            self.batch.retain(|t| {
+                if t.is_expired_at(now) {
+                    expired.push(*t);
+                    false
+                } else {
+                    bound = bound.min(t.deadline);
+                    true
+                }
+            });
+            self.cache.batch_bound = bound;
+            for t in expired.drain(..) {
+                self.missed_since_last += 1;
+                self.record(t, TaskOutcome::ExpiredUnstarted, None, None, 0);
             }
-        });
-        for t in expired.drain(..) {
-            self.missed_since_last += 1;
-            self.record(t, TaskOutcome::ExpiredUnstarted, None, None, 0);
+        } else {
+            self.cache.work.batch_culls_skipped += 1;
         }
 
-        // Expired pending tasks leave their machine queues under B/C.
-        if self.config.drop_policy != DropPolicy::None {
-            self.work.cull_machines += self.machines.len() as u64;
+        // Expired pending tasks leave their machine queues under B/C:
+        // from the machines whose earliest pending deadline has passed,
+        // in machine order.
+        if self.config.drop_policy != DropPolicy::None && now > self.cache.pending_bound {
+            let mut bound = Time::MAX;
+            self.cache.work.cull_machines += self.machines.len() as u64;
             for m in 0..self.machines.len() {
-                self.machines[m].drain_expired_pending(now, &mut expired);
-                let machine = MachineId::from(m);
-                for t in expired.drain(..) {
-                    self.missed_since_last += 1;
-                    self.record(t, TaskOutcome::ExpiredUnstarted, Some(machine), None, 0);
+                if now > self.cache.earliest[m] {
+                    self.machines[m].drain_expired_pending(now, &mut expired);
+                    let machine = MachineId::from(m);
+                    self.touch(machine);
+                    for t in expired.drain(..) {
+                        self.missed_since_last += 1;
+                        self.record(t, TaskOutcome::ExpiredUnstarted, Some(machine), None, 0);
+                    }
                 }
+                bound = bound.min(self.cache.earliest[m]);
             }
+            self.cache.pending_bound = bound;
         }
         self.expired_buf = expired;
 
@@ -721,7 +755,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             batch: &mut self.batch,
             machines: &mut self.machines,
             pruned: &mut pruned,
-            free_slot_reads: &self.free_slot_reads,
+            cache: &mut self.cache,
         };
         self.mapper.on_mapping_event(&mut ctx);
         self.missed_since_last = 0;
@@ -745,12 +779,16 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
 
     /// Starts the queue head on every idle machine, sampling actual
     /// execution times from the ground truth. Draining machines keep
-    /// starting their remaining queue; offline machines have none.
+    /// starting their remaining queue; offline machines have none. Only
+    /// a machine touched this step can be idle with pending work, so the
+    /// pass visits those (and the draining ones), in machine order.
     fn start_idle_machines(&mut self) {
         let drop_all = self.config.drop_policy == DropPolicy::All;
         let cull_pending = self.config.drop_policy != DropPolicy::None;
-        self.work.start_machines += self.machines.len() as u64;
-        for m in 0..self.machines.len() {
+        self.cache.take_visits(&mut self.visits);
+        self.cache.work.start_machines += self.visits.len() as u64;
+        for i in 0..self.visits.len() {
+            let m = self.visits[i];
             let machine = MachineId::from(m);
             while self.machines[m].executing().is_none() {
                 let Some(task) = self.machines[m].pop_next_pending() else { break };
@@ -794,6 +832,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
                     self.push_event(finish, SimEvent::Completion { machine, token, evict: false });
                 }
             }
+            self.cache.sync(m, &self.machines[m]);
         }
     }
 
@@ -857,7 +896,7 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
     }
 
     fn engine_work(&self) -> EngineWork {
-        EngineWork { free_slot_machines: self.free_slot_reads.get(), ..self.work }
+        self.cache.work
     }
 }
 

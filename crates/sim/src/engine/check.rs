@@ -1,5 +1,6 @@
 //! The engine's step invariants, checked from outside the event loop.
 
+use super::cache::earliest_deadline;
 use super::{Engine, Event, SimEvent, SimSession};
 use crate::machine::{MachineLifecycle, MachineState, WarmContainer};
 use crate::mapper::Mapper;
@@ -24,7 +25,15 @@ use std::cmp::Reverse;
 ///   or its clock restarted) removes no container;
 /// * `warm_rev` never decreases, and moves whenever the warm set does
 ///   (within one step the set may change and change back, which moves
-///   `warm_rev` and leaves the set as it was).
+///   `warm_rev` and leaves the set as it was);
+/// * no machine is idle with pending work, and no draining machine is
+///   idle — what lets the start and drain passes visit only the machines
+///   a step touched;
+/// * the engine's per-step caches match a recount: nothing is left
+///   touched, the draining set is exactly the draining machines, each
+///   machine's free slots and earliest pending deadline are its own, the
+///   free-slot total is their sum, and the pending and batch deadline
+///   bounds are at most the minimum they bound.
 #[derive(Debug, Default)]
 pub struct StepChecker {
     /// Per task slot: whether the task was somewhere at the last check.
@@ -85,6 +94,7 @@ impl StepChecker {
             }
         }
         self.check_residency(engine);
+        check_caches(engine);
         for (m, (machine, last)) in machines.iter().zip(&mut self.machines).enumerate() {
             let m = MachineId::from(m);
             let now_seen = seen(machine);
@@ -138,6 +148,46 @@ impl StepChecker {
             *seen = count == 1;
         }
     }
+}
+
+/// Whether the next event's expiry cull must remove a queued task: some
+/// machine holds a pending task whose deadline the next event's time
+/// passes. A restore test snapshots at such a step, so that the restored
+/// engine culls it only if it rebuilt its pending-deadline cache.
+#[must_use]
+pub fn pending_expires_next<M: Mapper, R: rand::Rng>(session: &SimSession<'_, M, R>) -> bool {
+    let engine = &session.engine;
+    let Some(Reverse(next)) = engine.events.peek() else { return false };
+    engine.machines.iter().flat_map(MachineState::pending).any(|t| t.is_expired_at(next.time))
+}
+
+/// The per-step caches against a recount from the machines and the batch.
+fn check_caches<M: Mapper, R: rand::Rng>(engine: &Engine<'_, M, R>) {
+    let (now, cache) = (engine.now, &engine.cache);
+    assert!(cache.touched.is_empty(), "{now}: machines left touched after the step");
+    for (i, machine) in engine.machines.iter().enumerate() {
+        let m = MachineId::from(i);
+        assert!(
+            machine.executing().is_some() || machine.pending().len() == 0,
+            "{now}: {m} is idle with pending work"
+        );
+        let draining = machine.lifecycle() == MachineLifecycle::Draining;
+        assert!(!(draining && machine.is_idle()), "{now}: draining {m} is idle");
+        assert_eq!(cache.free[i], machine.free_slots(), "{now}: cached free slots of {m}");
+        let earliest = earliest_deadline(machine.pending());
+        assert_eq!(cache.earliest[i], earliest, "{now}: cached earliest deadline of {m}");
+    }
+    let draining: Vec<usize> = cache.draining.iter().collect();
+    let expected: Vec<usize> = (0..engine.machines.len())
+        .filter(|&i| engine.machines[i].lifecycle() == MachineLifecycle::Draining)
+        .collect();
+    assert_eq!(draining, expected, "{now}: the draining set");
+    let free: usize = engine.machines.iter().map(MachineState::free_slots).sum();
+    assert_eq!(cache.free_total, free, "{now}: the free-slot total");
+    let earliest = cache.earliest.iter().copied().min().unwrap_or(Time::MAX);
+    assert!(cache.pending_bound <= earliest, "{now}: the pending bound is above its minimum");
+    let batch = earliest_deadline(&engine.batch);
+    assert!(cache.batch_bound <= batch, "{now}: the batch bound is above its minimum");
 }
 
 /// The keep-alive deadline of `machine`'s container for `type_id`.

@@ -213,6 +213,8 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
         rng.reseat_state(rng_state);
         mapper.restore_state(mapper_blob);
         let queue_slots = spec.num_machines() * spec.queue_capacity;
+        // The per-step caches are no wire field: rebuilt from the state.
+        let cache = super::StepCache::rebuild(&machines, &batch);
         Ok(Self {
             spec,
             config,
@@ -235,8 +237,8 @@ impl<'a, M: Mapper, R: SnapshotRng> Engine<'a, M, R> {
             expired_buf: Vec::with_capacity(queue_slots),
             pruned_buf: Vec::with_capacity(queue_slots),
             requeue_buf: Vec::with_capacity(spec.queue_capacity),
-            work: super::EngineWork::default(),
-            free_slot_reads: std::cell::Cell::new(0),
+            cache,
+            visits: Vec::with_capacity(num_machines),
             #[cfg(test)]
             checker: super::StepChecker::new(),
         })

@@ -7,6 +7,7 @@
 //! the mapper performs (assign / drop / evict) is applied immediately so
 //! later decisions within the same event see their effects.
 
+use crate::engine::StepCache;
 use crate::machine::MachineState;
 use hcsim_model::{MachineId, SystemSpec, Task, TaskId, TaskOutcome, Time};
 use hcsim_pmf::DropPolicy;
@@ -57,7 +58,9 @@ pub struct MapContext<'a> {
     pub(crate) batch: &'a mut Vec<Task>,
     pub(crate) machines: &'a mut [MachineState],
     pub(crate) pruned: &'a mut Vec<PrunedTask>,
-    pub(crate) free_slot_reads: &'a std::cell::Cell<u64>,
+    /// The engine's per-step caches: every mutation below marks its
+    /// machine touched and re-syncs the free-slot count.
+    pub(crate) cache: &'a mut StepCache,
 }
 
 impl<'a> MapContext<'a> {
@@ -128,11 +131,11 @@ impl<'a> MapContext<'a> {
         self.machines.len()
     }
 
-    /// Total free queue slots across machines.
+    /// Total free queue slots across machines (held by the engine, so
+    /// O(1)).
     #[must_use]
     pub fn total_free_slots(&self) -> usize {
-        self.free_slot_reads.set(self.free_slot_reads.get() + self.machines.len() as u64);
-        self.machines.iter().map(MachineState::free_slots).sum()
+        self.cache.free_total
     }
 
     /// Moves a batch task to the tail of machine `m`'s queue.
@@ -150,6 +153,7 @@ impl<'a> MapContext<'a> {
         let pos = self.batch.iter().position(|t| t.id == task_id).ok_or(AssignError::NotInBatch)?;
         let task = self.batch.remove(pos);
         self.machines[m.index()].push_pending(task);
+        self.cache.touch(m.index(), &self.machines[m.index()]);
         Ok(())
     }
 
@@ -159,6 +163,7 @@ impl<'a> MapContext<'a> {
     pub fn drop_pending(&mut self, m: MachineId, task_id: TaskId) -> bool {
         match self.machines[m.index()].remove_pending(task_id) {
             Some(task) => {
+                self.cache.touch(m.index(), &self.machines[m.index()]);
                 self.pruned.push(PrunedTask { task, machine: m, started_at: None });
                 true
             }
@@ -172,6 +177,7 @@ impl<'a> MapContext<'a> {
     /// executing.
     pub fn evict_executing(&mut self, m: MachineId) -> Option<Task> {
         let exec = self.machines[m.index()].finish_executing()?;
+        self.cache.touch(m.index(), &self.machines[m.index()]);
         self.pruned.push(PrunedTask {
             task: exec.task,
             machine: m,
@@ -380,7 +386,7 @@ mod tests {
         batch: Vec<Task>,
         machines: Vec<MachineState>,
         pruned: Vec<PrunedTask>,
-        free_slot_reads: std::cell::Cell<u64>,
+        cache: StepCache,
     }
 
     impl Fixture {
@@ -388,10 +394,13 @@ mod tests {
             let spec = spec();
             let machines =
                 (0..2).map(|m| MachineState::new(MachineId::from(m as usize), 2)).collect();
-            Self { spec, batch, machines, pruned: Vec::new(), free_slot_reads: Default::default() }
+            Self { spec, batch, machines, pruned: Vec::new(), cache: StepCache::default() }
         }
 
+        /// A context over the fixture, its caches rebuilt from the state
+        /// (a test may have mutated a machine directly).
         fn ctx(&mut self) -> MapContext<'_> {
+            self.cache = StepCache::rebuild(&self.machines, &self.batch);
             MapContext {
                 now: 0,
                 missed_since_last: 0,
@@ -401,7 +410,7 @@ mod tests {
                 batch: &mut self.batch,
                 machines: &mut self.machines,
                 pruned: &mut self.pruned,
-                free_slot_reads: &self.free_slot_reads,
+                cache: &mut self.cache,
             }
         }
     }
@@ -453,6 +462,22 @@ mod tests {
         assert_eq!(evicted.id, TaskId(7));
         assert!(ctx.evict_executing(MachineId(0)).is_none());
         assert_eq!(fx.pruned[0].started_at, Some(42));
+    }
+
+    #[test]
+    fn mutations_patch_the_free_slot_count_and_mark_their_machine() {
+        let mut fx = Fixture::new(vec![task(1), task(2)]);
+        fx.machines[1].start(task(7), 0, 30, false);
+        let mut ctx = fx.ctx();
+        assert_eq!(ctx.total_free_slots(), 3);
+        ctx.assign(TaskId(1), MachineId(0)).unwrap();
+        assert_eq!(ctx.total_free_slots(), 2);
+        assert!(ctx.drop_pending(MachineId(0), TaskId(1)));
+        assert_eq!(ctx.total_free_slots(), 3);
+        assert!(ctx.evict_executing(MachineId(1)).is_some());
+        assert_eq!(ctx.total_free_slots(), 4);
+        let touched: Vec<usize> = ctx.cache.touched.iter().collect();
+        assert_eq!(touched, [0, 1], "the machines each mutation changed");
     }
 
     #[test]

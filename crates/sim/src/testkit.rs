@@ -16,7 +16,7 @@
 use crate::machine::MachineState;
 use hcsim_model::{Task, TaskId, TaskTypeId, Time};
 
-pub use crate::engine::StepChecker;
+pub use crate::engine::{pending_expires_next, StepChecker};
 
 /// One queue transition, mirroring the engine's machine mutations.
 #[derive(Debug, Clone, Copy, PartialEq)]
