@@ -62,8 +62,8 @@ pub fn usage() -> &'static str {
 
 Runs N strictly alternated, order-flipped pairs of two benchmark binaries
 (default 5 pairs of 10 s runs at seed 2019) and prints, per end-to-end
-metric, both medians, the median per-pair ratio head/base and the pairs
-that moved the better way. --aa also runs base against base after every
+metric, both medians with their quartiles, the median per-pair ratio
+head/base and the pairs that moved the better way. --aa also runs base against base after every
 pair and prints that spread. Refuses to report when any run is not
 \"correct\":true. Every run is logged to FILE (default
 results/ab-<workload>.log)."
@@ -329,16 +329,24 @@ fn last_line(stdout: &str) -> &str {
 /// One pair's two runs, base first.
 type Pair = (RunLine, RunLine);
 
-/// Median of a non-empty slice (the mean of the middle two when even).
-fn median(values: &[f64]) -> f64 {
+/// The `q`-quantile of a non-empty slice, interpolated linearly between
+/// order statistics (the median of an even count is the mean of the
+/// middle two).
+fn quantile(values: &[f64], q: f64) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+}
+
+fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// The first and third quartiles.
+fn quartiles(values: &[f64]) -> (f64, f64) {
+    (quantile(values, 0.25), quantile(values, 0.75))
 }
 
 /// One metric's verdict over a set of pairs.
@@ -348,8 +356,12 @@ pub struct MetricSummary {
     pub name: &'static str,
     /// Median of the base runs.
     pub base_median: f64,
+    /// First and third quartiles of the base runs.
+    pub base_quartiles: (f64, f64),
     /// Median of the head runs.
     pub head_median: f64,
+    /// First and third quartiles of the head runs.
+    pub head_quartiles: (f64, f64),
     /// Median of the per-pair ratios head / base.
     pub ratio_median: f64,
     /// Smallest and largest per-pair ratio.
@@ -385,7 +397,9 @@ pub fn summarize(pairs: &[Pair]) -> Vec<MetricSummary> {
             Some(MetricSummary {
                 name,
                 base_median: median(&base),
+                base_quartiles: quartiles(&base),
                 head_median: median(&head),
+                head_quartiles: quartiles(&head),
                 ratio_median: if ratios.is_empty() { f64::NAN } else { median(&ratios) },
                 ratio_range,
                 better,
@@ -409,17 +423,30 @@ pub fn render(opts: &AbOptions, ab: &[MetricSummary], aa: &[MetricSummary]) -> S
         opts.head.display(),
         opts.log.display()
     );
-    out.push_str("| metric | base median | head median | head/base (median pair) | pairs better |");
+    out.push_str(
+        "| metric | base median [Q1–Q3] | head median [Q1–Q3] | head/base (median pair) \
+         | pairs better |",
+    );
     if aa.is_empty() {
         out.push_str("\n|---|---|---|---|---|\n");
     } else {
         out.push_str(" A/A ratio median [min–max] |\n|---|---|---|---|---|---|\n");
     }
     for m in ab {
+        let (b, h) = (m.base_quartiles, m.head_quartiles);
         let _ = write!(
             out,
-            "| {} | {:.4} | {:.4} | {:.3}× | {}/{} |",
-            m.name, m.base_median, m.head_median, m.ratio_median, m.better, m.pairs
+            "| {} | {:.4} [{:.4}–{:.4}] | {:.4} [{:.4}–{:.4}] | {:.3}× | {}/{} |",
+            m.name,
+            m.base_median,
+            b.0,
+            b.1,
+            m.head_median,
+            h.0,
+            h.1,
+            m.ratio_median,
+            m.better,
+            m.pairs
         );
         if let Some(a) = aa.iter().find(|a| a.name == m.name) {
             let _ = write!(
@@ -566,6 +593,7 @@ mod tests {
         assert_eq!(names, ["events_per_s", "decide_p99_us"], "contract order, reported only");
         let events = &summary[0];
         assert_eq!((events.base_median, events.head_median), (100.0, 120.0));
+        assert_eq!(events.base_quartiles, (100.0, 150.0), "interpolated quartiles");
         assert!((events.ratio_median - 1.1).abs() < 1e-12);
         assert!((events.ratio_range.0 - 0.9).abs() < 1e-12);
         assert_eq!((events.better, events.pairs), (2, 3), "higher is better");
@@ -633,11 +661,11 @@ mod tests {
             calls.split_whitespace().collect::<Vec<_>>(),
             ["base", "head", "head", "base", "base", "head"]
         );
-        assert!(
-            report.contains("| events_per_s | 100.0000 | 125.0000 | 1.250× | 3/3 |"),
-            "{report}"
-        );
-        assert!(report.contains("| decide_p99_us | 10.0000 | 8.0000 | 0.800× | 3/3 |"), "{report}");
+        let events =
+            "| events_per_s | 100.0000 [100.0000–100.0000] | 125.0000 [125.0000–125.0000] \
+                      | 1.250× | 3/3 |";
+        assert!(report.contains(events), "{report}");
+        assert!(report.contains("[8.0000–8.0000] | 0.800× | 3/3 |"), "{report}");
         let log = std::fs::read_to_string(&opts.log).unwrap();
         assert_eq!(log.lines().filter(|l| l.starts_with("ab pair")).count(), 6, "{log}");
         assert!(log.contains("ab pair 1 run 0 Head: {"), "{log}");

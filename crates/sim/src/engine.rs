@@ -275,7 +275,8 @@ pub struct EngineWork {
     pub start_machines: u64,
     /// Machines the drain pass looked at for a drain to complete.
     pub drain_machines: u64,
-    /// Machines read to answer [`MapContext::total_free_slots`].
+    /// Machines whose free slots were re-read into the count
+    /// [`MapContext::total_free_slots`] answers from.
     pub free_slot_machines: u64,
     /// Mapping events whose batch expiry cull ran.
     pub batch_culls_run: u64,
@@ -894,10 +895,6 @@ impl<'a, M: Mapper, R: rand::Rng> Engine<'a, M, R> {
             faas: self.faas,
         }
     }
-
-    fn engine_work(&self) -> EngineWork {
-        self.cache.work
-    }
 }
 
 /// A stepwise simulation handle for **service mode**: instead of running a
@@ -975,7 +972,7 @@ impl<'a, M: Mapper, R: rand::Rng> SimSession<'a, M, R> {
     /// The engine's scan work since the session was opened or restored.
     #[must_use]
     pub fn engine_work(&self) -> EngineWork {
-        self.engine.engine_work()
+        self.engine.cache.work
     }
 
     /// Terminal records produced so far (admitted + shed).
