@@ -30,7 +30,7 @@ use crate::machine::{MachineLifecycle, MachineState};
 use hcsim_model::{Task, Time};
 
 /// A set of machine indices, iterated in ascending order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct MachineSet {
     words: Vec<u64>,
 }
@@ -75,7 +75,7 @@ pub(crate) fn earliest_deadline<'t>(tasks: impl IntoIterator<Item = &'t Task>) -
 }
 
 /// The engine's per-step caches; see the module docs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct StepCache {
     /// Machines mutated this step; empty between steps.
     pub(crate) touched: MachineSet,

@@ -380,6 +380,38 @@ fn failed_machine_requeues_tasks_and_survivors_finish_them() {
 }
 
 #[test]
+fn requeued_task_lowers_the_batch_bound() {
+    // One machine (capacity 1). Task 0 starts at 0 and runs past its
+    // deadline 5; task 1 (deadline 2) waits in the batch until task 2's
+    // arrival at 3 culls it, which re-tightens the batch bound to task
+    // 2's deadline 1000. The failure at 4 requeues task 0 behind it: the
+    // bound must drop to 5 again, so the sweep at 6 culls it unmapped.
+    let spec = small_spec(1);
+    let task = |id: u32, arrival: Time, deadline: Time| Task {
+        id: TaskId(id),
+        type_id: TaskTypeId(0),
+        arrival,
+        deadline,
+    };
+    let tasks = [task(0, 0, 5), task(1, 0, 2), task(2, 3, 1_000)];
+    let churn = ChurnTrace {
+        initially_offline: vec![MachineId(1)],
+        events: vec![ChurnEvent { time: 4, machine: MachineId(0), kind: ChurnKind::Fail }],
+    };
+    let report = churn_run(&spec, &tasks, &churn, 25);
+    assert_eq!(report.churn.requeued, 1, "{:?}", report.churn);
+    let expired: Vec<(Option<MachineId>, Time)> = report
+        .records
+        .iter()
+        .map(|r| {
+            assert_eq!(r.outcome, TaskOutcome::ExpiredUnstarted, "{r:?}");
+            (r.machine, r.finished_at)
+        })
+        .collect();
+    assert_eq!(expired, [(None, 6), (None, 3), (None, 1_001)]);
+}
+
+#[test]
 fn drained_machine_finishes_queue_but_takes_no_new_work() {
     let spec = small_spec(6);
     let tasks = tasks_every(6, 4, 2_000);
