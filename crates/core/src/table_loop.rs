@@ -67,8 +67,8 @@ impl TableLoop {
     {
         let scorer = self.scorer.as_mut().expect("start_event builds the scorer");
         let window = |ctx: &MapContext<'_>| self.batch_window.min(ctx.batch().len());
-        // Revalidated inside the loop, at its first pass: `total_free_slots`
-        // walks every machine, so it is asked once per commit, not twice.
+        // Revalidated inside the loop, at its first pass: an event with no
+        // free slot or an empty window leaves the table as it was.
         let mut reused = None;
         while ctx.total_free_slots() > 0 && window(ctx) > 0 {
             if reused.is_none() {

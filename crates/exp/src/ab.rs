@@ -181,14 +181,13 @@ pub fn parse_line(line: &str) -> Result<RunLine, String> {
     Ok(RunLine { correct: *correct, metrics })
 }
 
-/// Just enough JSON for the contract line.
+/// Just enough JSON for the contract line: objects, strings, numbers
+/// and booleans.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
-    Null,
     Bool(bool),
     Number(f64),
     String(String),
-    Array(Vec<Json>),
     Object(BTreeMap<String, Json>),
 }
 
@@ -217,9 +216,7 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         let rest = &self.bytes[self.at..];
-        for (word, value) in
-            [("null", Json::Null), ("true", Json::Bool(true)), ("false", Json::Bool(false))]
-        {
+        for (word, value) in [("true", Json::Bool(true)), ("false", Json::Bool(false))] {
             if rest.starts_with(word.as_bytes()) {
                 self.at += word.len();
                 return Ok(value);
@@ -244,25 +241,6 @@ impl Parser<'_> {
                     } else {
                         self.eat(b'}')?;
                         return Ok(Json::Object(map));
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b']') {
-                    self.at += 1;
-                    return Ok(Json::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    if self.bytes.get(self.at) == Some(&b',') {
-                        self.at += 1;
-                    } else {
-                        self.eat(b']')?;
-                        return Ok(Json::Array(items));
                     }
                 }
             }
@@ -569,7 +547,7 @@ mod tests {
         assert!(parse_line("{\"correct\":true}").unwrap_err().contains("metrics"));
         assert!(parse_line("not json").is_err());
         assert!(parse_line(&format!("{} x", line(true, 1.0, 1.0))).is_err());
-        let nested = "{\"correct\":true,\"a\":[1,{\"b\":null}],\"metrics\":{}}";
+        let nested = "{\"correct\":true,\"a\":{\"b\":\"x\"},\"metrics\":{}}";
         assert!(parse_line(nested).unwrap().metrics.is_empty());
     }
 
