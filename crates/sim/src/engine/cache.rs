@@ -22,8 +22,9 @@
 //!   not exceed it.
 //!
 //! Every mutation is followed by [`StepCache::touch`], which marks the
-//! machine and re-syncs its entries, so the free-slot sum is exact
-//! whenever a mapper reads it.
+//! machine and re-syncs its entries — an assignment by the O(1)
+//! [`StepCache::assigned`] — so the free-slot sum is exact whenever a
+//! mapper reads it, and every cache is exact between steps.
 
 use super::EngineWork;
 use crate::machine::{MachineLifecycle, MachineState};
@@ -120,6 +121,16 @@ impl StepCache {
     pub(crate) fn touch(&mut self, m: usize, machine: &MachineState) {
         self.touched.insert(m);
         self.sync(m, machine);
+    }
+
+    /// What [`MapContext::assign`](crate::MapContext::assign) changed on
+    /// machine `m`: one free slot taken (an assignable machine is
+    /// active). Its earliest pending deadline is re-read when the start
+    /// pass syncs it, before the next step's cull reads it.
+    pub(crate) fn assigned(&mut self, m: usize) {
+        self.touched.insert(m);
+        self.free[m] -= 1;
+        self.free_total -= 1;
     }
 
     /// Re-reads machine `m`'s free slots, earliest pending deadline and

@@ -153,7 +153,7 @@ impl<'a> MapContext<'a> {
         let pos = self.batch.iter().position(|t| t.id == task_id).ok_or(AssignError::NotInBatch)?;
         let task = self.batch.remove(pos);
         self.machines[m.index()].push_pending(task);
-        self.cache.touch(m.index(), &self.machines[m.index()]);
+        self.cache.assigned(m.index());
         Ok(())
     }
 
