@@ -604,6 +604,12 @@ mod tests {
         bin
     }
 
+    /// Held by each test that writes and runs fake binaries: a script
+    /// exec'd while another thread's fork still holds it open for
+    /// writing fails with "Text file busy".
+    #[cfg(unix)]
+    static SPAWNING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[cfg(unix)]
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hcsim-ab-{name}-{}", std::process::id()));
@@ -629,6 +635,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn runs_flipped_pairs_and_reports_with_the_aa_spread() {
+        let _spawning = SPAWNING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch("report");
         let base = fake(&dir, "base", &(0..6).map(|_| line(true, 100.0, 10.0)).collect::<Vec<_>>());
         let head = fake(&dir, "head", &(0..3).map(|_| line(true, 125.0, 8.0)).collect::<Vec<_>>());
@@ -661,6 +668,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn refuses_when_any_run_is_not_correct_or_has_no_line() {
+        let _spawning = SPAWNING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch("refuse");
         let good = line(true, 100.0, 10.0);
         let base = fake(&dir, "base", &[good.clone(), good.clone()]);
