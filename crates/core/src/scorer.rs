@@ -165,6 +165,10 @@ pub struct WorkCounters {
     pub rows_shared: u64,
     /// Tail-wide deadline cutoffs resolved.
     pub cutoffs_resolved: u64,
+    /// Column cells read by shard-best rescans: the first-wins scans of a
+    /// shard's columns that rebuild a cached shard best from scratch
+    /// rather than folding changed cells into it.
+    pub best_rescans: u64,
     /// Conditioned heads the tail caches (re)built.
     pub head_builds: u64,
     /// Links the tail caches chained behind a head.
@@ -178,7 +182,7 @@ pub struct WorkCounters {
 impl WorkCounters {
     /// Every counter with its name, in declaration order.
     #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
         [
             ("pairs_scored", self.pairs_scored),
             ("pairs_bounded", self.pairs_bounded),
@@ -187,6 +191,7 @@ impl WorkCounters {
             ("column_abandoned", self.column_abandoned),
             ("rows_shared", self.rows_shared),
             ("cutoffs_resolved", self.cutoffs_resolved),
+            ("best_rescans", self.best_rescans),
             ("head_builds", self.head_builds),
             ("chain_extensions", self.chain_extensions),
             ("table_rebuilds", self.table_rebuilds),

@@ -671,6 +671,8 @@ impl ScoreTable {
         for (s, bests) in self.shard_best.iter_mut().enumerate() {
             bests.clear();
             bests.resize(rows, None);
+            let cells = shard_range(s, self.cols.len()).len() * self.live_by_shard[s].len();
+            self.work.best_rescans += cells as u64;
             for live in &self.live_by_shard[s] {
                 bests[live.row] = shard_best_entry(&self.cols, s, live.row);
             }
@@ -1018,7 +1020,14 @@ impl ScoreTable {
                 self.store(row, m, score);
             }
         }
-        self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
+        self.shard_best[s][row] = self.rescan_shard_best(s, row);
+    }
+
+    /// [`shard_best_entry`] over the table's own columns, booking the
+    /// cells it reads.
+    fn rescan_shard_best(&mut self, s: usize, row: usize) -> Option<(usize, PairScore)> {
+        self.work.best_rescans += shard_range(s, self.cols.len()).len() as u64;
+        shard_best_entry(&self.cols, s, row)
     }
 
     /// Puts the exact score of (class slot `row`, machine `m`) in a cell
@@ -1301,7 +1310,7 @@ impl ScoreTable {
             }
             let mut best = self.shard_best[s][row];
             if best.is_some_and(|(winner, _)| changed.contains(&winner)) {
-                best = shard_best_entry(&self.cols, s, row);
+                best = self.rescan_shard_best(s, row);
             } else {
                 for &m in changed {
                     let Some(score) = self.cols[m][row] else { continue };
