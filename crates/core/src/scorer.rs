@@ -169,6 +169,9 @@ pub struct WorkCounters {
     /// shard's columns that rebuild a cached shard best from scratch
     /// rather than folding changed cells into it.
     pub best_rescans: u64,
+    /// Class bests re-folded from their shard bests when a table call
+    /// settled: one per class whose shard bests changed.
+    pub best_refolds: u64,
     /// Conditioned heads the tail caches (re)built.
     pub head_builds: u64,
     /// Links the tail caches chained behind a head.
@@ -182,7 +185,7 @@ pub struct WorkCounters {
 impl WorkCounters {
     /// Every counter with its name, in declaration order.
     #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
         [
             ("pairs_scored", self.pairs_scored),
             ("pairs_bounded", self.pairs_bounded),
@@ -192,6 +195,7 @@ impl WorkCounters {
             ("rows_shared", self.rows_shared),
             ("cutoffs_resolved", self.cutoffs_resolved),
             ("best_rescans", self.best_rescans),
+            ("best_refolds", self.best_refolds),
             ("head_builds", self.head_builds),
             ("chain_extensions", self.chain_extensions),
             ("table_rebuilds", self.table_rebuilds),

@@ -8,9 +8,9 @@ use super::kernel::{score_column_scatter, LiveRow, PairScore, PairWork, BOUND_MA
 use super::shared::{shard_range, ScorerShared, TABLE_SHARD_WIDTH};
 use super::tail::{HeadWindow, MachineCache, TailBound};
 use super::{debug_assert_machine_alignment, ProbScorer, WorkCounters};
-use hcsim_model::{MachineId, Task, TaskId, TaskTypeId, Time};
+use hcsim_model::{MachineId, Task, TaskTypeId, Time};
 use hcsim_sim::MachineState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Minimum number of changed machines before a [`ScoreTable::ensure`]
 /// that falls back to a rebuild lets it fan out. Most events repair the
@@ -43,14 +43,16 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 /// deadline, `skip_below`), so every member of a class gets
 /// the same answer from every operation — and on a serverless burst half
 /// the window is members of a live class. A class owns one slot — its
-/// cells, lane liveness, shard bests and threshold — and lists its
-/// members in window order; the first is its *head*. Appending a member
-/// of a live class, or removing one that is not the last, does no column
-/// work, and the bound pass, resurrection and every column rescore visit
-/// each class once. Positions still resolve to their class's slot, so a
-/// member reads exactly what an unclassed row of the same task would;
-/// PAM's phase scan reads each class once, at its head (see
-/// `ScoreTable::is_head`). An unshared row is a class of one.
+/// cells, lane liveness, shard bests, class best and threshold — and
+/// counts its members; the earliest in window order is its *head*, marked
+/// in a position-aligned head bitmap. Appending a member of a live class,
+/// or removing one that is not the last, does no column work (a departing
+/// head hands its bit to the next member's position), and the bound
+/// pass, resurrection and every column rescore visit each class once.
+/// Positions still resolve to their class's slot, so a member reads
+/// exactly what an unclassed row of the same task would; PAM's phase scan
+/// reads each class once, at its head (see `ScoreTable::is_head`). An
+/// unshared row is a class of one.
 ///
 /// * [`ScoreTable::rebuild`] — the first event, a new epoch, or a table
 ///   [`ScoreTable::invalidate`]d — ensures every free machine's tail
@@ -109,15 +111,22 @@ const REBUILD_FANOUT_MIN_CHANGED: usize = 128;
 ///   that can invalidate a proof without touching the machine — the
 ///   caller *lowering* the row's threshold — has [`ScoreTable::ensure`]
 ///   re-test the row's unscored pairs.
-/// * each shard also caches its **per-row best candidate**
-///   (first-wins under the exact comparison), so
-///   [`ScoreTable::best_for_row`] reduces over O(shards) precomputed
-///   winners instead of scanning O(machines) columns. Shards are
-///   contiguous index ranges, so the grouped first-wins reduction picks
-///   exactly the machine a flat ascending scan would. When member
-///   columns change, the cache is *folded*, not rescanned: a winner on an
+/// * each shard also caches its **per-class best candidate**
+///   (first-wins under the exact comparison), and each class its **class
+///   best**: the first-wins fold of its shard bests in ascending shard
+///   order. Shards are contiguous index ranges, so that fold picks
+///   exactly the machine a flat ascending scan would, and
+///   [`ScoreTable::best_for_row`] is one read. When member columns
+///   change, a shard best is *folded*, not rescanned: a winner on an
 ///   unchanged machine only has to be compared against the changed
-///   members' new cells (`refresh_shard_best`).
+///   members' new cells (`refresh_shard_best`). Every shard-best write
+///   that changes an entry marks the class, and the marked classes are
+///   re-folded once, when [`ScoreTable::rebuild`], [`ScoreTable::ensure`]
+///   or [`ScoreTable::apply_assignment`] returns. No cached best ever
+///   sits on a full machine, so none needs a fallback: a machine fills
+///   only by a commit, whose closing column refresh clears its column and
+///   refolds the bests it held, and any other change bumps its version,
+///   so the next `ensure` rescores it.
 /// * between assignments ([`ScoreTable::apply_assignment`]), only the
 ///   *assigned* machine's column (and its shard's aggregates) change,
 ///   plus one appended row when a new batch task slides into the
@@ -170,13 +179,15 @@ pub struct ScoreTable {
     /// Window position → task: the reuse signature the window diff walks,
     /// and what [`ScoreTable::check_invariants`] scores each member as.
     window: Vec<Task>,
+    /// Window position → whether the row heads its class (is its
+    /// earliest member). PAM's phase scan reads it instead of the class.
+    heads: Vec<bool>,
     /// Slots of departed classes, reused by the next new class. A free
     /// slot has no members and holds `None` in every column and every
     /// shard best.
     free_slots: Vec<usize>,
-    /// Slot-aligned: the class's members in window order, the head first
-    /// (empty: a free slot).
-    members: Vec<VecDeque<TaskId>>,
+    /// Slot-aligned: how many window rows the class has (0: a free slot).
+    member_counts: Vec<usize>,
     /// Every live class's key → its slot.
     classes: HashMap<ClassKey, usize>,
     /// Slot-aligned: the task that opened the class, whose type and
@@ -195,6 +206,14 @@ pub struct ScoreTable {
     /// Per shard, per slot: the shard's best candidate under the exact
     /// first-wins comparison (`None`: no scored member).
     shard_best: Vec<Vec<Option<(usize, PairScore)>>>,
+    /// Slot-aligned: the class best, the first-wins fold of the class's
+    /// shard bests across shards in ascending order — settled whenever a
+    /// public call returns.
+    class_best: Vec<Option<(usize, PairScore)>>,
+    /// Slot-aligned: a shard best of the class changed since its class
+    /// best was folded; `marked` lists those slots for the next settle.
+    best_marked: Vec<bool>,
+    marked: Vec<usize>,
     /// Scratch: the classes live in one shard — filled once per shard by
     /// [`ScoreTable::collect_live_rows`], read by every column rescore in
     /// that shard.
@@ -272,20 +291,14 @@ fn shard_best_entry(
     best
 }
 
-/// [`shard_best_entry`] restricted to machines that currently have a free
-/// slot — the fallback when a cached shard best went stale-full.
-fn shard_best_live(
-    cols: &[Vec<Option<PairScore>>],
-    s: usize,
+/// First-wins fold of class slot `row`'s shard bests, in ascending shard
+/// order: its class best.
+fn fold_class_best(
+    shard_best: &[Vec<Option<(usize, PairScore)>>],
     row: usize,
-    machines: &[MachineState],
 ) -> Option<(usize, PairScore)> {
     let mut best: Option<(usize, PairScore)> = None;
-    for m in shard_range(s, cols.len()) {
-        if !machines[m].has_free_slot() {
-            continue;
-        }
-        let Some(score) = cols[m][row] else { continue };
+    for &(m, score) in shard_best.iter().filter_map(|bests| bests[row].as_ref()) {
         if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
             best = Some((m, score));
         }
@@ -312,7 +325,7 @@ impl ScoreTable {
     /// reading heads only.
     #[must_use]
     pub(crate) fn is_head(&self, row: usize) -> bool {
-        self.members[self.order[row]].front() == Some(&self.window[row].id)
+        self.heads[row]
     }
 
     /// The table's half of the work counters so far — completed kernel
@@ -330,7 +343,9 @@ impl ScoreTable {
     /// every [`ScoreTable::rebuild`], [`ScoreTable::ensure`] and
     /// [`ScoreTable::apply_assignment`] on the `machines` that call saw
     /// (`scorer` at the same event time): every cached shard best is
-    /// bitwise the first-wins scan of its shard's columns; every scored
+    /// bitwise the first-wins scan of its shard's columns, every class
+    /// best bitwise the first-wins fold of its shard bests, and no cached
+    /// best sits on a full machine; every scored
     /// pair on a free machine holds the exact score; every unscored pair
     /// on a free machine is proven below the threshold its row is held to
     /// — in a live lane by its machine's own bound or, where that clears,
@@ -341,9 +356,10 @@ impl ScoreTable {
     /// classes and the free list partition them, a free slot holds
     /// nothing, each column's count of exact scores is what a recount
     /// finds — and so are the classes: every position sits in its key's
-    /// slot, no two live slots share a key, and each class lists exactly
-    /// its positions' tasks in window order, so its head is its earliest.
-    /// The first violation comes back as the error. Test support, like
+    /// slot, no two live slots share a key, and each class counts
+    /// as many members as positions, and the head bitmap marks exactly
+    /// each class's earliest position. The first violation comes back as
+    /// the error. Test support, like
     /// [`ScoreTable::work`].
     #[doc(hidden)]
     pub fn check_invariants(
@@ -356,11 +372,30 @@ impl ScoreTable {
         let bits = |s: &PairScore| {
             (s.robustness.to_bits(), s.expected_completion.to_bits(), s.mean_exec.to_bits())
         };
+        let entry_bits = |e: Option<(usize, PairScore)>| e.map(|(m, b)| (m, bits(&b)));
+        if let Some(slot) = self.marked.first() {
+            return Err(format!("class {slot}: marked, but its class best was never re-folded"));
+        }
         for slot in self.live_slots() {
             let (task, threshold) = (&self.class_tasks[slot], self.row_thresholds[slot]);
+            let fold = fold_class_best(&self.shard_best, slot);
+            if entry_bits(self.class_best[slot]) != entry_bits(fold) {
+                return Err(format!(
+                    "class {slot}: class best {:?}, its shard bests fold to {fold:?}",
+                    self.class_best[slot]
+                ));
+            }
+            let cached = self.shard_best.iter().map(|bests| bests[slot]);
+            if let Some((m, _)) = cached
+                .chain([self.class_best[slot]])
+                .flatten()
+                .find(|&(m, _)| !machines[m].has_free_slot())
+            {
+                return Err(format!("class {slot}: a cached best sits on full machine {m}"));
+            }
             for (s, bests) in self.shard_best.iter().enumerate() {
                 let scan = shard_best_entry(&self.cols, s, slot);
-                if bests[slot].map(|(m, b)| (m, bits(&b))) != scan.map(|(m, b)| (m, bits(&b))) {
+                if entry_bits(bests[slot]) != entry_bits(scan) {
                     return Err(format!(
                         "class {slot} shard {s}: cached best {:?}, the columns say {scan:?}",
                         bests[slot]
@@ -407,13 +442,19 @@ impl ScoreTable {
     /// The slot half of [`ScoreTable::check_invariants`].
     fn check_slots(&self) -> Result<(), String> {
         let capacity = self.class_tasks.len();
-        let aligned = [self.members.len(), self.shard_live.len(), self.row_thresholds.len()];
+        let aligned = [
+            self.member_counts.len(),
+            self.shard_live.len(),
+            self.row_thresholds.len(),
+            self.class_best.len(),
+            self.best_marked.len(),
+        ];
         if aligned.iter().any(|&len| len != capacity) {
             return Err(format!("slot-aligned lengths {aligned:?} for {capacity} slots"));
         }
         let mut seen = vec![false; capacity];
         for &slot in &self.order {
-            if slot >= capacity || self.members[slot].is_empty() {
+            if slot >= capacity || self.member_counts[slot] == 0 {
                 return Err(format!("slot {slot}: a window position's, but out of range or empty"));
             }
             seen[slot] = true;
@@ -427,8 +468,11 @@ impl ScoreTable {
             return Err(format!("slot {slot}: neither live nor free"));
         }
         for &slot in &self.free_slots {
-            if !self.members[slot].is_empty() {
+            if self.member_counts[slot] != 0 {
                 return Err(format!("free slot {slot}: has members"));
+            }
+            if self.class_best[slot].is_some() {
+                return Err(format!("free slot {slot}: holds a class best"));
             }
             if let Some(m) = self.cols.iter().position(|col| col[slot].is_some()) {
                 return Err(format!("free slot {slot}: holds a score on machine {m}"));
@@ -451,17 +495,28 @@ impl ScoreTable {
     }
 
     /// The class half of [`ScoreTable::check_invariants`]: every position
-    /// sits in its key's slot, no two live slots share a key, and every
-    /// class's member list is a recount of its positions in window order —
-    /// the same count, with the earliest position at the head.
+    /// sits in its key's slot, no two live slots share a key, every
+    /// class's member count is a recount of its positions, and the head
+    /// bitmap marks exactly each class's earliest position.
     fn check_classes(&self) -> Result<(), String> {
-        let mut recount = vec![Vec::new(); self.class_tasks.len()];
+        if self.heads.len() != self.order.len() {
+            return Err(format!("{} head bits for {} rows", self.heads.len(), self.order.len()));
+        }
+        let mut recount = vec![0; self.class_tasks.len()];
         for (row, (&slot, task)) in self.order.iter().zip(&self.window).enumerate() {
             let key = class_key(task);
             if self.classes.get(&key) != Some(&slot) || class_key(&self.class_tasks[slot]) != key {
                 return Err(format!("row {row}: key {key:?} sits in slot {slot}, not its key's"));
             }
-            recount[slot].push(task.id);
+            let earliest = recount[slot] == 0;
+            if self.heads[row] != earliest {
+                return Err(format!(
+                    "row {row}: head bit {}, but it is {} member of class {slot}",
+                    self.heads[row],
+                    if earliest { "the earliest" } else { "a later" }
+                ));
+            }
+            recount[slot] += 1;
         }
         if self.classes.len() != self.live_slots().count() {
             return Err(format!(
@@ -470,23 +525,11 @@ impl ScoreTable {
                 self.live_slots().count()
             ));
         }
-        for (slot, (members, recount)) in self.members.iter().zip(&recount).enumerate() {
-            if members.len() != recount.len() {
+        for (slot, (&count, &recount)) in self.member_counts.iter().zip(&recount).enumerate() {
+            if count != recount {
                 return Err(format!(
-                    "class {slot}: {} members counted, {} positions hold it",
-                    members.len(),
-                    recount.len()
+                    "class {slot}: {count} members counted, {recount} positions hold it"
                 ));
-            }
-            if members.front() != recount.first() {
-                return Err(format!(
-                    "class {slot}: head {:?}, earliest position holds {:?}",
-                    members.front(),
-                    recount.first()
-                ));
-            }
-            if !members.iter().eq(recount) {
-                return Err(format!("class {slot}: members {members:?}, positions {recount:?}"));
             }
         }
         Ok(())
@@ -494,7 +537,7 @@ impl ScoreTable {
 
     /// The slots of live classes, ascending.
     fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().enumerate().filter(|(_, m)| !m.is_empty()).map(|(slot, _)| slot)
+        self.member_counts.iter().enumerate().filter(|(_, &n)| n > 0).map(|(slot, _)| slot)
     }
 
     /// Books `candidates` tested pairs: `work` says how many of them ran
@@ -569,6 +612,7 @@ impl ScoreTable {
         self.count_pairs(candidates, work);
         self.work.column_abandoned += work.abandoned as u64;
         self.reduce_shard_bests(self.class_tasks.len());
+        self.settle_class_bests();
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
         self.epoch = scorer.membership_epoch;
@@ -583,26 +627,24 @@ impl ScoreTable {
         self.free_slots.clear();
         self.order.clear();
         self.window.clear();
-        for members in &mut self.members {
-            members.clear();
-        }
+        self.heads.clear();
+        self.member_counts.clear();
         for task in tasks {
             let fresh = self.class_tasks.len();
             let slot = *self.classes.entry(class_key(task)).or_insert(fresh);
             if slot == fresh {
                 self.class_tasks.push(*task);
-                if self.members.len() == slot {
-                    self.members.push(VecDeque::new());
-                }
+                self.member_counts.push(0);
             }
             self.append_member(slot, task);
         }
-        self.members.truncate(self.class_tasks.len());
     }
 
-    /// Appends `task` to the window as the newest member of class `slot`.
+    /// Appends `task` to the window as the newest member of class `slot`
+    /// — its head if the class had none.
     fn append_member(&mut self, slot: usize, task: &Task) {
-        self.members[slot].push_back(task.id);
+        self.heads.push(self.member_counts[slot] == 0);
+        self.member_counts[slot] += 1;
         self.order.push(slot);
         self.window.push(*task);
     }
@@ -664,8 +706,8 @@ impl ScoreTable {
     }
 
     /// The rebuild's per-shard phase-1 reduction: caches each shard's best
-    /// candidate per live class, so `best_for_row` touches O(shards)
-    /// entries.
+    /// candidate per live class, and marks every class for the fold into
+    /// its class best.
     fn reduce_shard_bests(&mut self, rows: usize) {
         self.shard_best.resize_with(self.live_by_shard.len(), Vec::new);
         for (s, bests) in self.shard_best.iter_mut().enumerate() {
@@ -677,6 +719,42 @@ impl ScoreTable {
                 bests[live.row] = shard_best_entry(&self.cols, s, live.row);
             }
         }
+        self.class_best.clear();
+        self.class_best.resize(rows, None);
+        self.best_marked.clear();
+        self.best_marked.resize(rows, false);
+        self.marked.clear();
+        for slot in 0..rows {
+            self.mark(slot);
+        }
+    }
+
+    /// Marks class `slot`: one of its shard bests changed, so its class
+    /// best is re-folded at the next settle.
+    fn mark(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.best_marked[slot], true) {
+            self.marked.push(slot);
+        }
+    }
+
+    /// Writes shard `s`'s best for class `slot`, marking the class when
+    /// the entry changed.
+    fn set_shard_best(&mut self, s: usize, slot: usize, best: Option<(usize, PairScore)>) {
+        if self.shard_best[s][slot] != best {
+            self.shard_best[s][slot] = best;
+            self.mark(slot);
+        }
+    }
+
+    /// Re-folds the class best of every marked class — what closes each
+    /// public call, so a decision reads settled class bests only.
+    fn settle_class_bests(&mut self) {
+        for &slot in &self.marked {
+            self.best_marked[slot] = false;
+            self.class_best[slot] = fold_class_best(&self.shard_best, slot);
+        }
+        self.work.best_refolds += self.marked.len() as u64;
+        self.marked.clear();
     }
 
     /// Marks the table unusable for reuse: the next
@@ -754,6 +832,7 @@ impl ScoreTable {
         self.score_retested_lanes(scorer, machines);
         self.rescore_dirty_shards(scorer, machines);
         self.reconcile_window(scorer, machines, tasks, skip_below);
+        self.settle_class_bests();
         self.work.table_reuses += 1;
         true
     }
@@ -849,7 +928,7 @@ impl ScoreTable {
         let any_loosened = self.loosened.contains(&true);
         self.retest.clear();
         for row in 0..self.class_tasks.len() {
-            if self.members[row].is_empty() {
+            if self.member_counts[row] == 0 {
                 continue;
             }
             let task = self.class_tasks[row];
@@ -1020,7 +1099,8 @@ impl ScoreTable {
                 self.store(row, m, score);
             }
         }
-        self.shard_best[s][row] = self.rescan_shard_best(s, row);
+        let best = self.rescan_shard_best(s, row);
+        self.set_shard_best(s, row, best);
     }
 
     /// [`shard_best_entry`] over the table's own columns, booking the
@@ -1067,7 +1147,7 @@ impl ScoreTable {
     fn collect_live_rows(&mut self, s: usize) {
         self.live.clear();
         for row in 0..self.class_tasks.len() {
-            if !self.members[row].is_empty() && self.shard_live[row][s] {
+            if self.member_counts[row] > 0 && self.shard_live[row][s] {
                 let (task, threshold) = (self.class_tasks[row], self.row_thresholds[row]);
                 self.live.push(LiveRow { row, task, threshold });
             }
@@ -1132,20 +1212,26 @@ impl ScoreTable {
             self.push_row(scorer, machines, &window[self.rows()], skip_below);
         }
         self.refresh_machine(scorer, machines, window, m);
+        self.settle_class_bests();
     }
 
     /// Drops the row at window position `row` (its task was assigned or
     /// left the batch). A member that leaves a class of several only
-    /// leaves its list — the next member is the head if it was; the last
-    /// member frees the class's slot: one cell per column and one best per
-    /// shard are cleared, nothing shifts.
+    /// leaves its count — a head hands its bit to the next member's
+    /// position; the last member frees the class's slot: one cell per
+    /// column, one best per shard and the class best are cleared, nothing
+    /// shifts.
     fn remove_row(&mut self, row: usize) {
         let slot = self.order.remove(row);
         let task = self.window.remove(row);
-        let members = &mut self.members[slot];
-        let at = members.iter().position(|&id| id == task.id).expect("a row is a member");
-        members.remove(at);
-        if !members.is_empty() {
+        let head = self.heads.remove(row);
+        self.member_counts[slot] -= 1;
+        if self.member_counts[slot] > 0 {
+            if head {
+                // Every other member sits after the head it follows.
+                let next = self.order[row..].iter().position(|&o| o == slot);
+                self.heads[row + next.expect("a live class has a member")] = true;
+            }
             return;
         }
         self.classes.remove(&class_key(&task));
@@ -1157,6 +1243,7 @@ impl ScoreTable {
         for bests in &mut self.shard_best {
             bests[slot] = None;
         }
+        self.class_best[slot] = None;
         self.free_slots.push(slot);
     }
 
@@ -1210,9 +1297,11 @@ impl ScoreTable {
                 for bests in &mut self.shard_best {
                     bests.push(None);
                 }
+                self.class_best.push(None);
+                self.best_marked.push(false);
                 self.shard_live.push(Vec::new());
                 self.row_thresholds.push(threshold);
-                self.members.push(VecDeque::new());
+                self.member_counts.push(0);
                 self.class_tasks.push(*task);
                 self.class_tasks.len() - 1
             }
@@ -1236,6 +1325,7 @@ impl ScoreTable {
             let best = &mut self.shard_best[s][slot];
             if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
                 *best = Some((m, score));
+                self.mark(slot);
             }
         }
         self.shard_live[slot] = lanes;
@@ -1275,7 +1365,7 @@ impl ScoreTable {
         if self.newly_warm.contains(&true) {
             for row in 0..self.class_tasks.len() {
                 let task = self.class_tasks[row];
-                if !self.members[row].is_empty()
+                if self.member_counts[row] > 0
                     && self.newly_warm[task.type_id.index()]
                     && !self.shard_live[row][s]
                     && self.lane_clears(&scorer.shared, &task, s, self.row_thresholds[row])
@@ -1305,7 +1395,7 @@ impl ScoreTable {
     /// rescans the shard's columns.
     fn refresh_shard_best(&mut self, s: usize, changed: &[usize]) {
         for row in 0..self.class_tasks.len() {
-            if self.members[row].is_empty() || !self.shard_live[row][s] {
+            if self.member_counts[row] == 0 || !self.shard_live[row][s] {
                 continue;
             }
             let mut best = self.shard_best[s][row];
@@ -1322,7 +1412,7 @@ impl ScoreTable {
                     }
                 }
             }
-            self.shard_best[s][row] = best;
+            self.set_shard_best(s, row, best);
         }
     }
 
@@ -1335,30 +1425,21 @@ impl ScoreTable {
     /// Phase 1 for one window task: the machine offering the highest
     /// robustness among machines with free slots (tie → lower expected
     /// completion) — the same comparisons and effective scan order the
-    /// sequential heuristics used, reduced over the per-shard best
-    /// caches: shards are contiguous ascending index ranges, so the
-    /// grouped first-wins reduction returns exactly the flat scan's
-    /// winner. A cached best whose machine has since lost its free slot
-    /// falls back to rescanning that shard.
+    /// sequential heuristics used. It is the row's class best, one read:
+    /// the first-wins fold of the per-shard best caches over contiguous
+    /// ascending index ranges returns exactly the flat scan's winner, and
+    /// no cached best sits on a full machine (see [`ScoreTable`]).
     #[must_use]
     pub fn best_for_row(
         &self,
         machines: &[MachineState],
         row: usize,
     ) -> Option<(MachineId, PairScore)> {
-        let slot = self.order[row];
-        let mut best: Option<(usize, PairScore)> = None;
-        for (s, bests) in self.shard_best.iter().enumerate() {
-            let cand = match bests[slot] {
-                None => None,
-                Some((m, score)) if machines[m].has_free_slot() => Some((m, score)),
-                Some(_) => shard_best_live(&self.cols, s, slot, machines),
-            };
-            let Some((m, score)) = cand else { continue };
-            if best.as_ref().is_none_or(|(_, b)| better_pair(&score, b)) {
-                best = Some((m, score));
-            }
-        }
+        let best = self.class_best[self.order[row]];
+        debug_assert!(
+            best.is_none_or(|(m, _)| machines[m].has_free_slot()),
+            "a class best on a full machine"
+        );
         best.map(|(m, score)| (MachineId::from(m), score))
     }
 }

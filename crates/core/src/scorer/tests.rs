@@ -1087,6 +1087,83 @@ fn score_table_shard_best_fold_keeps_first_wins_order_among_ties() {
 }
 
 #[test]
+fn score_table_class_best_keeps_the_lower_shard_among_ties_until_it_fills() {
+    // Three shards of one cell. Machines 5 (shard 0) and 2·W + 3 (shard
+    // 2) are empty with one slot each, so their scores tie bit for bit;
+    // every other machine sits behind a queued task and scores worse.
+    let (first, second) = (5, 2 * TABLE_SHARD_WIDTH + 3);
+    let n = 3 * TABLE_SHARD_WIDTH;
+    let cell = Pmf::from_points(&[(5, 0.5), (9, 0.5)]).unwrap();
+    let pet = PetMatrix::from_pmfs(1, n, vec![cell; n]);
+    let task = |id: u32| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 40 };
+    let mut machines: Vec<MachineState> = (0..n)
+        .map(|m| {
+            let open = m == first || m == second;
+            let mut machine = MachineState::new(MachineId::from(m), if open { 1 } else { 3 });
+            if !open {
+                assert!(testkit::apply(&mut machine, testkit::QueueOp::Push(task(m as u32))));
+            }
+            machine
+        })
+        .collect();
+    let mut rows: Vec<Task> = (0..2).map(|i| task(9_000 + i)).collect();
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(0);
+    table.rebuild(&mut scorer, &machines, &rows, &|_| 0.0);
+    table.check_invariants(&mut scorer, &machines).unwrap();
+    let (m, tied) = table.best_for_row(&machines, 1).expect("scored everywhere");
+    assert_eq!(m.index(), first, "first-wins keeps shard 0's lower index");
+    assert_eq!(table.get(1, second), Some(tied), "shard 2's machine ties bit for bit");
+
+    // Row 0 goes to the winner, which fills: the class best moves to
+    // shard 2's machine, the one a fresh rebuild picks.
+    let refolds = table.work().best_refolds;
+    let assigned = rows.remove(0);
+    assert!(testkit::apply(&mut machines[first], testkit::QueueOp::Push(assigned)));
+    assert!(!machines[first].has_free_slot());
+    table.apply_assignment(&mut scorer, &machines, &rows, 0, first, &|_| 0.0);
+    table.check_invariants(&mut scorer, &machines).unwrap();
+    assert_eq!(table.best_for_row(&machines, 0), Some((MachineId::from(second), tied)));
+    assert_eq!(table.work().best_refolds, refolds + 1, "one class re-folded");
+    let mut reference = ScoreTable::new();
+    reference.rebuild(&mut scorer, &machines, &rows, &|_| 0.0);
+    assert_eq!(table.best_for_row(&machines, 0), reference.best_for_row(&machines, 0));
+}
+
+#[test]
+fn score_table_head_bit_passes_to_the_next_member() {
+    // Window [a, b, a, a]: class a has three members, its head at 0.
+    let (pet, mut machines) = fanout_fixture(4);
+    let a = |id: u32| Task { id: TaskId(id), type_id: TaskTypeId(0), arrival: 0, deadline: 90 };
+    let b = Task { id: TaskId(1), type_id: TaskTypeId(0), arrival: 0, deadline: 95 };
+    let mut rows = vec![a(10), b, a(11), a(12)];
+    let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+    let mut table = ScoreTable::new();
+    scorer.begin_event(0);
+    table.rebuild(&mut scorer, &machines, &rows, &|_| 0.0);
+    let heads =
+        |table: &ScoreTable| (0..table.rows()).map(|r| table.is_head(r)).collect::<Vec<_>>();
+    assert_eq!(heads(&table), [true, true, false, false]);
+
+    // The head leaves: the second member, now at position 1, heads.
+    let assigned = rows.remove(0);
+    let m = table.best_for_row(&machines, 0).expect("scored").0.index();
+    assert!(testkit::apply(&mut machines[m], testkit::QueueOp::Push(assigned)));
+    table.apply_assignment(&mut scorer, &machines, &rows, 0, m, &|_| 0.0);
+    table.check_invariants(&mut scorer, &machines).unwrap();
+    assert_eq!(heads(&table), [true, true, false]);
+    assert_eq!(table.best_for_row(&machines, 1), table.best_for_row(&machines, 2));
+
+    // A later member leaving keeps the head where it is.
+    rows.remove(2);
+    scorer.begin_event(0);
+    assert!(table.ensure(&mut scorer, &machines, &rows, &|_| 0.0));
+    table.check_invariants(&mut scorer, &machines).unwrap();
+    assert_eq!(heads(&table), [true, true]);
+}
+
+#[test]
 fn score_table_ensure_reuses_across_ticks_until_epoch_or_invalidate() {
     // 20 free machines, every one executing (started at 0, first PET
     // impulse ≥ 2 ticks out), so a later tick inside every head's

@@ -118,7 +118,7 @@ pub struct WorkRow {
     pub mapping_events: u64,
     /// The table's and the tail caches' counters
     /// ([`WorkCounters::fields`]), summed over trials.
-    pub work: [(&'static str, u64); 12],
+    pub work: [(&'static str, u64); 13],
     /// The engine's scan counters ([`EngineWork::fields`]), summed over
     /// trials.
     pub engine: [(&'static str, u64); 6],
