@@ -9,13 +9,16 @@
 //! every pair is followed by a base-against-base pair, whose ratios show
 //! the noise floor the A/B ratio has to clear.
 //!
-//! Each run is `BIN --workload W --seed S --seconds T --trace 0`; the
-//! last non-empty stdout line is the benchmark contract's
+//! Each run is `BIN --workload W --seed S --seconds T --trace 0`; its
+//! first stdout line is `workload W seed S decisions/pass N digest D
+//! ...`, its last non-empty one the benchmark contract's
 //! `{correct, attempted, failed, metrics}` object. A run that exits
-//! non-zero, prints no such line, or reads `"correct":false` makes the
-//! runner refuse to report any ratio: a faster build that decides
-//! differently proves nothing. Every run's line is written to the log,
-//! in run order, so a claim can cite the log instead of retyping it.
+//! non-zero, prints no digest or no contract line, or reads
+//! `"correct":false` makes the runner refuse to report any ratio, and so
+//! do two runs whose decision digests differ: a faster build that
+//! decides differently proves nothing, at a seed with no golden digest
+//! too. Every run's lines are written to the log, in run order, so a
+//! claim can cite the log instead of retyping it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,8 +68,8 @@ Runs N strictly alternated, order-flipped pairs of two benchmark binaries
 metric, both medians with their quartiles, the median per-pair ratio
 head/base and the pairs that moved the better way. --aa also runs base against base after every
 pair and prints that spread. Refuses to report when any run is not
-\"correct\":true. Every run is logged to FILE (default
-results/ab-<workload>.log)."
+\"correct\":true or when two runs print different decision digests.
+Every run is logged to FILE (default results/ab-<workload>.log)."
 }
 
 /// Parses `ab`'s arguments (those after `ab`).
@@ -304,6 +307,18 @@ fn last_line(stdout: &str) -> &str {
     stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or("")
 }
 
+/// The decision digest of a run: the word after `digest` on its first
+/// stdout line (`workload W seed S decisions/pass N digest D ...`).
+///
+/// # Errors
+///
+/// When the first line names no digest.
+pub fn parse_digest(stdout: &str) -> Result<String, String> {
+    let first = stdout.lines().next().unwrap_or("");
+    let mut words = first.split_whitespace().skip_while(|&w| w != "digest").skip(1);
+    words.next().map(str::to_string).ok_or_else(|| format!("no digest on the first line {first:?}"))
+}
+
 /// One pair's two runs, base first.
 type Pair = (RunLine, RunLine);
 
@@ -467,19 +482,29 @@ pub fn run(opts: &AbOptions) -> Result<String, String> {
         std::fs::write(&opts.log, log).map_err(|e| format!("{}: {e}", opts.log.display()))
     };
     let mut refusals = Vec::new();
+    // The first run's digest and tag: every later run must print it too.
+    let mut first_digest: Option<(String, String)> = None;
     let mut run_pair = |kind: &str, i: usize, legs: [(Leg, &Path); 2], log: &mut String| {
         let mut lines = [None, None];
         for (slot, (leg, bin)) in legs.into_iter().enumerate() {
             let result = run_binary(bin, opts).and_then(|stdout| {
+                let digest = parse_digest(&stdout)?;
                 let line = last_line(&stdout).to_string();
-                parse_line(&line).map(|parsed| (line, parsed))
+                parse_line(&line).map(|parsed| (digest, line, parsed))
             });
             let tag = format!("{kind} pair {i} run {slot} {leg:?}");
             match result {
-                Ok((line, parsed)) => {
-                    let _ = writeln!(log, "{tag}: {line}");
+                Ok((digest, line, parsed)) => {
+                    let _ = writeln!(log, "{tag}: {line} digest {digest}");
                     if !parsed.correct {
                         refusals.push(format!("{tag} is not \"correct\":true"));
+                    }
+                    match &first_digest {
+                        None => first_digest = Some((digest, tag)),
+                        Some((first, at)) if *first != digest => refusals.push(format!(
+                            "{tag} decided differently: digest {digest}, {at} {first}"
+                        )),
+                        Some(_) => {}
                     }
                     lines[slot] = Some(parsed);
                 }
@@ -516,7 +541,11 @@ pub fn run(opts: &AbOptions) -> Result<String, String> {
             refusals.join("\n")
         ));
     }
-    let report = render(opts, &summarize(&ab), &summarize(&aa));
+    let mut report = render(opts, &summarize(&ab), &summarize(&aa));
+    if let Some((digest, _)) = &first_digest {
+        let runs = 2 * opts.pairs * if opts.aa { 2 } else { 1 };
+        let _ = writeln!(report, "\nEvery one of the {runs} runs printed digest {digest}.");
+    }
     log.push_str(&report);
     write_log(&log)?;
     Ok(report)
@@ -582,10 +611,11 @@ mod tests {
         assert!((even[0].ratio_median - 1.15).abs() < 1e-12, "even count: mean of the middle two");
     }
 
-    /// A fake benchmark binary: appends its name to `calls` and prints the
-    /// next scripted line of `script` (one line per call, in order).
+    /// A fake benchmark binary: appends its name to `calls`, prints a
+    /// first line with decision digest `digest`, then the next scripted
+    /// line of `script` (one line per call, in order).
     #[cfg(unix)]
-    fn fake(dir: &Path, name: &str, lines: &[String]) -> PathBuf {
+    fn fake(dir: &Path, name: &str, digest: &str, lines: &[String]) -> PathBuf {
         use std::os::unix::fs::PermissionsExt;
         let script = dir.join(format!("{name}.lines"));
         std::fs::write(&script, lines.join("\n") + "\n").unwrap();
@@ -593,8 +623,9 @@ mod tests {
         let bin = dir.join(name);
         let body = format!(
             "#!/bin/sh\necho {name} >> '{calls}'\nn=$(cat '{count}' 2>/dev/null || echo 0)\n\
-             n=$((n + 1))\necho $n > '{count}'\necho 'human-readable preamble'\n\
-             sed -n \"${{n}}p\" '{script}'\n",
+             n=$((n + 1))\necho $n > '{count}'\n\
+             echo 'workload w seed 7 decisions/pass 3 digest {digest} on_time_pct 50.0'\n\
+             echo 'human-readable preamble'\nsed -n \"${{n}}p\" '{script}'\n",
             calls = dir.join("calls").display(),
             count = count.display(),
             script = script.display(),
@@ -637,8 +668,10 @@ mod tests {
     fn runs_flipped_pairs_and_reports_with_the_aa_spread() {
         let _spawning = SPAWNING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch("report");
-        let base = fake(&dir, "base", &(0..6).map(|_| line(true, 100.0, 10.0)).collect::<Vec<_>>());
-        let head = fake(&dir, "head", &(0..3).map(|_| line(true, 125.0, 8.0)).collect::<Vec<_>>());
+        let base =
+            fake(&dir, "base", "d1", &(0..6).map(|_| line(true, 100.0, 10.0)).collect::<Vec<_>>());
+        let head =
+            fake(&dir, "head", "d1", &(0..3).map(|_| line(true, 125.0, 8.0)).collect::<Vec<_>>());
         let opts = options(&dir, base, head, 3, false);
         let report = run(&opts).unwrap();
         let calls = std::fs::read_to_string(dir.join("calls")).unwrap();
@@ -654,6 +687,8 @@ mod tests {
         let log = std::fs::read_to_string(&opts.log).unwrap();
         assert_eq!(log.lines().filter(|l| l.starts_with("ab pair")).count(), 6, "{log}");
         assert!(log.contains("ab pair 1 run 0 Head: {"), "{log}");
+        assert!(log.contains("}}} digest d1\nab pair 1 run 0 Head: {"), "{log}");
+        assert!(report.contains("Every one of the 6 runs printed digest d1."), "{report}");
 
         let _ = std::fs::remove_file(dir.join("calls"));
         let _ = std::fs::remove_file(dir.join("base.count"));
@@ -671,18 +706,45 @@ mod tests {
         let _spawning = SPAWNING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch("refuse");
         let good = line(true, 100.0, 10.0);
-        let base = fake(&dir, "base", &[good.clone(), good.clone()]);
-        let head = fake(&dir, "head", &[good, line(false, 200.0, 5.0)]);
+        let base = fake(&dir, "base", "d1", &[good.clone(), good.clone()]);
+        let head = fake(&dir, "head", "d1", &[good, line(false, 200.0, 5.0)]);
         let opts = options(&dir, base, head, 2, false);
         let err = run(&opts).unwrap_err();
         assert!(err.contains("refusing") && err.contains("ab pair 1 run 0 Head"), "{err}");
         let log = std::fs::read_to_string(&opts.log).unwrap();
         assert!(log.contains("\"correct\":false"), "the bad run is logged: {log}");
 
-        let silent = fake(&dir, "silent", &[]);
+        let silent = fake(&dir, "silent", "d1", &[]);
         let err = run(&AbOptions { head: silent, pairs: 1, ..opts }).unwrap_err();
         assert!(err.contains("Head") && err.contains("byte"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn refuses_when_two_runs_print_different_digests() {
+        let _spawning = SPAWNING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = scratch("digest");
+        let good = line(true, 100.0, 10.0);
+        let base = fake(&dir, "base", "aaaa", &[good.clone(), good.clone()]);
+        let head = fake(&dir, "head", "bbbb", &[good.clone(), good]);
+        let opts = options(&dir, base, head, 1, false);
+        let err = run(&opts).unwrap_err();
+        assert!(err.contains("refusing") && err.contains("decided differently"), "{err}");
+        assert!(err.contains("digest bbbb, ab pair 0 run 0 Base aaaa"), "{err}");
+        let log = std::fs::read_to_string(&opts.log).unwrap();
+        assert!(log.contains("}}} digest bbbb"), "both digests are logged: {log}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_the_digest_off_the_first_line() {
+        let stdout = "workload faas_256m_pam seed 7777 decisions/pass 96 digest 0f3a on_time_pct \
+                      61.2\n  untraced pass walls (s): 1.0\n{}\n";
+        assert_eq!(parse_digest(stdout).unwrap(), "0f3a");
+        assert!(parse_digest("no such word\ndigest 1\n").is_err(), "the first line only");
+        assert!(parse_digest("workload w digest").is_err());
+        assert!(parse_digest("").is_err());
     }
 
     #[test]
